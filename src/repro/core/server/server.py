@@ -121,13 +121,6 @@ class ServerConfig:
     #: built directly ignores the field — it configures the supervisor,
     #: which forks workers with ``workers=0`` copies of this config.
     workers: int = 0
-    #: single-encode fan-out (DESIGN.md §15): a subscribe() whose wire
-    #: parameters (connection, RAN function, event trigger, actions,
-    #: requestor) match a live subscription attaches as an extra sink
-    #: on the existing record instead of creating a second wire
-    #: subscription — the agent encodes and sends each indication once
-    #: and the server fans the decoded event out locally.
-    shared_subscriptions: bool = True
 
 
 #: hoisted: the indication hot loop compares against this constant.
@@ -421,55 +414,37 @@ class Server:
         with an ADMISSION_REFUSED cause — the same signature a remote
         :class:`RicSubscriptionFailure` would have.
 
-        With ``shared_subscriptions`` (default) a request whose wire
-        parameters match a live subscription never reaches the agent:
+        Single-encode fan-out (DESIGN.md §15): a request whose wire
+        parameters (connection, RAN function, event trigger, actions,
+        requestor) match a live subscription never reaches the agent:
         the callbacks attach as an extra sink on the existing record
         and a :class:`SinkHandle` (attribute-compatible with the
         record) identifying this subscriber is returned — pass it back
-        to :meth:`unsubscribe` to detach exactly this sink.  Admission
-        still gates the call (a storm of duplicates is still a storm),
-        but the pending slot is released immediately — no wire confirm
-        is outstanding.
+        to :meth:`unsubscribe` to detach exactly this sink.  Find and
+        attach-or-create are one atomic step in the submgr, so equal
+        requests racing from several threads still put one request on
+        the wire.  Admission still gates the call (a storm of
+        duplicates is still a storm), but the pending slot is released
+        immediately — no wire confirm is outstanding.
         """
         admission = self.admission
         if admission is not None and not admission.admit_subscription():
-            record = self.submgr.create(
-                conn_id=conn_id,
-                ran_function_id=ran_function_id,
-                callbacks=callbacks,
-                actions=actions,
-                requestor_id=requestor_id,
-                event_trigger=event_trigger,
+            record = SubscriptionRecord(
+                self.submgr.mint_request(requestor_id), conn_id, ran_function_id, callbacks
             )
-            self.submgr.remove(record.request)
+            cause = Cause.ric_request(
+                Cause.ADMISSION_REFUSED, "subscription admission refused (overload)"
+            )
             if callbacks.on_failure is not None:
-                callbacks.on_failure(
-                    RicSubscriptionFailure(
-                        request=record.request,
-                        ran_function_id=ran_function_id,
-                        cause=Cause.ric_request(
-                            Cause.ADMISSION_REFUSED,
-                            "subscription admission refused (overload)",
-                        ),
-                    )
-                )
+                callbacks.on_failure(RicSubscriptionFailure(record.request, ran_function_id, cause))
             return record
-        if self.config.shared_subscriptions:
-            shared = self.submgr.find_shared(
-                conn_id, ran_function_id, event_trigger, actions, requestor_id
-            )
-            if shared is not None:
-                if admission is not None:
-                    admission.release_subscription()
-                return self.submgr.attach_sink(shared, callbacks)
         record = self.submgr.create(
-            conn_id=conn_id,
-            ran_function_id=ran_function_id,
-            callbacks=callbacks,
-            actions=actions,
-            requestor_id=requestor_id,
-            event_trigger=event_trigger,
+            conn_id, ran_function_id, callbacks, actions, requestor_id, event_trigger, share=True
         )
+        if isinstance(record, SinkHandle):
+            if admission is not None:
+                admission.release_subscription()
+            return record
         request = RicSubscriptionRequest(
             request=record.request,
             ran_function_id=ran_function_id,
@@ -695,9 +670,7 @@ class Server:
             self._pool.pressure.note_depth(len(self._pool))
         if self.admission is None:
             return
-        pending = sum(
-            1 for rec in self.submgr.active_records() if not rec.confirmed
-        )
+        pending = sum(not rec.confirmed for rec in self.submgr.active_records())
         self.admission.set_pending(pending)
 
     def _on_message(self, endpoint: Endpoint, data: bytes) -> None:

@@ -8,14 +8,16 @@ the raw indication bytes, which is the mechanism behind the 4x CPU gap
 of Fig. 8b.
 
 Concurrency model (sharded ingest): the indication hot path runs on
-several transport shard threads at once, so routing reads a
-*copy-on-write snapshot* dict without taking any lock — replacing a
-dict reference is atomic under the GIL.  Every mutation (create,
-confirm-side removal, park/adopt, drop) happens on the slow path under
-``_lock`` and finishes by publishing a rebuilt snapshot.  A reader may
-briefly observe the previous snapshot — at worst an indication routes
+several transport shard threads at once and does exactly one
+``_records.get(key)`` per indication, never iterating — a single-key
+``get`` racing a single-key ``d[k] = v`` / ``d.pop(k)`` is atomic in
+CPython, so it takes no lock.  Every mutation happens under ``_lock``
+and writes ``_records`` in place, so a subscription write costs the
+same at 10 and at 10 000 standing records.  A reader sees a record
+just before or just after the write — at worst an indication routes
 to a record that was just removed or misses one that was just created,
-the same races a network reordering already produces.
+the same races a network reordering already produces.  Anything that
+*iterates* a table does so under ``_lock``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.cow import publish_snapshot
-from repro.analysis.markers import cow_mutator, cow_snapshot
 from repro.metrics.counters import get_counter
 from repro.metrics.trace import TRACER as _TRACER
 from repro.core.e2ap.ies import RicActionDefinition, RicRequestId
@@ -108,23 +108,77 @@ class SinkHandle:
         return getattr(self.record, name)
 
 
-@cow_snapshot("_route")
+#: everything the agent sees on the wire; equal keys may share a record.
+ShareKey = Tuple[int, int, int, bytes, Tuple[RicActionDefinition, ...]]
+_Bucket = Dict[Tuple[int, int], SubscriptionRecord]  # request key -> record
+
+
+def _share_key(record: SubscriptionRecord) -> ShareKey:
+    return (
+        record.conn_id, record.ran_function_id, record.request.requestor_id,
+        record.event_trigger, tuple(record.actions),
+    )
+
+
+def _notify(subscribers: List[SubscriptionCallbacks], hook: str, message) -> None:
+    """Call ``hook`` on every subscriber that set one; never under ``_lock``."""
+    for callbacks in subscribers:
+        handler = getattr(callbacks, hook)
+        if handler is not None:
+            handler(message)
+
+
 class SubscriptionManager:
     """Mints request ids, tracks records, dispatches by key."""
 
     def __init__(self, requestor_id: int = 1) -> None:
         self.requestor_id = requestor_id
         self._instance_ids = itertools.count(1)
-        self._records: Dict[Tuple[int, int], SubscriptionRecord] = {}
-        #: copy-on-write routing snapshot: replaced (never mutated in
-        #: place) under ``_lock``, read lock-free on the hot path.
-        self._route: Dict[Tuple[int, int], SubscriptionRecord] = publish_snapshot({})
+        #: the routing table: written in place under ``_lock``, read
+        #: with one lock-free ``get`` per indication on the hot path.
+        self._records: _Bucket = {}
+        #: live non-parked records by share key, earliest-created first
+        #: (a record mid-resync is not a safe attach target, so parking
+        #: leaves this index).  Tuples: one record per key is the norm.
+        self._by_share: Dict[ShareKey, Tuple[SubscriptionRecord, ...]] = {}
+        #: records by connection; parked ones stay under the dead
+        #: connection until :meth:`adopt` re-homes them.
+        self._by_conn: Dict[int, _Bucket] = {}
+        #: parked records; ``len(self) - parked_count`` are active.
+        self.parked_count = 0
         self._lock = threading.RLock()
 
-    @cow_mutator
-    def _publish(self) -> None:
-        """Rebuild the routing snapshot; callers hold ``_lock``."""
-        self._route = publish_snapshot(dict(self._records))
+    def _join(self, key: Tuple[int, int], record: SubscriptionRecord) -> None:
+        """Index ``record`` (request key ``key``); caller holds ``_lock``."""
+        self._by_conn.setdefault(record.conn_id, {})[key] = record
+        self.parked_count += record.parked
+        if not record.parked:
+            share_key = _share_key(record)
+            peers = self._by_share.get(share_key, ()) + (record,)  # ids are minted in order
+            self._by_share[share_key] = tuple(sorted(peers, key=lambda r: r.request.instance_id))
+
+    def _leave(self, key: Tuple[int, int], record: SubscriptionRecord) -> None:
+        """Inverse of :meth:`_join`; call *before* changing conn/parked."""
+        conn = self._by_conn[record.conn_id]
+        del conn[key]
+        if not conn:
+            del self._by_conn[record.conn_id]
+        self.parked_count -= record.parked
+        if not record.parked:
+            share_key = _share_key(record)
+            peers = tuple(r for r in self._by_share[share_key] if r is not record)
+            if peers:
+                self._by_share[share_key] = peers
+            else:
+                del self._by_share[share_key]
+
+    def mint_request(self, requestor_id: Optional[int] = None) -> RicRequestId:
+        """A fresh request id, registered nowhere (a locally refused
+        request still needs one for its failure callback)."""
+        return RicRequestId(
+            requestor_id=self.requestor_id if requestor_id is None else requestor_id,
+            instance_id=next(self._instance_ids),
+        )
 
     def create(
         self,
@@ -134,68 +188,75 @@ class SubscriptionManager:
         actions: Optional[List[RicActionDefinition]] = None,
         requestor_id: Optional[int] = None,
         event_trigger: bytes = b"",
-    ) -> SubscriptionRecord:
+        share: bool = False,
+    ) -> "SubscriptionRecord | SinkHandle":
         """Allocate a request id and register the pending record.
 
         ``requestor_id`` may be overridden per subscription so a
         controller hosting several applications keeps their
-        transactions distinguishable (xApp multiplexing, §6.3).
+        transactions distinguishable (xApp multiplexing, §6.3).  With
+        ``share`` a :meth:`find_shared` match is attached to instead
+        (as :meth:`attach_sink`) — find-or-create in one critical
+        section, so equal concurrent requests create one record.
         """
-        request = RicRequestId(
-            requestor_id=self.requestor_id if requestor_id is None else requestor_id,
-            instance_id=next(self._instance_ids),
-        )
-        record = SubscriptionRecord(
-            request=request,
-            conn_id=conn_id,
-            ran_function_id=ran_function_id,
-            callbacks=callbacks,
-            actions=list(actions or ()),
-            event_trigger=bytes(event_trigger),
-        )
-        with self._lock:
-            self._records[request.as_tuple()] = record
-            self._publish()
-        return record
+        with self._lock:  # ids minted under the lock: table order is creation order
+            shared = share and self.find_shared(
+                conn_id, ran_function_id, event_trigger, actions, requestor_id
+            )
+            if not shared:
+                record = SubscriptionRecord(
+                    self.mint_request(requestor_id), conn_id, ran_function_id, callbacks,
+                    list(actions or ()), event_trigger=bytes(event_trigger),
+                )
+                key = record.request.as_tuple()
+                self._records[key] = record
+                self._join(key, record)
+                return record
+            shared.extra_sinks.append(callbacks)
+            response = shared.response if shared.confirmed else None
+        return self._attached(shared, callbacks, response)
 
     def lookup(self, requestor_id: int, instance_id: int) -> Optional[SubscriptionRecord]:
         """O(1) lock-free dispatch lookup on the indication hot path."""
-        return self._route.get((requestor_id, instance_id))
+        return self._records.get((requestor_id, instance_id))
 
     def confirm(self, response: RicSubscriptionResponse) -> Optional[SubscriptionRecord]:
-        # The confirmed/response flip and the sink snapshot happen
-        # atomically under _lock so a concurrently attaching sink gets
-        # on_success exactly once: either it appended before this
-        # snapshot (notified below) or it appended after, in which case
-        # attach_sink observed confirmed=True and replays the stored
-        # response itself.
+        # The confirmed/response flip and the subscriber snapshot are one
+        # step under _lock so a concurrently attaching sink gets
+        # on_success exactly once: it appended before this snapshot
+        # (notified below) or after, in which case the attach saw
+        # confirmed=True and replays the stored response itself.
         with self._lock:
             record = self._records.get(response.request.as_tuple())
             if record is None:
                 return None
             record.response = response
             record.confirmed = True
-            sinks = list(record.extra_sinks)
-        if record.callbacks.on_success is not None:
-            record.callbacks.on_success(response)
-        for sink in sinks:
-            if sink.on_success is not None:
-                sink.on_success(response)
+            subscribers = [record.callbacks, *record.extra_sinks]
+        _notify(subscribers, "on_success", response)
+        return record
+
+    def _retire(self, request: RicRequestId, hook: str = "", message=None):
+        """Unregister the record, then call ``hook`` on its subscribers of that moment."""
+        key = request.as_tuple()
+        with self._lock:
+            record = self._records.pop(key, None)
+            if record is None:
+                return None
+            self._leave(key, record)
+            subscribers = [record.callbacks, *record.extra_sinks]
+        if hook:
+            _notify(subscribers, hook, message)
         return record
 
     def fail(self, failure: RicSubscriptionFailure) -> Optional[SubscriptionRecord]:
-        with self._lock:
-            record = self._records.pop(failure.request.as_tuple(), None)
-            self._publish()
-            sinks = list(record.extra_sinks) if record is not None else []
-        if record is None:
-            return None
-        if record.callbacks.on_failure is not None:
-            record.callbacks.on_failure(failure)
-        for sink in sinks:
-            if sink.on_failure is not None:
-                sink.on_failure(failure)
-        return record
+        return self._retire(failure.request, "on_failure", failure)
+
+    def remove(self, request: RicRequestId) -> Optional[SubscriptionRecord]:
+        return self._retire(request)
+
+    def deleted(self, response: RicSubscriptionDeleteResponse) -> Optional[SubscriptionRecord]:
+        return self._retire(response.request, "on_deleted", response)
 
     # -- shared wire subscriptions (single-encode fan-out) -------------
 
@@ -207,30 +268,13 @@ class SubscriptionManager:
         actions: Optional[List[RicActionDefinition]],
         requestor_id: Optional[int],
     ) -> Optional[SubscriptionRecord]:
-        """An existing live record this subscription could share.
-
-        Equality is on everything the agent sees on the wire: the
-        connection, the RAN function, the event trigger, the action
-        list, and the requestor id.  Parked records are skipped — a
-        record mid-resync is not a safe attach target.
-        """
-        trigger = bytes(event_trigger)
-        wanted_actions = list(actions or ())
-        wanted_requestor = (
-            self.requestor_id if requestor_id is None else requestor_id
-        )
+        """The earliest-created live record with an equal :data:`ShareKey`
+        (parked records are not in the index): one dict lookup."""
+        requestor = self.requestor_id if requestor_id is None else requestor_id
+        key = (conn_id, ran_function_id, requestor, bytes(event_trigger), tuple(actions or ()))
         with self._lock:
-            for record in self._records.values():
-                if (
-                    not record.parked
-                    and record.conn_id == conn_id
-                    and record.ran_function_id == ran_function_id
-                    and record.request.requestor_id == wanted_requestor
-                    and record.event_trigger == trigger
-                    and record.actions == wanted_actions
-                ):
-                    return record
-        return None
+            peers = self._by_share.get(key)
+            return peers[0] if peers else None
 
     def attach_sink(
         self, record: SubscriptionRecord, callbacks: SubscriptionCallbacks
@@ -238,17 +282,18 @@ class SubscriptionManager:
         """Add an extra sink to a shared record (no wire traffic).
 
         A sink attaching after the wire subscription confirmed gets the
-        stored response replayed, so its ``on_success`` contract holds.
-        The append and the confirmed check are one atomic step under
-        ``_lock``, pairing with :meth:`confirm`'s locked snapshot: the
-        sink is notified by exactly one of the two paths.
+        stored response replayed, so its ``on_success`` contract holds
+        (exactly once: see :meth:`confirm`).
         """
         with self._lock:
             record.extra_sinks.append(callbacks)
-            replay = record.confirmed and record.response is not None
-            response = record.response
+            response = record.response if record.confirmed else None
+        return self._attached(record, callbacks, response)
+
+    def _attached(self, record, callbacks: SubscriptionCallbacks, response) -> SinkHandle:
+        """The rest of an attach, outside ``_lock``: it runs iApp code."""
         get_counter("server.subscription.shared").incr()
-        if replay and callbacks.on_success is not None:
+        if response is not None and callbacks.on_success is not None:
             callbacks.on_success(response)
         return SinkHandle(record, callbacks)
 
@@ -306,7 +351,7 @@ class SubscriptionManager:
             key = event.route_key()
         except AttributeError:
             key = (event.requestor_id, event.instance_id)
-        record = self._route.get(key)
+        record = self._records.get(key)
         if record is None:
             return None
         record.indications_seen += 1
@@ -330,36 +375,17 @@ class SubscriptionManager:
             )
         return record
 
-    def remove(self, request: RicRequestId) -> Optional[SubscriptionRecord]:
-        with self._lock:
-            record = self._records.pop(request.as_tuple(), None)
-            self._publish()
-        return record
-
-    def deleted(self, response: RicSubscriptionDeleteResponse) -> Optional[SubscriptionRecord]:
-        with self._lock:
-            record = self._records.pop(response.request.as_tuple(), None)
-            self._publish()
-            sinks = list(record.extra_sinks) if record is not None else []
-        if record is not None:
-            if record.callbacks.on_deleted is not None:
-                record.callbacks.on_deleted(response)
-            for sink in sinks:
-                if sink.on_deleted is not None:
-                    sink.on_deleted(response)
-        return record
-
     def records_for_conn(self, conn_id: int) -> List[SubscriptionRecord]:
-        return [record for record in self._records.values() if record.conn_id == conn_id]
+        with self._lock:
+            return list(self._by_conn.get(conn_id, {}).values())
 
     def drop_conn(self, conn_id: int) -> int:
         """Purge all subscriptions of a vanished agent; returns count."""
         with self._lock:
-            keys = [key for key, record in self._records.items() if record.conn_id == conn_id]
-            for key in keys:
-                del self._records[key]
-            self._publish()
-        return len(keys)
+            records = self.records_for_conn(conn_id)
+            for record in records:
+                self._retire(record.request)
+        return len(records)
 
     # -- stale-node lifecycle (server resync) -------------------------
 
@@ -371,42 +397,43 @@ class SubscriptionManager:
         the same requests and the iApps' callbacks never notice the
         outage.  Returns the records parked now.
         """
-        parked = []
         with self._lock:
-            for record in self._records.values():
-                if record.conn_id == conn_id and not record.parked:
-                    record.parked = True
-                    record.confirmed = False
-                    parked.append(record)
+            parked = [r for r in self.records_for_conn(conn_id) if not r.parked]
+            for record in parked:
+                key = record.request.as_tuple()
+                self._leave(key, record)
+                record.parked = True
+                record.confirmed = False
+                self._join(key, record)
         return parked
 
     def adopt(self, records: List[SubscriptionRecord], new_conn_id: int) -> None:
-        """Re-home parked records onto the recovered node's connection."""
+        """Re-home parked records onto the recovered node's connection,
+        re-keying them in the share index under the new ``conn_id``.
+        Records purged while parked (a racing ``drop_conn``) stay gone."""
         with self._lock:
             for record in records:
+                key = record.request.as_tuple()
+                if self._records.get(key) is not record:
+                    continue
+                self._leave(key, record)
                 record.conn_id = new_conn_id
                 record.parked = False
                 record.resyncs += 1
+                self._join(key, record)
 
     def terminal_fail(self, record: SubscriptionRecord, failure: RicSubscriptionFailure) -> None:
-        """Grace expired: remove the record and tell its iApp the
-        subscription is gone for good."""
-        with self._lock:
-            self._records.pop(record.request.as_tuple(), None)
-            self._publish()
-            sinks = list(record.extra_sinks)
-        if record.callbacks.on_failure is not None:
-            record.callbacks.on_failure(failure)
-        for sink in sinks:
-            if sink.on_failure is not None:
-                sink.on_failure(failure)
+        """Grace expired: remove the record, telling its iApps it is gone for good."""
+        self._retire(record.request, "on_failure", failure)
 
     def parked_records(self) -> List[SubscriptionRecord]:
-        return [record for record in self._records.values() if record.parked]
+        with self._lock:
+            return [record for record in self._records.values() if record.parked]
 
     def active_records(self) -> List[SubscriptionRecord]:
         """Non-parked records (the chaos suite's duplicate check)."""
-        return [record for record in self._records.values() if not record.parked]
+        with self._lock:
+            return [record for record in self._records.values() if not record.parked]
 
     def __len__(self) -> int:
         return len(self._records)

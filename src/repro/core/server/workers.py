@@ -189,7 +189,7 @@ def _stats_payload(
     counters = counter_values()
     payload["pid"] = os.getpid()
     payload["agents"] = len(server.agents())
-    payload["subscriptions"] = len(server.submgr.active_records())
+    payload["subscriptions"] = len(server.submgr) - server.submgr.parked_count
     payload["indications"] = counters.get("server.policy.indications", 0)
     payload["counters"] = {k: v for k, v in counters.items() if v}
     payload["gauges"] = gauge_values()

@@ -169,7 +169,7 @@ class TestFreezer:
     def test_server_routes_frozen_under_analysis(self):
         """End to end: a server built with freezing on publishes frozen
         routing snapshots, and mutating one raises deterministically."""
-        from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
+        from repro.core.server import Server, ServerConfig
         from repro.core.transport import InProcTransport, TransportEvents
 
         was = cow.freezing()
@@ -179,12 +179,8 @@ class TestFreezer:
             transport = InProcTransport()
             server.listen(transport, "ric")
             transport.connect("ric", TransportEvents())
-            server.submgr.create(
-                conn_id=1, ran_function_id=1, callbacks=SubscriptionCallbacks()
-            )
             assert isinstance(server._route_conns, FrozenSnapshot)
             assert isinstance(server._route_by_endpoint, FrozenSnapshot)
-            assert isinstance(server.submgr._route, FrozenSnapshot)
             with pytest.raises(SnapshotMutationError):
                 server._route_conns.clear()
             server.close()

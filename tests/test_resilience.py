@@ -572,12 +572,11 @@ class TestAnalysisUnderChaos:
                 actions=[RicActionDefinition(1, RicActionKind.REPORT)],
                 callbacks=SubscriptionCallbacks(),
             )
-            assert isinstance(server.submgr._route, FrozenSnapshot)
+            assert isinstance(server._route_conns, FrozenSnapshot)
             agent.disconnect(origin)
             agent.connect("ric")
             assert isinstance(server._route_conns, FrozenSnapshot)
             assert isinstance(server._route_by_endpoint, FrozenSnapshot)
-            assert isinstance(server.submgr._route, FrozenSnapshot)
         finally:
             transport.stop()
             server.close()

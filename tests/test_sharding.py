@@ -194,12 +194,12 @@ class TestOrdering:
             transport.stop()
 
 
-# -- routing snapshot consistency under churn ------------------------
+# -- routing table consistency under churn ---------------------------
 
 
 class TestSnapshotChurn:
     @pytest.mark.parametrize("seed", [CHAOS_SEED, CHAOS_SEED + 1])
-    def test_submgr_snapshot_consistent_under_churn(self, seed):
+    def test_submgr_table_consistent_under_churn(self, seed):
         import random
 
         rng = random.Random(seed)
@@ -253,8 +253,10 @@ class TestSnapshotChurn:
         for thread in threads:
             thread.join(timeout=30.0)
         assert not errors
-        # Quiescent: snapshot and source of truth agree exactly.
-        assert submgr._route == submgr._records
+        # Quiescent: the routing table and the per-connection index
+        # hold exactly the records that were created and not removed.
+        assert set(submgr._records) == {r.request.as_tuple() for r in live}
+        assert submgr._by_conn == ({1: submgr._records} if live else {})
 
     def test_server_routes_rebuilt_on_connect_and_disconnect(self):
         transport = InProcTransport()
@@ -430,11 +432,10 @@ class TestAnalysisIntegration:
             agent.connect("ric")
             assert isinstance(server._route_conns, FrozenSnapshot)
             assert isinstance(server._route_by_endpoint, FrozenSnapshot)
-            assert isinstance(server.submgr._route, FrozenSnapshot)
             with pytest.raises(SnapshotMutationError):
                 server._route_conns[999] = None
             with pytest.raises(SnapshotMutationError):
-                server.submgr._route.clear()
+                server._route_by_endpoint.clear()
         finally:
             transport.stop()
             server.close()
