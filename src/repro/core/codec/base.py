@@ -87,11 +87,6 @@ class Codec(ABC):
 
 _REGISTRY: Dict[str, Codec] = {}
 
-#: Bumped on every (re-)registration.  Encode caches keyed on a codec
-#: *name* embed this version so swapping in a different implementation
-#: under the same name (§4.3) can never serve stale bytes.
-_REGISTRY_VERSION = 0
-
 
 def register_codec(codec: Codec) -> None:
     """Add ``codec`` to the global registry under ``codec.name``.
@@ -99,16 +94,9 @@ def register_codec(codec: Codec) -> None:
     Re-registering the same name replaces the previous entry; this is
     how a deployment swaps in a vendor-specific scheme (§4.3).
     """
-    global _REGISTRY_VERSION
     if not codec.name:
         raise ValueError("codec has no name")
     _REGISTRY[codec.name] = codec
-    _REGISTRY_VERSION += 1
-
-
-def registry_version() -> int:
-    """Monotonic counter of codec (re-)registrations."""
-    return _REGISTRY_VERSION
 
 
 def get_codec(name: str) -> Codec:

@@ -23,9 +23,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
+from typing import Dict, List, Mapping, Optional, Tuple, Type
 
-from repro.core.codec import base
 from repro.core.codec.base import Codec, CodecError
 from repro.metrics import counters
 from repro.metrics.trace import TRACER as _TRACER
@@ -62,16 +61,11 @@ class E2Message:
     """Base for all E2AP messages.
 
     Subclasses define ``procedure``/``msg_class`` class attributes and
-    implement ``to_value``/``from_value``.  ``encode_cacheable``
-    marks messages whose full encodings repeat verbatim (setup,
-    subscription and control traffic); :class:`RicIndication` opts out
-    because its monotonic sequence number makes a full-message cache
-    hit impossible while hashing its payload would tax the hot path.
+    implement ``to_value``/``from_value``.
     """
 
     procedure: ProcedureCode
     msg_class: MessageClass
-    encode_cacheable = True
 
     def to_value(self) -> dict:
         raise NotImplementedError
@@ -81,78 +75,14 @@ class E2Message:
         raise NotImplementedError
 
 
-# -- encode cache ----------------------------------------------------
-
-#: LRU of full message encodings: (codec name, frozen message key) →
-#: wire bytes.  Control loops and subscription management re-send
-#: byte-identical messages constantly (every ping of Fig. 7 repeats
-#: the same control request); returning the cached immutable ``bytes``
-#: is safe because nothing downstream mutates wire buffers.
-_ENCODE_CACHE: Dict[Tuple, bytes] = {}
-_ENCODE_CACHE_MAX = 512
-_encode_cache_version = -1  # codec registry version the cache is valid for
-
-_cache_hits = counters.get_counter("e2ap.encode_cache.hits")
-_cache_misses = counters.get_counter("e2ap.encode_cache.misses")
-#: every E2AP message serialization request (cache hits included) —
-#: the denominator-free basis of the fan-out encode-reuse gate:
-#: delivered indications per encode call (DESIGN.md §15).
+#: every E2AP message serialization request — the denominator-free
+#: basis of the fan-out encode-reuse gate: delivered indications per
+#: encode call (DESIGN.md §15).
 _encode_calls = counters.get_counter("e2ap.encode.messages")
-
-#: Message types whose instances are not hashable (list fields);
-#: their cache key is built by :func:`_freeze` instead.
-_UNHASHABLE_TYPES: Dict[type, bool] = {}
-
-
-def _freeze(value: Any) -> Any:
-    """Recursively turn a message field into a hashable key part.
-
-    Dict order is preserved: it determines wire order, so two messages
-    whose dicts differ only in insertion order must not share a key.
-    """
-    if isinstance(value, list):
-        return tuple(_freeze(item) for item in value)
-    if isinstance(value, dict):
-        return ("{}",) + tuple(
-            (key, _freeze(item)) for key, item in value.items()
-        )
-    if hasattr(value, "__dataclass_fields__"):
-        return (type(value).__name__,) + tuple(
-            _freeze(getattr(value, name)) for name in value.__dataclass_fields__
-        )
-    return value
-
-
-def _message_key(msg: E2Message) -> Tuple:
-    cls = type(msg)
-    if not _UNHASHABLE_TYPES.get(cls, False):
-        try:
-            hash(msg)
-            return (cls, msg)
-        except TypeError:
-            _UNHASHABLE_TYPES[cls] = True
-    return (cls,) + tuple(
-        _freeze(getattr(msg, name)) for name in msg.__dataclass_fields__  # type: ignore[attr-defined]
-    )
-
-
-def encode_cache_stats() -> Tuple[int, int]:
-    """(hits, misses) of the message encode cache."""
-    return _cache_hits.value, _cache_misses.value
-
-
-def clear_encode_cache() -> None:
-    """Drop all cached encodings (tests, codec swaps)."""
-    _ENCODE_CACHE.clear()
 
 
 def encode_message(msg: E2Message, codec: Codec) -> bytes:
     """Serialize an E2AP message with the given outer codec.
-
-    Cacheable messages (see :class:`E2Message`) are served from an LRU
-    keyed on the codec name and the frozen message; the cache is
-    invalidated wholesale when the codec registry changes, so swapping
-    an implementation under the same name can never serve stale bytes.
 
     With tracing enabled an ``encode`` span is recorded, correlated on
     the message's RIC request id (when it has one) so the span
@@ -172,32 +102,8 @@ def encode_message(msg: E2Message, codec: Codec) -> bytes:
 
 
 def _encode_message(msg: E2Message, codec: Codec) -> bytes:
-    global _encode_cache_version
     _encode_calls.incr()
-    if msg.encode_cacheable:
-        version = base.registry_version()
-        if version != _encode_cache_version:
-            _ENCODE_CACHE.clear()
-            _encode_cache_version = version
-        cache = _ENCODE_CACHE
-        key = (codec.name,) + _message_key(msg)
-        wire = cache.pop(key, None)
-        if wire is not None:
-            cache[key] = wire  # move to most-recent position
-            _cache_hits.incr()
-            return wire
-        _cache_misses.incr()
-        tree = {"p": int(msg.procedure), "c": int(msg.msg_class), "v": msg.to_value()}
-        wire = _encode_tree(msg, codec, tree)
-        if len(cache) >= _ENCODE_CACHE_MAX:
-            del cache[next(iter(cache))]
-        cache[key] = wire
-        return wire
     tree = {"p": int(msg.procedure), "c": int(msg.msg_class), "v": msg.to_value()}
-    return _encode_tree(msg, codec, tree)
-
-
-def _encode_tree(msg: E2Message, codec: Codec, tree: dict) -> bytes:
     try:
         return codec.encode(tree)
     except CodecError as exc:
@@ -791,9 +697,6 @@ class RicIndication(E2Message):
 
     procedure = ProcedureCode.RIC_INDICATION
     msg_class = MessageClass.INITIATING
-    # The sequence number is monotonic, so a full-message cache could
-    # never hit; skip the lookup (and the payload hash it would cost).
-    encode_cacheable = False
 
     request: "RicRequestIdValue"
     ran_function_id: int

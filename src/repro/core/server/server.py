@@ -15,10 +15,9 @@ agents and iApps.  Design properties carried over from the paper:
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.cow import publish_snapshot
@@ -80,6 +79,11 @@ from repro.metrics.trace import TRACER as _TRACER
 class ServerConfig:
     """Static server configuration.
 
+    The defaults are the paper's server (§4.2.2, §4.4): one event
+    loop (``shards=1``), indications dispatched inline, one process.
+    Every ingest topology runs the same receive path — transports
+    hand drained batches to :meth:`Server._on_messages`.
+
     ``indication_workers`` enables the multi-thread extension of §4.4:
     "given that the handling of indication messages in the server
     library is stateless, it is possible to pass messages to different
@@ -105,11 +109,10 @@ class ServerConfig:
     keepalive_misses: int = 3
     #: transport ingest shards (§4.4 multi-loop extension): number of
     #: independent selector/dispatch loops a transport built through
-    #: :meth:`Server.create_transport` runs.  1 reproduces the paper's
-    #: single-threaded event loop exactly; the default scales with the
-    #: host but stays modest — ingest shards are I/O loops, not compute
-    #: workers.
-    shards: int = field(default_factory=lambda: min(4, os.cpu_count() or 1))
+    #: :meth:`Server.create_transport` runs.  1 (default) is the
+    #: paper's single-threaded event loop; N > 1 runs N loops of the
+    #: same receive path, connections pinned to one each.
+    shards: int = 1
     #: overload discipline (DESIGN.md §13): bounded class-aware ingest
     #: queues, setup/subscription admission control, degrade states.
     #: None (default) keeps the unbounded legacy behaviour exactly.
@@ -266,8 +269,8 @@ class Server:
         #: with a fake time source; production uses ``time.monotonic``).
         self.time_fn = time_fn
         self.codec: Codec = get_codec(self.config.e2ap_codec)
-        #: one-pass (procedure, class, body) extraction for the batched
-        #: ingest; codecs without a fast path fall back to a full walk.
+        #: one-pass (procedure, class, body) extraction for the ingest
+        #: loop; codecs without a fast path fall back to a full walk.
         self._decode_route = getattr(self.codec, "decode_route", self._generic_route)
         self._node_label = f"ric-{self.config.ric_id}"
         self.cpu = cpu_meter or CpuMeter(f"server-{self.config.ric_id}")
@@ -340,7 +343,6 @@ class Server:
         """
         return TransportEvents(
             on_connected=self._on_connected,
-            on_message=self._on_message,
             on_disconnected=self._on_disconnected,
             on_messages=self._on_messages,
         )
@@ -673,79 +675,23 @@ class Server:
         pending = sum(not rec.confirmed for rec in self.submgr.active_records())
         self.admission.set_pending(pending)
 
-    def _on_message(self, endpoint: Endpoint, data: bytes) -> None:
-        state = self._route_by_endpoint.get(id(endpoint))
-        if state is None:
-            return
-        # Any traffic proves the agent alive: reset the keepalive state.
-        state.last_seen = self.time_fn()
-        state.pending_queries = 0
-        tracer = _TRACER
-        trace_start = 0.0
-        if tracer.enabled:
-            tracer.node = self._node_label
-            trace_start = time.perf_counter()
-        with self.cpu.measure():
-            try:
-                tree = self.codec.decode(data)
-                procedure = tree["p"]
-                msg_class = tree["c"]
-            except (CodecError, KeyError, TypeError, ValueError):
-                # A corrupted frame (chaos transport, buggy peer) must
-                # not take the whole server transport thread down.
-                get_counter("server.rx.decode_error").incr()
-                get_counter("decode.contained").incr()
-                return
-            if procedure == int(ProcedureCode.RIC_INDICATION):
-                # Hot path: route on header scalars only.  Handling is
-                # stateless, so it may run on a worker thread (§4.4).
-                event = IndicationEvent(state.conn_id, tree["v"])
-                if trace_start:
-                    # Forcing the request-id read here is the decode
-                    # cost the span is meant to charge.
-                    tracer.record(
-                        "decode",
-                        trace_start,
-                        (event.requestor_id, event.instance_id),
-                        procedure="ric_indication",
-                    )
-                if self._pool is not None:
-                    self._pool.submit(self.submgr.deliver_indication, event)
-                else:
-                    self.submgr.deliver_indication(event)
-                return
-            if trace_start:
-                tracer.record(
-                    "decode", trace_start, procedure=_procedure_name(procedure)
-                )
-                dispatch_start = time.perf_counter()
-                self._handle_slow_path(state, procedure, msg_class, tree["v"])
-                tracer.record(
-                    "dispatch", dispatch_start, procedure=_procedure_name(procedure)
-                )
-                return
-            self._handle_slow_path(state, procedure, msg_class, tree["v"])
-
     def _generic_route(self, data: bytes) -> Tuple[int, int, Any]:
         tree = self.codec.decode(data)
         return tree["p"], tree["c"], tree["v"]
 
     def _on_messages(self, endpoint: Endpoint, batch: Sequence[bytes]) -> None:
-        """Batched delivery from a sharded transport (drain-and-batch).
+        """The single ingest: one call per drained wakeup, any transport.
 
-        The per-message path pays a liveness-bookkeeping write, a CPU
-        measurement context and a tracer check for every frame; a
-        drained burst pays each of those once.  With tracing enabled
-        the batch falls back to the per-message path so the recorded
-        span sequence is identical to the single-loop transport.
+        Liveness bookkeeping and the CPU measurement context are paid
+        once per batch; each frame costs one ``decode_route``.  With
+        tracing enabled every message records its own ``decode`` span
+        (and ``dispatch`` for the slow path; the submgr records the
+        indication's) right here — the batch is never re-dispatched.
         """
-        if _TRACER.enabled:
-            for data in batch:
-                self._on_message(endpoint, data)
-            return
         state = self._route_by_endpoint.get(id(endpoint))
         if state is None:
             return
+        # Any traffic proves the agent alive: reset the keepalive state.
         state.last_seen = self.time_fn()
         state.pending_queries = 0
         if state.rx_counter is None:
@@ -757,22 +703,43 @@ class Server:
         deliver = self.submgr.deliver_indication
         pool = self._pool
         conn_id = state.conn_id
+        tracer = _TRACER
+        traced = tracer.enabled
+        if traced:
+            tracer.node = self._node_label
         with self.cpu.measure():
             for data in batch:
+                start = time.perf_counter() if traced else 0.0
                 try:
                     procedure, msg_class, body = route(data)
                 except (CodecError, KeyError, TypeError, ValueError):
+                    # A corrupted frame (chaos transport, buggy peer)
+                    # must not take the transport thread down.
                     get_counter("server.rx.decode_error").incr()
                     get_counter("decode.contained").incr()
                     continue
                 if procedure == _IND_CODE:
+                    # Route on header scalars only.  Handling is
+                    # stateless, so it may run on a worker thread (§4.4).
                     event = IndicationEvent(conn_id, body)
+                    if traced:
+                        # Forcing the request-id read here is the
+                        # decode cost the span is meant to charge.
+                        tracer.record(
+                            "decode", start, event.route_key(), procedure="ric_indication"
+                        )
                     if pool is not None:
                         pool.submit(deliver, event)
                     else:
                         deliver(event)
                     continue
+                if traced:
+                    name = _procedure_name(procedure)
+                    tracer.record("decode", start, procedure=name)
+                    start = time.perf_counter()
                 self._handle_slow_path(state, procedure, msg_class, body)
+                if traced:
+                    tracer.record("dispatch", start, procedure=name)
 
     def _handle_slow_path(
         self, state: _ConnState, procedure: int, msg_class: int, body: Any

@@ -1,4 +1,8 @@
-"""Transport interface shared by TCP and in-process implementations."""
+"""Transport interface shared by TCP and in-process implementations.
+
+Sending is per endpoint (``send``/``send_many``); receiving is one
+path on every transport — ``TransportEvents.deliver(endpoint, batch)``.
+"""
 
 from __future__ import annotations
 
@@ -112,12 +116,12 @@ class TransportEvents:
     in-process, the owning shard's I/O thread for TCP), mirroring the
     single-threaded event-driven design of the SDK (§4.4).
 
-    ``on_messages`` is the receive-side batch hook: a transport that
-    drained several complete frames in one wakeup hands them over as
-    one call, letting the receiver amortize per-frame overhead (lock
-    acquisition, CPU accounting, trace spans).  Receivers that do not
-    set it get the classic per-frame ``on_message`` stream; transports
-    route through :meth:`deliver` so both kinds keep working.
+    :meth:`deliver` is the single hand-off from every transport: the
+    frames one wakeup completed arrive as one batch, in order.  A
+    receiver that sets ``on_messages`` takes the batch whole and
+    amortizes per-frame overhead (lock acquisition, CPU accounting);
+    one that sets only ``on_message`` (the agent, the baselines) gets
+    one call per frame.
     """
 
     def __init__(

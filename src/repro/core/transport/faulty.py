@@ -84,6 +84,8 @@ class _FaultyEndpoint(Endpoint):
     # -- Endpoint ----------------------------------------------------
 
     def send(self, data: bytes) -> None:
+        # ``send_many`` is the inherited per-message loop over this:
+        # fault decisions are per message, so bursts are not coalesced.
         if self.closed:
             raise ConnectionError("endpoint closed")
         spec = self._transport.spec
@@ -96,14 +98,6 @@ class _FaultyEndpoint(Endpoint):
         self._apply(bytes(data), spec, rng)
         if kill_after:
             self._kill("disconnect_every schedule")
-
-    def send_many(self, batch: Sequence[bytes]) -> None:
-        # Per-message fault decisions trump write coalescing here; the
-        # chaos harness is about failure envelopes, not throughput.
-        for data in batch:
-            if self.closed:
-                raise ConnectionError("endpoint closed")
-            self.send(data)
 
     def _apply(self, data: bytes, spec: FaultSpec, rng: random.Random) -> None:
         if spec.drop_rate and rng.random() < spec.drop_rate:
@@ -262,8 +256,11 @@ class FaultyTransport(Transport):
         def on_connected(inner: Endpoint) -> None:
             user.on_connected(self._wrapper(inner, user))
 
-        def on_message(inner: Endpoint, data: bytes) -> None:
-            user.on_message(self._wrapper(inner, user), data)
+        def on_messages(inner: Endpoint, batch: Sequence[bytes]) -> None:
+            # Every inner transport hands frames over through
+            # ``deliver``; faults were already applied per message on
+            # the send side, so the batch passes through as it came.
+            user.deliver(self._wrapper(inner, user), batch)
 
         def on_disconnected(inner: Endpoint, reason=None) -> None:
             wrapper = self._wrappers.pop(id(inner), None)
@@ -275,19 +272,11 @@ class FaultyTransport(Transport):
             wrapper._killed = True
             user.on_disconnected(wrapper, reason)
 
-        wrapped = TransportEvents(
+        return TransportEvents(
             on_connected=on_connected,
-            on_message=on_message,
+            on_messages=on_messages,
             on_disconnected=on_disconnected,
         )
-        if user.on_messages is not None:
-            # Batch deliveries from a sharded inner transport surface
-            # the same wrapper endpoint and stay batched; faults were
-            # already applied per message on the send side.
-            wrapped.on_messages = lambda inner, batch: user.on_messages(
-                self._wrapper(inner, user), batch
-            )
-        return wrapped
 
     def endpoints(self) -> List[_FaultyEndpoint]:
         """Live wrappers (diagnostics / targeted kills in tests)."""

@@ -5,9 +5,12 @@ zero I/O, preserving message boundaries and the event-callback flow of
 the TCP transport.  Used by the discrete-event experiments (where
 simulated time must not depend on socket scheduling) and by most tests.
 
-Delivery model (default, ``shards=0``): ``send`` enqueues the message
-on a per-transport dispatch queue which is drained immediately unless
-a dispatch is already running.  This keeps callback nesting flat — a
+Every frame reaches its receiver through ``TransportEvents.deliver``,
+exactly as over TCP; ``send`` is ``send_many`` of one.
+
+Delivery model (default, ``shards=0``): a send enqueues its batch on a
+per-transport dispatch queue which is drained immediately unless a
+dispatch is already running.  This keeps callback nesting flat — a
 request/response ping-pong of any depth uses O(1) stack — while
 remaining fully synchronous and deterministic.
 
@@ -16,9 +19,9 @@ ingest: each shard owns a queue and a worker thread, connections are
 assigned to shards round-robin at connect time (both ends of a pair
 share a shard, preserving per-connection ordering), and a worker
 drains everything queued per wakeup and delivers consecutive frames
-for the same endpoint as one ``on_messages`` batch.  ``shards=1`` is
-an alias for the synchronous single-loop default so the two transports
-expose the same knob with the same "1 == today's behaviour" contract.
+for the same endpoint as one batch.  ``shards=1`` is an alias for the
+synchronous default, so ``ServerConfig.shards`` means one loop on both
+transports.
 """
 
 from __future__ import annotations
@@ -83,31 +86,7 @@ class _InProcEndpoint(Endpoint):
         self._other = other
 
     def send(self, data: bytes) -> None:
-        if self._closed:
-            raise ConnectionError("endpoint closed")
-        if self._other is None or self._other._closed:
-            raise ConnectionError("peer closed")
-        payload = _freeze(data)
-        self.bytes_sent += len(payload)
-        self.messages_sent += 1
-        other = self._other
-        if self._transport._sharded:
-            self._transport._post_messages(self.shard, other, [payload])
-            return
-        tracer = _TRACER
-        if tracer.enabled:
-            # Time only the hand-off (the transport's own cost); the
-            # drain below runs the receiver's decode/dispatch, which
-            # record their own spans.
-            start = time.perf_counter()
-            self._transport._queue.append(
-                lambda: other._events.on_message(other, payload)
-            )
-            self._transport._dispatch_pressure.note_depth(len(self._transport._queue))
-            tracer.record("send", start, tracer.adopt_corr(), node=self._peer_label)
-            self._transport._drain()
-            return
-        self._transport._enqueue(lambda: other._events.on_message(other, payload))
+        self.send_many((data,))
 
     def send_many(self, batch: Sequence[bytes]) -> None:
         if not batch:
@@ -135,6 +114,9 @@ class _InProcEndpoint(Endpoint):
         # still sees one message at a time.
         tracer = _TRACER
         if tracer.enabled:
+            # Time only the hand-off (the transport's own cost); the
+            # drain below runs the receiver's decode/dispatch, which
+            # record their own spans.
             start = time.perf_counter()
             self._transport._queue.append(deliver)
             self._transport._dispatch_pressure.note_depth(len(self._transport._queue))

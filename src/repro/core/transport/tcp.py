@@ -5,18 +5,15 @@ Each :class:`TcpTransport` owns one or more ``selectors``-based I/O
 paper's server library uses (§4.4) — its own selector, its own wake
 pipe, its own thread — and connections are pinned to exactly one shard
 for their lifetime, which is what preserves per-connection message
-ordering.  With ``shards=1`` (the default) the transport is exactly
-the historic single-loop implementation; with ``shards=N`` accepted
-and outgoing connections are spread round-robin/least-loaded across N
-independent loops so one busy E2 node no longer stalls every other
-node's traffic.
+ordering.  ``shards=1`` (the default) is the paper's single loop;
+``shards=N`` spreads accepted and outgoing connections least-loaded
+across N loops running the same code.
 
-Sharded loops additionally drain a readable socket until ``EAGAIN``
-and deliver every completed frame of the wakeup as one batch through
-``TransportEvents.on_messages`` (when the receiver registered it), so
-a burst costs the server one lock acquisition and one trace span
-instead of per-frame overhead — the receive-side mirror of the
-``send_many`` coalescing.
+There is one receive path at every shard count: a readable socket is
+drained and every frame the wake-up completed reaches the receiver as
+one ``TransportEvents.deliver`` batch — the receive-side mirror of the
+``send_many`` coalescing.  The drain leaves on a short read, so a
+wake-up that carries one small message costs exactly one ``recv``.
 
 The loops run either inline (:meth:`step`, for tests) or on background
 threads (:meth:`start`), which is how the RTT experiments drive real
@@ -45,12 +42,7 @@ from repro.core.transport.base import (
     TransportEvents,
 )
 from repro.core.transport.bufpool import DEFAULT_POOL
-from repro.core.transport.framing import (
-    MAX_MESSAGE_BYTES,
-    Framer,
-    FramingError,
-    frame_messages,
-)
+from repro.core.transport.framing import MAX_MESSAGE_BYTES, Framer, FramingError
 from repro.metrics.counters import discard_counter, get_counter
 from repro.metrics.trace import TRACER as _TRACER
 
@@ -61,8 +53,8 @@ _LEN = struct.Struct(">I")
 #: frames into a handful of syscalls.
 _IOV_BATCH = 64
 
-#: scatter-gather send support (absent on some exotic platforms; the
-#: coalesced-``bytes`` join path stays as the fallback).
+#: scatter-gather send support (absent on some exotic platforms, which
+#: write one buffer per ``send`` through the same continuation loop).
 _HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
 
 #: Kernel support for SO_REUSEPORT connection spreading.  Module-level
@@ -127,8 +119,8 @@ class _TcpEndpoint(Endpoint):
         tracer = _TRACER
         # Frame into a pooled buffer: ``data`` may be any buffer-
         # protocol object and is copied exactly once (into the pooled
-        # frame); sendall copies into the kernel buffer before the
-        # lease's buffer can be recycled.
+        # frame); the kernel has its own copy before the lease's buffer
+        # can be recycled.
         if tracer.enabled:
             frame_start = time.perf_counter()
             lease = DEFAULT_POOL.frame(data)
@@ -136,11 +128,11 @@ class _TcpEndpoint(Endpoint):
         else:
             lease = DEFAULT_POOL.frame(data)
         trace_start = time.perf_counter() if tracer.enabled else 0.0
-        # sendall under a lock: POSIX sockets are thread-safe but frame
+        # Under a lock: POSIX sockets are thread-safe but frame
         # interleaving from concurrent senders must still be prevented.
         try:
             with self._send_lock:
-                self._sock.sendall(lease.view)
+                self._sendmsg_all([lease.view])
         except OSError as exc:
             raise self._send_failed(exc)
         finally:
@@ -156,32 +148,22 @@ class _TcpEndpoint(Endpoint):
         if self._closed:
             raise ConnectionError("endpoint closed")
         tracer = _TRACER
-        if _HAS_SENDMSG:
-            # Scatter-gather: the kernel walks [prefix, payload] iovec
-            # pairs straight out of the callers' buffers — no coalesced
-            # ``bytes`` materialization at all.
-            wire = None
-            if tracer.enabled:
-                frame_start = time.perf_counter()
-                iov = self._build_iov(batch)
-                tracer.record("frame", frame_start, tracer.adopt_corr())
-            else:
-                iov = self._build_iov(batch)
-        else:  # pragma: no cover - platforms without sendmsg
-            # One coalesced write: the peer's framer restores message
-            # boundaries.
-            iov = None
-            wire = frame_messages(batch)
+        # Scatter-gather: the kernel walks [prefix, payload] iovec
+        # pairs straight out of the callers' buffers — no coalesced
+        # ``bytes`` materialization at all.
+        if tracer.enabled:
+            frame_start = time.perf_counter()
+            iov = self._build_iov(batch)
+            tracer.record("frame", frame_start, tracer.adopt_corr())
+        else:
+            iov = self._build_iov(batch)
         trace_start = time.perf_counter() if tracer.enabled else 0.0
         try:
             with self._send_lock:
-                if iov is not None:
-                    vectored = get_counter("tcp.send.vectored")
-                    for start in range(0, len(iov), 2 * _IOV_BATCH):
-                        self._sendmsg_all(iov[start:start + 2 * _IOV_BATCH])
-                        vectored.incr()
-                else:  # pragma: no cover - platforms without sendmsg
-                    self._sock.sendall(wire)
+                vectored = get_counter("tcp.send.vectored")
+                for start in range(0, len(iov), 2 * _IOV_BATCH):
+                    self._sendmsg_all(iov[start:start + 2 * _IOV_BATCH])
+                    vectored.incr()
         except OSError as exc:
             raise self._send_failed(exc)
         if trace_start:
@@ -201,19 +183,23 @@ class _TcpEndpoint(Endpoint):
         return iov
 
     def _sendmsg_all(self, buffers: List[bytes]) -> None:
-        """``sendmsg`` with partial-send continuation.
+        """The one partial-send continuation of ``send`` and ``send_many``.
 
         A short write leaves the tail of an iovec (or whole iovecs)
         unsent; the remainder is re-submitted from where the kernel
-        stopped.  A full socket buffer waits briefly for writability —
-        abandoning mid-frame would corrupt the stream for the peer.
+        stopped.  A full socket buffer (the peer is merely slow) waits
+        up to 5 s for writability — abandoning mid-frame would corrupt
+        the stream for the peer.
         """
         sock = self._sock
         remaining: List[memoryview] = [memoryview(b) for b in buffers]
         index = 0
         while index < len(remaining):
             try:
-                sent = sock.sendmsg(remaining[index:])
+                if _HAS_SENDMSG:
+                    sent = sock.sendmsg(remaining[index:])
+                else:  # pragma: no cover - platforms without sendmsg
+                    sent = sock.send(remaining[index])
             except (BlockingIOError, InterruptedError):
                 _readable, writable, _err = select.select([], [sock], [], 5.0)
                 if not writable:
@@ -342,8 +328,8 @@ class TcpTransport(Transport):
 
     #: bytes read per recv call.
     RECV_SIZE = 256 * 1024
-    #: per-wakeup drain cap (sharded mode): a connection bursting more
-    #: than this yields the shard loop so its neighbours stay live; the
+    #: per-wakeup drain cap: a connection bursting more than this
+    #: yields the shard loop so its neighbours stay live; the
     #: level-triggered selector re-arms it on the next poll.
     MAX_DRAIN_BYTES = 1024 * 1024
 
@@ -362,9 +348,6 @@ class TcpTransport(Transport):
         self._overload = overload
         self._classify = classify
         self._shards = [_Shard(index, overload, classify) for index in range(shards)]
-        #: sharded loops batch-drain sockets; the single-loop transport
-        #: keeps the historic one-recv/one-callback behaviour exactly.
-        self._batched = shards > 1
         self.connect_timeout_s = connect_timeout_s
         self._reuseport = reuseport and reuseport_available()
         if reuseport and not self._reuseport:
@@ -549,8 +532,7 @@ class TcpTransport(Transport):
     def step(self, timeout: float = 0.0) -> int:
         """Process pending I/O inline; returns the number of events.
 
-        Polls every shard once (tests drive multi-shard transports the
-        same way as the historic single loop).
+        Polls every shard once.
         """
         return sum(self._poll(shard, timeout) for shard in self._shards)
 
@@ -612,65 +594,29 @@ class TcpTransport(Transport):
         # accepting shard; the single accept socket spreads them.
         target = shard if self._reuseport and len(self._shards) > 1 else self._pick_shard()
         endpoint = _TcpEndpoint(self, conn, listener._events, target.index)
+        # Announce before another shard's loop can read from it (the
+        # same ordering ``adopt`` keeps): the peer's first frame must
+        # not reach a receiver that has never seen the endpoint.
+        listener._events.on_connected(endpoint)
+        if endpoint._closed:  # the receiver refused it on sight
+            return
         with target.lock:
             target.endpoints[conn] = endpoint
             target.selector.register(conn, selectors.EVENT_READ, ("conn", endpoint))
         if target is not shard:
             target.wake()
-        listener._events.on_connected(endpoint)
 
     def _read(self, shard: _Shard, endpoint: _TcpEndpoint) -> None:
-        if self._batched:
-            self._read_batched(shard, endpoint)
-            return
-        tracer = _TRACER
-        trace_start = time.perf_counter() if tracer.enabled else 0.0
-        try:
-            chunk = endpoint._sock.recv(self.RECV_SIZE)
-        except BlockingIOError:
-            return
-        except OSError as exc:
-            reason = _classify_oserror(exc)
-            get_counter(f"tcp.close.{reason.code}").incr()
-            self._close_endpoint(endpoint, notify_local=True, reason=reason)
-            return
-        if not chunk:
-            get_counter("tcp.close.eof").incr()
-            self._close_endpoint(
-                endpoint,
-                notify_local=True,
-                reason=DisconnectReason(DisconnectReason.EOF),
-            )
-            return
-        if trace_start:
-            # The recv syscall only; deframe and decode have their own
-            # spans (no correlation yet — the bytes are still opaque).
-            tracer.record("recv", trace_start, node=endpoint._peer)
-        try:
-            messages = endpoint._framer.feed(chunk)
-        except FramingError as exc:
-            # Corrupt/oversize length prefix: kill the link instead of
-            # letting the receive buffer grow towards the bogus length.
-            get_counter("tcp.close.framing").incr()
-            self._close_endpoint(
-                endpoint,
-                notify_local=True,
-                reason=DisconnectReason(DisconnectReason.PROTOCOL, str(exc)),
-            )
-            return
-        shard.rx_messages += len(messages)
-        for message in messages:
-            endpoint._events.on_message(endpoint, message)
-
-    def _read_batched(self, shard: _Shard, endpoint: _TcpEndpoint) -> None:
-        """Drain the socket until EAGAIN, deliver one frame batch.
+        """Drain the socket, deliver one frame batch (the only receive path).
 
         Everything the wakeup completed reaches the receiver as one
-        ``on_messages`` call (or an ``on_message`` loop for receivers
-        without the batch hook); a terminal condition found mid-drain
-        (EOF, reset, framing violation) is reported only *after* the
-        frames completed before it were delivered, preserving the
-        per-connection ordering guarantee.
+        ``deliver`` call; a terminal condition found mid-drain (EOF,
+        reset, framing violation) is reported only *after* the frames
+        completed before it were delivered, preserving the
+        per-connection ordering guarantee.  The drain leaves on a short
+        read: the kernel buffer was empty at that moment, and the
+        selector is level-triggered, so bytes (or an EOF) that arrive
+        later are seen on the next poll, still after these frames.
         """
         tracer = _TRACER
         trace_start = time.perf_counter() if tracer.enabled else 0.0
@@ -704,10 +650,17 @@ class TcpTransport(Transport):
             try:
                 messages.extend(endpoint._framer.feed(chunk))
             except FramingError as exc:
+                # Corrupt/oversize length prefix: kill the link instead
+                # of letting the receive buffer grow towards the bogus
+                # length.
                 terminal = DisconnectReason(DisconnectReason.PROTOCOL, str(exc))
                 terminal_counter = "tcp.close.framing"
                 break
+            if len(chunk) < self.RECV_SIZE:
+                break
         if trace_start and drained:
+            # The recv syscalls and deframing; decode has its own span
+            # (no correlation yet — the bytes are still opaque).
             tracer.record("recv", trace_start, node=endpoint._peer)
         if messages:
             if pressure.bounded:

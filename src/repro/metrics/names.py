@@ -32,9 +32,6 @@ COUNTERS = frozenset(
         "codec.flat.dir_cache.evictions",
         "codec.flat.list_cache.evictions",
         "codec.flat.route_cache.evictions",
-        # E2AP encode cache
-        "e2ap.encode_cache.hits",
-        "e2ap.encode_cache.misses",
         # server lifecycle / ingest
         "server.rx.decode_error",
         "server.node.stale",

@@ -21,7 +21,8 @@ from repro.core.e2ap.ies import (
 )
 from repro.core.server import Server, ServerConfig
 from repro.core.server.workers import MultiProcServer, SubscriptionPolicy
-from repro.core.transport import TcpTransport
+from repro.core.transport import TcpTransport, TransportEvents
+from repro.core.transport.framing import frame_messages
 from repro.metrics.counters import counter_values, reset_all
 
 FN = 200
@@ -204,6 +205,35 @@ class TestAioServer:
             asyncio.run(scenario())
         finally:
             server.close()
+
+    def test_on_message_only_receiver_gets_one_call_per_frame(self):
+        """``deliver`` falls back to ``on_message`` here as on the sync
+        transports (the agent and the baselines set nothing else)."""
+        calls = []
+
+        class Receiver:
+            overload = None
+
+            def transport_events(self):
+                return TransportEvents(on_message=lambda e, data: calls.append(data))
+
+        frames = [b"frame-%02d" % index for index in range(40)]
+
+        async def scenario():
+            aio = AioServer(Receiver())
+            await aio.start()
+            _reader, writer = await asyncio.open_connection("127.0.0.1", aio.port)
+            writer.write(frame_messages(frames))
+            await writer.drain()
+            for _ in range(500):
+                if len(calls) == len(frames):
+                    break
+                await asyncio.sleep(0.01)
+            writer.close()
+            await aio.stop()
+
+        asyncio.run(scenario())
+        assert calls == frames
 
     def test_corrupt_frame_kills_connection(self):
         server = Server(ServerConfig(e2ap_codec="fb"))

@@ -62,7 +62,6 @@ from repro.core.e2ap.messages import (
     RicSubscriptionFailure,
     RicSubscriptionRequest,
     RicSubscriptionResponse,
-    clear_encode_cache,
     decode_message,
     encode_message,
     message_types,
@@ -265,14 +264,6 @@ def _payloads():
     }
 
 
-@pytest.fixture(autouse=True)
-def _cold_cache():
-    # Golden bytes must come from a real encode, not a prior test's
-    # cached result — and must also be identical when served hot.
-    clear_encode_cache()
-    yield
-
-
 @pytest.fixture(autouse=True, params=["kernels", "interpretive"])
 def kernels(request):
     """Run every golden assertion on both codec paths.
@@ -304,7 +295,7 @@ class TestGoldenVectors:
         codec = get_codec(codec_name)
         expected = bytes.fromhex(VECTORS[f"{codec_name}:{message_name}"])
         first = encode_message(message, codec)
-        second = encode_message(message, codec)  # cache-hit candidate
+        second = encode_message(message, codec)  # encoding is stateless
         assert first == expected
         assert second == expected
 

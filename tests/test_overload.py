@@ -49,7 +49,8 @@ from repro.core.overload import (
 from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
 from repro.core.server import events as topics
 from repro.core.server.submgr import SubscriptionManager
-from repro.core.transport import InProcTransport
+from repro.core.server.workers import MultiProcServer
+from repro.core.transport import InProcTransport, TcpTransport, TransportEvents
 from repro.metrics.counters import (
     counter_values,
     gauge_values,
@@ -634,6 +635,80 @@ class TestTransportGauges:
         assert gauges["queue.inproc.shard.0.hwm"] >= 1
         transport.stop()
         assert "queue.inproc.shard.0.depth" not in gauge_values()
+
+
+# -- shedding over TCP, one loop or several ---------------------------
+
+
+class TestTcpShedding:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_drained_burst_sheds_oldest_indications_keeps_control(self, shards):
+        """One write holding 30 indications with control frames in
+        between: the drain admits every control frame and the newest
+        indications up to the budget, at any shard count."""
+        codec = get_codec("fb")
+        overload = OverloadConfig(max_queue_depth=8, high_watermark=4, burst_coalesce=8)
+        transport = TcpTransport(
+            shards=shards, overload=overload, classify=frame_classifier(codec)
+        )
+        inds = [frame for _, _, frame in _frames(codec, indications=30)]
+        control = encode_message(RicServiceQuery(), codec)
+        burst = inds[:10] + [control] + inds[10:20] + [control] + inds[20:] + [control]
+        accepted, got = [], []
+        try:
+            listener = transport.listen(
+                "127.0.0.1:0",
+                TransportEvents(
+                    on_connected=accepted.append,
+                    on_messages=lambda endpoint, batch: got.extend(batch),
+                ),
+            )
+            client = transport.connect(listener.address, TransportEvents())
+            deadline = time.monotonic() + 5.0
+            while not accepted and time.monotonic() < deadline:
+                transport.step(0.01)
+            client.send_many(burst)
+            while not got and time.monotonic() < deadline:
+                transport.step(0.01)
+            assert got == [control, control] + inds[22:] + [control]
+            counters = counter_values()
+            assert counters["overload.drop.indication"] == 22
+            assert counters.get("overload.drop.control", 0) == 0
+            scope = f"queue.tcp.shard.{accepted[0].shard}"
+            assert gauge_values()[f"{scope}.depth"] == 0
+            assert gauge_values()[f"{scope}.hwm"] == len(burst)
+        finally:
+            transport.stop()
+
+    def test_multiproc_single_loop_workers_shed_only_indications(self):
+        """``shards=1`` workers (one loop per process) shed a flood's
+        indications and never its control frames, fleet-wide."""
+        from tests.test_sharding import _settled_agents, _worker_policy
+
+        overload = OverloadConfig(max_queue_depth=16, high_watermark=8)
+        mp = MultiProcServer(
+            ServerConfig(shards=1, workers=2, overload=overload), port=0
+        )
+        client = TcpTransport()
+        try:
+            mp.start()
+            client.start()
+            mp.subscribe_all(_worker_policy())
+            for agent in _settled_agents(client, mp.address, 2):
+                agent.blast(2000)
+            deadline = time.monotonic() + 15.0
+            drops = {}
+            while time.monotonic() < deadline:
+                drops = mp.overload_state()["drops"]
+                if mp.total_indications() + drops.get("overload.drop.indication", 0) >= 4000:
+                    break
+                time.sleep(0.05)
+            assert drops.get("overload.drop.indication", 0) > 0
+            assert drops.get("overload.drop.control", 0) == 0
+            assert mp.agents_total() == 2
+        finally:
+            client.stop()
+            mp.stop()
 
 
 # -- keepalive under flood (satellite 2) -----------------------------

@@ -37,6 +37,7 @@ from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
 from repro.core.server.submgr import SubscriptionManager
 from repro.core.server.workers import MultiProcServer, SubscriptionPolicy
 from repro.core.transport import tcp as tcp_mod
+from repro.core.transport.framing import frame_messages
 from repro.core.transport import (
     ConnectTimeout,
     FaultSpec,
@@ -68,6 +69,14 @@ def _wait(predicate, timeout=5.0):
         if predicate():
             return True
         time.sleep(0.005)
+    return predicate()
+
+
+def _step_until(transport, predicate, timeout=5.0):
+    """Drive an inline (not started) transport until ``predicate`` holds."""
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        transport.step(0.01)
     return predicate()
 
 
@@ -119,11 +128,42 @@ class TestShardBalance:
         finally:
             transport.stop()
 
-    def test_single_shard_is_legacy_loop(self):
-        transport = TcpTransport(shards=1)
-        assert transport.shards == 1
-        assert transport._batched is False
-        transport.stop()
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_one_small_frame_per_wakeup_costs_one_recv(self, shards):
+        """The drain leaves on a short read: no trailing EAGAIN recv."""
+
+        class CountingSocket:
+            def __init__(self, sock):
+                self._sock = sock
+                self.recvs = 0
+
+            def recv(self, size):
+                self.recvs += 1
+                return self._sock.recv(size)
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+        transport = TcpTransport(shards=shards)
+        accepted, got = [], []
+        try:
+            listener = transport.listen(
+                "127.0.0.1:0",
+                TransportEvents(
+                    on_connected=accepted.append,
+                    on_messages=lambda e, batch: got.extend(batch),
+                ),
+            )
+            client = transport.connect(listener.address, TransportEvents())
+            assert _step_until(transport, lambda: accepted)
+            proxy = accepted[0]._sock = CountingSocket(accepted[0]._sock)
+            for index in range(5):
+                client.send(b"ping%d" % index)
+                assert _step_until(transport, lambda: len(got) > index)
+            assert got == [b"ping%d" % index for index in range(5)]
+            assert proxy.recvs == 5
+        finally:
+            transport.stop()
 
 
 # -- per-connection ordering -----------------------------------------
@@ -168,8 +208,9 @@ class TestOrdering:
         finally:
             transport.stop()
 
-    def test_tcp_batched_ordering(self):
-        transport = TcpTransport(shards=2)
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_tcp_batched_ordering(self, shards):
+        transport = TcpTransport(shards=shards)
         got = []
         batches = []
 
@@ -190,6 +231,68 @@ class TestOrdering:
             assert got == [b"m%04d" % index for index in range(500)]
             # The drain actually coalesced: fewer callbacks than frames.
             assert len(batches) < 500
+        finally:
+            transport.stop()
+
+    def test_first_frame_never_precedes_on_connected(self):
+        """An accepted connection pinned to another shard is announced
+        before that shard's loop can read it (a slow ``on_connected``
+        used to lose the race against the peer's first frame)."""
+        for _ in range(10):
+            transport = TcpTransport(shards=2)
+            known, early, got = set(), [], []
+
+            def on_connected(endpoint):
+                time.sleep(0.001)
+                known.add(id(endpoint))
+
+            def on_messages(endpoint, batch):
+                (got if id(endpoint) in known else early).extend(batch)
+
+            try:
+                listener = transport.listen(
+                    "127.0.0.1:0",
+                    TransportEvents(on_connected=on_connected, on_messages=on_messages),
+                )
+                transport.start()
+                transport.connect(listener.address, TransportEvents()).send(b"setup")
+                assert _wait(lambda: got or early)
+                assert not early
+            finally:
+                transport.stop()
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize(
+        "tail, code",
+        [(b"", "eof"), (b"\xff\xff\xff\xff", "protocol")],
+        ids=["eof", "framing-error"],
+    )
+    def test_tcp_frames_precede_the_terminal_event(self, shards, tail, code):
+        """Frames completed before an EOF / a corrupt length prefix are
+        delivered first, also when one drain finds both."""
+        transport = TcpTransport(shards=shards)
+        # 64 B reads: the 128 B of frames fill two whole reads and the
+        # terminal condition is met by the third, inside the same drain.
+        transport.RECV_SIZE = 64
+        log = []
+        try:
+            listener = transport.listen(
+                "127.0.0.1:0",
+                TransportEvents(
+                    on_messages=lambda e, batch: log.append(list(batch)),
+                    on_disconnected=lambda e, reason: log.append(reason.code),
+                ),
+            )
+            frames = [b"frame-%06d" % index for index in range(8)]
+            raw = socket.create_connection(("127.0.0.1", listener.port))
+            assert _step_until(
+                transport,
+                lambda: sum(s["connections"] for s in transport.shard_stats()) == 1,
+            )
+            raw.sendall(frame_messages(frames) + tail)
+            raw.close()
+            assert _step_until(transport, lambda: code in log)
+            assert log == [frames, code]
         finally:
             transport.stop()
 

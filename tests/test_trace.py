@@ -1,6 +1,7 @@
 """E2AP procedure tracing: spans, correlation, histograms (DESIGN §9)."""
 
 import threading
+import time
 
 import pytest
 
@@ -12,8 +13,10 @@ from repro.core.e2ap.ies import (
     RicActionDefinition,
     RicActionKind,
 )
+from repro.core.codec import get_codec
+from repro.core.e2ap.messages import E2SetupRequest, RicIndication, encode_message
 from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
-from repro.core.transport import InProcTransport
+from repro.core.transport import InProcTransport, TransportEvents
 from repro.core.transport.tcp import TcpTransport
 from repro.metrics import counters
 from repro.metrics import trace as trace_mod
@@ -35,6 +38,13 @@ def clean_tracer():
 
 def make_node(nb_id=1):
     return GlobalE2NodeId(plmn="00101", nb_id=nb_id, kind=NodeKind.GNB)
+
+
+def wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return predicate()
 
 
 def wire_inproc(codec="fb"):
@@ -231,6 +241,67 @@ class TestRoundTripTcp:
             if span.procedure == "ric_indication" and span.corr
         }
         assert indication_corrs, "indication path produced no correlated spans"
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_traced_burst_stays_batched_with_spans_per_message(self, shards):
+        """Tracing observes the batched ingest; it does not reroute it."""
+        trace_mod.enable()
+        codec = get_codec("fb")
+        server = Server(ServerConfig(e2ap_codec="fb"))
+        ingest, batches = server._on_messages, []
+
+        def counted(endpoint, batch):
+            batches.append(len(batch))
+            ingest(endpoint, batch)
+
+        server._on_messages = counted
+        transport = TcpTransport(shards=shards)
+        seen = []
+        burst = 200
+        try:
+            listener = server.listen(transport, "127.0.0.1:0")
+            transport.start()
+            node = transport.connect(listener.address, TransportEvents())
+            node.send(encode_message(E2SetupRequest(make_node(), []), codec))
+            assert wait_for(lambda: len(server.agents()) == 1)
+            record = server.subscribe(
+                conn_id=server.agents()[0].conn_id,
+                ran_function_id=HW.default_function_id,
+                event_trigger=b"",
+                actions=[RicActionDefinition(action_id=1, kind=RicActionKind.REPORT)],
+                callbacks=SubscriptionCallbacks(on_indication=seen.append),
+            )
+            del batches[:]
+            sections = server.cpu.sections
+            node.send_many(
+                [
+                    encode_message(
+                        RicIndication(record.request, HW.default_function_id, 1, sequence),
+                        codec,
+                    )
+                    for sequence in range(burst)
+                ]
+            )
+            assert wait_for(lambda: len(seen) == burst)
+        finally:
+            transport.stop()
+            server.close()
+        assert sum(batches) == burst
+        assert 1 <= len(batches) < burst
+        # ... and one metered section per batch, not one per message.
+        assert server.cpu.sections - sections == len(batches)
+        corr = record.request.as_tuple()
+        stitched = [
+            span.stage
+            for span in trace_mod.TRACER.stitch(corr, include_uncorrelated=False)
+            if span.procedure == "ric_indication"
+        ]
+        # One round trip per message: encoded by the node, then decoded
+        # and dispatched inline, message by message, inside the batch.
+        assert stitched.count("encode") == burst
+        assert [s for s in stitched if s != "encode"] == ["decode", "dispatch"] * burst
+        # The started loop records the whole stage vocabulary.
+        assert set(trace_mod.STAGES) <= {s.stage for s in trace_mod.TRACER.spans()}
 
     def test_recv_spans_are_uncorrelated_but_stitched_by_window(self):
         trace_mod.enable()

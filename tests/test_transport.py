@@ -1,17 +1,20 @@
 """Unit and integration tests for framing and transports."""
 
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.core.transport import (
+    FaultyTransport,
     Framer,
     InProcTransport,
     TcpTransport,
     TransportEvents,
     frame_message,
 )
+from repro.core.transport import tcp as tcp_mod
 from repro.core.transport.framing import (
     MAX_MESSAGE_BYTES,
     FramingError,
@@ -369,6 +372,68 @@ class TestTcp:
         finally:
             transport.stop()
 
+    def _slow_peer(self):
+        """A listening socket with a small buffer that nobody reads yet."""
+        peer = socket.socket()
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 16 * 1024)
+        peer.bind(("127.0.0.1", 0))
+        peer.listen(1)
+        return peer
+
+    def test_send_rides_out_a_slow_peer(self):
+        """EAGAIN is backpressure, not a dead link: ``send`` waits for
+        writability like ``send_many`` and every frame arrives intact."""
+        transport = TcpTransport()
+        peer = self._slow_peer()
+        frames = [b"%04d" % index + b"x" * 1496 for index in range(1000)]
+        got = []
+
+        def read_late(conn):
+            time.sleep(0.3)  # the sender has long filled both buffers
+            framer = Framer()
+            while len(got) < len(frames):
+                chunk = conn.recv(65536)
+                if not chunk:
+                    break
+                got.extend(framer.feed(chunk))
+
+        try:
+            endpoint = transport.connect("127.0.0.1:%d" % peer.getsockname()[1], TransportEvents())
+            endpoint._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 16 * 1024)
+            conn, _addr = peer.accept()
+            reader = threading.Thread(target=read_late, args=(conn,))
+            reader.start()
+            try:
+                for frame in frames:
+                    endpoint.send(frame)
+            finally:
+                reader.join(timeout=10.0)
+                conn.close()
+            assert not reader.is_alive()
+            assert got == frames
+            assert not endpoint.closed
+        finally:
+            transport.stop()
+            peer.close()
+
+    def test_send_to_a_peer_that_never_reads_fails_loudly(self, monkeypatch):
+        real_select = tcp_mod.select.select
+        # The stall bound is 5 s; the test shortens the wait, not the rule.
+        monkeypatch.setattr(
+            tcp_mod.select, "select", lambda r, w, x, timeout: real_select(r, w, x, 0.05)
+        )
+        transport = TcpTransport()
+        peer = self._slow_peer()
+        try:
+            endpoint = transport.connect("127.0.0.1:%d" % peer.getsockname()[1], TransportEvents())
+            with pytest.raises(ConnectionError, match="send stalled"):
+                for _ in range(100_000):
+                    endpoint.send(b"x" * 1500)
+            assert endpoint.closed
+        finally:
+            transport.stop()
+            peer.close()
+
     def test_concurrent_connections(self):
         transport = TcpTransport()
         transport.start()
@@ -391,5 +456,39 @@ class TestTcp:
             while len(got) < 8 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert sorted(got) == sorted(f"m{i}".encode() for i in range(8))
+        finally:
+            transport.stop()
+
+
+class TestOnMessageOnlyReceivers:
+    """The agent and the baselines register only ``on_message``; the
+    ``deliver`` hand-off of every transport still reaches them one
+    frame per call, in order."""
+
+    @pytest.mark.parametrize("kind", ["inproc", "inproc-sharded", "tcp", "tcp-sharded", "faulty"])
+    def test_one_call_per_frame_in_order(self, kind):
+        transport = {
+            "inproc": InProcTransport,
+            "inproc-sharded": lambda: InProcTransport(shards=2),
+            "tcp": TcpTransport,
+            "tcp-sharded": lambda: TcpTransport(shards=2),
+            "faulty": lambda: FaultyTransport(InProcTransport()),
+        }[kind]()
+        calls = []
+        frames = [b"frame-%02d" % index for index in range(40)]
+        try:
+            listener = transport.listen(
+                "127.0.0.1:0" if kind.startswith("tcp") else "rx",
+                TransportEvents(on_message=lambda endpoint, data: calls.append(data)),
+            )
+            transport.start()
+            conn = transport.connect(listener.address, TransportEvents())
+            conn.send_many(frames[:30])
+            for frame in frames[30:]:
+                conn.send(frame)
+            deadline = time.monotonic() + 5.0
+            while len(calls) < len(frames) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert calls == frames
         finally:
             transport.stop()
