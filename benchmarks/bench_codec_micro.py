@@ -44,6 +44,7 @@ from repro.core.codec.base import (  # noqa: E402
     get_codec,
     materialize,
 )
+from repro.core.codec.manifest import CODECS as KERNEL_CODECS  # noqa: E402
 from repro.core.e2ap.ies import (  # noqa: E402
     GlobalE2NodeId,
     NodeKind,
@@ -174,7 +175,7 @@ def run_kernel_lanes(min_time_s: float) -> List[dict]:
     """Generated-kernel vs interpretive-walker lanes on hot messages."""
     rows: List[dict] = []
     for message_name, message in _hot_messages().items():
-        for codec_name in available_codecs():
+        for codec_name in KERNEL_CODECS:  # "pb" has no generated lane
             codec = get_codec(codec_name)
             wire = encode_message(message, codec)
             tree = materialize(codec.decode(wire))

@@ -10,13 +10,14 @@ inner E2SM layer.  This package reproduces that design:
 * codecs register by name in a global registry so new schemes can be
   added without touching the SDK (forward compatibility, §4.3).
 
-On top of the generic walkers, :mod:`repro.core.codec.schema` declares
-every E2AP message and E2SM payload shape once, and
-:mod:`repro.core.codec.codegen` compiles each (shape, codec) pair into
-a specialized encode/decode kernel with fused struct packs and unrolled
-field access.  The interpretive walkers stay behind a flag
-(``REPRO_CODEC_INTERPRETIVE=1`` or :func:`codegen.set_kernels_enabled`)
-as the differential-testing oracle.  See DESIGN.md §11.
+On top of the generic walkers, :mod:`repro.core.codec.schema` derives a
+wire schema from every message dataclass (the single declaration of its
+shape), and :mod:`repro.core.codec.codegen` compiles each schema, for
+the ``fb`` and ``asn`` codecs, into a specialized encode/decode kernel
+with fused struct packs and unrolled field access.  The interpretive
+walkers stay behind a flag (``REPRO_CODEC_INTERPRETIVE=1`` or
+:func:`codegen.set_kernels_enabled`) as the differential-testing
+oracle; ``pb`` is interpretive-only.  See DESIGN.md §11.
 
 Three codecs ship, matching the cost models measured in the paper:
 

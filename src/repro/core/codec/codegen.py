@@ -1,6 +1,8 @@
 """Layout compiler: schemas → specialized encode/decode kernels.
 
-For every (schema × codec) pair this module emits flat Python source
+For every (schema × codec) pair — codecs ``fb`` and ``asn``; a codec
+without an emitter (``pb``) simply has no kernels and stays on its
+interpretive walker — this module emits flat Python source
 with precomputed offsets: constant wire regions (tags, counts, field
 directories, envelope discriminators) are folded into literal byte
 strings, runs of fixed-width fields are fused into single
@@ -122,12 +124,6 @@ _PSN = tuple(
 #: PER: combined length determinant + partial-fragment marker for
 #: octet strings shorter than one fragment.
 _OCT2 = tuple(bytes((l, (l << 3) & 0xFF)) for l in range(24))
-
-#: pb: tag+zigzag cells for ints whose zigzag fits one varint byte.
-_PBI = tuple(
-    bytes((3, (v << 1 if v >= 0 else ((-v) << 1) - 1)))
-    for v in range(-64, 64)
-)
 
 
 # -- runtime helpers shared by generated kernels ---------------------
@@ -530,166 +526,6 @@ def _dfstrmap(data: bytes, o: int, n: int):
     return out, o
 
 
-def _pbi(x: int) -> bytes:
-    """pb tag+zigzag-varint cell for any int."""
-    if -64 <= x < 64:
-        return _PBI[x + 64]
-    z = x << 1 if x >= 0 else ((-x) << 1) - 1
-    out = bytearray(b"\x03")
-    while True:
-        b = z & 0x7F
-        z >>= 7
-        if z:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return bytes(out)
-
-
-def _vint(n: int) -> bytes:
-    """pb unsigned varint bytes."""
-    if n < 0x80:
-        return _B1[n]
-    out = bytearray()
-    while True:
-        b = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return bytes(out)
-
-
-def _rv(data: bytes, o: int):
-    """pb varint read; (value, new offset) or None on truncation."""
-    result = 0
-    shift = 0
-    ln = len(data)
-    while True:
-        if o >= ln:
-            return None
-        b = data[o]
-        o += 1
-        result |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return result, o
-        shift += 7
-        if shift > 1024:
-            return None
-
-
-def _pbseq_int(P: list, items: list) -> bool:
-    A = P.append
-    for x in items:
-        if type(x) is not int:
-            return False
-        A(_pbi(x))
-    return True
-
-
-def _pbseq_str(P: list, items: list) -> bool:
-    A = P.append
-    for x in items:
-        if type(x) is not str:
-            return False
-        raw = x.encode("utf-8")
-        A(b"\x05")
-        A(_vint(len(raw)))
-        A(raw)
-    return True
-
-
-def _pbopt_int(x) -> Optional[bytes]:
-    if x is None:
-        return b"\x00"
-    if type(x) is int:
-        return _pbi(x)
-    return None
-
-
-def _pbstrmap(P: list, d) -> bool:
-    if type(d) is not dict:
-        return False
-    A = P.append
-    for k, v in d.items():
-        if type(k) is not str or type(v) is not str:
-            return False
-        kr = k.encode("utf-8")
-        vr = v.encode("utf-8")
-        A(_vint(len(kr)))
-        A(kr)
-        A(b"\x05")
-        A(_vint(len(vr)))
-        A(vr)
-    return True
-
-
-def _dpbseq_int(data: bytes, o: int, n: int):
-    out = []
-    ap = out.append
-    ln = len(data)
-    for _ in range(n):
-        if o >= ln or data[o] != 3:
-            return None
-        o += 1
-        if o < ln and data[o] < 0x80:
-            z = data[o]
-            o += 1
-        else:
-            r = _rv(data, o)
-            if r is None:
-                return None
-            z, o = r
-        ap((z >> 1) ^ -(z & 1))
-    return out, o
-
-
-def _dpbseq_str(data: bytes, o: int, n: int):
-    out = []
-    ap = out.append
-    ln = len(data)
-    for _ in range(n):
-        if o >= ln or data[o] != 5:
-            return None
-        r = _rv(data, o + 1)
-        if r is None:
-            return None
-        size, o = r
-        raw = data[o:o + size]
-        if len(raw) != size:
-            return None
-        ap(raw.decode("utf-8"))
-        o += size
-    return out, o
-
-
-def _dpbstrmap(data: bytes, o: int, n: int):
-    out = {}
-    ln = len(data)
-    for _ in range(n):
-        r = _rv(data, o)
-        if r is None:
-            return None
-        klen, o = r
-        kraw = data[o:o + klen]
-        if len(kraw) != klen:
-            return None
-        o += klen
-        if o >= ln or data[o] != 5:
-            return None
-        r = _rv(data, o + 1)
-        if r is None:
-            return None
-        size, o = r
-        vraw = data[o:o + size]
-        if len(vraw) != size:
-            return None
-        out[kraw.decode("utf-8")] = vraw.decode("utf-8")
-        o += size
-    return out, o
-
-
 #: Namespace seeded into every generated module.
 _RUNTIME: Dict[str, Any] = {
     "_Struct": struct.Struct,
@@ -717,16 +553,6 @@ _RUNTIME: Dict[str, Any] = {
     "_dfseq_map": _dfseq_map,
     "_dfseq_str": _dfseq_str,
     "_dfstrmap": _dfstrmap,
-    "_pbi": _pbi,
-    "_vint": _vint,
-    "_rv": _rv,
-    "_pbseq_int": _pbseq_int,
-    "_pbseq_str": _pbseq_str,
-    "_pbopt_int": _pbopt_int,
-    "_pbstrmap": _pbstrmap,
-    "_dpbseq_int": _dpbseq_int,
-    "_dpbseq_str": _dpbseq_str,
-    "_dpbstrmap": _dpbstrmap,
 }
 
 
@@ -1897,349 +1723,11 @@ class _PerEmitter:
         return fn.name
 
 
-class _PbEmitter:
-    """Emits protobuf-codec kernels (codec name ``"pb"``)."""
-
-    codec_name = "pb"
-
-    def build(self, schema: Schema) -> _Mod:
-        mod = _Mod(f"pb {schema.name}")
-        self._elem_enc: Dict[str, str] = {}
-        self._elem_dec: Dict[str, str] = {}
-        self._emit_encode(mod, schema)
-        self._emit_decode(mod, schema)
-        return mod
-
-    # -- encode ------------------------------------------------------
-
-    def _emit_encode(self, mod: _Mod, schema: Schema) -> None:
-        fn = _Fn(mod, "encode", "V")
-        emit = self._enc_dict(fn, schema, "V")
-        fn.w("P = []")
-        fn.w("A = P.append")
-        segs = _Segs(fn)
-        emit(segs)
-        segs.flush()
-        fn.w("return b''.join(P)")
-        fn.close()
-
-    def _enc_dict(self, fn: _Fn, schema: Schema, expr: str) -> Callable:
-        count = len(schema.fields)
-        if count >= 0x80:
-            raise _Unsupported("dict too wide")
-        fn.w(f"if type({expr}) is not dict: return None")
-        fn.w(f"if tuple({expr}.keys()) != {schema.keys!r}: return None")
-        entries = []
-        for key, spec in schema.fields:
-            kraw = key.encode("utf-8")
-            if len(kraw) >= 0x80:
-                raise _Unsupported("key too long")
-            field_emit = self._enc_field(fn, spec, f"{expr}[{key!r}]")
-            entries.append((kraw, field_emit))
-
-        def emit(segs: _Segs) -> None:
-            segs.const(bytes((8, count)))
-            for kraw, field_emit in entries:
-                segs.const(_B1[len(kraw)] + kraw)
-                field_emit(segs)
-
-        return emit
-
-    def _enc_field(self, fn: _Fn, spec: Spec, expr: str) -> Callable:
-        mod = fn.mod
-        kind = spec.kind
-        if kind == "const_int":
-            value = spec.value
-            fn.w(f"if type({expr}) is not int or {expr} != {value}: return None")
-            cell = _pbi(value)
-            return lambda segs: segs.const(cell)
-        if kind == "int":
-            x = mod.name("v")
-            fn.w(f"{x} = {expr}")
-            fn.w(f"if type({x}) is not int: return None")
-            return lambda segs: segs.raw(f"_pbi({x})")
-        if kind == "bool":
-            x = mod.name("v")
-            fn.w(f"{x} = {expr}")
-            fn.w(f"if {x} is not True and {x} is not False: return None")
-            return lambda segs: segs.scalar(
-                "1s", f"(b'\\x02' if {x} else b'\\x01')"
-            )
-        if kind == "f64":
-            x = mod.name("v")
-            fn.w(f"{x} = {expr}")
-            fn.w(f"if type({x}) is not float: return None")
-            return lambda segs: (
-                segs.const(b"\x04"), segs.scalar("d", x)
-            )
-        if kind == "str":
-            x = mod.name("v")
-            r = mod.name("r")
-            fn.w(f"{x} = {expr}")
-            fn.w(f"if type({x}) is not str: return None")
-            fn.w(f"{r} = {x}.encode('utf-8')")
-            return lambda segs: (
-                segs.const(b"\x05"),
-                segs.raw(f"_vint(len({r}))"),
-                segs.raw(r),
-            )
-        if kind == "bytes":
-            x = mod.name("v")
-            fn.w(f"{x} = {expr}")
-            fn.w(f"if type({x}) is not bytes: return None")
-            return lambda segs: (
-                segs.const(b"\x06"),
-                segs.raw(f"_vint(len({x}))"),
-                segs.raw(x),
-            )
-        if kind == "opt":
-            if spec.inner.kind != "int":
-                raise _Unsupported("opt of non-int")
-            c = mod.name("c")
-            fn.w(f"{c} = _pbopt_int({expr})")
-            fn.w(f"if {c} is None: return None")
-            return lambda segs: segs.raw(c)
-        if kind == "nested":
-            x = mod.name("v")
-            fn.w(f"{x} = {expr}")
-            return self._enc_dict(fn, spec.schema, x)
-        if kind == "strmap":
-            x = mod.name("v")
-            fn.w(f"{x} = {expr}")
-            fn.w(f"if type({x}) is not dict: return None")
-            return lambda segs: (
-                segs.const(b"\x08"),
-                segs.raw(f"_vint(len({x}))"),
-                segs.stmt(f"if not _pbstrmap(P, {x}): return None"),
-            )
-        if kind == "seq":
-            x = mod.name("v")
-            fn.w(f"{x} = {expr}")
-            fn.w(f"if type({x}) is not list: return None")
-            elem = spec.elem.kind
-            if elem == "int":
-                tail = lambda segs: segs.stmt(
-                    f"if not _pbseq_int(P, {x}): return None"
-                )
-            elif elem == "str":
-                tail = lambda segs: segs.stmt(
-                    f"if not _pbseq_str(P, {x}): return None"
-                )
-            elif elem == "nested":
-                ename = self._elem_encoder(mod, spec.elem.schema)
-                it = mod.name("it")
-
-                def tail(segs: _Segs, it=it) -> None:
-                    segs.stmt(f"for {it} in {x}:")
-                    segs.stmt(f"    if not {ename}(P, {it}): return None")
-            else:
-                raise _Unsupported(f"seq of {elem}")
-            return lambda segs: (
-                segs.const(b"\x07"),
-                segs.raw(f"_vint(len({x}))"),
-                tail(segs),
-            )
-        raise _Unsupported(kind)
-
-    def _elem_encoder(self, mod: _Mod, schema: Schema) -> str:
-        got = self._elem_enc.get(schema.name)
-        if got is not None:
-            return got
-        fn = mod.fn("_be", "P, x")
-        self._elem_enc[schema.name] = fn.name
-        emit = self._enc_dict(fn, schema, "x")
-        fn.w("A = P.append")
-        segs = _Segs(fn)
-        emit(segs)
-        segs.flush()
-        fn.w("return True")
-        fn.close()
-        return fn.name
-
-    # -- decode ------------------------------------------------------
-
-    def _emit_decode(self, mod: _Mod, schema: Schema) -> None:
-        fn = _Fn(mod, "decode", "data")
-        off = _Off(None, 0)
-        runs = _DecRuns(fn, off)
-        result = self._dec_dict(fn, schema, runs, off)
-        runs.flush()
-        fn.w(f"if {off.expr()} != len(data): return None")
-        fn.w(f"return {result}")
-        fn.close()
-
-    def _dec_dict(
-        self, fn: _Fn, schema: Schema, runs: _DecRuns, off: _Off
-    ) -> str:
-        runs.const(bytes((8, len(schema.fields))))
-        parts = []
-        for key, spec in schema.fields:
-            kraw = key.encode("utf-8")
-            runs.const(_B1[len(kraw)] + kraw)
-            parts.append(f"{key!r}: " + self._dec_field(fn, spec, runs, off))
-        return "{" + ", ".join(parts) + "}"
-
-    def _dec_field(
-        self, fn: _Fn, spec: Spec, runs: _DecRuns, off: _Off
-    ) -> str:
-        mod = fn.mod
-        kind = spec.kind
-        if kind == "const_int":
-            runs.const(_pbi(spec.value))
-            return str(spec.value)
-        if kind == "int":
-            runs.const(b"\x03")
-            runs.flush()
-            return self._dec_varint_int(fn, off)
-        if kind == "bool":
-            t = mod.name("t")
-            x = mod.name("x")
-            runs.capture("B", t)
-            runs.flush()
-            fn.w(f"if {t} == 2: {x} = True")
-            fn.w(f"elif {t} == 1: {x} = False")
-            fn.w("else: return None")
-            return x
-        if kind == "f64":
-            x = mod.name("x")
-            runs.const(b"\x04")
-            runs.capture("d", x)
-            return x
-        if kind in ("str", "bytes"):
-            tag = 5 if kind == "str" else 6
-            runs.const(_B1[tag])
-            runs.flush()
-            ln = self._dec_varint(fn, off)
-            raw = mod.name("w")
-            start = off.expr()
-            fn.w(f"{raw} = data[{start}:{start} + {ln}]")
-            fn.w(f"if len({raw}) != {ln}: return None")
-            off.rebase(fn, f"{start} + {ln}")
-            if kind == "str":
-                x = mod.name("x")
-                fn.w(f"{x} = {raw}.decode('utf-8')")
-                return x
-            return raw
-        if kind == "opt":
-            runs.flush()
-            t = mod.name("t")
-            x = mod.name("x")
-            nxt = mod.name("o")
-            r = mod.name("r")
-            z = mod.name("z")
-            start = off.expr()
-            fn.w(f"{t} = data[{start}]")
-            fn.w(f"if {t} == 0:")
-            fn.w(f"    {x} = None")
-            fn.w(f"    {nxt} = {start} + 1")
-            fn.w(f"elif {t} == 3:")
-            fn.w(f"    {z} = data[{start} + 1]")
-            fn.w(f"    if {z} < 0x80:")
-            fn.w(f"        {nxt} = {start} + 2")
-            fn.w(f"    else:")
-            fn.w(f"        {r} = _rv(data, {start} + 1)")
-            fn.w(f"        if {r} is None: return None")
-            fn.w(f"        {z}, {nxt} = {r}")
-            fn.w(f"    {x} = ({z} >> 1) ^ -({z} & 1)")
-            fn.w("else: return None")
-            off.base = nxt
-            off.k = 0
-            return x
-        if kind == "nested":
-            return self._dec_dict(fn, spec.schema, runs, off)
-        if kind == "strmap":
-            runs.const(b"\x08")
-            runs.flush()
-            n = self._dec_varint(fn, off)
-            r = mod.name("r")
-            x = mod.name("x")
-            o = mod.name("o")
-            fn.w(f"{r} = _dpbstrmap(data, {off.expr()}, {n})")
-            fn.w(f"if {r} is None: return None")
-            fn.w(f"{x}, {o} = {r}")
-            off.base = o
-            off.k = 0
-            return x
-        if kind == "seq":
-            runs.const(b"\x07")
-            runs.flush()
-            n = self._dec_varint(fn, off)
-            r = mod.name("r")
-            x = mod.name("x")
-            o = mod.name("o")
-            elem = spec.elem.kind
-            if elem == "int":
-                fn.w(f"{r} = _dpbseq_int(data, {off.expr()}, {n})")
-            elif elem == "str":
-                fn.w(f"{r} = _dpbseq_str(data, {off.expr()}, {n})")
-            elif elem == "nested":
-                dname = self._elem_decoder(mod, spec.elem.schema)
-                v = mod.name("e")
-                fn.w(f"{x} = []")
-                fn.w(f"{o} = {off.expr()}")
-                fn.w(f"for _ in range({n}):")
-                fn.w(f"    {r} = {dname}(data, {o})")
-                fn.w(f"    if {r} is None: return None")
-                fn.w(f"    {v}, {o} = {r}")
-                fn.w(f"    {x}.append({v})")
-                off.base = o
-                off.k = 0
-                return x
-            else:
-                raise _Unsupported(f"seq of {elem}")
-            fn.w(f"if {r} is None: return None")
-            fn.w(f"{x}, {o} = {r}")
-            off.base = o
-            off.k = 0
-            return x
-        raise _Unsupported(kind)
-
-    def _dec_varint(self, fn: _Fn, off: _Off) -> str:
-        """Inline one-byte fast path; returns the value's local name and
-        leaves ``off`` rebased past the varint."""
-        mod = fn.mod
-        z = mod.name("z")
-        nxt = mod.name("o")
-        r = mod.name("r")
-        start = off.expr()
-        fn.w(f"{z} = data[{start}]")
-        fn.w(f"if {z} < 0x80:")
-        fn.w(f"    {nxt} = {start} + 1")
-        fn.w("else:")
-        fn.w(f"    {r} = _rv(data, {start})")
-        fn.w(f"    if {r} is None: return None")
-        fn.w(f"    {z}, {nxt} = {r}")
-        off.base = nxt
-        off.k = 0
-        return z
-
-    def _dec_varint_int(self, fn: _Fn, off: _Off) -> str:
-        z = self._dec_varint(fn, off)
-        x = fn.mod.name("x")
-        fn.w(f"{x} = ({z} >> 1) ^ -({z} & 1)")
-        return x
-
-    def _elem_decoder(self, mod: _Mod, schema: Schema) -> str:
-        got = self._elem_dec.get(schema.name)
-        if got is not None:
-            return got
-        fn = mod.fn("_bd", "data, o0")
-        self._elem_dec[schema.name] = fn.name
-        off = _Off("o0", 0)
-        runs = _DecRuns(fn, off)
-        result = self._dec_dict(fn, schema, runs, off)
-        runs.flush()
-        fn.w(f"return {result}, {off.expr()}")
-        fn.close()
-        return fn.name
-
-
 # -- kernel cache and dispatch ---------------------------------------
 
 _EMITTERS = {
     "fb": _FlatEmitter(),
     "asn": _PerEmitter(),
-    "pb": _PbEmitter(),
 }
 
 
@@ -2272,8 +1760,11 @@ def build_kernel_source(codec_name: str, schema: Schema) -> Optional[str]:
 
 
 def _build(codec_name: str, schema: Schema) -> Optional[Kernel]:
+    emitter = _EMITTERS.get(codec_name)
+    if emitter is None:  # interpretive-only codec ("pb", vendor schemes)
+        return None
     try:
-        mod = _EMITTERS[codec_name].build(schema)
+        mod = emitter.build(schema)
         source = mod.render()
         ns = mod.compile()
     except _Unsupported:
@@ -2350,23 +1841,7 @@ def _probe_asn(data):
     return p, c
 
 
-def _probe_pb(data):
-    if len(data) < 10 or data[0] != 8 or data[1] != 3:
-        return None
-    if data[2] != 1 or data[3] != 0x70 or data[4] != 3:
-        return None
-    z = data[5]
-    if z & 1 or z >= 0x80:
-        return None
-    if data[6] != 1 or data[7] != 0x63 or data[8] != 3:
-        return None
-    z2 = data[9]
-    if z2 & 1 or z2 >= 0x80:
-        return None
-    return z >> 1, z2 >> 1
-
-
-_PROBES = {"fb": _probe_fb, "asn": _probe_asn, "pb": _probe_pb}
+_PROBES = {"fb": _probe_fb, "asn": _probe_asn}
 
 
 # -- codec-facing entry points ---------------------------------------

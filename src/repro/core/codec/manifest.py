@@ -30,8 +30,8 @@ from typing import Dict, Optional, Sequence
 
 from repro.core.codec import codegen, schema
 
-#: emitter names known to the codegen layer.
-CODECS = ("fb", "asn", "pb")
+#: emitter names known to the codegen layer ("pb" is interpretive-only).
+CODECS = ("fb", "asn")
 
 MANIFEST_RELPATH = "src/repro/core/codec/kernel_manifest.py"
 

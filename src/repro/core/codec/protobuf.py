@@ -15,7 +15,6 @@ import struct
 from typing import Any, List, Tuple
 
 from repro.core.codec import base
-from repro.core.codec import codegen as _codegen
 from repro.core.codec.base import Codec, CodecError, validate_tree
 
 _F64 = struct.Struct("<d")
@@ -91,31 +90,12 @@ class ProtobufCodec(Codec):
     name = "pb"
 
     def encode(self, value: Any) -> bytes:
-        if _codegen.ENABLED:
-            out = _codegen.kernel_encode("pb", value)
-            if out is not None:
-                return out
-        return self.encode_interpretive(value)
-
-    def decode(self, data) -> Any:
-        # Kernels index and slice raw ``bytes``; buffer-protocol inputs
-        # (memoryview/bytearray from a zero-copy receive path) take the
-        # interpretive lane, which is slice-type agnostic.
-        if _codegen.ENABLED and type(data) is bytes:
-            out = _codegen.kernel_decode("pb", data)
-            if out is not None:
-                return out
-        return self.decode_interpretive(data)
-
-    def encode_interpretive(self, value: Any) -> bytes:
-        """The original field-walking encoder (differential-test oracle)."""
         validate_tree(value)
         out = bytearray()
         self._encode_value(out, value)
         return bytes(out)  # repro-lint: disable=RL007 — encoder-owned scratch; the Codec contract returns immutable bytes
 
-    def decode_interpretive(self, data: bytes) -> Any:
-        """The original field-walking decoder (differential-test oracle)."""
+    def decode(self, data) -> Any:
         try:
             value, pos = self._decode_value(data, 0)
         except (UnicodeDecodeError, ValueError, OverflowError, MemoryError, struct.error) as exc:
@@ -123,6 +103,11 @@ class ProtobufCodec(Codec):
         if pos != len(data):
             raise CodecError(f"{len(data) - pos} trailing bytes after message")
         return value
+
+    # No generated kernels for this codec (DESIGN.md §11): the field
+    # walker is the only lane, under both names every codec exposes.
+    encode_interpretive = encode
+    decode_interpretive = decode
 
     # -- encoding ----------------------------------------------------
 

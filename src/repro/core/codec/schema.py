@@ -1,31 +1,44 @@
-"""Declarative wire schemas for E2AP messages and E2SM payloads.
+"""The wire-schema language, derived from the message dataclasses.
 
-Every message shape in the SDK is described exactly once here as typed
-fields; the layout compiler (:mod:`repro.core.codec.codegen`) turns
-each (schema × codec) pair into a specialized encode/decode kernel with
-precomputed offsets and fused field access.  The codecs' interpretive
-walkers remain the differential-testing oracle, so a schema that drifts
-from the dataclass ``to_value``/``from_value`` shape is caught by the
-golden vectors and the property sweep, not by an interop break.
+A message shape is declared exactly once — as a dataclass.  The
+:func:`wire` decorator reads the class's annotations, derives the
+ordered :class:`Schema` the layout compiler
+(:mod:`repro.core.codec.codegen`) turns into specialized kernels, and
+generates the class's ``to_value``/``from_value`` converters at import
+time, the way :mod:`dataclasses` generates ``__init__``.  Schema,
+converters and kernels therefore cannot drift apart: they are three
+projections of one declaration.  Bare payload trees that have no
+dataclass (triggers, action definitions, report wrappers) are declared
+as one :class:`Schema` literal by the service-model module that owns
+the shape.  This module holds no message shapes of its own — it is the
+spec language, the decorator and the registry.
 
-The schema language (DESIGN.md §11):
+The schema language (DESIGN.md §11) and the annotation each spec is
+derived from:
 
-* :class:`Int` — arbitrary integer (kernels specialize the int64 and
-  small-int ranges, deferring to the interpreter outside them)
+* :class:`Int` — ``int``, or an ``IntEnum`` (lowered with ``int(x)``,
+  rebuilt with ``Enum(x)``); kernels specialize the int64 and
+  small-int ranges, deferring to the interpreter outside them
 * :class:`ConstInt` — integer whose value is fixed by the schema (the
   ``p``/``c`` envelope discriminators), folded into constant bytes
-* :class:`Bool`, :class:`F64`, :class:`Str`, :class:`Bytes` — scalars
-* :class:`Opt` — value may be ``None`` (optional IEs)
-* :class:`Nested` — sub-struct with a fixed, ordered key set
-* :class:`Seq` — homogeneous repeated group
-* :class:`StrMap` — open string→string table (config dictionaries)
+* :class:`Bool`, :class:`F64`, :class:`Str`, :class:`Bytes` — ``bool``,
+  ``float``, ``str``, ``bytes``
+* :class:`Opt` — ``Optional[T]`` (optional IEs)
+* :class:`Nested` — another wire dataclass
+* :class:`Seq` — ``List[T]``
+* :class:`StrMap` — ``Dict[str, str]`` (config dictionaries)
 
 Field order is significant: it is the wire order for every codec.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import dataclasses
+import typing
+from enum import IntEnum
+from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.core.codec.base import CodecError
 
 
 class Spec:
@@ -33,9 +46,6 @@ class Spec:
 
     __slots__ = ()
     kind = "?"
-
-    def describe(self) -> str:
-        return self.kind
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -56,9 +66,6 @@ class ConstInt(Spec):
 
     def __init__(self, value: int) -> None:
         self.value = int(value)
-
-    def describe(self) -> str:
-        return f"const_int({self.value})"
 
     def __repr__(self) -> str:
         return f"ConstInt({self.value})"
@@ -93,9 +100,6 @@ class Opt(Spec):
     def __init__(self, inner: Spec) -> None:
         self.inner = inner
 
-    def describe(self) -> str:
-        return f"opt[{self.inner.describe()}]"
-
 
 class Nested(Spec):
     """A sub-struct with the fixed field set of ``schema``."""
@@ -106,9 +110,6 @@ class Nested(Spec):
     def __init__(self, schema: "Schema") -> None:
         self.schema = schema
 
-    def describe(self) -> str:
-        return self.schema.name
-
 
 class Seq(Spec):
     """A list of ``elem``-shaped values."""
@@ -118,9 +119,6 @@ class Seq(Spec):
 
     def __init__(self, elem: Spec) -> None:
         self.elem = elem
-
-    def describe(self) -> str:
-        return f"seq[{self.elem.describe()}]"
 
 
 class StrMap(Spec):
@@ -143,47 +141,128 @@ class Schema:
     def keys(self) -> Tuple[str, ...]:
         return tuple(key for key, _spec in self.fields)
 
-    def describe(self) -> str:
-        inner = ", ".join(f"{key}: {spec.describe()}" for key, spec in self.fields)
-        return f"{self.name}{{{inner}}}"
-
     def __repr__(self) -> str:
         return f"Schema({self.name!r}, {len(self.fields)} fields)"
 
 
 # ---------------------------------------------------------------------------
-# Shared information-element schemas (core/e2ap/ies.py, procedures.py)
+# @wire: dataclass → schema + converters
 # ---------------------------------------------------------------------------
 
-CAUSE = Schema("Cause", [("k", Int()), ("v", Int()), ("d", Str())])
+_SCALARS = {int: Int, bool: Bool, float: F64, str: Str, bytes: Bytes}
 
-GLOBAL_E2_NODE_ID = Schema(
-    "GlobalE2NodeId", [("p", Str()), ("n", Int()), ("k", Int())]
-)
+#: What a malformed body can raise inside a generated ``from_value``
+#: (missing key, scalar where a struct/list belongs, enum out of range,
+#: or a nested wire class reporting the same).
+_CONVERSION_ERRORS = (CodecError, KeyError, TypeError, ValueError)
 
-RAN_FUNCTION_ITEM = Schema(
-    "RanFunctionItem",
-    [("i", Int()), ("d", Bytes()), ("r", Int()), ("o", Str())],
-)
 
-RIC_REQUEST_ID = Schema("RicRequestId", [("r", Int()), ("i", Int())])
+def _lower(tp, ns: dict) -> Tuple[Spec, str, str]:
+    """Annotation → (spec, to-wire template, from-wire template).
 
-RIC_ACTION_DEFINITION = Schema(
-    "RicActionDefinition",
-    [("a", Int()), ("k", Int()), ("d", Bytes()), ("s", Bool())],
-)
+    Templates are ``str.format`` patterns over the value expression;
+    ``"{}"`` means the value crosses unchanged.  Classes the templates
+    name are bound into ``ns``, the generated converters' globals.
+    """
+    if tp in _SCALARS:
+        return _SCALARS[tp](), "{}", "{}"
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union and len(args) == 2 and type(None) in args:
+        spec, enc, _dec = _lower(args[0] if args[1] is type(None) else args[1], ns)
+        if enc == "{}":
+            return Opt(spec), "{}", "{}"
+    elif origin is list:
+        spec, enc, dec = _lower(args[0], ns)
+        if enc == "{}":
+            return Seq(spec), "list({})", "list({})"
+        each = "[%s for x in {}]"
+        return Seq(spec), each % enc.format("x"), each % dec.format("x")
+    elif origin is dict and args == (str, str):
+        return StrMap(), "dict({})", "dict({})"  # copies a plain dict or a lazy view
+    elif isinstance(tp, type):
+        ref = f"_{tp.__name__}"
+        ns[ref] = tp
+        if issubclass(tp, IntEnum):
+            return Int(), "int({})", ref + "({})"
+        if isinstance(getattr(tp, "wire_schema", None), Schema):
+            return Nested(tp.wire_schema), "{}.to_value()", ref + ".from_value({})"
+    raise TypeError(f"no wire mapping for annotation {tp!r}")
 
-RIC_ACTION_ADMITTED = Schema("RicActionAdmitted", [("a", Int())])
 
-RIC_ACTION_NOT_ADMITTED = Schema(
-    "RicActionNotAdmitted", [("a", Int()), ("k", Int()), ("v", Int())]
-)
+def _conversion_error(cls, value, exc: Exception) -> CodecError:
+    """Name the wire field a failed ``from_value`` tripped on.
 
-TNL_INFORMATION = Schema("TnlInformation", [("a", Str()), ("p", Int())])
+    Error path only: re-runs the per-field converters one at a time to
+    find the first that fails; a nested wire class contributes its own
+    field as a dotted suffix (``"n.k"``).  A value that is no struct at
+    all names no field here — the parent's field is the one at fault.
+    """
+    field = None
+    decoders = cls._wire_decoders if hasattr(value, "keys") else ()
+    for key, convert in decoders:
+        try:
+            convert(value[key])
+        except CodecError as inner:
+            field = key if inner.field is None else f"{key}.{inner.field}"
+            break
+        except _CONVERSION_ERRORS:
+            field = key
+            break
+    why = exc.args[0] if isinstance(exc, CodecError) else f"{type(exc).__name__}: {exc}"
+    return CodecError(
+        f"malformed {cls.__name__} body: {why}", message_type=cls.__name__, field=field
+    )
+
+
+def wire(keys: Optional[str] = None) -> Callable[[type], type]:
+    """Class decorator: make a dataclass its own wire declaration.
+
+    ``keys`` is the space-separated wire key of each field in order
+    (E2AP uses single letters to keep PER-style sizes schema-like);
+    omitted, every field's wire key is its own name (E2SM structs).
+    Attaches ``cls.wire_schema`` (named after the class) and generates
+    ``to_value`` and ``from_value``; the latter raises
+    :class:`CodecError` naming the class and the wire field when the
+    tree does not fit.
+    """
+
+    def decorate(cls: type) -> type:
+        fields = dataclasses.fields(cls)
+        wire_keys = keys.split() if keys is not None else [f.name for f in fields]
+        if len(wire_keys) != len(fields):
+            raise TypeError(
+                f"{cls.__name__}: {len(wire_keys)} wire keys for {len(fields)} fields"
+            )
+        hints = typing.get_type_hints(cls)
+        ns = {"_errors": _CONVERSION_ERRORS, "_explain": _conversion_error}
+        specs, lowered, raised, decoders = [], [], [], []
+        for key, f in zip(wire_keys, fields):
+            spec, enc, dec = _lower(hints[f.name], ns)
+            specs.append((key, spec))
+            lowered.append(f"{key!r}: " + enc.format(f"self.{f.name}"))
+            raised.append(dec.format(f"value[{key!r}]"))
+            decoders.append((key, eval("lambda v: " + dec.format("v"), ns)))
+        source = (
+            "def to_value(self):\n"
+            f"    return {{{', '.join(lowered)}}}\n"
+            "def from_value(cls, value):\n"
+            "    try:\n"
+            f"        return cls({', '.join(raised)})\n"
+            "    except _errors as exc:\n"
+            "        raise _explain(cls, value, exc) from exc\n"
+        )
+        exec(compile(source, f"<wire {cls.__name__}>", "exec"), ns)
+        cls.wire_schema = Schema(cls.__name__, specs)
+        cls._wire_decoders = tuple(decoders)
+        cls.to_value = ns["to_value"]
+        cls.from_value = classmethod(ns["from_value"])
+        return cls
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
-# E2AP message payload schemas, keyed (procedure, message class)
+# Registry: E2AP message bodies by (procedure, class), payload trees by name
 # ---------------------------------------------------------------------------
 
 #: (procedure, class) → schema of the envelope's ``"v"`` payload.
@@ -191,6 +270,17 @@ _MESSAGE_SCHEMAS: Dict[Tuple[int, int], Schema] = {}
 
 #: name → schema for inner (E2SM) payloads and other bare trees.
 _PAYLOAD_SCHEMAS: Dict[str, Schema] = {}
+
+
+def _load_declarations() -> None:
+    """Import the modules whose decorators populate the registries.
+
+    Every accessor calls this, so the registry is complete whichever
+    module a process happens to import first (a cache miss that saw a
+    short registry would pin "no kernel" for the process lifetime).
+    """
+    import repro.core.e2ap.messages  # noqa: F401
+    import repro.sm  # noqa: F401
 
 
 def register_message_schema(key: Tuple[int, int], schema: Schema) -> Schema:
@@ -211,18 +301,22 @@ def register_payload_schema(schema: Schema) -> Schema:
 
 
 def message_schema(procedure: int, msg_class: int) -> Optional[Schema]:
+    _load_declarations()
     return _MESSAGE_SCHEMAS.get((int(procedure), int(msg_class)))
 
 
 def payload_schema(name: str) -> Optional[Schema]:
+    _load_declarations()
     return _PAYLOAD_SCHEMAS.get(name)
 
 
 def message_schema_keys() -> List[Tuple[int, int]]:
+    _load_declarations()
     return sorted(_MESSAGE_SCHEMAS)
 
 
 def payload_schema_names() -> List[str]:
+    _load_declarations()
     return sorted(_PAYLOAD_SCHEMAS)
 
 
@@ -244,318 +338,3 @@ def envelope_schema(procedure: int, msg_class: int) -> Optional[Schema]:
             ("v", Nested(body)),
         ],
     )
-
-
-# Procedure codes are hard numbers here on purpose: the schema layer
-# sits below core.e2ap and must not import it (messages.py imports the
-# codecs, which import this module).  tests/test_codec_codegen.py
-# asserts the numbers agree with ProcedureCode/MessageClass.
-
-# E2_SETUP = 1
-register_message_schema(
-    (1, 0),
-    Schema(
-        "E2SetupRequest",
-        [("n", Nested(GLOBAL_E2_NODE_ID)), ("f", Seq(Nested(RAN_FUNCTION_ITEM)))],
-    ),
-)
-register_message_schema(
-    (1, 1),
-    Schema(
-        "E2SetupResponse",
-        [("r", Int()), ("a", Seq(Int())), ("j", Seq(Int()))],
-    ),
-)
-register_message_schema(
-    (1, 2),
-    Schema("E2SetupFailure", [("c", Nested(CAUSE)), ("t", F64())]),
-)
-
-# ERROR_INDICATION = 2
-register_message_schema(
-    (2, 0),
-    Schema("ErrorIndication", [("c", Nested(CAUSE)), ("f", Opt(Int()))]),
-)
-
-# RESET = 3
-register_message_schema((3, 0), Schema("ResetRequest", [("c", Nested(CAUSE))]))
-register_message_schema((3, 1), Schema("ResetResponse", []))
-
-# RIC_CONTROL = 4
-register_message_schema(
-    (4, 0),
-    Schema(
-        "RicControlRequest",
-        [
-            ("q", Nested(RIC_REQUEST_ID)),
-            ("f", Int()),
-            ("h", Bytes()),
-            ("m", Bytes()),
-            ("k", Bool()),
-        ],
-    ),
-)
-register_message_schema(
-    (4, 1),
-    Schema(
-        "RicControlAcknowledge",
-        [("q", Nested(RIC_REQUEST_ID)), ("f", Int()), ("o", Bytes())],
-    ),
-)
-register_message_schema(
-    (4, 2),
-    Schema(
-        "RicControlFailure",
-        [("q", Nested(RIC_REQUEST_ID)), ("f", Int()), ("c", Nested(CAUSE))],
-    ),
-)
-
-# RIC_INDICATION = 5
-register_message_schema(
-    (5, 0),
-    Schema(
-        "RicIndication",
-        [
-            ("q", Nested(RIC_REQUEST_ID)),
-            ("f", Int()),
-            ("a", Int()),
-            ("s", Int()),
-            ("k", Int()),
-            ("h", Bytes()),
-            ("m", Bytes()),
-        ],
-    ),
-)
-
-# RIC_SERVICE_QUERY = 6
-register_message_schema(
-    (6, 0), Schema("RicServiceQuery", [("k", Seq(Int()))])
-)
-
-# RIC_SERVICE_UPDATE = 7
-register_message_schema(
-    (7, 0),
-    Schema(
-        "RicServiceUpdate",
-        [
-            ("a", Seq(Nested(RAN_FUNCTION_ITEM))),
-            ("m", Seq(Nested(RAN_FUNCTION_ITEM))),
-            ("r", Seq(Int())),
-        ],
-    ),
-)
-register_message_schema(
-    (7, 1),
-    Schema(
-        "RicServiceUpdateAcknowledge", [("a", Seq(Int())), ("r", Seq(Int()))]
-    ),
-)
-register_message_schema(
-    (7, 2), Schema("RicServiceUpdateFailure", [("c", Nested(CAUSE))])
-)
-
-# RIC_SUBSCRIPTION = 8
-register_message_schema(
-    (8, 0),
-    Schema(
-        "RicSubscriptionRequest",
-        [
-            ("q", Nested(RIC_REQUEST_ID)),
-            ("f", Int()),
-            ("t", Bytes()),
-            ("a", Seq(Nested(RIC_ACTION_DEFINITION))),
-        ],
-    ),
-)
-register_message_schema(
-    (8, 1),
-    Schema(
-        "RicSubscriptionResponse",
-        [
-            ("q", Nested(RIC_REQUEST_ID)),
-            ("f", Int()),
-            ("a", Seq(Nested(RIC_ACTION_ADMITTED))),
-            ("n", Seq(Nested(RIC_ACTION_NOT_ADMITTED))),
-        ],
-    ),
-)
-register_message_schema(
-    (8, 2),
-    Schema(
-        "RicSubscriptionFailure",
-        [("q", Nested(RIC_REQUEST_ID)), ("f", Int()), ("c", Nested(CAUSE))],
-    ),
-)
-
-# RIC_SUBSCRIPTION_DELETE = 9
-register_message_schema(
-    (9, 0),
-    Schema(
-        "RicSubscriptionDeleteRequest",
-        [("q", Nested(RIC_REQUEST_ID)), ("f", Int())],
-    ),
-)
-register_message_schema(
-    (9, 1),
-    Schema(
-        "RicSubscriptionDeleteResponse",
-        [("q", Nested(RIC_REQUEST_ID)), ("f", Int())],
-    ),
-)
-register_message_schema(
-    (9, 2),
-    Schema(
-        "RicSubscriptionDeleteFailure",
-        [("q", Nested(RIC_REQUEST_ID)), ("f", Int()), ("c", Nested(CAUSE))],
-    ),
-)
-
-# E2_NODE_CONFIGURATION_UPDATE = 10
-register_message_schema(
-    (10, 0),
-    Schema(
-        "E2NodeConfigurationUpdate",
-        [("n", Nested(GLOBAL_E2_NODE_ID)), ("c", StrMap())],
-    ),
-)
-register_message_schema(
-    (10, 1), Schema("E2NodeConfigurationUpdateAcknowledge", [])
-)
-register_message_schema(
-    (10, 2),
-    Schema("E2NodeConfigurationUpdateFailure", [("c", Nested(CAUSE))]),
-)
-
-# E2_CONNECTION_UPDATE = 11
-register_message_schema(
-    (11, 0),
-    Schema(
-        "E2ConnectionUpdate",
-        [("a", Seq(Nested(TNL_INFORMATION))), ("r", Seq(Nested(TNL_INFORMATION)))],
-    ),
-)
-register_message_schema(
-    (11, 1),
-    Schema(
-        "E2ConnectionUpdateAcknowledge", [("c", Seq(Nested(TNL_INFORMATION)))]
-    ),
-)
-register_message_schema(
-    (11, 2),
-    Schema("E2ConnectionUpdateFailure", [("c", Nested(CAUSE))]),
-)
-
-
-# ---------------------------------------------------------------------------
-# E2SM payload schemas (sm/*.py) and other bare trees
-# ---------------------------------------------------------------------------
-
-register_payload_schema(Schema("periodic_trigger", [("period_ms", F64())]))
-
-KPM_MEASUREMENT = Schema("KpmMeasurement", [("name", Str()), ("value", F64())])
-register_payload_schema(
-    Schema(
-        "kpm_report",
-        [
-            ("style", Int()),
-            ("measurements", Seq(Nested(KPM_MEASUREMENT))),
-            ("granularity_ms", F64()),
-            ("tstamp_ms", F64()),
-        ],
-    )
-)
-register_payload_schema(
-    Schema("kpm_action", [("style", Int()), ("metrics", Seq(Str()))])
-)
-
-MAC_UE_STATS = Schema(
-    "MacUeStats",
-    [
-        ("rnti", Int()),
-        ("cqi", Int()),
-        ("mcs_dl", Int()),
-        ("mcs_ul", Int()),
-        ("prbs_dl", Int()),
-        ("prbs_ul", Int()),
-        ("bytes_dl", Int()),
-        ("bytes_ul", Int()),
-        ("slice_id", Int()),
-    ],
-)
-register_payload_schema(
-    Schema(
-        "mac_stats_report",
-        [("ues", Seq(Nested(MAC_UE_STATS))), ("tstamp_ms", F64())],
-    )
-)
-
-RLC_BEARER_STATS = Schema(
-    "RlcBearerStats",
-    [
-        ("rnti", Int()),
-        ("bearer_id", Int()),
-        ("buffer_bytes", Int()),
-        ("buffer_pkts", Int()),
-        ("sojourn_ms", F64()),
-        ("tx_pdus", Int()),
-        ("tx_bytes", Int()),
-        ("rx_pdus", Int()),
-        ("rx_bytes", Int()),
-        ("dropped", Int()),
-    ],
-)
-register_payload_schema(
-    Schema(
-        "rlc_stats_report",
-        [("bearers", Seq(Nested(RLC_BEARER_STATS))), ("tstamp_ms", F64())],
-    )
-)
-
-PDCP_BEARER_STATS = Schema(
-    "PdcpBearerStats",
-    [
-        ("rnti", Int()),
-        ("bearer_id", Int()),
-        ("tx_pkts", Int()),
-        ("tx_bytes", Int()),
-        ("rx_pkts", Int()),
-        ("rx_bytes", Int()),
-    ],
-)
-register_payload_schema(
-    Schema(
-        "pdcp_stats_report",
-        [("bearers", Seq(Nested(PDCP_BEARER_STATS))), ("tstamp_ms", F64())],
-    )
-)
-
-register_payload_schema(
-    Schema(
-        "ni_message",
-        [("if", Str()), ("proc", Str()), ("pl", Bytes()), ("dir", Str())],
-    )
-)
-register_payload_schema(
-    Schema("ni_action", [("if", Str()), ("procs", Seq(Str()))])
-)
-register_payload_schema(
-    Schema(
-        "ni_policy",
-        [("if", Str()), ("procs", Seq(Str())), ("verdict", Str())],
-    )
-)
-register_payload_schema(Schema("ni_insert_header", [("call_id", Int())]))
-register_payload_schema(Schema("hw_ping", [("seq", Int()), ("data", Bytes())]))
-register_payload_schema(
-    Schema("ni_resume", [("resume", Bool()), ("call_id", Int())])
-)
-
-
-def describe_all() -> str:
-    """Deterministic dump of every registered schema (docs, debugging)."""
-    lines = []
-    for key in message_schema_keys():
-        lines.append(f"e2ap {key}: {_MESSAGE_SCHEMAS[key].describe()}")
-    for name in payload_schema_names():
-        lines.append(f"payload {name}: {_PAYLOAD_SCHEMAS[name].describe()}")
-    return "\n".join(lines)

@@ -1,15 +1,18 @@
 """E2AP information elements shared across messages.
 
-Each IE lowers to the generic value tree via ``to_value`` and rebuilds
-via ``from_value``; short single-letter keys keep the PER-style wire
-size close to a schema-driven encoding.
+Each IE is declared once, as a dataclass; :func:`~repro.core.codec.schema.wire`
+derives its wire schema and generates the ``to_value``/``from_value``
+pair that lowers it to the generic value tree and back.  Short
+single-letter keys keep the PER-style wire size close to a
+schema-driven encoding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import List, Mapping
+
+from repro.core.codec.schema import wire
 
 
 class NodeKind(IntEnum):
@@ -23,6 +26,7 @@ class NodeKind(IntEnum):
     CU_UP = 5   # CU user plane
 
 
+@wire("p n k")
 @dataclass(frozen=True)
 class GlobalE2NodeId:
     """Identity of an E2 node.
@@ -38,18 +42,12 @@ class GlobalE2NodeId:
     nb_id: int
     kind: NodeKind = NodeKind.GNB
 
-    def to_value(self) -> dict:
-        return {"p": self.plmn, "n": self.nb_id, "k": int(self.kind)}
-
-    @classmethod
-    def from_value(cls, value: Mapping) -> "GlobalE2NodeId":
-        return cls(plmn=value["p"], nb_id=value["n"], kind=NodeKind(value["k"]))
-
     @property
     def label(self) -> str:
         return f"{self.plmn}/{self.nb_id}/{self.kind.name}"
 
 
+@wire("i d r o")
 @dataclass(frozen=True)
 class RanFunctionItem:
     """Descriptor of one RAN function exposed by an E2 node.
@@ -65,24 +63,8 @@ class RanFunctionItem:
     revision: int = 1
     oid: str = ""
 
-    def to_value(self) -> dict:
-        return {
-            "i": self.ran_function_id,
-            "d": self.definition,
-            "r": self.revision,
-            "o": self.oid,
-        }
 
-    @classmethod
-    def from_value(cls, value: Mapping) -> "RanFunctionItem":
-        return cls(
-            ran_function_id=value["i"],
-            definition=value["d"],
-            revision=value["r"],
-            oid=value["o"],
-        )
-
-
+@wire("r i")
 @dataclass(frozen=True)
 class RicRequestId:
     """Identifies a subscription/control transaction.
@@ -94,13 +76,6 @@ class RicRequestId:
 
     requestor_id: int
     instance_id: int
-
-    def to_value(self) -> dict:
-        return {"r": self.requestor_id, "i": self.instance_id}
-
-    @classmethod
-    def from_value(cls, value: Mapping) -> "RicRequestId":
-        return cls(requestor_id=value["r"], instance_id=value["i"])
 
     def as_tuple(self) -> tuple:
         return (self.requestor_id, self.instance_id)
@@ -115,6 +90,7 @@ class RicActionKind(IntEnum):
     POLICY = 3
 
 
+@wire("a k d s")
 @dataclass(frozen=True)
 class RicActionDefinition:
     """One action requested within a subscription.
@@ -129,38 +105,16 @@ class RicActionDefinition:
     definition: bytes = b""
     subsequent: bool = True
 
-    def to_value(self) -> dict:
-        return {
-            "a": self.action_id,
-            "k": int(self.kind),
-            "d": self.definition,
-            "s": self.subsequent,
-        }
 
-    @classmethod
-    def from_value(cls, value: Mapping) -> "RicActionDefinition":
-        return cls(
-            action_id=value["a"],
-            kind=RicActionKind(value["k"]),
-            definition=value["d"],
-            subsequent=value["s"],
-        )
-
-
+@wire("a")
 @dataclass(frozen=True)
 class RicActionAdmitted:
     """Outcome entry for an admitted action."""
 
     action_id: int
 
-    def to_value(self) -> dict:
-        return {"a": self.action_id}
 
-    @classmethod
-    def from_value(cls, value: Mapping) -> "RicActionAdmitted":
-        return cls(action_id=value["a"])
-
-
+@wire("a k v")
 @dataclass(frozen=True)
 class RicActionNotAdmitted:
     """Outcome entry for a rejected action, with the rejection cause."""
@@ -169,32 +123,11 @@ class RicActionNotAdmitted:
     cause_kind: int
     cause_value: int
 
-    def to_value(self) -> dict:
-        return {"a": self.action_id, "k": self.cause_kind, "v": self.cause_value}
 
-    @classmethod
-    def from_value(cls, value: Mapping) -> "RicActionNotAdmitted":
-        return cls(action_id=value["a"], cause_kind=value["k"], cause_value=value["v"])
-
-
+@wire("a p")
 @dataclass(frozen=True)
 class TnlInformation:
     """Transport-network-layer endpoint for E2 connection updates."""
 
     address: str
     port: int
-
-    def to_value(self) -> dict:
-        return {"a": self.address, "p": self.port}
-
-    @classmethod
-    def from_value(cls, value: Mapping) -> "TnlInformation":
-        return cls(address=value["a"], port=value["p"])
-
-
-def functions_to_value(items: List[RanFunctionItem]) -> list:
-    return [item.to_value() for item in items]
-
-
-def functions_from_value(value) -> List[RanFunctionItem]:
-    return [RanFunctionItem.from_value(item) for item in value]

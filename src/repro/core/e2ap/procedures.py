@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
+from repro.core.codec.schema import wire
+
 
 class ProcedureCode(IntEnum):
     """E2AP elementary procedures (subset numbering from the spec)."""
@@ -54,6 +56,7 @@ class CauseKind(IntEnum):
     MISC = 4
 
 
+@wire("k v d")
 @dataclass(frozen=True)
 class Cause:
     """A (category, value) cause pair plus optional free-text detail."""
@@ -72,13 +75,6 @@ class Cause:
     CONTROL_MESSAGE_INVALID = 7
     ADMISSION_REFUSED = 8
     UNSPECIFIED = 99
-
-    def to_value(self) -> dict:
-        return {"k": int(self.kind), "v": self.value, "d": self.detail}
-
-    @classmethod
-    def from_value(cls, value) -> "Cause":
-        return cls(kind=CauseKind(value["k"]), value=value["v"], detail=value["d"])
 
     @classmethod
     def ric_request(cls, value: int, detail: str = "") -> "Cause":

@@ -26,9 +26,12 @@ from repro.core.codec.base import Codec, CodecError, get_codec
 from repro.core.e2ap.ies import GlobalE2NodeId, RicActionDefinition, RicRequestId
 from repro.core.e2ap.messages import (
     E2Message,
+    E2NodeConfigurationUpdate,
+    E2NodeConfigurationUpdateAcknowledge,
     E2SetupFailure,
     E2SetupRequest,
     E2SetupResponse,
+    ErrorIndication,
     RicControlAcknowledge,
     RicControlFailure,
     RicControlRequest,
@@ -37,15 +40,16 @@ from repro.core.e2ap.messages import (
     RicServiceQuery,
     RicServiceUpdate,
     RicServiceUpdateAcknowledge,
+    RicSubscriptionDeleteFailure,
     RicSubscriptionDeleteRequest,
     RicSubscriptionDeleteResponse,
     RicSubscriptionFailure,
     RicSubscriptionRequest,
     RicSubscriptionResponse,
-    decode_message,
     encode_message,
+    message_types,
 )
-from repro.core.e2ap.procedures import Cause, CauseKind, MessageClass, ProcedureCode
+from repro.core.e2ap.procedures import Cause, CauseKind, ProcedureCode
 from repro.core.overload import (
     AdmissionController,
     BoundedWorkerPool,
@@ -128,6 +132,9 @@ class ServerConfig:
 
 #: hoisted: the indication hot loop compares against this constant.
 _IND_CODE = int(ProcedureCode.RIC_INDICATION)
+
+#: (procedure, class) → dataclass for everything off the indication path.
+_MESSAGE_TYPES = message_types()
 
 
 def _procedure_name(procedure: int) -> str:
@@ -715,8 +722,7 @@ class Server:
                 except (CodecError, KeyError, TypeError, ValueError):
                     # A corrupted frame (chaos transport, buggy peer)
                     # must not take the transport thread down.
-                    get_counter("server.rx.decode_error").incr()
-                    get_counter("decode.contained").incr()
+                    self._count_decode_error()
                     continue
                 if procedure == _IND_CODE:
                     # Route on header scalars only.  Handling is
@@ -733,70 +739,62 @@ class Server:
                     else:
                         deliver(event)
                     continue
+                cls = _MESSAGE_TYPES.get((procedure, msg_class))
+                if cls is None:
+                    continue  # unknown procedures are ignored (forward compat)
+                try:
+                    message = cls.from_value(body)
+                except CodecError:
+                    # Well-framed, but the body does not fit the class
+                    # (enum out of range, scalar for a struct): the
+                    # same containment as an undecodable frame.
+                    self._count_decode_error()
+                    continue
                 if traced:
                     name = _procedure_name(procedure)
                     tracer.record("decode", start, procedure=name)
                     start = time.perf_counter()
-                self._handle_slow_path(state, procedure, msg_class, body)
+                with self._slow_lock:
+                    self._handle_slow_path(state, message)
                 if traced:
                     tracer.record("dispatch", start, procedure=name)
 
-    def _handle_slow_path(
-        self, state: _ConnState, procedure: int, msg_class: int, body: Any
-    ) -> None:
-        with self._slow_lock:
-            self._handle_slow_path_locked(state, procedure, msg_class, body)
+    @staticmethod
+    def _count_decode_error() -> None:
+        get_counter("server.rx.decode_error").incr()
+        get_counter("decode.contained").incr()
 
-    def _handle_slow_path_locked(
-        self, state: _ConnState, procedure: int, msg_class: int, body: Any
-    ) -> None:
-        if procedure == int(ProcedureCode.E2_SETUP):
-            self._handle_setup(state, E2SetupRequest.from_value(body))
-        elif procedure == int(ProcedureCode.RIC_SUBSCRIPTION):
-            if msg_class == int(MessageClass.SUCCESSFUL):
-                self.submgr.confirm(RicSubscriptionResponse.from_value(body))
+    def _handle_slow_path(self, state: _ConnState, message: E2Message) -> None:
+        if isinstance(message, E2SetupRequest):
+            self._handle_setup(state, message)
+        elif isinstance(message, (RicSubscriptionResponse, RicSubscriptionFailure)):
+            if isinstance(message, RicSubscriptionResponse):
+                self.submgr.confirm(message)
             else:
-                self.submgr.fail(RicSubscriptionFailure.from_value(body))
+                self.submgr.fail(message)
             if self.admission is not None:
                 self.admission.release_subscription()
-        elif procedure == int(ProcedureCode.RIC_SUBSCRIPTION_DELETE):
-            if msg_class == int(MessageClass.SUCCESSFUL):
-                self.submgr.deleted(RicSubscriptionDeleteResponse.from_value(body))
-            else:
-                from repro.core.e2ap.messages import RicSubscriptionDeleteFailure
-
-                failure = RicSubscriptionDeleteFailure.from_value(body)
-                self.submgr.remove(failure.request)
-        elif procedure == int(ProcedureCode.RIC_CONTROL):
-            if msg_class == int(MessageClass.SUCCESSFUL):
-                outcome: E2Message = RicControlAcknowledge.from_value(body)
-            else:
-                outcome = RicControlFailure.from_value(body)
-            callback = self._pending_controls.pop(outcome.request.as_tuple(), None)
+        elif isinstance(message, RicSubscriptionDeleteResponse):
+            self.submgr.deleted(message)
+        elif isinstance(message, RicSubscriptionDeleteFailure):
+            self.submgr.remove(message.request)
+        elif isinstance(message, (RicControlAcknowledge, RicControlFailure)):
+            callback = self._pending_controls.pop(message.request.as_tuple(), None)
             if callback is not None:
-                callback(outcome)
-        elif procedure == int(ProcedureCode.RIC_SERVICE_UPDATE):
-            self._handle_service_update(state, RicServiceUpdate.from_value(body))
-        elif procedure == int(ProcedureCode.E2_NODE_CONFIGURATION_UPDATE):
-            from repro.core.e2ap.messages import (
-                E2NodeConfigurationUpdate,
-                E2NodeConfigurationUpdateAcknowledge,
-            )
-
-            update = E2NodeConfigurationUpdate.from_value(body)
+                callback(message)
+        elif isinstance(message, RicServiceUpdate):
+            self._handle_service_update(state, message)
+        elif isinstance(message, E2NodeConfigurationUpdate):
             if state.record is not None:
-                state.record.config.update(update.config)
-                self.events.publish(topics.NODE_CONFIG_UPDATED, (state.record, update))
+                state.record.config.update(message.config)
+                self.events.publish(topics.NODE_CONFIG_UPDATED, (state.record, message))
             state.endpoint.send(
                 encode_message(E2NodeConfigurationUpdateAcknowledge(), self.codec)
             )
-        elif procedure == int(ProcedureCode.ERROR_INDICATION):
-            from repro.core.e2ap.messages import ErrorIndication
-
-            error = ErrorIndication.from_value(body)
-            self.errors_seen.append((state.conn_id, error))
-            self.events.publish(topics.ERROR_INDICATED, (state.record, error))
-        # Unknown procedures are ignored at the server (forward compat).
+        elif isinstance(message, ErrorIndication):
+            self.errors_seen.append((state.conn_id, message))
+            self.events.publish(topics.ERROR_INDICATED, (state.record, message))
+        # Messages a RIC has no use for are ignored (forward compat).
 
     def _handle_setup(self, state: _ConnState, request: E2SetupRequest) -> None:
         admission = self.admission

@@ -23,6 +23,7 @@ from repro.core.agent.ran_function import (
 )
 from repro.core.codec import codegen as _codegen
 from repro.core.codec.base import CodecError, get_codec, materialize
+from repro.core.codec.schema import F64, Schema, register_payload_schema
 from repro.metrics.counters import get_counter
 from repro.core.e2ap.ies import (
     RicActionAdmitted,
@@ -42,9 +43,10 @@ class SmInfo:
     oid: str
     default_function_id: int
     version: int = 1
-    #: Name of the registered payload schema for this SM's report
-    #: payloads (see :mod:`repro.core.codec.schema`); lets the periodic
-    #: reporter use the generated codec kernel for its hot encode.
+    #: Name of the payload schema this SM's module registers for its
+    #: report payloads (:func:`~repro.core.codec.schema.register_payload_schema`);
+    #: lets the periodic reporter use the generated codec kernel for
+    #: its hot encode.
     payload_schema: Optional[str] = None
 
 
@@ -87,6 +89,9 @@ DECODE_ERRORS = (CodecError, KeyError, TypeError, ValueError, struct.error)
 def count_contained_decode() -> None:
     """Account one malformed payload rejected without harm."""
     get_counter("decode.contained").incr()
+
+
+register_payload_schema(Schema("periodic_trigger", [("period_ms", F64())]))
 
 
 @dataclass(frozen=True)

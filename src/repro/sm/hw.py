@@ -17,6 +17,7 @@ from repro.core.agent.ran_function import (
     RanFunction,
     SubscriptionHandle,
 )
+from repro.core.codec.schema import Bytes, Int, Schema, register_payload_schema
 from repro.core.e2ap.ies import (
     RicActionAdmitted,
     RicActionDefinition,
@@ -27,6 +28,9 @@ from repro.core.e2ap.procedures import Cause
 from repro.sm.base import SmInfo, decode_payload, encode_payload
 
 INFO = SmInfo(name="HW", oid="1.3.6.1.4.1.53148.1.1.2.100", default_function_id=100)
+
+
+register_payload_schema(Schema("hw_ping", [("seq", Int()), ("data", Bytes())]))
 
 
 def build_ping(seq: int, payload: bytes, codec_name: str) -> bytes:

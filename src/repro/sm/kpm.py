@@ -21,6 +21,16 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.agent.ran_function import RanFunction, SubscriptionHandle
+from repro.core.codec.schema import (
+    F64,
+    Int,
+    Nested,
+    Schema,
+    Seq,
+    Str,
+    register_payload_schema,
+    wire,
+)
 from repro.core.e2ap.ies import (
     RicActionAdmitted,
     RicActionDefinition,
@@ -57,6 +67,11 @@ STYLE_METRICS: Dict[int, Tuple[str, ...]] = {
 }
 
 
+register_payload_schema(
+    Schema("kpm_action", [("style", Int()), ("metrics", Seq(Str()))])
+)
+
+
 def build_action_definition(style: int, metrics: Optional[List[str]], codec_name: str) -> bytes:
     """Controller side: SM-encode the action definition."""
     if style not in STYLE_METRICS:
@@ -78,6 +93,7 @@ def parse_action_definition(data: bytes, codec_name: str) -> Tuple[int, List[str
     return tree["style"], list(tree["metrics"])
 
 
+@wire()
 @dataclass(frozen=True)
 class KpmMeasurement:
     """One metric sample inside a report."""
@@ -85,12 +101,18 @@ class KpmMeasurement:
     name: str
     value: float
 
-    def to_value(self) -> dict:
-        return {"name": self.name, "value": self.value}
 
-    @classmethod
-    def from_value(cls, value: Any) -> "KpmMeasurement":
-        return cls(name=value["name"], value=value["value"])
+register_payload_schema(
+    Schema(
+        "kpm_report",
+        [
+            ("style", Int()),
+            ("measurements", Seq(Nested(KpmMeasurement.wire_schema))),
+            ("granularity_ms", F64()),
+            ("tstamp_ms", F64()),
+        ],
+    )
+)
 
 
 def report_to_value(

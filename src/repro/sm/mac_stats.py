@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Set
 
+from repro.core.codec.schema import F64, Nested, Schema, Seq, register_payload_schema, wire
 from repro.sm.base import PeriodicReportFunction, SmInfo, StatsProvider, VisibilityFn
 
 INFO = SmInfo(
@@ -23,6 +24,7 @@ INFO = SmInfo(
 )
 
 
+@wire()
 @dataclass
 class MacUeStats:
     """One UE's MAC counters over the last reporting period."""
@@ -37,32 +39,13 @@ class MacUeStats:
     bytes_ul: int = 0
     slice_id: int = 0
 
-    def to_value(self) -> dict:
-        return {
-            "rnti": self.rnti,
-            "cqi": self.cqi,
-            "mcs_dl": self.mcs_dl,
-            "mcs_ul": self.mcs_ul,
-            "prbs_dl": self.prbs_dl,
-            "prbs_ul": self.prbs_ul,
-            "bytes_dl": self.bytes_dl,
-            "bytes_ul": self.bytes_ul,
-            "slice_id": self.slice_id,
-        }
 
-    @classmethod
-    def from_value(cls, value: Any) -> "MacUeStats":
-        return cls(
-            rnti=value["rnti"],
-            cqi=value["cqi"],
-            mcs_dl=value["mcs_dl"],
-            mcs_ul=value["mcs_ul"],
-            prbs_dl=value["prbs_dl"],
-            prbs_ul=value["prbs_ul"],
-            bytes_dl=value["bytes_dl"],
-            bytes_ul=value["bytes_ul"],
-            slice_id=value["slice_id"],
-        )
+register_payload_schema(
+    Schema(
+        "mac_stats_report",
+        [("ues", Seq(Nested(MacUeStats.wire_schema))), ("tstamp_ms", F64())],
+    )
+)
 
 
 def report_to_value(ues: List[MacUeStats], tstamp_ms: float) -> dict:

@@ -23,12 +23,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.agent.ran_function import (
     ControlOutcome,
     RanFunction,
     SubscriptionHandle,
+)
+from repro.core.codec.schema import (
+    Bool,
+    Int,
+    Schema,
+    Seq,
+    Str,
+    register_payload_schema,
+    wire,
 )
 from repro.core.e2ap.ies import (
     RicActionAdmitted,
@@ -61,6 +70,7 @@ POLICY_FORWARD = "forward"
 POLICY_DROP = "drop"
 
 
+@wire("if proc pl dir")
 @dataclass(frozen=True)
 class InterfaceMessage:
     """One message observed on (or injected into) an interface."""
@@ -70,22 +80,16 @@ class InterfaceMessage:
     payload: bytes = b""
     direction: str = "in"   # "in" towards the node, "out" from it
 
-    def to_value(self) -> dict:
-        return {
-            "if": self.interface,
-            "proc": self.procedure,
-            "pl": self.payload,
-            "dir": self.direction,
-        }
 
-    @classmethod
-    def from_value(cls, value: Any) -> "InterfaceMessage":
-        return cls(
-            interface=value["if"],
-            procedure=value["proc"],
-            payload=value["pl"],
-            direction=value["dir"],
-        )
+# Payload trees of this SM.  ``ni_message`` is InterfaceMessage's own
+# derived shape under its registry name; the rest have no dataclass.
+register_payload_schema(Schema("ni_message", InterfaceMessage.wire_schema.fields))
+register_payload_schema(Schema("ni_action", [("if", Str()), ("procs", Seq(Str()))]))
+register_payload_schema(
+    Schema("ni_policy", [("if", Str()), ("procs", Seq(Str())), ("verdict", Str())])
+)
+register_payload_schema(Schema("ni_insert_header", [("call_id", Int())]))
+register_payload_schema(Schema("ni_resume", [("resume", Bool()), ("call_id", Int())]))
 
 
 def build_action_definition(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
+from repro.core.codec.schema import F64, Nested, Schema, Seq, register_payload_schema, wire
 from repro.sm.base import PeriodicReportFunction, SmInfo, StatsProvider, VisibilityFn
 
 INFO = SmInfo(
@@ -23,6 +24,7 @@ INFO = SmInfo(
 )
 
 
+@wire()
 @dataclass
 class PdcpBearerStats:
     """One bearer's PDCP counters."""
@@ -34,26 +36,13 @@ class PdcpBearerStats:
     rx_pkts: int = 0
     rx_bytes: int = 0
 
-    def to_value(self) -> dict:
-        return {
-            "rnti": self.rnti,
-            "bearer_id": self.bearer_id,
-            "tx_pkts": self.tx_pkts,
-            "tx_bytes": self.tx_bytes,
-            "rx_pkts": self.rx_pkts,
-            "rx_bytes": self.rx_bytes,
-        }
 
-    @classmethod
-    def from_value(cls, value: Any) -> "PdcpBearerStats":
-        return cls(
-            rnti=value["rnti"],
-            bearer_id=value["bearer_id"],
-            tx_pkts=value["tx_pkts"],
-            tx_bytes=value["tx_bytes"],
-            rx_pkts=value["rx_pkts"],
-            rx_bytes=value["rx_bytes"],
-        )
+register_payload_schema(
+    Schema(
+        "pdcp_stats_report",
+        [("bearers", Seq(Nested(PdcpBearerStats.wire_schema))), ("tstamp_ms", F64())],
+    )
+)
 
 
 def report_to_value(bearers: List[PdcpBearerStats], tstamp_ms: float) -> dict:

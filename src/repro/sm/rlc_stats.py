@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
+from repro.core.codec.schema import F64, Nested, Schema, Seq, register_payload_schema, wire
 from repro.sm.base import PeriodicReportFunction, SmInfo, StatsProvider, VisibilityFn
 
 INFO = SmInfo(
@@ -25,6 +26,7 @@ INFO = SmInfo(
 )
 
 
+@wire()
 @dataclass
 class RlcBearerStats:
     """One data radio bearer's RLC counters."""
@@ -40,34 +42,13 @@ class RlcBearerStats:
     rx_bytes: int = 0
     dropped: int = 0
 
-    def to_value(self) -> dict:
-        return {
-            "rnti": self.rnti,
-            "bearer_id": self.bearer_id,
-            "buffer_bytes": self.buffer_bytes,
-            "buffer_pkts": self.buffer_pkts,
-            "sojourn_ms": self.sojourn_ms,
-            "tx_pdus": self.tx_pdus,
-            "tx_bytes": self.tx_bytes,
-            "rx_pdus": self.rx_pdus,
-            "rx_bytes": self.rx_bytes,
-            "dropped": self.dropped,
-        }
 
-    @classmethod
-    def from_value(cls, value: Any) -> "RlcBearerStats":
-        return cls(
-            rnti=value["rnti"],
-            bearer_id=value["bearer_id"],
-            buffer_bytes=value["buffer_bytes"],
-            buffer_pkts=value["buffer_pkts"],
-            sojourn_ms=value["sojourn_ms"],
-            tx_pdus=value["tx_pdus"],
-            tx_bytes=value["tx_bytes"],
-            rx_pdus=value["rx_pdus"],
-            rx_bytes=value["rx_bytes"],
-            dropped=value["dropped"],
-        )
+register_payload_schema(
+    Schema(
+        "rlc_stats_report",
+        [("bearers", Seq(Nested(RlcBearerStats.wire_schema))), ("tstamp_ms", F64())],
+    )
+)
 
 
 def report_to_value(bearers: List[RlcBearerStats], tstamp_ms: float) -> dict:

@@ -15,9 +15,10 @@ Payload schema: ``{"event": "attach"|"detach", "rnti", "plmn",
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Tuple
+from typing import List, Tuple
 
 from repro.core.agent.ran_function import RanFunction, SubscriptionHandle
+from repro.core.codec.schema import wire
 from repro.core.e2ap.ies import (
     RicActionAdmitted,
     RicActionDefinition,
@@ -33,6 +34,7 @@ EVENT_ATTACH = "attach"
 EVENT_DETACH = "detach"
 
 
+@wire()
 @dataclass(frozen=True)
 class RrcUeEvent:
     """One UE attach/detach notification."""
@@ -42,25 +44,6 @@ class RrcUeEvent:
     plmn: str
     snssai: int
     tstamp_ms: float = 0.0
-
-    def to_value(self) -> dict:
-        return {
-            "event": self.event,
-            "rnti": self.rnti,
-            "plmn": self.plmn,
-            "snssai": self.snssai,
-            "tstamp_ms": self.tstamp_ms,
-        }
-
-    @classmethod
-    def from_value(cls, value: Any) -> "RrcUeEvent":
-        return cls(
-            event=value["event"],
-            rnti=value["rnti"],
-            plmn=value["plmn"],
-            snssai=value["snssai"],
-            tstamp_ms=value["tstamp_ms"],
-        )
 
 
 def build_handover(rnti: int, target_nb: int, codec_name: str) -> bytes:

@@ -21,9 +21,10 @@ usage, via the standard periodic trigger.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Protocol, Tuple
+from typing import List, Optional, Protocol, Tuple
 
 from repro.core.agent.ran_function import ControlOutcome, SubscriptionHandle
+from repro.core.codec.schema import wire
 from repro.core.e2ap.procedures import Cause
 from repro.sm.base import (
     PeriodicReportFunction,
@@ -44,6 +45,7 @@ KIND_CAPACITY = "capacity"
 KIND_RATE = "rate"
 
 
+@wire()
 @dataclass(frozen=True)
 class SliceConfig:
     """Algorithm-specific slice parameters.
@@ -60,29 +62,6 @@ class SliceConfig:
     rate_mbps: float = 0.0
     ref_mbps: float = 0.0
     ue_scheduler: str = "pf"
-
-    def to_value(self) -> dict:
-        return {
-            "slice_id": self.slice_id,
-            "label": self.label,
-            "kind": self.kind,
-            "cap": self.cap,
-            "rate_mbps": self.rate_mbps,
-            "ref_mbps": self.ref_mbps,
-            "ue_scheduler": self.ue_scheduler,
-        }
-
-    @classmethod
-    def from_value(cls, value: Any) -> "SliceConfig":
-        return cls(
-            slice_id=value["slice_id"],
-            label=value["label"],
-            kind=value["kind"],
-            cap=value["cap"],
-            rate_mbps=value["rate_mbps"],
-            ref_mbps=value["ref_mbps"],
-            ue_scheduler=value["ue_scheduler"],
-        )
 
     @property
     def resource_share(self) -> float:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.core.agent.ran_function import ControlOutcome
+from repro.core.codec.schema import wire
 from repro.core.e2ap.procedures import Cause
 from repro.sm.base import (
     PeriodicReportFunction,
@@ -43,6 +44,7 @@ SCHED_FIFO = "fifo"
 SCHED_RR = "rr"
 
 
+@wire("sa da sp dp pr")
 @dataclass(frozen=True)
 class FiveTupleMatch:
     """OSI classifier match; empty string / 0 fields are wildcards."""
@@ -52,25 +54,6 @@ class FiveTupleMatch:
     src_port: int = 0
     dst_port: int = 0
     protocol: str = ""
-
-    def to_value(self) -> dict:
-        return {
-            "sa": self.src_addr,
-            "da": self.dst_addr,
-            "sp": self.src_port,
-            "dp": self.dst_port,
-            "pr": self.protocol,
-        }
-
-    @classmethod
-    def from_value(cls, value: Any) -> "FiveTupleMatch":
-        return cls(
-            src_addr=value["sa"],
-            dst_addr=value["da"],
-            src_port=value["sp"],
-            dst_port=value["dp"],
-            protocol=value["pr"],
-        )
 
 
 class TcApi(Protocol):

@@ -113,6 +113,11 @@ def test_decode_buffer_protocol_differential(tree, pad):
 
 # ---------------------------------------------------------------------------
 # Differential sweep: generated kernels ≡ interpretive oracle (ISSUE 6)
+#
+# ``fb`` and ``asn`` have kernels.  ``pb`` has none (DESIGN.md §11), so
+# its rows compare the walker with itself; what they still pin is that a
+# schema-hinted ``pb`` encode/decode takes the interpretive lane without
+# raising under strict mode, and round-trips every registered shape.
 # ---------------------------------------------------------------------------
 
 import pytest

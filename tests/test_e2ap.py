@@ -133,7 +133,7 @@ def test_duplicate_registration_rejected():
         pass
 
     with pytest.raises(ValueError):
-        register_message(Fake)
+        register_message("n f")(Fake)
 
 
 @pytest.mark.parametrize("codec_name", ["asn", "fb"])

@@ -225,3 +225,198 @@ class TestConnectionUpdateProcedure:
         )
         assert len(secondary.agents()) == 1
         assert len(agent.controllers) == 2
+
+
+# ---------------------------------------------------------------------------
+# Poison frames: well-framed, decodable envelopes whose body does not fit
+# the message class (ISSUE 18).  Before the generated ``from_value`` these
+# escaped as ValueError/TypeError and killed the only ingest loop.
+# ---------------------------------------------------------------------------
+
+import dataclasses
+import threading
+import time
+import typing
+from enum import IntEnum
+
+import tests.test_codec_golden as golden
+from repro.core.e2ap.messages import decode_message, encode_message
+from repro.metrics import counters
+
+
+def _poisons(cls, tree):
+    """(dotted wire path, poisoned copy of ``tree``) for every enum-typed,
+    nested and sequence field of wire dataclass ``cls``, recursively."""
+    hints = typing.get_type_hints(cls)
+    for f, (key, spec) in zip(dataclasses.fields(cls), cls.wire_schema.fields):
+        tp = hints[f.name]
+        if spec.kind == "nested":
+            yield key, {**tree, key: 7}  # scalar where a struct belongs
+            for path, sub in _poisons(tp, tree[key]):
+                yield f"{key}.{path}", {**tree, key: sub}
+        elif spec.kind == "seq":
+            yield key, {**tree, key: 7}  # scalar where a list belongs
+            if spec.elem.kind == "nested" and tree[key]:
+                first, rest = tree[key][0], tree[key][1:]
+                yield key, {**tree, key: [7] + rest}
+                for path, sub in _poisons(typing.get_args(tp)[0], first):
+                    yield f"{key}.{path}", {**tree, key: [sub] + rest}
+        elif isinstance(tp, type) and issubclass(tp, IntEnum):
+            yield key, {**tree, key: 99}  # out-of-range enum value
+
+
+def _poison_cases():
+    for name, message in sorted(golden._messages().items()):
+        for path, body in _poisons(type(message), message.to_value()):
+            yield pytest.param(type(message), path, body, id=f"{name}-{path}")
+
+
+class TestPoisonBodies:
+    @pytest.mark.parametrize("codec_name", ["asn", "fb", "pb"])
+    @pytest.mark.parametrize("cls, path, body", list(_poison_cases()))
+    def test_decode_message_raises_codec_error(self, codec_name, cls, path, body):
+        codec = get_codec(codec_name)
+        wire = codec.encode(
+            {"p": int(cls.procedure), "c": int(cls.msg_class), "v": body}
+        )
+        with pytest.raises(CodecError) as excinfo:
+            decode_message(wire, codec)
+        assert excinfo.value.message_type == cls.__name__
+        assert excinfo.value.field == path
+
+    def test_every_message_with_a_poisonable_field_is_covered(self):
+        covered = {case.values[0] for case in _poison_cases()}
+        poisonable = {
+            cls
+            for cls in golden.message_types().values()
+            if any(
+                spec.kind in ("nested", "seq")
+                for _key, spec in cls.wire_schema.fields
+            )
+        }
+        assert poisonable <= covered
+
+
+def _poison_setup(codec):
+    """A valid E2SetupRequest whose NodeKind is 99."""
+    return codec.encode(
+        {"p": 1, "c": 0, "v": {"n": {"p": "00101", "n": 1, "k": 99}, "f": []}}
+    )
+
+
+def _wait(predicate, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return predicate()
+
+
+class TestPoisonFrameEndToEnd:
+    """One poison frame must cost one counter tick — not the RIC."""
+
+    @pytest.fixture(autouse=True)
+    def _reset(self):
+        counters.reset_counters("server.rx.")
+        counters.reset_counters("agent.rx.")
+        counters.reset_counters("decode.")
+
+    def _healthy_agent(self, transport, nb_id=2):
+        from repro.core.agent import Agent, AgentConfig
+        from repro.core.e2ap.ies import GlobalE2NodeId, NodeKind
+        from repro.sm.hw import HwRanFunction
+
+        agent = Agent(
+            AgentConfig(node_id=GlobalE2NodeId("00101", nb_id, NodeKind.GNB)), transport
+        )
+        agent.register_function(HwRanFunction())
+        return agent
+
+    def _assert_contained(self):
+        assert counters.get_counter("server.rx.decode_error").value == 1
+        assert counters.get_counter("decode.contained").value == 1
+
+    def test_server_survives_over_tcp(self):
+        import socket
+
+        from repro.core.server import Server
+        from repro.core.transport.tcp import TcpTransport
+
+        server = Server()  # default config: one loop is the whole RIC
+        ric, ran = TcpTransport(), TcpTransport()
+        try:
+            listener = server.listen(ric, "127.0.0.1:0")
+            ric.start()
+            ran.start()
+            host, port = listener.address.rsplit(":", 1)
+            with socket.create_connection((host, int(port))) as sock:
+                sock.sendall(frame_message(_poison_setup(server.codec)))
+                assert _wait(
+                    lambda: counters.get_counter("server.rx.decode_error").value >= 1
+                )
+                self._assert_contained()
+                loops = [t for t in threading.enumerate() if t.name == "tcp-transport-0"]
+                assert len(loops) == 2 and all(t.is_alive() for t in loops)
+                # The poisoned connection is kept, and the loop serves others.
+                self._healthy_agent(ran).connect(listener.address)
+                assert _wait(lambda: len(server.agents()) == 1)
+        finally:
+            ran.stop()
+            ric.stop()
+
+    def test_server_survives_over_inproc(self):
+        from repro.core.server import Server
+
+        transport = InProcTransport()
+        server = Server()
+        server.listen(transport, "ric")
+        rogue = transport.connect("ric", TransportEvents())
+        good = server.codec.encode({"p": 3, "c": 1, "v": {}})  # ResetResponse
+        # The rest of the batch is still served: frames around the
+        # poison one are ingested, the sender sees no exception.
+        rogue.send_many([good, _poison_setup(server.codec), good])
+        self._assert_contained()
+        assert not rogue.closed
+        self._healthy_agent(transport).connect("ric")
+        assert len(server.agents()) == 1
+
+    def test_agent_answers_error_indication_and_keeps_serving(self):
+        from repro.core.e2ap.ies import RicRequestId
+        from repro.core.e2ap.messages import (
+            E2SetupRequest,
+            E2SetupResponse,
+            ErrorIndication,
+            RicServiceQuery,
+            RicServiceUpdate,
+        )
+
+        codec = get_codec("fb")
+        replies = []
+
+        def fake_ric(endpoint, data):
+            message = decode_message(data, codec)
+            replies.append(message)
+            if isinstance(message, E2SetupRequest):
+                endpoint.send(encode_message(E2SetupResponse(ric_id=1), codec))
+
+        transport = InProcTransport()
+        accepted = []
+        transport.listen(
+            "ric", TransportEvents(on_connected=accepted.append, on_message=fake_ric)
+        )
+        agent = self._healthy_agent(transport)
+        agent.connect("ric")
+        (endpoint,) = accepted
+        # A subscription request whose only action has kind 9.
+        request = RicRequestId(1, 1).to_value()
+        action = {"a": 1, "k": 9, "d": b"", "s": True}
+        endpoint.send(
+            codec.encode(
+                {"p": 8, "c": 0, "v": {"q": request, "f": 100, "t": b"", "a": [action]}}
+            )
+        )
+        assert isinstance(replies[-1], ErrorIndication)
+        assert "RicSubscriptionRequest" in replies[-1].cause.detail
+        assert counters.get_counter("agent.rx.decode_error").value == 1
+        assert counters.get_counter("decode.contained").value == 1
+        endpoint.send(encode_message(RicServiceQuery(), codec))
+        assert isinstance(replies[-1], RicServiceUpdate)

@@ -693,5 +693,23 @@ class TestRepoIsClean:
         fresh = kernel_digests()
         assert KERNEL_SHA256 == fresh
 
+    def test_manifest_cli_in_a_fresh_interpreter_prints_the_committed_file(self):
+        """Schemas register when their declaring modules are imported;
+        the registry accessors load those modules themselves, so a
+        process that imports nothing but the manifest CLI still sees
+        every shape (a short registry would silently shrink this file
+        and the collection-time parametrizations over it)."""
+        import os
+        import subprocess
+        import sys
+
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.core.codec.manifest"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        committed = REPO_ROOT / "src" / "repro" / "core" / "codec" / "kernel_manifest.py"
+        assert out == committed.read_text(encoding="utf-8")
+
     def test_default_config_scopes_cover_all_rules(self):
         assert set(DEFAULT_CONFIG.rule_scopes) == set(RULES)
