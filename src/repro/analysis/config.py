@@ -26,7 +26,6 @@ HOT_PATH: Tuple[str, ...] = (
     "src/repro/core/transport/framing.py",
     "src/repro/core/transport/tcp.py",
     "src/repro/core/transport/inproc.py",
-    "src/repro/core/transport/bufpool.py",
     "src/repro/core/codec/per.py",
     "src/repro/core/codec/flat.py",
     "src/repro/core/codec/protobuf.py",

@@ -162,21 +162,42 @@ TAG_NAMES: Tuple[str, ...] = (
 )
 
 
+_SCALARS = frozenset((int, float, str, bytes, bool, type(None)))
+
+#: Lazy view type → the method that turns it into a plain container.
+#: Codecs that hand out views register them at import, so this module
+#: never imports a codec (``flat`` imports ``base``, not the reverse).
+_LAZY_VIEWS: Dict[type, Any] = {}
+
+
+def register_lazy_view(view_type: type, to_plain: Any) -> None:
+    """Teach :func:`materialize` to unwrap ``view_type`` via ``to_plain``."""
+    _LAZY_VIEWS[view_type] = to_plain
+
+
 def materialize(value: Value) -> Value:
     """Convert lazy codec views into plain dicts/lists recursively.
 
     Plain values pass through unchanged, so callers can normalize the
-    output of any codec before comparing trees.
+    output of any codec before comparing trees.  The result holds only
+    ``dict``/``list``/scalars/``bytes`` at every depth — no view that
+    would pin a receive buffer.
     """
-    # Local import keeps base free of a hard dependency on flat.
-    from repro.core.codec.flat import FlatView
-
-    if isinstance(value, FlatView):
-        return materialize(value.to_dict())
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    to_plain = _LAZY_VIEWS.get(kind)
+    if to_plain is not None:
+        return to_plain(value)
+    # Leaves are tested inline: most of a report tree is scalars, and a
+    # call per leaf was most of what materializing a plain tree cost.
     if isinstance(value, dict):
-        return {key: materialize(item) for key, item in value.items()}
+        return {
+            key: item if type(item) in _SCALARS else materialize(item)
+            for key, item in value.items()
+        }
     if isinstance(value, list):
-        return [materialize(item) for item in value]
+        return [item if type(item) in _SCALARS else materialize(item) for item in value]
     if isinstance(value, (memoryview, bytearray)):
         # Zero-copy decode over a buffer-protocol input hands out
         # sub-views; materialization is where they become owned bytes.

@@ -403,6 +403,30 @@ def _fseq_map(fn, items) -> Optional[bytes]:
     return b"".join([b"\x07", _I.pack(n), sizes] + enc)
 
 
+#: ``tag + count + n equal size words`` of a fixed-layout list, keyed
+#: on (element size, n).  A node reports the same few UE/bearer counts
+#: period after period; the cap bounds it under adversarial counts.
+_FIXED_HEADS: Dict[Tuple[int, int], bytes] = {}
+_FIXED_HEADS_MAX = 256
+
+
+def _fseq_fixed(fn, size: int, items) -> Optional[bytes]:
+    """flat list chunk whose elements all encode to ``size`` octets."""
+    if type(items) is not list:
+        return None
+    n = len(items)
+    head = _FIXED_HEADS.get((size, n))
+    if head is None:
+        head = b"\x07" + _I.pack(n) + _I.pack(size) * n
+        if len(_FIXED_HEADS) < _FIXED_HEADS_MAX:
+            _FIXED_HEADS[(size, n)] = head
+    parts = [head]
+    parts.extend(map(fn, items))
+    if None in parts:
+        return None
+    return b"".join(parts)
+
+
 def _fopt_int(x) -> Optional[bytes]:
     """flat cell for Opt(Int)."""
     if x is None:
@@ -547,6 +571,8 @@ _RUNTIME: Dict[str, Any] = {
     "_fseq_int": _fseq_int,
     "_fseq_str": _fseq_str,
     "_fseq_map": _fseq_map,
+    "_fseq_fixed": _fseq_fixed,
+    "_StructError": struct.error,
     "_fopt_int": _fopt_int,
     "_fstrmap": _fstrmap,
     "_dfseq_int": _dfseq_int,
@@ -692,12 +718,17 @@ class _Segs:
         self.fn.w(line)
 
     def flush(self) -> None:
+        expr = self.take()
+        if expr is not None:
+            self.fn.w(f"A({expr})")
+
+    def take(self) -> Optional[str]:
+        """The pending run as one bytes-valued expression (None if empty)."""
         run, self.run = self.run, []
         if not run:
-            return
+            return None
         if len(run) == 1 and run[0][0] == "c":
-            self.fn.w(f"A({self.fn.mod.const_bytes(run[0][1])})")
-            return
+            return self.fn.mod.const_bytes(run[0][1])
         fmt = "<"
         args = []
         for kind, payload in run:
@@ -708,7 +739,7 @@ class _Segs:
                 fmt += kind
                 args.append(payload)
         sname = self.fn.mod.const_struct(fmt)
-        self.fn.w(f"A({sname}.pack({', '.join(args)}))")
+        return f"{sname}.pack({', '.join(args)})"
 
 
 class _Off:
@@ -795,6 +826,11 @@ class _DecRuns:
         self.off.advance(width)
 
 
+#: spec kind → (tag cell, struct code, exact Python type) for the flat
+#: cells whose width never depends on the value.
+_FIXED_CELLS = {"int": (b"\x03", "q", "int"), "f64": (b"\x04", "d", "float")}
+
+
 class _FlatEmitter:
     """Emits flat-codec kernels (codec name ``"fb"``)."""
 
@@ -805,6 +841,7 @@ class _FlatEmitter:
     def build(self, schema: Schema) -> _Mod:
         mod = _Mod(f"fb {schema.name}")
         self._elem_enc: Dict[str, str] = {}
+        self._elem_size: Dict[str, int] = {}  # fixed-layout encoders only
         self._elem_dec: Dict[str, str] = {}
         self._emit_encode(mod, schema)
         self._emit_decode(mod, schema)
@@ -835,10 +872,15 @@ class _FlatEmitter:
         keys = schema.keys
         fn.w(f"if type({expr}) is not dict: return None")
         fn.w(f"if tuple({expr}.keys()) != {keys!r}: return None")
-        entries = []  # (key, size, emit)
-        for key, spec in schema.fields:
-            size, emit = self._enc_field(fn, spec, f"{expr}[{key!r}]")
-            entries.append((key, size, emit))
+        return self._dict_chunk([
+            (key,) + self._enc_field(fn, spec, f"{expr}[{key!r}]")
+            for key, spec in schema.fields
+        ])
+
+    @staticmethod
+    def _dict_chunk(entries: List[Tuple[str, _Size, Callable]]) -> Tuple[_Size, Callable]:
+        """Chunk size and tag+count+directory+values emitter of a dict
+        whose ``(key, size, emit)`` fields are already analyzed."""
         total = _Size(5)
         for key, size, _emit in entries:
             total = total + _Size(6 + len(key.encode("utf-8"))) + size
@@ -938,7 +980,11 @@ class _FlatEmitter:
                 fn.w(f"{c} = _fseq_str({expr})")
             elif elem == "nested":
                 ename = self._elem_encoder(mod, spec.elem.schema)
-                fn.w(f"{c} = _fseq_map({ename}, {expr})")
+                esize = self._elem_size.get(ename)
+                if esize is None:
+                    fn.w(f"{c} = _fseq_map({ename}, {expr})")
+                else:
+                    fn.w(f"{c} = _fseq_fixed({ename}, {esize}, {expr})")
             else:
                 raise _Unsupported(f"seq of {elem}")
             fn.w(f"if {c} is None: return None")
@@ -951,6 +997,10 @@ class _FlatEmitter:
             return got
         fn = mod.fn("_e", "x")
         self._elem_enc[schema.name] = fn.name
+        if schema.fields and all(spec.kind in _FIXED_CELLS for _key, spec in schema.fields):
+            self._elem_size[fn.name] = self._enc_fixed_dict(fn, schema)
+            fn.close()
+            return fn.name
         size, emit = self._enc_dict(fn, schema, "x")
         fn.w("P = []")
         fn.w("A = P.append")
@@ -960,6 +1010,34 @@ class _FlatEmitter:
         fn.w("return b''.join(P)")
         fn.close()
         return fn.name
+
+    def _enc_fixed_dict(self, fn: _Fn, schema: Schema) -> int:
+        """Element body for a dict of only ``Int``/``F64`` fields; returns
+        its constant encoded size.
+
+        The whole element is one ``pack``, so the guards are folded: one
+        key-order test, one ``values()`` unpack, one type expression,
+        and the int64 range is left to ``pack`` itself
+        (``struct.error`` deoptimizes like any other guard).
+        """
+        names = [fn.mod.name("v") for _field in schema.fields]
+        cells = [_FIXED_CELLS[spec.kind] for _key, spec in schema.fields]
+        fn.w(f"if type(x) is not dict or tuple(x) != {schema.keys!r}: return None")
+        fn.w(f"{', '.join(names)}, = x.values()")
+        fn.w(
+            "if "
+            + " or ".join(f"type({x}) is not {pytype}" for x, (_t, _f, pytype) in zip(names, cells))
+            + ": return None"
+        )
+        size, emit = self._dict_chunk([
+            (key, _Size(9), lambda segs, x=x, tag=tag, fmt=fmt: (segs.const(tag), segs.scalar(fmt, x)))
+            for (key, _spec), x, (tag, fmt, _p) in zip(schema.fields, names, cells)
+        ])
+        segs = _Segs(fn)
+        emit(segs)
+        fn.w(f"try: return {segs.take()}")
+        fn.w("except _StructError: return None")
+        return size.const
 
     # -- decode ------------------------------------------------------
 

@@ -634,3 +634,5 @@ class FlatView:
 
 
 base.register_codec(FlatCodec())
+base.register_lazy_view(FlatView, FlatView.to_dict)
+base.register_lazy_view(FlatListView, FlatListView.to_list)

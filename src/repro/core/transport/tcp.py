@@ -41,7 +41,6 @@ from repro.core.transport.base import (
     Transport,
     TransportEvents,
 )
-from repro.core.transport.bufpool import DEFAULT_POOL
 from repro.core.transport.framing import MAX_MESSAGE_BYTES, Framer, FramingError
 from repro.metrics.counters import discard_counter, get_counter
 from repro.metrics.trace import TRACER as _TRACER
@@ -117,26 +116,29 @@ class _TcpEndpoint(Endpoint):
         if len(data) > MAX_MESSAGE_BYTES:
             raise FramingError(f"message too large: {len(data)} B")
         tracer = _TRACER
-        # Frame into a pooled buffer: ``data`` may be any buffer-
-        # protocol object and is copied exactly once (into the pooled
-        # frame); the kernel has its own copy before the lease's buffer
-        # can be recycled.
-        if tracer.enabled:
-            frame_start = time.perf_counter()
-            lease = DEFAULT_POOL.frame(data)
-            tracer.record("frame", frame_start, tracer.adopt_corr())
-        else:
-            lease = DEFAULT_POOL.frame(data)
         trace_start = time.perf_counter() if tracer.enabled else 0.0
-        # Under a lock: POSIX sockets are thread-safe but frame
-        # interleaving from concurrent senders must still be prevented.
+        prefix = _LEN.pack(len(data))
+        total = _LEN.size + len(data)
+        if trace_start:
+            tracer.record("frame", trace_start, tracer.adopt_corr())
+            trace_start = time.perf_counter()
+        # One syscall straight out of the caller's buffer (``data`` may
+        # be any buffer-protocol object): the kernel copies it into the
+        # socket buffer before ``sendmsg`` returns, so nothing is staged
+        # in user space.  Under a lock: POSIX sockets are thread-safe
+        # but frame interleaving from concurrent senders must still be
+        # prevented.
         try:
             with self._send_lock:
-                self._sendmsg_all([lease.view])
+                try:
+                    sent = self._sock.sendmsg((prefix, data)) if _HAS_SENDMSG else 0
+                except (BlockingIOError, InterruptedError):
+                    sent = 0
+                    self._wait_writable()
+                if sent != total:
+                    self._sendmsg_all([prefix, data], sent)
         except OSError as exc:
             raise self._send_failed(exc)
-        finally:
-            lease.release()
         if trace_start:
             tracer.record("send", trace_start, tracer.adopt_corr(), node=self._peer)
         self.bytes_sent += len(data)
@@ -182,34 +184,41 @@ class _TcpEndpoint(Endpoint):
             iov.append(payload)
         return iov
 
-    def _sendmsg_all(self, buffers: List[bytes]) -> None:
+    def _sendmsg_all(self, buffers: List[bytes], sent: int = 0) -> None:
         """The one partial-send continuation of ``send`` and ``send_many``.
 
         A short write leaves the tail of an iovec (or whole iovecs)
         unsent; the remainder is re-submitted from where the kernel
-        stopped.  A full socket buffer (the peer is merely slow) waits
-        up to 5 s for writability — abandoning mid-frame would corrupt
-        the stream for the peer.
+        stopped (``sent`` octets of ``buffers`` are already out).  A
+        full socket buffer (the peer is merely slow) waits up to 5 s
+        for writability — abandoning mid-frame would corrupt the
+        stream for the peer.
         """
         sock = self._sock
         remaining: List[memoryview] = [memoryview(b) for b in buffers]
         index = 0
-        while index < len(remaining):
+        while True:
+            while index < len(remaining) and sent >= len(remaining[index]):
+                sent -= len(remaining[index])
+                index += 1
+            if index == len(remaining):
+                return
+            if sent:
+                remaining[index] = remaining[index][sent:]
             try:
                 if _HAS_SENDMSG:
                     sent = sock.sendmsg(remaining[index:])
                 else:  # pragma: no cover - platforms without sendmsg
                     sent = sock.send(remaining[index])
             except (BlockingIOError, InterruptedError):
-                _readable, writable, _err = select.select([], [sock], [], 5.0)
-                if not writable:
-                    raise OSError(errno.ETIMEDOUT, "send stalled: socket unwritable for 5s")
-                continue
-            while index < len(remaining) and sent >= len(remaining[index]):
-                sent -= len(remaining[index])
-                index += 1
-            if sent and index < len(remaining):
-                remaining[index] = remaining[index][sent:]
+                sent = 0
+                self._wait_writable()
+
+    def _wait_writable(self) -> None:
+        """Ride out a full socket buffer; a 5 s stall is a dead peer."""
+        _readable, writable, _err = select.select([], [self._sock], [], 5.0)
+        if not writable:
+            raise OSError(errno.ETIMEDOUT, "send stalled: socket unwritable for 5s")
 
     def _send_failed(self, exc: OSError) -> ConnectionError:
         """Account for a send-side death and tear the endpoint down."""

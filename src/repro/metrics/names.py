@@ -82,9 +82,6 @@ COUNTERS = frozenset(
         "encode.reuse",
         "server.subscription.shared",
         "e2ap.encode.messages",
-        "bufpool.lease.hit",
-        "bufpool.lease.miss",
-        "bufpool.lease.oversize",
         "tcp.send.vectored",
         # asyncio client tier
         "aio.subscription.shed",

@@ -81,29 +81,33 @@ class MacStatsFunction(PeriodicReportFunction):
 
 def synthetic_provider(num_ues: int, bearer_bytes: int = 12_000) -> StatsProvider:
     """Provider for dummy test agents (§5.3): ``num_ues`` UEs with a
-    unique default bearer each, deterministic counter patterns."""
+    unique default bearer each, deterministic counter patterns.
+
+    Writes the report tree directly, in ``MacUeStats.wire_schema`` key
+    order (as ``BaseStation.pdcp_stats_provider`` does): a per-UE
+    dataclass built only to be lowered at once was most of the cost of
+    a report."""
     counters = {"t": 0}
+    bytes_ul = bearer_bytes // 4
 
     def provide(visible: Optional[Set[int]]) -> dict:
         counters["t"] += 1
         tick = counters["t"]
-        ues = []
-        for rnti in range(num_ues):
-            if visible is not None and rnti not in visible:
-                continue
-            ues.append(
-                MacUeStats(
-                    rnti=rnti,
-                    cqi=7 + (rnti + tick) % 9,
-                    mcs_dl=10 + (rnti + tick) % 18,
-                    mcs_ul=10 + (rnti * 3 + tick) % 18,
-                    prbs_dl=(rnti * 7 + tick) % 106,
-                    prbs_ul=(rnti * 5 + tick) % 106,
-                    bytes_dl=bearer_bytes + rnti * 100 + tick,
-                    bytes_ul=bearer_bytes // 4 + rnti * 25 + tick,
-                    slice_id=0,
-                ).to_value()
-            )
+        rntis = range(num_ues) if visible is None else [r for r in range(num_ues) if r in visible]
+        ues = [
+            {
+                "rnti": rnti,
+                "cqi": 7 + (rnti + tick) % 9,
+                "mcs_dl": 10 + (rnti + tick) % 18,
+                "mcs_ul": 10 + (rnti * 3 + tick) % 18,
+                "prbs_dl": (rnti * 7 + tick) % 106,
+                "prbs_ul": (rnti * 5 + tick) % 106,
+                "bytes_dl": bearer_bytes + rnti * 100 + tick,
+                "bytes_ul": bytes_ul + rnti * 25 + tick,
+                "slice_id": 0,
+            }
+            for rnti in rntis
+        ]
         return {"ues": ues, "tstamp_ms": float(tick)}
 
     return provide

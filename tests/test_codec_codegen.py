@@ -274,3 +274,131 @@ class TestLruCaches:
         assert isinstance(flat._DIR_CACHE, flat._LruCache)
         assert isinstance(flat._LIST_DIR_CACHE, flat._LruCache)
         assert isinstance(flat._ROUTE_CACHE, flat._LruCache)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-layout sequences: Seq(Nested(S)) with only Int/F64 fields in S
+# ---------------------------------------------------------------------------
+
+from repro.sm.base import decode_payload, encode_payload  # noqa: E402
+
+_FIXED_REPORTS = ("mac_stats_report", "rlc_stats_report", "pdcp_stats_report")
+_INT_EDGES = (-(2**63), -(2**63) + 1, 2**63 - 1, 2**63, -(2**63) - 1, 2**70)
+
+
+class _Colour(IntEnum):
+    RED = 3
+
+
+def _fixed_seq(name):
+    """(list key, element schema) of a report's fixed-layout sequence."""
+    key, spec = cschema.payload_schema(name).fields[0]
+    return key, spec.elem.schema
+
+
+def _element(schema_obj, seed):
+    return {
+        key: float(seed) + 0.5 if spec.kind == "f64" else seed * 7 + index
+        for index, (key, spec) in enumerate(schema_obj.fields)
+    }
+
+
+def _fallbacks():
+    return counters.get_counter("codec.kernel.encode_fallbacks").value
+
+
+def _check_differential(name, tree):
+    """Kernel bytes ≡ interpretive bytes, or the kernel deoptimizes
+    (counted) and the interpretive result stands; either way the tree
+    survives the round trip."""
+    with codegen.interpretive():
+        ref = encode_payload(tree, "fb", schema=name)
+    before = _fallbacks()
+    # Strict: the encode kernel deoptimizes through its guards, never
+    # by swallowing an exception.
+    codegen.set_strict(True)
+    try:
+        out = codegen.payload_encode("fb", name, tree)
+    finally:
+        codegen.set_strict(False)
+    if out is None:
+        assert _fallbacks() == before + 1
+    else:
+        assert out == ref
+        assert _fallbacks() == before
+    assert encode_payload(tree, "fb", schema=name) == ref
+    assert materialize(decode_payload(ref, "fb", schema=name)) == tree
+    return out
+
+
+@pytest.mark.parametrize("name", _FIXED_REPORTS)
+class TestFixedLayoutSequences:
+    @pytest.mark.parametrize("count", (0, 1, 32, 33, 300))
+    def test_every_count_is_byte_identical(self, name, count):
+        key, elem = _fixed_seq(name)
+        tree = {key: [_element(elem, seed) for seed in range(count)], "tstamp_ms": 2.5}
+        assert _check_differential(name, tree) is not None
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_generated_values(self, name, data):
+        key, elem = _fixed_seq(name)
+        ints = st.one_of(st.integers(-(2**62), 2**62), st.sampled_from(_INT_EDGES))
+        floats = st.floats(allow_nan=False)
+        values = st.tuples(*(floats if spec.kind == "f64" else ints for _k, spec in elem.fields))
+        items = data.draw(st.lists(values.map(lambda drawn: dict(zip(elem.keys, drawn))), max_size=5))
+        tree = {key: items, "tstamp_ms": data.draw(floats)}
+        out = _check_differential(name, tree)
+        in_range = all(
+            -(2**63) <= v < 2**63 for item in items for v in item.values() if type(v) is int
+        )
+        assert (out is not None) == in_range
+
+    @pytest.mark.parametrize("edge", _INT_EDGES)
+    def test_int64_edges(self, name, edge):
+        key, elem = _fixed_seq(name)
+        item = _element(elem, 1)
+        item["rnti"] = edge
+        out = _check_differential(name, {key: [_element(elem, 0), item], "tstamp_ms": 0.0})
+        assert (out is not None) == (-(2**63) <= edge < 2**63)
+
+    @pytest.mark.parametrize("wrong", (True, 1.0, _Colour.RED, None, "7", b"7"))
+    def test_wrong_type_in_an_int_slot_falls_back(self, name, wrong):
+        key, elem = _fixed_seq(name)
+        item = _element(elem, 1)
+        item["rnti"] = wrong
+        assert _check_differential(name, {key: [item], "tstamp_ms": 0.0}) is None
+
+    def test_key_shape_mismatch_falls_back(self, name):
+        key, elem = _fixed_seq(name)
+        good = _element(elem, 1)
+        permuted = dict(reversed(list(good.items())))
+        missing = dict(list(good.items())[:-1])
+        extra = dict(good, zzz=1)
+        for bad in (permuted, missing, extra, {}, 7, None, [good], "x"):
+            tree = {key: [_element(elem, 0), bad], "tstamp_ms": 0.0}
+            assert _check_differential(name, tree) is None
+        # ... and a sequence that is not a list at all.
+        with codegen.interpretive():
+            ref = encode_payload({key: [], "tstamp_ms": 0.0}, "fb", schema=name)
+        assert codegen.payload_encode("fb", name, {key: (), "tstamp_ms": 0.0}) is None
+        assert codegen.payload_encode("fb", name, {key: [], "tstamp_ms": 0.0}) == ref
+
+
+def test_int_in_the_f64_slot_falls_back():
+    key, elem = _fixed_seq("rlc_stats_report")  # the one element with an F64 field
+    item = _element(elem, 1)
+    assert type(item["sojourn_ms"]) is float
+    item["sojourn_ms"] = 4
+    assert _check_differential("rlc_stats_report", {key: [item], "tstamp_ms": 0.0}) is None
+
+
+def test_fixed_list_header_cache_is_bounded():
+    """10 000 distinct element counts leave the cache at its cap."""
+    codegen._FIXED_HEADS.clear()
+    for count in range(10_000):
+        chunk = codegen._fseq_fixed(bytes, 0, [b""] * count)
+        assert len(chunk) == 5 + 4 * count
+    assert len(codegen._FIXED_HEADS) == codegen._FIXED_HEADS_MAX
+    # Past the cap a header is still built, just not kept.
+    assert codegen._fseq_fixed(bytes, 9, [b"x" * 9] * 9_999)[:5] == b"\x07" + (9_999).to_bytes(4, "little")

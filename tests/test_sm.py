@@ -138,6 +138,77 @@ class TestPeriodicReportFunction:
         assert [ind.sequence for _o, ind in sink.sent] == [0, 1]
 
 
+class TestReportPathBudget:
+    """What one periodic report costs, as a count that cannot flake."""
+
+    def test_pump_of_a_32_ue_report_stays_within_its_call_budget(self):
+        import cProfile
+        import pstats
+
+        from repro.core.agent.agent import Agent, AgentConfig
+        from repro.core.codec.base import get_codec
+        from repro.core.e2ap.ies import GlobalE2NodeId, NodeKind
+        from repro.core.e2ap.messages import E2SetupResponse, RicSubscriptionRequest, encode_message
+        from repro.core.transport.base import Endpoint, Transport
+
+        sent = []
+
+        class NullEndpoint(Endpoint):
+            peer, closed = "null", False
+
+            def send(self, data):
+                sent.append(len(data))
+
+            def close(self):
+                pass
+
+        class NullTransport(Transport):
+            """Answers E2 setup and subscribes on the spot."""
+
+            name = "null"
+
+            def listen(self, address, events):
+                raise NotImplementedError
+
+            def connect(self, address, events):
+                endpoint, fb = NullEndpoint(), get_codec("fb")
+                events.on_connected(endpoint)
+                for message in (
+                    E2SetupResponse(ric_id=1, accepted_functions=[mac_stats.INFO.default_function_id]),
+                    RicSubscriptionRequest(
+                        RicRequestId(1, 1),
+                        mac_stats.INFO.default_function_id,
+                        PeriodicTrigger(1.0).to_bytes("fb"),
+                        [RicActionDefinition(1, RicActionKind.REPORT)],
+                    ),
+                ):
+                    events.on_message(endpoint, encode_message(message, fb))
+                return endpoint
+
+        agent = Agent(
+            AgentConfig(node_id=GlobalE2NodeId("00101", 1, NodeKind.GNB), e2ap_codec="fb"),
+            NullTransport(),
+        )
+        function = mac_stats.MacStatsFunction(mac_stats.synthetic_provider(32), sm_codec="fb")
+        agent.register_function(function)
+        agent.connect("null")
+        for _ in range(10):  # kernels built, header cached
+            assert function.pump() == 1
+        del sent[:]
+        pumps = 300
+        profile = cProfile.Profile()
+        profile.enable()
+        for _ in range(pumps):
+            function.pump()
+        profile.disable()
+        assert len(sent) == pumps and min(sent) > 32 * 197
+        # The budget is 60 % of 400.  The commit before it was set made
+        # 370 calls here (a dataclass and a to_value() per UE, a parts
+        # list, append and join per element); the tree-direct provider
+        # and the fixed-layout element encoder make 179.
+        assert pstats.Stats(profile).total_calls / pumps <= 240
+
+
 class TestStatsSchemas:
     def test_mac_roundtrip(self):
         ue = mac_stats.MacUeStats(rnti=5, cqi=11, bytes_dl=1000)
@@ -165,6 +236,72 @@ class TestStatsSchemas:
         provider = mac_stats.synthetic_provider(8)
         tree = provider({1, 3})
         assert [ue["rnti"] for ue in tree["ues"]] == [1, 3]
+
+    @pytest.mark.parametrize("num_ues", [0, 1, 32])
+    @pytest.mark.parametrize("visible", [None, {0, 3, 31, 99}, set()])
+    def test_synthetic_provider_equals_the_dataclass_lowering(self, num_ues, visible):
+        """The provider writes wire dicts directly; the ``MacUeStats``
+        lowering stays here as the reference it must keep equal to."""
+        provider = mac_stats.synthetic_provider(num_ues, bearer_bytes=9_000)
+        for tick in (1, 2, 3):
+            want = mac_stats.report_to_value(
+                [
+                    mac_stats.MacUeStats(
+                        rnti=rnti,
+                        cqi=7 + (rnti + tick) % 9,
+                        mcs_dl=10 + (rnti + tick) % 18,
+                        mcs_ul=10 + (rnti * 3 + tick) % 18,
+                        prbs_dl=(rnti * 7 + tick) % 106,
+                        prbs_ul=(rnti * 5 + tick) % 106,
+                        bytes_dl=9_000 + rnti * 100 + tick,
+                        bytes_ul=9_000 // 4 + rnti * 25 + tick,
+                        slice_id=0,
+                    )
+                    for rnti in range(num_ues)
+                    if visible is None or rnti in visible
+                ],
+                float(tick),
+            )
+            tree = provider(visible)
+            assert tree == want
+            assert list(tree) == ["ues", "tstamp_ms"] and type(tree["tstamp_ms"]) is float
+            for ue in tree["ues"]:
+                assert tuple(ue) == mac_stats.MacUeStats.wire_schema.keys
+                assert all(type(value) is int for value in ue.values())
+
+    @pytest.mark.parametrize("codec", ["fb", "pb", "asn"])
+    @pytest.mark.parametrize(
+        "sm, elements",
+        [
+            (mac_stats, [mac_stats.MacUeStats(rnti=r, cqi=r) for r in range(3)]),
+            (rlc_stats, [rlc_stats.RlcBearerStats(rnti=r, bearer_id=1, sojourn_ms=0.5) for r in range(3)]),
+            (pdcp_stats, [pdcp_stats.PdcpBearerStats(rnti=r, bearer_id=1) for r in range(3)]),
+        ],
+        ids=["mac", "rlc", "pdcp"],
+    )
+    def test_materialize_leaves_no_lazy_view_at_any_depth(self, codec, sm, elements):
+        from repro.core.codec.flat import FlatListView, FlatView
+
+        def check_plain(value):
+            assert not isinstance(value, (FlatView, FlatListView, memoryview, bytearray))
+            assert type(value) in (dict, list, int, float, str, bytes, bool, type(None))
+            if type(value) is dict:
+                value = list(value.values())
+            if type(value) is list:
+                for child in value:
+                    check_plain(child)
+
+        tree = sm.report_to_value(elements, 4.5)
+        wire = encode_payload(tree, codec, schema=sm.INFO.payload_schema)
+        decodes = [
+            decode_payload(wire, codec),  # the codec's own (fb: lazy) decode
+            decode_payload(wire, codec, schema=sm.INFO.payload_schema),
+            decode_payload(memoryview(bytearray(wire)), codec),
+        ]
+        for decoded in decodes:
+            plain = materialize(decoded)
+            check_plain(plain)
+            assert plain == tree
 
     def test_unique_oids_and_function_ids(self):
         infos = [

@@ -416,6 +416,107 @@ class TestTcp:
             transport.stop()
             peer.close()
 
+    def test_two_senders_large_frames_slow_reader(self):
+        """64 KiB frames from two threads through a 16 KiB send buffer
+        into a slow reader: every ``send`` is cut short many times, yet
+        every frame arrives whole, each thread's frames in the order it
+        sent them, and the link survives."""
+        transport = TcpTransport()
+        peer = self._slow_peer()
+        per_thread = 40
+        got = []
+
+        def read_slowly(conn):
+            framer = Framer()
+            while len(got) < 2 * per_thread:
+                chunk = conn.recv(8192)
+                if not chunk:
+                    break
+                got.extend(framer.feed(chunk))
+                if len(got) < 8:
+                    time.sleep(0.02)  # both buffers stay full for a while
+
+        def sender(tag):
+            for index in range(per_thread):
+                endpoint.send(tag + b"%04d" % index + tag * (64 * 1024 - 5))
+
+        try:
+            endpoint = transport.connect("127.0.0.1:%d" % peer.getsockname()[1], TransportEvents())
+            endpoint._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 16 * 1024)
+            conn, _addr = peer.accept()
+            reader = threading.Thread(target=read_slowly, args=(conn,))
+            senders = [threading.Thread(target=sender, args=(tag,)) for tag in (b"a", b"b")]
+            reader.start()
+            for thread in senders:
+                thread.start()
+            try:
+                for thread in senders:
+                    thread.join(timeout=30.0)
+            finally:
+                reader.join(timeout=30.0)
+                conn.close()
+            assert not reader.is_alive() and not any(t.is_alive() for t in senders)
+            assert len(got) == 2 * per_thread
+            for tag in (b"a", b"b"):
+                mine = [frame for frame in got if frame[:1] == tag]
+                assert [frame[1:5] for frame in mine] == [b"%04d" % i for i in range(per_thread)]
+                assert all(frame[5:] == tag * (64 * 1024 - 5) for frame in mine)
+            assert not endpoint.closed
+            assert endpoint.messages_sent == 2 * per_thread
+        finally:
+            transport.stop()
+            peer.close()
+
+    @pytest.mark.parametrize("first", [0, 1, 3, 4, 5, -1])
+    def test_send_continues_after_a_short_first_write(self, first):
+        """The kernel may take any prefix of ``[len][payload]``: the
+        continuation resumes inside the length prefix, at its edge and
+        inside the payload (``-1``: all but the last octet)."""
+        payload = bytes(range(256)) * 3
+        total = 4 + len(payload)
+
+        class ShortFirstWrite:
+            """The endpoint's socket, its first ``sendmsg`` cut short."""
+
+            def __init__(self, sock, count):
+                self._sock, self._count = sock, count
+                self.calls = 0
+
+            def sendmsg(self, buffers):
+                self.calls += 1
+                if self.calls > 1:
+                    return self._sock.sendmsg(buffers)
+                head = b"".join(bytes(buffer) for buffer in buffers)[: self._count]
+                return self._sock.send(head) if head else 0
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+        transport = TcpTransport()
+        peer = self._slow_peer()
+        try:
+            endpoint = transport.connect("127.0.0.1:%d" % peer.getsockname()[1], TransportEvents())
+            conn, _addr = peer.accept()
+            conn.settimeout(5.0)
+            real = endpoint._sock
+            endpoint._sock = cut = ShortFirstWrite(real, first % total)
+            try:
+                endpoint.send(payload)
+                endpoint.send(b"next")
+            finally:
+                endpoint._sock = real
+            assert cut.calls >= 3  # short write, its continuation, the next frame
+            framer, frames = Framer(), []
+            while len(frames) < 2:
+                frames.extend(framer.feed(conn.recv(65536)))
+            conn.close()
+            assert frames == [payload, b"next"]
+            assert not endpoint.closed
+            assert (endpoint.messages_sent, endpoint.bytes_sent) == (2, len(payload) + 4)
+        finally:
+            transport.stop()
+            peer.close()
+
     def test_send_to_a_peer_that_never_reads_fails_loudly(self, monkeypatch):
         real_select = tcp_mod.select.select
         # The stall bound is 5 s; the test shortens the wait, not the rule.
