@@ -128,31 +128,34 @@ class _AioServerProtocol(asyncio.Protocol):
     def data_received(self, data: bytes) -> None:
         endpoint = self._endpoint
         assert endpoint is not None
+        violation: Optional[FramingError] = None
         try:
             messages = self._framer.feed(data)
         except FramingError as exc:
+            messages, violation = exc.messages, exc
+        if messages:
+            get_counter("aio.server.frames").incr(len(messages))
+            pressure = self._owner._pressure
+            bounded = pressure is not None and pressure.bounded
+            if bounded:
+                # The drained batch is the queue (mirror of the TCP shard
+                # loop): keep control frames, shed oldest indications past
+                # the budget, and zero the depth gauge after delivery.
+                pressure.note_depth(len(messages))
+                messages = pressure.admit(messages, 0, endpoint.peer)
+            if messages:
+                self._events.deliver(endpoint, messages)
+            if bounded:
+                pressure.note_depth(0)
+        if violation is not None:
             # Same contract as the sync shard loop: never resynchronize
-            # into garbage after a corrupt length prefix.
+            # into garbage after a corrupt length prefix — but the frames
+            # completed before it were delivered first.
             get_counter("tcp.close.framing").incr()
             self._disconnect_reason = DisconnectReason(
-                DisconnectReason.PROTOCOL, str(exc)
+                DisconnectReason.PROTOCOL, str(violation)
             )
             endpoint.close()
-            return
-        if not messages:
-            return
-        get_counter("aio.server.frames").incr(len(messages))
-        pressure = self._owner._pressure
-        if pressure is not None and pressure.bounded:
-            # The drained batch is the queue (mirror of the TCP shard
-            # loop): keep control frames, shed oldest indications past
-            # the budget, and zero the depth gauge after delivery.
-            pressure.note_depth(len(messages))
-            messages = pressure.admit(messages, 0, endpoint.peer)
-        if messages:
-            self._events.deliver(endpoint, messages)
-        if pressure is not None and pressure.bounded:
-            pressure.note_depth(0)
 
     def connection_lost(self, exc: Optional[BaseException]) -> None:
         endpoint = self._endpoint

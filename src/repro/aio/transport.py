@@ -14,7 +14,12 @@ import socket
 from collections import deque
 from typing import Deque, Optional, Sequence
 
-from repro.core.transport.framing import Framer, frame_message, frame_messages
+from repro.core.transport.framing import (
+    Framer,
+    FramingError,
+    frame_message,
+    frame_messages,
+)
 
 #: bytes requested per reader.read call (mirrors TcpTransport.RECV_SIZE).
 _READ_SIZE = 256 * 1024
@@ -30,6 +35,7 @@ class AioEndpoint:
         self._writer = writer
         self._framer = Framer()
         self._pending: Deque[bytes] = deque()
+        self._violation: Optional[FramingError] = None
         self._closed = False
 
     async def send(self, data: bytes) -> None:
@@ -52,13 +58,20 @@ class AioEndpoint:
 
         A :class:`~repro.core.transport.framing.FramingError` from a
         corrupt length prefix propagates — the caller must kill the
-        link rather than resynchronize into garbage.
+        link rather than resynchronize into garbage — once the frames
+        completed before it have been handed out.
         """
         while not self._pending:
+            if self._violation is not None:
+                raise self._violation
             chunk = await self._reader.read(_READ_SIZE)
             if not chunk:
                 return None
-            self._pending.extend(self._framer.feed(chunk))
+            try:
+                self._pending.extend(self._framer.feed(chunk))
+            except FramingError as exc:
+                self._pending.extend(exc.messages)
+                self._violation = exc
         return self._pending.popleft()
 
     def __aiter__(self) -> "AioEndpoint":

@@ -15,7 +15,7 @@ exactly the decoupling the paper's intermediate representation provides.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Tuple, Type
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 Value = Any  # documented recursive union; Python <3.12 friendly alias
 
@@ -80,6 +80,12 @@ class Codec(ABC):
         Codecs with lazy semantics (FlatBuffers-style) may return a
         read-only mapping view over the buffer instead of fresh dicts.
         """
+
+    def probe(self, data) -> Optional[Tuple[int, int]]:
+        """``(procedure, msg_class)`` read off the constant envelope
+        prefix without decoding anything, or ``None`` when this codec
+        (or this frame) cannot tell and the caller must decode."""
+        return None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -140,17 +140,30 @@ def _vlb(length: int) -> bytes:
     return b"\xc0" + length.to_bytes(4, "big")
 
 
+#: Fragment count → ``Struct("0s" + "24s" * n)``: every full fragment of
+#: an octet string cut in one C pass (the leading ``0s`` seeds the
+#: marker join).  A peer repeats a handful of payload sizes; the caps
+#: bound the table (entries, and layout size per entry) under
+#: adversarial lengths — an uncached count just compiles its layout.
+_FRAG_CUTS: Dict[int, struct.Struct] = {}
+_FRAG_CUTS_MAX = 128
+_FRAG_CUT_WIDEST = 4096
+
+
+def _frag_cut(full: int) -> struct.Struct:
+    cut = struct.Struct("0s" + "24s" * full)
+    if len(_FRAG_CUTS) < _FRAG_CUTS_MAX and full <= _FRAG_CUT_WIDEST:
+        _FRAG_CUTS[full] = cut
+    return cut
+
+
 def _pfrag(raw: bytes) -> bytes:
     """PER fragmented octet-string body (mirrors write_fragmented)."""
-    total = len(raw)
-    full, rem = divmod(total, 24)
+    full, rem = divmod(len(raw), 24)
     if full:
-        span = full * 24
-        head = b"\xc0".join(
-            (b"",) + tuple(raw[i:i + 24] for i in range(0, span, 24))
-        )
+        head = b"\xc0".join((_FRAG_CUTS.get(full) or _frag_cut(full)).unpack_from(raw))
         if rem:
-            return head + _B1[rem << 3] + raw[span:]
+            return head + _B1[rem << 3] + raw[full * 24:]
         return head
     if rem:
         return _B1[rem << 3] + raw

@@ -141,8 +141,8 @@ _LIST_CACHE_ITEMS = 64
 _ROUTE_CACHE = _LruCache(_DIR_CACHE_MAX, "codec.flat.route_cache.evictions")
 
 #: Two adjacent ``tag + int64`` cells in one unpack; the encoder always
-#: lays consecutive int fields out back to back, so paired scalars
-#: (procedure + class, requestor + instance) read with one struct call.
+#: lays consecutive int fields out back to back, so the lazy route
+#: lane reads procedure + class with one struct call.
 _PAIR = struct.Struct("<bqbq")
 
 
@@ -201,20 +201,27 @@ class FlatCodec(Codec):
         return _lazy_value(data, _HEADER.size)
 
     def decode_route(self, data) -> Tuple[int, int, Any]:
-        """One-pass envelope read for the server's batched ingest.
+        """One-pass envelope read for the server's ingest.
 
         Returns ``(procedure, msg_class, body)`` — the three things the
-        server routes on — touching the buffer once: header check, one
-        directory-cache hit for the ``{p, c, v}`` envelope, two int
-        reads, one lazy view over the body.  Anything unexpected
-        (cold directory, long keys, non-dict root) falls back to the
-        generic :meth:`decode` walk, which also warms the cache.
+        server routes on.  The envelope kernel is asked first: it has
+        already materialised the header scalars, so a routed indication
+        is one call into :mod:`codegen` and no cache is consulted.  What
+        the kernel declines (codegen off, unknown layout) takes the lazy
+        lane below: header check, one directory-cache hit for the
+        ``{p, c, v}`` envelope, two int reads, one lazy view over the
+        body.  A cold directory falls through to the interpretive walk,
+        whose :class:`FlatView` warms the cache for the next frame —
+        kernel decodes return plain dicts and never do.
         """
         if type(data) is not bytes:
             # Non-bytes buffers would need their cache windows
             # materialized anyway (bytearray slices are unhashable);
             # the generic lazy walk handles them without copying.
             tree = self.decode(data)
+            return tree["p"], tree["c"], tree["v"]
+        tree = _codegen.kernel_decode("fb", data)
+        if tree is not None:
             return tree["p"], tree["c"], tree["v"]
         try:
             off = _HEADER.size
@@ -271,8 +278,11 @@ class FlatCodec(Codec):
                             return proc, cls, body
         except (KeyError, IndexError, struct.error):
             pass
-        tree = self.decode(data)
+        tree = self.decode_interpretive(data)
         return tree["p"], tree["c"], tree["v"]
+
+    def probe(self, data):
+        return _codegen._probe_fb(data)
 
 
 # -- encoding --------------------------------------------------------
@@ -570,24 +580,6 @@ class FlatView:
                     return view
             return FlatView(buf, offset)
         return _lazy_value(buf, offset)
-
-    def int_pair(self, key_a: str, key_b: str) -> Tuple[int, int]:
-        """Read two int fields, fused into one unpack when adjacent.
-
-        The encoder lays fields out in directory order, so pairs that
-        travel together (``r``/``i`` of a request id) are one struct
-        call apart; non-adjacent or non-int layouts fall back to two
-        ordinary reads.
-        """
-        fields = self._fields
-        value_base = self._base
-        buf = self._buf
-        a_off = value_base + fields[key_a]
-        if value_base + fields[key_b] == a_off + 9:
-            tag_a, val_a, tag_b, val_b = _PAIR.unpack_from(buf, a_off)
-            if tag_a == base.TAG_INT and tag_b == base.TAG_INT:
-                return val_a, val_b
-        return self[key_a], self[key_b]
 
     def get(self, key: str, default: Any = None) -> Any:
         if key in self._fields:

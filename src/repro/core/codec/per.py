@@ -63,6 +63,17 @@ class PerCodec(Codec):
                 return out
         return self.decode_interpretive(data)
 
+    def decode_route(self, data):
+        """``(procedure, msg_class, body)`` for the server's ingest: the
+        envelope kernel's tree unwrapped, one call into :mod:`codegen`."""
+        tree = _codegen.kernel_decode("asn", data) if type(data) is bytes else None
+        if tree is None:
+            tree = self.decode_interpretive(data)
+        return tree["p"], tree["c"], tree["v"]
+
+    def probe(self, data):
+        return _codegen._probe_asn(data)
+
     def encode_interpretive(self, value: Any) -> bytes:
         """The original field-walking encoder (differential-test oracle)."""
         writer = BitWriter()

@@ -78,19 +78,22 @@ def classify_procedure(procedure: int) -> TrafficClass:
 def frame_classifier(codec) -> Callable[[bytes], TrafficClass]:
     """Build a ``bytes -> TrafficClass`` classifier over ``codec``.
 
-    Uses the codec's one-pass ``decode_route`` envelope read when
-    available.  A frame that cannot be classified is CONTROL: the
-    decode error is the server's to count and contain — the overload
-    layer must never shed a frame it does not understand.
+    The procedure code is read off the constant envelope prefix
+    (``codec.probe``): nothing is decoded, the server decodes the
+    survivors once.  Only when the probe declines (a codec without
+    one, an envelope it does not recognise) is the frame decoded, and
+    one that still cannot be classified is CONTROL: the decode error is
+    the server's to count and contain — the overload layer must never
+    shed a frame it does not understand.  A frame whose *envelope*
+    reads as an indication is sheddable even if its body is malformed;
+    what is not shed is still contained by the server.
     """
-    route = getattr(codec, "decode_route", None)
+    probe = getattr(codec, "probe", None)
 
     def classify(data: bytes) -> TrafficClass:
         try:
-            if route is not None:
-                procedure = route(data)[0]
-            else:
-                procedure = codec.decode(data)["p"]
+            found = probe(data) if probe is not None else None
+            procedure = codec.decode(data)["p"] if found is None else found[0]
         except (CodecError, KeyError, TypeError, ValueError, IndexError):
             return TrafficClass.CONTROL
         return classify_procedure(procedure)

@@ -15,6 +15,7 @@ agents and iApps.  Design properties carried over from the paper:
 from __future__ import annotations
 
 import itertools
+import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -146,74 +147,38 @@ def _procedure_name(procedure: int) -> str:
 
 
 class IndicationEvent:
-    """Lazy view of a RIC indication delivered to an iApp.
+    """A RIC indication as delivered to an iApp.
 
-    Header fields (request id, function id, action, sequence) are read
-    from the already-available value tree; the SM ``payload`` bytes are
-    extracted only when accessed.  With the FlatBuffers-style E2AP
-    codec the underlying tree is itself lazy, so routing an indication
-    touches a handful of scalars — the paper's zero-copy dispatch.
+    The routing scalars (request id, function id, action, sequence) are
+    read once at construction into plain attributes — the envelope
+    kernel has already materialised them, so every later read is an
+    attribute load — and a body that does not carry them fails *here*,
+    inside the ingest loop's containment.  ``kind``, ``header`` and the
+    SM ``payload`` are read from the body when accessed; with kernels
+    off the body is a lazy view over the receive buffer, the paper's
+    zero-copy dispatch.
     """
 
-    __slots__ = ("conn_id", "_body", "_requestor", "_instance", "_payload", "_header")
+    __slots__ = (
+        "conn_id", "_body", "route_key", "requestor_id", "instance_id",
+        "ran_function_id", "action_id", "sequence",
+    )
 
     def __init__(self, conn_id: int, body: Any) -> None:
         self.conn_id = conn_id
         self._body = body
-        self._requestor: Optional[int] = None
-        self._instance: Optional[int] = None
-        self._payload: Optional[bytes] = None
-        self._header: Optional[bytes] = None
-
-    def _load_request(self) -> None:
-        # Routing reads the request id at least twice per indication
-        # (subscription lookup, then the iApp); resolve the lazy "q"
-        # table once and keep the scalars.  Flat views read both ints
-        # with one fused unpack; plain-dict codecs take the dict path.
-        request = self._body["q"]
-        if request.__class__ is dict:
-            self._requestor = request["r"]
-            self._instance = request["i"]
-            return
-        try:
-            self._requestor, self._instance = request.int_pair("r", "i")
-        except AttributeError:
-            self._requestor = request["r"]
-            self._instance = request["i"]
-
-    def route_key(self) -> Tuple[int, int]:
-        """``(requestor, instance)`` — the submgr routing key."""
-        if self._requestor is None:
-            self._load_request()
-        return (self._requestor, self._instance)
-
-    @property
-    def requestor_id(self) -> int:
-        if self._requestor is None:
-            self._load_request()
-        return self._requestor
-
-    @property
-    def instance_id(self) -> int:
-        if self._instance is None:
-            self._load_request()
-        return self._instance
+        request = body["q"]
+        self.requestor_id = requestor = request["r"]
+        self.instance_id = instance = request["i"]
+        #: ``(requestor, instance)`` — the submgr routing key.
+        self.route_key = (requestor, instance)
+        self.ran_function_id = body["f"]
+        self.action_id = body["a"]
+        self.sequence = body["s"]
 
     @property
     def request(self) -> RicRequestId:
         return RicRequestId(self.requestor_id, self.instance_id)
-
-    @property
-    def ran_function_id(self) -> int:
-        return self._body["f"]
-
-    @property
-    def action_id(self) -> int:
-        return self._body["a"]
-
-    @property
-    def sequence(self) -> int:
-        return self._body["s"]
 
     @property
     def kind(self) -> RicIndicationKind:
@@ -221,15 +186,11 @@ class IndicationEvent:
 
     @property
     def header(self) -> bytes:
-        if self._header is None:
-            self._header = self._body["h"]
-        return self._header
+        return self._body["h"]
 
     @property
     def payload(self) -> bytes:
-        if self._payload is None:
-            self._payload = self._body["m"]
-        return self._payload
+        return self._body["m"]
 
     def full(self) -> RicIndication:
         """Materialize the complete dataclass (tests, relays)."""
@@ -277,7 +238,7 @@ class Server:
         self.time_fn = time_fn
         self.codec: Codec = get_codec(self.config.e2ap_codec)
         #: one-pass (procedure, class, body) extraction for the ingest
-        #: loop; codecs without a fast path fall back to a full walk.
+        #: loop; a codec without one (``pb``) is walked in full.
         self._decode_route = getattr(self.codec, "decode_route", self._generic_route)
         self._node_label = f"ric-{self.config.ric_id}"
         self.cpu = cpu_meter or CpuMeter(f"server-{self.config.ric_id}")
@@ -689,8 +650,8 @@ class Server:
     def _on_messages(self, endpoint: Endpoint, batch: Sequence[bytes]) -> None:
         """The single ingest: one call per drained wakeup, any transport.
 
-        Liveness bookkeeping and the CPU measurement context are paid
-        once per batch; each frame costs one ``decode_route``.  With
+        Liveness bookkeeping and the CPU-meter section are paid once
+        per batch; each frame costs one ``decode_route``.  With
         tracing enabled every message records its own ``decode`` span
         (and ``dispatch`` for the slow path; the submgr records the
         indication's) right here — the batch is never re-dispatched.
@@ -714,30 +675,37 @@ class Server:
         traced = tracer.enabled
         if traced:
             tracer.node = self._node_label
-        with self.cpu.measure():
+        began = time.perf_counter_ns()
+        try:
             for data in batch:
                 start = time.perf_counter() if traced else 0.0
                 try:
                     procedure, msg_class, body = route(data)
-                except (CodecError, KeyError, TypeError, ValueError):
+                    # The header scalars are read here, so a body that
+                    # does not fit the indication class is contained
+                    # with the frames that do not decode at all.
+                    event = IndicationEvent(conn_id, body) if procedure == _IND_CODE else None
+                except (CodecError, KeyError, TypeError, ValueError, IndexError, struct.error):
                     # A corrupted frame (chaos transport, buggy peer)
                     # must not take the transport thread down.
                     self._count_decode_error()
                     continue
-                if procedure == _IND_CODE:
-                    # Route on header scalars only.  Handling is
+                if event is not None:
+                    # Routed on header scalars only.  Handling is
                     # stateless, so it may run on a worker thread (§4.4).
-                    event = IndicationEvent(conn_id, body)
                     if traced:
-                        # Forcing the request-id read here is the
-                        # decode cost the span is meant to charge.
                         tracer.record(
-                            "decode", start, event.route_key(), procedure="ric_indication"
+                            "decode", start, event.route_key, procedure="ric_indication"
                         )
-                    if pool is not None:
-                        pool.submit(deliver, event)
-                    else:
-                        deliver(event)
+                    try:
+                        if pool is not None:
+                            pool.submit(deliver, event)
+                        else:
+                            deliver(event)
+                    # An iApp's bug is the iApp's: the loop and the
+                    # rest of the batch belong to every other node.
+                    except Exception:  # repro-lint: disable=RL002
+                        get_counter("server.iapp.callback_error").incr()
                     continue
                 cls = _MESSAGE_TYPES.get((procedure, msg_class))
                 if cls is None:
@@ -758,6 +726,10 @@ class Server:
                     self._handle_slow_path(state, message)
                 if traced:
                     tracer.record("dispatch", start, procedure=name)
+        finally:
+            # One CPU-meter section per batch, without the context
+            # manager's three frames on a one-message wake-up.
+            self.cpu.charge((time.perf_counter_ns() - began) / 1e9)
 
     @staticmethod
     def _count_decode_error() -> None:

@@ -339,8 +339,9 @@ class SubscriptionManager:
     def deliver_indication(self, event) -> Optional[SubscriptionRecord]:
         """Route an indication to its iApp; returns the record or None.
 
-        ``event`` must expose ``requestor_id``/``instance_id`` cheaply
-        (lazy header peek); the payload is only touched by the iApp.
+        ``event`` carries its ``route_key`` (or at least
+        ``requestor_id``/``instance_id``) as plain attributes, so
+        routing is one ``get``; the payload is only touched by the iApp.
         With tracing enabled the lookup plus the iApp callback are
         recorded as one ``dispatch`` span, correlated on the request id
         — the "dispatch-to-iApp" stage of the Fig. 9 decomposition.
@@ -348,7 +349,7 @@ class SubscriptionManager:
         tracer = _TRACER
         trace_start = time.perf_counter() if tracer.enabled else 0.0
         try:
-            key = event.route_key()
+            key = event.route_key
         except AttributeError:
             key = (event.requestor_id, event.instance_id)
         record = self._records.get(key)

@@ -121,7 +121,9 @@ class TransportEvents:
     receiver that sets ``on_messages`` takes the batch whole and
     amortizes per-frame overhead (lock acquisition, CPU accounting);
     one that sets only ``on_message`` (the agent, the baselines) gets
-    one call per frame.
+    one call per frame.  (The TCP loop makes the ``on_messages`` call
+    itself — a frame fewer per wake-up — and leaves the per-frame walk
+    to :meth:`deliver`; the contract is the same.)
     """
 
     def __init__(

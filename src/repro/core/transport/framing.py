@@ -5,19 +5,19 @@ restores message boundaries with a 4-byte big-endian length prefix.
 A maximum message size guards against corrupt prefixes taking the
 receiver down.
 
-The deframer is cursor-based: complete frames are sliced out through a
-``memoryview`` while a read cursor advances over the receive buffer, so
-a chunk carrying many small frames costs one pass instead of one
-buffer-shifting ``del`` per frame.  Consumed bytes are reclaimed only
-when the cursor crosses a compaction threshold or the buffer drains,
-keeping the amortized cost per frame O(frame size).
+The deframer windows the chunk it is fed: complete frames are sliced
+straight out of it through a ``memoryview`` (one pass over a chunk of
+many small frames, one copy per frame), and only the tail of a frame
+the chunk did not finish is kept, in a receive buffer the next chunk is
+joined to.  A wake-up whose chunk ends on a frame boundary — the
+one-message case — never touches that buffer.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-from typing import Iterable, List
+from typing import Iterable, List, Sequence
 
 from repro.metrics.trace import TRACER as _TRACER
 
@@ -32,13 +32,16 @@ MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 #: asked to hold it, or a single flipped bit OOMs the process.
 DEFAULT_MAX_FRAME_LEN = 16 * 1024 * 1024
 
-#: Consumed-prefix size beyond which the receive buffer is compacted.
-#: Below this the dead bytes are cheaper to carry than to move.
-_COMPACT_THRESHOLD = 1 << 16
-
 
 class FramingError(Exception):
-    """Raised when the byte stream violates the framing protocol."""
+    """Raised when the byte stream violates the framing protocol.
+
+    ``messages`` carries the frames the same :meth:`Framer.feed` call
+    completed before the violation: they arrived intact, so receivers
+    deliver them before reporting the link dead.
+    """
+
+    messages: Sequence[bytes] = ()
 
 
 def frame_message(payload: bytes) -> bytes:
@@ -97,14 +100,13 @@ class Framer:
         if max_frame_len <= 0:
             raise ValueError(f"max_frame_len must be positive, got {max_frame_len}")
         self.max_frame_len = min(max_frame_len, MAX_MESSAGE_BYTES)
-        self._buffer = bytearray()
-        self._pos = 0  # read cursor: bytes before it are consumed
+        self._buffer = bytearray()  # tail of a frame awaiting its rest
 
     def feed(self, chunk) -> List[bytes]:
         """Absorb ``chunk``; return every now-complete message.
 
-        ``chunk`` may be any buffer-protocol object; it is appended to
-        the receive buffer without an intermediate ``bytes()`` copy.
+        ``chunk`` may be any buffer-protocol object and is read in
+        place; it may be reused as soon as ``feed`` returns.
 
         With tracing enabled the deframe pass is recorded as a
         ``frame`` span (procedure ``deframe``); the bytes are not yet
@@ -114,39 +116,37 @@ class Framer:
         tracer = _TRACER
         trace_start = time.perf_counter() if tracer.enabled else 0.0
         buffer = self._buffer
-        buffer.extend(chunk)
-        pos = self._pos
-        limit = len(buffer)
-        header = _LEN.size
-        messages: List[bytes] = []
+        if buffer:
+            buffer += chunk
+            chunk = buffer
         # One memoryview for the whole pass; slicing it copies each
         # frame exactly once (into the immutable bytes handed out).
-        view = memoryview(buffer)
-        try:
-            while limit - pos >= header:
-                (length,) = _LEN.unpack_from(buffer, pos)
-                if length > self.max_frame_len:
-                    raise FramingError(
-                        f"frame length {length} exceeds cap {self.max_frame_len}"
-                    )
-                end = pos + header + length
-                if end > limit:
-                    break
-                # The one necessary copy: the frame must outlive the
-                # mutable receive buffer it is sliced from.
-                messages.append(bytes(view[pos + header:end]))  # repro-lint: disable=RL007
-                pos = end
-        finally:
+        view = memoryview(chunk)
+        limit = len(view)
+        pos = 0
+        header = _LEN.size
+        unpack = _LEN.unpack_from
+        messages: List[bytes] = []
+        while limit - pos >= header:
+            (length,) = unpack(view, pos)
+            if length > self.max_frame_len:
+                error = FramingError(
+                    f"frame length {length} exceeds cap {self.max_frame_len}"
+                )
+                error.messages = messages
+                raise error
+            end = pos + header + length
+            if end > limit:
+                break
+            # The one necessary copy: the frame must outlive the
+            # receive window it is sliced from.
+            messages.append(bytes(view[pos + header:end]))  # repro-lint: disable=RL007
+            pos = end
+        if buffer:
             view.release()
-        if pos == limit:
-            # Buffer fully drained: reset in O(1).
-            buffer.clear()
-            self._pos = 0
-        elif pos >= _COMPACT_THRESHOLD:
             del buffer[:pos]
-            self._pos = 0
-        else:
-            self._pos = pos
+        elif pos < limit:
+            buffer += view[pos:]
         if trace_start:
             tracer.record("frame", trace_start, procedure="deframe")
         return messages
@@ -154,4 +154,4 @@ class Framer:
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered awaiting the rest of a frame."""
-        return len(self._buffer) - self._pos
+        return len(self._buffer)

@@ -294,6 +294,9 @@ class _Shard:
         #: messages delivered through this shard (single-writer: the
         #: shard's own dispatch context), for balance diagnostics.
         self.rx_messages = 0
+        #: the loop's one receive window (only this loop's thread reads);
+        #: ``_read`` sizes it to the transport's ``RECV_SIZE`` on first use.
+        self.recv_view = memoryview(b"")
         self.wake_recv, self.wake_send = socket.socketpair()
         self.wake_recv.setblocking(False)
         self.selector.register(self.wake_recv, selectors.EVENT_READ, ("wake", None))
@@ -335,7 +338,7 @@ class TcpTransport(Transport):
 
     name = "tcp"
 
-    #: bytes read per recv call.
+    #: bytes read per recv call (the size of each loop's receive window).
     RECV_SIZE = 256 * 1024
     #: per-wakeup drain cap: a connection bursting more than this
     #: yields the shard loop so its neighbours stay live; the
@@ -543,7 +546,10 @@ class TcpTransport(Transport):
 
         Polls every shard once.
         """
-        return sum(self._poll(shard, timeout) for shard in self._shards)
+        events = 0
+        for shard in self._shards:
+            events += self._poll(shard, timeout)
+        return events
 
     def shard_stats(self) -> List[dict]:
         """Per-shard load/traffic snapshot for the scale harness."""
@@ -641,38 +647,48 @@ class TcpTransport(Transport):
             # selector re-arms sooner and a flooding connection cannot
             # monopolize the shard while neighbours starve.
             drain_budget //= 4
+        size = self.RECV_SIZE
+        window = shard.recv_view
+        if window.nbytes != size:  # first read, or a test shrank it
+            window = shard.recv_view = memoryview(bytearray(size))
+        recv_into = endpoint._sock.recv_into
+        feed = endpoint._framer.feed
         messages: List[bytes] = []
         while drained < drain_budget:
             try:
-                chunk = endpoint._sock.recv(self.RECV_SIZE)
+                got = recv_into(window)
             except BlockingIOError:
                 break
             except OSError as exc:
                 terminal = _classify_oserror(exc)
                 terminal_counter = f"tcp.close.{terminal.code}"
                 break
-            if not chunk:
+            if not got:
                 terminal = DisconnectReason(DisconnectReason.EOF)
                 terminal_counter = "tcp.close.eof"
                 break
-            drained += len(chunk)
+            drained += got
             try:
-                messages.extend(endpoint._framer.feed(chunk))
+                # The frames are copied out of the window here, so the
+                # next read (or a nested ``step``) may overwrite it.
+                messages += feed(window[:got])
             except FramingError as exc:
                 # Corrupt/oversize length prefix: kill the link instead
                 # of letting the receive buffer grow towards the bogus
-                # length.
+                # length — after the frames this chunk had completed.
+                messages += exc.messages
                 terminal = DisconnectReason(DisconnectReason.PROTOCOL, str(exc))
                 terminal_counter = "tcp.close.framing"
                 break
-            if len(chunk) < self.RECV_SIZE:
+            if got < size:
                 break
         if trace_start and drained:
             # The recv syscalls and deframing; decode has its own span
             # (no correlation yet — the bytes are still opaque).
             tracer.record("recv", trace_start, node=endpoint._peer)
         if messages:
-            if pressure.bounded:
+            bounded = pressure.bounded
+            if bounded:
                 # The drained batch *is* the queue (frames already left
                 # the kernel buffer), so admit against depth 0: keep
                 # all control frames and the newest indications up to
@@ -681,8 +697,11 @@ class TcpTransport(Transport):
                 messages = pressure.admit(messages, 0, endpoint._peer)
             if messages:
                 shard.rx_messages += len(messages)
-                endpoint._events.deliver(endpoint, messages)
-            if pressure.bounded:
+                # ``on_messages`` is read per delivery (receivers swap
+                # it); ``deliver`` is the per-frame ``on_message`` walk.
+                events = endpoint._events
+                (events.on_messages or events.deliver)(endpoint, messages)
+            if bounded:
                 # The batch was fully delivered: put the depth gauge
                 # back to zero or it reads "len(last batch)" forever
                 # (the stale-depth leak of the §14 bugfix sweep).

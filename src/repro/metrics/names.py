@@ -34,6 +34,7 @@ COUNTERS = frozenset(
         "codec.flat.route_cache.evictions",
         # server lifecycle / ingest
         "server.rx.decode_error",
+        "server.iapp.callback_error",
         "server.node.stale",
         "server.node.recovered",
         "server.node.expired",

@@ -402,3 +402,84 @@ def test_fixed_list_header_cache_is_bounded():
     assert len(codegen._FIXED_HEADS) == codegen._FIXED_HEADS_MAX
     # Past the cap a header is still built, just not kept.
     assert codegen._fseq_fixed(bytes, 9, [b"x" * 9] * 9_999)[:5] == b"\x07" + (9_999).to_bytes(4, "little")
+
+
+# -- PER octet strings: a determinant plus one pass --------------------
+
+_OCTET_EDGES = (0, 1, 23, 24, 25, 47, 48, 49, 1_500, 16_383, 16_384, 70_000)
+
+
+def _octets(length):
+    return (bytes(range(256)) * (length // 256 + 1))[:length]
+
+
+def _oracle_wire(raw):
+    """What ``BitWriter`` writes for an aligned octet string."""
+    from repro.core.codec.bitio import BitWriter
+
+    writer = BitWriter()
+    writer.write_varlen(len(raw))
+    writer.write_fragmented(raw, 24)
+    writer.align()
+    return writer.getvalue()
+
+
+@pytest.fixture
+def _strict():
+    codegen.set_strict(True)
+    yield
+    codegen.set_strict(False)
+
+
+@pytest.mark.usefixtures("_strict")
+@pytest.mark.parametrize("length", _OCTET_EDGES)
+class TestOctetStringEdges:
+    """``_poct``/``_doct`` against ``write_fragmented``/``read_fragmented``,
+    which stay the bit-level oracle (pins behaviour the one-pass
+    ``_pfrag`` must keep, fragment and determinant boundaries included)."""
+
+    def test_helpers_match_the_bit_level_oracle(self, length):
+        from repro.core.codec.bitio import BitReader
+
+        raw = _octets(length)
+        wire = _oracle_wire(raw)
+        assert codegen._poct(raw) == wire
+        assert codegen._doct(wire, 0) == (raw, len(wire))
+        assert codegen._doct(b"\xaa" + wire + b"\xbb", 1) == (raw, 1 + len(wire))
+        reader = BitReader(wire)
+        assert reader.read_fragmented(reader.read_varlen(), 24) == raw
+
+    def test_kernel_and_interpreter_agree_through_the_codec(self, length):
+        per = get_codec("asn")
+        tree = {"seq": length, "data": _octets(length)}
+        wire = per.encode_interpretive(tree)
+        assert codegen.payload_encode("asn", "hw_ping", tree) == wire
+        assert codegen.payload_decode("asn", "hw_ping", wire) == tree
+        assert per.decode_interpretive(wire) == tree
+
+    def test_truncation_at_every_fragment_boundary_is_declined(self, length):
+        from repro.core.codec.bitio import BitReader
+
+        wire = codegen._poct(_octets(length))
+        head = len(codegen._vlb(length))
+        cuts = {head, len(wire) - 1}
+        for boundary in range(head, len(wire), 25):
+            cuts.update((boundary - 1, boundary, boundary + 1))
+        for cut in sorted(cut for cut in cuts if head <= cut < len(wire)):
+            assert codegen._doct(wire[:cut], 0) is None, cut
+            reader = BitReader(wire[:cut])
+            with pytest.raises((EOFError, CodecError)):
+                reader.read_fragmented(reader.read_varlen(), 24)
+
+
+def test_fragment_layout_cache_is_bounded():
+    """5 000 distinct lengths leave the per-count cache at its cap, and a
+    layout wider than the per-entry bound is compiled but never kept."""
+    codegen._FRAG_CUTS.clear()
+    for length in range(24, 5_024):
+        assert len(codegen._pfrag(b"x" * length)) == length + (length + 23) // 24
+    assert len(codegen._FRAG_CUTS) == codegen._FRAG_CUTS_MAX
+    codegen._FRAG_CUTS.clear()
+    wide = 24 * (codegen._FRAG_CUT_WIDEST + 1)
+    assert codegen._pfrag(_octets(wide)) == _oracle_wire(_octets(wide))[5:]
+    assert not codegen._FRAG_CUTS

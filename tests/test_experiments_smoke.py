@@ -83,9 +83,20 @@ class TestFig8:
         assert flexran.memory_mb > flexric.memory_mb
 
     def test_asn_vs_fb_scaling(self):
-        asn = fig8.run_fig8b_point("asn", n_agents=4, reports=50)
-        fb = fig8.run_fig8b_point("fb", n_agents=4, reports=50)
-        assert asn.cpu_percent > 3.0 * fb.cpu_percent
+        # Best of three interleaved repetitions, as TestFig9: additive
+        # scheduler noise inflates the ~4x smaller fb reading
+        # proportionally more, and one run each read 3.5 once in five
+        # (and failed once under a full-suite run).
+        pairs = [
+            (
+                fig8.run_fig8b_point("asn", n_agents=4, reports=50).cpu_percent,
+                fig8.run_fig8b_point("fb", n_agents=4, reports=50).cpu_percent,
+            )
+            for _ in range(3)
+        ]
+        asn = min(pair[0] for pair in pairs)
+        fb = min(pair[1] for pair in pairs)
+        assert asn > 3.0 * fb
 
     def test_cpu_grows_with_agents(self):
         few = fig8.run_fig8b_point("fb", n_agents=2, reports=50)

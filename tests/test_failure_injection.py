@@ -420,3 +420,124 @@ class TestPoisonFrameEndToEnd:
         assert counters.get_counter("decode.contained").value == 1
         endpoint.send(encode_message(RicServiceQuery(), codec))
         assert isinstance(replies[-1], RicServiceUpdate)
+
+
+def _poison_indications(codec):
+    """Well-framed indications whose body does not fit the class: no
+    request id, a scalar for the request id, a scalar for the body."""
+    good = {"q": {"r": 1, "i": 1}, "f": 100, "a": 1, "s": 0, "k": 0, "h": b"", "m": b"x"}
+    no_request = {key: value for key, value in good.items() if key != "q"}
+    return [
+        codec.encode({"p": 5, "c": 0, "v": body})
+        for body in (no_request, dict(good, q=7), 5)
+    ]
+
+
+class TestPoisonIndication:
+    """The hot-path class PR 18's containment missed: the header scalars
+    were read inside ``deliver_indication``, outside the ingest loop's
+    ``try``, so one frame killed the only ingest thread — remotely."""
+
+    @pytest.fixture(autouse=True)
+    def _reset(self):
+        counters.reset_counters("server.")
+        counters.reset_counters("decode.")
+
+    @staticmethod
+    def _contained():
+        return counters.get_counter("decode.contained").value
+
+    @pytest.mark.parametrize("codec_name", ["asn", "fb", "pb"])
+    def test_server_survives_over_tcp(self, codec_name):
+        import socket
+
+        from repro.core.server import Server, ServerConfig
+        from repro.core.transport.tcp import TcpTransport
+
+        server = Server(ServerConfig(e2ap_codec=codec_name))
+        ric = TcpTransport()
+        try:
+            listener = server.listen(ric, "127.0.0.1:0")
+            ric.start()
+            host, port = listener.address.rsplit(":", 1)
+            with socket.create_connection((host, int(port))) as sock:
+                for count, frame in enumerate(_poison_indications(server.codec), 1):
+                    sock.sendall(frame_message(frame))
+                    assert _wait(lambda: self._contained() >= count)
+                    assert self._contained() == count
+                (loop,) = [t for t in threading.enumerate() if t.name == "tcp-transport-0"]
+                assert loop.is_alive()
+                assert counters.get_counter("server.rx.decode_error").value == 3
+        finally:
+            ric.stop()
+
+    @pytest.mark.parametrize("codec_name", ["asn", "fb"])
+    def test_rest_of_the_batch_is_served_over_inproc(self, codec_name):
+        from repro.core.server import Server, ServerConfig
+
+        transport = InProcTransport()
+        server = Server(ServerConfig(e2ap_codec=codec_name))
+        server.listen(transport, "ric")
+        rogue = transport.connect("ric", TransportEvents())
+        rogue.send_many(_poison_indications(server.codec))
+        assert self._contained() == 3 and not rogue.closed
+        from repro.core.agent import Agent, AgentConfig
+        from repro.core.e2ap.ies import GlobalE2NodeId, NodeKind
+
+        node_id = GlobalE2NodeId("00101", 2, NodeKind.GNB)
+        Agent(AgentConfig(node_id=node_id, e2ap_codec=codec_name), transport).connect("ric")
+        assert len(server.agents()) == 1
+
+    def test_aio_server_survives(self):
+        import asyncio
+
+        from repro.aio import AioServer
+        from repro.core.server import Server
+
+        server = Server()
+
+        async def scenario():
+            aio = AioServer(server)
+            await aio.start()
+            _reader, writer = await asyncio.open_connection("127.0.0.1", aio.port)
+            for frame in _poison_indications(server.codec):
+                writer.write(frame_message(frame))
+            await writer.drain()
+            for _ in range(500):
+                if self._contained() == 3:
+                    break
+                await asyncio.sleep(0.01)
+            assert not writer.transport.is_closing()
+            writer.close()
+            await aio.stop()
+
+        asyncio.run(scenario())
+        assert self._contained() == 3
+
+    def test_a_raising_iapp_callback_costs_one_counter_tick(self):
+        from repro.core.e2ap.ies import RicRequestId
+        from repro.core.e2ap.messages import RicIndication
+        from repro.core.server import Server, SubscriptionCallbacks
+
+        transport = InProcTransport()
+        server = Server()
+        server.listen(transport, "ric")
+        TestPoisonFrameEndToEnd._healthy_agent(None, transport).connect("ric")
+        seen = []
+
+        def on_indication(event):
+            seen.append(event.sequence)
+            if event.sequence == 1:
+                raise RuntimeError("iApp bug")
+
+        record = server.submgr.create(1, 100, SubscriptionCallbacks(on_indication=on_indication))
+        rogue = transport.connect("ric", TransportEvents())
+        rogue.send_many([
+            encode_message(RicIndication(record.request, 100, 1, sequence), server.codec)
+            for sequence in range(3)
+        ])
+        # Indications route on the request id alone, so the second
+        # connection reaches the record: three calls, one contained.
+        assert seen == [0, 1, 2]
+        assert counters.get_counter("server.iapp.callback_error").value == 1
+        assert self._contained() == 0

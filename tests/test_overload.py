@@ -185,6 +185,50 @@ class TestClassification:
         assert classify(b"") is TrafficClass.CONTROL
         assert classify(b"\xff\xfe garbage") is TrafficClass.CONTROL
 
+    def test_classifying_decodes_nothing(self, monkeypatch):
+        """The procedure code comes off the envelope prefix: no kernel
+        decode, no octet-string walk — the server decodes survivors once."""
+        from repro.core.codec import codegen
+        from repro.core.e2ap.messages import RicControlRequest
+
+        asn, fb = get_codec("asn"), get_codec("fb")
+        control = encode_message(
+            RicControlRequest(RicRequestId(1, 1), 100, payload=b"p" * 1500), asn
+        )
+        flood = encode_message(
+            RicIndication(RicRequestId(1, 1), 2, action_id=1, sequence=0, payload=b"x" * 64), fb
+        )
+        asn.decode(control), fb.decode(flood)  # kernels built before the spies go in
+        touched = []
+        for codec_name, frame in (("asn", control), ("fb", flood)):
+            kernel = codegen.envelope_kernel(codec_name, *codegen._PROBES[codec_name](frame))
+            monkeypatch.setattr(kernel, "decode", lambda data: touched.append("kernel"))
+        for codec in (asn, fb):
+            monkeypatch.setattr(codec, "decode", lambda data: touched.append("decode"))
+        monkeypatch.setattr(codegen, "_dfrag", lambda *args: touched.append("_dfrag"))
+        assert frame_classifier(asn)(control) is TrafficClass.CONTROL
+        assert frame_classifier(fb)(flood) is TrafficClass.INDICATION
+        assert touched == []
+
+    @pytest.mark.parametrize("codec_name", ["asn", "fb", "pb"])
+    def test_an_unprobeable_frame_is_decoded_and_unclassifiable_is_control(self, codec_name):
+        codec = get_codec(codec_name)
+        classify = frame_classifier(codec)
+        # An envelope the probe declines (keys out of order) still classifies
+        # through the decode; pb has no probe at all.
+        odd = codec.encode({"c": 0, "p": 5, "v": {}})
+        assert codec.probe(odd) is None
+        assert classify(odd) is TrafficClass.INDICATION
+        assert classify(codec.encode({"x": 1})) is TrafficClass.CONTROL
+        assert classify(codec.encode([1, 2])) is TrafficClass.CONTROL
+
+    def test_an_indication_envelope_is_sheddable_whatever_its_body(self):
+        """What is not shed is still contained by the server."""
+        fb = get_codec("fb")
+        assert frame_classifier(fb)(fb.encode({"p": 5, "c": 0, "v": 5})) is (
+            TrafficClass.INDICATION
+        )
+
 
 # -- queue pressure / shed policy ------------------------------------
 

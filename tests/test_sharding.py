@@ -137,9 +137,9 @@ class TestShardBalance:
                 self._sock = sock
                 self.recvs = 0
 
-            def recv(self, size):
+            def recv_into(self, window):
                 self.recvs += 1
-                return self._sock.recv(size)
+                return self._sock.recv_into(window)
 
             def __getattr__(self, name):
                 return getattr(self._sock, name)
@@ -270,10 +270,28 @@ class TestOrdering:
     def test_tcp_frames_precede_the_terminal_event(self, shards, tail, code):
         """Frames completed before an EOF / a corrupt length prefix are
         delivered first, also when one drain finds both."""
-        transport = TcpTransport(shards=shards)
         # 64 B reads: the 128 B of frames fill two whole reads and the
         # terminal condition is met by the third, inside the same drain.
-        transport.RECV_SIZE = 64
+        self._frames_then_terminal(shards, tail, code, recv_size=64)
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize(
+        "tail, code",
+        [(b"", "eof"), (b"\xff\xff\xff\xff", "protocol")],
+        ids=["eof", "framing-error"],
+    )
+    def test_tcp_frames_precede_the_terminal_event_in_one_chunk(self, shards, tail, code):
+        """The same promise at the default ``RECV_SIZE``: the frames and
+        the corrupt prefix arrive in *one* read, so ``Framer.feed`` meets
+        the violation with eight completed frames in hand (it used to
+        unwind past them and the receiver saw ``protocol`` alone)."""
+        self._frames_then_terminal(shards, tail, code, recv_size=None)
+
+    @staticmethod
+    def _frames_then_terminal(shards, tail, code, recv_size):
+        transport = TcpTransport(shards=shards)
+        if recv_size is not None:
+            transport.RECV_SIZE = recv_size
         log = []
         try:
             listener = transport.listen(
@@ -291,6 +309,7 @@ class TestOrdering:
             )
             raw.sendall(frame_messages(frames) + tail)
             raw.close()
+            time.sleep(0.05)  # everything is in the socket before the first read
             assert _step_until(transport, lambda: code in log)
             assert log == [frames, code]
         finally:
