@@ -1,66 +1,13 @@
-"""Benchmarks for the extension features beyond the paper's core eval.
-
-* the §4.4 multi-thread indication dispatch extension,
-* the §6.3 xApp host's subscription merging.
+"""Benchmark for the extension feature beyond the paper's core eval:
+the §6.3 xApp host's subscription merging.
 """
-
-import threading
-
-import pytest
 
 from repro.controllers.xapp_host import HostedXapp, XappHostIApp
 from repro.core.agent import Agent, AgentConfig
-from repro.core.e2ap.ies import (
-    GlobalE2NodeId,
-    NodeKind,
-    RicActionDefinition,
-    RicActionKind,
-)
-from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
+from repro.core.e2ap.ies import GlobalE2NodeId, NodeKind
+from repro.core.server import Server, ServerConfig
 from repro.core.transport import InProcTransport
-from repro.sm.base import PeriodicTrigger
 from repro.sm.mac_stats import MacStatsFunction, synthetic_provider, INFO as MAC
-
-
-def _wire(workers: int):
-    transport = InProcTransport()
-    server = Server(ServerConfig(e2ap_codec="fb", indication_workers=workers))
-    server.listen(transport, "ric")
-    agent = Agent(
-        AgentConfig(node_id=GlobalE2NodeId("00101", 1, NodeKind.GNB)), transport
-    )
-    function = MacStatsFunction(provider=synthetic_provider(32), sm_codec="fb")
-    agent.register_function(function)
-    agent.connect("ric")
-    return server, function
-
-
-@pytest.mark.parametrize("workers", [0, 4])
-def test_ext_worker_dispatch_throughput(benchmark, workers):
-    """Cost of handing 20 indications to the dispatch path."""
-    server, function = _wire(workers)
-    seen = []
-    lock = threading.Lock()
-
-    def on_indication(event):
-        with lock:
-            seen.append(event.sequence)
-
-    server.subscribe(
-        conn_id=server.agents()[0].conn_id,
-        ran_function_id=MAC.default_function_id,
-        event_trigger=PeriodicTrigger(1.0).to_bytes("fb"),
-        actions=[RicActionDefinition(1, RicActionKind.REPORT)],
-        callbacks=SubscriptionCallbacks(on_indication=on_indication),
-    )
-
-    def burst():
-        for _ in range(20):
-            function.pump()
-
-    benchmark(burst)
-    benchmark.extra_info["extension"] = f"indication dispatch, workers={workers}"
-    server.close()
 
 
 class _Subscriber(HostedXapp):

@@ -75,10 +75,14 @@ from repro.core.e2ap.messages import (  # noqa: E402
     decode_message,
     encode_message,
 )
-from repro.core.overload import FairShareLimiter, OverloadConfig  # noqa: E402
+from repro.core.overload import (  # noqa: E402
+    FairShareLimiter,
+    OverloadConfig,
+    frame_classifier,
+)
 from repro.core.server import Server, ServerConfig, SubscriptionCallbacks  # noqa: E402
 from repro.core.server import events as topics  # noqa: E402
-from repro.core.transport import TransportEvents  # noqa: E402
+from repro.core.transport import InProcTransport, TransportEvents  # noqa: E402
 from repro.metrics.counters import counter_values, gauge_values, reset_all  # noqa: E402
 
 RAN_FUNCTION_ID = 1
@@ -179,10 +183,10 @@ def _wait(predicate, timeout: float = SETUP_TIMEOUT_S) -> bool:
 
 
 def _build_stack():
-    server = Server(
-        ServerConfig(e2ap_codec="fb", shards=2, overload=BENCH_OVERLOAD)
+    server = Server(ServerConfig(e2ap_codec="fb", overload=BENCH_OVERLOAD))
+    transport = InProcTransport(
+        shards=2, overload=BENCH_OVERLOAD, classify=frame_classifier(server.codec)
     )
-    transport = server.create_transport("inproc")
     server.listen(transport, "ric")
     return server, transport
 

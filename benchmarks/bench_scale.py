@@ -1,14 +1,12 @@
 """Many-agent scale harness: server ingest throughput and latency.
 
-Sweeps agent count x shard count over the in-process and TCP
-transports and reports, per configuration:
+Sweeps agent count over the in-process (synchronous) and TCP (one
+selector loop) transports and reports, per configuration:
 
 * aggregate indications/s absorbed by the server,
 * indication latency p50/p99 (closed-loop sample pass),
-* per-shard receive balance (max shard share / ideal share),
 * a per-connection ordering assertion (sequence numbers must arrive
-  monotonically for every subscription — the guarantee sharding must
-  not break).
+  monotonically for every subscription).
 
 The load generator is a minimal hand-rolled E2 agent (setup handshake
 plus subscription responder) that blasts *pre-encoded* indication
@@ -18,7 +16,7 @@ decode, route, dispatch — not by load-generation overhead.
 Usage::
 
     python benchmarks/bench_scale.py                      # default sweep
-    python benchmarks/bench_scale.py --agents 10,100 --shards 1,4
+    python benchmarks/bench_scale.py --agents 10,100 --transports tcp
     python benchmarks/bench_scale.py --smoke --json out.json
     python benchmarks/bench_scale.py --smoke \
         --baseline benchmarks/baseline_scale.json         # CI gate
@@ -139,13 +137,13 @@ def _wait(predicate, timeout: float = SETUP_TIMEOUT_S) -> bool:
     return predicate()
 
 
-def _make_stack(transport_kind: str, shards: int):
-    server = Server(ServerConfig(shards=shards))
+def _make_stack(transport_kind: str):
+    server = Server(ServerConfig())
     if transport_kind == "inproc":
-        transport = InProcTransport(shards=shards if shards >= 2 else 0)
+        transport = InProcTransport()
         address = "ric"
     elif transport_kind == "tcp":
-        transport = TcpTransport(shards=shards, reuseport=shards > 1)
+        transport = TcpTransport()
         address = "127.0.0.1:0"
     else:
         raise ValueError(f"unknown transport: {transport_kind!r}")
@@ -158,14 +156,13 @@ def _make_stack(transport_kind: str, shards: int):
 
 def run_config(
     transport_kind: str,
-    shards: int,
     num_agents: int,
     per_agent: int,
     latency_samples: int,
     payload_bytes: int = 64,
 ) -> dict:
     codec = get_codec("fb")
-    server, transport, address = _make_stack(transport_kind, shards)
+    server, transport, address = _make_stack(transport_kind)
     try:
         agents = [
             LoadAgent(transport, address, codec, nb_id=index + 1)
@@ -177,7 +174,7 @@ def run_config(
             raise RuntimeError("server RANDB did not fill")
 
         # One subscription per agent; each callback appends to its own
-        # list (one connection == one shard thread, so no lock needed).
+        # list (one ingest loop delivers them all, so no lock needed).
         received: List[List[int]] = []
         records = []
         conn_ids = sorted(record.conn_id for record in server.agents())
@@ -197,12 +194,7 @@ def run_config(
         if not _wait(lambda: all(record.confirmed for record in records)):
             raise RuntimeError("subscriptions did not confirm")
 
-        by_conn = {record.conn_id: record for record in records}
-        endpoints = {}
-        for agent in agents:
-            # Map each agent endpoint to its server-side record via the
-            # RANDB connection order (nb_id == connect order).
-            endpoints[agent] = agent.endpoint
+        # Agents pair with records in connect order (nb_id == conn order).
         payload = bytes(payload_bytes)
         frames_per_agent = []
         for agent, record in zip(agents, records):
@@ -236,15 +228,10 @@ def run_config(
         if quiesce is not None:
             quiesce(timeout=5.0)
 
-        # Per-connection ordering: the guarantee sharding must keep.
+        # Per-connection ordering: the transport's guarantee.
         for sink in received:
             if sink != sorted(sink):
                 raise AssertionError("per-connection indication order violated")
-
-        stats = transport.shard_stats()
-        rx = [stat["rx_messages"] for stat in stats]
-        total_rx = sum(rx) or 1
-        balance = (max(rx) / (total_rx / len(rx))) if rx else 1.0
 
         latency = _latency_pass(
             agents[0], records[0], codec, latency_samples
@@ -252,14 +239,11 @@ def run_config(
 
         return {
             "transport": transport_kind,
-            "shards": shards,
             "agents": num_agents,
             "indications": expected,
             "elapsed_s": elapsed,
             "ind_per_s": expected / elapsed,
             "latency_us": latency,
-            "shard_rx": rx,
-            "shard_balance": balance,
         }
     finally:
         server.close()
@@ -334,7 +318,7 @@ def run_fanout_config(
     from repro.metrics.counters import counter_values
 
     codec = get_codec("fb")
-    server, transport, address = _make_stack("inproc", 1)
+    server, transport, address = _make_stack("inproc")
     try:
         agents = [
             LoadAgent(transport, address, codec, nb_id=index + 1)
@@ -409,7 +393,6 @@ def run_fanout_config(
 
         return {
             "transport": "inproc",
-            "shards": 1,
             "fanout": fanout,
             "agents": num_agents,
             "indications": expected,
@@ -418,8 +401,6 @@ def run_fanout_config(
             "encode_calls": encodes,
             "encode_reuse": expected / max(1, encodes),
             "latency_us": None,
-            "shard_rx": [],
-            "shard_balance": 1.0,
         }
     finally:
         server.close()
@@ -471,7 +452,7 @@ def run_workers_config(
     mp = MultiProcServer(
         ServerConfig(e2ap_codec="fb", workers=workers), host="127.0.0.1", port=0
     )
-    client = TcpTransport(shards=min(4, max(1, num_agents)))
+    client = TcpTransport()
     try:
         mp.start()
         client.start()
@@ -529,15 +510,14 @@ def run_workers_config(
         )
         return {
             "transport": "tcp",
-            "shards": 1,
             "workers": workers,
             "agents": num_agents,
             "indications": expected,
             "elapsed_s": elapsed,
             "ind_per_s": expected / elapsed,
             "latency_us": None,
-            "shard_rx": per_worker,
-            "shard_balance": balance,
+            "worker_rx": per_worker,
+            "worker_balance": balance,
         }
     finally:
         client.stop()
@@ -564,7 +544,7 @@ def run_workers_sweep(
             print(
                 f"  tcp-mp agents={num_agents:<5} "
                 f"workers={workers}  {row['ind_per_s']:>10.0f} ind/s  "
-                f"balance={row['shard_balance']:.2f}"
+                f"balance={row['worker_balance']:.2f}"
             )
     return results
 
@@ -598,7 +578,6 @@ def worker_speedups(results: List[dict]) -> List[dict]:
 def run_sweep(
     transports: List[str],
     agent_counts: List[int],
-    shard_counts: List[int],
     per_agent: int,
     latency_samples: int,
     trials: int = 1,
@@ -606,82 +585,48 @@ def run_sweep(
     results: List[dict] = []
     for transport_kind in transports:
         for num_agents in agent_counts:
-            for shards in shard_counts:
-                # Best-of-N: single-trial numbers on a shared/1-core CI
-                # host swing 2x with scheduler luck; the best trial is
-                # the least-disturbed measurement of the code's actual
-                # cost (classic benchmarking practice).
-                best: Optional[dict] = None
-                for _ in range(max(1, trials)):
-                    row = run_config(
-                        transport_kind, shards, num_agents, per_agent, latency_samples
-                    )
-                    if best is None or row["ind_per_s"] > best["ind_per_s"]:
-                        best = row
-                row = best
-                row["trials"] = max(1, trials)
-                results.append(row)
-                latency = row["latency_us"]
-                lat_text = (
-                    f"p50={latency['p50']:.0f}us p99={latency['p99']:.0f}us"
-                    if latency
-                    else "-"
-                )
-                print(
-                    f"  {transport_kind:<6} agents={num_agents:<5} "
-                    f"shards={shards}  {row['ind_per_s']:>10.0f} ind/s  "
-                    f"balance={row['shard_balance']:.2f}  {lat_text}"
-                )
+            # Best-of-N: single-trial numbers on a shared/1-core CI
+            # host swing 2x with scheduler luck; the best trial is
+            # the least-disturbed measurement of the code's actual
+            # cost (classic benchmarking practice).
+            best: Optional[dict] = None
+            for _ in range(max(1, trials)):
+                row = run_config(transport_kind, num_agents, per_agent, latency_samples)
+                if best is None or row["ind_per_s"] > best["ind_per_s"]:
+                    best = row
+            row = best
+            row["trials"] = max(1, trials)
+            results.append(row)
+            latency = row["latency_us"]
+            lat_text = (
+                f"p50={latency['p50']:.0f}us p99={latency['p99']:.0f}us"
+                if latency
+                else "-"
+            )
+            print(
+                f"  {transport_kind:<6} agents={num_agents:<5} "
+                f"{row['ind_per_s']:>10.0f} ind/s  {lat_text}"
+            )
     return results
-
-
-def speedups(results: List[dict]) -> List[dict]:
-    """shards=N vs shards=1 throughput ratio per (transport, agents)."""
-    base = {
-        (row["transport"], row["agents"]): row["ind_per_s"]
-        for row in results
-        if row["shards"] == 1
-    }
-    rows = []
-    for row in results:
-        if row["shards"] == 1:
-            continue
-        reference = base.get((row["transport"], row["agents"]))
-        if not reference:
-            continue
-        rows.append(
-            {
-                "transport": row["transport"],
-                "agents": row["agents"],
-                "shards": row["shards"],
-                "speedup": row["ind_per_s"] / reference,
-            }
-        )
-    return rows
 
 
 def check_baseline(results: List[dict], baseline_path: Path, tolerance: float) -> List[str]:
     baseline = json.loads(baseline_path.read_text())
-    # ``workers`` (the §14 multiprocess axis) defaults to 0 so baselines
-    # written before that axis existed keep gating the thread rows.
-    # ``workers`` (§14) and ``fanout`` (§15) default to 0 so baselines
-    # written before those axes existed keep gating the older rows.
-    reference = {
-        (row["transport"], row["agents"], row["shards"], row.get("workers", 0),
-         row.get("fanout", 0)): row["ind_per_s"]
-        for row in baseline["results"]
-    }
+    # ``workers`` (§14) and ``fanout`` (§15) default to 0: the plain
+    # one-loop rows carry neither.
+    def key_of(row: dict) -> tuple:
+        return (row["transport"], row["agents"], row.get("workers", 0), row.get("fanout", 0))
+
+    reference = {key_of(row): row["ind_per_s"] for row in baseline["results"]}
     failures: List[str] = []
     for row in results:
-        key = (row["transport"], row["agents"], row["shards"],
-               row.get("workers", 0), row.get("fanout", 0))
+        key = key_of(row)
         if key not in reference:
             continue
         floor = reference[key] * (1.0 - tolerance)
         if row["ind_per_s"] < floor:
             failures.append(
-                f"{key[0]} agents={key[1]} shards={key[2]} workers={key[3]} "
-                f"fanout={key[4]}: "
+                f"{key[0]} agents={key[1]} workers={key[2]} fanout={key[3]}: "
                 f"{row['ind_per_s']:.0f} ind/s < {floor:.0f} ind/s "
                 f"(baseline {reference[key]:.0f}, tolerance {tolerance:.0%})"
             )
@@ -696,8 +641,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--agents", type=_int_list, default=[10, 100],
                         help="comma-separated agent counts (default 10,100)")
-    parser.add_argument("--shards", type=_int_list, default=[1, 4],
-                        help="comma-separated shard counts (default 1,4)")
     parser.add_argument("--transports", default="inproc,tcp",
                         help="comma-separated transports (default inproc,tcp)")
     parser.add_argument("--per-agent", type=int, default=200,
@@ -706,9 +649,6 @@ def main() -> int:
                         help="closed-loop latency samples per config (default 200)")
     parser.add_argument("--trials", type=int, default=3,
                         help="trials per config; the best is reported (default 3)")
-    parser.add_argument("--min-speedup", type=float, default=0.0,
-                        help="fail if any multi-shard config is below this "
-                             "speedup vs shards=1 (0 disables)")
     parser.add_argument("--workers", type=_int_list, default=[],
                         help="comma-separated multiprocess worker counts; "
                              "non-empty adds the tcp multiproc sweep")
@@ -738,15 +678,8 @@ def main() -> int:
 
     print(f"scale harness ({'smoke' if args.smoke else 'full'} mode)")
     results = run_sweep(
-        transports, args.agents, args.shards, per_agent, latency_samples,
-        trials=args.trials,
+        transports, args.agents, per_agent, latency_samples, trials=args.trials
     )
-    ratio_rows = speedups(results)
-    for row in ratio_rows:
-        print(
-            f"  speedup {row['transport']} agents={row['agents']} "
-            f"shards={row['shards']}: {row['speedup']:.2f}x vs shards=1"
-        )
 
     worker_rows: List[dict] = []
     worker_ratios: List[dict] = []
@@ -774,7 +707,6 @@ def main() -> int:
     payload = {
         "mode": "smoke" if args.smoke else "full",
         "results": results,
-        "speedups": ratio_rows,
         "worker_speedups": worker_ratios,
         "cpu_count": os.cpu_count(),
     }
@@ -783,16 +715,6 @@ def main() -> int:
         print(f"wrote {args.json}")
 
     status = 0
-    if args.min_speedup > 0:
-        low = [row for row in ratio_rows if row["speedup"] < args.min_speedup]
-        for row in low:
-            print(
-                f"SPEEDUP BELOW TARGET: {row['transport']} "
-                f"agents={row['agents']} shards={row['shards']} "
-                f"{row['speedup']:.2f}x < {args.min_speedup:.2f}x"
-            )
-        if low:
-            status = 1
     if args.min_worker_speedup > 0 and worker_ratios:
         cores = os.cpu_count() or 1
         if cores < 4:

@@ -5,7 +5,7 @@
 thread-callback contract as coroutines: ``subscribe`` returns an
 :class:`AsyncSubscription` usable as ``async for indication in sub``,
 ``control`` awaits the acknowledge/failure outcome.  The bridge is
-one-way hand-offs via ``loop.call_soon_threadsafe`` — transport shard
+one-way hand-offs via ``loop.call_soon_threadsafe`` — transport loop
 threads never run user coroutines, and the event loop never blocks on
 server internals (slow sync calls run in the default executor).
 

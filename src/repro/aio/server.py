@@ -1,7 +1,7 @@
 """Asyncio-native server ingest loop (DESIGN.md §15).
 
-The sync :class:`~repro.core.transport.tcp.TcpTransport` runs one
-selector thread per shard; an all-async deployment that embeds a
+The sync :class:`~repro.core.transport.tcp.TcpTransport` runs its
+selector loop on a thread; an all-async deployment that embeds a
 :class:`~repro.core.server.server.Server` next to asyncio iApps then
 carries selector threads it never wanted.  :class:`AioServer` accepts
 agent connections on the caller's event loop instead: one
@@ -11,8 +11,8 @@ machinery — same wire format, same admission behaviour, zero extra
 threads.
 
 Dispatch runs inline on the loop thread (the asyncio mirror of "the
-owning shard's I/O thread" in the sync design); sends may come from
-any thread (iApp worker pools, liveness probes) and are marshalled to
+transport's loop thread" in the sync design); sends may come from
+any thread (iApp threads, liveness probes) and are marshalled to
 the loop with ``call_soon_threadsafe``.
 """
 
@@ -138,7 +138,7 @@ class _AioServerProtocol(asyncio.Protocol):
             pressure = self._owner._pressure
             bounded = pressure is not None and pressure.bounded
             if bounded:
-                # The drained batch is the queue (mirror of the TCP shard
+                # The drained batch is the queue (mirror of the TCP
                 # loop): keep control frames, shed oldest indications past
                 # the budget, and zero the depth gauge after delivery.
                 pressure.note_depth(len(messages))
@@ -148,7 +148,7 @@ class _AioServerProtocol(asyncio.Protocol):
             if bounded:
                 pressure.note_depth(0)
         if violation is not None:
-            # Same contract as the sync shard loop: never resynchronize
+            # Same contract as the sync loop: never resynchronize
             # into garbage after a corrupt length prefix — but the frames
             # completed before it were delivered first.
             get_counter("tcp.close.framing").incr()

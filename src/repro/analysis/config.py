@@ -56,14 +56,11 @@ class LintConfig:
         default_factory=dict
     )
 
-    #: function names that implement shard selector/dispatch loops;
+    #: function names that implement selector/dispatch loops;
     #: blocking calls inside them must be bounded by a timeout (RL004).
-    #: ``_worker_run`` is the bounded overload worker pool's loop — the
-    #: queue/admission paths of DESIGN.md §13 live under the same
-    #: bounded-blocking rule as the transport shard loops.  The §14
-    #: multiprocess tier adds three more long-lived loops: the worker
-    #: command loop (``_worker_loop``), the parent supervision loop
-    #: (``_supervise``) and the no-reuseport accept loop
+    #: The §14 multiprocess tier adds three more long-lived loops: the
+    #: worker command loop (``_worker_loop``), the parent supervision
+    #: loop (``_supervise``) and the no-reuseport accept loop
     #: (``_accept_loop``) — an unbounded block in any of them would
     #: wedge crash detection or shutdown.
     loop_functions: FrozenSet[str] = frozenset(
@@ -71,7 +68,6 @@ class LintConfig:
             "_run",
             "_poll",
             "_shard_run",
-            "_worker_run",
             "_worker_loop",
             "_supervise",
             "_accept_loop",

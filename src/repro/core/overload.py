@@ -25,8 +25,6 @@ of growing queues without bound:
   ``q_i`` owns a token bucket refilled at ``q_i * C`` where ``C`` is
   the controller's provisioned capacity, so one greedy tenant cannot
   starve the rest of indication dispatch or control issuance.
-* :class:`BoundedWorkerPool` — a drop-aware replacement for the
-  unbounded indication worker pool.
 
 Every drop is counted per class (``overload.drop.{cls}``) and per
 connection (``overload.conn.{conn}.drops``); queue state is published
@@ -38,10 +36,9 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.core.codec.base import CodecError
 from repro.core.e2ap.procedures import ProcedureCode
@@ -122,8 +119,6 @@ class OverloadConfig:
     #: in the degraded state, an arriving indication burst from one
     #: connection is coalesced to its newest this-many frames.
     burst_coalesce: int = 64
-    #: bound on the server-side indication worker-pool backlog.
-    worker_queue_depth: int = 4096
     #: E2 setup admission: sustained rate (per second) and burst.
     setup_rate_s: float = 100.0
     setup_burst: int = 50
@@ -356,99 +351,6 @@ class QueuePressure:
             # "smoothing bursts" from "queue is full".
             get_counter("overload.coalesced").incr(dropped)
         return [frame for frame, kept in zip(frames, keep) if kept]
-
-
-class BoundedWorkerPool:
-    """Bounded, drop-aware worker pool for indication dispatch.
-
-    Replaces the unbounded ``ThreadPoolExecutor`` hand-off when
-    overload discipline is enabled: a submit that would push the
-    backlog past the bound drops the indication (counted) instead of
-    queueing it forever.  Only indications are submitted here — the
-    control plane runs inline on the ingest threads — so the drop
-    policy needs no classifier.
-    """
-
-    def __init__(
-        self, workers: int, max_depth: int, scope: str = "server.pool"
-    ) -> None:
-        if workers <= 0:
-            raise ValueError(f"workers must be > 0, got {workers}")
-        self._max_depth = max_depth
-        self._queue: Deque[Tuple[Callable, object]] = deque()
-        self._cond = threading.Condition()
-        self._running = True
-        self.pressure = QueuePressure(scope)
-        self._threads = [
-            threading.Thread(
-                target=self._worker_run, name=f"{scope}-worker-{i}", daemon=True
-            )
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def submit(self, fn: Callable, event: object) -> bool:
-        """Run ``fn(event)`` on a worker; False if dropped at the bound."""
-        depth = len(self._queue)
-        if depth >= self._max_depth:
-            count_drop(
-                TrafficClass.INDICATION, getattr(event, "conn_id", "pool"), 1
-            )
-            self.pressure.note_depth(depth)
-            return False
-        self._queue.append((fn, event))
-        self.pressure.note_depth(depth + 1)
-        with self._cond:
-            self._cond.notify()
-        return True
-
-    def _worker_run(self) -> None:
-        queue = self._queue
-        while True:
-            try:
-                fn, event = queue.popleft()
-            except IndexError:
-                with self._cond:
-                    if not queue:
-                        if not self._running:
-                            return
-                        self._cond.wait(timeout=0.1)
-                continue
-            self.pressure.note_depth(len(queue))
-            try:
-                fn(event)
-            except Exception:  # repro-lint: disable=RL002 — worker survives iApp errors
-                get_counter("server.pool.errors").incr()
-
-    def shutdown(self, wait: bool = True, timeout_s: float = 5.0) -> None:
-        """Drain and join the workers; loud on a stuck worker.
-
-        A worker that fails to join within ``timeout_s`` (an iApp
-        callback blocked forever) is counted in ``transport.stop.stuck``
-        and raised as :class:`RuntimeError` — the daemon flag must not
-        silently paper over a wedged dispatch thread.
-        """
-        with self._cond:
-            self._running = False
-            self._cond.notify_all()
-        if not wait:
-            return
-        stuck: List[str] = []
-        for thread in self._threads:
-            thread.join(timeout=timeout_s)
-            if thread.is_alive():
-                get_counter("transport.stop.stuck").incr()
-                stuck.append(thread.name)
-        self.pressure.discard_gauges()
-        if stuck:
-            raise RuntimeError(
-                f"worker pool shutdown: thread(s) stuck after "
-                f"{timeout_s}s: {', '.join(stuck)}"
-            )
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
 
 class AdmissionController:

@@ -51,12 +51,7 @@ from repro.core.e2ap.messages import (
     message_types,
 )
 from repro.core.e2ap.procedures import Cause, CauseKind, ProcedureCode
-from repro.core.overload import (
-    AdmissionController,
-    BoundedWorkerPool,
-    OverloadConfig,
-    frame_classifier,
-)
+from repro.core.overload import AdmissionController, OverloadConfig, frame_classifier
 from repro.core.server import events as topics
 from repro.core.server.events import EventBus
 from repro.core.server.iapp import IApp
@@ -84,24 +79,14 @@ from repro.metrics.trace import TRACER as _TRACER
 class ServerConfig:
     """Static server configuration.
 
-    The defaults are the paper's server (§4.2.2, §4.4): one event
-    loop (``shards=1``), indications dispatched inline, one process.
-    Every ingest topology runs the same receive path — transports
-    hand drained batches to :meth:`Server._on_messages`.
-
-    ``indication_workers`` enables the multi-thread extension of §4.4:
-    "given that the handling of indication messages in the server
-    library is stateless, it is possible to pass messages to different
-    threads, facilitated by the event-based system".  0 (default)
-    dispatches inline on the transport thread — the paper's
-    single-threaded implementation; N > 0 hands each indication to a
-    worker pool (POSIX sockets being thread-safe, replies may be sent
-    from any worker).
+    This is the paper's server (§4.2.2, §4.4): one event loop per
+    transport, indications dispatched inline on it, one process unless
+    ``workers`` says otherwise.  Every transport hands drained batches
+    to :meth:`Server._on_messages`.
     """
 
     ric_id: int = 1
     e2ap_codec: str = "fb"
-    indication_workers: int = 0
     #: grace window (seconds) a disconnected node is kept *stale* in
     #: the RANDB awaiting re-attachment.  0 (default) keeps the legacy
     #: behaviour: disconnect purges the node and its subscriptions.
@@ -112,12 +97,6 @@ class ServerConfig:
     #: unanswered keepalives tolerated before the node is declared
     #: silently dead and pushed down the stale path.
     keepalive_misses: int = 3
-    #: transport ingest shards (§4.4 multi-loop extension): number of
-    #: independent selector/dispatch loops a transport built through
-    #: :meth:`Server.create_transport` runs.  1 (default) is the
-    #: paper's single-threaded event loop; N > 1 runs N loops of the
-    #: same receive path, connections pinned to one each.
-    shards: int = 1
     #: overload discipline (DESIGN.md §13): bounded class-aware ingest
     #: queues, setup/subscription admission control, degrade states.
     #: None (default) keeps the unbounded legacy behaviour exactly.
@@ -209,7 +188,8 @@ class _ConnState:
     #: keepalive queries sent since ``last_seen`` moved.
     pending_queries: int = 0
     #: cached ``server.shard.N.rx`` counter for this connection's
-    #: transport shard (resolved lazily on the first batch delivery).
+    #: ingest loop — 0 unless the endpoint names an in-process shard
+    #: (resolved lazily on the first batch delivery).
     rx_counter: Any = None
 
 
@@ -262,7 +242,8 @@ class Server:
         self._route_by_endpoint: Dict[int, _ConnState] = publish_snapshot({})
         self._route_conns: Dict[int, _ConnState] = publish_snapshot({})
         #: serializes the stateful slow path (setup, subscription
-        #: outcomes, lifecycle) across transport shard threads.  The
+        #: outcomes, lifecycle) across the ingest loops of every
+        #: transport this server listens on and the liveness tick.  The
         #: indication hot path never takes it.  Always acquired
         #: *outside* ``_lock``.
         self._slow_lock = threading.RLock()
@@ -280,23 +261,6 @@ class Server:
             if self.overload is not None
             else None
         )
-        self._pool = None
-        if self.config.indication_workers > 0:
-            if self.overload is not None:
-                # Bounded hand-off: a worker backlog past the configured
-                # depth drops the indication (counted) instead of
-                # queueing unboundedly inside the executor.
-                self._pool = BoundedWorkerPool(
-                    workers=self.config.indication_workers,
-                    max_depth=self.overload.worker_queue_depth,
-                )
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.config.indication_workers,
-                    thread_name_prefix="ind-worker",
-                )
         self.memory.track("randb", lambda: self.randb)
         self.memory.track("submgr", lambda: self.submgr)
 
@@ -322,29 +286,20 @@ class Server:
         return listener
 
     def create_transport(self, kind: str = "tcp") -> Transport:
-        """Build a transport honoring ``config.shards``.
+        """Build a transport wired to this server's overload policy.
 
-        Convenience for deployments and the scale harness: the shard
-        knob lives in :class:`ServerConfig` so one config object fully
-        describes the ingest topology.
+        ``tcp`` is the one selector loop; ``inproc`` the synchronous
+        transport, whose inline delivery has no queue to bound —
+        admission control is what applies in-process.
         """
         if kind == "tcp":
             from repro.core.transport.tcp import TcpTransport
 
-            return TcpTransport(
-                shards=self.config.shards,
-                reuseport=self.config.shards > 1,
-                overload=self.overload,
-                classify=self._classify,
-            )
+            return TcpTransport(overload=self.overload, classify=self._classify)
         if kind == "inproc":
             from repro.core.transport.inproc import InProcTransport
 
-            return InProcTransport(
-                shards=self.config.shards,
-                overload=self.overload,
-                classify=self._classify,
-            )
+            return InProcTransport()
         raise ValueError(f"unknown transport kind: {kind!r}")
 
     def add_iapp(self, iapp: IApp) -> None:
@@ -362,8 +317,6 @@ class Server:
         for state in list(self._conns.values()):
             if not state.endpoint.closed:
                 state.endpoint.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
 
     # -- iApp-facing API -------------------------------------------------
 
@@ -554,7 +507,7 @@ class Server:
         """Publish fresh routing snapshots; callers hold ``_lock``.
 
         The snapshots are plain dicts that are *replaced*, never
-        mutated, so shard threads may read them without locking (a
+        mutated, so ingest threads may read them without locking (a
         dict-reference load is atomic under the GIL).  A reader racing
         a rebuild sees the previous snapshot — the same window a
         message already in flight during a disconnect always had.
@@ -631,13 +584,6 @@ class Server:
         will never arrive; an exact recount (rare-path O(n)) keeps the
         admission controller's concurrent cap from leaking slots.
         """
-        # Re-publish the dispatch pool's depth from ground truth: a
-        # dropped connection's queued indications are skipped (not
-        # dispatched), so the gauge written at submit time can read
-        # stale-high until the next submit — a drop_conn storm would
-        # otherwise hold the degraded state on with an empty queue.
-        if isinstance(self._pool, BoundedWorkerPool):
-            self._pool.pressure.note_depth(len(self._pool))
         if self.admission is None:
             return
         pending = sum(not rec.confirmed for rec in self.submgr.active_records())
@@ -669,7 +615,6 @@ class Server:
         # Hot loop: every name the loop touches is a local.
         route = self._decode_route
         deliver = self.submgr.deliver_indication
-        pool = self._pool
         conn_id = state.conn_id
         tracer = _TRACER
         traced = tracer.enabled
@@ -691,17 +636,13 @@ class Server:
                     self._count_decode_error()
                     continue
                 if event is not None:
-                    # Routed on header scalars only.  Handling is
-                    # stateless, so it may run on a worker thread (§4.4).
+                    # Routed on header scalars only.
                     if traced:
                         tracer.record(
                             "decode", start, event.route_key, procedure="ric_indication"
                         )
                     try:
-                        if pool is not None:
-                            pool.submit(deliver, event)
-                        else:
-                            deliver(event)
+                        deliver(event)
                     # An iApp's bug is the iApp's: the loop and the
                     # rest of the batch belong to every other node.
                     except Exception:  # repro-lint: disable=RL002
@@ -722,8 +663,13 @@ class Server:
                     name = _procedure_name(procedure)
                     tracer.record("decode", start, procedure=name)
                     start = time.perf_counter()
-                with self._slow_lock:
-                    self._handle_slow_path(state, message)
+                try:
+                    with self._slow_lock:
+                        self._handle_slow_path(state, message)
+                # Outcome callbacks and bus subscribers run in here: the
+                # same containment as the indication lane above.
+                except Exception:  # repro-lint: disable=RL002
+                    get_counter("server.iapp.callback_error").incr()
                 if traced:
                     tracer.record("dispatch", start, procedure=name)
         finally:

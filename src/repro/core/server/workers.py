@@ -1,13 +1,13 @@
 """Multiprocess ingest: N worker processes behind one port (§14).
 
-Thread sharding (DESIGN.md §10) tops out at ~1.5–1.6× because every
-shard loop contends on one interpreter lock.  This module promotes the
-shard abstraction to real parallelism: :class:`MultiProcServer` forks
-``ServerConfig.workers`` worker *processes*, each owning a complete
-:class:`~repro.core.server.server.Server` — its own decode/dispatch
-loops, its own overload :class:`QueuePressure`, its own metrics
-registry — plus an ``SO_REUSEPORT`` listener on the shared port so the
-kernel spreads incoming E2 connections across workers with no
+Loops in one interpreter share one interpreter lock and buy nothing
+(DESIGN.md §10), so parallelism here is a matter of processes:
+:class:`MultiProcServer` forks ``ServerConfig.workers`` worker
+*processes*, each owning a complete
+:class:`~repro.core.server.server.Server` — its own one-loop
+``TcpTransport``, its own overload :class:`QueuePressure`, its own
+metrics registry — plus an ``SO_REUSEPORT`` listener on the shared port
+so the kernel spreads incoming E2 connections across workers with no
 userspace coordination.
 
 Coordination that *is* needed flows over one duplex pipe per worker:
@@ -176,9 +176,7 @@ class _PolicyManager:
         self._ind_counter.incr()
 
 
-def _stats_payload(
-    server: Server, transport: TcpTransport, scratch: Optional[dict] = None
-) -> dict:
+def _stats_payload(server: Server, scratch: Optional[dict] = None) -> dict:
     """Build (or refill) one stats push payload.
 
     ``scratch`` lets the worker's 250 ms heartbeat reuse one top-level
@@ -193,7 +191,6 @@ def _stats_payload(
     payload["indications"] = counters.get("server.policy.indications", 0)
     payload["counters"] = {k: v for k, v in counters.items() if v}
     payload["gauges"] = gauge_values()
-    payload["shards"] = transport.shard_stats()
     return payload
 
 
@@ -213,7 +210,6 @@ def _stats_fingerprint(payload: dict) -> tuple:
         payload["subscriptions"],
         counters,
         payload["gauges"],
-        payload["shards"],
     )
 
 
@@ -241,7 +237,6 @@ def _worker_main(
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent coordinates shutdown
     server = Server(replace(config, workers=0))
     transport = TcpTransport(
-        shards=max(1, config.shards),
         reuseport=use_reuseport,
         overload=server.overload,
         classify=server._classify,
@@ -296,7 +291,7 @@ def _worker_loop(
         now = time.monotonic()
         if now - last_push >= _STATS_PUSH_INTERVAL_S:
             last_push = now
-            payload = _stats_payload(server, transport, scratch)
+            payload = _stats_payload(server, scratch)
             fingerprint = _stats_fingerprint(payload)
             if fingerprint == last_pushed:
                 # Nothing moved since the last heartbeat: the parent's
@@ -366,7 +361,7 @@ def _handle_command(
                 return False
     elif kind == "stats":
         try:
-            conn.send(("stats", index, msg[1], _stats_payload(server, transport)))
+            conn.send(("stats", index, msg[1], _stats_payload(server)))
         except (OSError, BrokenPipeError):
             return False
     elif kind == "socket":
@@ -421,7 +416,7 @@ _FORK_GUARD_INSTALLED = False
 def _install_fork_guard() -> None:
     """Make the metrics registry fork-safe.
 
-    The supervisor forks (respawn) from a thread while transport shards
+    The supervisor forks (respawn) from a thread while transport loops
     of other components may hold a registry stripe lock mid-insert; the
     child would inherit the held lock with no thread to release it and
     deadlock on its first ``get_counter``.  Acquiring every registry

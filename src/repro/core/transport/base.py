@@ -113,7 +113,7 @@ class TransportEvents:
 
     All callbacks are optional; unset ones are ignored.  Callbacks run
     on the transport's dispatch context (the caller of ``step`` for
-    in-process, the owning shard's I/O thread for TCP), mirroring the
+    in-process, the transport's loop thread for TCP), mirroring the
     single-threaded event-driven design of the SDK (§4.4).
 
     :meth:`deliver` is the single hand-off from every transport: the

@@ -14,14 +14,13 @@ dispatch is already running.  This keeps callback nesting flat — a
 request/response ping-pong of any depth uses O(1) stack — while
 remaining fully synchronous and deterministic.
 
-Sharded mode (``shards>=2``) mirrors the TCP transport's multi-loop
-ingest: each shard owns a queue and a worker thread, connections are
-assigned to shards round-robin at connect time (both ends of a pair
-share a shard, preserving per-connection ordering), and a worker
-drains everything queued per wakeup and delivers consecutive frames
-for the same endpoint as one batch.  ``shards=1`` is an alias for the
-synchronous default, so ``ServerConfig.shards`` means one loop on both
-transports.
+Sharded mode (``shards>=2``) is threaded, queued ingest — the bounded
+queues ``bench_overload.py`` gates stand on it: each shard owns a queue
+and a worker thread, connections are assigned to shards round-robin at
+connect time (both ends of a pair share a shard, preserving
+per-connection ordering), and a worker drains everything queued per
+wakeup and delivers consecutive frames for the same endpoint as one
+batch.  ``shards=1`` is an alias for the synchronous default.
 """
 
 from __future__ import annotations

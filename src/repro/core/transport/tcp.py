@@ -1,29 +1,28 @@
 """Message-framed transport over TCP sockets (the SCTP stand-in).
 
-Each :class:`TcpTransport` owns one or more ``selectors``-based I/O
-*shards*.  A shard is the single-threaded, event-driven loop the
-paper's server library uses (§4.4) — its own selector, its own wake
-pipe, its own thread — and connections are pinned to exactly one shard
-for their lifetime, which is what preserves per-connection message
-ordering.  ``shards=1`` (the default) is the paper's single loop;
-``shards=N`` spreads accepted and outgoing connections least-loaded
-across N loops running the same code.
+Each :class:`TcpTransport` owns one ``selectors``-based I/O loop: the
+single-threaded, event-driven loop the paper's server library uses
+(§4.4) — one selector, one wake pipe, one thread.  Every connection is
+read by that loop alone, which is what preserves per-connection message
+ordering.  Parallelism is a process-level matter (``MultiProcServer``
+runs one such transport per worker, sharing the port with
+``reuseport=True``); more loops in one interpreter measured 0.73–0.99×
+of one (DESIGN.md §10).
 
-There is one receive path at every shard count: a readable socket is
-drained and every frame the wake-up completed reaches the receiver as
-one ``TransportEvents.deliver`` batch — the receive-side mirror of the
+There is one receive path: a readable socket is drained and every frame
+the wake-up completed reaches the receiver as one
+``TransportEvents.deliver`` batch — the receive-side mirror of the
 ``send_many`` coalescing.  The drain leaves on a short read, so a
 wake-up that carries one small message costs exactly one ``recv``.
 
-The loops run either inline (:meth:`step`, for tests) or on background
-threads (:meth:`start`), which is how the RTT experiments drive real
+The loop runs either inline (:meth:`step`, for tests) or on a background
+thread (:meth:`start`), which is how the RTT experiments drive real
 sockets on localhost exactly as the paper measured.
 """
 
 from __future__ import annotations
 
 import errno
-import itertools
 import select
 import selectors
 import socket
@@ -93,7 +92,6 @@ class _TcpEndpoint(Endpoint):
         transport: "TcpTransport",
         sock: socket.socket,
         events: TransportEvents,
-        shard: int,
     ) -> None:
         self._transport = transport
         self._sock = sock
@@ -101,8 +99,6 @@ class _TcpEndpoint(Endpoint):
         self._framer = Framer()
         self._send_lock = threading.Lock()
         self._closed = False
-        #: index of the I/O shard this connection is pinned to.
-        self.shard = shard
         try:
             self._peer = "%s:%d" % sock.getpeername()[:2]
         except OSError:
@@ -244,19 +240,13 @@ class _TcpEndpoint(Endpoint):
 
 
 class _TcpListener(Listener):
-    """One listening address, possibly backed by several sockets.
+    """One listening address: one accept socket on the transport's loop."""
 
-    With ``SO_REUSEPORT`` sharding every shard owns its own accept
-    socket bound to the same port and the kernel spreads incoming
-    connections across them; otherwise a single socket on shard 0
-    accepts and hands connections to the least-loaded shard.
-    """
-
-    def __init__(self, transport: "TcpTransport", socks: List[socket.socket], events: TransportEvents) -> None:
+    def __init__(self, transport: "TcpTransport", sock: socket.socket, events: TransportEvents) -> None:
         self._transport = transport
-        self._socks = socks
+        self._sock = sock
         self._events = events
-        host, port = socks[0].getsockname()[:2]
+        host, port = sock.getsockname()[:2]
         self._address = f"{host}:{port}"
 
     def close(self) -> None:
@@ -271,136 +261,76 @@ class _TcpListener(Listener):
         return int(self._address.rpartition(":")[2])
 
 
-class _Shard:
-    """One independent selector loop: selector + wake pipe + thread."""
-
-    def __init__(
-        self,
-        index: int,
-        overload: Optional["OverloadConfig"] = None,
-        classify: Optional[Callable[[bytes], TrafficClass]] = None,
-    ) -> None:
-        self.index = index
-        self.selector = selectors.DefaultSelector()
-        self.lock = threading.Lock()
-        #: shed/degrade accounting for this loop's ingest.  TCP's real
-        #: queue is the kernel socket buffer, so "depth" here is the
-        #: size of the batch one wakeup drained — the loop's view of
-        #: how far behind it is running.
-        self.pressure = QueuePressure(f"tcp.shard.{index}", overload, classify)
-        self.thread: Optional[threading.Thread] = None
-        #: sock -> endpoint, for teardown; len() is the load metric.
-        self.endpoints: dict = {}
-        #: messages delivered through this shard (single-writer: the
-        #: shard's own dispatch context), for balance diagnostics.
-        self.rx_messages = 0
-        #: the loop's one receive window (only this loop's thread reads);
-        #: ``_read`` sizes it to the transport's ``RECV_SIZE`` on first use.
-        self.recv_view = memoryview(b"")
-        self.wake_recv, self.wake_send = socket.socketpair()
-        self.wake_recv.setblocking(False)
-        self.selector.register(self.wake_recv, selectors.EVENT_READ, ("wake", None))
-        self._closed = False
-
-    def wake(self) -> None:
-        try:
-            self.wake_send.send(b"x")
-        except OSError:
-            pass
-
-    def drain_wake(self) -> None:
-        try:
-            while self.wake_recv.recv(4096):
-                pass
-        except (BlockingIOError, OSError):
-            pass
-
-    def close(self) -> None:
-        """Release the wake pipe and selector (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        with self.lock:
-            try:
-                self.selector.unregister(self.wake_recv)
-            except (KeyError, ValueError):
-                pass
-            for sock in (self.wake_recv, self.wake_send):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-            self.selector.close()
-
-
 class TcpTransport(Transport):
-    """Framed-TCP transport with one or more owned selector loops."""
+    """Framed-TCP transport with one owned selector loop."""
 
     name = "tcp"
 
-    #: bytes read per recv call (the size of each loop's receive window).
+    #: bytes read per recv call (the size of the loop's receive window).
     RECV_SIZE = 256 * 1024
     #: per-wakeup drain cap: a connection bursting more than this
-    #: yields the shard loop so its neighbours stay live; the
-    #: level-triggered selector re-arms it on the next poll.
+    #: yields the loop so its neighbours stay live; the level-triggered
+    #: selector re-arms it on the next poll.
     MAX_DRAIN_BYTES = 1024 * 1024
 
     def __init__(
         self,
-        shards: int = 1,
         connect_timeout_s: float = 5.0,
         reuseport: bool = False,
         overload: Optional[OverloadConfig] = None,
         classify: Optional[Callable[[bytes], TrafficClass]] = None,
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         if overload is not None and classify is None:
             raise ValueError("overload policy requires a frame classifier")
-        self._overload = overload
-        self._classify = classify
-        self._shards = [_Shard(index, overload, classify) for index in range(shards)]
         self.connect_timeout_s = connect_timeout_s
         self._reuseport = reuseport and reuseport_available()
         if reuseport and not self._reuseport:
-            # Loud degradation (satellite of DESIGN.md §14): without
-            # SO_REUSEPORT a shards>1 request quietly collapses to one
-            # accept socket spreading to shards in userspace — callers
+            # Loud degradation (DESIGN.md §14): a worker process asked
+            # to share its port with its siblings cannot — callers
             # watching this counter know the kernel is not helping.
             get_counter("tcp.reuseport.unavailable").incr()
-        self._rr = itertools.count()
+        self._selector = selectors.DefaultSelector()
+        #: guards the selector's registrations and the endpoint table
+        #: (``connect``/``close`` arrive from callers' threads).
+        self._lock = threading.Lock()
+        #: shed/degrade accounting for the loop's ingest.  TCP's real
+        #: queue is the kernel socket buffer, so "depth" here is the
+        #: size of the batch one wakeup drained — the loop's view of
+        #: how far behind it is running.
+        self._pressure = QueuePressure("tcp.shard.0", overload, classify)
+        self._thread: Optional[threading.Thread] = None
+        #: sock -> endpoint, for teardown.
+        self._endpoints: dict = {}
+        #: the loop's one receive window (only the loop reads);
+        #: ``_read`` sizes it to ``RECV_SIZE`` on first use.
+        self._recv_view = memoryview(b"")
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._wake_recv.setblocking(False)
+        self._selector.register(self._wake_recv, selectors.EVENT_READ, ("wake", None))
         self._listeners: List[_TcpListener] = []
         self._running = False
         self._stopped = False
 
     @property
     def shards(self) -> int:
-        return len(self._shards)
+        """Always 1: the e2e harness reports it as ``ric.shards``."""
+        return 1
 
     # -- public API --------------------------------------------------
 
     def listen(self, address: str, events: TransportEvents) -> _TcpListener:
+        self._check_open()
         host, port = _parse_address(address)
-        if self._reuseport:
-            # Reuseport bind even with one shard: a single-shard worker
-            # process must still share its port with sibling workers
-            # (the multiprocess ingest mode of DESIGN.md §14).
-            socks = self._listen_reuseport(host, port)
-        else:
-            socks = [self._bind(host, port, reuseport=False)]
-        listener = _TcpListener(self, socks, events)
-        for index, sock in enumerate(socks):
-            # Single-socket mode accepts on shard 0 and spreads the
-            # connections; reuseport mode pins each accept socket to
-            # its own shard (the kernel does the spreading).
-            shard = self._shards[index % len(self._shards)]
-            with shard.lock:
-                shard.selector.register(sock, selectors.EVENT_READ, ("accept", listener))
-            shard.wake()
+        # A worker process binds with SO_REUSEPORT so it shares the port
+        # with its sibling workers (the multiprocess ingest mode of
+        # DESIGN.md §14).
+        listener = _TcpListener(self, self._bind(host, port, self._reuseport), events)
+        self._register(listener._sock, "accept", listener)
         self._listeners.append(listener)
         return listener
 
-    def _bind(self, host: str, port: int, reuseport: bool) -> socket.socket:
+    @staticmethod
+    def _bind(host: str, port: int, reuseport: bool) -> socket.socket:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         if reuseport:
@@ -410,21 +340,8 @@ class TcpTransport(Transport):
         sock.setblocking(False)
         return sock
 
-    def _listen_reuseport(self, host: str, port: int) -> List[socket.socket]:
-        """One accept socket per shard on the same port (§SO_REUSEPORT)."""
-        first = self._bind(host, port, reuseport=True)
-        bound_port = first.getsockname()[1]  # resolve an ephemeral port
-        socks = [first]
-        try:
-            for _ in range(1, len(self._shards)):
-                socks.append(self._bind(host, bound_port, reuseport=True))
-        except OSError:
-            for sock in socks:
-                sock.close()
-            raise
-        return socks
-
     def connect(self, address: str, events: TransportEvents) -> _TcpEndpoint:
+        self._check_open()
         host, port = _parse_address(address)
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -444,12 +361,8 @@ class TcpTransport(Transport):
             sock.close()
             raise
         sock.setblocking(False)
-        shard = self._pick_shard()
-        endpoint = _TcpEndpoint(self, sock, events, shard.index)
-        with shard.lock:
-            shard.endpoints[sock] = endpoint
-            shard.selector.register(sock, selectors.EVENT_READ, ("conn", endpoint))
-        shard.wake()
+        endpoint = _TcpEndpoint(self, sock, events)
+        self._register(sock, "conn", endpoint)
         events.on_connected(endpoint)
         return endpoint
 
@@ -461,167 +374,149 @@ class TcpTransport(Transport):
         passes raw fds to worker processes, which adopt them here as if
         they had arrived through a local listener.
         """
+        self._check_open()
         sock.setblocking(False)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:  # pragma: no cover - non-TCP fd in tests
             pass
-        shard = self._pick_shard()
-        endpoint = _TcpEndpoint(self, sock, events, shard.index)
-        # Announce the endpoint BEFORE the shard can read from it: the
+        endpoint = _TcpEndpoint(self, sock, events)
+        # Announce the endpoint BEFORE the loop can read from it: the
         # peer has typically already sent its first frame (E2 setup) by
         # the time the fd arrives here, so registering with the selector
         # first would race delivery against on_connected and the server
         # would drop frames from an endpoint it has never seen.
         events.on_connected(endpoint)
-        with shard.lock:
-            shard.endpoints[sock] = endpoint
-            shard.selector.register(sock, selectors.EVENT_READ, ("conn", endpoint))
-        shard.wake()
+        self._register(sock, "conn", endpoint)
         return endpoint
 
     def start(self) -> None:
-        """Run every shard loop on a daemon thread until :meth:`stop`."""
+        """Run the loop on a daemon thread until :meth:`stop`."""
+        self._check_open()
         if self._running:
             return
         self._running = True
-        self._stopped = False
-        for shard in self._shards:
-            shard.thread = threading.Thread(
-                target=self._run,
-                args=(shard,),
-                name=f"tcp-transport-{shard.index}",
-                daemon=True,
-            )
-            shard.thread.start()
+        self._thread = threading.Thread(
+            target=self._run, name="tcp-transport-0", daemon=True
+        )
+        self._thread.start()
 
     def stop(self, timeout_s: float = 5.0) -> None:
-        """Stop every loop thread and close every socket (idempotent).
+        """Stop the loop thread and close every socket (idempotent, final).
 
-        Teardown is *loud*: a shard thread that fails to join within
+        Teardown is *loud*: a loop thread that fails to join within
         ``timeout_s`` is counted in ``transport.stop.stuck`` and
         reported with :class:`RuntimeError` after the remaining
-        resources are released — stuck shards previously hid behind
-        daemon threads until interpreter exit and surfaced only as
-        flaky teardown under ``REPRO_ANALYSIS=1``.
+        resources are released — a stuck loop previously hid behind its
+        daemon flag until interpreter exit and surfaced only as flaky
+        teardown under ``REPRO_ANALYSIS=1``.
         """
         if self._stopped:
             return
         self._stopped = True
         self._running = False
-        for shard in self._shards:
-            shard.wake()
-        stuck: List[str] = []
-        for shard in self._shards:
-            if shard.thread is not None:
-                shard.thread.join(timeout=timeout_s)
-                if shard.thread.is_alive():
-                    get_counter("transport.stop.stuck").incr()
-                    stuck.append(shard.thread.name)
-                shard.thread = None
+        self._wake()
+        thread, self._thread = self._thread, None
+        stuck = False
+        if thread is not None:
+            thread.join(timeout=timeout_s)
+            stuck = thread.is_alive()
+            if stuck:
+                get_counter("transport.stop.stuck").incr()
         for listener in list(self._listeners):
             self._close_listener(listener)
-        for shard in self._shards:
-            with shard.lock:
-                for sock, endpoint in list(shard.endpoints.items()):
-                    endpoint._closed = True
-                    discard_counter(f"overload.conn.{endpoint._peer}.drops")
-                    self._unregister(shard, sock)
-                    sock.close()
-                shard.endpoints.clear()
-            # Conn-scoped pressure gauges die with the loop that owned
-            # them — a later transport on the same scope starts clean.
-            shard.pressure.discard_gauges()
+        with self._lock:
+            for sock, endpoint in self._endpoints.items():
+                endpoint._closed = True
+                discard_counter(f"overload.conn.{endpoint._peer}.drops")
+                self._unregister(sock)
+                sock.close()
+            self._endpoints.clear()
             # The self-pipe: left open across stop() it leaks two fds
             # per create/stop cycle (chaos suites cycle transports).
-            shard.close()
+            self._unregister(self._wake_recv)
+            self._wake_recv.close()
+            self._wake_send.close()
+            self._selector.close()
+        # Conn-scoped pressure gauges die with the loop that owned
+        # them — a later transport on the same scope starts clean.
+        self._pressure.discard_gauges()
         if stuck:
             raise RuntimeError(
-                f"tcp transport stop: shard thread(s) stuck after "
-                f"{timeout_s}s: {', '.join(stuck)}"
+                f"tcp transport stop: loop thread stuck after {timeout_s}s: {thread.name}"
             )
 
     def step(self, timeout: float = 0.0) -> int:
-        """Process pending I/O inline; returns the number of events.
-
-        Polls every shard once.
-        """
-        events = 0
-        for shard in self._shards:
-            events += self._poll(shard, timeout)
-        return events
-
-    def shard_stats(self) -> List[dict]:
-        """Per-shard load/traffic snapshot for the scale harness."""
-        return [
-            {
-                "shard": shard.index,
-                "connections": len(shard.endpoints),
-                "rx_messages": shard.rx_messages,
-            }
-            for shard in self._shards
-        ]
+        """Process pending I/O inline; returns the number of events."""
+        self._check_open()
+        return self._poll(timeout)
 
     # -- internals ---------------------------------------------------
 
-    def _pick_shard(self) -> _Shard:
-        """Least-loaded shard, round-robin among ties."""
-        n = len(self._shards)
-        if n == 1:
-            return self._shards[0]
-        start = next(self._rr) % n
-        best = self._shards[start]
-        best_load = len(best.endpoints)
-        for offset in range(1, n):
-            shard = self._shards[(start + offset) % n]
-            load = len(shard.endpoints)
-            if load < best_load:
-                best, best_load = shard, load
-        return best
+    def _check_open(self) -> None:
+        """A stopped transport is final: its selector and wake pipe are gone."""
+        if self._stopped:
+            raise RuntimeError("transport stopped")
 
-    def _run(self, shard: _Shard) -> None:
-        while self._running:
-            self._poll(shard, timeout=0.1)
+    def _register(self, sock: socket.socket, kind: str, owner: object) -> None:
+        """Hand ``sock`` to the loop (from any thread) and make it look."""
+        with self._lock:
+            if self._stopped:  # lost the race with stop(): nobody is left to own it
+                sock.close()
+            self._check_open()
+            if kind == "conn":
+                self._endpoints[sock] = owner
+            self._selector.register(sock, selectors.EVENT_READ, (kind, owner))
+        self._wake()
 
-    def _poll(self, shard: _Shard, timeout: float) -> int:
+    def _wake(self) -> None:
         try:
-            events = shard.selector.select(timeout)
+            self._wake_send.send(b"x")
+        except OSError:
+            pass
+
+    def _run(self) -> None:
+        while self._running:
+            self._poll(timeout=0.1)
+
+    def _poll(self, timeout: float) -> int:
+        try:
+            events = self._selector.select(timeout)
         except OSError:
             return 0
         for key, _mask in events:
             kind, owner = key.data
-            if kind == "wake":
-                shard.drain_wake()
+            if kind == "conn":
+                self._read(owner)
             elif kind == "accept":
-                self._accept(shard, key.fileobj, owner)
+                self._accept(key.fileobj, owner)
             else:
-                self._read(shard, owner)
+                try:
+                    while self._wake_recv.recv(4096):
+                        pass
+                except OSError:
+                    pass
         return len(events)
 
-    def _accept(self, shard: _Shard, sock: socket.socket, listener: _TcpListener) -> None:
+    def _accept(self, sock: socket.socket, listener: _TcpListener) -> None:
         try:
             conn, _addr = sock.accept()
         except OSError:
             return
         conn.setblocking(False)
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # Reuseport accept sockets keep their connection on the
-        # accepting shard; the single accept socket spreads them.
-        target = shard if self._reuseport and len(self._shards) > 1 else self._pick_shard()
-        endpoint = _TcpEndpoint(self, conn, listener._events, target.index)
-        # Announce before another shard's loop can read from it (the
-        # same ordering ``adopt`` keeps): the peer's first frame must
-        # not reach a receiver that has never seen the endpoint.
+        endpoint = _TcpEndpoint(self, conn, listener._events)
+        # Announce before the connection can be read (the same ordering
+        # ``adopt`` keeps): the peer's first frame must not reach a
+        # receiver that has never seen the endpoint.
         listener._events.on_connected(endpoint)
         if endpoint._closed:  # the receiver refused it on sight
             return
-        with target.lock:
-            target.endpoints[conn] = endpoint
-            target.selector.register(conn, selectors.EVENT_READ, ("conn", endpoint))
-        if target is not shard:
-            target.wake()
+        with self._lock:
+            self._endpoints[conn] = endpoint
+            self._selector.register(conn, selectors.EVENT_READ, ("conn", endpoint))
 
-    def _read(self, shard: _Shard, endpoint: _TcpEndpoint) -> None:
+    def _read(self, endpoint: _TcpEndpoint) -> None:
         """Drain the socket, deliver one frame batch (the only receive path).
 
         Everything the wakeup completed reaches the receiver as one
@@ -640,17 +535,17 @@ class TcpTransport(Transport):
         # Placeholder only: every terminal path below overwrites it
         # with the specific close-cause name before it is used.
         terminal_counter = "tcp.close.error"
-        pressure = shard.pressure
+        pressure = self._pressure
         drain_budget = self.MAX_DRAIN_BYTES
         if pressure.degraded:
             # Degraded loop: take smaller bites per wakeup so the
             # selector re-arms sooner and a flooding connection cannot
-            # monopolize the shard while neighbours starve.
+            # monopolize the loop while neighbours starve.
             drain_budget //= 4
         size = self.RECV_SIZE
-        window = shard.recv_view
+        window = self._recv_view
         if window.nbytes != size:  # first read, or a test shrank it
-            window = shard.recv_view = memoryview(bytearray(size))
+            window = self._recv_view = memoryview(bytearray(size))
         recv_into = endpoint._sock.recv_into
         feed = endpoint._framer.feed
         messages: List[bytes] = []
@@ -696,7 +591,6 @@ class TcpTransport(Transport):
                 pressure.note_depth(len(messages))
                 messages = pressure.admit(messages, 0, endpoint._peer)
             if messages:
-                shard.rx_messages += len(messages)
                 # ``on_messages`` is read per delivery (receivers swap
                 # it); ``deliver`` is the per-frame ``on_message`` walk.
                 events = endpoint._events
@@ -720,10 +614,9 @@ class TcpTransport(Transport):
             return
         endpoint._closed = True
         sock = endpoint._sock
-        shard = self._shards[endpoint.shard]
-        with shard.lock:
-            shard.endpoints.pop(sock, None)
-            self._unregister(shard, sock)
+        with self._lock:
+            self._endpoints.pop(sock, None)
+            self._unregister(sock)
         # Unregister conn-scoped instruments with the link (PR 3's
         # dead-link gauge discipline): per-connection drop counters for
         # a dead peer otherwise accumulate forever under churn.
@@ -740,17 +633,15 @@ class TcpTransport(Transport):
     def _close_listener(self, listener: _TcpListener) -> None:
         if listener in self._listeners:
             self._listeners.remove(listener)
-        for index, sock in enumerate(listener._socks):
-            shard = self._shards[index % len(self._shards)]
-            with shard.lock:
-                self._unregister(shard, sock)
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def _unregister(self, shard: _Shard, sock: socket.socket) -> None:
+        with self._lock:
+            self._unregister(listener._sock)
         try:
-            shard.selector.unregister(sock)
+            listener._sock.close()
+        except OSError:
+            pass
+
+    def _unregister(self, sock: socket.socket) -> None:
+        try:
+            self._selector.unregister(sock)
         except (KeyError, ValueError, OSError):
             pass

@@ -41,7 +41,6 @@ COUNTERS = frozenset(
         "server.keepalive.sent",
         "server.keepalive.dead",
         "server.liveness.errors",
-        "server.pool.errors",
         # overload discipline (DESIGN.md §13)
         "overload.degrade.enter",
         "overload.coalesced",

@@ -1,6 +1,6 @@
 """Async client tier: AsyncAgent/AsyncSubscription/AsyncE2Node (§14).
 
-Each test drives a real sync server (thread shards, framed TCP) from
+Each test drives a real sync server (selector loop thread, framed TCP) from
 coroutines via ``asyncio.run`` — the bridge under test is the
 thread→loop hand-off layer, so nothing here may block the loop.
 """
@@ -37,7 +37,7 @@ def make_functions():
 
 
 def sync_stack():
-    transport = TcpTransport(shards=2)
+    transport = TcpTransport()
     server = Server(ServerConfig(e2ap_codec="fb"))
     listener = server.listen(transport, "127.0.0.1:0")
     transport.start()
@@ -265,9 +265,7 @@ class TestAsyncNodeAgainstWorkers:
 
     def test_async_node_feeds_multiproc_workers(self):
         reset_all()
-        mp = MultiProcServer(
-            ServerConfig(e2ap_codec="fb", shards=1, workers=2), port=0
-        )
+        mp = MultiProcServer(ServerConfig(e2ap_codec="fb", workers=2), port=0)
 
         async def scenario():
             node = AsyncE2Node(make_node_id(), make_functions())

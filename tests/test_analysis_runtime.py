@@ -175,7 +175,7 @@ class TestFreezer:
         was = cow.freezing()
         cow.set_freezing(True)
         try:
-            server = Server(ServerConfig(shards=1))
+            server = Server(ServerConfig())
             transport = InProcTransport()
             server.listen(transport, "ric")
             transport.connect("ric", TransportEvents())

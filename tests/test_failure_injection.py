@@ -541,3 +541,257 @@ class TestPoisonIndication:
         assert seen == [0, 1, 2]
         assert counters.get_counter("server.iapp.callback_error").value == 1
         assert self._contained() == 0
+
+
+import contextlib
+
+
+@contextlib.contextmanager
+def _ric(kind):
+    """A default ``Server`` behind ``kind``; yields it with a ``connect(nb_id)``
+    that attaches a healthy HW agent the way a deployment would."""
+    import asyncio
+
+    from repro.aio import AioServer
+    from repro.core.server import Server
+    from repro.core.transport.tcp import TcpTransport
+
+    server = Server()
+    with contextlib.ExitStack() as stack:
+        if kind == "inproc":
+            ran, address = InProcTransport(), "ric"
+            server.listen(ran, address)
+        else:
+            ran = TcpTransport()
+            ran.start()
+            stack.callback(ran.stop)
+        if kind == "tcp":
+            ric = TcpTransport()
+            stack.callback(ric.stop)
+            address = server.listen(ric, "127.0.0.1:0").address
+            ric.start()
+        elif kind == "aio":
+            loop = asyncio.new_event_loop()
+            thread = threading.Thread(target=loop.run_forever, name="aio-ric", daemon=True)
+            thread.start()
+            stack.callback(thread.join, 5.0)
+            stack.callback(loop.call_soon_threadsafe, loop.stop)
+            aio = AioServer(server)
+            asyncio.run_coroutine_threadsafe(aio.start(), loop).result(5.0)
+            stack.callback(lambda: asyncio.run_coroutine_threadsafe(aio.stop(), loop).result(5.0))
+            address = f"127.0.0.1:{aio.port}"
+        healthy = TestPoisonFrameEndToEnd._healthy_agent
+        yield server, lambda nb_id: healthy(None, ran, nb_id).connect(address)
+
+
+class TestRaisingSlowPathCallback:
+    """PR 21 contained ``on_indication``; the outcome callbacks and bus
+    subscribers run on the same loop, and one loop is every node."""
+
+    @pytest.fixture(autouse=True)
+    def _reset(self):
+        counters.reset_counters("server.")
+
+    @pytest.mark.parametrize("kind", ["tcp", "inproc", "aio"])
+    @pytest.mark.parametrize(
+        "where", ["on_success", "on_failure", "on_deleted", "control_outcome", "bus_subscriber"]
+    )
+    def test_costs_one_counter_tick_and_the_loop_serves_the_next_node(self, kind, where):
+        from repro.core.e2ap.ies import RicActionDefinition, RicActionKind
+        from repro.core.server import SubscriptionCallbacks
+        from repro.core.server import events as topics
+        from repro.sm.hw import INFO as HW, build_ping
+
+        calls = []
+
+        def boom(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("iApp bug")
+
+        def subscribe(server, conn_id, function_id=HW.default_function_id, **callbacks):
+            return server.subscribe(
+                conn_id, function_id, b"", [RicActionDefinition(1, RicActionKind.REPORT)],
+                SubscriptionCallbacks(**callbacks),
+            )
+
+        errors = counters.get_counter("server.iapp.callback_error")
+        with _ric(kind) as (server, connect):
+            if where == "bus_subscriber":
+                server.events.subscribe(topics.AGENT_CONNECTED, boom)
+            connect(1)
+            assert _wait(lambda: len(server.agents()) == 1)
+            first = server.agents()[0].conn_id
+            if where == "on_success":
+                subscribe(server, first, on_success=boom)
+            elif where == "on_failure":
+                subscribe(server, first, function_id=999, on_failure=boom)
+            elif where == "on_deleted":
+                record = subscribe(server, first, on_deleted=boom)
+                assert _wait(lambda: record.confirmed)
+                server.unsubscribe(record)
+            elif where == "control_outcome":
+                server.control(first, HW.default_function_id, b"", build_ping(1, b"x", "fb"), boom)
+            assert _wait(lambda: errors.value >= 1)
+            loops = [t for t in threading.enumerate() if t.name in ("tcp-transport-0", "aio-ric")]
+            assert len(loops) == (0 if kind == "inproc" else 2)
+            assert all(t.is_alive() for t in loops)
+            # The same loop still takes a second node through setup + subscribe.
+            connect(2)
+            assert _wait(lambda: len(server.agents()) == 2)
+            second = max(record.conn_id for record in server.agents())
+            ok = threading.Event()
+            subscribe(server, second, on_success=lambda response: ok.set())
+            assert ok.wait(5.0)
+            assert len(calls) == (2 if where == "bus_subscriber" else 1)
+            assert errors.value == 1
+
+
+#: (action, peer, argument, step the loop to quiescence afterwards?) — an
+#: unpumped action leaves its bytes in the socket for the next drain to
+#: find together with whatever follows.
+_SCRIPT_STEP = st.one_of(
+    st.tuples(st.just("burst"), st.integers(0, 3), st.integers(1, 20), st.booleans()),
+    st.tuples(st.just("split"), st.integers(0, 3), st.integers(0, 63), st.booleans()),
+    st.tuples(st.just("poison"), st.integers(0, 3), st.integers(0, 2), st.booleans()),
+    # the terminal condition rides in the same write as ``arg`` last frames
+    st.tuples(
+        st.sampled_from(["oversize", "half_close"]),
+        st.integers(0, 3),
+        st.integers(0, 8),
+        st.booleans(),
+    ),
+    st.tuples(st.just("new_peer"), st.just(0), st.just(0), st.just(True)),
+)
+
+
+class TestOneLoopProperty:
+    """What every node gets from the one selector loop, whatever its
+    neighbours on that loop do: raw-socket peers run a generated script
+    against an inline-stepped ``TcpTransport`` and a default ``Server``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(script=st.lists(_SCRIPT_STEP, min_size=1, max_size=12))
+    def test_generated_peer_scripts(self, script):
+        import socket
+
+        from repro.core.e2ap.messages import RicIndication
+        from repro.core.server import Server, SubscriptionCallbacks
+        from repro.core.transport.tcp import TcpTransport
+
+        counters.reset_counters("server.")
+        counters.reset_counters("decode.")
+        contained = counters.get_counter("decode.contained")
+        server, transport = Server(), TcpTransport()
+        ingest = server.transport_events()
+        #: transport-level history per accepted endpoint, in accept order.
+        logs, by_endpoint = [], {}
+        #: the model: per peer its socket, the sequences written, the
+        #: sequences its iApp saw, the poison frames written, whether a
+        #: terminal condition was sent.
+        socks, sent, seen, records, poisons, ended = [], [], [], [], [], []
+
+        def on_connected(endpoint):
+            by_endpoint[id(endpoint)] = log = ["connected"]
+            logs.append(log)
+            ingest.on_connected(endpoint)
+
+        def on_messages(endpoint, batch):
+            by_endpoint[id(endpoint)].extend(["frame"] * len(batch))
+            ingest.on_messages(endpoint, batch)
+
+        def on_disconnected(endpoint, reason):
+            by_endpoint[id(endpoint)].append(reason.code)
+            ingest.on_disconnected(endpoint, reason)
+
+        def settled():
+            return (
+                len(logs) == len(socks)
+                and seen == sent
+                and contained.value == sum(poisons)
+                and [log[-1] in ("eof", "protocol") for log in logs] == ended
+            )
+
+        def settle():
+            deadline = time.monotonic() + 2.0
+            while not settled() and time.monotonic() < deadline:
+                assert transport.step(0.01) >= 0
+            assert settled(), (script, logs, sent, seen)
+
+        def new_peer():
+            sink = []
+            seen.append(sink)
+            sent.append([])
+            poisons.append(0)
+            ended.append(False)
+            records.append(
+                server.submgr.create(
+                    1, 100, SubscriptionCallbacks(on_indication=lambda e: sink.append(e.sequence))
+                )
+            )
+            socks.append(socket.create_connection(("127.0.0.1", listener.port)))
+
+        def indications(peer, count):
+            start = len(sent[peer])
+            sent[peer].extend(range(start, start + count))
+            return b"".join(
+                frame_message(
+                    encode_message(RicIndication(records[peer].request, 100, 1, seq), server.codec)
+                )
+                for seq in range(start, start + count)
+            )
+
+        try:
+            listener = transport.listen(
+                "127.0.0.1:0",
+                TransportEvents(
+                    on_connected=on_connected,
+                    on_messages=on_messages,
+                    on_disconnected=on_disconnected,
+                ),
+            )
+            new_peer()
+            settle()
+            for action, target, arg, pump in script:
+                peer = target % len(socks)
+                if action == "new_peer":
+                    if len(socks) < 4:
+                        new_peer()
+                elif ended[peer]:
+                    continue
+                elif action == "burst":
+                    socks[peer].sendall(indications(peer, arg))
+                elif action == "split":
+                    wire = indications(peer, 1)
+                    cut = 1 + arg % (len(wire) - 1)
+                    socks[peer].sendall(wire[:cut])
+                    for _ in range(3):
+                        transport.step(0.002)
+                    assert sent[peer][-1] not in seen[peer]  # half a frame is no frame
+                    socks[peer].sendall(wire[cut:])
+                elif action == "poison":
+                    poisons[peer] += 1
+                    socks[peer].sendall(frame_message(_poison_indications(server.codec)[arg]))
+                else:
+                    ended[peer] = True
+                    last = indications(peer, arg)
+                    if action == "oversize":
+                        socks[peer].sendall(last + b"\xff\xff\xff\xff")
+                    else:
+                        socks[peer].sendall(last)
+                        socks[peer].shutdown(socket.SHUT_WR)
+                if pump:
+                    settle()
+            settle()
+            for peer, log in enumerate(logs):
+                # Announced first, terminal event last, and every frame
+                # written before the terminal condition in between.
+                assert log[0] == "connected"
+                frames = log[1:-1] if ended[peer] else log[1:]
+                assert frames == ["frame"] * (len(sent[peer]) + poisons[peer])
+            assert isinstance(transport.step(0), int)
+        finally:
+            for sock in socks:
+                sock.close()
+            transport.stop()
+            server.close()

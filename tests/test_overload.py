@@ -37,7 +37,6 @@ from repro.core.e2ap.messages import (
 from repro.core.e2ap.procedures import Cause
 from repro.core.overload import (
     AdmissionController,
-    BoundedWorkerPool,
     FairShareLimiter,
     OverloadConfig,
     QueuePressure,
@@ -352,60 +351,6 @@ class TestQueuePressure:
         assert gauge_values()["queue.unit.bound.hwm"] == 5
 
 
-# -- bounded worker pool ---------------------------------------------
-
-
-class TestBoundedWorkerPool:
-    def test_runs_submitted_work(self):
-        pool = BoundedWorkerPool(workers=2, max_depth=16, scope="unit.pool")
-        done = threading.Event()
-        assert pool.submit(lambda event: done.set(), object())
-        assert done.wait(2.0)
-        pool.shutdown()
-
-    def test_drops_at_the_bound(self):
-        pool = BoundedWorkerPool(workers=1, max_depth=2, scope="unit.pool2")
-        gate = threading.Event()
-        blocked = threading.Event()
-
-        def blocker(event):
-            blocked.set()
-            gate.wait(5.0)
-
-        class Event:
-            conn_id = 7
-
-        pool.submit(blocker, Event())
-        assert blocked.wait(2.0)
-        assert pool.submit(lambda e: None, Event())
-        assert pool.submit(lambda e: None, Event())
-        # Backlog is at max_depth: the next submit is dropped, counted.
-        assert not pool.submit(lambda e: None, Event())
-        counters = counter_values()
-        assert counters["overload.drop.indication"] == 1
-        assert counters["overload.conn.7.drops"] == 1
-        gate.set()
-        pool.shutdown()
-        assert len(pool) == 0
-
-    def test_worker_survives_callback_errors(self):
-        pool = BoundedWorkerPool(workers=1, max_depth=8, scope="unit.pool3")
-
-        def boom(event):
-            raise RuntimeError("iApp bug")
-
-        done = threading.Event()
-        pool.submit(boom, object())
-        pool.submit(lambda e: done.set(), object())
-        assert done.wait(2.0)
-        assert counter_values()["server.pool.errors"] == 1
-        pool.shutdown()
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            BoundedWorkerPool(workers=0, max_depth=1)
-
-
 # -- admission control -----------------------------------------------
 
 
@@ -681,20 +626,17 @@ class TestTransportGauges:
         assert "queue.inproc.shard.0.depth" not in gauge_values()
 
 
-# -- shedding over TCP, one loop or several ---------------------------
+# -- shedding over TCP -------------------------------------------------
 
 
 class TestTcpShedding:
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_drained_burst_sheds_oldest_indications_keeps_control(self, shards):
+    def test_drained_burst_sheds_oldest_indications_keeps_control(self):
         """One write holding 30 indications with control frames in
         between: the drain admits every control frame and the newest
-        indications up to the budget, at any shard count."""
+        indications up to the budget."""
         codec = get_codec("fb")
         overload = OverloadConfig(max_queue_depth=8, high_watermark=4, burst_coalesce=8)
-        transport = TcpTransport(
-            shards=shards, overload=overload, classify=frame_classifier(codec)
-        )
+        transport = TcpTransport(overload=overload, classify=frame_classifier(codec))
         inds = [frame for _, _, frame in _frames(codec, indications=30)]
         control = encode_message(RicServiceQuery(), codec)
         burst = inds[:10] + [control] + inds[10:20] + [control] + inds[20:] + [control]
@@ -718,21 +660,18 @@ class TestTcpShedding:
             counters = counter_values()
             assert counters["overload.drop.indication"] == 22
             assert counters.get("overload.drop.control", 0) == 0
-            scope = f"queue.tcp.shard.{accepted[0].shard}"
-            assert gauge_values()[f"{scope}.depth"] == 0
-            assert gauge_values()[f"{scope}.hwm"] == len(burst)
+            assert gauge_values()["queue.tcp.shard.0.depth"] == 0
+            assert gauge_values()["queue.tcp.shard.0.hwm"] == len(burst)
         finally:
             transport.stop()
 
     def test_multiproc_single_loop_workers_shed_only_indications(self):
-        """``shards=1`` workers (one loop per process) shed a flood's
-        indications and never its control frames, fleet-wide."""
+        """Workers (one loop per process) shed a flood's indications
+        and never its control frames, fleet-wide."""
         from tests.test_sharding import _settled_agents, _worker_policy
 
         overload = OverloadConfig(max_queue_depth=16, high_watermark=8)
-        mp = MultiProcServer(
-            ServerConfig(shards=1, workers=2, overload=overload), port=0
-        )
+        mp = MultiProcServer(ServerConfig(workers=2, overload=overload), port=0)
         client = TcpTransport()
         try:
             mp.start()
@@ -760,7 +699,7 @@ class TestTcpShedding:
 
 class TestKeepaliveUnderFlood:
     def test_service_query_round_trips_through_saturated_queue(self):
-        """Flood the single ingest shard with indications past the
+        """Flood one in-process ingest shard with indications past the
         queue bound; a RIC service-query keepalive issued mid-flood
         must still round-trip (control class is never shed) while
         indications are dropped."""
@@ -768,14 +707,11 @@ class TestKeepaliveUnderFlood:
             max_queue_depth=48, high_watermark=16, burst_coalesce=8
         )
         server = Server(
-            ServerConfig(
-                e2ap_codec="fb",
-                shards=2,
-                overload=overload,
-                keepalive_interval_s=0.5,
-            )
+            ServerConfig(e2ap_codec="fb", overload=overload, keepalive_interval_s=0.5)
         )
-        transport = server.create_transport("inproc")
+        transport = InProcTransport(
+            shards=2, overload=overload, classify=frame_classifier(server.codec)
+        )
         try:
             server.listen(transport, "ric")
             function = MacStatsFunction(

@@ -660,8 +660,8 @@ class TestWorkerChaos:
                     )
                     self.subscribed.set()
 
-        mp = MultiProcServer(ServerConfig(shards=1, workers=2), port=0)
-        client = TcpTransport(shards=1)
+        mp = MultiProcServer(ServerConfig(workers=2), port=0)
+        client = TcpTransport()
         try:
             mp.start()
             client.start()

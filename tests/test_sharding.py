@@ -1,9 +1,9 @@
-"""Sharded ingest: shard balance, ordering, snapshots, fd hygiene.
+"""Ingest loops: ordering, snapshots, fd hygiene, worker processes.
 
-Covers the multi-loop transport layer (TCP and in-process), the
-server's batched receive path, the lock-free routing snapshots under
-churn, and the satellite fixes (socketpair fd leak on ``stop()``,
-bounded connect timeout).  The churn tests honour ``CHAOS_SEED`` like
+Covers the one-loop TCP transport's drain, the in-process sharded
+dispatch, the server's batched receive path, the lock-free routing
+snapshots under churn, ``MultiProcServer`` and the satellite fixes
+(socketpair fd leak on ``stop()``, bounded connect timeout).  The churn tests honour ``CHAOS_SEED`` like
 the resilience suite so CI can sweep schedules.
 """
 
@@ -101,35 +101,7 @@ class TestShardBalance:
         finally:
             transport.stop()
 
-    def test_tcp_connections_spread_across_shards(self):
-        transport = TcpTransport(shards=4)
-        received = []
-        try:
-            listener = transport.listen(
-                "127.0.0.1:0",
-                TransportEvents(on_message=lambda e, d: received.append(d)),
-            )
-            transport.start()
-            clients = [
-                transport.connect(f"127.0.0.1:{listener.port}", TransportEvents())
-                for _ in range(8)
-            ]
-            assert _wait(
-                lambda: sum(s["connections"] for s in transport.shard_stats()) >= 16
-            )
-            loads = [s["connections"] for s in transport.shard_stats()]
-            # 8 client + 8 accepted endpoints, least-loaded spread:
-            # nobody should be starved and nobody should hog.
-            assert min(loads) >= 1
-            assert max(loads) <= 8
-            for client in clients:
-                client.send(b"ping")
-            assert _wait(lambda: len(received) == 8)
-        finally:
-            transport.stop()
-
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_one_small_frame_per_wakeup_costs_one_recv(self, shards):
+    def test_one_small_frame_per_wakeup_costs_one_recv(self):
         """The drain leaves on a short read: no trailing EAGAIN recv."""
 
         class CountingSocket:
@@ -144,7 +116,7 @@ class TestShardBalance:
             def __getattr__(self, name):
                 return getattr(self._sock, name)
 
-        transport = TcpTransport(shards=shards)
+        transport = TcpTransport()
         accepted, got = [], []
         try:
             listener = transport.listen(
@@ -208,9 +180,8 @@ class TestOrdering:
         finally:
             transport.stop()
 
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_tcp_batched_ordering(self, shards):
-        transport = TcpTransport(shards=shards)
+    def test_tcp_batched_ordering(self):
+        transport = TcpTransport()
         got = []
         batches = []
 
@@ -235,11 +206,11 @@ class TestOrdering:
             transport.stop()
 
     def test_first_frame_never_precedes_on_connected(self):
-        """An accepted connection pinned to another shard is announced
-        before that shard's loop can read it (a slow ``on_connected``
-        used to lose the race against the peer's first frame)."""
+        """An accepted connection is announced before the loop can read
+        it, however slow ``on_connected`` is and although the peer's
+        first frame is already in the socket."""
         for _ in range(10):
-            transport = TcpTransport(shards=2)
+            transport = TcpTransport()
             known, early, got = set(), [], []
 
             def on_connected(endpoint):
@@ -261,52 +232,48 @@ class TestOrdering:
             finally:
                 transport.stop()
 
-    @pytest.mark.parametrize("shards", [1, 3])
     @pytest.mark.parametrize(
         "tail, code",
         [(b"", "eof"), (b"\xff\xff\xff\xff", "protocol")],
         ids=["eof", "framing-error"],
     )
-    def test_tcp_frames_precede_the_terminal_event(self, shards, tail, code):
+    def test_tcp_frames_precede_the_terminal_event(self, tail, code):
         """Frames completed before an EOF / a corrupt length prefix are
         delivered first, also when one drain finds both."""
         # 64 B reads: the 128 B of frames fill two whole reads and the
         # terminal condition is met by the third, inside the same drain.
-        self._frames_then_terminal(shards, tail, code, recv_size=64)
+        self._frames_then_terminal(tail, code, recv_size=64)
 
-    @pytest.mark.parametrize("shards", [1, 3])
     @pytest.mark.parametrize(
         "tail, code",
         [(b"", "eof"), (b"\xff\xff\xff\xff", "protocol")],
         ids=["eof", "framing-error"],
     )
-    def test_tcp_frames_precede_the_terminal_event_in_one_chunk(self, shards, tail, code):
+    def test_tcp_frames_precede_the_terminal_event_in_one_chunk(self, tail, code):
         """The same promise at the default ``RECV_SIZE``: the frames and
         the corrupt prefix arrive in *one* read, so ``Framer.feed`` meets
         the violation with eight completed frames in hand (it used to
         unwind past them and the receiver saw ``protocol`` alone)."""
-        self._frames_then_terminal(shards, tail, code, recv_size=None)
+        self._frames_then_terminal(tail, code, recv_size=None)
 
     @staticmethod
-    def _frames_then_terminal(shards, tail, code, recv_size):
-        transport = TcpTransport(shards=shards)
+    def _frames_then_terminal(tail, code, recv_size):
+        transport = TcpTransport()
         if recv_size is not None:
             transport.RECV_SIZE = recv_size
-        log = []
+        accepted, log = [], []
         try:
             listener = transport.listen(
                 "127.0.0.1:0",
                 TransportEvents(
+                    on_connected=accepted.append,
                     on_messages=lambda e, batch: log.append(list(batch)),
                     on_disconnected=lambda e, reason: log.append(reason.code),
                 ),
             )
             frames = [b"frame-%06d" % index for index in range(8)]
             raw = socket.create_connection(("127.0.0.1", listener.port))
-            assert _step_until(
-                transport,
-                lambda: sum(s["connections"] for s in transport.shard_stats()) == 1,
-            )
+            assert _step_until(transport, lambda: accepted)
             raw.sendall(frame_messages(frames) + tail)
             raw.close()
             time.sleep(0.05)  # everything is in the socket before the first read
@@ -443,20 +410,20 @@ class TestFaultyOverSharded:
 class TestLifecycleHygiene:
     def test_stop_releases_wake_socketpair_fds(self):
         # Warm up any lazily-created fds (selectors, counters).
-        warmup = TcpTransport(shards=2)
+        warmup = TcpTransport()
         warmup.listen("127.0.0.1:0", TransportEvents())
         warmup.start()
         warmup.stop()
         before = _open_fds()
         for _ in range(5):
-            transport = TcpTransport(shards=2)
+            transport = TcpTransport()
             transport.listen("127.0.0.1:0", TransportEvents())
             transport.start()
             transport.stop()
         assert _open_fds() <= before
 
     def test_stop_is_idempotent(self):
-        transport = TcpTransport(shards=2)
+        transport = TcpTransport()
         transport.listen("127.0.0.1:0", TransportEvents())
         transport.start()
         transport.stop()
@@ -470,7 +437,7 @@ class TestLifecycleHygiene:
             raise socket.timeout("timed out")
 
         monkeypatch.setattr(socket.socket, "connect", slow_connect)
-        transport = TcpTransport(shards=1, connect_timeout_s=0.05)
+        transport = TcpTransport(connect_timeout_s=0.05)
         before = counter_values().get("tcp.connect.timeout", 0)
         try:
             with pytest.raises(ConnectTimeout) as excinfo:
@@ -487,7 +454,7 @@ class TestLifecycleHygiene:
 class TestServerBatchPath:
     def test_indications_flow_ordered_through_sharded_inproc(self):
         transport = InProcTransport(shards=2)
-        server = Server(ServerConfig(shards=2))
+        server = Server(ServerConfig())
         server.listen(transport, "ric")
         agent = Agent(AgentConfig(node_id=make_node()), transport)
         function = MacStatsFunction(provider=synthetic_provider(2), sm_codec="fb")
@@ -546,7 +513,7 @@ class TestAnalysisIntegration:
         from repro.analysis.cow import FrozenSnapshot, SnapshotMutationError
 
         transport = InProcTransport(shards=2)
-        server = Server(ServerConfig(shards=2))
+        server = Server(ServerConfig())
         server.listen(transport, "ric")
         agent = Agent(AgentConfig(node_id=make_node()), transport)
         agent.register_function(HwRanFunction())
@@ -666,8 +633,8 @@ def _settled_agents(client, address, count):
 class TestMultiProcServer:
     def test_workers_ingest_merge_stats_and_stop(self):
         reset_all()
-        mp = MultiProcServer(ServerConfig(shards=1, workers=2), port=0)
-        client = TcpTransport(shards=1)
+        mp = MultiProcServer(ServerConfig(workers=2), port=0)
+        client = TcpTransport()
         try:
             mp.start()
             client.start()
@@ -698,8 +665,8 @@ class TestMultiProcServer:
 
     def test_worker_crash_respawn_republishes_policies(self):
         reset_all()
-        mp = MultiProcServer(ServerConfig(shards=1, workers=2), port=0)
-        client = TcpTransport(shards=1)
+        mp = MultiProcServer(ServerConfig(workers=2), port=0)
+        client = TcpTransport()
         try:
             mp.start()
             client.start()
@@ -740,8 +707,8 @@ class TestMultiProcServer:
         """Policy publication rides the shared-memory segment: pipes
         carry only generation nudges, counter-verified."""
         reset_all()
-        mp = MultiProcServer(ServerConfig(shards=1, workers=2), port=0)
-        client = TcpTransport(shards=1)
+        mp = MultiProcServer(ServerConfig(workers=2), port=0)
+        client = TcpTransport()
         try:
             mp.start()
             client.start()
@@ -773,8 +740,8 @@ class TestMultiProcServer:
         """Chaos: the segment is parent-owned, so any number of worker
         deaths keeps the generation; respawns resync via one nudge."""
         reset_all()
-        mp = MultiProcServer(ServerConfig(shards=1, workers=2), port=0)
-        client = TcpTransport(shards=1)
+        mp = MultiProcServer(ServerConfig(workers=2), port=0)
+        client = TcpTransport()
         try:
             mp.start()
             client.start()
@@ -824,8 +791,8 @@ class TestMultiProcServer:
             raise OSError("shared memory unavailable")
 
         monkeypatch.setattr(workers_mod, "SnapshotWriter", no_shm)
-        mp = MultiProcServer(ServerConfig(shards=1, workers=2), port=0)
-        client = TcpTransport(shards=1)
+        mp = MultiProcServer(ServerConfig(workers=2), port=0)
+        client = TcpTransport()
         try:
             mp.start()
             client.start()
@@ -844,9 +811,9 @@ class TestMultiProcServer:
     def test_reuseport_fallback_accept_handoff(self, monkeypatch):
         reset_all()
         monkeypatch.setattr(tcp_mod, "_HAS_REUSEPORT", False)
-        mp = MultiProcServer(ServerConfig(shards=1, workers=2), port=0)
+        mp = MultiProcServer(ServerConfig(workers=2), port=0)
         assert mp.reuseport is False
-        client = TcpTransport(shards=1)
+        client = TcpTransport()
         try:
             mp.start()
             client.start()
@@ -889,6 +856,31 @@ class TestLoudTeardown:
             blocker.set()
             for shard in transport._shards:
                 shard.thread.join(timeout=5.0)
+
+    def test_stuck_tcp_loop_thread_raises_and_counts(self):
+        reset_all()
+        transport = TcpTransport()
+        blocker = threading.Event()
+        entered = threading.Event()
+
+        def wedge(endpoint, data):
+            entered.set()
+            blocker.wait()
+
+        before = set(threading.enumerate())
+        transport.start()
+        (loop,) = set(threading.enumerate()) - before
+        try:
+            listener = transport.listen("127.0.0.1:0", TransportEvents(on_message=wedge))
+            transport.connect(listener.address, TransportEvents()).send(b"frame")
+            assert entered.wait(5.0), "handler never ran on the loop"
+            with pytest.raises(RuntimeError, match="stuck"):
+                transport.stop(timeout_s=0.2)
+            assert counter_values().get("transport.stop.stuck", 0) == 1
+        finally:
+            blocker.set()
+            loop.join(timeout=5.0)
+        assert not loop.is_alive()
 
     def test_undrained_frames_counted_and_raise_under_analysis(
         self, monkeypatch

@@ -242,8 +242,7 @@ class TestRoundTripTcp:
         }
         assert indication_corrs, "indication path produced no correlated spans"
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_traced_burst_stays_batched_with_spans_per_message(self, shards):
+    def test_traced_burst_stays_batched_with_spans_per_message(self):
         """Tracing observes the batched ingest; it does not reroute it."""
         trace_mod.enable()
         codec = get_codec("fb")
@@ -255,7 +254,7 @@ class TestRoundTripTcp:
             ingest(endpoint, batch)
 
         server._on_messages = counted
-        transport = TcpTransport(shards=shards)
+        transport = TcpTransport()
         seen = []
         burst = 200
         try:

@@ -1,5 +1,6 @@
 """Unit and integration tests for framing and transports."""
 
+import os
 import socket
 import threading
 import time
@@ -560,26 +561,59 @@ class TestTcp:
         finally:
             transport.stop()
 
+    @pytest.mark.parametrize("call", ["start", "listen", "connect", "adopt", "step"])
+    def test_a_stopped_transport_refuses_loudly(self, call):
+        """``stop()`` is final: one ``RuntimeError`` before any socket or
+        thread is created (it used to be a raw ``ValueError`` off the
+        closed selector — for ``connect`` after the TCP connect had
+        succeeded, leaking the socket)."""
+        live = TcpTransport()  # somewhere real for ``connect`` to reach
+        left, right = socket.socketpair()
+        reached = []
+        transport = TcpTransport()
+        transport.stop()
+        transport.stop()  # idempotent
+        try:
+            listener = live.listen("127.0.0.1:0", TransportEvents(on_connected=reached.append))
+            attempt = {
+                "start": transport.start,
+                "listen": lambda: transport.listen("127.0.0.1:0", TransportEvents()),
+                "connect": lambda: transport.connect(listener.address, TransportEvents()),
+                "adopt": lambda: transport.adopt(left, TransportEvents()),
+                "step": transport.step,
+            }[call]
+            fds, threads = len(os.listdir("/proc/self/fd")), threading.active_count()
+            with pytest.raises(RuntimeError, match="transport stopped"):
+                attempt()
+            assert len(os.listdir("/proc/self/fd")) == fds
+            assert threading.active_count() == threads
+            for _ in range(3):
+                live.step(0.02)
+            assert not reached  # no TCP connect was made either
+        finally:
+            live.stop()
+            left.close()
+            right.close()
+
 
 class TestOnMessageOnlyReceivers:
     """The agent and the baselines register only ``on_message``; the
     ``deliver`` hand-off of every transport still reaches them one
     frame per call, in order."""
 
-    @pytest.mark.parametrize("kind", ["inproc", "inproc-sharded", "tcp", "tcp-sharded", "faulty"])
+    @pytest.mark.parametrize("kind", ["inproc", "inproc-sharded", "tcp", "faulty"])
     def test_one_call_per_frame_in_order(self, kind):
         transport = {
             "inproc": InProcTransport,
             "inproc-sharded": lambda: InProcTransport(shards=2),
             "tcp": TcpTransport,
-            "tcp-sharded": lambda: TcpTransport(shards=2),
             "faulty": lambda: FaultyTransport(InProcTransport()),
         }[kind]()
         calls = []
         frames = [b"frame-%02d" % index for index in range(40)]
         try:
             listener = transport.listen(
-                "127.0.0.1:0" if kind.startswith("tcp") else "rx",
+                "127.0.0.1:0" if kind == "tcp" else "rx",
                 TransportEvents(on_message=lambda endpoint, data: calls.append(data)),
             )
             transport.start()
