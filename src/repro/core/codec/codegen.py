@@ -36,6 +36,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.codec import schema as _schema
+from repro.core.codec.base import Rows
 from repro.core.codec.schema import (
     Bool,
     Bytes,
@@ -251,6 +252,32 @@ def _pseq_str(P: list, items: list) -> bool:
     return True
 
 
+def _pseq_rows(P: list, fn, keys: Tuple[str, ...], items) -> bool:
+    """PER list-of-struct body: every element through the generated
+    positional encoder ``fn``, the bit phase threaded across elements.
+    ``items`` is a list of dicts with exactly ``keys`` in order, or a
+    :class:`Rows` whose keys the kernel has already checked; each of
+    its rows goes in as it is, with no dict built."""
+    ph = pd = 0
+    if type(items) is list:
+        for x in items:
+            if type(x) is not dict or tuple(x) != keys:
+                return False
+            r = fn(P, ph, pd, *x.values())
+            if r is None:
+                return False
+            ph, pd = r
+    else:
+        for row in zip(*[iter(items.values)] * len(keys)):
+            r = fn(P, ph, pd, *row)
+            if r is None:
+                return False
+            ph, pd = r
+    if ph:
+        P.append(_B1[pd << 4])
+    return True
+
+
 def _dvl(data: bytes, o: int):
     """PER length determinant read; (value, new offset) or None."""
     first = data[o]
@@ -416,24 +443,105 @@ def _fseq_map(fn, items) -> Optional[bytes]:
     return b"".join([b"\x07", _I.pack(n), sizes] + enc)
 
 
-#: ``tag + count + n equal size words`` of a fixed-layout list, keyed
-#: on (element size, n).  A node reports the same few UE/bearer counts
-#: period after period; the cap bounds it under adversarial counts.
-_FIXED_HEADS: Dict[Tuple[int, int], bytes] = {}
-_FIXED_HEADS_MAX = 256
+#: struct code of a fixed-layout cell → the exact type of its value.
+_CELL_TYPES = {"q": int, "d": float}
 
 
-def _fseq_fixed(fn, size: int, items) -> Optional[bytes]:
-    """flat list chunk whose elements all encode to ``size`` octets."""
+class _RowLayout:
+    """One fixed-layout element as the emitter laid it out: its wire
+    keys, the constant octets before each value (the first also carries
+    the element's tag, count and directory) and each value's struct
+    code.  A generated kernel holds one per fixed-layout sequence."""
+
+    __slots__ = ("keys", "consts", "codes", "size")
+
+    def __init__(self, keys: Tuple[str, ...], consts: Tuple[bytes, ...], codes: str) -> None:
+        self.keys = keys
+        self.consts = consts
+        self.codes = codes
+        self.size = sum(map(len, consts)) + 8 * len(codes)
+
+
+class _FixedPlan:
+    """A fixed-layout list of ``n`` elements: its head (tag, count and
+    ``n`` equal size words), and — set up by the first :class:`Rows` of
+    that size — the whole chunk as one ``pack``: its argument template
+    (the head, then every cell's constant followed by a slot for its
+    value), spare copies of the template, and the exact type every
+    value must have."""
+
+    __slots__ = ("head", "pack", "template", "spare", "types")
+
+    def __init__(self, head: bytes) -> None:
+        self.head = head
+        self.pack = None
+
+    def set_up_rows(self, layout: _RowLayout, n: int) -> None:
+        cells = "".join(f"{len(c)}s{code}" for c, code in zip(layout.consts, layout.codes))
+        template = [self.head]
+        for const in layout.consts * n:
+            template += (const, None)
+        self.template = template
+        self.spare = []
+        self.types = [_CELL_TYPES[code] for code in layout.codes] * n
+        self.pack = struct.Struct(f"<{len(self.head)}s" + cells * n).pack
+
+
+#: (row layout, n) → :class:`_FixedPlan`, the one cache of the
+#: fixed-layout lane.  A node reports the same few UE/bearer counts
+#: period after period; the caps bound the table under adversarial
+#: counts: a full table starts over (so plans of rebuilt kernels cannot
+#: crowd out live ones), and a plan of more values than the widest kept
+#: is built for its call only.
+_FIXED_PLANS: Dict[Tuple[_RowLayout, int], _FixedPlan] = {}
+_FIXED_PLANS_MAX = 64
+_FIXED_PLAN_WIDEST = 4096
+
+
+def _fixed_plan(layout: _RowLayout, n: int) -> _FixedPlan:
+    plan = _FIXED_PLANS.get((layout, n))
+    if plan is None:
+        plan = _FixedPlan(b"\x07" + _I.pack(n) + _I.pack(layout.size) * n)
+        if n * len(layout.codes) <= _FIXED_PLAN_WIDEST:
+            if len(_FIXED_PLANS) >= _FIXED_PLANS_MAX:
+                _FIXED_PLANS.clear()
+            _FIXED_PLANS[(layout, n)] = plan
+    return plan
+
+
+def _fseq_fixed(fn, layout: _RowLayout, items) -> Optional[bytes]:
+    """flat list chunk of a fixed-layout sequence (DESIGN.md §11).
+
+    :class:`Rows` with ``layout``'s keys whose every value has its
+    cell's exact type are one ``pack`` of the whole chunk.  Everything
+    else takes the list lane — a list of dicts through the element
+    encoder ``fn``, and rows it would deoptimize (a bool, an ``IntEnum``
+    or a float in an int cell, an int in a float cell, a value outside
+    int64) lowered to that list first — so both lanes write one wire.
+    """
+    if type(items) is Rows:
+        values = items.values
+        if items.keys == layout.keys:
+            n = len(values) // len(layout.codes)
+            plan = _fixed_plan(layout, n)
+            if plan.pack is None:
+                plan.set_up_rows(layout, n)
+            if list(map(type, values)) == plan.types:
+                try:
+                    args = plan.spare.pop()
+                except IndexError:  # first use, or every copy busy on another thread
+                    args = plan.template[:]
+                args[2::2] = values
+                try:
+                    return plan.pack(*args)
+                except struct.error:  # outside int64: the list lane deoptimizes
+                    pass
+                finally:
+                    plan.spare.append(args)
+        items = items.to_value()
     if type(items) is not list:
         return None
-    n = len(items)
-    head = _FIXED_HEADS.get((size, n))
-    if head is None:
-        head = b"\x07" + _I.pack(n) + _I.pack(size) * n
-        if len(_FIXED_HEADS) < _FIXED_HEADS_MAX:
-            _FIXED_HEADS[(size, n)] = head
-    parts = [head]
+    parts = [_fixed_plan(layout, len(items)).head]
     parts.extend(map(fn, items))
     if None in parts:
         return None
@@ -576,6 +684,7 @@ _RUNTIME: Dict[str, Any] = {
     "_popt_int": _popt_int,
     "_pseq_int": _pseq_int,
     "_pseq_str": _pseq_str,
+    "_pseq_rows": _pseq_rows,
     "_dvl": _dvl,
     "_dfrag": _dfrag,
     "_doct": _doct,
@@ -585,6 +694,8 @@ _RUNTIME: Dict[str, Any] = {
     "_fseq_str": _fseq_str,
     "_fseq_map": _fseq_map,
     "_fseq_fixed": _fseq_fixed,
+    "_RowLayout": _RowLayout,
+    "_Rows": Rows,
     "_StructError": struct.error,
     "_fopt_int": _fopt_int,
     "_fstrmap": _fstrmap,
@@ -632,7 +743,7 @@ class _Mod:
     def __init__(self, title: str) -> None:
         self.title = title
         self.lines: List[str] = []
-        self.consts: Dict[Tuple, str] = {}
+        self.consts: Dict[str, str] = {}
         self.const_lines: List[str] = []
         self.n = 0
 
@@ -640,23 +751,20 @@ class _Mod:
         self.n += 1
         return f"{prefix}{self.n}"
 
-    def const_bytes(self, value: bytes) -> str:
-        key = ("b", value)
-        got = self.consts.get(key)
+    def const(self, expr: str) -> str:
+        """Name of a module-level constant holding ``expr``'s value."""
+        got = self.consts.get(expr)
         if got is None:
             got = f"_C{len(self.consts)}"
-            self.consts[key] = got
-            self.const_lines.append(f"{got} = {value!r}")
+            self.consts[expr] = got
+            self.const_lines.append(f"{got} = {expr}")
         return got
 
+    def const_bytes(self, value: bytes) -> str:
+        return self.const(repr(value))
+
     def const_struct(self, fmt: str) -> str:
-        key = ("S", fmt)
-        got = self.consts.get(key)
-        if got is None:
-            got = f"_C{len(self.consts)}"
-            self.consts[key] = got
-            self.const_lines.append(f"{got} = _Struct({fmt!r})")
-        return got
+        return self.const(f"_Struct({fmt!r})")
 
     def fn(self, prefix: str, params: str) -> _Fn:
         return _Fn(self, self.name(prefix), params)
@@ -854,7 +962,7 @@ class _FlatEmitter:
     def build(self, schema: Schema) -> _Mod:
         mod = _Mod(f"fb {schema.name}")
         self._elem_enc: Dict[str, str] = {}
-        self._elem_size: Dict[str, int] = {}  # fixed-layout encoders only
+        self._elem_layout: Dict[str, str] = {}  # fixed-layout encoders only
         self._elem_dec: Dict[str, str] = {}
         self._emit_encode(mod, schema)
         self._emit_decode(mod, schema)
@@ -993,11 +1101,11 @@ class _FlatEmitter:
                 fn.w(f"{c} = _fseq_str({expr})")
             elif elem == "nested":
                 ename = self._elem_encoder(mod, spec.elem.schema)
-                esize = self._elem_size.get(ename)
-                if esize is None:
+                layout = self._elem_layout.get(ename)
+                if layout is None:
                     fn.w(f"{c} = _fseq_map({ename}, {expr})")
                 else:
-                    fn.w(f"{c} = _fseq_fixed({ename}, {esize}, {expr})")
+                    fn.w(f"{c} = _fseq_fixed({ename}, {layout}, {expr})")
             else:
                 raise _Unsupported(f"seq of {elem}")
             fn.w(f"if {c} is None: return None")
@@ -1011,7 +1119,7 @@ class _FlatEmitter:
         fn = mod.fn("_e", "x")
         self._elem_enc[schema.name] = fn.name
         if schema.fields and all(spec.kind in _FIXED_CELLS for _key, spec in schema.fields):
-            self._elem_size[fn.name] = self._enc_fixed_dict(fn, schema)
+            self._elem_layout[fn.name] = self._enc_fixed_dict(fn, schema)
             fn.close()
             return fn.name
         size, emit = self._enc_dict(fn, schema, "x")
@@ -1024,9 +1132,10 @@ class _FlatEmitter:
         fn.close()
         return fn.name
 
-    def _enc_fixed_dict(self, fn: _Fn, schema: Schema) -> int:
+    def _enc_fixed_dict(self, fn: _Fn, schema: Schema) -> str:
         """Element body for a dict of only ``Int``/``F64`` fields; returns
-        its constant encoded size.
+        the name of its :class:`_RowLayout` constant, the same cells
+        for the :class:`Rows` lane of ``_fseq_fixed``.
 
         The whole element is one ``pack``, so the guards are folded: one
         key-order test, one ``values()`` unpack, one type expression,
@@ -1042,15 +1151,19 @@ class _FlatEmitter:
             + " or ".join(f"type({x}) is not {pytype}" for x, (_t, _f, pytype) in zip(names, cells))
             + ": return None"
         )
-        size, emit = self._dict_chunk([
+        _size, emit = self._dict_chunk([
             (key, _Size(9), lambda segs, x=x, tag=tag, fmt=fmt: (segs.const(tag), segs.scalar(fmt, x)))
             for (key, _spec), x, (tag, fmt, _p) in zip(schema.fields, names, cells)
         ])
         segs = _Segs(fn)
         emit(segs)
+        # The run alternates a constant (tag; the first also the
+        # directory) and a value cell: exactly what a row needs.
+        consts = [fn.mod.const_bytes(payload) for kind, payload in segs.run if kind == "c"]
+        codes = "".join(kind for kind, _payload in segs.run if kind != "c")
         fn.w(f"try: return {segs.take()}")
         fn.w("except _StructError: return None")
-        return size.const
+        return fn.mod.const(f"_RowLayout({schema.keys!r}, ({', '.join(consts)},), {codes!r})")
 
     # -- decode ------------------------------------------------------
 
@@ -1413,33 +1526,29 @@ class _PerEmitter:
         if kind == "seq":
             x = mod.name("v")
             fn.w(f"{x} = {expr}")
-            fn.w(f"if type({x}) is not list: return None")
             elem = spec.elem.kind
-            if elem == "int":
-                tail = lambda segs: segs.stmt(
-                    f"if not _pseq_int(P, {x}): return None"
-                )
-            elif elem == "str":
-                tail = lambda segs: segs.stmt(
-                    f"if not _pseq_str(P, {x}): return None"
-                )
-            elif elem == "nested":
+            if elem == "nested":
                 ename = self._elem_encoder(fn.mod, spec.elem.schema)
-                ph = mod.name("ph")
-                pd = mod.name("pd")
-                it = mod.name("it")
-                r = mod.name("r")
-
-                def tail(segs: _Segs, ph=ph, pd=pd, it=it, r=r) -> None:
-                    segs.stmt(f"{ph} = 0")
-                    segs.stmt(f"{pd} = 0")
-                    segs.stmt(f"for {it} in {x}:")
-                    segs.stmt(f"    {r} = {ename}(P, {it}, {ph}, {pd})")
-                    segs.stmt(f"    if {r} is None: return None")
-                    segs.stmt(f"    {ph}, {pd} = {r}")
-                    segs.stmt(f"if {ph}: A(_B1[{pd} << 4])")
+                keys = mod.const(repr(spec.elem.schema.keys))
+                fn.w(
+                    f"if type({x}) is not list and (type({x}) is not _Rows "
+                    f"or {x}.keys != {keys}): return None"
+                )
+                tail = lambda segs: segs.stmt(
+                    f"if not _pseq_rows(P, {ename}, {keys}, {x}): return None"
+                )
             else:
-                raise _Unsupported(f"seq of {elem}")
+                fn.w(f"if type({x}) is not list: return None")
+                if elem == "int":
+                    tail = lambda segs: segs.stmt(
+                        f"if not _pseq_int(P, {x}): return None"
+                    )
+                elif elem == "str":
+                    tail = lambda segs: segs.stmt(
+                        f"if not _pseq_str(P, {x}): return None"
+                    )
+                else:
+                    raise _Unsupported(f"seq of {elem}")
             return lambda segs: (
                 segs.const(b"\x70"),
                 segs.raw(f"_vlb(len({x}))"),
@@ -1453,18 +1562,16 @@ class _PerEmitter:
             return got
         if not schema.fields:
             raise _Unsupported("empty seq element")
-        fn = mod.fn("_pe", "P, x, ph, pd")
+        # Fields arrive positionally, in wire order: the sequence checked
+        # a Rows' keys once, and ``_pseq_rows`` checks each dict's.
+        args = [f"a{index}" for index in range(len(schema.fields))]
+        fn = mod.fn("_pe", "P, ph, pd, " + ", ".join(args))
         self._elem_enc[schema.name] = fn.name
-        fn.w("if type(x) is not dict: return None")
-        fn.w(f"if tuple(x.keys()) != {schema.keys!r}: return None")
-        interior = schema.fields[:-1]
-        last_key, last_spec = schema.fields[-1]
         emits = []
-        for key, spec in interior:
-            emits.append(
-                (key.encode("utf-8"), self._enc_field(fn, spec, f"x[{key!r}]"))
-            )
-        last = self._enc_last(fn, last_spec, f"x[{last_key!r}]")
+        for (key, spec), arg in zip(schema.fields[:-1], args):
+            emits.append((key.encode("utf-8"), self._enc_field(fn, spec, arg)))
+        last_key, last_spec = schema.fields[-1]
+        last = self._enc_last(fn, last_spec, args[-1])
         fn.w("A = P.append")
         fn.w("if ph:")
         fn.w(f"    A(_B1[(pd << 4) | 8])")

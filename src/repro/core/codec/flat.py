@@ -352,6 +352,8 @@ def _encode_value(value: Any, depth: int) -> bytes:
             raw = str(value).encode("utf-8")
             return _TAGB[base.TAG_STR] + _U32.pack(len(raw)) + raw
         return _TAGB[base.TAG_BYTES] + _U32.pack(len(value)) + bytes(value)  # repro-lint: disable=RL007 — bytes subclass normalized once for the wire
+    if kind is base.Rows:
+        return _encode_value(value.to_value(), depth)
     raise CodecError(f"unsupported type: {type(value).__name__}")
 
 

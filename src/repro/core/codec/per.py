@@ -143,6 +143,8 @@ class PerCodec(Codec):
                 else:
                     writer.write_bytes(cell)
                 self._encode_value(writer, item, child)
+        elif type(value) is base.Rows:
+            self._encode_value(writer, value.to_value(), depth)
         else:
             raise CodecError(f"unsupported type: {type(value).__name__}")
 

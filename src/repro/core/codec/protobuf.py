@@ -146,6 +146,8 @@ class ProtobufCodec(Codec):
                 write_varint(out, len(raw))
                 out.extend(raw)
                 self._encode_value(out, item)
+        elif type(value) is base.Rows:
+            self._encode_value(out, value.to_value())
         else:  # pragma: no cover - validate_tree rejects these first
             raise CodecError(f"unsupported type: {type(value).__name__}")
 

@@ -131,15 +131,12 @@ class StrMap(Spec):
 class Schema:
     """An ordered, named collection of typed fields."""
 
-    __slots__ = ("name", "fields")
+    __slots__ = ("name", "fields", "keys")
 
     def __init__(self, name: str, fields: List[Tuple[str, Spec]]) -> None:
         self.name = name
         self.fields = tuple(fields)
-
-    @property
-    def keys(self) -> Tuple[str, ...]:
-        return tuple(key for key, _spec in self.fields)
+        self.keys = tuple(key for key, _spec in self.fields)
 
     def __repr__(self) -> str:
         return f"Schema({self.name!r}, {len(self.fields)} fields)"

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.agent.agent import Agent, AgentConfig
+from repro.core.codec.base import Rows
 from repro.core.e2ap.ies import GlobalE2NodeId, NodeKind
 from repro.core.simclock import PeriodicTask, SimClock
 from repro.core.transport.base import Transport
@@ -34,7 +35,7 @@ from repro.ran.rlc import RlcConfig, RlcEntity
 from repro.ran.sdap import SdapEntity
 from repro.ran.ue import UeContext
 from repro.sm.mac_stats import MacStatsFunction
-from repro.sm.pdcp_stats import PdcpStatsFunction
+from repro.sm.pdcp_stats import PdcpBearerStats, PdcpStatsFunction
 from repro.sm.rlc_stats import RlcStatsFunction
 from repro.sm.rrc_conf import RrcConfFunction
 from repro.sm.slice_ctrl import SliceCtrlFunction
@@ -254,21 +255,13 @@ class BaseStation:
         return self.mac.rlc_stats_tree(visible, self.clock.now)
 
     def pdcp_stats_provider(self, visible) -> dict:
-        bearers = []
+        values: List[int] = []
+        row = values.extend
         for (rnti, bearer_id), entity in sorted(self.pdcp.items()):
             if visible is not None and rnti not in visible:
                 continue
-            bearers.append(
-                {
-                    "rnti": rnti,
-                    "bearer_id": bearer_id,
-                    "tx_pkts": entity.tx_pkts,
-                    "tx_bytes": entity.tx_bytes,
-                    "rx_pkts": entity.rx_pkts,
-                    "rx_bytes": entity.rx_bytes,
-                }
-            )
-        return {"bearers": bearers, "tstamp_ms": self.clock.now * 1000.0}
+            row((rnti, bearer_id, entity.tx_pkts, entity.tx_bytes, entity.rx_pkts, entity.rx_bytes))
+        return {"bearers": Rows(PdcpBearerStats, values), "tstamp_ms": self.clock.now * 1000.0}
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.codec.base import Rows
 from repro.ran.nvs import NvsScheduler, NvsSliceConfig, SliceKind
 from repro.ran.phy import PhyConfig, cqi_to_mcs, transport_block_bytes
 from repro.ran.rlc import RlcEntity
 from repro.ran.ue import UeContext
+from repro.sm.mac_stats import MacUeStats
+from repro.sm.rlc_stats import RlcBearerStats
 from repro.sm.slice_ctrl import (
     ALGO_NONE,
     ALGO_NVS,
@@ -135,6 +138,10 @@ class MacLayer:
         self._static_cursor = 0
         self.ttis_run = 0
         self.total_bytes = 0
+        # Per-UE period counters of the last reporting instant, shared
+        # by every subscription that reads at that instant.
+        self._harvest_ms: Optional[float] = None
+        self._harvest: Dict[int, Tuple[int, int, int, int]] = {}
 
     # -- topology ---------------------------------------------------------
 
@@ -317,47 +324,48 @@ class MacLayer:
     # -- stats SM providers ---------------------------------------------------
 
     def mac_stats_tree(self, visible: Optional[set], now_ms: float) -> dict:
-        """MAC stats SM payload (per-UE period counters, reset on read)."""
-        ues = []
+        """MAC stats SM payload: the per-UE counters of the period
+        ending at ``now_ms``.
+
+        The counters are harvested (read and reset) once per reporting
+        instant, so every subscription reading at ``now_ms`` — each
+        controller of §4.1.2, filtered by its ``visible`` UEs — reports
+        the same period, and a read at a later instant gets what has
+        accumulated since."""
+        if now_ms != self._harvest_ms:
+            self._harvest_ms = now_ms
+            self._harvest = {rnti: ue.harvest_period_counters() for rnti, ue in self.ues.items()}
+        harvest = self._harvest
+        values: List[int] = []
+        row = values.extend
         for rnti in sorted(self.ues):
             if visible is not None and rnti not in visible:
                 continue
             ue = self.ues[rnti]
-            counters = ue.harvest_period_counters()
+            counters = harvest.get(rnti)
+            if counters is None:  # attached since this instant's harvest
+                counters = harvest[rnti] = ue.harvest_period_counters()
             mcs = ue.fixed_mcs if ue.fixed_mcs is not None else cqi_to_mcs(ue.cqi)
-            ues.append(
-                {
-                    "rnti": rnti,
-                    "cqi": ue.cqi,
-                    "mcs_dl": mcs,
-                    "mcs_ul": mcs,
-                    "prbs_dl": counters["prbs_dl"],
-                    "prbs_ul": counters["prbs_ul"],
-                    "bytes_dl": counters["bytes_dl"],
-                    "bytes_ul": counters["bytes_ul"],
-                    "slice_id": ue.slice_id,
-                }
-            )
-        return {"ues": ues, "tstamp_ms": now_ms}
+            row((rnti, ue.cqi, mcs, mcs, *counters, ue.slice_id))
+        return {"ues": Rows(MacUeStats, values), "tstamp_ms": now_ms}
 
     def rlc_stats_tree(self, visible: Optional[set], now: float) -> dict:
         """RLC stats SM payload."""
-        bearers = []
+        values: list = []
+        row = values.extend
         for (rnti, bearer_id), entity in sorted(self.rlc.items()):
             if visible is not None and rnti not in visible:
                 continue
-            bearers.append(
-                {
-                    "rnti": rnti,
-                    "bearer_id": bearer_id,
-                    "buffer_bytes": entity.buffer_bytes,
-                    "buffer_pkts": entity.backlog_pkts,
-                    "sojourn_ms": entity.head_sojourn_s(now) * 1000.0,
-                    "tx_pdus": entity.tx_pdus,
-                    "tx_bytes": entity.tx_bytes,
-                    "rx_pdus": entity.rx_pdus,
-                    "rx_bytes": entity.rx_bytes,
-                    "dropped": entity.dropped,
-                }
-            )
-        return {"bearers": bearers, "tstamp_ms": now * 1000.0}
+            row((
+                rnti,
+                bearer_id,
+                entity.buffer_bytes,
+                entity.backlog_pkts,
+                entity.head_sojourn_s(now) * 1000.0,
+                entity.tx_pdus,
+                entity.tx_bytes,
+                entity.rx_pdus,
+                entity.rx_bytes,
+                entity.dropped,
+            ))
+        return {"bearers": Rows(RlcBearerStats, values), "tstamp_ms": now * 1000.0}

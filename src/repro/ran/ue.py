@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List, Tuple
 
 
 @dataclass
@@ -31,14 +31,11 @@ class UeContext:
     # Lifetime totals, for throughput series (Fig. 13/15).
     total_bytes_dl: int = 0
 
-    def harvest_period_counters(self) -> Dict[str, int]:
-        """Return and reset the per-reporting-period counters."""
-        out = {
-            "prbs_dl": self.prbs_dl,
-            "prbs_ul": self.prbs_ul,
-            "bytes_dl": self.bytes_dl,
-            "bytes_ul": self.bytes_ul,
-        }
+    def harvest_period_counters(self) -> Tuple[int, int, int, int]:
+        """Return and reset the per-reporting-period counters:
+        ``(prbs_dl, prbs_ul, bytes_dl, bytes_ul)``, the MAC stats wire
+        order."""
+        out = (self.prbs_dl, self.prbs_ul, self.bytes_dl, self.bytes_ul)
         self.prbs_dl = 0
         self.prbs_ul = 0
         self.bytes_dl = 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Set
 
+from repro.core.codec.base import Rows
 from repro.core.codec.schema import F64, Nested, Schema, Seq, register_payload_schema, wire
 from repro.sm.base import PeriodicReportFunction, SmInfo, StatsProvider, VisibilityFn
 
@@ -83,10 +84,9 @@ def synthetic_provider(num_ues: int, bearer_bytes: int = 12_000) -> StatsProvide
     """Provider for dummy test agents (§5.3): ``num_ues`` UEs with a
     unique default bearer each, deterministic counter patterns.
 
-    Writes the report tree directly, in ``MacUeStats.wire_schema`` key
-    order (as ``BaseStation.pdcp_stats_provider`` does): a per-UE
-    dataclass built only to be lowered at once was most of the cost of
-    a report."""
+    Writes the UEs as :class:`Rows` of ``MacUeStats`` — one flat list,
+    a row per UE in wire order, as the base station's providers do —
+    so no per-UE object exists on the report path."""
     counters = {"t": 0}
     bytes_ul = bearer_bytes // 4
 
@@ -94,20 +94,20 @@ def synthetic_provider(num_ues: int, bearer_bytes: int = 12_000) -> StatsProvide
         counters["t"] += 1
         tick = counters["t"]
         rntis = range(num_ues) if visible is None else [r for r in range(num_ues) if r in visible]
-        ues = [
-            {
-                "rnti": rnti,
-                "cqi": 7 + (rnti + tick) % 9,
-                "mcs_dl": 10 + (rnti + tick) % 18,
-                "mcs_ul": 10 + (rnti * 3 + tick) % 18,
-                "prbs_dl": (rnti * 7 + tick) % 106,
-                "prbs_ul": (rnti * 5 + tick) % 106,
-                "bytes_dl": bearer_bytes + rnti * 100 + tick,
-                "bytes_ul": bytes_ul + rnti * 25 + tick,
-                "slice_id": 0,
-            }
-            for rnti in rntis
-        ]
-        return {"ues": ues, "tstamp_ms": float(tick)}
+        values: List[int] = []
+        row = values.extend
+        for rnti in rntis:
+            row((
+                rnti,
+                7 + (rnti + tick) % 9,
+                10 + (rnti + tick) % 18,
+                10 + (rnti * 3 + tick) % 18,
+                (rnti * 7 + tick) % 106,
+                (rnti * 5 + tick) % 106,
+                bearer_bytes + rnti * 100 + tick,
+                bytes_ul + rnti * 25 + tick,
+                0,
+            ))
+        return {"ues": Rows(MacUeStats, values), "tstamp_ms": float(tick)}
 
     return provide

@@ -174,6 +174,59 @@ class TestAgentIntegration:
         assert monitor.indications_received == pytest.approx(10, abs=2)
 
 
+class TestMacStatsForTwoControllers:
+    """§4.1.2: two controllers subscribed to the MAC stats of one cell.
+
+    The period counters are harvested once per reporting instant, so a
+    second subscription reading at the same instant reports the same
+    period (filtered by its visibility) instead of the zeros the first
+    read left behind."""
+
+    def test_every_subscription_reports_the_same_period(self):
+        from repro.core.agent.ran_function import IndicationSink, SubscriptionHandle
+        from repro.core.e2ap.ies import RicActionDefinition, RicActionKind, RicRequestId
+        from repro.sm.base import PeriodicTrigger, decode_payload
+
+        bs, clock = make_bs()
+        bs.attach_ue(1, fixed_mcs=20)
+        bs.attach_ue(2, fixed_mcs=20)
+        reports = {0: [], 1: []}
+
+        class Sink(IndicationSink):
+            def send_indication(self, origin, indication):
+                tree = decode_payload(indication.payload, "fb", schema=mac_stats.INFO.payload_schema)
+                ues, tstamp_ms = mac_stats.report_from_value(tree)
+                reports[origin].append(({ue.rnti: ue for ue in ues}, tstamp_ms))
+
+        function = mac_stats.MacStatsFunction(
+            bs.mac_stats_provider, visibility=lambda origin: None if origin == 0 else {1}
+        )
+        function.bind(Sink())
+        for origin in (0, 1):
+            handle = SubscriptionHandle(origin, RicRequestId(origin + 1, 1), function.ran_function_id)
+            admitted, _ = function.on_subscription(
+                handle, PeriodicTrigger(10.0).to_bytes("fb"), [RicActionDefinition(1, RicActionKind.REPORT)]
+            )
+            assert len(admitted) == 1
+        bs.start()
+        for instant in (0.1, 0.2):
+            for _ in range(200):
+                bs.deliver_downlink(1, Packet(flow=FLOW, size=1500, created_at=clock.now))
+            clock.run_until(instant)
+            assert function.pump() == 2
+
+        ue = bs.mac.ues[1]
+        for (everyone, t0), (own, t1) in zip(reports[0], reports[1]):
+            assert t0 == t1
+            assert sorted(everyone) == [1, 2] and sorted(own) == [1]
+            assert own[1] == everyone[1]
+            assert own[1].bytes_dl > 0 and own[1].prbs_dl > 0
+            assert everyone[2].bytes_dl == 0
+        # Each instant reports what accumulated since the previous one.
+        assert sum(report[1].bytes_dl for report, _t in reports[1]) == ue.total_bytes_dl
+        assert len(reports[0]) == len(reports[1]) == 2
+
+
 class TestDisaggregation:
     def test_cu_du_expose_layer_functions(self):
         bs, _ = make_bs()

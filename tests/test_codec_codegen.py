@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.codec import codegen, flat
 from repro.core.codec import schema as cschema
-from repro.core.codec.base import CodecError, get_codec, materialize
+from repro.core.codec.base import CodecError, Rows, get_codec, materialize, validate_tree
 from repro.core.codec.manifest import CODECS
 from repro.core.e2ap.messages import decode_message, message_types
 from repro.metrics import counters
@@ -280,10 +280,15 @@ class TestLruCaches:
 # Fixed-layout sequences: Seq(Nested(S)) with only Int/F64 fields in S
 # ---------------------------------------------------------------------------
 
+from repro.sm import mac_stats, pdcp_stats, rlc_stats  # noqa: E402
 from repro.sm.base import decode_payload, encode_payload  # noqa: E402
 
 _FIXED_REPORTS = ("mac_stats_report", "rlc_stats_report", "pdcp_stats_report")
 _INT_EDGES = (-(2**63), -(2**63) + 1, 2**63 - 1, 2**63, -(2**63) - 1, 2**70)
+_ROW_CLASSES = {
+    cls.__name__: cls
+    for cls in (mac_stats.MacUeStats, rlc_stats.RlcBearerStats, pdcp_stats.PdcpBearerStats)
+}
 
 
 class _Colour(IntEnum):
@@ -303,16 +308,33 @@ def _element(schema_obj, seed):
     }
 
 
+def _reshaped(elem, keys):
+    """A throwaway wire class with exactly ``keys`` (types from ``elem``)."""
+    kinds = dict(elem.fields)
+    fields = [(key, float if key in kinds and kinds[key].kind == "f64" else int) for key in keys]
+    return cschema.wire()(dataclasses.make_dataclass("Reshaped", fields))
+
+
+def _as_rows(elem, items):
+    """``items`` — dicts sharing one key order — as the Rows they stand
+    for: of the element's own class when the order is the schema's."""
+    keys = tuple(items[0]) if items else elem.keys
+    assert all(tuple(item) == keys for item in items)
+    layout = _ROW_CLASSES[elem.name] if keys == elem.keys else _reshaped(elem, keys)
+    return Rows(layout, [value for item in items for value in item.values()])
+
+
 def _fallbacks():
     return counters.get_counter("codec.kernel.encode_fallbacks").value
 
 
 def _check_differential(name, tree):
-    """Kernel bytes ≡ interpretive bytes, or the kernel deoptimizes
-    (counted) and the interpretive result stands; either way the tree
-    survives the round trip."""
+    """Kernel bytes ≡ the interpretive bytes of the tree's plain-list
+    form, or the kernel deoptimizes (counted) and the interpretive
+    result stands; either way the tree survives the round trip."""
     with codegen.interpretive():
-        ref = encode_payload(tree, "fb", schema=name)
+        ref = encode_payload(materialize(tree), "fb", schema=name)
+        assert encode_payload(tree, "fb", schema=name) == ref
     before = _fallbacks()
     # Strict: the encode kernel deoptimizes through its guards, never
     # by swallowing an exception.
@@ -333,10 +355,19 @@ def _check_differential(name, tree):
 
 @pytest.mark.parametrize("name", _FIXED_REPORTS)
 class TestFixedLayoutSequences:
+    """Elements given as a list of dicts (this class) and as Rows (the
+    subclass below): every case, both forms, the list form's bytes."""
+
+    as_rows = False
+
+    def seq(self, elem, items):
+        return _as_rows(elem, items) if self.as_rows else items
+
     @pytest.mark.parametrize("count", (0, 1, 32, 33, 300))
     def test_every_count_is_byte_identical(self, name, count):
         key, elem = _fixed_seq(name)
-        tree = {key: [_element(elem, seed) for seed in range(count)], "tstamp_ms": 2.5}
+        items = [_element(elem, seed) for seed in range(count)]
+        tree = {key: self.seq(elem, items), "tstamp_ms": 2.5}
         assert _check_differential(name, tree) is not None
 
     @given(data=st.data())
@@ -347,7 +378,7 @@ class TestFixedLayoutSequences:
         floats = st.floats(allow_nan=False)
         values = st.tuples(*(floats if spec.kind == "f64" else ints for _k, spec in elem.fields))
         items = data.draw(st.lists(values.map(lambda drawn: dict(zip(elem.keys, drawn))), max_size=5))
-        tree = {key: items, "tstamp_ms": data.draw(floats)}
+        tree = {key: self.seq(elem, items), "tstamp_ms": data.draw(floats)}
         out = _check_differential(name, tree)
         in_range = all(
             -(2**63) <= v < 2**63 for item in items for v in item.values() if type(v) is int
@@ -359,7 +390,8 @@ class TestFixedLayoutSequences:
         key, elem = _fixed_seq(name)
         item = _element(elem, 1)
         item["rnti"] = edge
-        out = _check_differential(name, {key: [_element(elem, 0), item], "tstamp_ms": 0.0})
+        tree = {key: self.seq(elem, [_element(elem, 0), item]), "tstamp_ms": 0.0}
+        out = _check_differential(name, tree)
         assert (out is not None) == (-(2**63) <= edge < 2**63)
 
     @pytest.mark.parametrize("wrong", (True, 1.0, _Colour.RED, None, "7", b"7"))
@@ -367,7 +399,7 @@ class TestFixedLayoutSequences:
         key, elem = _fixed_seq(name)
         item = _element(elem, 1)
         item["rnti"] = wrong
-        assert _check_differential(name, {key: [item], "tstamp_ms": 0.0}) is None
+        assert _check_differential(name, {key: self.seq(elem, [item]), "tstamp_ms": 0.0}) is None
 
     def test_key_shape_mismatch_falls_back(self, name):
         key, elem = _fixed_seq(name)
@@ -375,14 +407,23 @@ class TestFixedLayoutSequences:
         permuted = dict(reversed(list(good.items())))
         missing = dict(list(good.items())[:-1])
         extra = dict(good, zzz=1)
-        for bad in (permuted, missing, extra, {}, 7, None, [good], "x"):
-            tree = {key: [_element(elem, 0), bad], "tstamp_ms": 0.0}
-            assert _check_differential(name, tree) is None
+        if self.as_rows:  # rows share one layout: a whole sequence of the wrong one
+            sequences = [_as_rows(elem, [bad, bad]) for bad in (permuted, missing, extra)]
+        else:
+            sequences = [
+                [_element(elem, 0), bad] for bad in (permuted, missing, extra, {}, 7, None, [good], "x")
+            ]
+        for sequence in sequences:
+            assert _check_differential(name, {key: sequence, "tstamp_ms": 0.0}) is None
         # ... and a sequence that is not a list at all.
         with codegen.interpretive():
             ref = encode_payload({key: [], "tstamp_ms": 0.0}, "fb", schema=name)
         assert codegen.payload_encode("fb", name, {key: (), "tstamp_ms": 0.0}) is None
-        assert codegen.payload_encode("fb", name, {key: [], "tstamp_ms": 0.0}) == ref
+        assert codegen.payload_encode("fb", name, {key: self.seq(elem, []), "tstamp_ms": 0.0}) == ref
+
+
+class TestFixedLayoutSequencesAsRows(TestFixedLayoutSequences):
+    as_rows = True
 
 
 def test_int_in_the_f64_slot_falls_back():
@@ -390,18 +431,218 @@ def test_int_in_the_f64_slot_falls_back():
     item = _element(elem, 1)
     assert type(item["sojourn_ms"]) is float
     item["sojourn_ms"] = 4
-    assert _check_differential("rlc_stats_report", {key: [item], "tstamp_ms": 0.0}) is None
+    for sequence in ([item], _as_rows(elem, [item])):
+        assert _check_differential("rlc_stats_report", {key: sequence, "tstamp_ms": 0.0}) is None
 
 
 def test_fixed_list_header_cache_is_bounded():
-    """10 000 distinct element counts leave the cache at its cap."""
-    codegen._FIXED_HEADS.clear()
-    for count in range(10_000):
-        chunk = codegen._fseq_fixed(bytes, 0, [b""] * count)
-        assert len(chunk) == 5 + 4 * count
-    assert len(codegen._FIXED_HEADS) == codegen._FIXED_HEADS_MAX
-    # Past the cap a header is still built, just not kept.
-    assert codegen._fseq_fixed(bytes, 9, [b"x" * 9] * 9_999)[:5] == b"\x07" + (9_999).to_bytes(4, "little")
+    """Distinct element counts — lists and Rows alike — never grow the
+    one plan cache of the fixed-layout lane past its cap (a full table
+    starts over), and a plan wider than the per-entry bound is built for
+    its call and not kept."""
+    key, elem = _fixed_seq("pdcp_stats_report")
+    codegen._FIXED_PLANS.clear()
+    try:
+        for count in range(2 * codegen._FIXED_PLANS_MAX + 1):
+            items = [_element(elem, seed) for seed in range(count)]
+            for sequence in (items, _as_rows(elem, items)):
+                tree = {key: sequence, "tstamp_ms": 0.0}
+                assert _check_differential("pdcp_stats_report", tree) is not None
+            assert 1 <= len(codegen._FIXED_PLANS) <= codegen._FIXED_PLANS_MAX
+        codegen._FIXED_PLANS.clear()
+        wide = codegen._FIXED_PLAN_WIDEST // len(elem.fields) + 1
+        items = [_element(elem, seed) for seed in range(wide)]
+        tree = {key: _as_rows(elem, items), "tstamp_ms": 0.0}
+        assert _check_differential("pdcp_stats_report", tree) is not None
+        assert not codegen._FIXED_PLANS
+    finally:
+        codegen._FIXED_PLANS.clear()
+
+
+def test_threads_packing_rows_of_one_size_keep_their_own_values():
+    """Every thread packing Rows of one layout and size shares one plan;
+    each call must still pack its own values (no two calls in flight
+    fill the same argument list)."""
+    import sys
+    import threading
+
+    key, elem = _fixed_seq("mac_stats_report")
+    trees = [
+        {key: _as_rows(elem, [_element(elem, seed + 100 * t) for seed in range(32)]), "tstamp_ms": 1.0}
+        for t in range(6)
+    ]
+    with codegen.interpretive():
+        want = [encode_payload(materialize(tree), "fb", schema="mac_stats_report") for tree in trees]
+    wrong = []
+
+    def hammer(index):
+        for _ in range(300):
+            if codegen.payload_encode("fb", "mac_stats_report", trees[index]) != want[index]:
+                wrong.append(index)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(index,)) for index in range(len(trees))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+
+
+class TestRows:
+    """The value type: a list of same-keyed dicts held as one flat list."""
+
+    def _rows(self):
+        values = [1, 15, 28, 28, 0, 0, 100, 25, 0, 2, 14, 27, 27, 3, 4, 200, 50, 1]
+        return Rows(mac_stats.MacUeStats, values)
+
+    def _dicts(self):
+        return [
+            mac_stats.MacUeStats(1, bytes_dl=100, bytes_ul=25).to_value(),
+            mac_stats.MacUeStats(2, 14, 27, 27, 3, 4, 200, 50, 1).to_value(),
+        ]
+
+    def test_equals_the_list_it_stands_for_both_ways(self):
+        rows, dicts = self._rows(), self._dicts()
+        assert rows == dicts and dicts == rows
+        assert not (rows != dicts) and not (dicts != rows)
+        assert rows == self._rows()
+        dicts[1]["cqi"] = 0
+        assert rows != dicts and dicts != rows
+        assert rows != tuple(self._dicts()) and rows != {}
+
+    def test_sequence_of_dicts_in_wire_order(self):
+        rows, dicts = self._rows(), self._dicts()
+        assert len(rows) == 2 and len(Rows(mac_stats.MacUeStats, [])) == 0
+        assert rows[0] == dicts[0] and rows[-1] == dicts[1] and rows[1:] == dicts[1:]
+        assert list(rows) == dicts and rows.to_value() == dicts
+        assert all(tuple(row) == mac_stats.MacUeStats.wire_schema.keys for row in rows)
+        with pytest.raises(IndexError):
+            rows[2]
+
+    def test_read_only_and_unhashable(self):
+        rows = self._rows()
+        with pytest.raises(TypeError):
+            hash(rows)
+        with pytest.raises(TypeError):
+            rows[0] = {}
+        assert not any(hasattr(rows, name) for name in ("append", "extend", "pop", "__setitem__"))
+        with pytest.raises(ValueError):
+            Rows(mac_stats.MacUeStats, [1, 2, 3])
+
+    def test_lowering_holds_only_plain_values(self):
+        tree = {"ues": self._rows(), "tstamp_ms": 1.0}
+        plain = materialize(tree)
+        assert type(plain["ues"]) is list and plain["ues"] == self._dicts()
+        validate_tree(tree)
+        with pytest.raises(CodecError):
+            validate_tree({"ues": Rows(mac_stats.MacUeStats, [object()] * 9)})
+
+    @pytest.mark.parametrize(
+        "provide",
+        [
+            lambda: mac_stats.synthetic_provider(4),
+            lambda: _cell("mac"),
+            lambda: _cell("rlc"),
+            lambda: _cell("pdcp"),
+        ],
+        ids=["synthetic", "mac", "rlc", "pdcp"],
+    )
+    def test_a_report_is_not_aliased_by_the_next(self, provide):
+        provider = provide()
+        first = provider(None)
+        (rows,) = (value for value in first.values() if type(value) is Rows)
+        before = rows.to_value()
+        assert before
+        provider(None)
+        assert rows.to_value() == before
+
+
+def _cell(layer):
+    """A two-UE base station with traffic, as a stats provider that
+    advances the clock between reads."""
+    from repro.core.simclock import SimClock
+    from repro.ran.base_station import BaseStation, BaseStationConfig
+    from repro.traffic.flows import FiveTuple, Packet
+
+    clock = SimClock()
+    bs = BaseStation(BaseStationConfig(), clock)
+    flow = FiveTuple("1.1.1.1", "2.2.2.2", 1, 2, "udp")
+    for rnti in (1, 2):
+        bs.attach_ue(rnti, fixed_mcs=20)
+    bs.start()
+    provider = {"mac": bs.mac_stats_provider, "rlc": bs.rlc_stats_provider, "pdcp": bs.pdcp_stats_provider}[layer]
+
+    def provide(visible):
+        for rnti in (1, 2):
+            for _ in range(20):
+                bs.deliver_downlink(rnti, Packet(flow=flow, size=1500, created_at=clock.now))
+        clock.run_until(clock.now + 0.01)
+        return provider(visible)
+
+    return provide
+
+
+_ROWS_LANES = {
+    "fb kernel": lambda name, tree: codegen.payload_encode("fb", name, tree),
+    "fb walker": lambda name, tree: get_codec("fb").encode_interpretive(tree),
+    "asn kernel": lambda name, tree: codegen.payload_encode("asn", name, tree),
+    "asn walker": lambda name, tree: get_codec("asn").encode_interpretive(tree),
+    "pb walker": lambda name, tree: get_codec("pb").encode(tree),
+}
+
+
+def _rows_report(name):
+    """A report of ``name`` whose sequence is Rows: mostly well typed,
+    sometimes with a value the kernels must deoptimize on."""
+    key, elem = _fixed_seq(name)
+    odd = st.sampled_from([True, False, _Colour.RED, 2**63, -(2**63) - 1, 1.5, 7])
+    clean = [
+        st.floats(allow_nan=False) if spec.kind == "f64" else st.integers(-(2**63), 2**63 - 1)
+        for _key, spec in elem.fields
+    ]
+    row = st.one_of(st.tuples(*clean), st.tuples(*(st.one_of(cell, odd) for cell in clean)))
+    return st.tuples(st.lists(row, max_size=6), st.floats(allow_nan=False)).map(
+        lambda drawn: {
+            key: Rows(_ROW_CLASSES[elem.name], [value for r in drawn[0] for value in r]),
+            "tstamp_ms": drawn[1],
+        }
+    )
+
+
+@pytest.mark.parametrize("lane", sorted(_ROWS_LANES))
+@pytest.mark.parametrize("name", _FIXED_REPORTS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_rows_encode_as_their_lowered_list_on_every_lane(name, lane, data):
+    """``encode(tree) == encode(materialize(tree))``, kernels strict: a
+    kernel that declines the Rows declines the list too (both None)."""
+    tree = data.draw(_rows_report(name))
+    encode = _ROWS_LANES[lane]
+    codegen.set_strict(True)
+    try:
+        assert encode(name, tree) == encode(name, materialize(tree))
+    finally:
+        codegen.set_strict(False)
+
+
+@pytest.mark.parametrize("codec_name", sorted(CODECS))
+@pytest.mark.parametrize("name", _FIXED_REPORTS)
+def test_well_typed_rows_never_deoptimize(codec_name, name):
+    key, elem = _fixed_seq(name)
+    tree = {key: _as_rows(elem, [_element(elem, seed) for seed in range(32)]), "tstamp_ms": 1.0}
+    hits, falls = counters.get_counter("codec.kernel.encode_hits").value, _fallbacks()
+    wire = encode_payload(tree, codec_name, schema=name)
+    assert _fallbacks() == falls
+    assert counters.get_counter("codec.kernel.encode_hits").value == hits + 1
+    with codegen.interpretive():
+        assert wire == encode_payload(materialize(tree), codec_name, schema=name)
 
 
 # -- PER octet strings: a determinant plus one pass --------------------
