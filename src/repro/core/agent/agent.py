@@ -21,15 +21,19 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from time import perf_counter_ns
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.codec.base import Codec, CodecError, get_codec
-from repro.core.e2ap.ies import GlobalE2NodeId, RanFunctionItem, RicRequestId
+from repro.core.e2ap.ies import GlobalE2NodeId, RanFunctionItem
 from repro.core.e2ap.messages import (
     E2ConnectionUpdate,
     E2ConnectionUpdateAcknowledge,
     E2Message,
+    E2NodeConfigurationUpdate,
+    E2NodeConfigurationUpdateAcknowledge,
     E2SetupFailure,
     E2SetupRequest,
     E2SetupResponse,
@@ -47,6 +51,7 @@ from repro.core.e2ap.messages import (
     RicSubscriptionResponse,
     RicServiceQuery,
     RicServiceUpdate,
+    RicServiceUpdateAcknowledge,
     decode_message,
     encode_message,
 )
@@ -78,9 +83,8 @@ class _JournalEntry:
     other because re-subscription replaces, never duplicates.
     """
 
-    origin: int
-    ran_function_id: int
-    request: RicRequestId
+    #: the handle the RAN function admitted, re-admitted as is.
+    handle: SubscriptionHandle
     event_trigger: bytes
     actions: List[RicActionDefinition]
 
@@ -217,7 +221,7 @@ class Agent(IndicationSink):
     def _link_events(self, origin: int) -> TransportEvents:
         return TransportEvents(
             on_connected=lambda endpoint: self._send_setup(origin, endpoint),
-            on_message=lambda endpoint, data: self._handle(origin, endpoint, data),
+            on_message=partial(self._handle, origin),
             on_disconnected=lambda endpoint, reason=None: self._disconnected(origin, reason),
         )
 
@@ -342,16 +346,12 @@ class Agent(IndicationSink):
         functions treat as replacement, keeping replay idempotent.
         """
         for entry in list(self._journal.values()):
-            if entry.origin != origin:
+            handle = entry.handle
+            if handle.origin != origin:
                 continue
-            function = self._functions.get(entry.ran_function_id)
+            function = self._functions.get(handle.ran_function_id)
             if function is None:
                 continue
-            handle = SubscriptionHandle(
-                origin=origin,
-                request=entry.request,
-                ran_function_id=entry.ran_function_id,
-            )
             function.on_subscription(handle, entry.event_trigger, list(entry.actions))
             get_counter("agent.journal.replayed").incr()
 
@@ -386,8 +386,6 @@ class Agent(IndicationSink):
     def announce_config(self, origin: int, config: Dict[str, str]) -> None:
         """Report a node-level configuration change (E2 node config
         update procedure); the server stores it in the RANDB."""
-        from repro.core.e2ap.messages import E2NodeConfigurationUpdate
-
         self._send(
             origin,
             E2NodeConfigurationUpdate(node_id=self.config.node_id, config=dict(config)),
@@ -418,8 +416,11 @@ class Agent(IndicationSink):
         endpoint = self._indication_endpoint(origin, pending=1)
         if endpoint is None:
             return
-        with self.cpu.measure():
+        began = perf_counter_ns()
+        try:
             data = encode_message(indication, self.codec)
+        finally:
+            self.cpu.charge((perf_counter_ns() - began) / 1e9)
         try:
             endpoint.send(data)
         except (ConnectionError, OSError):
@@ -431,8 +432,11 @@ class Agent(IndicationSink):
         endpoint = self._indication_endpoint(origin, pending=len(indications))
         if endpoint is None:
             return
-        with self.cpu.measure():
+        began = perf_counter_ns()
+        try:
             batch = [encode_message(message, self.codec) for message in indications]
+        finally:
+            self.cpu.charge((perf_counter_ns() - began) / 1e9)
         try:
             endpoint.send_many(batch)
         except (ConnectionError, OSError):
@@ -469,8 +473,11 @@ class Agent(IndicationSink):
         endpoint = self._endpoints.get(origin)
         if endpoint is None or endpoint.closed:
             raise ConnectionError(f"no live connection for origin {origin}")
-        with self.cpu.measure():
+        began = perf_counter_ns()
+        try:
             data = encode_message(message, self.codec)
+        finally:
+            self.cpu.charge((perf_counter_ns() - began) / 1e9)
         endpoint.send(data)
 
     # -- message handling ----------------------------------------------
@@ -485,7 +492,8 @@ class Agent(IndicationSink):
         tracer = _TRACER
         if tracer.enabled:
             tracer.node = self.config.node_id.label
-        with self.cpu.measure():
+        began = perf_counter_ns()
+        try:
             try:
                 message = decode_message(data, self.codec)
             except CodecError as exc:
@@ -501,7 +509,15 @@ class Agent(IndicationSink):
                 )
                 return
             trace_start = time.perf_counter() if tracer.enabled else 0.0
-            reply = self._dispatch(origin, message)
+            handler = _DISPATCH.get(type(message))
+            if handler is not None:
+                reply = handler(self, origin, message)
+            else:
+                reply = ErrorIndication(
+                    cause=Cause.protocol(
+                        Cause.UNSPECIFIED, f"unhandled {type(message).__name__}"
+                    )
+                )
             if trace_start:
                 request = getattr(message, "request", None)
                 tracer.record(
@@ -512,6 +528,8 @@ class Agent(IndicationSink):
                 )
             if reply is not None:
                 self._safe_reply(endpoint, reply)
+        finally:
+            self.cpu.charge((perf_counter_ns() - began) / 1e9)
 
     def _safe_reply(self, endpoint: Endpoint, reply: E2Message) -> None:
         try:
@@ -520,70 +538,39 @@ class Agent(IndicationSink):
             # Link died under the reply; the disconnect path handles it.
             get_counter("agent.tx.reply_failed").incr()
 
-    def _dispatch(self, origin: int, message: E2Message) -> Optional[E2Message]:
-        if isinstance(message, E2SetupResponse):
-            self._setup_ok[origin] = True
-            done = self._setup_done.get(origin)
-            if done is not None:
-                done.set()
-            self._link_ready(origin)
-            return None
-        if isinstance(message, E2SetupFailure):
-            self._setup_ok[origin] = False
-            done = self._setup_done.get(origin)
-            if done is not None:
-                done.set()
-            return None
-        if isinstance(message, RicSubscriptionRequest):
-            return self._handle_subscription(origin, message)
-        if isinstance(message, RicSubscriptionDeleteRequest):
-            return self._handle_subscription_delete(origin, message)
-        if isinstance(message, RicControlRequest):
-            return self._handle_control(origin, message)
-        if isinstance(message, E2ConnectionUpdate):
-            return self._handle_connection_update(message)
-        if isinstance(message, RicServiceQuery):
-            return self._handle_service_query(message)
-        if isinstance(message, ResetRequest):
-            self._reset()
-            return ResetResponse()
-        from repro.core.e2ap.messages import (
-            E2NodeConfigurationUpdateAcknowledge,
-            RicServiceUpdateAcknowledge,
-        )
+    # -- message handlers: one per message class, see _DISPATCH ---------
 
-        if isinstance(
-            message, (RicServiceUpdateAcknowledge, E2NodeConfigurationUpdateAcknowledge)
-        ):
-            # Pure acknowledgements (e.g. of keepalive-triggered service
-            # updates) end the transaction; answering them with an error
-            # would ping-pong forever.
-            return None
-        return ErrorIndication(
-            cause=Cause.protocol(Cause.UNSPECIFIED, f"unhandled {type(message).__name__}")
-        )
+    def _on_setup_response(self, origin: int, message: E2SetupResponse) -> None:
+        self._setup_ok[origin] = True
+        done = self._setup_done.get(origin)
+        if done is not None:
+            done.set()
+        self._link_ready(origin)
+
+    def _on_setup_failure(self, origin: int, message: E2SetupFailure) -> None:
+        self._setup_ok[origin] = False
+        done = self._setup_done.get(origin)
+        if done is not None:
+            done.set()
+
+    def _on_acknowledge(self, origin: int, message: E2Message) -> None:
+        """Pure acknowledgements (e.g. of keepalive-triggered service
+        updates) end the transaction; answering them with an error
+        would ping-pong forever."""
 
     def _handle_subscription(
         self, origin: int, message: RicSubscriptionRequest
     ) -> E2Message:
         function = self._functions.get(message.ran_function_id)
-        handle = SubscriptionHandle(
-            origin=origin,
-            request=message.request,
-            ran_function_id=message.ran_function_id,
-        )
         if function is None:
             return RicSubscriptionFailureFactory(message, "no such RAN function")
+        handle = SubscriptionHandle(origin, message.request, message.ran_function_id)
         admitted, not_admitted = function.on_subscription(
             handle, message.event_trigger, message.actions
         )
         if admitted:
             self._journal[handle.key()] = _JournalEntry(
-                origin=origin,
-                ran_function_id=message.ran_function_id,
-                request=message.request,
-                event_trigger=bytes(message.event_trigger),
-                actions=list(message.actions),
+                handle, bytes(message.event_trigger), list(message.actions)
             )
         return RicSubscriptionResponse(
             request=message.request,
@@ -596,11 +583,7 @@ class Agent(IndicationSink):
         self, origin: int, message: RicSubscriptionDeleteRequest
     ) -> E2Message:
         function = self._functions.get(message.ran_function_id)
-        handle = SubscriptionHandle(
-            origin=origin,
-            request=message.request,
-            ran_function_id=message.ran_function_id,
-        )
+        handle = SubscriptionHandle(origin, message.request, message.ran_function_id)
         if function is None or not function.on_subscription_delete(handle):
             return RicSubscriptionDeleteFailure(
                 request=message.request,
@@ -635,7 +618,7 @@ class Agent(IndicationSink):
             cause=outcome.cause or Cause.ric_request(Cause.UNSPECIFIED),
         )
 
-    def _handle_service_query(self, message) -> E2Message:
+    def _handle_service_query(self, origin: int, message: RicServiceQuery) -> E2Message:
         """Answer a RIC service query with the function inventory.
 
         Functions the RIC already knows are omitted; everything else is
@@ -653,7 +636,7 @@ class Agent(IndicationSink):
         ]
         return RicServiceUpdate(added=added)
 
-    def _handle_connection_update(self, message: E2ConnectionUpdate) -> E2Message:
+    def _handle_connection_update(self, origin: int, message: E2ConnectionUpdate) -> E2Message:
         connected = []
         for tnl in message.add:
             # Non-blocking: we are inside a message callback; waiting for
@@ -666,11 +649,12 @@ class Agent(IndicationSink):
             self.on_connection_update(message)
         return E2ConnectionUpdateAcknowledge(connected=connected)
 
-    def _reset(self) -> None:
+    def _reset(self, origin: int, message: ResetRequest) -> E2Message:
         for function in self._functions.values():
             for key in list(function.subscriptions):
                 function.on_subscription_delete(function.subscriptions[key])
         self._journal.clear()
+        return ResetResponse()
 
 
 def RicSubscriptionFailureFactory(message: RicSubscriptionRequest, detail: str):
@@ -682,3 +666,20 @@ def RicSubscriptionFailureFactory(message: RicSubscriptionRequest, detail: str):
         ran_function_id=message.ran_function_id,
         cause=Cause.ric_request(Cause.RAN_FUNCTION_ID_INVALID, detail),
     )
+
+
+#: (procedure, class) → handler, keyed by the registered dataclass that
+#: pair decodes to: one ``get`` dispatches a message.  A class missing
+#: here is answered with an ``ErrorIndication``.
+_DISPATCH: Dict[type, Callable[[Agent, int, E2Message], Optional[E2Message]]] = {
+    E2SetupResponse: Agent._on_setup_response,
+    E2SetupFailure: Agent._on_setup_failure,
+    RicSubscriptionRequest: Agent._handle_subscription,
+    RicSubscriptionDeleteRequest: Agent._handle_subscription_delete,
+    RicControlRequest: Agent._handle_control,
+    E2ConnectionUpdate: Agent._handle_connection_update,
+    RicServiceQuery: Agent._handle_service_query,
+    ResetRequest: Agent._reset,
+    RicServiceUpdateAcknowledge: Agent._on_acknowledge,
+    E2NodeConfigurationUpdateAcknowledge: Agent._on_acknowledge,
+}

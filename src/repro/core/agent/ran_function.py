@@ -37,7 +37,8 @@ class SubscriptionHandle:
     ran_function_id: int
 
     def key(self) -> Tuple[int, int, int, int]:
-        return (self.origin, *self.request.as_tuple(), self.ran_function_id)
+        request = self.request
+        return (self.origin, request.requestor_id, request.instance_id, self.ran_function_id)
 
 
 @dataclass

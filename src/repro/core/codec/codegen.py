@@ -53,10 +53,10 @@ from repro.core.codec.schema import (
 )
 from repro.metrics import counters
 
-_enc_hits = counters.get_counter("codec.kernel.encode_hits")
-_enc_falls = counters.get_counter("codec.kernel.encode_fallbacks")
-_dec_hits = counters.get_counter("codec.kernel.decode_hits")
-_dec_falls = counters.get_counter("codec.kernel.decode_fallbacks")
+_enc_hit = counters.get_counter("codec.kernel.encode_hits").tick
+_enc_fall = counters.get_counter("codec.kernel.encode_fallbacks").tick
+_dec_hit = counters.get_counter("codec.kernel.decode_hits").tick
+_dec_fall = counters.get_counter("codec.kernel.decode_fallbacks").tick
 
 # -- flags -----------------------------------------------------------
 
@@ -2063,12 +2063,12 @@ def kernel_encode(codec_name: str, tree) -> Optional[bytes]:
     except Exception:
         if _STRICT[0]:
             raise
-        _enc_falls.incr()
+        _enc_fall()
         return None
     if out is None:
-        _enc_falls.incr()
+        _enc_fall()
     else:
-        _enc_hits.incr()
+        _enc_hit()
     return out
 
 
@@ -2087,12 +2087,12 @@ def kernel_decode(codec_name: str, data):
     except Exception:
         if _STRICT[0]:
             raise
-        _dec_falls.incr()
+        _dec_fall()
         return None
     if out is None:
-        _dec_falls.incr()
+        _dec_fall()
     else:
-        _dec_hits.incr()
+        _dec_hit()
     return out
 
 
@@ -2108,12 +2108,12 @@ def payload_encode(codec_name: str, name: str, tree) -> Optional[bytes]:
     except Exception:
         if _STRICT[0]:
             raise
-        _enc_falls.incr()
+        _enc_fall()
         return None
     if out is None:
-        _enc_falls.incr()
+        _enc_fall()
     else:
-        _enc_hits.incr()
+        _enc_hit()
     return out
 
 
@@ -2129,10 +2129,10 @@ def payload_decode(codec_name: str, name: str, data):
     except Exception:
         if _STRICT[0]:
             raise
-        _dec_falls.incr()
+        _dec_fall()
         return None
     if out is None:
-        _dec_falls.incr()
+        _dec_fall()
     else:
-        _dec_hits.incr()
+        _dec_hit()
     return out

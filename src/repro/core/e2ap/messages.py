@@ -81,7 +81,7 @@ class E2Message:
 #: every E2AP message serialization request — the denominator-free
 #: basis of the fan-out encode-reuse gate: delivered indications per
 #: encode call (DESIGN.md §15).
-_encode_calls = counters.get_counter("e2ap.encode.messages")
+_count_encode = counters.get_counter("e2ap.encode.messages").tick
 
 
 def encode_message(msg: E2Message, codec: Codec) -> bytes:
@@ -93,24 +93,19 @@ def encode_message(msg: E2Message, codec: Codec) -> bytes:
     correlation is also noted for the transport send that follows.
     """
     tracer = _TRACER
-    if tracer.enabled:
-        start = time.perf_counter()
-        wire = _encode_message(msg, codec)
+    start = time.perf_counter() if tracer.enabled else 0.0
+    _count_encode()
+    tree = {"p": int(msg.procedure), "c": int(msg.msg_class), "v": msg.to_value()}
+    try:
+        wire = codec.encode(tree)
+    except CodecError as exc:
+        raise exc.with_context(message_type=type(msg).__name__)
+    if start:
         request = getattr(msg, "request", None)
         corr = request.as_tuple() if request is not None else None
         tracer.note_corr(corr)
         tracer.record("encode", start, corr, procedure=msg.procedure.name.lower())
-        return wire
-    return _encode_message(msg, codec)
-
-
-def _encode_message(msg: E2Message, codec: Codec) -> bytes:
-    _encode_calls.incr()
-    tree = {"p": int(msg.procedure), "c": int(msg.msg_class), "v": msg.to_value()}
-    try:
-        return codec.encode(tree)
-    except CodecError as exc:
-        raise exc.with_context(message_type=type(msg).__name__)
+    return wire
 
 
 def decode_message(data: bytes, codec: Codec) -> E2Message:
@@ -120,21 +115,7 @@ def decode_message(data: bytes, codec: Codec) -> E2Message:
     same way as :func:`encode_message`.
     """
     tracer = _TRACER
-    if tracer.enabled:
-        start = time.perf_counter()
-        msg = _decode_message(data, codec)
-        request = getattr(msg, "request", None)
-        tracer.record(
-            "decode",
-            start,
-            request.as_tuple() if request is not None else None,
-            procedure=msg.procedure.name.lower(),
-        )
-        return msg
-    return _decode_message(data, codec)
-
-
-def _decode_message(data: bytes, codec: Codec) -> E2Message:
+    start = time.perf_counter() if tracer.enabled else 0.0
     try:
         tree = codec.decode(data)
     except CodecError as exc:
@@ -163,7 +144,16 @@ def _decode_message(data: bytes, codec: Codec) -> E2Message:
         ) from exc
     # A body that does not fit the class surfaces as CodecError naming
     # the class and wire field (generated from_value, codec/schema.py).
-    return cls.from_value(body)
+    msg = cls.from_value(body)
+    if start:
+        request = getattr(msg, "request", None)
+        tracer.record(
+            "decode",
+            start,
+            request.as_tuple() if request is not None else None,
+            procedure=msg.procedure.name.lower(),
+        )
+    return msg
 
 
 def peek_procedure(data: bytes, codec: Codec) -> Tuple[ProcedureCode, MessageClass]:

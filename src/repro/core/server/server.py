@@ -113,9 +113,6 @@ class ServerConfig:
 #: hoisted: the indication hot loop compares against this constant.
 _IND_CODE = int(ProcedureCode.RIC_INDICATION)
 
-#: (procedure, class) → dataclass for everything off the indication path.
-_MESSAGE_TYPES = message_types()
-
 
 def _procedure_name(procedure: int) -> str:
     """Span label for a procedure code; tolerant of unknown codes."""
@@ -648,9 +645,10 @@ class Server:
                     except Exception:  # repro-lint: disable=RL002
                         get_counter("server.iapp.callback_error").incr()
                     continue
-                cls = _MESSAGE_TYPES.get((procedure, msg_class))
-                if cls is None:
+                entry = _SLOW_PATH.get((procedure, msg_class))
+                if entry is None:
                     continue  # unknown procedures are ignored (forward compat)
+                cls, handler = entry
                 try:
                     message = cls.from_value(body)
                 except CodecError:
@@ -663,13 +661,14 @@ class Server:
                     name = _procedure_name(procedure)
                     tracer.record("decode", start, procedure=name)
                     start = time.perf_counter()
-                try:
-                    with self._slow_lock:
-                        self._handle_slow_path(state, message)
-                # Outcome callbacks and bus subscribers run in here: the
-                # same containment as the indication lane above.
-                except Exception:  # repro-lint: disable=RL002
-                    get_counter("server.iapp.callback_error").incr()
+                if handler is not None:
+                    try:
+                        with self._slow_lock:
+                            handler(self, state, message)
+                    # Outcome callbacks and bus subscribers run in here:
+                    # the same containment as the indication lane above.
+                    except Exception:  # repro-lint: disable=RL002
+                        get_counter("server.iapp.callback_error").incr()
                 if traced:
                     tracer.record("dispatch", start, procedure=name)
         finally:
@@ -682,37 +681,44 @@ class Server:
         get_counter("server.rx.decode_error").incr()
         get_counter("decode.contained").incr()
 
-    def _handle_slow_path(self, state: _ConnState, message: E2Message) -> None:
-        if isinstance(message, E2SetupRequest):
-            self._handle_setup(state, message)
-        elif isinstance(message, (RicSubscriptionResponse, RicSubscriptionFailure)):
-            if isinstance(message, RicSubscriptionResponse):
-                self.submgr.confirm(message)
-            else:
-                self.submgr.fail(message)
-            if self.admission is not None:
-                self.admission.release_subscription()
-        elif isinstance(message, RicSubscriptionDeleteResponse):
-            self.submgr.deleted(message)
-        elif isinstance(message, RicSubscriptionDeleteFailure):
-            self.submgr.remove(message.request)
-        elif isinstance(message, (RicControlAcknowledge, RicControlFailure)):
-            callback = self._pending_controls.pop(message.request.as_tuple(), None)
-            if callback is not None:
-                callback(message)
-        elif isinstance(message, RicServiceUpdate):
-            self._handle_service_update(state, message)
-        elif isinstance(message, E2NodeConfigurationUpdate):
-            if state.record is not None:
-                state.record.config.update(message.config)
-                self.events.publish(topics.NODE_CONFIG_UPDATED, (state.record, message))
-            state.endpoint.send(
-                encode_message(E2NodeConfigurationUpdateAcknowledge(), self.codec)
-            )
-        elif isinstance(message, ErrorIndication):
-            self.errors_seen.append((state.conn_id, message))
-            self.events.publish(topics.ERROR_INDICATED, (state.record, message))
-        # Messages a RIC has no use for are ignored (forward compat).
+    # -- slow-path handlers: one per message class, see _SLOW_PATH -------
+
+    def _on_subscription_response(
+        self, state: _ConnState, message: RicSubscriptionResponse
+    ) -> None:
+        self.submgr.confirm(message)
+        if self.admission is not None:
+            self.admission.release_subscription()
+
+    def _on_subscription_failure(self, state: _ConnState, message: RicSubscriptionFailure) -> None:
+        self.submgr.fail(message)
+        if self.admission is not None:
+            self.admission.release_subscription()
+
+    def _on_subscription_deleted(
+        self, state: _ConnState, message: RicSubscriptionDeleteResponse
+    ) -> None:
+        self.submgr.deleted(message)
+
+    def _on_subscription_delete_failure(
+        self, state: _ConnState, message: RicSubscriptionDeleteFailure
+    ) -> None:
+        self.submgr.remove(message.request)
+
+    def _on_control_outcome(self, state: _ConnState, message: E2Message) -> None:
+        callback = self._pending_controls.pop(message.request.as_tuple(), None)
+        if callback is not None:
+            callback(message)
+
+    def _on_config_update(self, state: _ConnState, message: E2NodeConfigurationUpdate) -> None:
+        if state.record is not None:
+            state.record.config.update(message.config)
+            self.events.publish(topics.NODE_CONFIG_UPDATED, (state.record, message))
+        state.endpoint.send(encode_message(E2NodeConfigurationUpdateAcknowledge(), self.codec))
+
+    def _on_error_indication(self, state: _ConnState, message: ErrorIndication) -> None:
+        self.errors_seen.append((state.conn_id, message))
+        self.events.publish(topics.ERROR_INDICATED, (state.record, message))
 
     def _handle_setup(self, state: _ConnState, request: E2SetupRequest) -> None:
         admission = self.admission
@@ -996,8 +1002,11 @@ class Server:
             raise ConnectionError(f"no live agent connection {conn_id}")
         if _TRACER.enabled:
             _TRACER.node = self._node_label
-        with self.cpu.measure():
+        began = time.perf_counter_ns()
+        try:
             data = encode_message(message, self.codec)
+        finally:
+            self.cpu.charge((time.perf_counter_ns() - began) / 1e9)
         state.endpoint.send(data)
 
     def _send_batch(self, conn_id: int, messages: Sequence[E2Message]) -> None:
@@ -1008,6 +1017,33 @@ class Server:
             raise ConnectionError(f"no live agent connection {conn_id}")
         if _TRACER.enabled:
             _TRACER.node = self._node_label
-        with self.cpu.measure():
+        began = time.perf_counter_ns()
+        try:
             batch = [encode_message(message, self.codec) for message in messages]
+        finally:
+            self.cpu.charge((time.perf_counter_ns() - began) / 1e9)
         state.endpoint.send_many(batch)
+
+
+_Handler = Callable[[Server, _ConnState, Any], None]
+
+_HANDLERS: Dict[type, _Handler] = {
+    E2SetupRequest: Server._handle_setup,
+    RicSubscriptionResponse: Server._on_subscription_response,
+    RicSubscriptionFailure: Server._on_subscription_failure,
+    RicSubscriptionDeleteResponse: Server._on_subscription_deleted,
+    RicSubscriptionDeleteFailure: Server._on_subscription_delete_failure,
+    RicControlAcknowledge: Server._on_control_outcome,
+    RicControlFailure: Server._on_control_outcome,
+    RicServiceUpdate: Server._handle_service_update,
+    E2NodeConfigurationUpdate: Server._on_config_update,
+    ErrorIndication: Server._on_error_indication,
+}
+
+#: (procedure, class) → (dataclass, handler) for everything off the
+#: indication path: one ``get`` dispatches a frame.  A class a RIC has
+#: no use for is still decoded (a malformed body is contained and
+#: counted) and then ignored (forward compat).
+_SLOW_PATH: Dict[Tuple[int, int], Tuple[type, Optional[_Handler]]] = {
+    key: (cls, _HANDLERS.get(cls)) for key, cls in message_types().items()
+}

@@ -23,9 +23,11 @@ the same races a network reordering already produces.  Anything that
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.counters import get_counter
@@ -56,7 +58,15 @@ class SubscriptionCallbacks:
 IndicationEventLike = object
 
 
-@dataclass
+#: everything the agent sees on the wire; equal keys may share a record.
+ShareKey = Tuple[int, int, int, bytes, Tuple[RicActionDefinition, ...]]
+
+
+#: ``slots`` is a 3.10 dataclass keyword; 3.9 builds the same record with a ``__dict__``.
+_SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(**_SLOTTED)
 class SubscriptionRecord:
     """One live (or pending) subscription."""
 
@@ -84,6 +94,11 @@ class SubscriptionRecord:
     #: the confirm response, kept so a sink attaching after the wire
     #: subscription confirmed can replay ``on_success`` immediately.
     response: Optional["RicSubscriptionResponse"] = None
+    #: this record's :data:`ShareKey`, computed once by the submgr and
+    #: recomputed only when :meth:`SubscriptionManager.adopt` re-homes it.
+    share_key: Optional[ShareKey] = None
+    #: set by the holder's first ``unsubscribe``; a repeat is a no-op.
+    released: bool = False
 
 
 class SinkHandle:
@@ -98,19 +113,22 @@ class SinkHandle:
     ``subscribe`` as a record (``.request``, ``.confirmed``, ...).
     """
 
-    __slots__ = ("record", "sink")
+    __slots__ = ("record", "sink", "released")
 
     def __init__(self, record: SubscriptionRecord, sink: SubscriptionCallbacks) -> None:
         self.record = record
         self.sink = sink
+        #: set by this subscriber's first ``unsubscribe``; a repeat is a no-op.
+        self.released = False
 
     def __getattr__(self, name):
         return getattr(self.record, name)
 
 
-#: everything the agent sees on the wire; equal keys may share a record.
-ShareKey = Tuple[int, int, int, bytes, Tuple[RicActionDefinition, ...]]
 _Bucket = Dict[Tuple[int, int], SubscriptionRecord]  # request key -> record
+
+#: share-index order: creation order, as request ids are minted in it.
+_creation_order = attrgetter("request.instance_id")
 
 
 def _share_key(record: SubscriptionRecord) -> ShareKey:
@@ -153,9 +171,13 @@ class SubscriptionManager:
         self._by_conn.setdefault(record.conn_id, {})[key] = record
         self.parked_count += record.parked
         if not record.parked:
-            share_key = _share_key(record)
-            peers = self._by_share.get(share_key, ()) + (record,)  # ids are minted in order
-            self._by_share[share_key] = tuple(sorted(peers, key=lambda r: r.request.instance_id))
+            alone = (record,)
+            peers = self._by_share.setdefault(record.share_key, alone)
+            if peers is not alone:
+                # Only an adopted record can be older than its peers.
+                self._by_share[record.share_key] = tuple(
+                    sorted(peers + alone, key=_creation_order)
+                )
 
     def _leave(self, key: Tuple[int, int], record: SubscriptionRecord) -> None:
         """Inverse of :meth:`_join`; call *before* changing conn/parked."""
@@ -165,12 +187,9 @@ class SubscriptionManager:
             del self._by_conn[record.conn_id]
         self.parked_count -= record.parked
         if not record.parked:
-            share_key = _share_key(record)
-            peers = tuple(r for r in self._by_share[share_key] if r is not record)
-            if peers:
-                self._by_share[share_key] = peers
-            else:
-                del self._by_share[share_key]
+            peers = self._by_share.pop(record.share_key)
+            if len(peers) > 1:
+                self._by_share[record.share_key] = tuple(r for r in peers if r is not record)
 
     def mint_request(self, requestor_id: Optional[int] = None) -> RicRequestId:
         """A fresh request id, registered nowhere (a locally refused
@@ -199,19 +218,23 @@ class SubscriptionManager:
         (as :meth:`attach_sink`) — find-or-create in one critical
         section, so equal concurrent requests create one record.
         """
+        actions = list(actions or ())
+        event_trigger = bytes(event_trigger)
+        requestor = self.requestor_id if requestor_id is None else requestor_id
+        share_key = (conn_id, ran_function_id, requestor, event_trigger, tuple(actions))
         with self._lock:  # ids minted under the lock: table order is creation order
-            shared = share and self.find_shared(
-                conn_id, ran_function_id, event_trigger, actions, requestor_id
-            )
-            if not shared:
+            peers = self._by_share.get(share_key) if share else None
+            if not peers:
+                instance = next(self._instance_ids)
                 record = SubscriptionRecord(
-                    self.mint_request(requestor_id), conn_id, ran_function_id, callbacks,
-                    list(actions or ()), event_trigger=bytes(event_trigger),
+                    RicRequestId(requestor, instance), conn_id, ran_function_id, callbacks,
+                    actions, event_trigger=event_trigger, share_key=share_key,
                 )
-                key = record.request.as_tuple()
+                key = (requestor, instance)
                 self._records[key] = record
                 self._join(key, record)
                 return record
+            shared = peers[0]
             shared.extra_sinks.append(callbacks)
             response = shared.response if shared.confirmed else None
         return self._attached(shared, callbacks, response)
@@ -226,8 +249,9 @@ class SubscriptionManager:
         # on_success exactly once: it appended before this snapshot
         # (notified below) or after, in which case the attach saw
         # confirmed=True and replays the stored response itself.
+        request = response.request
         with self._lock:
-            record = self._records.get(response.request.as_tuple())
+            record = self._records.get((request.requestor_id, request.instance_id))
             if record is None:
                 return None
             record.response = response
@@ -238,7 +262,7 @@ class SubscriptionManager:
 
     def _retire(self, request: RicRequestId, hook: str = "", message=None):
         """Unregister the record, then call ``hook`` on its subscribers of that moment."""
-        key = request.as_tuple()
+        key = (request.requestor_id, request.instance_id)
         with self._lock:
             record = self._records.pop(key, None)
             if record is None:
@@ -304,13 +328,19 @@ class SubscriptionManager:
         (detaches exactly that sink) or the plain
         :class:`SubscriptionRecord` the primary subscriber holds (the
         earliest-attached extra sink, if any, is promoted to primary so
-        the wire subscription survives the primary leaving).
+        the wire subscription survives the primary leaving).  Each
+        holder detaches once: a repeat, or a record that was never
+        registered (refused by admission) or is already gone, detaches
+        nothing.
 
-        Returns True when the wire subscription stays up for remaining
-        subscribers; False means this was the last one and the caller
-        owns the actual wire delete.
+        Returns True when there is nothing for the caller to send;
+        False means this was the last subscriber and the caller owns
+        the actual wire delete.
         """
         with self._lock:
+            if handle.released:
+                return True
+            handle.released = True
             if isinstance(handle, SinkHandle):
                 record = handle.record
                 for i, sink in enumerate(record.extra_sinks):
@@ -322,11 +352,12 @@ class SubscriptionManager:
                         )
                         return True
                 if record.callbacks is not handle.sink:
-                    # Already detached (double unsubscribe) and someone
-                    # else owns the record: nothing to tear down.
-                    return True
+                    return True  # neither an extra sink nor the promoted primary
             else:
                 record = handle
+            request = record.request
+            if self._records.get((request.requestor_id, request.instance_id)) is not record:
+                return True
             # Primary leaving: promote the earliest-attached sink so
             # the subscribers still riding the record keep receiving.
             if record.extra_sinks:
@@ -421,6 +452,7 @@ class SubscriptionManager:
                 record.conn_id = new_conn_id
                 record.parked = False
                 record.resyncs += 1
+                record.share_key = _share_key(record)
                 self._join(key, record)
 
     def terminal_fail(self, record: SubscriptionRecord, failure: RicSubscriptionFailure) -> None:

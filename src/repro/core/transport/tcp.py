@@ -109,12 +109,13 @@ class _TcpEndpoint(Endpoint):
     def send(self, data: bytes) -> None:
         if self._closed:
             raise ConnectionError("endpoint closed")
-        if len(data) > MAX_MESSAGE_BYTES:
-            raise FramingError(f"message too large: {len(data)} B")
+        size = len(data)
+        if size > MAX_MESSAGE_BYTES:
+            raise FramingError(f"message too large: {size} B")
         tracer = _TRACER
         trace_start = time.perf_counter() if tracer.enabled else 0.0
-        prefix = _LEN.pack(len(data))
-        total = _LEN.size + len(data)
+        prefix = _LEN.pack(size)
+        total = _LEN.size + size
         if trace_start:
             tracer.record("frame", trace_start, tracer.adopt_corr())
             trace_start = time.perf_counter()
@@ -137,7 +138,7 @@ class _TcpEndpoint(Endpoint):
             raise self._send_failed(exc)
         if trace_start:
             tracer.record("send", trace_start, tracer.adopt_corr(), node=self._peer)
-        self.bytes_sent += len(data)
+        self.bytes_sent += size
         self.messages_sent += 1
 
     def send_many(self, batch: Sequence[bytes]) -> None:

@@ -1,13 +1,14 @@
 """Named monotonic counters for cache and hot-path instrumentation.
 
-Counters are process-global and thread-safe: with the sharded server
-ingest multiple transport shard threads increment the same counters
-concurrently, so a plain ``+=`` would silently drop updates.  Each
-instrument binds one lock from a small striped pool at construction
-(hashed by name), keeping ``incr`` to one uncontended lock acquisition
-plus an integer add — cheap enough to stay on the codec hot path while
-making the hammer-test arithmetic exact.  Reads (``.value``) stay
-lock-free: an int attribute load is atomic under the GIL.
+Counters are process-global and thread-safe: several threads (the
+transport loop, the liveness tick, a test's hammer threads) increment
+the same counters concurrently, so a plain ``+=`` would silently drop
+updates.  The common ``+1`` is one ``next()`` on an
+:func:`itertools.count`, which the interpreter runs without releasing
+the GIL — exact without any lock, at a fifth of the cost of a lock
+round trip on the codec hot path.  Bulk ``incr(n)`` and ``reset`` add
+to a separate base under one lock from a small striped pool (hashed by
+name); ``.value`` is the base plus the ticks so far.
 
 :class:`Gauge` (point-in-time values) and :class:`Histogram`
 (fixed-bucket latency distributions) share the same registry
@@ -23,6 +24,7 @@ Example:
 
 from __future__ import annotations
 
+import itertools
 import threading
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -41,23 +43,42 @@ def _stripe_lock(name: str) -> threading.Lock:
     return _LOCK_POOL[hash(name) % _STRIPES]
 
 
+def _ticks_of(ticks: "itertools.count[int]") -> int:
+    """How many times ``next`` has been called on a ``count()`` from 0."""
+    return int(repr(ticks)[6:-1])
+
+
 class Counter:
     """One named monotonic counter (thread-safe ``incr``)."""
 
-    __slots__ = ("name", "value", "_lock")
+    __slots__ = ("name", "tick", "_ticks", "_base", "_lock")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.value = 0
+        #: one tick per ``incr()``; never replaced, so a tick racing a
+        #: ``reset`` lands on one side of it, never nowhere.
+        self._ticks = itertools.count()
+        #: ``incr()`` without the Python frame (the count's bound
+        #: ``__next__``), for sites paid once per message.
+        self.tick = self._ticks.__next__
+        #: bulk increments, minus the ticks a ``reset`` cleared.
+        self._base = 0
         self._lock = _stripe_lock(name)
 
     def incr(self, amount: int = 1) -> None:
-        with self._lock:
-            self.value += amount
+        if amount == 1:
+            next(self._ticks)
+        else:
+            with self._lock:
+                self._base += amount
+
+    @property
+    def value(self) -> int:
+        return self._base + _ticks_of(self._ticks)
 
     def reset(self) -> None:
         with self._lock:
-            self.value = 0
+            self._base = -_ticks_of(self._ticks)
 
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, value={self.value})"

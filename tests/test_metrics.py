@@ -175,6 +175,49 @@ class TestInstrumentThreadSafety:
         self._hammer(lambda: [counter.incr() for _ in range(self.ITERS)])
         assert counter.value == self.THREADS * self.ITERS
 
+    def test_counter_mixed_tick_and_bulk_incr_exact(self):
+        from repro.metrics.counters import get_counter
+
+        counter = get_counter("test.hammer.mixed")
+        counter.reset()
+
+        def worker():
+            for n in range(self.ITERS):
+                counter.incr()
+                counter.incr(n % 3)  # 0, 1 (the lock-free tick) and 2 (the locked base)
+
+        self._hammer(worker)
+        assert counter.value == self.THREADS * (self.ITERS + sum(n % 3 for n in range(self.ITERS)))
+
+    def test_counter_reset_then_incr_reads_the_new_total(self):
+        from repro.metrics.counters import get_counter
+
+        counter = get_counter("test.counter.reset")
+        counter.incr()
+        counter.incr(41)
+        counter.reset()
+        assert counter.value == 0
+        counter.incr()
+        counter.incr(5)
+        assert counter.value == 6
+        counter.reset()
+        counter.reset()
+        assert counter.value == 0
+        counter.incr()
+        assert counter.value == 1
+
+    def test_counter_snapshot_and_repr_unchanged(self):
+        from repro.metrics.counters import counter_values, get_counter, reset_counters
+
+        counter = get_counter("test.counter.repr")
+        reset_counters("test.counter.repr")
+        for _ in range(3):
+            counter.incr()
+        counter.incr(4)
+        assert counter_values()["test.counter.repr"] == 7
+        assert type(counter_values()["test.counter.repr"]) is int
+        assert repr(counter) == "Counter('test.counter.repr', value=7)"
+
     def test_gauge_concurrent_add_exact(self):
         from repro.metrics.counters import get_gauge
 

@@ -29,6 +29,7 @@ from repro.core.e2ap.messages import (
     RicSubscriptionResponse,
 )
 from repro.core.e2ap.procedures import Cause
+from repro.core.overload import OverloadConfig
 from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
 from repro.core.server.submgr import SinkHandle, SubscriptionManager
 from repro.core.transport import InProcTransport
@@ -327,10 +328,10 @@ def test_accessors_survive_concurrent_churn(fast_switching):
     assert len(manager) == 200 and manager.parked_count == 0
 
 
-def _wire_hw(nodes=1):
+def _wire_hw(nodes=1, config=None):
     """Inline inproc server with ``nodes`` HW-SM agents; returns conn ids too."""
     transport = InProcTransport()
-    server = Server(ServerConfig())
+    server = Server(config or ServerConfig())
     server.listen(transport, "ric")
     for nb_id in range(1, nodes + 1):
         node_id = GlobalE2NodeId(plmn="00101", nb_id=nb_id, kind=NodeKind.GNB)
@@ -377,6 +378,75 @@ def test_concurrent_equal_subscribes_put_one_request_on_the_wire(fast_switching)
         assert sum(isinstance(result, SinkHandle) for result in results) == subscribers - 1
         assert len({result.request for result in results}) == 1
         assert [len(seen) for seen in confirms] == [1] * subscribers
+    finally:
+        transport.stop()
+        server.close()
+
+
+# -- each subscriber unsubscribes once ------------------------------------
+
+
+def _wire_traffic(before):
+    """E2AP messages encoded since ``before`` (both sides of the inproc wire)."""
+    return counter_values().get("e2ap.encode.messages", 0) - before.get("e2ap.encode.messages", 0)
+
+
+def test_a_repeated_unsubscribe_leaves_the_promoted_subscriber_alone():
+    """A creates, B attaches, A unsubscribes (B is promoted), A unsubscribes
+    again: the repeat used to find no extra sink left and send the wire
+    delete from under B."""
+    transport = InProcTransport()
+    server = Server(ServerConfig())
+    server.listen(transport, "ric")
+    agent = Agent(AgentConfig(node_id=GlobalE2NodeId("00101", 1, NodeKind.GNB)), transport)
+    function = HwRanFunction()
+    agent.register_function(function)
+    agent.connect("ric")
+    (conn,) = [record.conn_id for record in server.agents()]
+    try:
+        a_deleted, b_deleted = [], []
+        a = server.subscribe(
+            conn, HW.default_function_id, b"shared", REPORT,
+            SubscriptionCallbacks(on_deleted=a_deleted.append),
+        )
+        b = server.subscribe(
+            conn, HW.default_function_id, b"shared", REPORT,
+            SubscriptionCallbacks(on_deleted=b_deleted.append),
+        )
+        assert isinstance(b, SinkHandle) and b.record is a
+        before = counter_values()
+        server.unsubscribe(a)
+        server.unsubscribe(a)
+        assert _wire_traffic(before) == 0
+        assert server.submgr.lookup(*a.request.as_tuple()) is a
+        assert len(function.subscriptions) == 1 and b_deleted == []
+        server.unsubscribe(b)  # the last subscriber: now the wire delete goes out
+        assert _wire_traffic(before) == 2
+        assert len(server.submgr) == 0 and not function.subscriptions
+        assert len(b_deleted) == 1 and a_deleted == []
+        server.unsubscribe(b)
+        server.unsubscribe(a)
+        assert _wire_traffic(before) == 2
+    finally:
+        transport.stop()
+        server.close()
+
+
+def test_unsubscribing_a_refused_subscription_sends_nothing():
+    """A request admission refused never reached the wire; unsubscribing
+    it used to send a delete for a request id the agent never saw."""
+    config = ServerConfig(overload=OverloadConfig(max_pending_subscriptions=0))
+    transport, server, (conn,) = _wire_hw(config=config)
+    try:
+        failures = []
+        record = server.subscribe(
+            conn, HW.default_function_id, b"refused", REPORT,
+            SubscriptionCallbacks(on_failure=failures.append),
+        )
+        assert len(failures) == 1 and len(server.submgr) == 0
+        before = counter_values()
+        server.unsubscribe(record)
+        assert _wire_traffic(before) == 0
     finally:
         transport.stop()
         server.close()

@@ -10,6 +10,7 @@ the way PR 20 pinned ``pump()``.
 """
 
 import os
+import struct
 import sys
 import time
 
@@ -19,9 +20,15 @@ from repro.controllers.monitoring import StatsMonitorIApp
 from repro.core.agent import Agent, AgentConfig
 from repro.core.codec import codegen, get_codec
 from repro.core.codec import flat as flat_mod
-from repro.core.e2ap.ies import GlobalE2NodeId, NodeKind, RicRequestId
+from repro.core.e2ap.ies import (
+    GlobalE2NodeId,
+    NodeKind,
+    RicActionDefinition,
+    RicActionKind,
+    RicRequestId,
+)
 from repro.core.e2ap.messages import RicIndication, RicIndicationKind, encode_message
-from repro.core.server import Server, ServerConfig
+from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
 from repro.core.server.server import IndicationEvent
 from repro.core.transport import TcpTransport
 from repro.experiments.common import HwPingerIApp
@@ -33,10 +40,17 @@ pytestmark = pytest.mark.skipif(
     reason="tracked locks add calls; the budgets describe the production path",
 )
 
-#: profiled calls per one-message wake-up (82 before the rewrite).
-WAKEUP_BUDGET = 60
-#: profiled calls per inline asn/asn 1 500 B HW ping (668 before).
-PING_BUDGET = 420
+#: profiled calls per one-message wake-up (82 before the rewrite, 55
+#: before lock-free counters; 53 now).
+WAKEUP_BUDGET = 56
+#: profiled calls per inline asn/asn 1 500 B HW ping (668 before the
+#: rewrite, 390 before lock-free counters and inline meters; 345 now).
+PING_BUDGET = 362
+#: profiled calls per inline fb subscribe → confirm → unsubscribe →
+#: deleted cycle beside 1 000 standing subscriptions, both sides (503
+#: before lock-free counters, inline meters, table dispatch and one
+#: share key per record; 418 now).
+CYCLE_BUDGET = 439
 
 
 def count_calls(fn, *args, **kwargs) -> int:
@@ -122,6 +136,48 @@ class TestWakeupBudget:
             counts = [count_calls(pinger.ping, data, pump=pump) for _ in range(5)]
             assert len(pinger.rtts_us) == 10
             assert min(counts) <= PING_BUDGET, counts
+        finally:
+            transport.stop()
+
+    def test_one_subscription_cycle_stays_within_its_call_budget(self):
+        """subscribe → agent admits → confirm → unsubscribe → agent deletes → deleted."""
+        transport = TcpTransport()
+        report = [RicActionDefinition(action_id=1, kind=RicActionKind.REPORT)]
+        try:
+            server = Server(ServerConfig())
+            listener = server.listen(transport, "127.0.0.1:0")
+            agent = Agent(AgentConfig(node_id=_node(), e2ap_codec="fb"), transport)
+            function = hw.HwRanFunction(sm_codec="fb")
+            agent.register_function(function)
+            agent.connect_async(listener.address)
+            _step_until((transport,), lambda: server.agents())
+            conn_id = server.agents()[0].conn_id
+            standing = SubscriptionCallbacks()
+            for n in range(1000):
+                trigger = struct.pack(">BIQ", 0, 1, n)
+                server.subscribe(conn_id, function.ran_function_id, trigger, report, standing)
+            _step_until((transport,), lambda: len(function.subscriptions) == 1000)
+            fresh = iter(range(1, 1 << 30))
+            deleted = []
+
+            def cycle() -> None:
+                callbacks = SubscriptionCallbacks(
+                    on_success=lambda response: server.unsubscribe(record),
+                    on_deleted=deleted.append,
+                )
+                record = server.subscribe(
+                    conn_id, function.ran_function_id,
+                    struct.pack(">BIQ", 1, 1, next(fresh)), report, callbacks,
+                )
+                while not deleted:
+                    transport.step(1.0)
+                del deleted[:]
+
+            for _ in range(5):  # kernels built, counters resolved
+                cycle()
+            counts = [count_calls(cycle) for _ in range(5)]
+            assert len(server.submgr) == 1000 and len(function.subscriptions) == 1000
+            assert min(counts) <= CYCLE_BUDGET, counts
         finally:
             transport.stop()
 
