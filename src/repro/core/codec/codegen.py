@@ -30,6 +30,7 @@ differential-testing oracle.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from contextlib import contextmanager
@@ -893,7 +894,10 @@ class _Off:
 class _DecRuns:
     """Decode-side fusion: consecutive fixed-width reads (constant wire
     bytes + scalar captures) collapse into one ``unpack_from`` whose
-    constant captures are compared as a batch."""
+    constant captures are compared as a batch — a run that alternates
+    constant, value, constant, … (every fixed ``fb`` block: directory
+    entries and tagged cells) in one tuple comparison, its values taken
+    with one slice."""
 
     def __init__(self, fn: _Fn, off: _Off) -> None:
         self.fn = fn
@@ -936,6 +940,13 @@ class _DecRuns:
         sname = fn.mod.const_struct(fmt)
         uname = fn.mod.name("u")
         fn.w(f"{uname} = {sname}.unpack_from(data, {start})")
+        kinds = [kind for kind, _payload in run]
+        if len(run) > 2 and set(kinds[0::2]) == {"c"} and "c" not in kinds[1::2]:
+            consts = fn.mod.const(repr(tuple(payload for _kind, payload in run[0::2])))
+            fn.w(f"if {uname}[0::2] != {consts}: return None")
+            fn.w(f"{', '.join(payload for _kind, payload in run[1::2])}, = {uname}[1::2]")
+            self.off.advance(width)
+            return
         checks = []
         for index, (kind, payload) in enumerate(run):
             if kind == "c":
@@ -966,6 +977,8 @@ class _FlatEmitter:
         self._elem_dec: Dict[str, str] = {}
         self._emit_encode(mod, schema)
         self._emit_decode(mod, schema)
+        if schema.name == _ROW_SCHEMA:
+            self._emit_decode(mod, schema, row=[])
         return mod
 
     def _emit_encode(self, mod: _Mod, schema: Schema) -> None:
@@ -1167,22 +1180,29 @@ class _FlatEmitter:
 
     # -- decode ------------------------------------------------------
 
-    def _emit_decode(self, mod: _Mod, schema: Schema) -> None:
-        fn = _Fn(mod, "decode", "data")
-        fn.w("if data[:4] != b'FR\\x01\\x00': return None")
-        iu = mod.const_struct("<I")
-        fn.w(f"rs = {iu}.unpack_from(data, 4)[0]")
-        fn.w("if 16 + rs > len(data): return None")
-        off = _Off(None, 16)
+    def _emit_decode(self, mod: _Mod, schema: Schema, row: Optional[List[str]] = None) -> None:
+        """``decode`` (the dict tree), or with ``row`` the route kernel:
+        the same checks, returning the body's leaves (``_row_return``)."""
+        fn = _Fn(mod, "decode" if row is None else "route", "data")
+        off = _Off(None, 0)
         runs = _DecRuns(fn, off)
-        result = self._dec_dict(fn, schema, runs, off)
+        # The header (magic, root size, zero pad) opens the first fused
+        # run; the root size is checked once every read is made.
+        runs.const(b"FR\x01\x00")
+        runs.capture("I", "rs")
+        runs.const(b"\x00" * 8)
+        result = self._dec_dict(fn, schema, runs, off, row)
         runs.flush()
-        fn.w(f"return {result}")
+        fn.w("if 16 + rs > len(data): return None")
+        fn.w(f"return {result}" if row is None else _row_return(row))
         fn.close()
 
     def _dec_dict(
-        self, fn: _Fn, schema: Schema, runs: _DecRuns, off: _Off
+        self, fn: _Fn, schema: Schema, runs: _DecRuns, off: _Off,
+        row: Optional[List[str]] = None,
     ) -> str:
+        """The dict display of ``schema`` read at ``off``; its leaf
+        expressions are also appended to ``row`` in wire order."""
         mod = fn.mod
         runs.const(b"\x08" + _I.pack(len(schema.fields)))
         dir_sizes: List[Optional[str]] = []
@@ -1203,13 +1223,15 @@ class _FlatEmitter:
                 dir_sizes.append(s)
         parts = []
         for (key, spec), s in zip(schema.fields, dir_sizes):
-            parts.append(
-                f"{key!r}: " + self._dec_field(fn, spec, runs, off, s)
-            )
+            expr = self._dec_field(fn, spec, runs, off, s, row)
+            parts.append(f"{key!r}: {expr}")
+            if row is not None and spec.kind != "nested":
+                row.append(expr)
         return "{" + ", ".join(parts) + "}"
 
     def _dec_field(
-        self, fn: _Fn, spec: Spec, runs: _DecRuns, off: _Off, s: Optional[str]
+        self, fn: _Fn, spec: Spec, runs: _DecRuns, off: _Off, s: Optional[str],
+        row: Optional[List[str]] = None,
     ) -> str:
         mod = fn.mod
         kind = spec.kind
@@ -1275,7 +1297,7 @@ class _FlatEmitter:
             off.k = 0
             return x
         if kind == "nested":
-            return self._dec_dict(fn, spec.schema, runs, off)
+            return self._dec_dict(fn, spec.schema, runs, off, row)
         if kind in ("seq", "strmap"):
             runs.flush()
             iu = mod.const_struct("<I")
@@ -1424,6 +1446,8 @@ class _PerEmitter:
         self._elem_dec: Dict[str, str] = {}
         self._emit_encode(mod, schema)
         self._emit_decode(mod, schema)
+        if schema.name == _ROW_SCHEMA:
+            self._emit_decode(mod, schema, row=[])
         return mod
 
     # -- encode ------------------------------------------------------
@@ -1653,13 +1677,14 @@ class _PerEmitter:
 
     # -- decode ------------------------------------------------------
 
-    def _emit_decode(self, mod: _Mod, schema: Schema) -> None:
-        fn = _Fn(mod, "decode", "data")
+    def _emit_decode(self, mod: _Mod, schema: Schema, row: Optional[List[str]] = None) -> None:
+        """``decode``, or with ``row`` the route kernel (as on ``fb``)."""
+        fn = _Fn(mod, "decode" if row is None else "route", "data")
         off = _Off(None, 0)
         runs = _DecRuns(fn, off)
-        result = self._dec_dict(fn, schema, runs, off)
+        result = self._dec_dict(fn, schema, runs, off, row)
         runs.flush()
-        fn.w(f"return {result}")
+        fn.w(f"return {result}" if row is None else _row_return(row))
         fn.close()
 
     def _mask(self, fn: _Fn, runs: _DecRuns, off: _Off, mask: int, want: int) -> None:
@@ -1668,18 +1693,23 @@ class _PerEmitter:
         off.advance(1)
 
     def _dec_dict(
-        self, fn: _Fn, schema: Schema, runs: _DecRuns, off: _Off
+        self, fn: _Fn, schema: Schema, runs: _DecRuns, off: _Off,
+        row: Optional[List[str]] = None,
     ) -> str:
         runs.const(b"\x80" + _B1[len(schema.fields)])
         parts = []
         for key, spec in schema.fields:
             kraw = key.encode("utf-8")
             runs.const(_B1[len(kraw)] + kraw)
-            parts.append(f"{key!r}: " + self._dec_field(fn, spec, runs, off))
+            expr = self._dec_field(fn, spec, runs, off, row)
+            parts.append(f"{key!r}: {expr}")
+            if row is not None and spec.kind != "nested":
+                row.append(expr)
         return "{" + ", ".join(parts) + "}"
 
     def _dec_field(
-        self, fn: _Fn, spec: Spec, runs: _DecRuns, off: _Off
+        self, fn: _Fn, spec: Spec, runs: _DecRuns, off: _Off,
+        row: Optional[List[str]] = None,
     ) -> str:
         mod = fn.mod
         kind = spec.kind
@@ -1748,7 +1778,7 @@ class _PerEmitter:
             off.k = 0
             return x
         if kind == "nested":
-            return self._dec_dict(fn, spec.schema, runs, off)
+            return self._dec_dict(fn, spec.schema, runs, off, row)
         if kind == "strmap":
             self._mask(fn, runs, off, 0xF0, 0x80)
             r = mod.name("r")
@@ -1921,6 +1951,59 @@ class _PerEmitter:
         return fn.name
 
 
+# -- the row lane ----------------------------------------------------
+# ``decode_route`` hands one message class over as a *row*: the tuple
+# of its body's leaves in wire order, no dict built.  The envelope
+# emitters add a ``route`` kernel for it; every lane without one reads
+# the same row off the body through :func:`routed`.
+
+#: (RIC_INDICATION, INITIATING): the message the ingest hot path routes.
+ROW_ROUTED = (5, 0)
+_ROW_SCHEMA = "envelope_%d_%d" % ROW_ROUTED
+
+
+def _row_return(row: List[str]) -> str:
+    """The route kernel's return: the body's leaves, not the envelope's
+    two constant discriminators (the dispatch has read them)."""
+    return f"return ({', '.join(row[2:])},)"
+
+
+@functools.lru_cache(maxsize=None)
+def _row_reader() -> Callable[[Any], tuple]:
+    """``body → row`` for the lanes without a route kernel, generated
+    from the schema the route kernels are: nested structs unrolled into
+    locals, one tuple display of every leaf."""
+    lines = ["def row(v0):"]
+    leaves: List[str] = []
+
+    def walk(var: str, sch: Schema) -> None:
+        for key, spec in sch.fields:
+            if spec.kind == "nested":
+                sub = f"v{len(lines)}"
+                lines.append(f"    {sub} = {var}[{key!r}]")
+                walk(sub, spec.schema)
+            else:
+                leaves.append(f"{var}[{key!r}]")
+
+    walk("v0", _schema.message_schema(*ROW_ROUTED))
+    lines.append(f"    return ({', '.join(leaves)},)")
+    ns: Dict[str, Any] = {}
+    exec(compile("\n".join(lines), "<row reader>", "exec"), ns)
+    return ns["row"]
+
+
+def routed(procedure, msg_class, body) -> Tuple[Any, Any, Any]:
+    """``decode_route``'s answer from a lane without a route kernel
+    (kernels off, a buffer that is not ``bytes``, a frame the kernel
+    declines, ``pb``): a :data:`ROW_ROUTED` body as the row the route
+    kernels return, any other body as it is.  A body that does not fit
+    raises here (``KeyError``/``TypeError``), inside the caller's
+    containment."""
+    if (procedure, msg_class) == ROW_ROUTED:
+        return procedure, msg_class, _row_reader()(body)
+    return procedure, msg_class, body
+
+
 # -- kernel cache and dispatch ---------------------------------------
 
 _EMITTERS = {
@@ -1930,15 +2013,17 @@ _EMITTERS = {
 
 
 class Kernel:
-    """A compiled (schema × codec) pair: generated source + entry points."""
+    """A compiled (schema × codec) pair: generated source + entry points
+    (``route`` only on the :data:`ROW_ROUTED` envelope, else None)."""
 
-    __slots__ = ("name", "source", "encode", "decode")
+    __slots__ = ("name", "source", "encode", "decode", "route")
 
-    def __init__(self, name: str, source: str, encode, decode) -> None:
+    def __init__(self, name: str, source: str, encode, decode, route) -> None:
         self.name = name
         self.source = source
         self.encode = encode
         self.decode = decode
+        self.route = route
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Kernel {self.name}>"
@@ -1967,7 +2052,7 @@ def _build(codec_name: str, schema: Schema) -> Optional[Kernel]:
         ns = mod.compile()
     except _Unsupported:
         return None
-    return Kernel(schema.name, source, ns["encode"], ns["decode"])
+    return Kernel(schema.name, source, ns["encode"], ns["decode"], ns.get("route"))
 
 
 def envelope_kernel(codec_name: str, procedure: int, msg_class: int):
@@ -1977,9 +2062,12 @@ def envelope_kernel(codec_name: str, procedure: int, msg_class: int):
     except KeyError:
         pass
     sch = _schema.envelope_schema(procedure, msg_class)
-    kern = _build(codec_name, sch) if sch is not None else None
+    if sch is None:
+        # The pair came off the wire: caching it would let a peer grow
+        # the table without bound.  Only registered pairs are kept.
+        return None
     # Builds are deterministic, so a concurrent duplicate is identical.
-    return _KERNELS.setdefault(key, kern)
+    return _KERNELS.setdefault(key, _build(codec_name, sch))
 
 
 def payload_kernel(codec_name: str, name: str):
@@ -1995,6 +2083,8 @@ def payload_kernel(codec_name: str, name: str):
 
 def clear_kernels() -> None:
     _KERNELS.clear()
+    for routes in _ROUTES.values():
+        routes.table.clear()
 
 
 # -- envelope probes (decode-side schema discovery) ------------------
@@ -2094,6 +2184,77 @@ def kernel_decode(codec_name: str, data):
     else:
         _dec_hit()
     return out
+
+
+class _Routes:
+    """One codec's route dispatch: the octets of an envelope's ``p`` and
+    ``c`` cells → ``(procedure, msg_class, kernel, returns a row)``.
+
+    One slice and one dict hit pick the kernel, with no validation in
+    front of it: the kernel checks every byte the probe would (they are
+    constants of its envelope).  A miss asks the probe, and an entry is
+    kept only for a registered pair whose cells are exactly what its
+    encoder writes, so the table never outgrows the registry whatever a
+    peer sends."""
+
+    __slots__ = ("cells", "canonical", "table")
+
+    def __init__(self, cells: slice, canonical: Callable[[int, int], bytes]) -> None:
+        self.cells = cells
+        self.canonical = canonical
+        self.table: Dict[bytes, Tuple[int, int, Callable, bool]] = {}
+
+    def miss(self, codec_name: str, data, cells: bytes):
+        pc = _PROBES[codec_name](data)
+        if pc is None:
+            return None
+        kern = envelope_kernel(codec_name, pc[0], pc[1])
+        if kern is None:
+            return None
+        if kern.route is None:
+            entry = (pc[0], pc[1], kern.decode, False)
+        else:
+            entry = (pc[0], pc[1], kern.route, True)
+        if cells == self.canonical(*pc):
+            self.table[cells] = entry
+        return entry
+
+
+_ROUTES = {
+    "fb": _Routes(slice(42, 60), lambda p, c: _PAIR.pack(3, p, 3, c)),
+    "asn": _Routes(slice(4, 10), lambda p, c: _PSP[p] + b"\x01c" + _PSP[c]),
+}
+
+
+def kernel_route(codec_name: str, data):
+    """``(procedure, msg_class, body)`` via the kernels, or None for the
+    interpretive lane.  ``(p, c)`` is read once (:class:`_Routes`) and
+    picks the kernel: the route kernel's row for :data:`ROW_ROUTED`,
+    the envelope kernel's ``v`` tree for everything else."""
+    if not ENABLED:
+        return None
+    routes = _ROUTES[codec_name]
+    cells = data[routes.cells]
+    try:
+        entry = routes.table.get(cells) or routes.miss(codec_name, data, cells)
+        if entry is None:
+            return None
+        procedure, msg_class, kernel, row = entry
+        out = kernel(data)
+        if out is not None and not row:
+            out = out["v"]
+    # The deoptimization boundary of kernel_decode: any unexpected
+    # exception in a kernel falls back (strict mode re-raises).
+    except Exception:  # repro-lint: disable=RL002
+        if _STRICT[0]:
+            raise
+        _dec_fall()
+        return None
+    if out is None:
+        _dec_fall()
+        return None
+    _dec_hit()
+    return procedure, msg_class, out
 
 
 def payload_encode(codec_name: str, name: str, tree) -> Optional[bytes]:

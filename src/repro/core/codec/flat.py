@@ -204,25 +204,33 @@ class FlatCodec(Codec):
         """One-pass envelope read for the server's ingest.
 
         Returns ``(procedure, msg_class, body)`` — the three things the
-        server routes on.  The envelope kernel is asked first: it has
-        already materialised the header scalars, so a routed indication
-        is one call into :mod:`codegen` and no cache is consulted.  What
-        the kernel declines (codegen off, unknown layout) takes the lazy
-        lane below: header check, one directory-cache hit for the
-        ``{p, c, v}`` envelope, two int reads, one lazy view over the
-        body.  A cold directory falls through to the interpretive walk,
-        whose :class:`FlatView` warms the cache for the next frame —
-        kernel decodes return plain dicts and never do.
+        server routes on — with a ``RicIndication`` body as its row
+        (``codegen.ROW_ROUTED``).  The kernels are asked first
+        (:func:`codegen.kernel_route`: the route kernel's row, no dict
+        built, or the envelope kernel's body), and no cache here is
+        consulted.  What they decline (codegen off, unknown layout)
+        takes the lazy lane (:meth:`_lazy_route`) and
+        :func:`codegen.routed`, which reads the same row off the lazy
+        body.
         """
         if type(data) is not bytes:
             # Non-bytes buffers would need their cache windows
             # materialized anyway (bytearray slices are unhashable);
             # the generic lazy walk handles them without copying.
             tree = self.decode(data)
-            return tree["p"], tree["c"], tree["v"]
-        tree = _codegen.kernel_decode("fb", data)
-        if tree is not None:
-            return tree["p"], tree["c"], tree["v"]
+            return _codegen.routed(tree["p"], tree["c"], tree["v"])
+        found = _codegen.kernel_route("fb", data)
+        if found is not None:
+            return found
+        return _codegen.routed(*self._lazy_route(data))
+
+    def _lazy_route(self, data: bytes) -> Tuple[int, int, Any]:
+        """``(procedure, msg_class, body)`` without kernels: header
+        check, one directory-cache hit for the ``{p, c, v}`` envelope,
+        two int reads, one lazy view over the body.  A cold directory
+        falls through to the interpretive walk, whose :class:`FlatView`
+        warms the cache for the next frame — kernel decodes return
+        plain values and never do."""
         try:
             off = _HEADER.size
             if (

@@ -64,12 +64,16 @@ class PerCodec(Codec):
         return self.decode_interpretive(data)
 
     def decode_route(self, data):
-        """``(procedure, msg_class, body)`` for the server's ingest: the
-        envelope kernel's tree unwrapped, one call into :mod:`codegen`."""
-        tree = _codegen.kernel_decode("asn", data) if type(data) is bytes else None
-        if tree is None:
-            tree = self.decode_interpretive(data)
-        return tree["p"], tree["c"], tree["v"]
+        """``(procedure, msg_class, body)`` for the server's ingest, a
+        ``RicIndication`` body as its row: one call into :mod:`codegen`
+        (the route or envelope kernel), else the interpretive tree
+        through :func:`codegen.routed`."""
+        if type(data) is bytes:
+            found = _codegen.kernel_route("asn", data)
+            if found is not None:
+                return found
+        tree = self.decode_interpretive(data)
+        return _codegen.routed(tree["p"], tree["c"], tree["v"])
 
     def probe(self, data):
         return _codegen._probe_asn(data)

@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.cow import publish_snapshot
 from repro.analysis.markers import cow_mutator, cow_snapshot
 from repro.core.codec.base import Codec, CodecError, get_codec
+from repro.core.codec.codegen import routed
 from repro.core.e2ap.ies import GlobalE2NodeId, RicActionDefinition, RicRequestId
 from repro.core.e2ap.messages import (
     E2Message,
@@ -122,55 +123,47 @@ def _procedure_name(procedure: int) -> str:
         return f"procedure_{procedure}"
 
 
+#: wire value → kind; a dict, so an out-of-range or negative ``k`` is a
+#: ``KeyError`` (contained at route time), never a wrapped tuple index.
+_KINDS = {int(kind): kind for kind in RicIndicationKind}
+
+
 class IndicationEvent:
     """A RIC indication as delivered to an iApp.
 
-    The routing scalars (request id, function id, action, sequence) are
-    read once at construction into plain attributes — the envelope
-    kernel has already materialised them, so every later read is an
-    attribute load — and a body that does not carry them fails *here*,
-    inside the ingest loop's containment.  ``kind``, ``header`` and the
-    SM ``payload`` are read from the body when accessed; with kernels
-    off the body is a lazy view over the receive buffer, the paper's
-    zero-copy dispatch.
+    Built from the row ``decode_route`` returns for a ``RicIndication``
+    — ``(r, i, f, a, s, k, h, m)``, its ``@wire`` leaves in wire order,
+    the same tuple from every codec and lane — so every field is a
+    plain slot.  A row that does not fit (wrong length, a ``kind``
+    outside :class:`RicIndicationKind`) fails *here*, inside the ingest
+    loop's containment, before any iApp sees it.
     """
 
     __slots__ = (
-        "conn_id", "_body", "route_key", "requestor_id", "instance_id",
-        "ran_function_id", "action_id", "sequence",
+        "conn_id", "route_key", "requestor_id", "instance_id",
+        "ran_function_id", "action_id", "sequence", "kind", "header", "payload",
     )
 
-    def __init__(self, conn_id: int, body: Any) -> None:
+    def __init__(self, conn_id: int, row: tuple) -> None:
         self.conn_id = conn_id
-        self._body = body
-        request = body["q"]
-        self.requestor_id = requestor = request["r"]
-        self.instance_id = instance = request["i"]
+        (requestor, instance, self.ran_function_id, self.action_id,
+         self.sequence, kind, self.header, self.payload) = row
+        self.requestor_id = requestor
+        self.instance_id = instance
         #: ``(requestor, instance)`` — the submgr routing key.
         self.route_key = (requestor, instance)
-        self.ran_function_id = body["f"]
-        self.action_id = body["a"]
-        self.sequence = body["s"]
+        self.kind = _KINDS[kind]
 
     @property
     def request(self) -> RicRequestId:
         return RicRequestId(self.requestor_id, self.instance_id)
 
-    @property
-    def kind(self) -> RicIndicationKind:
-        return RicIndicationKind(self._body["k"])
-
-    @property
-    def header(self) -> bytes:
-        return self._body["h"]
-
-    @property
-    def payload(self) -> bytes:
-        return self._body["m"]
-
     def full(self) -> RicIndication:
         """Materialize the complete dataclass (tests, relays)."""
-        return RicIndication.from_value(self._body)
+        return RicIndication(
+            self.request, self.ran_function_id, self.action_id, self.sequence,
+            self.kind, self.header, self.payload,
+        )
 
 
 @dataclass
@@ -215,7 +208,8 @@ class Server:
         self.time_fn = time_fn
         self.codec: Codec = get_codec(self.config.e2ap_codec)
         #: one-pass (procedure, class, body) extraction for the ingest
-        #: loop; a codec without one (``pb``) is walked in full.
+        #: loop, an indication's body as its row; a codec without one
+        #: (``pb``) is walked in full and its body read the same way.
         self._decode_route = getattr(self.codec, "decode_route", self._generic_route)
         self._node_label = f"ric-{self.config.ric_id}"
         self.cpu = cpu_meter or CpuMeter(f"server-{self.config.ric_id}")
@@ -588,7 +582,7 @@ class Server:
 
     def _generic_route(self, data: bytes) -> Tuple[int, int, Any]:
         tree = self.codec.decode(data)
-        return tree["p"], tree["c"], tree["v"]
+        return routed(tree["p"], tree["c"], tree["v"])
 
     def _on_messages(self, endpoint: Endpoint, batch: Sequence[bytes]) -> None:
         """The single ingest: one call per drained wakeup, any transport.

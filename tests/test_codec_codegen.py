@@ -724,3 +724,121 @@ def test_fragment_layout_cache_is_bounded():
     wide = 24 * (codegen._FRAG_CUT_WIDEST + 1)
     assert codegen._pfrag(_octets(wide)) == _oracle_wire(_octets(wide))[5:]
     assert not codegen._FRAG_CUTS
+
+
+# -- the row lane: decode_route's RicIndication row ----------------------
+
+import random  # noqa: E402
+import struct  # noqa: E402
+
+from repro.core.e2ap.ies import RicRequestId  # noqa: E402
+from repro.core.e2ap.messages import RicIndication, encode_message  # noqa: E402
+from tests.test_codec_golden import VECTORS  # noqa: E402
+
+_INT64 = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from((-(2**63), -(2**63) + 1, -1, 0, 63, 64, 2**63 - 1)),
+)
+
+
+def _leaves(tree):
+    """A dict tree's leaves in key (wire) order, nested dicts unrolled."""
+    out = []
+    for value in tree.values():
+        out.extend(_leaves(value) if type(value) is dict else [value])
+    return tuple(out)
+
+
+def _outcome(fn, data):
+    """``fn(data)``, or None for a rejection — by guard or by exception
+    (strict mode lets a kernel's exception through)."""
+    try:
+        return fn(data)
+    except (IndexError, struct.error, UnicodeDecodeError, ValueError):
+        return None
+
+
+@pytest.mark.usefixtures("_strict")
+class TestRouteRows:
+    @pytest.mark.parametrize("codec_name", sorted(CODECS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_route_row_is_the_dict_kernels_leaves(self, codec_name, data):
+        message = RicIndication(
+            RicRequestId(data.draw(_INT64), data.draw(_INT64)),
+            data.draw(_INT64), data.draw(_INT64), data.draw(_INT64),
+            data.draw(st.sampled_from([0, 1])),
+            data.draw(st.binary(max_size=8192)), data.draw(st.binary(max_size=8192)),
+        )
+        codec = get_codec(codec_name)
+        wire = encode_message(message, codec)
+        kernel = codegen.envelope_kernel(codec_name, 5, 0)
+        tree = kernel.decode(wire)
+        assert tree is not None
+        row = kernel.route(wire)
+        assert row == _leaves(tree["v"]) == _leaves(message.to_value())
+        hits = counters.get_counter("codec.kernel.decode_hits").value
+        assert codec.decode_route(wire) == (5, 0, row)
+        assert counters.get_counter("codec.kernel.decode_hits").value == hits + 1
+        with codegen.interpretive():
+            assert codec.decode_route(wire) == (5, 0, row)
+
+    @pytest.mark.parametrize("codec_name", sorted(CODECS))
+    @pytest.mark.parametrize("name", ["indication_small", "indication_1500"])
+    def test_route_rejects_exactly_what_decode_rejects(self, codec_name, name):
+        """Seeded byte flips, insertions, deletions and truncations of the
+        golden vectors: the route kernel and the dict kernel accept the
+        same frames, and read the same leaves from those they accept."""
+        kernel = codegen.envelope_kernel(codec_name, 5, 0)
+        golden = bytes.fromhex(VECTORS[f"{codec_name}:{name}"])
+        rng = random.Random(f"{codec_name}:{name}")
+        accepted = rejected = 0
+        for _ in range(2000):
+            frame = bytearray(golden)
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(frame))
+                edit = rng.randrange(4)
+                if edit == 0:
+                    frame[at] ^= 1 << rng.randrange(8)
+                elif edit == 1:
+                    frame.insert(at, rng.randrange(256))
+                elif edit == 2:
+                    del frame[at]
+                else:
+                    del frame[at:]
+                    if not frame:
+                        break
+            frame = bytes(frame)
+            tree, row = _outcome(kernel.decode, frame), _outcome(kernel.route, frame)
+            assert (tree is None) == (row is None), frame.hex()
+            if tree is None:
+                rejected += 1
+            else:
+                accepted += 1
+                assert row == _leaves(tree["v"])
+        assert accepted and rejected
+
+
+class TestUnregisteredPairs:
+    def test_frames_with_unknown_pairs_do_not_grow_the_kernel_table(self):
+        registered = set(cschema.message_schema_keys())
+        fb, asn = get_codec("fb"), get_codec("asn")
+        for codec in (fb, asn):
+            codec.decode(codec.encode({"p": 5, "c": 0, "v": {"zz": 1}}))  # (5, 0) cached
+        before = dict(codegen._KERNELS)
+        rng = random.Random(27)
+        for _ in range(10_000):
+            codec = rng.choice((fb, asn))
+            while True:
+                # The asn probe reads 6-bit discriminators; fb reads int64.
+                top = 63 if codec is asn else 2**40
+                pair = (rng.randint(0, top), rng.randint(0, top))
+                if pair not in registered:
+                    break
+            frame = codec.encode({"p": pair[0], "c": pair[1], "v": {}})
+            assert codegen._PROBES[codec.name](frame) == pair
+            codec.decode(frame)
+            assert codec.decode_route(frame)[:2] == pair
+        assert codegen._KERNELS == before
+        assert ("env", "fb", 5, 0) in codegen._KERNELS and ("env", "asn", 5, 0) in codegen._KERNELS
+        assert all(len(routes.table) <= len(registered) for routes in codegen._ROUTES.values())

@@ -514,6 +514,45 @@ class TestPoisonIndication:
         asyncio.run(scenario())
         assert self._contained() == 3
 
+    @pytest.mark.parametrize("codec_name", ["asn", "fb", "pb"])
+    def test_a_kind_outside_the_enum_is_contained_at_route_time(self, codec_name):
+        """``k`` = 7 used to be routed to every sink, and the first iApp
+        that read ``event.kind`` (the relay) raised there, counted as a
+        callback error.  Now the row is refused before any sink: one
+        ``decode.contained`` tick per frame, negatives included."""
+        import socket
+
+        from repro.core.e2ap.messages import RicIndication, RicIndicationKind
+        from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
+        from repro.core.transport.tcp import TcpTransport
+
+        server = Server(ServerConfig(e2ap_codec=codec_name))
+        seen = []
+        record = server.submgr.create(1, 100, SubscriptionCallbacks(on_indication=seen.append))
+        body = RicIndication(record.request, 100, 1, 0).to_value()
+        ric = TcpTransport()
+        try:
+            listener = server.listen(ric, "127.0.0.1:0")
+            ric.start()
+            host, port = listener.address.rsplit(":", 1)
+            with socket.create_connection((host, int(port))) as sock:
+                for count, kind in enumerate((7, -1), 1):
+                    frame = server.codec.encode({"p": 5, "c": 0, "v": dict(body, k=kind)})
+                    sock.sendall(frame_message(frame))
+                    assert _wait(lambda: self._contained() >= count)
+                    assert self._contained() == count and seen == []
+                # The loop is alive and still delivers.
+                frame = server.codec.encode({"p": 5, "c": 0, "v": dict(body, s=1, k=1)})
+                sock.sendall(frame_message(frame))
+                assert _wait(lambda: len(seen) == 1)
+            (loop,) = [t for t in threading.enumerate() if t.name == "tcp-transport-0"]
+            assert loop.is_alive()
+            assert seen[0].kind is RicIndicationKind.INSERT and seen[0].sequence == 1
+            assert self._contained() == 2
+            assert counters.get_counter("server.iapp.callback_error").value == 0
+        finally:
+            ric.stop()
+
     def test_a_raising_iapp_callback_costs_one_counter_tick(self):
         from repro.core.e2ap.ies import RicRequestId
         from repro.core.e2ap.messages import RicIndication

@@ -31,9 +31,11 @@ from repro.core.e2ap.messages import RicIndication, RicIndicationKind, encode_me
 from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
 from repro.core.server.server import IndicationEvent
 from repro.core.transport import TcpTransport
+from repro.core.transport.inproc import InProcTransport
 from repro.experiments.common import HwPingerIApp
 from repro.metrics.counters import counter_values
 from repro.sm import hw, mac_stats
+from repro.sm.base import encode_payload
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("REPRO_ANALYSIS", "") in ("1", "true", "yes"),
@@ -41,16 +43,24 @@ pytestmark = pytest.mark.skipif(
 )
 
 #: profiled calls per one-message wake-up (82 before the rewrite, 55
-#: before lock-free counters; 53 now).
-WAKEUP_BUDGET = 56
+#: before lock-free counters, 53 before indications were routed as
+#: rows; 48 now).
+WAKEUP_BUDGET = 50
 #: profiled calls per inline asn/asn 1 500 B HW ping (668 before the
-#: rewrite, 390 before lock-free counters and inline meters; 345 now).
-PING_BUDGET = 362
+#: rewrite, 390 before lock-free counters and inline meters, 345 before
+#: rows; 342 now).
+PING_BUDGET = 359
 #: profiled calls per inline fb subscribe → confirm → unsubscribe →
 #: deleted cycle beside 1 000 standing subscriptions, both sides (503
 #: before lock-free counters, inline meters, table dispatch and one
-#: share key per record; 418 now).
-CYCLE_BUDGET = 439
+#: share key per record, 418 before the route table; 408 now).
+CYCLE_BUDGET = 428
+#: profiled calls per 64-frame ``_on_messages`` batch of fb MAC reports
+#: into a ``StatsMonitorIApp`` (1 547, 24.2 per frame, before indications
+#: were routed as rows; 1 227 now), and the per-frame ceiling.
+BATCH_BUDGET = 1288
+BATCH_FRAMES = 64
+BATCH_PER_FRAME = 23
 
 
 def count_calls(fn, *args, **kwargs) -> int:
@@ -181,14 +191,49 @@ class TestWakeupBudget:
         finally:
             transport.stop()
 
+    def test_a_batched_indication_stays_within_its_call_budget(self):
+        """One drained batch: route each frame → event → submgr → store."""
+        transport = InProcTransport()
+        server = Server(ServerConfig())
+        server.listen(transport, "ric")
+        monitor = StatsMonitorIApp(oids=[mac_stats.INFO.oid], period_ms=1.0, sm_codec="fb")
+        server.add_iapp(monitor)
+        provider = mac_stats.synthetic_provider(32)
+        agent = Agent(AgentConfig(node_id=_node(), e2ap_codec="fb"), transport)
+        agent.register_function(mac_stats.MacStatsFunction(provider, sm_codec="fb"))
+        agent.connect("ric")
+        assert monitor.subscriptions_confirmed
+        (record,) = server.submgr.active_records()
+        payload = encode_payload(provider(None), "fb", schema=mac_stats.INFO.payload_schema)
+        batch = [
+            encode_message(RicIndication(record.request, record.ran_function_id, 1, seq, payload=payload), server.codec)
+            for seq in range(BATCH_FRAMES)
+        ]
+        (state,) = server._conns.values()
+        for _ in range(3):  # kernels built, counters resolved
+            server._on_messages(state.endpoint, batch)
+        seen = monitor.indications_received
+        counts = [count_calls(server._on_messages, state.endpoint, batch) for _ in range(5)]
+        assert monitor.indications_received == seen + 5 * BATCH_FRAMES
+        assert monitor.store.latest(record.conn_id, mac_stats.INFO.oid).sequence == BATCH_FRAMES - 1
+        assert min(counts) <= BATCH_BUDGET, counts
+        assert min(counts) <= BATCH_PER_FRAME * BATCH_FRAMES, counts
+
+
+def _indication_row(message: RicIndication) -> tuple:
+    """``(r, i, f, a, s, k, h, m)``: the row ``decode_route`` returns."""
+    return (
+        message.request.requestor_id, message.request.instance_id, message.ran_function_id,
+        message.action_id, message.sequence, int(message.kind), message.header, message.payload,
+    )
+
 
 class TestRouteLane:
     def test_routing_a_kernel_decodable_indication_asks_the_kernel_first(self, monkeypatch):
-        """No window slice, no LRU miss: one kernel decode and nothing else."""
+        """No window slice, no LRU lookup, no dict: the route kernel's row."""
         fb = get_codec("fb")
-        wire = encode_message(
-            RicIndication(RicRequestId(1, 7), 142, action_id=1, sequence=3, payload=b"x" * 64), fb
-        )
+        message = RicIndication(RicRequestId(1, 7), 142, action_id=1, sequence=3, payload=b"x" * 64)
+        wire = encode_message(message, fb)
         lookups = []
         original = flat_mod._LruCache.get
         monkeypatch.setattr(
@@ -197,54 +242,58 @@ class TestRouteLane:
         fb.decode_route(wire)  # kernel built
         del lookups[:]
         before = counter_values().get("codec.kernel.decode_hits", 0)
-        procedure, msg_class, body = fb.decode_route(wire)
-        assert (procedure, msg_class) == (5, 0)
-        assert type(body) is dict and body["q"] == {"r": 1, "i": 7} and body["s"] == 3
+        procedure, msg_class, row = fb.decode_route(wire)
+        assert (procedure, msg_class) == codegen.ROW_ROUTED == (5, 0)
+        assert row == _indication_row(message) and type(row) is tuple
         assert lookups == []
         assert counter_values()["codec.kernel.decode_hits"] == before + 1
+        assert codegen.envelope_kernel("fb", 5, 0).route(wire) == row
 
     def test_the_lazy_lane_still_serves_what_the_kernel_declines(self):
         fb = get_codec("fb")
-        wire = encode_message(
-            RicIndication(RicRequestId(1, 7), 142, action_id=1, sequence=3, payload=b"x" * 64), fb
-        )
+        message = RicIndication(RicRequestId(1, 7), 142, action_id=1, sequence=3, payload=b"x" * 64)
+        wire = encode_message(message, fb)
         with codegen.interpretive():
-            procedure, msg_class, body = fb.decode_route(wire)
-        assert (procedure, msg_class) == (5, 0)
-        assert isinstance(body, flat_mod.FlatView) and body["s"] == 3
-        odd = fb.encode({"p": 5, "c": 0, "v": {"zz": 1}})  # unknown layout
+            assert fb.decode_route(wire) == (5, 0, _indication_row(message))
+        odd = fb.encode({"p": 3, "c": 1, "v": {"zz": 1}})  # unknown layout
         assert fb.decode_route(odd)[2]["zz"] == 1
+        # An indication body without the row's leaves fails in the route,
+        # where the ingest loop contains it.
+        with pytest.raises(KeyError):
+            fb.decode_route(fb.encode({"p": 5, "c": 0, "v": {"zz": 1}}))
 
     @pytest.mark.parametrize("codec_name", ["asn", "fb"])
     def test_decode_route_matches_decode(self, codec_name):
         codec = get_codec(codec_name)
-        wire = encode_message(
-            RicIndication(RicRequestId(2, 9), 100, action_id=1, sequence=5, payload=b"y" * 1500),
-            codec,
-        )
+        message = RicIndication(RicRequestId(2, 9), 100, action_id=1, sequence=5, payload=b"y" * 1500)
+        wire = encode_message(message, codec)
         tree = codec.decode(wire)
-        assert codec.decode_route(wire) == (tree["p"], tree["c"], tree["v"])
-        assert codec.decode_route(bytearray(wire))[0] == 5
+        v = tree["v"]
+        leaves = (v["q"]["r"], v["q"]["i"], v["f"], v["a"], v["s"], v["k"], v["h"], v["m"])
+        assert codec.decode_route(wire) == (tree["p"], tree["c"], leaves) == (5, 0, _indication_row(message))
+        assert codec.decode_route(bytearray(wire))[2] == leaves
         with codegen.interpretive():
-            assert codec.decode_route(wire)[2]["m"] == b"y" * 1500
+            assert codec.decode_route(wire)[2] == leaves
 
 
 class TestIndicationEventParity:
     def test_every_body_shape_exposes_the_same_event(self):
-        """Kernel dict, lazy ``FlatView`` and a ``pb`` dict read alike."""
+        """The kernel row, the interpretive (lazy ``FlatView``) row and
+        the ``pb`` row build one event."""
         message = RicIndication(
             RicRequestId(3, 11), 142, action_id=2, sequence=77,
             kind=RicIndicationKind.INSERT, header=b"hdr", payload=b"z" * 300,
         )
         fb, pb = get_codec("fb"), get_codec("pb")
-        kernel_body = fb.decode_route(encode_message(message, fb))[2]
+        kernel_row = fb.decode_route(encode_message(message, fb))[2]
         with codegen.interpretive():
-            lazy_body = fb.decode_route(encode_message(message, fb))[2]
-        pb_body = pb.decode(encode_message(message, pb))["v"]
-        assert type(kernel_body) is dict and isinstance(lazy_body, flat_mod.FlatView)
+            lazy_row = fb.decode_route(encode_message(message, fb))[2]
+        pb_server = Server(ServerConfig(e2ap_codec="pb"))
+        pb_row = pb_server._decode_route(encode_message(message, pb))[2]
+        assert kernel_row == lazy_row == pb_row == _indication_row(message)
         seen = []
-        for body in (kernel_body, lazy_body, pb_body):
-            event = IndicationEvent(4, body)
+        for row in (kernel_row, lazy_row, pb_row):
+            event = IndicationEvent(4, row)
             seen.append((
                 event.conn_id, event.requestor_id, event.instance_id, event.ran_function_id,
                 event.action_id, event.sequence, event.kind, bytes(event.header),
@@ -252,4 +301,11 @@ class TestIndicationEventParity:
             ))
         assert seen[0] == seen[1] == seen[2]
         assert seen[0][:8] == (4, 3, 11, 142, 2, 77, RicIndicationKind.INSERT, b"hdr")
+        assert type(seen[0][6]) is RicIndicationKind
         assert seen[0][10] == message
+
+    @pytest.mark.parametrize("kind", [2, 7, -1, -2])
+    def test_a_kind_outside_the_enum_fails_at_construction(self, kind):
+        row = (3, 11, 142, 2, 77, kind, b"", b"")
+        with pytest.raises(KeyError):
+            IndicationEvent(4, row)
