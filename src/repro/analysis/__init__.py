@@ -1,31 +1,25 @@
-"""Invariant analysis suite: static lint + runtime race detectors.
+"""Invariant analysis suite: static lint + runtime race detector.
 
-PRs 5–6 bought throughput by replacing simple code with *unenforced
-invariants*: copy-on-write routing snapshots that must never be
-mutated in place, monotonic-clock deadlines, ``DECODE_ERRORS``-bounded
+Throughput PRs replaced simple code with conventions that nothing
+enforced: monotonic-clock deadlines, ``DECODE_ERRORS``-bounded
 containment on the decode paths, and generated codec kernels that must
 stay byte-equivalent to the interpretive oracle.  This package turns
 those conventions into machine-checked contracts:
 
 * :mod:`repro.analysis.lint` — **repro-lint**, an AST-based static
   analyzer (stdlib ``ast``, zero dependencies) with repo-specific
-  rules RL001–RL006, ``# repro-lint: disable=CODE`` pragmas, a JSON
-  baseline for grandfathered findings, and a CLI
-  (``python -m repro.analysis.lint``) that exits non-zero on new
-  findings so it can gate CI and local runs alike.
+  rules, ``# repro-lint: disable=CODE`` pragmas, a JSON baseline for
+  grandfathered findings, and a CLI (``python -m repro.analysis.lint``)
+  that exits non-zero on new findings so it can gate CI and local runs
+  alike.
 
 * :mod:`repro.analysis.runtime` — test-time instrumentation: an
   instrumented ``threading.Lock``/``RLock`` that records the
   lock-acquisition graph and flags lock-order inversions across
-  threads, plus a "freezer" that wraps published COW snapshot dicts in
-  a mutation-raising proxy.  Enabled with ``REPRO_ANALYSIS=1`` (wired
-  in ``tests/conftest.py``) so races surface as deterministic test
+  threads.  Enabled with ``REPRO_ANALYSIS=1`` (wired in
+  ``tests/conftest.py``) so races surface as deterministic test
   failures instead of flaky benchmarks.
 
 The rule catalog and the invariant each rule guards are documented in
 DESIGN.md §12.
 """
-
-from repro.analysis.markers import cow_mutator, cow_snapshot
-
-__all__ = ["cow_mutator", "cow_snapshot"]

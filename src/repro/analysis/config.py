@@ -42,18 +42,11 @@ class LintConfig:
         default_factory=lambda: {
             "RL001": EVERYWHERE,
             "RL002": SRC,
-            "RL003": SRC,
             "RL004": SRC,
             "RL005": SRC,
             "RL006": EVERYWHERE,
             "RL007": HOT_PATH,
         }
-    )
-
-    #: extra COW snapshot declarations for classes that cannot carry
-    #: the ``@cow_snapshot`` decorator: relpath -> {class -> {attrs}}.
-    cow_snapshot_attrs: Dict[str, Dict[str, FrozenSet[str]]] = field(
-        default_factory=dict
     )
 
     #: function names that implement selector/dispatch loops;

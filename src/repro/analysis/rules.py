@@ -1,4 +1,4 @@
-"""repro-lint rule catalog (RL001–RL007).
+"""repro-lint rule catalog (RL001–RL002, RL004–RL007).
 
 Each rule is a small class with a ``code``, a one-line ``summary`` and
 a ``check(parsed, config)`` generator yielding :class:`Finding`
@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.analysis.config import LintConfig
 
@@ -55,29 +55,6 @@ def register(rule_cls):
         raise ValueError(f"duplicate rule code {rule.code}")
     RULES[rule.code] = rule
     return rule_cls
-
-
-def _is_self_attr(node: ast.AST, attrs: Set[str]) -> Optional[str]:
-    """``self.<attr>`` with attr in ``attrs`` → the attr name."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-        and node.attr in attrs
-    ):
-        return node.attr
-    return None
-
-
-def _decorator_name(node: ast.expr) -> Optional[str]:
-    """Plain name of a decorator (``x`` / ``mod.x`` / ``x(...)``)."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 # -- RL001 ------------------------------------------------------------
@@ -183,176 +160,6 @@ class NoBroadExceptRule:
                     "(or the concrete exceptions); broad handlers hide "
                     "programming errors as contained decode faults",
                 )
-
-
-# -- RL003 ------------------------------------------------------------
-
-
-class _LockVisitor(ast.NodeVisitor):
-    """Walk one method body tracking lexical ``with self.*lock*:``."""
-
-    _SNAPSHOT_MUTATORS = {"update", "clear", "pop", "popitem", "setdefault"}
-
-    def __init__(self, rule, parsed, attrs, allow_rebind: bool):
-        self.rule = rule
-        self.parsed = parsed
-        self.attrs = attrs
-        self.allow_rebind = allow_rebind
-        self.under_lock = 0
-        self.findings: List[Finding] = []
-        self.unlocked_loads: List[ast.Attribute] = []
-
-    def _is_lock_expr(self, node: ast.expr) -> bool:
-        if isinstance(node, ast.Attribute):
-            return "lock" in node.attr.lower()
-        if isinstance(node, ast.Name):
-            return "lock" in node.id.lower()
-        return False
-
-    def visit_With(self, node: ast.With) -> None:
-        locked = any(self._is_lock_expr(item.context_expr) for item in node.items)
-        if locked:
-            self.under_lock += 1
-        self.generic_visit(node)
-        if locked:
-            self.under_lock -= 1
-
-    def _flag(self, node: ast.AST, message: str) -> None:
-        self.findings.append(
-            Finding(
-                self.rule.code,
-                self.parsed.path,
-                node.lineno,
-                node.col_offset,
-                message,
-            )
-        )
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in self._SNAPSHOT_MUTATORS:
-            attr = _is_self_attr(func.value, self.attrs)
-            if attr is not None:
-                self._flag(
-                    node,
-                    f"in-place .{func.attr}() on COW snapshot 'self.{attr}': "
-                    "snapshots are read lock-free by shard threads; rebuild "
-                    "and rebind under the mutator lock instead",
-                )
-        self.generic_visit(node)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._check_store(target, node)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_store(node.target, node)
-        self.generic_visit(node)
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            if isinstance(target, ast.Subscript):
-                attr = _is_self_attr(target.value, self.attrs)
-                if attr is not None:
-                    self._flag(
-                        node,
-                        f"del on COW snapshot 'self.{attr}' item: snapshots "
-                        "must never be mutated in place",
-                    )
-        self.generic_visit(node)
-
-    def _check_store(self, target: ast.expr, node: ast.AST) -> None:
-        if isinstance(target, ast.Subscript):
-            attr = _is_self_attr(target.value, self.attrs)
-            if attr is not None:
-                self._flag(
-                    node,
-                    f"item assignment into COW snapshot 'self.{attr}': "
-                    "snapshots must never be mutated in place",
-                )
-            return
-        attr = _is_self_attr(target, self.attrs)
-        if attr is not None and not (self.allow_rebind or self.under_lock):
-            self._flag(
-                node,
-                f"rebind of COW snapshot 'self.{attr}' outside the mutator "
-                "lock: publish under 'with self._lock' or mark the method "
-                "@cow_mutator (callers hold the lock)",
-            )
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if isinstance(node.ctx, ast.Load):
-            attr = _is_self_attr(node, self.attrs)
-            if attr is not None and not self.under_lock:
-                self.unlocked_loads.append(node)
-        self.generic_visit(node)
-
-
-@register
-class CowDisciplineRule:
-    """COW snapshot attributes: rebind-only, single hot-path load.
-
-    Attributes declared with ``@cow_snapshot(...)`` (or in the config)
-    are read lock-free by shard threads.  Three properties keep that
-    safe: (1) never mutate the published dict in place, (2) rebind
-    only under the mutator lock (or in a ``@cow_mutator`` whose
-    callers hold it), (3) readers load the attribute into a local
-    exactly once — two raw ``self._route...`` loads in one operation
-    can observe two different snapshots.
-    """
-
-    code = "RL003"
-    summary = "COW snapshot discipline violated (mutation/rebind/double-load)"
-
-    def _declared_attrs(
-        self, parsed: ParsedFile, node: ast.ClassDef, config: LintConfig
-    ) -> Set[str]:
-        attrs: Set[str] = set()
-        for deco in node.decorator_list:
-            if isinstance(deco, ast.Call) and _decorator_name(deco) == "cow_snapshot":
-                for arg in deco.args:
-                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                        attrs.add(arg.value)
-        extra = config.cow_snapshot_attrs.get(parsed.path, {})
-        attrs.update(extra.get(node.name, ()))
-        return attrs
-
-    def check(self, parsed: ParsedFile, config: LintConfig) -> Iterator[Finding]:
-        if parsed.tree is None:
-            return
-        for node in ast.walk(parsed.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            attrs = self._declared_attrs(parsed, node, config)
-            if not attrs:
-                continue
-            for item in node.body:
-                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                is_mutator = item.name == "__init__" or any(
-                    _decorator_name(d) == "cow_mutator" for d in item.decorator_list
-                )
-                visitor = _LockVisitor(self, parsed, attrs, allow_rebind=is_mutator)
-                for stmt in item.body:
-                    visitor.visit(stmt)
-                yield from visitor.findings
-                if not is_mutator:
-                    by_attr: Dict[str, List[ast.Attribute]] = {}
-                    for load in visitor.unlocked_loads:
-                        by_attr.setdefault(load.attr, []).append(load)
-                    for attr, loads in by_attr.items():
-                        for load in loads[1:]:
-                            yield Finding(
-                                self.code,
-                                parsed.path,
-                                load.lineno,
-                                load.col_offset,
-                                f"repeated lock-free load of COW snapshot "
-                                f"'self.{attr}' in {item.name}(): load it "
-                                "into a local once — two loads can observe "
-                                "two different snapshots",
-                            )
 
 
 # -- RL004 ------------------------------------------------------------

@@ -9,10 +9,6 @@ graph stays small and meaningful.  A ``threading.Condition()`` built
 from repro code is attributed to the Condition's caller, so its
 internal RLock is tracked too.
 
-It also flips the COW freezer on, so every routing snapshot published
-after installation is a mutation-raising
-:class:`~repro.analysis.cow.FrozenSnapshot`.
-
 Wiring: ``tests/conftest.py`` installs when ``REPRO_ANALYSIS=1`` and
 fails any test that left lock-order violations behind — the
 ``race-detect`` CI job runs the sharding and chaos suites this way.
@@ -25,7 +21,7 @@ import sys
 import threading
 from typing import List, Optional
 
-from repro.analysis import cow, locks
+from repro.analysis import locks
 from repro.analysis.locks import GRAPH, LockOrderViolation, TrackedLock, TrackedRLock
 
 __all__ = [
@@ -84,13 +80,12 @@ def _rlock_factory():
 
 
 def install() -> None:
-    """Enable lock tracking and snapshot freezing (idempotent)."""
+    """Enable lock tracking (idempotent)."""
     if _INSTALLED[0]:
         return
     _INSTALLED[0] = True
     threading.Lock = _lock_factory
     threading.RLock = _rlock_factory
-    cow.set_freezing(True)
 
 
 def uninstall() -> None:
@@ -101,7 +96,6 @@ def uninstall() -> None:
     _INSTALLED[0] = False
     threading.Lock = _ORIGINALS["Lock"]
     threading.RLock = _ORIGINALS["RLock"]
-    cow.set_freezing(False)
 
 
 def installed() -> bool:

@@ -57,7 +57,14 @@ from repro.core.e2ap.messages import (
 )
 from repro.core.e2ap.procedures import Cause
 from repro.core.agent.multi_controller import ControllerRegistry, LinkState, UeControllerMap
-from repro.core.agent.ran_function import IndicationSink, RanFunction, SubscriptionHandle
+from repro.core.agent.ran_function import (
+    DECODE_ERRORS,
+    ControlOutcome,
+    IndicationSink,
+    RanFunction,
+    SubscriptionHandle,
+    count_contained_decode,
+)
 from repro.core.agent.reconnect import ReconnectPolicy, Scheduler, timer_scheduler
 from repro.core.e2ap.ies import RicActionDefinition
 from repro.core.transport.base import (
@@ -603,7 +610,13 @@ class Agent(IndicationSink):
                 ran_function_id=message.ran_function_id,
                 cause=Cause.ric_request(Cause.RAN_FUNCTION_ID_INVALID),
             )
-        outcome = function.on_control(origin, message.header, message.payload)
+        try:
+            outcome = function.on_control(origin, message.header, message.payload)
+        except DECODE_ERRORS:
+            # One containment for every SM: a payload its decoder
+            # rejects is answered, never raised into the transport loop.
+            count_contained_decode()
+            outcome = ControlOutcome.fail(Cause.ric_request(Cause.CONTROL_MESSAGE_INVALID))
         if not message.ack_requested and outcome.success:
             return None
         if outcome.success:

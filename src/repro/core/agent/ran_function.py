@@ -10,9 +10,11 @@ custom functions the same way.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.codec.base import CodecError
 from repro.core.e2ap.ies import (
     RicActionAdmitted,
     RicActionDefinition,
@@ -21,6 +23,18 @@ from repro.core.e2ap.ies import (
 )
 from repro.core.e2ap.messages import RicIndication, RicIndicationKind
 from repro.core.e2ap.procedures import Cause
+from repro.metrics.counters import get_counter
+
+#: What a malformed SM payload can actually raise: codec rejections,
+#: missing/mistyped fields in the decoded tree, and truncated packed
+#: structs.  Containment handlers catch exactly these — a genuine bug
+#: (AttributeError, RecursionError, ...) must still propagate.
+DECODE_ERRORS = (CodecError, KeyError, TypeError, ValueError, struct.error)
+
+
+def count_contained_decode() -> None:
+    """Account one malformed payload rejected without harm."""
+    get_counter("decode.contained").incr()
 
 
 @dataclass(frozen=True)

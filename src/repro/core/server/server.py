@@ -18,11 +18,9 @@ import itertools
 import struct
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.cow import publish_snapshot
-from repro.analysis.markers import cow_mutator, cow_snapshot
 from repro.core.codec.base import Codec, CodecError, get_codec
 from repro.core.codec.codegen import routed
 from repro.core.e2ap.ies import GlobalE2NodeId, RicActionDefinition, RicRequestId
@@ -181,6 +179,12 @@ class _ConnState:
     #: ingest loop — 0 unless the endpoint names an in-process shard
     #: (resolved lazily on the first batch delivery).
     rx_counter: Any = None
+    #: controls awaiting an outcome: request tuple → (RAN function,
+    #: ``on_outcome``).  Answered by the agent or, when the connection
+    #: is lost first, by :meth:`Server._unroute`.
+    controls: Dict[Tuple[int, int], Tuple[int, Callable[[E2Message], None]]] = field(
+        default_factory=dict
+    )
 
 
 @dataclass
@@ -192,7 +196,6 @@ class _StaleNode:
     deadline: float
 
 
-@cow_snapshot("_route_by_endpoint", "_route_conns")
 class Server:
     """The controller side of the FlexRIC SDK."""
 
@@ -218,25 +221,21 @@ class Server:
         self.randb = RanDatabase()
         self.submgr = SubscriptionManager()
         self._iapps: List[IApp] = []
+        #: the routing tables, by connection id and by ``id(endpoint)``:
+        #: written in place under ``_slow_lock``, read with one bare
+        #: ``get`` on the per-message paths (DESIGN.md §10).
         self._conns: Dict[int, _ConnState] = {}
-        self._conn_ids = itertools.count(1)
         self._by_endpoint: Dict[int, _ConnState] = {}
-        self._pending_controls: Dict[Tuple[int, int], Callable[[E2Message], None]] = {}
+        self._conn_ids = itertools.count(1)
         #: (conn_id, ErrorIndication) pairs received from agents.
         self.errors_seen: List[Tuple[int, E2Message]] = []
         self._control_instances = itertools.count(1)
         self._listeners: List[Listener] = []
-        self._lock = threading.Lock()
-        #: copy-on-write routing snapshots (see ``_rebuild_routes``):
-        #: read lock-free on the per-message hot paths, replaced under
-        #: ``_lock`` whenever connection state changes.
-        self._route_by_endpoint: Dict[int, _ConnState] = publish_snapshot({})
-        self._route_conns: Dict[int, _ConnState] = publish_snapshot({})
-        #: serializes the stateful slow path (setup, subscription
-        #: outcomes, lifecycle) across the ingest loops of every
-        #: transport this server listens on and the liveness tick.  The
-        #: indication hot path never takes it.  Always acquired
-        #: *outside* ``_lock``.
+        #: serializes the stateful slow path (setup, subscription and
+        #: control outcomes, lifecycle, every write to the routing
+        #: tables) across the ingest loops of every transport this
+        #: server listens on and the liveness tick.  The indication hot
+        #: path never takes it.
         self._slow_lock = threading.RLock()
         #: stale nodes awaiting re-attachment, keyed by node identity.
         self._stale: Dict[GlobalE2NodeId, _StaleNode] = {}
@@ -395,12 +394,16 @@ class Server:
         ack_requested: bool = True,
         requestor_id: int = 1,
     ) -> RicRequestId:
-        """Send a control request; ``on_outcome`` receives ack/failure."""
+        """Send a control request; ``on_outcome`` receives ack/failure.
+
+        ``on_outcome`` is called exactly once: with the agent's answer,
+        or with a ``RicControlFailure`` (TRANSPORT cause) when the
+        connection is lost first.  A control that cannot be sent raises
+        instead and leaves nothing pending.
+        """
         request = RicRequestId(
             requestor_id=requestor_id, instance_id=next(self._control_instances)
         )
-        if on_outcome is not None:
-            self._pending_controls[request.as_tuple()] = on_outcome
         message = RicControlRequest(
             request=request,
             ran_function_id=ran_function_id,
@@ -408,7 +411,24 @@ class Server:
             payload=payload,
             ack_requested=ack_requested,
         )
-        self._send(conn_id, message)
+        if on_outcome is None:
+            self._send(conn_id, message)
+            return request
+        key = request.as_tuple()
+        with self._slow_lock:
+            # Registered under the writer lock: ``_unroute`` either sees
+            # this entry or has already taken the connection away.
+            state = self._conns.get(conn_id)
+            if state is None or state.endpoint.closed:
+                raise ConnectionError(f"no live agent connection {conn_id}")
+            state.controls[key] = (ran_function_id, on_outcome)
+        try:
+            self._send(conn_id, message)
+        except (ConnectionError, OSError):
+            # Still pending: the error is its outcome.  Gone: a racing
+            # ``_unroute`` has already answered it.
+            if state.controls.pop(key, None) is not None:
+                raise
         return request
 
     def control_many(
@@ -493,44 +513,48 @@ class Server:
 
     # -- transport events ----------------------------------------------
 
-    @cow_mutator
-    def _rebuild_routes(self) -> None:
-        """Publish fresh routing snapshots; callers hold ``_lock``.
-
-        The snapshots are plain dicts that are *replaced*, never
-        mutated, so ingest threads may read them without locking (a
-        dict-reference load is atomic under the GIL).  A reader racing
-        a rebuild sees the previous snapshot — the same window a
-        message already in flight during a disconnect always had.
-        ``publish_snapshot`` is the identity in production; under
-        ``REPRO_ANALYSIS=1`` it returns a mutation-raising proxy.
-        """
-        self._route_by_endpoint = publish_snapshot(dict(self._by_endpoint))
-        self._route_conns = publish_snapshot(dict(self._conns))
-
     def _on_connected(self, endpoint: Endpoint) -> None:
         state = _ConnState(
             conn_id=next(self._conn_ids),
             endpoint=endpoint,
             last_seen=self.time_fn(),
         )
-        with self._lock:
+        with self._slow_lock:
             self._conns[state.conn_id] = state
             self._by_endpoint[id(endpoint)] = state
-            self._rebuild_routes()
 
     def _on_disconnected(
         self, endpoint: Endpoint, reason: Optional[DisconnectReason] = None
     ) -> None:
         with self._slow_lock:
-            with self._lock:
-                state = self._by_endpoint.pop(id(endpoint), None)
-                if state is not None:
-                    self._conns.pop(state.conn_id, None)
-                self._rebuild_routes()
-            if state is None or state.record is None:
+            state = self._by_endpoint.get(id(endpoint))
+            if state is None:
                 return
-            self._node_lost(state.record, state.conn_id, reason)
+            self._unroute(state, "connection lost")
+            if state.record is not None:
+                self._node_lost(state.record, state.conn_id, reason)
+
+    def _unroute(self, state: _ConnState, detail: str) -> None:
+        """Take ``state`` out of both routing tables; callers hold
+        ``_slow_lock``.
+
+        A reader racing this sees the entry or does not — the same
+        window a message already in flight during a disconnect always
+        had.  Every control still outstanding on the connection gets
+        its one outcome here: a lost connection never answers.
+        """
+        self._conns.pop(state.conn_id, None)
+        self._by_endpoint.pop(id(state.endpoint), None)
+        controls, state.controls = state.controls, {}
+        cause = Cause(kind=CauseKind.TRANSPORT, value=Cause.UNSPECIFIED, detail=detail)
+        for (requestor, instance), (ran_function_id, callback) in controls.items():
+            failure = RicControlFailure(RicRequestId(requestor, instance), ran_function_id, cause)
+            try:
+                callback(failure)
+            # An outcome callback's bug is the iApp's, as on the ingest
+            # loop: the teardown still completes.
+            except Exception:  # repro-lint: disable=RL002
+                get_counter("server.iapp.callback_error").incr()
 
     def _node_lost(
         self,
@@ -593,7 +617,7 @@ class Server:
         (and ``dispatch`` for the slow path; the submgr records the
         indication's) right here — the batch is never re-dispatched.
         """
-        state = self._route_by_endpoint.get(id(endpoint))
+        state = self._by_endpoint.get(id(endpoint))
         if state is None:
             return
         # Any traffic proves the agent alive: reset the keepalive state.
@@ -700,9 +724,9 @@ class Server:
         self.submgr.remove(message.request)
 
     def _on_control_outcome(self, state: _ConnState, message: E2Message) -> None:
-        callback = self._pending_controls.pop(message.request.as_tuple(), None)
-        if callback is not None:
-            callback(message)
+        pending = state.controls.pop(message.request.as_tuple(), None)
+        if pending is not None:
+            pending[1](message)
 
     def _on_config_update(self, state: _ConnState, message: E2NodeConfigurationUpdate) -> None:
         if state.record is not None:
@@ -747,14 +771,12 @@ class Server:
             # socket the server has not noticed).  Supersede it through
             # the normal loss path so subscriptions park when a grace
             # window is configured.
-            with self._lock:
-                old = self._conns.pop(existing.conn_id, None)
-                if old is not None:
-                    self._by_endpoint.pop(id(old.endpoint), None)
-                self._rebuild_routes()
-            if old is not None and not old.endpoint.closed:
+            old = self._conns.get(existing.conn_id)
+            if old is not None:
+                self._unroute(old, "superseded by re-attach")
                 try:
-                    old.endpoint.close()
+                    if not old.endpoint.closed:
+                        old.endpoint.close()
                 except (ConnectionError, OSError):
                     pass
             self._node_lost(
@@ -886,10 +908,7 @@ class Server:
     def _declare_dead(self, state: _ConnState) -> None:
         """Keepalive verdict: the link looks up but the agent is gone."""
         get_counter("server.keepalive.dead").incr()
-        with self._lock:
-            self._by_endpoint.pop(id(state.endpoint), None)
-            self._conns.pop(state.conn_id, None)
-            self._rebuild_routes()
+        self._unroute(state, "missed keepalives")
         try:
             if not state.endpoint.closed:
                 state.endpoint.close()
@@ -991,7 +1010,7 @@ class Server:
     # -- internals ------------------------------------------------------
 
     def _send(self, conn_id: int, message: E2Message) -> None:
-        state = self._route_conns.get(conn_id)
+        state = self._conns.get(conn_id)
         if state is None or state.endpoint.closed:
             raise ConnectionError(f"no live agent connection {conn_id}")
         if _TRACER.enabled:
@@ -1006,7 +1025,7 @@ class Server:
     def _send_batch(self, conn_id: int, messages: Sequence[E2Message]) -> None:
         if not messages:
             return
-        state = self._route_conns.get(conn_id)
+        state = self._conns.get(conn_id)
         if state is None or state.endpoint.closed:
             raise ConnectionError(f"no live agent connection {conn_id}")
         if _TRACER.enabled:

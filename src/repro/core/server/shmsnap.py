@@ -21,8 +21,7 @@ before and after its copy, knows it raced a write and retries.  One
 writer (the parent), any number of readers (the workers) — no locks,
 no cross-process mutexes.
 
-The COW discipline of the in-process snapshots (RL003) carries over:
-the writer never mutates a published payload in place semantically —
+The writer never mutates a published payload in place semantically:
 every :meth:`SnapshotWriter.publish` replaces the whole payload under
 a fresh generation, and readers always copy the payload out before
 deserializing.

@@ -13,8 +13,7 @@ userspace coordination.
 Coordination that *is* needed flows over one duplex pipe per worker:
 
 * **control** (parent → worker): declarative
-  :class:`SubscriptionPolicy` routing snapshots — the cross-process
-  form of the PR 5/PR 7 COW snapshot discipline.  A policy is
+  :class:`SubscriptionPolicy` routing snapshots.  A policy is
   *replaced, never mutated*; the parent republishes the full current
   set on every change and to every respawned worker, and each worker
   applies it copy-on-write against its local subscription state.
@@ -642,8 +641,8 @@ class MultiProcServer:
         """Publish one more routing-policy entry to every worker.
 
         Returns the policy with its assigned ``policy_id``.  The full
-        current snapshot is re-broadcast (replaced, never mutated) —
-        the cross-process mirror of ``_rebuild_routes``'s COW publish.
+        current snapshot is re-broadcast (replaced, never mutated):
+        a worker cannot share the parent's dicts, so it gets a copy.
         """
         with self._lock:
             if policy.policy_id == 0:

@@ -12,19 +12,19 @@
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.agent.ran_function import (
+    DECODE_ERRORS,
     ControlOutcome,
     RanFunction,
     SubscriptionHandle,
+    count_contained_decode,
 )
 from repro.core.codec import codegen as _codegen
-from repro.core.codec.base import CodecError, get_codec, materialize
+from repro.core.codec.base import get_codec, materialize
 from repro.core.codec.schema import F64, Schema, register_payload_schema
-from repro.metrics.counters import get_counter
 from repro.core.e2ap.ies import (
     RicActionAdmitted,
     RicActionDefinition,
@@ -77,18 +77,6 @@ def decode_payload(data: bytes, codec_name: str, schema: Optional[str] = None) -
         if out is not None:
             return out
     return get_codec(codec_name).decode(data)
-
-
-#: What a malformed SM payload can actually raise: codec rejections,
-#: missing/mistyped fields in the decoded tree, and truncated packed
-#: structs.  Containment handlers catch exactly these — a genuine bug
-#: (AttributeError, RecursionError, ...) must still propagate.
-DECODE_ERRORS = (CodecError, KeyError, TypeError, ValueError, struct.error)
-
-
-def count_contained_decode() -> None:
-    """Account one malformed payload rejected without harm."""
-    get_counter("decode.contained").incr()
 
 
 register_payload_schema(Schema("periodic_trigger", [("period_ms", F64())]))

@@ -2,15 +2,10 @@
 
 With ``REPRO_ANALYSIS=1`` (the CI ``race-detect`` job) the suite runs
 under the race instrumentation of :mod:`repro.analysis.runtime`:
-
-* ``threading.Lock``/``RLock`` created by repro code are replaced with
-  tracked wrappers feeding the global lock-order graph, and any test
-  that leaves a lock-order inversion behind **fails deterministically**
-  via the autouse guard below;
-* published COW routing snapshots become mutation-raising proxies, so
-  an in-place ``.update()``/``[]=`` on a snapshot raises
-  ``SnapshotMutationError`` at the offending call site instead of
-  corrupting concurrent readers.
+``threading.Lock``/``RLock`` created by repro code are replaced with
+tracked wrappers feeding the global lock-order graph, and any test
+that leaves a lock-order inversion behind **fails deterministically**
+via the autouse guard below.
 
 Installation happens at conftest import — before any test module
 imports repro — so every lock created by Server/SubscriptionManager/

@@ -1,9 +1,8 @@
-"""Runtime race detectors: lock-order graph + COW snapshot freezer.
+"""Runtime race detector: the lock-order graph.
 
 The acceptance demonstration for the analysis suite: a deliberately
-inverted lock order is flagged deterministically (no deadlock needed),
-and an in-place mutation of a published snapshot raises at the call
-site.  Detector unit tests use *local* :class:`LockGraph` instances so
+inverted lock order is flagged deterministically (no deadlock needed).
+Detector unit tests use *local* :class:`LockGraph` instances so
 they neither require ``REPRO_ANALYSIS=1`` nor pollute the global graph
 the conftest guard watches.
 """
@@ -12,8 +11,7 @@ import threading
 
 import pytest
 
-from repro.analysis import cow, runtime
-from repro.analysis.cow import FrozenSnapshot, SnapshotMutationError, publish_snapshot
+from repro.analysis import runtime
 from repro.analysis.locks import LockGraph, TrackedLock, TrackedRLock
 
 
@@ -129,65 +127,6 @@ class TestLockOrderGraph:
         assert graph.drain_violations() == []
 
 
-class TestFreezer:
-    def test_frozen_snapshot_rejects_all_mutators(self):
-        snap = FrozenSnapshot({"k": 1})
-        with pytest.raises(SnapshotMutationError):
-            snap["x"] = 2
-        with pytest.raises(SnapshotMutationError):
-            del snap["k"]
-        with pytest.raises(SnapshotMutationError):
-            snap.update({"y": 3})
-        with pytest.raises(SnapshotMutationError):
-            snap.pop("k")
-        with pytest.raises(SnapshotMutationError):
-            snap.clear()
-        with pytest.raises(SnapshotMutationError):
-            snap.setdefault("z", 0)
-        # Reads and copies stay ordinary dict operations.
-        assert snap["k"] == 1
-        assert dict(snap) == {"k": 1}
-        assert len(snap) == 1
-
-    def test_publish_snapshot_identity_when_disabled(self):
-        original = {"k": 1}
-        assert cow.freezing() is False or runtime.installed()
-        if not cow.freezing():
-            assert publish_snapshot(original) is original
-
-    def test_publish_snapshot_freezes_when_enabled(self):
-        was = cow.freezing()
-        cow.set_freezing(True)
-        try:
-            published = publish_snapshot({"k": 1})
-            assert isinstance(published, FrozenSnapshot)
-            with pytest.raises(SnapshotMutationError):
-                published["k"] = 2
-        finally:
-            cow.set_freezing(was)
-
-    def test_server_routes_frozen_under_analysis(self):
-        """End to end: a server built with freezing on publishes frozen
-        routing snapshots, and mutating one raises deterministically."""
-        from repro.core.server import Server, ServerConfig
-        from repro.core.transport import InProcTransport, TransportEvents
-
-        was = cow.freezing()
-        cow.set_freezing(True)
-        try:
-            server = Server(ServerConfig())
-            transport = InProcTransport()
-            server.listen(transport, "ric")
-            transport.connect("ric", TransportEvents())
-            assert isinstance(server._route_conns, FrozenSnapshot)
-            assert isinstance(server._route_by_endpoint, FrozenSnapshot)
-            with pytest.raises(SnapshotMutationError):
-                server._route_conns.clear()
-            server.close()
-        finally:
-            cow.set_freezing(was)
-
-
 class TestInstall:
     def test_install_wraps_repro_locks_and_uninstall_restores(self):
         if runtime.installed():
@@ -201,12 +140,10 @@ class TestInstall:
             assert isinstance(submgr._lock, TrackedRLock)
             # Locks created from non-repro frames stay native.
             assert not isinstance(threading.Lock(), TrackedLock)
-            assert cow.freezing()
         finally:
             runtime.uninstall()
             runtime.reset()
         assert threading.Lock is original_lock
-        assert not cow.freezing()
         # Tracked locks created during the window keep functioning.
         with submgr._lock:
             pass

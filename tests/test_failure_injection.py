@@ -105,11 +105,49 @@ class TestConnectionTeardown:
         origin = agent.connect("ric")
         conn = server.agents()[0].conn_id
         agent.disconnect(origin)
+        outcomes = []
+        for _ in range(1000):
+            with pytest.raises(ConnectionError):
+                server.control(conn, HW.default_function_id, b"", b"", outcomes.append)
         with pytest.raises(ConnectionError):
             server.control(conn, HW.default_function_id, b"", b"")
-        # RANDB and submgr are clean.
+        # RANDB and submgr are clean, and no outcome callback is kept.
         assert server.agents() == []
         assert len(server.submgr) == 0
+        assert server._conns == {}
+        assert outcomes == []
+
+    def test_control_outstanding_at_disconnect_gets_one_failure(self):
+        from repro.core.e2ap.messages import RicControlFailure
+        from repro.core.e2ap.procedures import CauseKind
+        from repro.core.server import Server, ServerConfig
+        from repro.core.transport.tcp import TcpTransport
+        from repro.sm.hw import INFO as HW
+
+        # The agent end is a bare socket that never answers a control.
+        server = Server(ServerConfig(e2ap_codec="fb"))
+        ric = TcpTransport()
+        try:
+            listener = server.listen(ric, "127.0.0.1:0")
+            ric.start()
+            peer = ric.connect(listener.address, TransportEvents())
+            assert _wait(lambda: len(server._conns) == 1)
+            (conn,) = server._conns
+            outcomes = []
+            request = server.control(conn, HW.default_function_id, b"", b"x", outcomes.append)
+            assert len(server._conns[conn].controls) == 1
+            peer.close()
+            assert _wait(lambda: outcomes)
+            (failure,) = outcomes
+            assert isinstance(failure, RicControlFailure)
+            assert failure.request == request
+            assert failure.ran_function_id == HW.default_function_id
+            assert failure.cause.kind == CauseKind.TRANSPORT
+            assert server._conns == {}
+            time.sleep(0.05)
+            assert len(outcomes) == 1
+        finally:
+            ric.stop()
 
     def test_subscriptions_purged_on_disconnect(self):
         from repro.core.agent import Agent, AgentConfig
@@ -684,6 +722,76 @@ class TestRaisingSlowPathCallback:
             assert ok.wait(5.0)
             assert len(calls) == (2 if where == "bus_subscriber" else 1)
             assert errors.value == 1
+
+
+class TestMalformedControl:
+    """A control payload an SM cannot decode is answered with a
+    ``RicControlFailure`` by the agent, whichever SM it names; the
+    agent's loop keeps serving."""
+
+    @pytest.fixture(autouse=True)
+    def _reset(self):
+        counters.reset_counters("decode.")
+
+    @pytest.mark.parametrize("kind", ["tcp", "inproc"])
+    @pytest.mark.parametrize("sm", ["hw", "tc"])
+    def test_answered_with_failure_and_the_next_ping_is_served(self, kind, sm):
+        from repro.core.agent import Agent, AgentConfig
+        from repro.core.e2ap.ies import (
+            GlobalE2NodeId,
+            NodeKind,
+            RicActionDefinition,
+            RicActionKind,
+        )
+        from repro.core.e2ap.messages import RicControlAcknowledge, RicControlFailure
+        from repro.core.e2ap.procedures import Cause
+        from repro.core.server import Server, SubscriptionCallbacks
+        from repro.core.transport.tcp import TcpTransport
+        from repro.sm.base import PeriodicTrigger
+        from repro.sm.hw import INFO as HW, HwRanFunction, build_ping
+        from repro.sm.traffic_ctrl import INFO as TC, TrafficCtrlFunction
+
+        server = Server()
+        with contextlib.ExitStack() as stack:
+            if kind == "tcp":
+                ric, ran = TcpTransport(), TcpTransport()
+                stack.callback(ric.stop)
+                stack.callback(ran.stop)
+                address = server.listen(ric, "127.0.0.1:0").address
+                ric.start()
+                ran.start()
+            else:
+                ran, address = InProcTransport(), "ric"
+                server.listen(ran, address)
+            agent = Agent(AgentConfig(node_id=GlobalE2NodeId("00101", 1, NodeKind.GNB)), ran)
+            agent.register_function(HwRanFunction())
+            agent.register_function(TrafficCtrlFunction(pipelines=lambda: {}))
+            agent.connect(address)
+            (conn,) = [record.conn_id for record in server.agents()]
+            pongs = threading.Event()
+            record = server.subscribe(
+                conn, HW.default_function_id, PeriodicTrigger(0.0).to_bytes("fb"),
+                [RicActionDefinition(1, RicActionKind.REPORT)],
+                SubscriptionCallbacks(on_indication=lambda event: pongs.set()),
+            )
+            assert _wait(lambda: record.confirmed)
+            outcomes = []
+            if sm == "hw":
+                server.control(conn, HW.default_function_id, b"", b"bad!", outcomes.append)
+            else:
+                server.control(conn, TC.default_function_id, b"bad!", b"", outcomes.append)
+            assert _wait(lambda: outcomes)
+            (failure,) = outcomes
+            assert isinstance(failure, RicControlFailure)
+            assert failure.cause.value == Cause.CONTROL_MESSAGE_INVALID
+            assert counters.get_counter("decode.contained").value == 1
+            if kind == "tcp":
+                assert ran._thread is not None and ran._thread.is_alive()
+            ping = build_ping(1, b"x", "fb")
+            server.control(conn, HW.default_function_id, b"", ping, outcomes.append)
+            assert _wait(lambda: len(outcomes) == 2)
+            assert isinstance(outcomes[1], RicControlAcknowledge)
+            assert pongs.wait(5.0)
 
 
 #: (action, peer, argument, step the loop to quiescence afterwards?) — an

@@ -184,123 +184,6 @@ class TestRL002BroadExcept:
         assert findings == []
 
 
-class TestRL003CowDiscipline:
-    SNAPSHOT_CLASS = """
-        from repro.analysis.markers import cow_mutator, cow_snapshot
-        import threading
-
-        @cow_snapshot("_route")
-        class Manager:
-            def __init__(self):
-                self._route = {{}}
-                self._lock = threading.Lock()
-        {body}
-    """
-
-    def _lint(self, tmp_path, body):
-        source = textwrap.dedent(self.SNAPSHOT_CLASS).format(
-            body=textwrap.indent(textwrap.dedent(body), "    ")
-        )
-        return run_lint(tmp_path, "src/repro/mod.py", source)
-
-    def test_in_place_update_flagged(self, tmp_path):
-        findings, _ = self._lint(
-            tmp_path,
-            """
-            def add(self, key, value):
-                with self._lock:
-                    self._route.update({key: value})
-            """,
-        )
-        assert codes(findings) == ["RL003"]
-        assert ".update()" in findings[0].message
-
-    def test_item_store_and_delete_flagged(self, tmp_path):
-        findings, _ = self._lint(
-            tmp_path,
-            """
-            def add(self, key, value):
-                self._route[key] = value
-                del self._route[key]
-            """,
-        )
-        # two mutations, plus the second raw load of self._route.
-        assert codes(findings) == ["RL003", "RL003", "RL003"]
-        assert "item assignment" in findings[0].message
-        assert "del on COW snapshot" in findings[1].message
-
-    def test_rebind_outside_lock_flagged(self, tmp_path):
-        findings, _ = self._lint(
-            tmp_path,
-            """
-            def publish(self, records):
-                self._route = dict(records)
-            """,
-        )
-        assert codes(findings) == ["RL003"]
-        assert "outside the mutator lock" in findings[0].message
-
-    def test_rebind_under_lock_clean(self, tmp_path):
-        findings, _ = self._lint(
-            tmp_path,
-            """
-            def publish(self, records):
-                with self._lock:
-                    self._route = dict(records)
-            """,
-        )
-        assert findings == []
-
-    def test_rebind_in_cow_mutator_clean(self, tmp_path):
-        findings, _ = self._lint(
-            tmp_path,
-            """
-            @cow_mutator
-            def publish(self, records):
-                self._route = dict(records)
-            """,
-        )
-        assert findings == []
-
-    def test_double_unlocked_load_flagged(self, tmp_path):
-        findings, _ = self._lint(
-            tmp_path,
-            """
-            def lookup(self, key):
-                if key in self._route:
-                    return self._route[key]
-                return None
-            """,
-        )
-        assert codes(findings) == ["RL003"]
-        assert "repeated lock-free load" in findings[0].message
-
-    def test_single_load_into_local_clean(self, tmp_path):
-        findings, _ = self._lint(
-            tmp_path,
-            """
-            def lookup(self, key):
-                route = self._route
-                if key in route:
-                    return route[key]
-                return None
-            """,
-        )
-        assert findings == []
-
-    def test_undecorated_class_ignored(self, tmp_path):
-        findings, _ = run_lint(
-            tmp_path,
-            "src/repro/mod.py",
-            """
-            class Plain:
-                def add(self, key, value):
-                    self._route[key] = value
-            """,
-        )
-        assert findings == []
-
-
 class TestRL004BoundedBlocking:
     def test_unbounded_get_in_loop_flagged(self, tmp_path):
         findings, _ = run_lint(
@@ -656,11 +539,10 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in (
-            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-        ):
+        for code in ("RL001", "RL002", "RL004", "RL005", "RL006", "RL007"):
             assert code in out
-        assert set(RULES) == {f"RL00{i}" for i in range(1, 8)}
+        # RL003 is retired, not reused.
+        assert set(RULES) == {f"RL00{i}" for i in (1, 2, 4, 5, 6, 7)}
 
     def test_rules_subset_and_unknown(self, tmp_path, capsys):
         mod = tmp_path / "src" / "repro" / "mod.py"

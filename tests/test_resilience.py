@@ -21,7 +21,7 @@ from repro.core.e2ap.ies import (
     RicActionDefinition,
     RicActionKind,
 )
-from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
+from repro.core.server import Server, ServerConfig
 from repro.core.server import events as topics
 from repro.core.transport import (
     FaultSpec,
@@ -31,8 +31,7 @@ from repro.core.transport import (
 )
 from repro.core.transport.framing import Framer, FramingError, frame_message
 from repro.controllers.monitoring import StatsMonitorIApp
-from repro.sm.base import PeriodicTrigger
-from repro.sm.hw import HwRanFunction, INFO as HW
+from repro.sm.hw import HwRanFunction
 from repro.sm.mac_stats import MacStatsFunction, synthetic_provider, INFO as MAC
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
@@ -539,47 +538,6 @@ class TestKeepalive:
         server.keepalive_tick()
         assert len(expired) == 1
         assert server.agents() == []
-
-
-# -- runtime analysis integration (REPRO_ANALYSIS=1) -----------------
-
-
-class TestAnalysisUnderChaos:
-    """With REPRO_ANALYSIS=1 the chaos suite runs fully instrumented;
-    this spot-check asserts the resync slow path (park → adopt →
-    re-publish) keeps publishing frozen snapshots rather than quietly
-    reverting to bare dicts."""
-
-    pytestmark = pytest.mark.skipif(
-        os.environ.get("REPRO_ANALYSIS", "") not in ("1", "true", "yes"),
-        reason="requires REPRO_ANALYSIS=1 instrumentation",
-    )
-
-    def test_snapshots_stay_frozen_across_reconnect(self):
-        from repro.analysis.cow import FrozenSnapshot
-
-        transport = InProcTransport()
-        server = Server(ServerConfig())
-        server.listen(transport, "ric")
-        agent = Agent(AgentConfig(node_id=make_node()), transport)
-        agent.register_function(HwRanFunction())
-        try:
-            origin = agent.connect("ric")
-            server.subscribe(
-                conn_id=server.agents()[0].conn_id,
-                ran_function_id=HW.default_function_id,
-                event_trigger=PeriodicTrigger(1.0).to_bytes("fb"),
-                actions=[RicActionDefinition(1, RicActionKind.REPORT)],
-                callbacks=SubscriptionCallbacks(),
-            )
-            assert isinstance(server._route_conns, FrozenSnapshot)
-            agent.disconnect(origin)
-            agent.connect("ric")
-            assert isinstance(server._route_conns, FrozenSnapshot)
-            assert isinstance(server._route_by_endpoint, FrozenSnapshot)
-        finally:
-            transport.stop()
-            server.close()
 
 
 # -- multiprocess worker chaos (DESIGN.md §14) -----------------------

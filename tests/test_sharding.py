@@ -1,14 +1,15 @@
-"""Ingest loops: ordering, snapshots, fd hygiene, worker processes.
+"""Ingest loops: ordering, routing tables, fd hygiene, worker processes.
 
 Covers the one-loop TCP transport's drain, the in-process sharded
 dispatch, the server's batched receive path, the lock-free routing
-snapshots under churn, ``MultiProcServer`` and the satellite fixes
+tables under churn, ``MultiProcServer`` and the satellite fixes
 (socketpair fd leak on ``stop()``, bounded connect timeout).  The churn tests honour ``CHAOS_SEED`` like
 the resilience suite so CI can sweep schedules.
 """
 
 import os
 import socket
+import sys
 import threading
 import time
 
@@ -34,6 +35,7 @@ from repro.core.e2ap.messages import (
     encode_message,
 )
 from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
+from repro.core.server import events as topics
 from repro.core.server.submgr import SubscriptionManager
 from repro.core.server.workers import MultiProcServer, SubscriptionPolicy
 from repro.core.transport import tcp as tcp_mod
@@ -354,11 +356,101 @@ class TestSnapshotChurn:
         agent = Agent(AgentConfig(node_id=make_node()), transport)
         agent.register_function(HwRanFunction())
         origin = agent.connect("ric")
-        assert len(server._route_conns) == 1
-        assert server._route_conns == server._conns
+        (state,) = server._conns.values()
+        assert server._by_endpoint == {id(state.endpoint): state}
         agent.disconnect(origin)
-        assert server._route_conns == {}
-        assert server._route_by_endpoint == {}
+        assert server._conns == {}
+        assert server._by_endpoint == {}
+
+
+class TestSingleWriterTables:
+    """The connection tables are written in place under ``_slow_lock``
+    and read with one bare ``get``.  Under ``REPRO_ANALYSIS=1`` the
+    conftest guard also fails the run on any lock-order inversion."""
+
+    CHURNERS = 2
+    AGENTS_PER_CHURNER = 100
+
+    def test_tcp_connect_churn_beside_a_routing_node(self):
+        """Two threads connect and disconnect 200 agents while a steady
+        node's indications keep routing and the liveness tick walks the
+        tables every few milliseconds."""
+        ric, ran = TcpTransport(), TcpTransport()
+        server = Server(ServerConfig(keepalive_interval_s=0.002, keepalive_misses=10**6))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # many more thread switches per write
+        errors, connected, lost = [], [], []
+        server.events.subscribe(topics.AGENT_CONNECTED, connected.append)
+        server.events.subscribe(topics.AGENT_DISCONNECTED, lost.append)
+        before = counter_values()
+        try:
+            listener = server.listen(ric, "127.0.0.1:0")
+            ric.start()
+            ran.start()
+            server.start_liveness(period_s=0.002)
+            steady = Agent(AgentConfig(node_id=make_node(1)), ran)
+            function = MacStatsFunction(provider=synthetic_provider(2), sm_codec="fb")
+            steady.register_function(function)
+            steady.connect(listener.address)
+            (steady_conn,) = server._conns
+            sequences = []
+            record = server.subscribe(
+                conn_id=steady_conn,
+                ran_function_id=MAC.default_function_id,
+                event_trigger=PeriodicTrigger(0.0).to_bytes("fb"),
+                actions=[RicActionDefinition(1, RicActionKind.REPORT)],
+                callbacks=SubscriptionCallbacks(
+                    on_indication=lambda event: sequences.append(event.sequence)
+                ),
+            )
+            assert _wait(lambda: record.confirmed)
+
+            def churn(index):
+                try:
+                    for n in range(self.AGENTS_PER_CHURNER):
+                        nb_id = 2 + index * self.AGENTS_PER_CHURNER + n
+                        agent = Agent(AgentConfig(node_id=make_node(nb_id)), ran)
+                        agent.register_function(HwRanFunction())
+                        agent.disconnect(agent.connect(listener.address))
+                except Exception as exc:  # pragma: no cover - reported below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=churn, args=(index,)) for index in range(self.CHURNERS)
+            ]
+            for thread in threads:
+                thread.start()
+            pumped = 0
+            deadline = time.monotonic() + 60.0
+            while any(thread.is_alive() for thread in threads) and time.monotonic() < deadline:
+                function.pump()
+                pumped += 1
+                time.sleep(0.001)
+            for thread in threads:
+                thread.join(timeout=5.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            churned = self.CHURNERS * self.AGENTS_PER_CHURNER
+            assert len(connected) == 1 + churned
+            assert _wait(lambda: len(lost) == churned, timeout=10.0)
+            assert pumped > 0
+            assert _wait(lambda: len(sequences) == pumped, timeout=10.0)
+            assert sequences == list(range(sequences[0], sequences[0] + pumped))
+            # Quiescent: both tables agree and hold the steady node only.
+            assert _wait(lambda: len(server._conns) == 1, timeout=10.0)
+            (state,) = server._conns.values()
+            assert state.conn_id == steady_conn
+            assert server._by_endpoint == {id(state.endpoint): state}
+            assert [agent.conn_id for agent in server.agents()] == [steady_conn]
+            after = counter_values()
+            for name in ("server.liveness.errors", "server.iapp.callback_error"):
+                assert after.get(name, 0) == before.get(name, 0), name
+        finally:
+            sys.setswitchinterval(switch)
+            server.stop_liveness()
+            ran.stop()
+            ric.stop()
+            server.close()
 
 
 # -- FaultyTransport over a sharded inner transport ------------------
@@ -498,43 +590,23 @@ class TestServerBatchPath:
 
 
 class TestAnalysisIntegration:
-    """Live-server checks for the CI race-detect job: with the
-    instrumentation installed, the routing snapshots a sharded server
-    publishes are mutation-raising proxies and its locks feed the
-    global lock-order graph (the autouse conftest guard fails any test
-    that records an inversion)."""
+    """Live-server check for the CI race-detect job: with the
+    instrumentation installed, the server's locks feed the global
+    lock-order graph (the autouse conftest guard fails any test that
+    records an inversion)."""
 
     pytestmark = pytest.mark.skipif(
         os.environ.get("REPRO_ANALYSIS", "") not in ("1", "true", "yes"),
         reason="requires REPRO_ANALYSIS=1 instrumentation",
     )
 
-    def test_live_snapshots_are_frozen_and_mutation_raises(self):
-        from repro.analysis.cow import FrozenSnapshot, SnapshotMutationError
-
-        transport = InProcTransport(shards=2)
-        server = Server(ServerConfig())
-        server.listen(transport, "ric")
-        agent = Agent(AgentConfig(node_id=make_node()), transport)
-        agent.register_function(HwRanFunction())
-        try:
-            agent.connect("ric")
-            assert isinstance(server._route_conns, FrozenSnapshot)
-            assert isinstance(server._route_by_endpoint, FrozenSnapshot)
-            with pytest.raises(SnapshotMutationError):
-                server._route_conns[999] = None
-            with pytest.raises(SnapshotMutationError):
-                server._route_by_endpoint.clear()
-        finally:
-            transport.stop()
-            server.close()
-
     def test_server_locks_are_tracked(self):
-        from repro.analysis.locks import TrackedLock, TrackedRLock
+        from repro.analysis.locks import TrackedRLock
 
         server = Server(ServerConfig())
         try:
-            assert isinstance(server._lock, TrackedLock)
+            # One lock orders every connection-state write.
+            assert not hasattr(server, "_lock")
             assert isinstance(server._slow_lock, TrackedRLock)
             assert isinstance(server.submgr._lock, TrackedRLock)
         finally:
