@@ -83,6 +83,16 @@ class Codec(ABC):
         read-only mapping view over the buffer instead of fresh dicts.
         """
 
+    def decode_route(self, data) -> Tuple[Any, Any, Any]:
+        """``(procedure, msg_class, body)`` of an E2AP frame: a registered
+        message as its dataclass, a ``RicIndication`` as its row
+        (:func:`repro.core.codec.codegen.routed`).  Codecs with kernels
+        override this with their route lanes; this is the full walk."""
+        from repro.core.codec.codegen import routed  # codegen imports this module
+
+        tree = self.decode(data)
+        return routed(tree["p"], tree["c"], tree["v"])
+
     def probe(self, data) -> Optional[Tuple[int, int]]:
         """``(procedure, msg_class)`` read off the constant envelope
         prefix without decoding anything, or ``None`` when this codec

@@ -23,6 +23,12 @@ kernel are also treated as a fallback, unless ``REPRO_CODEC_KERNEL_STRICT``
 is set (the differential tests set it so real bugs cannot hide inside
 the deoptimization path).
 
+Every E2AP envelope kernel also has the *object lanes*: ``encode_msg(m)``
+reads the message dataclass's attributes, and ``route(data)`` builds it
+back (``RicIndication``'s route returns its row), both from the same
+schema walk as ``encode``/``decode``.  What generated code calls for
+the parts it does not unroll lives in :mod:`~repro.core.codec.kernel_runtime`.
+
 ``REPRO_CODEC_INTERPRETIVE=1`` (or :func:`set_kernels_enabled`) turns
 kernels off entirely, keeping the interpretive path selectable as the
 differential-testing oracle.
@@ -37,7 +43,18 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.codec import schema as _schema
-from repro.core.codec.base import Rows
+from repro.core.codec.kernel_runtime import (
+    _B1,
+    _H,
+    _I,
+    _INT64_MAX,
+    _INT64_MIN,
+    _PSP,
+    _Q,
+    _RUNTIME,
+    _SZ9,
+    _pint,
+)
 from repro.core.codec.schema import (
     Bool,
     Bytes,
@@ -97,616 +114,6 @@ def interpretive():
         ENABLED = prev
 
 
-# -- shared wire constants -------------------------------------------
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
-
-_Q = struct.Struct("<q")
-_I = struct.Struct("<I")
-_H = struct.Struct("<H")
-_D = struct.Struct("<d")
-_D8 = struct.Struct(">d")
-_BQ = struct.Struct("<Bq")
-
-_B1 = tuple(bytes((i,)) for i in range(256))
-
-#: flat: size word of an int64 cell, repeated for Seq(Int) blocks.
-_SZ9 = b"\x09\x00\x00\x00"
-
-#: PER: padded 2-byte cells for small ints (tag|sign|small-flag|6 bits,
-#: then 4 zero pad bits supplied by the following alignment).
-_PSP = tuple(
-    bytes((0x34 | (v >> 4), (v & 0xF) << 4)) for v in range(64)
-)
-_PSN = tuple(
-    bytes((0x3C | (m >> 4), (m & 0xF) << 4)) for m in range(64)
-)
-
-#: PER: combined length determinant + partial-fragment marker for
-#: octet strings shorter than one fragment.
-_OCT2 = tuple(bytes((l, (l << 3) & 0xFF)) for l in range(24))
-
-
-# -- runtime helpers shared by generated kernels ---------------------
-# These are injected into every generated module's namespace; they
-# return None/False on any shape violation so the kernel deoptimizes.
-
-
-def _vlb(length: int) -> bytes:
-    """PER length determinant as bytes (mirrors BitWriter.write_varlen)."""
-    if length < 0x80:
-        return _B1[length]
-    if length < 0x4000:
-        return bytes((0x80 | (length >> 8), length & 0xFF))
-    return b"\xc0" + length.to_bytes(4, "big")
-
-
-#: Fragment count → ``Struct("0s" + "24s" * n)``: every full fragment of
-#: an octet string cut in one C pass (the leading ``0s`` seeds the
-#: marker join).  A peer repeats a handful of payload sizes; the caps
-#: bound the table (entries, and layout size per entry) under
-#: adversarial lengths — an uncached count just compiles its layout.
-_FRAG_CUTS: Dict[int, struct.Struct] = {}
-_FRAG_CUTS_MAX = 128
-_FRAG_CUT_WIDEST = 4096
-
-
-def _frag_cut(full: int) -> struct.Struct:
-    cut = struct.Struct("0s" + "24s" * full)
-    if len(_FRAG_CUTS) < _FRAG_CUTS_MAX and full <= _FRAG_CUT_WIDEST:
-        _FRAG_CUTS[full] = cut
-    return cut
-
-
-def _pfrag(raw: bytes) -> bytes:
-    """PER fragmented octet-string body (mirrors write_fragmented)."""
-    full, rem = divmod(len(raw), 24)
-    if full:
-        head = b"\xc0".join((_FRAG_CUTS.get(full) or _frag_cut(full)).unpack_from(raw))
-        if rem:
-            return head + _B1[rem << 3] + raw[full * 24:]
-        return head
-    if rem:
-        return _B1[rem << 3] + raw
-    return b""
-
-
-def _poct(raw: bytes) -> bytes:
-    """PER length determinant + fragments for an aligned octet string."""
-    l = len(raw)
-    if l < 24:
-        return _OCT2[l] + raw if l else b"\x00"
-    return _vlb(l) + _pfrag(raw)
-
-
-def _pint(x: int) -> bytes:
-    """PER aligned integer cell (small 2-byte padded form or long form)."""
-    if 0 <= x < 64:
-        return _PSP[x]
-    if -64 < x < 0:
-        return _PSN[-x]
-    if x < 0:
-        sign, mag = 8, -x
-    else:
-        sign, mag = 0, x
-    n = (mag.bit_length() + 7) // 8 or 1
-    return _B1[0x30 | sign] + _vlb(n) + mag.to_bytes(n, "big")
-
-
-def _popt_int(x) -> Optional[bytes]:
-    """PER cell for Opt(Int): None or any int."""
-    if x is None:
-        return b"\x00"
-    if type(x) is int:
-        return _pint(x)
-    return None
-
-
-def _pseq_int(P: list, items: list) -> bool:
-    """PER list-of-int body with bit-phase tracking across elements."""
-    A = P.append
-    ph = 0
-    pd = 0
-    for x in items:
-        if type(x) is not int:
-            return False
-        if 0 <= x < 64:
-            s, m = 0, x
-        elif -64 < x < 0:
-            s, m = 8, -x
-        else:
-            s = 8 if x < 0 else 0
-            mag = -x if x < 0 else x
-            n = (mag.bit_length() + 7) // 8 or 1
-            if ph:
-                A(_B1[(pd << 4) | 3])
-                A(_B1[(s & 8) << 4])
-                ph = 0
-            else:
-                A(_B1[0x30 | s])
-            A(_vlb(n))
-            A(mag.to_bytes(n, "big"))
-            continue
-        if ph:
-            A(_B1[(pd << 4) | 3])
-            A(_B1[(s << 4) | 0x40 | m])
-            ph = 0
-        else:
-            A(_B1[0x34 | s | (m >> 4)])
-            pd = m & 0xF
-            ph = 4
-    if ph:
-        A(_B1[pd << 4])
-    return True
-
-
-def _pseq_str(P: list, items: list) -> bool:
-    """PER list-of-str body (string cells keep octet alignment)."""
-    A = P.append
-    for x in items:
-        if type(x) is not str:
-            return False
-        raw = x.encode("utf-8")
-        A(b"\x50")
-        A(_poct(raw))
-    return True
-
-
-def _pseq_rows(P: list, fn, keys: Tuple[str, ...], items) -> bool:
-    """PER list-of-struct body: every element through the generated
-    positional encoder ``fn``, the bit phase threaded across elements.
-    ``items`` is a list of dicts with exactly ``keys`` in order, or a
-    :class:`Rows` whose keys the kernel has already checked; each of
-    its rows goes in as it is, with no dict built."""
-    ph = pd = 0
-    if type(items) is list:
-        for x in items:
-            if type(x) is not dict or tuple(x) != keys:
-                return False
-            r = fn(P, ph, pd, *x.values())
-            if r is None:
-                return False
-            ph, pd = r
-    else:
-        for row in zip(*[iter(items.values)] * len(keys)):
-            r = fn(P, ph, pd, *row)
-            if r is None:
-                return False
-            ph, pd = r
-    if ph:
-        P.append(_B1[pd << 4])
-    return True
-
-
-def _dvl(data: bytes, o: int):
-    """PER length determinant read; (value, new offset) or None."""
-    first = data[o]
-    if first < 0x80:
-        return first, o + 1
-    if first & 0x40 == 0:
-        return ((first & 0x3F) << 8) | data[o + 1], o + 2
-    if first != 0xC0:
-        return None
-    return int.from_bytes(data[o + 1:o + 5], "big"), o + 5
-
-
-def _dfrag(data: bytes, o: int, length: int):
-    """PER fragmented octet-string read; (bytes, new offset) or None."""
-    full, rem = divmod(length, 24)
-    chunks = []
-    if full:
-        end = o + full * 25
-        block = bytearray(data[o:end])
-        if len(block) != full * 25 or block[::25] != b"\xc0" * full:
-            return None
-        del block[::25]
-        chunks.append(bytes(block))
-        o = end
-    if rem:
-        if o >= len(data) or data[o] >> 3 != rem:
-            return None
-        piece = data[o + 1:o + 1 + rem]
-        if len(piece) != rem:
-            return None
-        chunks.append(piece)
-        o += 1 + rem
-    return b"".join(chunks), o
-
-
-def _doct(data: bytes, o: int):
-    """PER aligned octet string (determinant + fragments)."""
-    r = _dvl(data, o)
-    if r is None:
-        return None
-    length, o = r
-    return _dfrag(data, o, length)
-
-
-def _dpseq_int(data: bytes, o: int, n: int):
-    """PER list-of-int body read with phase tracking; (list, o) or None."""
-    out = []
-    ap = out.append
-    ph = 0
-    for _ in range(n):
-        if ph:
-            b0 = data[o] & 0xF
-            if b0 != 3:
-                return None
-            b1 = data[o + 1]
-            if b1 & 0x40:
-                m = b1 & 0x3F
-                ap(-m if b1 & 0x80 else m)
-                o += 2
-                ph = 0
-            else:
-                neg = b1 & 0x80
-                r = _dvl(data, o + 2)
-                if r is None:
-                    return None
-                ln, o = r
-                raw = data[o:o + ln]
-                if len(raw) != ln:
-                    return None
-                m = int.from_bytes(raw, "big")
-                ap(-m if neg else m)
-                o += ln
-                ph = 0
-        else:
-            b0 = data[o]
-            if b0 & 0xF4 == 0x34:
-                m = ((b0 & 3) << 4) | (data[o + 1] >> 4)
-                ap(-m if b0 & 8 else m)
-                o += 1
-                ph = 4
-            elif b0 & 0xF4 == 0x30:
-                r = _dvl(data, o + 1)
-                if r is None:
-                    return None
-                ln, o = r
-                raw = data[o:o + ln]
-                if len(raw) != ln:
-                    return None
-                m = int.from_bytes(raw, "big")
-                ap(-m if b0 & 8 else m)
-                o += ln
-            else:
-                return None
-    if ph:
-        o += 1
-    return out, o
-
-
-def _dpseq_str(data: bytes, o: int, n: int):
-    """PER list-of-str body read; (list, o) or None."""
-    out = []
-    for _ in range(n):
-        if data[o] & 0xF0 != 0x50:
-            return None
-        r = _doct(data, o + 1)
-        if r is None:
-            return None
-        raw, o = r
-        out.append(raw.decode("utf-8"))
-    return out, o
-
-
-def _fseq_int(items) -> Optional[bytes]:
-    """flat list-of-int chunk (tag, count, fused size block, cells)."""
-    if type(items) is not list:
-        return None
-    n = len(items)
-    parts = [b"\x07", _I.pack(n), _SZ9 * n]
-    ap = parts.append
-    pack = _BQ.pack
-    for x in items:
-        if type(x) is int and _INT64_MIN <= x <= _INT64_MAX:
-            ap(pack(3, x))
-        else:
-            return None
-    return b"".join(parts)
-
-
-def _fseq_str(items) -> Optional[bytes]:
-    """flat list-of-str chunk."""
-    if type(items) is not list:
-        return None
-    raws = []
-    for x in items:
-        if type(x) is not str:
-            return None
-        raws.append(x.encode("utf-8"))
-    n = len(raws)
-    parts = [b"\x07", _I.pack(n)]
-    ap = parts.append
-    for raw in raws:
-        ap(_I.pack(5 + len(raw)))
-    for raw in raws:
-        ap(b"\x05")
-        ap(_I.pack(len(raw)))
-        ap(raw)
-    return b"".join(parts)
-
-
-def _fseq_map(fn, items) -> Optional[bytes]:
-    """flat list chunk with per-element generated encoder ``fn``."""
-    if type(items) is not list:
-        return None
-    enc = []
-    ap = enc.append
-    for item in items:
-        e = fn(item)
-        if e is None:
-            return None
-        ap(e)
-    n = len(enc)
-    sizes = struct.pack("<%dI" % n, *map(len, enc)) if n else b""
-    return b"".join([b"\x07", _I.pack(n), sizes] + enc)
-
-
-#: struct code of a fixed-layout cell → the exact type of its value.
-_CELL_TYPES = {"q": int, "d": float}
-
-
-class _RowLayout:
-    """One fixed-layout element as the emitter laid it out: its wire
-    keys, the constant octets before each value (the first also carries
-    the element's tag, count and directory) and each value's struct
-    code.  A generated kernel holds one per fixed-layout sequence."""
-
-    __slots__ = ("keys", "consts", "codes", "size")
-
-    def __init__(self, keys: Tuple[str, ...], consts: Tuple[bytes, ...], codes: str) -> None:
-        self.keys = keys
-        self.consts = consts
-        self.codes = codes
-        self.size = sum(map(len, consts)) + 8 * len(codes)
-
-
-class _FixedPlan:
-    """A fixed-layout list of ``n`` elements: its head (tag, count and
-    ``n`` equal size words), and — set up by the first :class:`Rows` of
-    that size — the whole chunk as one ``pack``: its argument template
-    (the head, then every cell's constant followed by a slot for its
-    value), spare copies of the template, and the exact type every
-    value must have."""
-
-    __slots__ = ("head", "pack", "template", "spare", "types")
-
-    def __init__(self, head: bytes) -> None:
-        self.head = head
-        self.pack = None
-
-    def set_up_rows(self, layout: _RowLayout, n: int) -> None:
-        cells = "".join(f"{len(c)}s{code}" for c, code in zip(layout.consts, layout.codes))
-        template = [self.head]
-        for const in layout.consts * n:
-            template += (const, None)
-        self.template = template
-        self.spare = []
-        self.types = [_CELL_TYPES[code] for code in layout.codes] * n
-        self.pack = struct.Struct(f"<{len(self.head)}s" + cells * n).pack
-
-
-#: (row layout, n) → :class:`_FixedPlan`, the one cache of the
-#: fixed-layout lane.  A node reports the same few UE/bearer counts
-#: period after period; the caps bound the table under adversarial
-#: counts: a full table starts over (so plans of rebuilt kernels cannot
-#: crowd out live ones), and a plan of more values than the widest kept
-#: is built for its call only.
-_FIXED_PLANS: Dict[Tuple[_RowLayout, int], _FixedPlan] = {}
-_FIXED_PLANS_MAX = 64
-_FIXED_PLAN_WIDEST = 4096
-
-
-def _fixed_plan(layout: _RowLayout, n: int) -> _FixedPlan:
-    plan = _FIXED_PLANS.get((layout, n))
-    if plan is None:
-        plan = _FixedPlan(b"\x07" + _I.pack(n) + _I.pack(layout.size) * n)
-        if n * len(layout.codes) <= _FIXED_PLAN_WIDEST:
-            if len(_FIXED_PLANS) >= _FIXED_PLANS_MAX:
-                _FIXED_PLANS.clear()
-            _FIXED_PLANS[(layout, n)] = plan
-    return plan
-
-
-def _fseq_fixed(fn, layout: _RowLayout, items) -> Optional[bytes]:
-    """flat list chunk of a fixed-layout sequence (DESIGN.md §11).
-
-    :class:`Rows` with ``layout``'s keys whose every value has its
-    cell's exact type are one ``pack`` of the whole chunk.  Everything
-    else takes the list lane — a list of dicts through the element
-    encoder ``fn``, and rows it would deoptimize (a bool, an ``IntEnum``
-    or a float in an int cell, an int in a float cell, a value outside
-    int64) lowered to that list first — so both lanes write one wire.
-    """
-    if type(items) is Rows:
-        values = items.values
-        if items.keys == layout.keys:
-            n = len(values) // len(layout.codes)
-            plan = _fixed_plan(layout, n)
-            if plan.pack is None:
-                plan.set_up_rows(layout, n)
-            if list(map(type, values)) == plan.types:
-                try:
-                    args = plan.spare.pop()
-                except IndexError:  # first use, or every copy busy on another thread
-                    args = plan.template[:]
-                args[2::2] = values
-                try:
-                    return plan.pack(*args)
-                except struct.error:  # outside int64: the list lane deoptimizes
-                    pass
-                finally:
-                    plan.spare.append(args)
-        items = items.to_value()
-    if type(items) is not list:
-        return None
-    parts = [_fixed_plan(layout, len(items)).head]
-    parts.extend(map(fn, items))
-    if None in parts:
-        return None
-    return b"".join(parts)
-
-
-def _fopt_int(x) -> Optional[bytes]:
-    """flat cell for Opt(Int)."""
-    if x is None:
-        return b"\x00"
-    if type(x) is int and _INT64_MIN <= x <= _INT64_MAX:
-        return b"\x03" + _Q.pack(x)
-    return None
-
-
-def _fstrmap(d) -> Optional[bytes]:
-    """flat dict chunk for an open str→str table."""
-    if type(d) is not dict:
-        return None
-    parts = [b"\x08", _I.pack(len(d))]
-    ap = parts.append
-    vals = []
-    vap = vals.append
-    for k, v in d.items():
-        if type(k) is not str or type(v) is not str:
-            return None
-        kr = k.encode("utf-8")
-        vr = v.encode("utf-8")
-        ap(_H.pack(len(kr)))
-        ap(kr)
-        ap(_I.pack(5 + len(vr)))
-        vap(b"\x05")
-        vap(_I.pack(len(vr)))
-        vap(vr)
-    return b"".join(parts + vals)
-
-
-def _dfseq_int(data: bytes, o: int, n: int):
-    """flat list-of-int cells read (size block already verified)."""
-    end = o + 9 * n
-    block = data[o:end]
-    if len(block) != 9 * n:
-        return None
-    out = []
-    ap = out.append
-    for t, v in _BQ.iter_unpack(block):
-        if t != 3:
-            return None
-        ap(v)
-    return out
-
-
-def _dfseq_map(fn, data: bytes, o: int, n: int):
-    """flat list read via generated element decoder; (list, o) or None."""
-    try:
-        sizes = struct.unpack_from("<%dI" % n, data, o)
-    except struct.error:
-        return None
-    o += 4 * n
-    out = []
-    ap = out.append
-    for size in sizes:
-        r = fn(data, o)
-        if r is None:
-            return None
-        v, no = r
-        if no - o != size:
-            return None
-        ap(v)
-        o = no
-    return out, o
-
-
-def _dfseq_str(data: bytes, o: int, n: int):
-    """flat list-of-str read; (list, o) or None."""
-    try:
-        sizes = struct.unpack_from("<%dI" % n, data, o)
-    except struct.error:
-        return None
-    o += 4 * n
-    out = []
-    ap = out.append
-    for size in sizes:
-        if data[o:o + 1] != b"\x05":
-            return None
-        ln = _I.unpack_from(data, o + 1)[0]
-        if size != 5 + ln:
-            return None
-        raw = data[o + 5:o + 5 + ln]
-        if len(raw) != ln:
-            return None
-        ap(raw.decode("utf-8"))
-        o += size
-    return out, o
-
-
-def _dfstrmap(data: bytes, o: int, n: int):
-    """flat str→str table read; (dict, o) or None."""
-    sizes = []
-    keys = []
-    for _ in range(n):
-        try:
-            klen = _H.unpack_from(data, o)[0]
-        except struct.error:
-            return None
-        raw = data[o + 2:o + 2 + klen]
-        if len(raw) != klen:
-            return None
-        keys.append(raw.decode("utf-8"))
-        try:
-            sizes.append(_I.unpack_from(data, o + 2 + klen)[0])
-        except struct.error:
-            return None
-        o += 6 + klen
-    out = {}
-    for key, size in zip(keys, sizes):
-        if data[o:o + 1] != b"\x05":
-            return None
-        ln = _I.unpack_from(data, o + 1)[0]
-        if size != 5 + ln:
-            return None
-        raw = data[o + 5:o + 5 + ln]
-        if len(raw) != ln:
-            return None
-        out[key] = raw.decode("utf-8")
-        o += size
-    return out, o
-
-
-#: Namespace seeded into every generated module.
-_RUNTIME: Dict[str, Any] = {
-    "_Struct": struct.Struct,
-    "_B1": _B1,
-    "_PSP": _PSP,
-    "_PSN": _PSN,
-    "_vlb": _vlb,
-    "_pfrag": _pfrag,
-    "_poct": _poct,
-    "_pint": _pint,
-    "_popt_int": _popt_int,
-    "_pseq_int": _pseq_int,
-    "_pseq_str": _pseq_str,
-    "_pseq_rows": _pseq_rows,
-    "_dvl": _dvl,
-    "_dfrag": _dfrag,
-    "_doct": _doct,
-    "_dpseq_int": _dpseq_int,
-    "_dpseq_str": _dpseq_str,
-    "_fseq_int": _fseq_int,
-    "_fseq_str": _fseq_str,
-    "_fseq_map": _fseq_map,
-    "_fseq_fixed": _fseq_fixed,
-    "_RowLayout": _RowLayout,
-    "_Rows": Rows,
-    "_StructError": struct.error,
-    "_fopt_int": _fopt_int,
-    "_fstrmap": _fstrmap,
-    "_dfseq_int": _dfseq_int,
-    "_dfseq_map": _dfseq_map,
-    "_dfseq_str": _dfseq_str,
-    "_dfstrmap": _dfstrmap,
-}
-
-
 class _Unsupported(Exception):
     """Raised by an emitter for a shape it does not specialize."""
 
@@ -722,9 +129,27 @@ class _Fn:
         self.name = name
         self.lines: List[str] = [f"def {name}({params}):"]
         self.indent = 1
+        #: ``(member, wire int, table)`` of every ``IntEnum`` field an
+        #: object lane read, checked by :meth:`check_members`.
+        self.members: List[Tuple[str, str, str]] = []
 
     def w(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
+
+    def member(self, enum: type, x: str) -> str:
+        """The ``enum`` member read as wire int ``x``: one lookup, made
+        by :meth:`check_members` once the function's reads are done (a
+        fused read assigns ``x`` only when its run is flushed)."""
+        y = self.mod.name("k")
+        self.members.append((y, x, _enum_ref(self.mod, enum)))
+        return y
+
+    def check_members(self) -> None:
+        """Decline a value that is not a member, as ``from_value`` does."""
+        for y, x, table in self.members:
+            self.w(f"{y} = {table}.get({x})")
+            self.w(f"if {y} is None: return None")
+        self.members = []
 
     def close(self) -> None:
         if len(self.lines) == 1:
@@ -746,6 +171,9 @@ class _Mod:
         self.lines: List[str] = []
         self.consts: Dict[str, str] = {}
         self.const_lines: List[str] = []
+        #: name → object bound into the namespace (message classes,
+        #: ``IntEnum`` tables): the source names them, never renders them.
+        self.refs: Dict[str, Any] = {}
         self.n = 0
 
     def name(self, prefix: str) -> str:
@@ -767,6 +195,10 @@ class _Mod:
     def const_struct(self, fmt: str) -> str:
         return self.const(f"_Struct({fmt!r})")
 
+    def ref(self, name: str, value: Any) -> str:
+        self.refs[name] = value
+        return name
+
     def fn(self, prefix: str, params: str) -> _Fn:
         return _Fn(self, self.name(prefix), params)
 
@@ -779,6 +211,7 @@ class _Mod:
 
     def compile(self) -> Dict[str, Any]:
         ns = dict(_RUNTIME)
+        ns.update(self.refs)
         exec(compile(self.render(), f"<kernel {self.title}>", "exec"), ns)
         return ns
 
@@ -958,6 +391,60 @@ class _DecRuns:
         self.off.advance(width)
 
 
+# -- the object lanes ------------------------------------------------
+# An E2AP envelope kernel also encodes straight from the message
+# dataclass (``encode_msg``) and decodes straight back to it (``route``):
+# the same schema walk, with a struct's fields read as attributes of an
+# instance of exactly its class instead of the values of a dict with
+# exactly its keys, and built with a constructor call instead of a dict
+# display.  An ``IntEnum`` field must hold a member on the way out and
+# name one on the way in; everything else declines, as the dict kernels
+# do, and the tree lane answers.
+
+
+def _cls_ref(mod: _Mod, cls: type) -> str:
+    return mod.ref(f"_K_{cls.__name__}", cls)
+
+
+def _enum_ref(mod: _Mod, enum: type) -> str:
+    """Name of ``enum``'s wire int → member table."""
+    return mod.ref(f"_E_{enum.__name__}", _schema.enum_tables(enum)[1])
+
+
+def _message_body(schema: Schema) -> Optional[Schema]:
+    """The body schema of an E2AP message envelope, else None."""
+    if schema.keys != ("p", "c", "v"):
+        return None
+    spec = schema.fields[2][1]
+    return spec.schema if spec.kind == "nested" and spec.schema.cls is not None else None
+
+
+def _struct_fields(fn: "_Fn", schema: Schema, expr: str, obj: bool) -> List[Tuple[str, Spec, str]]:
+    """Guard the struct at ``expr`` — a dict with exactly the schema's
+    keys, or with ``obj`` an instance of exactly its class — and return
+    each field's ``(key, spec, expression)``.  With ``obj`` the envelope,
+    which has no class, is the message itself: its discriminators are
+    constants of the kernel, which is picked by the message's class."""
+    if not obj:
+        fn.w(f"if type({expr}) is not dict: return None")
+        fn.w(f"if tuple({expr}.keys()) != {schema.keys!r}: return None")
+        return [(key, spec, f"{expr}[{key!r}]") for key, spec in schema.fields]
+    if schema.cls is None:
+        return [(key, spec, expr) for key, spec in schema.fields]
+    fn.w(f"if type({expr}) is not {_cls_ref(fn.mod, schema.cls)}: return None")
+    return [(key, spec, f"{expr}.{attr}") for (key, spec), attr in zip(schema.fields, schema.attrs)]
+
+
+def _construct(mod: _Mod, schema: Schema, exprs: List[str], obj: bool) -> str:
+    """A decoded struct: its dict display, or with ``obj`` its
+    constructor call (the envelope: its body)."""
+    if not obj:
+        return "{" + ", ".join(f"{key!r}: {x}" for key, x in zip(schema.keys, exprs)) + "}"
+    if schema.cls is None:
+        return exprs[-1]
+    return f"{_cls_ref(mod, schema.cls)}({', '.join(exprs)})"
+
+
 #: spec kind → (tag cell, struct code, exact Python type) for the flat
 #: cells whose width never depends on the value.
 _FIXED_CELLS = {"int": (b"\x03", "q", "int"), "f64": (b"\x04", "d", "float")}
@@ -972,18 +459,21 @@ class _FlatEmitter:
 
     def build(self, schema: Schema) -> _Mod:
         mod = _Mod(f"fb {schema.name}")
-        self._elem_enc: Dict[str, str] = {}
+        self._elem_enc: Dict[Tuple[str, bool], str] = {}
         self._elem_layout: Dict[str, str] = {}  # fixed-layout encoders only
-        self._elem_dec: Dict[str, str] = {}
+        self._elem_dec: Dict[Tuple[str, bool], str] = {}
         self._emit_encode(mod, schema)
         self._emit_decode(mod, schema)
-        if schema.name == _ROW_SCHEMA:
-            self._emit_decode(mod, schema, row=[])
+        if _message_body(schema) is not None:
+            self._emit_encode(mod, schema, obj=True)
+            self._emit_decode(mod, schema, "row" if schema.name == _ROW_SCHEMA else "obj")
         return mod
 
-    def _emit_encode(self, mod: _Mod, schema: Schema) -> None:
-        fn = _Fn(mod, "encode", "V")
-        size, emit = self._enc_dict(fn, schema, "V")
+    def _emit_encode(self, mod: _Mod, schema: Schema, obj: bool = False) -> None:
+        """``encode(V)`` from the dict tree, or with ``obj`` ``encode_msg(m)``
+        from the message dataclass: one wire."""
+        fn = _Fn(mod, "encode_msg", "m") if obj else _Fn(mod, "encode", "V")
+        size, emit = self._enc_dict(fn, schema, "m" if obj else "V", obj)
         fn.w("P = []")
         fn.w("A = P.append")
         segs = _Segs(fn)
@@ -999,16 +489,14 @@ class _FlatEmitter:
         fn.close()
 
     def _enc_dict(
-        self, fn: _Fn, schema: Schema, expr: str
+        self, fn: _Fn, schema: Schema, expr: str, obj: bool = False
     ) -> Tuple[_Size, Callable]:
-        """Analyze a dict: write guards/bindings now, return the chunk
-        size and an emitter producing tag+count+directory+values."""
-        keys = schema.keys
-        fn.w(f"if type({expr}) is not dict: return None")
-        fn.w(f"if tuple({expr}.keys()) != {keys!r}: return None")
+        """Analyze a dict (with ``obj``, a dataclass): write guards and
+        bindings now, return the chunk size and an emitter producing
+        tag+count+directory+values."""
         return self._dict_chunk([
-            (key,) + self._enc_field(fn, spec, f"{expr}[{key!r}]")
-            for key, spec in schema.fields
+            (key,) + self._enc_field(fn, spec, x, obj)
+            for key, spec, x in _struct_fields(fn, schema, expr, obj)
         ])
 
     @staticmethod
@@ -1034,7 +522,7 @@ class _FlatEmitter:
         return total, emit
 
     def _enc_field(
-        self, fn: _Fn, spec: Spec, expr: str
+        self, fn: _Fn, spec: Spec, expr: str, obj: bool = False
     ) -> Tuple[_Size, Callable]:
         mod = fn.mod
         kind = spec.kind
@@ -1042,16 +530,22 @@ class _FlatEmitter:
             value = spec.value
             if not (_INT64_MIN <= value <= _INT64_MAX):
                 raise _Unsupported("const outside int64")
-            fn.w(f"if type({expr}) is not int or {expr} != {value}: return None")
+            if not obj:
+                fn.w(f"if type({expr}) is not int or {expr} != {value}: return None")
             cell = b"\x03" + _Q.pack(value)
             return _Size(9), lambda segs: segs.const(cell)
         if kind == "int":
             x = mod.name("v")
             fn.w(f"{x} = {expr}")
-            fn.w(
-                f"if type({x}) is not int or not "
-                f"({_INT64_MIN} <= {x} <= {_INT64_MAX}): return None"
-            )
+            if obj and spec.enum is not None:
+                # A member is exactly of its enum's type; the tree lane
+                # lowers anything else.
+                fn.w(f"if type({x}) is not {_cls_ref(mod, spec.enum)}: return None")
+            else:
+                fn.w(
+                    f"if type({x}) is not int or not "
+                    f"({_INT64_MIN} <= {x} <= {_INT64_MAX}): return None"
+                )
             return _Size(9), lambda segs: (
                 segs.const(b"\x03"), segs.scalar("q", x)
             )
@@ -1099,7 +593,7 @@ class _FlatEmitter:
         if kind == "nested":
             x = mod.name("v")
             fn.w(f"{x} = {expr}")
-            return self._enc_dict(fn, spec.schema, x)
+            return self._enc_dict(fn, spec.schema, x, obj)
         if kind == "strmap":
             c = mod.name("c")
             fn.w(f"{c} = _fstrmap({expr})")
@@ -1113,7 +607,7 @@ class _FlatEmitter:
             elif elem == "str":
                 fn.w(f"{c} = _fseq_str({expr})")
             elif elem == "nested":
-                ename = self._elem_encoder(mod, spec.elem.schema)
+                ename = self._elem_encoder(mod, spec.elem.schema, obj)
                 layout = self._elem_layout.get(ename)
                 if layout is None:
                     fn.w(f"{c} = _fseq_map({ename}, {expr})")
@@ -1125,17 +619,17 @@ class _FlatEmitter:
             return _Size(0, (f"len({c})",)), lambda segs: segs.raw(c)
         raise _Unsupported(kind)
 
-    def _elem_encoder(self, mod: _Mod, schema: Schema) -> str:
-        got = self._elem_enc.get(schema.name)
+    def _elem_encoder(self, mod: _Mod, schema: Schema, obj: bool = False) -> str:
+        got = self._elem_enc.get((schema.name, obj))
         if got is not None:
             return got
-        fn = mod.fn("_e", "x")
-        self._elem_enc[schema.name] = fn.name
+        fn = mod.fn("_eo" if obj else "_e", "x")
+        self._elem_enc[(schema.name, obj)] = fn.name
         if schema.fields and all(spec.kind in _FIXED_CELLS for _key, spec in schema.fields):
-            self._elem_layout[fn.name] = self._enc_fixed_dict(fn, schema)
+            self._elem_layout[fn.name] = self._enc_fixed_dict(fn, schema, obj)
             fn.close()
             return fn.name
-        size, emit = self._enc_dict(fn, schema, "x")
+        size, emit = self._enc_dict(fn, schema, "x", obj)
         fn.w("P = []")
         fn.w("A = P.append")
         segs = _Segs(fn)
@@ -1145,23 +639,32 @@ class _FlatEmitter:
         fn.close()
         return fn.name
 
-    def _enc_fixed_dict(self, fn: _Fn, schema: Schema) -> str:
-        """Element body for a dict of only ``Int``/``F64`` fields; returns
-        the name of its :class:`_RowLayout` constant, the same cells
-        for the :class:`Rows` lane of ``_fseq_fixed``.
+    def _enc_fixed_dict(self, fn: _Fn, schema: Schema, obj: bool = False) -> str:
+        """Element body for a dict (with ``obj``, a dataclass) of only
+        ``Int``/``F64`` fields; returns the name of its
+        :class:`_RowLayout` constant, the same cells for the
+        :class:`Rows` lane of ``_fseq_fixed``.
 
         The whole element is one ``pack``, so the guards are folded: one
-        key-order test, one ``values()`` unpack, one type expression,
-        and the int64 range is left to ``pack`` itself
-        (``struct.error`` deoptimizes like any other guard).
+        key-order (class) test, one unpack, one type expression, and
+        the int64 range is left to ``pack`` itself (``struct.error``
+        deoptimizes like any other guard).
         """
         names = [fn.mod.name("v") for _field in schema.fields]
         cells = [_FIXED_CELLS[spec.kind] for _key, spec in schema.fields]
-        fn.w(f"if type(x) is not dict or tuple(x) != {schema.keys!r}: return None")
-        fn.w(f"{', '.join(names)}, = x.values()")
+        types = [
+            _cls_ref(fn.mod, spec.enum) if obj and getattr(spec, "enum", None) else pytype
+            for (_key, spec), (_t, _f, pytype) in zip(schema.fields, cells)
+        ]
+        if obj:
+            fn.w(f"if type(x) is not {_cls_ref(fn.mod, schema.cls)}: return None")
+            fn.w(f"{', '.join(names)} = {', '.join('x.' + attr for attr in schema.attrs)}")
+        else:
+            fn.w(f"if type(x) is not dict or tuple(x) != {schema.keys!r}: return None")
+            fn.w(f"{', '.join(names)}, = x.values()")
         fn.w(
             "if "
-            + " or ".join(f"type({x}) is not {pytype}" for x, (_t, _f, pytype) in zip(names, cells))
+            + " or ".join(f"type({x}) is not {pytype}" for x, pytype in zip(names, types))
             + ": return None"
         )
         _size, emit = self._dict_chunk([
@@ -1180,10 +683,12 @@ class _FlatEmitter:
 
     # -- decode ------------------------------------------------------
 
-    def _emit_decode(self, mod: _Mod, schema: Schema, row: Optional[List[str]] = None) -> None:
-        """``decode`` (the dict tree), or with ``row`` the route kernel:
-        the same checks, returning the body's leaves (``_row_return``)."""
-        fn = _Fn(mod, "decode" if row is None else "route", "data")
+    def _emit_decode(self, mod: _Mod, schema: Schema, lane: str = "tree") -> None:
+        """``decode`` (the dict tree), or the route kernel: the same
+        checks, returning the body's leaves (``lane="row"``,
+        ``_row_return``) or the message dataclass (``lane="obj"``)."""
+        fn = _Fn(mod, "decode" if lane == "tree" else "route", "data")
+        row = [] if lane == "row" else None
         off = _Off(None, 0)
         runs = _DecRuns(fn, off)
         # The header (magic, root size, zero pad) opens the first fused
@@ -1191,18 +696,20 @@ class _FlatEmitter:
         runs.const(b"FR\x01\x00")
         runs.capture("I", "rs")
         runs.const(b"\x00" * 8)
-        result = self._dec_dict(fn, schema, runs, off, row)
+        result = self._dec_dict(fn, schema, runs, off, row, lane == "obj")
         runs.flush()
         fn.w("if 16 + rs > len(data): return None")
+        fn.check_members()
         fn.w(f"return {result}" if row is None else _row_return(row))
         fn.close()
 
     def _dec_dict(
         self, fn: _Fn, schema: Schema, runs: _DecRuns, off: _Off,
-        row: Optional[List[str]] = None,
+        row: Optional[List[str]] = None, obj: bool = False,
     ) -> str:
-        """The dict display of ``schema`` read at ``off``; its leaf
-        expressions are also appended to ``row`` in wire order."""
+        """The dict display (with ``obj``, the constructor call) of
+        ``schema`` read at ``off``; its leaf expressions are also
+        appended to ``row`` in wire order."""
         mod = fn.mod
         runs.const(b"\x08" + _I.pack(len(schema.fields)))
         dir_sizes: List[Optional[str]] = []
@@ -1221,17 +728,17 @@ class _FlatEmitter:
                 s = mod.name("s")
                 runs.capture("I", s)
                 dir_sizes.append(s)
-        parts = []
+        exprs = []
         for (key, spec), s in zip(schema.fields, dir_sizes):
-            expr = self._dec_field(fn, spec, runs, off, s, row)
-            parts.append(f"{key!r}: {expr}")
+            expr = self._dec_field(fn, spec, runs, off, s, row, obj)
+            exprs.append(expr)
             if row is not None and spec.kind != "nested":
                 row.append(expr)
-        return "{" + ", ".join(parts) + "}"
+        return _construct(mod, schema, exprs, obj)
 
     def _dec_field(
         self, fn: _Fn, spec: Spec, runs: _DecRuns, off: _Off, s: Optional[str],
-        row: Optional[List[str]] = None,
+        row: Optional[List[str]] = None, obj: bool = False,
     ) -> str:
         mod = fn.mod
         kind = spec.kind
@@ -1242,7 +749,7 @@ class _FlatEmitter:
             x = mod.name("x")
             runs.const(b"\x03")
             runs.capture("q", x)
-            return x
+            return fn.member(spec.enum, x) if obj and spec.enum is not None else x
         if kind == "bool":
             t = mod.name("t")
             x = mod.name("x")
@@ -1297,7 +804,7 @@ class _FlatEmitter:
             off.k = 0
             return x
         if kind == "nested":
-            return self._dec_dict(fn, spec.schema, runs, off, row)
+            return self._dec_dict(fn, spec.schema, runs, off, row, obj)
         if kind in ("seq", "strmap"):
             runs.flush()
             iu = mod.const_struct("<I")
@@ -1333,7 +840,7 @@ class _FlatEmitter:
                 helper = "_dfseq_str"
                 call = f"{helper}(data, {start} + 5, {n})"
             elif elem == "nested":
-                dname = self._elem_decoder(mod, spec.elem.schema)
+                dname = self._elem_decoder(mod, spec.elem.schema, obj)
                 call = f"_dfseq_map({dname}, data, {start} + 5, {n})"
             else:
                 raise _Unsupported(f"seq of {elem}")
@@ -1348,16 +855,17 @@ class _FlatEmitter:
             return x
         raise _Unsupported(kind)
 
-    def _elem_decoder(self, mod: _Mod, schema: Schema) -> str:
-        got = self._elem_dec.get(schema.name)
+    def _elem_decoder(self, mod: _Mod, schema: Schema, obj: bool = False) -> str:
+        got = self._elem_dec.get((schema.name, obj))
         if got is not None:
             return got
-        fn = mod.fn("_d", "data, o0")
-        self._elem_dec[schema.name] = fn.name
+        fn = mod.fn("_do" if obj else "_d", "data, o0")
+        self._elem_dec[(schema.name, obj)] = fn.name
         off = _Off("o0", 0)
         runs = _DecRuns(fn, off)
-        result = self._dec_dict(fn, schema, runs, off)
+        result = self._dec_dict(fn, schema, runs, off, obj=obj)
         runs.flush()
+        fn.check_members()
         fn.w(f"return {result}, {off.expr()}")
         fn.close()
         return fn.name
@@ -1386,45 +894,6 @@ class _SizeProbe:
         return _Size(0, ("?",))
 
 
-def _pstrmap(P: list, d) -> bool:
-    """PER str→str table entries (tag + count emitted by the kernel)."""
-    A = P.append
-    for k, v in d.items():
-        if type(k) is not str or type(v) is not str:
-            return False
-        kr = k.encode("utf-8")
-        if len(kr) >= 0x80:
-            return False
-        A(_B1[len(kr)])
-        A(kr)
-        A(b"\x50")
-        A(_poct(v.encode("utf-8")))
-    return True
-
-
-def _dpstrmap(data: bytes, o: int, n: int):
-    """PER str→str table read; (dict, o) or None."""
-    out = {}
-    for _ in range(n):
-        kl = data[o]
-        if kl >= 0x80:
-            return None
-        kraw = data[o + 1:o + 1 + kl]
-        if len(kraw) != kl:
-            return None
-        o += 1 + kl
-        if data[o] & 0xF0 != 0x50:
-            return None
-        r = _doct(data, o + 1)
-        if r is None:
-            return None
-        vraw, o = r
-        out[kraw.decode("utf-8")] = vraw.decode("utf-8")
-    return out, o
-
-
-_RUNTIME["_pstrmap"] = _pstrmap
-_RUNTIME["_dpstrmap"] = _dpstrmap
 
 
 class _PerEmitter:
@@ -1442,19 +911,21 @@ class _PerEmitter:
 
     def build(self, schema: Schema) -> _Mod:
         mod = _Mod(f"asn {schema.name}")
-        self._elem_enc: Dict[str, str] = {}
-        self._elem_dec: Dict[str, str] = {}
+        self._elem_enc: Dict[Tuple[str, bool], str] = {}
+        self._elem_dec: Dict[Tuple[str, bool], str] = {}
         self._emit_encode(mod, schema)
         self._emit_decode(mod, schema)
-        if schema.name == _ROW_SCHEMA:
-            self._emit_decode(mod, schema, row=[])
+        if _message_body(schema) is not None:
+            self._emit_encode(mod, schema, obj=True)
+            self._emit_decode(mod, schema, "row" if schema.name == _ROW_SCHEMA else "obj")
         return mod
 
     # -- encode ------------------------------------------------------
 
-    def _emit_encode(self, mod: _Mod, schema: Schema) -> None:
-        fn = _Fn(mod, "encode", "V")
-        emit = self._enc_dict(fn, schema, "V")
+    def _emit_encode(self, mod: _Mod, schema: Schema, obj: bool = False) -> None:
+        """``encode(V)``, or with ``obj`` ``encode_msg(m)`` (as on ``fb``)."""
+        fn = _Fn(mod, "encode_msg", "m") if obj else _Fn(mod, "encode", "V")
+        emit = self._enc_dict(fn, schema, "m" if obj else "V", obj)
         fn.w("P = []")
         fn.w("A = P.append")
         segs = _Segs(fn)
@@ -1463,18 +934,16 @@ class _PerEmitter:
         fn.w("return b''.join(P)")
         fn.close()
 
-    def _enc_dict(self, fn: _Fn, schema: Schema, expr: str) -> Callable:
+    def _enc_dict(self, fn: _Fn, schema: Schema, expr: str, obj: bool = False) -> Callable:
         count = len(schema.fields)
         if count >= 0x80:
             raise _Unsupported("dict too wide")
-        fn.w(f"if type({expr}) is not dict: return None")
-        fn.w(f"if tuple({expr}.keys()) != {schema.keys!r}: return None")
         entries = []
-        for key, spec in schema.fields:
+        for key, spec, x in _struct_fields(fn, schema, expr, obj):
             kraw = key.encode("utf-8")
             if len(kraw) >= 0x80:
                 raise _Unsupported("key too long")
-            field_emit = self._enc_field(fn, spec, f"{expr}[{key!r}]")
+            field_emit = self._enc_field(fn, spec, x, obj)
             entries.append((kraw, field_emit))
 
         def emit(segs: _Segs) -> None:
@@ -1485,18 +954,19 @@ class _PerEmitter:
 
         return emit
 
-    def _enc_field(self, fn: _Fn, spec: Spec, expr: str) -> Callable:
+    def _enc_field(self, fn: _Fn, spec: Spec, expr: str, obj: bool = False) -> Callable:
         mod = fn.mod
         kind = spec.kind
         if kind == "const_int":
             value = spec.value
-            fn.w(f"if type({expr}) is not int or {expr} != {value}: return None")
+            if not obj:
+                fn.w(f"if type({expr}) is not int or {expr} != {value}: return None")
             cell = _pint(value)
             return lambda segs: segs.const(cell)
         if kind == "int":
             x = mod.name("v")
             fn.w(f"{x} = {expr}")
-            fn.w(f"if type({x}) is not int: return None")
+            fn.w(f"if type({x}) is not {self._int_type(fn, spec, obj)}: return None")
             return lambda segs: segs.raw(f"_pint({x})")
         if kind == "bool":
             x = mod.name("v")
@@ -1537,7 +1007,7 @@ class _PerEmitter:
         if kind == "nested":
             x = mod.name("v")
             fn.w(f"{x} = {expr}")
-            return self._enc_dict(fn, spec.schema, x)
+            return self._enc_dict(fn, spec.schema, x, obj)
         if kind == "strmap":
             x = mod.name("v")
             fn.w(f"{x} = {expr}")
@@ -1551,7 +1021,11 @@ class _PerEmitter:
             x = mod.name("v")
             fn.w(f"{x} = {expr}")
             elem = spec.elem.kind
-            if elem == "nested":
+            if elem == "nested" and obj:
+                ename = self._elem_encoder(fn.mod, spec.elem.schema, obj)
+                fn.w(f"if type({x}) is not list: return None")
+                tail = lambda segs: segs.stmt(f"if not _pseq_objs(P, {ename}, {x}): return None")
+            elif elem == "nested":
                 ename = self._elem_encoder(fn.mod, spec.elem.schema)
                 keys = mod.const(repr(spec.elem.schema.keys))
                 fn.w(
@@ -1580,22 +1054,31 @@ class _PerEmitter:
             )
         raise _Unsupported(kind)
 
-    def _elem_encoder(self, mod: _Mod, schema: Schema) -> str:
-        got = self._elem_enc.get(schema.name)
+    def _int_type(self, fn: _Fn, spec: Spec, obj: bool) -> str:
+        return _cls_ref(fn.mod, spec.enum) if obj and spec.enum is not None else "int"
+
+    def _elem_encoder(self, mod: _Mod, schema: Schema, obj: bool = False) -> str:
+        got = self._elem_enc.get((schema.name, obj))
         if got is not None:
             return got
         if not schema.fields:
             raise _Unsupported("empty seq element")
         # Fields arrive positionally, in wire order: the sequence checked
-        # a Rows' keys once, and ``_pseq_rows`` checks each dict's.
+        # a Rows' keys once, and ``_pseq_rows`` checks each dict's.  On
+        # the object lane the element itself arrives and is read here.
         args = [f"a{index}" for index in range(len(schema.fields))]
-        fn = mod.fn("_pe", "P, ph, pd, " + ", ".join(args))
-        self._elem_enc[schema.name] = fn.name
+        if obj:
+            fn = mod.fn("_po", "P, ph, pd, x")
+            fn.w(f"if type(x) is not {_cls_ref(mod, schema.cls)}: return None")
+            fn.w(f"{', '.join(args)} = {', '.join('x.' + attr for attr in schema.attrs)}")
+        else:
+            fn = mod.fn("_pe", "P, ph, pd, " + ", ".join(args))
+        self._elem_enc[(schema.name, obj)] = fn.name
         emits = []
         for (key, spec), arg in zip(schema.fields[:-1], args):
-            emits.append((key.encode("utf-8"), self._enc_field(fn, spec, arg)))
+            emits.append((key.encode("utf-8"), self._enc_field(fn, spec, arg, obj)))
         last_key, last_spec = schema.fields[-1]
-        last = self._enc_last(fn, last_spec, args[-1])
+        last = self._enc_last(fn, last_spec, args[-1], obj)
         fn.w("A = P.append")
         fn.w("if ph:")
         fn.w(f"    A(_B1[(pd << 4) | 8])")
@@ -1612,7 +1095,7 @@ class _PerEmitter:
         fn.close()
         return fn.name
 
-    def _enc_last(self, fn: _Fn, spec: Spec, expr: str) -> Callable:
+    def _enc_last(self, fn: _Fn, spec: Spec, expr: str, obj: bool = False) -> Callable:
         """The final field of a list element: its trailing pad nibble
         belongs to the next element, so it may end mid-byte and returns
         the (phase, pending-nibble) pair instead of self-padding."""
@@ -1621,7 +1104,7 @@ class _PerEmitter:
         x = mod.name("v")
         fn.w(f"{x} = {expr}")
         if kind == "int":
-            fn.w(f"if type({x}) is not int: return None")
+            fn.w(f"if type({x}) is not {self._int_type(fn, spec, obj)}: return None")
             m = mod.name("m")
 
             def emit(segs: _Segs) -> None:
@@ -1677,13 +1160,15 @@ class _PerEmitter:
 
     # -- decode ------------------------------------------------------
 
-    def _emit_decode(self, mod: _Mod, schema: Schema, row: Optional[List[str]] = None) -> None:
-        """``decode``, or with ``row`` the route kernel (as on ``fb``)."""
-        fn = _Fn(mod, "decode" if row is None else "route", "data")
+    def _emit_decode(self, mod: _Mod, schema: Schema, lane: str = "tree") -> None:
+        """``decode``, or the route kernel of ``lane`` (as on ``fb``)."""
+        fn = _Fn(mod, "decode" if lane == "tree" else "route", "data")
+        row = [] if lane == "row" else None
         off = _Off(None, 0)
         runs = _DecRuns(fn, off)
-        result = self._dec_dict(fn, schema, runs, off, row)
+        result = self._dec_dict(fn, schema, runs, off, row, lane == "obj")
         runs.flush()
+        fn.check_members()
         fn.w(f"return {result}" if row is None else _row_return(row))
         fn.close()
 
@@ -1694,22 +1179,22 @@ class _PerEmitter:
 
     def _dec_dict(
         self, fn: _Fn, schema: Schema, runs: _DecRuns, off: _Off,
-        row: Optional[List[str]] = None,
+        row: Optional[List[str]] = None, obj: bool = False,
     ) -> str:
         runs.const(b"\x80" + _B1[len(schema.fields)])
-        parts = []
+        exprs = []
         for key, spec in schema.fields:
             kraw = key.encode("utf-8")
             runs.const(_B1[len(kraw)] + kraw)
-            expr = self._dec_field(fn, spec, runs, off, row)
-            parts.append(f"{key!r}: {expr}")
+            expr = self._dec_field(fn, spec, runs, off, row, obj)
+            exprs.append(expr)
             if row is not None and spec.kind != "nested":
                 row.append(expr)
-        return "{" + ", ".join(parts) + "}"
+        return _construct(fn.mod, schema, exprs, obj)
 
     def _dec_field(
         self, fn: _Fn, spec: Spec, runs: _DecRuns, off: _Off,
-        row: Optional[List[str]] = None,
+        row: Optional[List[str]] = None, obj: bool = False,
     ) -> str:
         mod = fn.mod
         kind = spec.kind
@@ -1723,7 +1208,8 @@ class _PerEmitter:
                 runs.const(cell[1:])
             return str(spec.value)
         if kind == "int":
-            return self._dec_int(fn, runs, off)
+            x = self._dec_int(fn, runs, off)
+            return fn.member(spec.enum, x) if obj and spec.enum is not None else x
         if kind == "bool":
             runs.flush()
             t = mod.name("t")
@@ -1778,7 +1264,7 @@ class _PerEmitter:
             off.k = 0
             return x
         if kind == "nested":
-            return self._dec_dict(fn, spec.schema, runs, off, row)
+            return self._dec_dict(fn, spec.schema, runs, off, row, obj)
         if kind == "strmap":
             self._mask(fn, runs, off, 0xF0, 0x80)
             r = mod.name("r")
@@ -1809,7 +1295,7 @@ class _PerEmitter:
             elif elem == "str":
                 fn.w(f"{r} = _dpseq_str(data, {o}, {n})")
             elif elem == "nested":
-                dname = self._elem_decoder(mod, spec.elem.schema)
+                dname = self._elem_decoder(mod, spec.elem.schema, obj)
                 ph = mod.name("ph")
                 v = mod.name("e")
                 fn.w(f"{x} = []")
@@ -1868,14 +1354,14 @@ class _PerEmitter:
         fn.w(f"{pad}if {b} & 8: {x} = -{x}")
         fn.w(f"{pad}{nxt} += {ln}")
 
-    def _elem_decoder(self, mod: _Mod, schema: Schema) -> str:
-        got = self._elem_dec.get(schema.name)
+    def _elem_decoder(self, mod: _Mod, schema: Schema, obj: bool = False) -> str:
+        got = self._elem_dec.get((schema.name, obj))
         if got is not None:
             return got
         if not schema.fields:
             raise _Unsupported("empty seq element")
-        fn = mod.fn("_qe", "data, o, ph")
-        self._elem_dec[schema.name] = fn.name
+        fn = mod.fn("_qo" if obj else "_qe", "data, o, ph")
+        self._elem_dec[(schema.name, obj)] = fn.name
         fn.w("if ph:")
         fn.w("    if data[o] & 0xF != 8: return None")
         fn.w("else:")
@@ -1885,11 +1371,11 @@ class _PerEmitter:
         fn.w(f"{base} = o + 2")
         off = _Off(base, 0)
         runs = _DecRuns(fn, off)
-        parts = []
+        exprs = []
         for key, spec in schema.fields[:-1]:
             kraw = key.encode("utf-8")
             runs.const(_B1[len(kraw)] + kraw)
-            parts.append(f"{key!r}: " + self._dec_field(fn, spec, runs, off))
+            exprs.append(self._dec_field(fn, spec, runs, off, obj=obj))
         last_key, last_spec = schema.fields[-1]
         lraw = last_key.encode("utf-8")
         runs.const(_B1[len(lraw)] + lraw)
@@ -1911,8 +1397,8 @@ class _PerEmitter:
             self._dec_int_long(fn, b, x, nxt, f"{start} + 1", indent=1)
             fn.w(f"    {phx} = 0")
             fn.w("else: return None")
-            parts.append(f"{last_key!r}: {x}")
-            fn.w(f"return {{{', '.join(parts)}}}, {nxt}, {phx}")
+            exprs.append(fn.member(last_spec.enum, x) if obj and last_spec.enum is not None else x)
+            tail = f"{nxt}, {phx}"
         elif kind == "bool":
             t = mod.name("t")
             x = mod.name("x")
@@ -1920,8 +1406,8 @@ class _PerEmitter:
             fn.w(f"if {t} == 2: {x} = True")
             fn.w(f"elif {t} == 1: {x} = False")
             fn.w("else: return None")
-            parts.append(f"{last_key!r}: {x}")
-            fn.w(f"return {{{', '.join(parts)}}}, {start}, 4")
+            exprs.append(x)
+            tail = f"{start}, 4"
         elif kind in ("str", "bytes"):
             want = 0x50 if kind == "str" else 0x60
             r = mod.name("r")
@@ -1934,28 +1420,31 @@ class _PerEmitter:
             if kind == "str":
                 x = mod.name("x")
                 fn.w(f"{x} = {raw}.decode('utf-8')")
-                parts.append(f"{last_key!r}: {x}")
+                exprs.append(x)
             else:
-                parts.append(f"{last_key!r}: {raw}")
-            fn.w(f"return {{{', '.join(parts)}}}, {nxt}, 0")
+                exprs.append(raw)
+            tail = f"{nxt}, 0"
         elif kind == "f64":
             d8 = mod.const_struct(">d")
             x = mod.name("x")
             fn.w(f"if data[{start}] & 0xF0 != 0x40: return None")
             fn.w(f"{x} = {d8}.unpack_from(data, {start} + 1)[0]")
-            parts.append(f"{last_key!r}: {x}")
-            fn.w(f"return {{{', '.join(parts)}}}, {start} + 9, 0")
+            exprs.append(x)
+            tail = f"{start} + 9, 0"
         else:
             raise _Unsupported(f"element tail {kind}")
+        fn.check_members()
+        fn.w(f"return {_construct(mod, schema, exprs, obj)}, {tail}")
         fn.close()
         return fn.name
 
 
-# -- the row lane ----------------------------------------------------
-# ``decode_route`` hands one message class over as a *row*: the tuple
-# of its body's leaves in wire order, no dict built.  The envelope
-# emitters add a ``route`` kernel for it; every lane without one reads
-# the same row off the body through :func:`routed`.
+# -- the route lanes -------------------------------------------------
+# ``decode_route`` hands every E2AP message over as its dataclass, and
+# one class as a *row*: the tuple of its body's leaves in wire order, no
+# object built.  Every envelope kernel has a ``route`` entry point for
+# it; every lane without one builds the same answer off the body through
+# :func:`routed`.
 
 #: (RIC_INDICATION, INITIATING): the message the ingest hot path routes.
 ROW_ROUTED = (5, 0)
@@ -1996,12 +1485,20 @@ def routed(procedure, msg_class, body) -> Tuple[Any, Any, Any]:
     """``decode_route``'s answer from a lane without a route kernel
     (kernels off, a buffer that is not ``bytes``, a frame the kernel
     declines, ``pb``): a :data:`ROW_ROUTED` body as the row the route
-    kernels return, any other body as it is.  A body that does not fit
-    raises here (``KeyError``/``TypeError``), inside the caller's
-    containment."""
+    kernels return, a registered message's body as its dataclass
+    (``from_value``), a body of an unknown pair as it is.  A body that
+    does not fit raises :class:`CodecError` naming its class and wire
+    field here, inside the caller's containment."""
     if (procedure, msg_class) == ROW_ROUTED:
-        return procedure, msg_class, _row_reader()(body)
-    return procedure, msg_class, body
+        try:
+            return procedure, msg_class, _row_reader()(body)
+        except (KeyError, TypeError) as exc:
+            cls = _schema.message_schema(*ROW_ROUTED).cls
+            raise _schema.conversion_error(cls, body, exc) from exc
+    sch = _schema.message_schema(procedure, msg_class)
+    if sch is None:
+        return procedure, msg_class, body
+    return procedure, msg_class, sch.cls.from_value(body)
 
 
 # -- kernel cache and dispatch ---------------------------------------
@@ -2014,15 +1511,16 @@ _EMITTERS = {
 
 class Kernel:
     """A compiled (schema × codec) pair: generated source + entry points
-    (``route`` only on the :data:`ROW_ROUTED` envelope, else None)."""
+    (``encode_msg`` and ``route`` only on E2AP envelopes, else None)."""
 
-    __slots__ = ("name", "source", "encode", "decode", "route")
+    __slots__ = ("name", "source", "encode", "decode", "encode_msg", "route")
 
-    def __init__(self, name: str, source: str, encode, decode, route) -> None:
+    def __init__(self, name: str, source: str, encode, decode, encode_msg, route) -> None:
         self.name = name
         self.source = source
         self.encode = encode
         self.decode = decode
+        self.encode_msg = encode_msg
         self.route = route
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -2052,7 +1550,9 @@ def _build(codec_name: str, schema: Schema) -> Optional[Kernel]:
         ns = mod.compile()
     except _Unsupported:
         return None
-    return Kernel(schema.name, source, ns["encode"], ns["decode"], ns.get("route"))
+    return Kernel(
+        schema.name, source, ns["encode"], ns["decode"], ns.get("encode_msg"), ns.get("route")
+    )
 
 
 def envelope_kernel(codec_name: str, procedure: int, msg_class: int):
@@ -2085,6 +1585,8 @@ def clear_kernels() -> None:
     _KERNELS.clear()
     for routes in _ROUTES.values():
         routes.table.clear()
+    for encoders in _ENCODE_MSG.values():
+        encoders.clear()
 
 
 # -- envelope probes (decode-side schema discovery) ------------------
@@ -2162,6 +1664,50 @@ def kernel_encode(codec_name: str, tree) -> Optional[bytes]:
     return out
 
 
+#: codec → exact message class → its envelope kernel's ``encode_msg``
+#: (None: no kernel).  Only registered classes are kept, so the table
+#: never outgrows the registry; a codec without kernels has no table.
+_ENCODE_MSG: Dict[str, Dict[type, Optional[Callable]]] = {"fb": {}, "asn": {}}
+
+
+def _encoder_miss(codec_name: str, cls: type) -> Optional[Callable]:
+    sch = _schema.message_schema(cls.procedure, cls.msg_class)
+    if sch is None or sch.cls is not cls:
+        return None
+    kern = envelope_kernel(codec_name, cls.procedure, cls.msg_class)
+    encode_msg = None if kern is None else kern.encode_msg
+    _ENCODE_MSG[codec_name][cls] = encode_msg
+    return encode_msg
+
+
+def kernel_encode_msg(codec_name: str, msg) -> Optional[bytes]:
+    """Encode an E2AP message dataclass straight from its attributes via
+    its envelope kernel, or None for the tree lane (kernels off, a codec
+    without kernels, a message the kernel declines).  A decline is not
+    counted here: the tree lane that follows counts the encode."""
+    if not ENABLED:
+        return None
+    encoders = _ENCODE_MSG.get(codec_name)
+    if encoders is None:
+        return None
+    try:
+        try:
+            encode_msg = encoders[type(msg)]
+        except KeyError:
+            encode_msg = _encoder_miss(codec_name, type(msg))
+        if encode_msg is None:
+            return None
+        out = encode_msg(msg)
+    # The deoptimization boundary of kernel_encode.
+    except Exception:  # repro-lint: disable=RL002
+        if _STRICT[0]:
+            raise
+        return None
+    if out is not None:
+        _enc_hit()
+    return out
+
+
 def kernel_decode(codec_name: str, data):
     """Decode via a specialized kernel, or None to use the interpreter."""
     if not ENABLED:
@@ -2188,7 +1734,7 @@ def kernel_decode(codec_name: str, data):
 
 class _Routes:
     """One codec's route dispatch: the octets of an envelope's ``p`` and
-    ``c`` cells → ``(procedure, msg_class, kernel, returns a row)``.
+    ``c`` cells → ``(procedure, msg_class, route kernel)``.
 
     One slice and one dict hit pick the kernel, with no validation in
     front of it: the kernel checks every byte the probe would (they are
@@ -2202,19 +1748,16 @@ class _Routes:
     def __init__(self, cells: slice, canonical: Callable[[int, int], bytes]) -> None:
         self.cells = cells
         self.canonical = canonical
-        self.table: Dict[bytes, Tuple[int, int, Callable, bool]] = {}
+        self.table: Dict[bytes, Tuple[int, int, Callable]] = {}
 
     def miss(self, codec_name: str, data, cells: bytes):
         pc = _PROBES[codec_name](data)
         if pc is None:
             return None
         kern = envelope_kernel(codec_name, pc[0], pc[1])
-        if kern is None:
+        if kern is None or kern.route is None:
             return None
-        if kern.route is None:
-            entry = (pc[0], pc[1], kern.decode, False)
-        else:
-            entry = (pc[0], pc[1], kern.route, True)
+        entry = (pc[0], pc[1], kern.route)
         if cells == self.canonical(*pc):
             self.table[cells] = entry
         return entry
@@ -2229,8 +1772,8 @@ _ROUTES = {
 def kernel_route(codec_name: str, data):
     """``(procedure, msg_class, body)`` via the kernels, or None for the
     interpretive lane.  ``(p, c)`` is read once (:class:`_Routes`) and
-    picks the kernel: the route kernel's row for :data:`ROW_ROUTED`,
-    the envelope kernel's ``v`` tree for everything else."""
+    picks the route kernel: a row for :data:`ROW_ROUTED`, the message
+    dataclass for everything else."""
     if not ENABLED:
         return None
     routes = _ROUTES[codec_name]
@@ -2239,10 +1782,8 @@ def kernel_route(codec_name: str, data):
         entry = routes.table.get(cells) or routes.miss(codec_name, data, cells)
         if entry is None:
             return None
-        procedure, msg_class, kernel, row = entry
+        procedure, msg_class, kernel = entry
         out = kernel(data)
-        if out is not None and not row:
-            out = out["v"]
     # The deoptimization boundary of kernel_decode: any unexpected
     # exception in a kernel falls back (strict mode re-raises).
     except Exception:  # repro-lint: disable=RL002

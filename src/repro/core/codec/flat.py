@@ -204,14 +204,14 @@ class FlatCodec(Codec):
         """One-pass envelope read for the server's ingest.
 
         Returns ``(procedure, msg_class, body)`` — the three things the
-        server routes on — with a ``RicIndication`` body as its row
-        (``codegen.ROW_ROUTED``).  The kernels are asked first
-        (:func:`codegen.kernel_route`: the route kernel's row, no dict
-        built, or the envelope kernel's body), and no cache here is
-        consulted.  What they decline (codegen off, unknown layout)
+        server routes on — with a registered message as its dataclass
+        and a ``RicIndication`` as its row (``codegen.ROW_ROUTED``).  The
+        kernels are asked first (:func:`codegen.kernel_route`: the
+        route kernel builds either, no dict built), and no cache here
+        is consulted.  What they decline (codegen off, unknown layout)
         takes the lazy lane (:meth:`_lazy_route`) and
-        :func:`codegen.routed`, which reads the same row off the lazy
-        body.
+        :func:`codegen.routed`, which builds the same answer off the
+        lazy body.
         """
         if type(data) is not bytes:
             # Non-bytes buffers would need their cache windows

@@ -65,9 +65,9 @@ class PerCodec(Codec):
 
     def decode_route(self, data):
         """``(procedure, msg_class, body)`` for the server's ingest, a
-        ``RicIndication`` body as its row: one call into :mod:`codegen`
-        (the route or envelope kernel), else the interpretive tree
-        through :func:`codegen.routed`."""
+        message as its dataclass and a ``RicIndication`` as its row: one
+        call into :mod:`codegen` (the route kernel), else the
+        interpretive tree through :func:`codegen.routed`."""
         if type(data) is bytes:
             found = _codegen.kernel_route("asn", data)
             if found is not None:

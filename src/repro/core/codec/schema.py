@@ -16,8 +16,9 @@ spec language, the decorator and the registry.
 The schema language (DESIGN.md §11) and the annotation each spec is
 derived from:
 
-* :class:`Int` — ``int``, or an ``IntEnum`` (lowered with ``int(x)``,
-  rebuilt with ``Enum(x)``); kernels specialize the int64 and
+* :class:`Int` — ``int``, or an ``IntEnum`` (``Int.enum``; lowered and
+  rebuilt with one lookup in :func:`enum_tables`, so a value that is
+  not a member fails both ways); kernels specialize the int64 and
   small-int ranges, deferring to the interpreter outside them
 * :class:`ConstInt` — integer whose value is fixed by the schema (the
   ``p``/``c`` envelope discriminators), folded into constant bytes
@@ -34,9 +35,10 @@ Field order is significant: it is the wire order for every codec.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 from enum import IntEnum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.codec.base import CodecError
 
@@ -52,10 +54,14 @@ class Spec:
 
 
 class Int(Spec):
-    """Arbitrary-precision integer field."""
+    """Arbitrary-precision integer field; ``enum`` is the ``IntEnum`` the
+    declaration names, if any."""
 
-    __slots__ = ()
+    __slots__ = ("enum",)
     kind = "int"
+
+    def __init__(self, enum: Optional[type] = None) -> None:
+        self.enum = enum
 
 
 class ConstInt(Spec):
@@ -129,14 +135,28 @@ class StrMap(Spec):
 
 
 class Schema:
-    """An ordered, named collection of typed fields."""
+    """An ordered, named collection of typed fields.
 
-    __slots__ = ("name", "fields", "keys")
+    A schema derived by :func:`wire` also records what an emitter needs
+    to read and build the dataclass itself: ``cls``, and ``attrs``, the
+    attribute name of each field (bare payload trees have no class and
+    their attributes are their keys).
+    """
 
-    def __init__(self, name: str, fields: List[Tuple[str, Spec]]) -> None:
+    __slots__ = ("name", "fields", "keys", "cls", "attrs")
+
+    def __init__(
+        self,
+        name: str,
+        fields: List[Tuple[str, Spec]],
+        cls: Optional[type] = None,
+        attrs: Optional[Tuple[str, ...]] = None,
+    ) -> None:
         self.name = name
         self.fields = tuple(fields)
         self.keys = tuple(key for key, _spec in self.fields)
+        self.cls = cls
+        self.attrs = self.keys if attrs is None else tuple(attrs)
 
     def __repr__(self) -> str:
         return f"Schema({self.name!r}, {len(self.fields)} fields)"
@@ -152,6 +172,18 @@ _SCALARS = {int: Int, bool: Bool, float: F64, str: Str, bytes: Bytes}
 #: (missing key, scalar where a struct/list belongs, enum out of range,
 #: or a nested wire class reporting the same).
 _CONVERSION_ERRORS = (CodecError, KeyError, TypeError, ValueError)
+
+
+@functools.lru_cache(maxsize=None)
+def enum_tables(enum: type) -> Tuple[Dict[Any, int], Dict[int, Any]]:
+    """``(member → wire int, wire int → member)`` of an ``IntEnum``.
+
+    One dict lookup converts either way, and a value that is not a
+    member misses (``KeyError``) instead of going through an ``Enum``
+    call.  Members hash as their value, so the lowering table also
+    takes a plain int equal to a member's value.
+    """
+    return {member: int(member) for member in enum}, {int(member): member for member in enum}
 
 
 def _lower(tp, ns: dict) -> Tuple[Spec, str, str]:
@@ -180,14 +212,16 @@ def _lower(tp, ns: dict) -> Tuple[Spec, str, str]:
         ref = f"_{tp.__name__}"
         ns[ref] = tp
         if issubclass(tp, IntEnum):
-            return Int(), "int({})", ref + "({})"
+            ns[ref + "_wire"], ns[ref + "_of"] = enum_tables(tp)
+            return Int(tp), ref + "_wire[{}]", ref + "_of[{}]"
         if isinstance(getattr(tp, "wire_schema", None), Schema):
             return Nested(tp.wire_schema), "{}.to_value()", ref + ".from_value({})"
     raise TypeError(f"no wire mapping for annotation {tp!r}")
 
 
-def _conversion_error(cls, value, exc: Exception) -> CodecError:
-    """Name the wire field a failed ``from_value`` tripped on.
+def conversion_error(cls, value, exc: Exception) -> CodecError:
+    """Name the wire field a failed ``from_value`` (or an indication's
+    row read) tripped on.
 
     Error path only: re-runs the per-field converters one at a time to
     find the first that fails; a nested wire class contributes its own
@@ -211,6 +245,50 @@ def _conversion_error(cls, value, exc: Exception) -> CodecError:
     )
 
 
+def _bad_member(schema: Schema, obj) -> Optional[Tuple[str, Any, type]]:
+    """``(dotted wire field, value, enum)`` of the first ``IntEnum``
+    field of ``obj`` whose value is not a member, or None."""
+    for (key, spec), attr in zip(schema.fields, schema.attrs):
+        found = _bad_value(spec, getattr(obj, attr, None))
+        if found is not None:
+            field, value, enum = found
+            return (key if field is None else f"{key}.{field}"), value, enum
+    return None
+
+
+def _bad_value(spec: Spec, value) -> Optional[Tuple[Optional[str], Any, type]]:
+    if spec.kind == "int" and spec.enum is not None:
+        try:
+            enum_tables(spec.enum)[0][value]
+        except (KeyError, TypeError):
+            return None, value, spec.enum
+    elif spec.kind == "nested" and spec.schema.cls is not None:
+        if isinstance(value, spec.schema.cls):
+            return _bad_member(spec.schema, value)
+    elif spec.kind == "seq" and isinstance(value, list):
+        for item in value:
+            found = _bad_value(spec.elem, item)
+            if found is not None:
+                return found
+    return None
+
+
+def _lowering_error(obj) -> Optional[CodecError]:
+    """Error path of a generated ``to_value``: name the message class and
+    the (dotted) wire field whose ``IntEnum`` value is not a member —
+    a value every decoder would reject, so it never reaches the wire."""
+    schema = type(obj).wire_schema
+    found = _bad_member(schema, obj)
+    if found is None:
+        return None
+    field, value, enum = found
+    return CodecError(
+        f"{schema.name}.{field}: {value!r} is not a {enum.__name__} member",
+        message_type=schema.name,
+        field=field,
+    )
+
+
 def wire(keys: Optional[str] = None) -> Callable[[type], type]:
     """Class decorator: make a dataclass its own wire declaration.
 
@@ -218,9 +296,10 @@ def wire(keys: Optional[str] = None) -> Callable[[type], type]:
     (E2AP uses single letters to keep PER-style sizes schema-like);
     omitted, every field's wire key is its own name (E2SM structs).
     Attaches ``cls.wire_schema`` (named after the class) and generates
-    ``to_value`` and ``from_value``; the latter raises
-    :class:`CodecError` naming the class and the wire field when the
-    tree does not fit.
+    ``to_value`` and ``from_value``; both raise :class:`CodecError`
+    naming the class and the wire field — ``to_value`` for an
+    ``IntEnum`` field holding a value that is not a member,
+    ``from_value`` when the tree does not fit.
     """
 
     def decorate(cls: type) -> type:
@@ -231,7 +310,12 @@ def wire(keys: Optional[str] = None) -> Callable[[type], type]:
                 f"{cls.__name__}: {len(wire_keys)} wire keys for {len(fields)} fields"
             )
         hints = typing.get_type_hints(cls)
-        ns = {"_errors": _CONVERSION_ERRORS, "_explain": _conversion_error}
+        ns = {
+            "_errors": _CONVERSION_ERRORS,
+            "_explain": conversion_error,
+            "_CodecError": CodecError,
+            "_lowering_error": _lowering_error,
+        }
         specs, lowered, raised, decoders = [], [], [], []
         for key, f in zip(wire_keys, fields):
             spec, enc, dec = _lower(hints[f.name], ns)
@@ -241,7 +325,13 @@ def wire(keys: Optional[str] = None) -> Callable[[type], type]:
             decoders.append((key, eval("lambda v: " + dec.format("v"), ns)))
         source = (
             "def to_value(self):\n"
-            f"    return {{{', '.join(lowered)}}}\n"
+            "    try:\n"
+            f"        return {{{', '.join(lowered)}}}\n"
+            "    except (KeyError, _CodecError):\n"
+            "        error = _lowering_error(self)\n"
+            "        if error is None:\n"
+            "            raise\n"
+            "        raise error from None\n"
             "def from_value(cls, value):\n"
             "    try:\n"
             f"        return cls({', '.join(raised)})\n"
@@ -249,7 +339,7 @@ def wire(keys: Optional[str] = None) -> Callable[[type], type]:
             "        raise _explain(cls, value, exc) from exc\n"
         )
         exec(compile(source, f"<wire {cls.__name__}>", "exec"), ns)
-        cls.wire_schema = Schema(cls.__name__, specs)
+        cls.wire_schema = Schema(cls.__name__, specs, cls, [f.name for f in fields])
         cls._wire_decoders = tuple(decoders)
         cls.to_value = ns["to_value"]
         cls.from_value = classmethod(ns["from_value"])

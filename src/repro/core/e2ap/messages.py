@@ -23,12 +23,15 @@ benchmarked in Fig. 7.
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.core.codec.base import Codec, CodecError
+from repro.core.codec.codegen import ROW_ROUTED as _ROW_ROUTED
+from repro.core.codec.codegen import kernel_encode_msg as _encode_object
 from repro.core.codec.schema import register_message_schema, wire
 from repro.metrics import counters
 from repro.metrics.trace import TRACER as _TRACER
@@ -87,19 +90,26 @@ _count_encode = counters.get_counter("e2ap.encode.messages").tick
 def encode_message(msg: E2Message, codec: Codec) -> bytes:
     """Serialize an E2AP message with the given outer codec.
 
-    With tracing enabled an ``encode`` span is recorded, correlated on
-    the message's RIC request id (when it has one) so the span
-    stitches to the matching transport/decode/dispatch spans; the
-    correlation is also noted for the transport send that follows.
+    The codec's object lane (its envelope kernel's ``encode_msg``) reads
+    the dataclass itself; a codec without kernels, or a message the
+    kernel declines, takes the tree lane (``to_value`` + ``encode``),
+    which writes the same bytes.  With tracing enabled an ``encode``
+    span is recorded, correlated on the message's RIC request id (when
+    it has one) so the span stitches to the matching transport/decode/
+    dispatch spans; the correlation is also noted for the transport
+    send that follows.
     """
     tracer = _TRACER
     start = time.perf_counter() if tracer.enabled else 0.0
     _count_encode()
-    tree = {"p": int(msg.procedure), "c": int(msg.msg_class), "v": msg.to_value()}
-    try:
-        wire = codec.encode(tree)
-    except CodecError as exc:
-        raise exc.with_context(message_type=type(msg).__name__)
+    wire = _encode_object(codec.name, msg)
+    if wire is None:
+        try:
+            wire = codec.encode(
+                {"p": int(msg.procedure), "c": int(msg.msg_class), "v": msg.to_value()}
+            )
+        except CodecError as exc:
+            raise exc.with_context(message_type=type(msg).__name__)
     if start:
         request = getattr(msg, "request", None)
         corr = request.as_tuple() if request is not None else None
@@ -108,43 +118,42 @@ def encode_message(msg: E2Message, codec: Codec) -> bytes:
     return wire
 
 
+#: what a frame that is not a well-formed E2AP message raises on a
+#: route lane besides :class:`CodecError` (a lazy or interpretive body
+#: without the keys or shapes its class needs).
+_ROUTE_ERRORS = (KeyError, TypeError, ValueError, IndexError, struct.error)
+
+
 def decode_message(data: bytes, codec: Codec) -> E2Message:
     """Deserialize into the concrete message dataclass.
 
+    The codec's route lane builds the dataclass straight off the wire
+    (``RicIndication`` from its row); a body that does not fit its
+    class raises :class:`CodecError` naming the class and wire field.
     With tracing enabled a ``decode`` span is recorded, correlated the
     same way as :func:`encode_message`.
     """
     tracer = _TRACER
     start = time.perf_counter() if tracer.enabled else 0.0
     try:
-        tree = codec.decode(data)
+        procedure, msg_class, body = codec.decode_route(data)
     except CodecError as exc:
         raise exc.with_context(message_type="E2AP envelope")
-    try:
-        key = (tree["p"], tree["c"])
-    except (KeyError, TypeError) as exc:
+    except _ROUTE_ERRORS as exc:
         raise CodecError(
-            f"E2AP envelope missing dispatch header: {exc}",
+            f"malformed E2AP message: {type(exc).__name__}: {exc}",
+            message_type="E2AP envelope",
+        ) from exc
+    if (procedure, msg_class) == _ROW_ROUTED:
+        msg = _indication(body)
+    elif isinstance(body, E2Message):
+        msg = body
+    else:
+        raise CodecError(
+            f"unknown E2AP message key {(procedure, msg_class)}",
             message_type="E2AP envelope",
             field="p/c",
-        ) from exc
-    try:
-        cls = _MESSAGE_TYPES[key]
-    except KeyError:
-        raise CodecError(
-            f"unknown E2AP message key {key}",
-            message_type="E2AP envelope",
-            field="p/c",
-        ) from None
-    try:
-        body = tree["v"]
-    except KeyError as exc:
-        raise CodecError(
-            f"{cls.__name__} envelope has no body", message_type=cls.__name__, field="v"
-        ) from exc
-    # A body that does not fit the class surfaces as CodecError naming
-    # the class and wire field (generated from_value, codec/schema.py).
-    msg = cls.from_value(body)
+        )
     if start:
         request = getattr(msg, "request", None)
         tracer.record(
@@ -154,6 +163,22 @@ def decode_message(data: bytes, codec: Codec) -> E2Message:
             procedure=msg.procedure.name.lower(),
         )
     return msg
+
+
+def _indication(row: tuple) -> "RicIndication":
+    """The :class:`RicIndication` of a route row ``(r, i, f, a, s, k, h, m)``."""
+    requestor, instance, function, action, sequence, kind, header, payload = row
+    try:
+        kind = INDICATION_KINDS[kind]
+    except (KeyError, TypeError):
+        raise CodecError(
+            f"malformed RicIndication body: {kind!r} is not a RicIndicationKind",
+            message_type="RicIndication",
+            field="k",
+        ) from None
+    return RicIndication(
+        RicRequestId(requestor, instance), function, action, sequence, kind, header, payload
+    )
 
 
 def peek_procedure(data: bytes, codec: Codec) -> Tuple[ProcedureCode, MessageClass]:
@@ -445,6 +470,10 @@ class RicIndicationKind(IntEnum):
 
     REPORT = 0
     INSERT = 1
+
+
+#: wire value → kind; a dict, so a ``k`` outside the enum is a ``KeyError``.
+INDICATION_KINDS = {int(kind): kind for kind in RicIndicationKind}
 
 
 @register_message("q f a s k h m")

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.codec.base import Codec, CodecError, get_codec
-from repro.core.codec.codegen import routed
 from repro.core.e2ap.ies import GlobalE2NodeId, RicActionDefinition, RicRequestId
 from repro.core.e2ap.messages import (
     E2Message,
@@ -32,11 +31,11 @@ from repro.core.e2ap.messages import (
     E2SetupRequest,
     E2SetupResponse,
     ErrorIndication,
+    INDICATION_KINDS,
     RicControlAcknowledge,
     RicControlFailure,
     RicControlRequest,
     RicIndication,
-    RicIndicationKind,
     RicServiceQuery,
     RicServiceUpdate,
     RicServiceUpdateAcknowledge,
@@ -47,7 +46,6 @@ from repro.core.e2ap.messages import (
     RicSubscriptionRequest,
     RicSubscriptionResponse,
     encode_message,
-    message_types,
 )
 from repro.core.e2ap.procedures import Cause, CauseKind, ProcedureCode
 from repro.core.overload import AdmissionController, OverloadConfig, frame_classifier
@@ -121,11 +119,6 @@ def _procedure_name(procedure: int) -> str:
         return f"procedure_{procedure}"
 
 
-#: wire value → kind; a dict, so an out-of-range or negative ``k`` is a
-#: ``KeyError`` (contained at route time), never a wrapped tuple index.
-_KINDS = {int(kind): kind for kind in RicIndicationKind}
-
-
 class IndicationEvent:
     """A RIC indication as delivered to an iApp.
 
@@ -150,7 +143,9 @@ class IndicationEvent:
         self.instance_id = instance
         #: ``(requestor, instance)`` — the submgr routing key.
         self.route_key = (requestor, instance)
-        self.kind = _KINDS[kind]
+        # A dict: a ``k`` outside the enum is a ``KeyError``, never a
+        # wrapped tuple index.
+        self.kind = INDICATION_KINDS[kind]
 
     @property
     def request(self) -> RicRequestId:
@@ -211,9 +206,10 @@ class Server:
         self.time_fn = time_fn
         self.codec: Codec = get_codec(self.config.e2ap_codec)
         #: one-pass (procedure, class, body) extraction for the ingest
-        #: loop, an indication's body as its row; a codec without one
-        #: (``pb``) is walked in full and its body read the same way.
-        self._decode_route = getattr(self.codec, "decode_route", self._generic_route)
+        #: loop: a message as its dataclass, an indication as its row;
+        #: a codec without kernels (``pb``) is walked in full and its
+        #: body built the same way.
+        self._decode_route = self.codec.decode_route
         self._node_label = f"ric-{self.config.ric_id}"
         self.cpu = cpu_meter or CpuMeter(f"server-{self.config.ric_id}")
         self.memory = MemoryMeter(f"server-{self.config.ric_id}")
@@ -364,7 +360,16 @@ class Server:
             event_trigger=event_trigger,
             actions=actions,
         )
-        self._send(conn_id, request)
+        try:
+            self._send(conn_id, request)
+        except (ConnectionError, OSError, CodecError) as exc:
+            # Never on the wire: nothing may share or wait on the record.
+            cause = Cause.ric_request(Cause.UNSPECIFIED, f"request not sent: {exc}")
+            failure = RicSubscriptionFailure(record.request, ran_function_id, cause)
+            self.submgr.withdraw(record, failure)
+            if admission is not None:
+                admission.release_subscription()
+            raise
         return record
 
     def unsubscribe(self, record: "SubscriptionRecord | SinkHandle") -> None:
@@ -530,20 +535,22 @@ class Server:
             state = self._by_endpoint.get(id(endpoint))
             if state is None:
                 return
-            self._unroute(state, "connection lost")
-            if state.record is not None:
+            if self._unroute(state, "connection lost") and state.record is not None:
                 self._node_lost(state.record, state.conn_id, reason)
 
-    def _unroute(self, state: _ConnState, detail: str) -> None:
+    def _unroute(self, state: _ConnState, detail: str) -> bool:
         """Take ``state`` out of both routing tables; callers hold
-        ``_slow_lock``.
+        ``_slow_lock``.  True if this call removed it: only that caller
+        reports the node lost, however many paths notice the loss (a
+        keepalive send that fails closes the endpoint, which reports
+        the disconnect re-entrantly before the send raises).
 
         A reader racing this sees the entry or does not — the same
         window a message already in flight during a disconnect always
         had.  Every control still outstanding on the connection gets
         its one outcome here: a lost connection never answers.
         """
-        self._conns.pop(state.conn_id, None)
+        removed = self._conns.pop(state.conn_id, None) is not None
         self._by_endpoint.pop(id(state.endpoint), None)
         controls, state.controls = state.controls, {}
         cause = Cause(kind=CauseKind.TRANSPORT, value=Cause.UNSPECIFIED, detail=detail)
@@ -555,6 +562,7 @@ class Server:
             # loop: the teardown still completes.
             except Exception:  # repro-lint: disable=RL002
                 get_counter("server.iapp.callback_error").incr()
+        return removed
 
     def _node_lost(
         self,
@@ -604,10 +612,6 @@ class Server:
         pending = sum(not rec.confirmed for rec in self.submgr.active_records())
         self.admission.set_pending(pending)
 
-    def _generic_route(self, data: bytes) -> Tuple[int, int, Any]:
-        tree = self.codec.decode(data)
-        return routed(tree["p"], tree["c"], tree["v"])
-
     def _on_messages(self, endpoint: Endpoint, batch: Sequence[bytes]) -> None:
         """The single ingest: one call per drained wakeup, any transport.
 
@@ -640,10 +644,10 @@ class Server:
             for data in batch:
                 start = time.perf_counter() if traced else 0.0
                 try:
+                    # A body that does not fit its class fails in the
+                    # route (an indication's row, in IndicationEvent):
+                    # contained with the frames that do not decode at all.
                     procedure, msg_class, body = route(data)
-                    # The header scalars are read here, so a body that
-                    # does not fit the indication class is contained
-                    # with the frames that do not decode at all.
                     event = IndicationEvent(conn_id, body) if procedure == _IND_CODE else None
                 except (CodecError, KeyError, TypeError, ValueError, IndexError, struct.error):
                     # A corrupted frame (chaos transport, buggy peer)
@@ -663,26 +667,17 @@ class Server:
                     except Exception:  # repro-lint: disable=RL002
                         get_counter("server.iapp.callback_error").incr()
                     continue
-                entry = _SLOW_PATH.get((procedure, msg_class))
-                if entry is None:
-                    continue  # unknown procedures are ignored (forward compat)
-                cls, handler = entry
-                try:
-                    message = cls.from_value(body)
-                except CodecError:
-                    # Well-framed, but the body does not fit the class
-                    # (enum out of range, scalar for a struct): the
-                    # same containment as an undecodable frame.
-                    self._count_decode_error()
-                    continue
                 if traced:
                     name = _procedure_name(procedure)
                     tracer.record("decode", start, procedure=name)
                     start = time.perf_counter()
+                # Unknown procedures and classes a RIC has no use for
+                # are ignored (forward compat).
+                handler = _SLOW_PATH.get((procedure, msg_class))
                 if handler is not None:
                     try:
                         with self._slow_lock:
-                            handler(self, state, message)
+                            handler(self, state, body)
                     # Outcome callbacks and bus subscribers run in here:
                     # the same containment as the indication lane above.
                     except Exception:  # repro-lint: disable=RL002
@@ -906,9 +901,11 @@ class Server:
         return sent
 
     def _declare_dead(self, state: _ConnState) -> None:
-        """Keepalive verdict: the link looks up but the agent is gone."""
+        """Keepalive verdict: the link looks up but the agent is gone
+        (unless the transport reported it first)."""
+        if not self._unroute(state, "missed keepalives"):
+            return
         get_counter("server.keepalive.dead").incr()
-        self._unroute(state, "missed keepalives")
         try:
             if not state.endpoint.closed:
                 state.endpoint.close()
@@ -1053,10 +1050,10 @@ _HANDLERS: Dict[type, _Handler] = {
     ErrorIndication: Server._on_error_indication,
 }
 
-#: (procedure, class) → (dataclass, handler) for everything off the
-#: indication path: one ``get`` dispatches a frame.  A class a RIC has
-#: no use for is still decoded (a malformed body is contained and
-#: counted) and then ignored (forward compat).
-_SLOW_PATH: Dict[Tuple[int, int], Tuple[type, Optional[_Handler]]] = {
-    key: (cls, _HANDLERS.get(cls)) for key, cls in message_types().items()
+#: (procedure, class) → handler for everything off the indication
+#: path: one ``get`` dispatches a frame the route has already built
+#: into its dataclass.  A class a RIC has no use for is still decoded
+#: (a malformed body is contained and counted) and then ignored.
+_SLOW_PATH: Dict[Tuple[int, int], _Handler] = {
+    (int(cls.procedure), int(cls.msg_class)): handler for cls, handler in _HANDLERS.items()
 }

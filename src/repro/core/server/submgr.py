@@ -273,6 +273,19 @@ class SubscriptionManager:
             _notify(subscribers, hook, message)
         return record
 
+    def withdraw(self, record: SubscriptionRecord, failure: RicSubscriptionFailure) -> None:
+        """Retire a record whose request never reached the wire.  Its
+        creator learns that from the send error; every sink that
+        attached meanwhile gets ``failure`` once."""
+        key = (record.request.requestor_id, record.request.instance_id)
+        with self._lock:
+            if self._records.get(key) is not record:
+                return
+            del self._records[key]
+            self._leave(key, record)
+            sinks = list(record.extra_sinks)
+        _notify(sinks, "on_failure", failure)
+
     def fail(self, failure: RicSubscriptionFailure) -> Optional[SubscriptionRecord]:
         return self._retire(failure.request, "on_failure", failure)
 

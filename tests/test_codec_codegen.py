@@ -12,6 +12,7 @@ is interpretive-only (DESIGN.md §11) and must never move a kernel
 counter.
 """
 
+import contextlib
 import dataclasses
 import typing
 from enum import IntEnum
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.codec import codegen, flat
+from repro.core.codec import codegen, flat, kernel_runtime
 from repro.core.codec import schema as cschema
 from repro.core.codec.base import CodecError, Rows, get_codec, materialize, validate_tree
 from repro.core.codec.manifest import CODECS
@@ -441,22 +442,22 @@ def test_fixed_list_header_cache_is_bounded():
     starts over), and a plan wider than the per-entry bound is built for
     its call and not kept."""
     key, elem = _fixed_seq("pdcp_stats_report")
-    codegen._FIXED_PLANS.clear()
+    kernel_runtime._FIXED_PLANS.clear()
     try:
-        for count in range(2 * codegen._FIXED_PLANS_MAX + 1):
+        for count in range(2 * kernel_runtime._FIXED_PLANS_MAX + 1):
             items = [_element(elem, seed) for seed in range(count)]
             for sequence in (items, _as_rows(elem, items)):
                 tree = {key: sequence, "tstamp_ms": 0.0}
                 assert _check_differential("pdcp_stats_report", tree) is not None
-            assert 1 <= len(codegen._FIXED_PLANS) <= codegen._FIXED_PLANS_MAX
-        codegen._FIXED_PLANS.clear()
-        wide = codegen._FIXED_PLAN_WIDEST // len(elem.fields) + 1
+            assert 1 <= len(kernel_runtime._FIXED_PLANS) <= kernel_runtime._FIXED_PLANS_MAX
+        kernel_runtime._FIXED_PLANS.clear()
+        wide = kernel_runtime._FIXED_PLAN_WIDEST // len(elem.fields) + 1
         items = [_element(elem, seed) for seed in range(wide)]
         tree = {key: _as_rows(elem, items), "tstamp_ms": 0.0}
         assert _check_differential("pdcp_stats_report", tree) is not None
-        assert not codegen._FIXED_PLANS
+        assert not kernel_runtime._FIXED_PLANS
     finally:
-        codegen._FIXED_PLANS.clear()
+        kernel_runtime._FIXED_PLANS.clear()
 
 
 def test_threads_packing_rows_of_one_size_keep_their_own_values():
@@ -684,9 +685,9 @@ class TestOctetStringEdges:
 
         raw = _octets(length)
         wire = _oracle_wire(raw)
-        assert codegen._poct(raw) == wire
-        assert codegen._doct(wire, 0) == (raw, len(wire))
-        assert codegen._doct(b"\xaa" + wire + b"\xbb", 1) == (raw, 1 + len(wire))
+        assert kernel_runtime._poct(raw) == wire
+        assert kernel_runtime._doct(wire, 0) == (raw, len(wire))
+        assert kernel_runtime._doct(b"\xaa" + wire + b"\xbb", 1) == (raw, 1 + len(wire))
         reader = BitReader(wire)
         assert reader.read_fragmented(reader.read_varlen(), 24) == raw
 
@@ -701,13 +702,13 @@ class TestOctetStringEdges:
     def test_truncation_at_every_fragment_boundary_is_declined(self, length):
         from repro.core.codec.bitio import BitReader
 
-        wire = codegen._poct(_octets(length))
-        head = len(codegen._vlb(length))
+        wire = kernel_runtime._poct(_octets(length))
+        head = len(kernel_runtime._vlb(length))
         cuts = {head, len(wire) - 1}
         for boundary in range(head, len(wire), 25):
             cuts.update((boundary - 1, boundary, boundary + 1))
         for cut in sorted(cut for cut in cuts if head <= cut < len(wire)):
-            assert codegen._doct(wire[:cut], 0) is None, cut
+            assert kernel_runtime._doct(wire[:cut], 0) is None, cut
             reader = BitReader(wire[:cut])
             with pytest.raises((EOFError, CodecError)):
                 reader.read_fragmented(reader.read_varlen(), 24)
@@ -716,14 +717,14 @@ class TestOctetStringEdges:
 def test_fragment_layout_cache_is_bounded():
     """5 000 distinct lengths leave the per-count cache at its cap, and a
     layout wider than the per-entry bound is compiled but never kept."""
-    codegen._FRAG_CUTS.clear()
+    kernel_runtime._FRAG_CUTS.clear()
     for length in range(24, 5_024):
-        assert len(codegen._pfrag(b"x" * length)) == length + (length + 23) // 24
-    assert len(codegen._FRAG_CUTS) == codegen._FRAG_CUTS_MAX
-    codegen._FRAG_CUTS.clear()
-    wide = 24 * (codegen._FRAG_CUT_WIDEST + 1)
-    assert codegen._pfrag(_octets(wide)) == _oracle_wire(_octets(wide))[5:]
-    assert not codegen._FRAG_CUTS
+        assert len(kernel_runtime._pfrag(b"x" * length)) == length + (length + 23) // 24
+    assert len(kernel_runtime._FRAG_CUTS) == kernel_runtime._FRAG_CUTS_MAX
+    kernel_runtime._FRAG_CUTS.clear()
+    wide = 24 * (kernel_runtime._FRAG_CUT_WIDEST + 1)
+    assert kernel_runtime._pfrag(_octets(wide)) == _oracle_wire(_octets(wide))[5:]
+    assert not kernel_runtime._FRAG_CUTS
 
 
 # -- the row lane: decode_route's RicIndication row ----------------------
@@ -842,3 +843,159 @@ class TestUnregisteredPairs:
         assert codegen._KERNELS == before
         assert ("env", "fb", 5, 0) in codegen._KERNELS and ("env", "asn", 5, 0) in codegen._KERNELS
         assert all(len(routes.table) <= len(registered) for routes in codegen._ROUTES.values())
+
+
+# -- the object lanes: encode_msg and route on every message -------------
+
+from tests.test_codec_golden import _messages as _golden_messages  # noqa: E402
+
+_ROUTE_ERRORS = (IndexError, struct.error, UnicodeDecodeError, ValueError)
+
+
+def _envelope(cls, body):
+    return {"p": int(cls.procedure), "c": int(cls.msg_class), "v": body}
+
+
+def _reference(cls, tree):
+    """What ``route`` must return for a frame ``decode`` read as ``tree``:
+    the row for the indication, ``from_value`` for every other class,
+    None where ``from_value`` rejects the body."""
+    if (cls.procedure, cls.msg_class) == codegen.ROW_ROUTED:
+        return _leaves(tree["v"])
+    try:
+        return cls.from_value(tree["v"])
+    except CodecError:
+        return None
+
+
+def _same(a, b):
+    """Equal, NaN and signed zeros included (``repr`` of the dataclass)."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+@pytest.mark.usefixtures("_strict")
+class TestObjectLanes:
+    @pytest.mark.parametrize("codec_name", sorted(CODECS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_every_message_encodes_and_routes_as_its_tree_does(self, codec_name, data):
+        """``encode_msg(m)`` writes the tree lane's bytes and declines
+        exactly what the dict kernel declines; ``route`` builds what
+        ``from_value`` builds from ``decode``'s body."""
+        codec = get_codec(codec_name)
+        for (procedure, msg_class), cls in sorted(message_types().items()):
+            tree = _envelope(cls, data.draw(_tree_strategy(cls), label=cls.__name__))
+            message = cls.from_value(tree["v"])
+            kernel = codegen.envelope_kernel(codec_name, procedure, msg_class)
+            wire = kernel.encode(tree)
+            out = kernel.encode_msg(message)
+            assert out == wire, cls.__name__
+            assert encode_message(message, codec) == codec.encode_interpretive(tree)
+            if wire is None:
+                continue
+            assert _same(kernel.route(wire), _reference(cls, kernel.decode(wire)))
+            assert _same(decode_message(wire, codec), message)
+
+    @pytest.mark.parametrize("codec_name", sorted(CODECS))
+    def test_route_answers_every_message_with_its_dataclass(self, codec_name):
+        codec = get_codec(codec_name)
+        for name, message in _golden_messages().items():
+            wire = encode_message(message, codec)
+            assert wire == bytes.fromhex(VECTORS[f"{codec_name}:{name}"])
+            procedure, msg_class, body = codec.decode_route(wire)
+            assert (procedure, msg_class) == (message.procedure, message.msg_class)
+            if (procedure, msg_class) != codegen.ROW_ROUTED:
+                assert _same(body, message), name
+            with codegen.interpretive():
+                assert _same(codec.decode_route(wire)[2], body), name
+            assert _same(decode_message(wire, codec), message), name
+
+    @pytest.mark.parametrize("codec_name", sorted(CODECS))
+    @pytest.mark.parametrize("name", sorted(_golden_messages()))
+    def test_route_rejects_exactly_what_decode_and_from_value_reject(self, codec_name, name):
+        """The route-row sweep on every class: seeded byte flips,
+        insertions, deletions and truncations of each golden vector; ``route``
+        accepts a frame exactly when ``decode`` does and ``from_value``
+        takes its body, and then builds the same message."""
+        cls = type(_golden_messages()[name])
+        kernel = codegen.envelope_kernel(codec_name, cls.procedure, cls.msg_class)
+        golden = bytes.fromhex(VECTORS[f"{codec_name}:{name}"])
+        rng = random.Random(f"{codec_name}:{name}:object")
+        accepted = rejected = 0
+        for _ in range(2000):
+            frame = bytearray(golden)
+            for _ in range(rng.randint(1, 3)):
+                if not frame:
+                    break
+                at = rng.randrange(len(frame))
+                edit = rng.randrange(4)
+                if edit == 0:
+                    frame[at] ^= 1 << rng.randrange(8)
+                elif edit == 1:
+                    frame.insert(at, rng.randrange(256))
+                elif edit == 2:
+                    del frame[at]
+                else:
+                    del frame[at:]
+            frame = bytes(frame)
+            tree = _outcome(kernel.decode, frame)
+            routed_ = _outcome(kernel.route, frame)
+            expected = None if tree is None else _reference(cls, tree)
+            assert _same(routed_, expected), frame.hex()
+            if routed_ is None:
+                rejected += 1
+            else:
+                accepted += 1
+        assert rejected and (accepted or not cls.wire_schema.fields)
+
+    @pytest.mark.parametrize("codec_name", ["asn", "fb", "pb"])
+    def test_an_enum_value_outside_its_members_fails_in_the_route(self, codec_name):
+        """Well-framed, but an ``IntEnum`` field names no member: the
+        route kernel declines, and every lane raises ``CodecError``
+        naming the class and field, as ``from_value`` does."""
+        codec = get_codec(codec_name)
+        cases = {
+            "subscription_request": ("a.k", lambda v: v["a"][0].update(k=9)),
+            "error_indication": ("c.k", lambda v: v["c"].update(k=17)),
+            "setup_request": ("n.k", lambda v: v["n"].update(k=42)),
+        }
+        for name, (field, poison) in cases.items():
+            message = _golden_messages()[name]
+            tree = _envelope(type(message), message.to_value())
+            poison(tree["v"])
+            wire = codec.encode(tree)
+            kernel = codegen.envelope_kernel(codec_name, message.procedure, message.msg_class)
+            if kernel is not None:
+                assert kernel.decode(wire) is not None and kernel.route(wire) is None
+            for kernels in (True, False):
+                with codegen.interpretive() if not kernels else contextlib.nullcontext():
+                    with pytest.raises(CodecError) as excinfo:
+                        codec.decode_route(wire)
+                    assert excinfo.value.message_type == type(message).__name__
+                    assert excinfo.value.field == field
+                    with pytest.raises(CodecError):
+                        decode_message(wire, codec)
+
+    def test_an_indication_kind_outside_its_members_is_a_codec_error(self):
+        message = _golden_messages()["indication_small"]
+        tree = _envelope(RicIndication, message.to_value())
+        tree["v"]["k"] = 2
+        for codec_name in ("asn", "fb", "pb"):
+            codec = get_codec(codec_name)
+            with pytest.raises(CodecError) as excinfo:
+                decode_message(codec.encode(tree), codec)
+            assert (excinfo.value.message_type, excinfo.value.field) == ("RicIndication", "k")
+
+    def test_a_plain_int_in_an_enum_field_takes_the_tree_lane(self):
+        from repro.core.e2ap.ies import RicActionDefinition, RicActionKind
+        from repro.core.e2ap.messages import RicSubscriptionRequest
+
+        member = RicSubscriptionRequest(
+            RicRequestId(1, 2), 3, b"", [RicActionDefinition(1, RicActionKind.INSERT)]
+        )
+        plain = RicSubscriptionRequest(RicRequestId(1, 2), 3, b"", [RicActionDefinition(1, 1)])
+        for codec_name in sorted(CODECS):
+            codec = get_codec(codec_name)
+            assert codegen.kernel_encode_msg(codec_name, plain) is None
+            assert codegen.kernel_encode_msg(codec_name, member) is not None
+            assert encode_message(plain, codec) == encode_message(member, codec)

@@ -942,3 +942,208 @@ class TestOneLoopProperty:
                 sock.close()
             transport.stop()
             server.close()
+
+
+class _ScriptedEndpoint:
+    """A server-side endpoint whose ``send`` runs ``on_send`` (once armed)."""
+
+    def __init__(self) -> None:
+        self.sent = []
+        self.closed = False
+        self.on_send = None
+
+    @property
+    def peer(self) -> str:
+        return "scripted"
+
+    def send(self, data: bytes) -> None:
+        if self.on_send is not None:
+            self.on_send()
+        self.sent.append(data)
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def _attached_node(server, endpoint):
+    """``endpoint`` connected to ``server`` and through E2 setup."""
+    from repro.core.e2ap.ies import GlobalE2NodeId, NodeKind, RanFunctionItem
+    from repro.core.e2ap.messages import E2SetupRequest
+
+    server._on_connected(endpoint)
+    setup = E2SetupRequest(GlobalE2NodeId("00101", 7, NodeKind.GNB), [RanFunctionItem(142, b"")])
+    server._on_messages(endpoint, [encode_message(setup, server.codec)])
+    (record,) = server.agents()
+    return record
+
+
+class TestKeepaliveSendFailure:
+    """A keepalive send that fails closes the endpoint, which reports the
+    disconnect re-entrantly (``_slow_lock`` is an ``RLock``) before the
+    send raises: the node is lost once, not once per path."""
+
+    @pytest.mark.parametrize("grace_s", [0.0, 5.0])
+    def test_one_failed_keepalive_send_reports_the_node_lost_once(self, grace_s):
+        from repro.core.server import Server, ServerConfig
+        from repro.core.server import events as topics
+        from repro.core.server.iapp import IApp
+
+        now = [100.0]
+        server = Server(
+            ServerConfig(keepalive_interval_s=1.0, stale_grace_s=grace_s), time_fn=lambda: now[0]
+        )
+
+        lost = []
+
+        class Watcher(IApp):
+            def on_agent_disconnected(self, agent):
+                lost.append(agent)
+
+        server.add_iapp(Watcher())
+        published = {topics.AGENT_DISCONNECTED: [], topics.NODE_STALE: []}
+        for topic, seen in published.items():
+            server.events.subscribe(topic, seen.append)
+        endpoint = _ScriptedEndpoint()
+        record = _attached_node(server, endpoint)
+
+        def fail_like_a_dead_socket():
+            endpoint.closed = True
+            server._on_disconnected(endpoint)
+            raise ConnectionError("peer reset")
+
+        endpoint.on_send = fail_like_a_dead_socket
+        counters.reset_counters("server.")
+        now[0] += 10.0
+        assert server.keepalive_tick() == 0
+        assert server._conns == {} and server._by_endpoint == {}
+        assert counters.get_counter("server.keepalive.dead").value == 0
+        if grace_s:
+            assert published[topics.NODE_STALE] == [record]
+            assert counters.get_counter("server.node.stale").value == 1
+            assert published[topics.AGENT_DISCONNECTED] == [] and lost == []
+        else:
+            assert published[topics.AGENT_DISCONNECTED] == [record]
+            assert lost == [record]
+            assert published[topics.NODE_STALE] == []
+            assert server.agents() == []
+
+
+class TestUnsentSubscribe:
+    """A subscribe whose request cannot be sent registers nothing that
+    a later equal subscribe could share."""
+
+    def _args(self):
+        from repro.core.e2ap.ies import RicActionDefinition, RicActionKind
+
+        return 142, b"\x00trigger", [RicActionDefinition(1, RicActionKind.REPORT)]
+
+    @pytest.mark.parametrize("overload", [False, True])
+    def test_equal_subscribes_to_a_gone_connection_each_raise(self, overload):
+        from repro.core.overload import OverloadConfig
+        from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
+
+        server = Server(ServerConfig(overload=OverloadConfig() if overload else None))
+        failures = []
+        for _ in range(3):
+            with pytest.raises(ConnectionError):
+                server.subscribe(
+                    42, *self._args(), SubscriptionCallbacks(on_failure=failures.append)
+                )
+            assert len(server.submgr) == 0
+        assert failures == []
+        if overload:
+            assert server.admission.state()["pending_subscriptions"] == 0
+
+    def test_a_sink_that_attached_before_the_send_failed_gets_one_failure(self):
+        from repro.core.e2ap.messages import RicSubscriptionFailure
+        from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
+        from repro.core.server.submgr import SinkHandle
+
+        server = Server(ServerConfig())
+        endpoint = _ScriptedEndpoint()
+        record = _attached_node(server, endpoint)
+        sink_failures, primary_failures, handles = [], [], []
+
+        def attach_then_fail():
+            endpoint.on_send = None
+            handles.append(server.subscribe(
+                record.conn_id, *self._args(), SubscriptionCallbacks(on_failure=sink_failures.append)
+            ))
+            raise ConnectionError("peer reset")
+
+        endpoint.on_send = attach_then_fail
+        with pytest.raises(ConnectionError):
+            server.subscribe(
+                record.conn_id, *self._args(), SubscriptionCallbacks(on_failure=primary_failures.append)
+            )
+        (handle,) = handles
+        assert isinstance(handle, SinkHandle)
+        (failure,) = sink_failures
+        assert isinstance(failure, RicSubscriptionFailure) and failure.request == handle.request
+        assert primary_failures == []
+        assert len(server.submgr) == 0
+        server.unsubscribe(handle)  # nothing left to delete on the wire
+        assert len(endpoint.sent) == 1  # the setup response only
+
+
+class TestEnumMembersOnEncode:
+    """An ``IntEnum`` field holding a value that is not a member encodes
+    on no codec and no lane: every decoder would reject it."""
+
+    @staticmethod
+    def _messages():
+        from repro.core.e2ap.ies import (
+            GlobalE2NodeId,
+            RicActionDefinition,
+            RicActionKind,
+            RicRequestId,
+        )
+        from repro.core.e2ap.messages import (
+            E2SetupRequest,
+            ErrorIndication,
+            RicIndication,
+            RicSubscriptionRequest,
+        )
+        from repro.core.e2ap.procedures import Cause
+
+        request = RicRequestId(1, 2)
+        return {
+            "a.k": RicSubscriptionRequest(request, 142, b"", [
+                RicActionDefinition(1, RicActionKind.REPORT), RicActionDefinition(2, 9)
+            ]),
+            "k": RicIndication(request, 142, 1, 0, 7),
+            "c.k": ErrorIndication(Cause(17, 1, "bad kind")),
+            "n.k": E2SetupRequest(GlobalE2NodeId("00101", 1, 42)),
+        }
+
+    @pytest.mark.parametrize("codec_name", ["asn", "fb", "pb"])
+    @pytest.mark.parametrize("kernels", [True, False], ids=["object-lane", "tree-lane"])
+    def test_a_non_member_raises_naming_message_and_field(self, codec_name, kernels):
+        from repro.core.codec import codegen
+
+        codec = get_codec(codec_name)
+        prev = codegen.kernels_enabled()
+        codegen.set_kernels_enabled(kernels)
+        try:
+            for field, message in self._messages().items():
+                with pytest.raises(CodecError) as excinfo:
+                    encode_message(message, codec)
+                assert excinfo.value.message_type == type(message).__name__
+                assert excinfo.value.field == field
+        finally:
+            codegen.set_kernels_enabled(prev)
+
+    def test_a_subscribe_with_a_non_member_action_registers_nothing(self):
+        from repro.core.e2ap.ies import RicActionDefinition
+        from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
+
+        server = Server(ServerConfig())
+        endpoint = _ScriptedEndpoint()
+        record = _attached_node(server, endpoint)
+        for _ in range(2):
+            with pytest.raises(CodecError):
+                server.subscribe(
+                    record.conn_id, 142, b"", [RicActionDefinition(1, 9)], SubscriptionCallbacks()
+                )
+            assert len(server.submgr) == 0
+        assert len(endpoint.sent) == 1

@@ -187,7 +187,7 @@ class TestClassification:
     def test_classifying_decodes_nothing(self, monkeypatch):
         """The procedure code comes off the envelope prefix: no kernel
         decode, no octet-string walk — the server decodes survivors once."""
-        from repro.core.codec import codegen
+        from repro.core.codec import codegen, kernel_runtime
         from repro.core.e2ap.messages import RicControlRequest
 
         asn, fb = get_codec("asn"), get_codec("fb")
@@ -204,7 +204,7 @@ class TestClassification:
             monkeypatch.setattr(kernel, "decode", lambda data: touched.append("kernel"))
         for codec in (asn, fb):
             monkeypatch.setattr(codec, "decode", lambda data: touched.append("decode"))
-        monkeypatch.setattr(codegen, "_dfrag", lambda *args: touched.append("_dfrag"))
+        monkeypatch.setattr(kernel_runtime, "_dfrag", lambda *args: touched.append("_dfrag"))
         assert frame_classifier(asn)(control) is TrafficClass.CONTROL
         assert frame_classifier(fb)(flood) is TrafficClass.INDICATION
         assert touched == []

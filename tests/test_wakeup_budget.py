@@ -19,6 +19,7 @@ import pytest
 from repro.controllers.monitoring import StatsMonitorIApp
 from repro.core.agent import Agent, AgentConfig
 from repro.core.codec import codegen, get_codec
+from repro.core.codec.base import CodecError
 from repro.core.codec import flat as flat_mod
 from repro.core.e2ap.ies import (
     GlobalE2NodeId,
@@ -48,13 +49,15 @@ pytestmark = pytest.mark.skipif(
 WAKEUP_BUDGET = 50
 #: profiled calls per inline asn/asn 1 500 B HW ping (668 before the
 #: rewrite, 390 before lock-free counters and inline meters, 345 before
-#: rows; 342 now).
-PING_BUDGET = 359
+#: rows, 342 before messages were encoded and routed as objects; 321
+#: now).
+PING_BUDGET = 337
 #: profiled calls per inline fb subscribe → confirm → unsubscribe →
 #: deleted cycle beside 1 000 standing subscriptions, both sides (503
 #: before lock-free counters, inline meters, table dispatch and one
-#: share key per record, 418 before the route table; 408 now).
-CYCLE_BUDGET = 428
+#: share key per record, 418 before the route table, 408 before
+#: messages were encoded and routed as objects; 347 now).
+CYCLE_BUDGET = 364
 #: profiled calls per 64-frame ``_on_messages`` batch of fb MAC reports
 #: into a ``StatsMonitorIApp`` (1 547, 24.2 per frame, before indications
 #: were routed as rows; 1 227 now), and the per-frame ceiling.
@@ -77,6 +80,26 @@ def count_calls(fn, *args, **kwargs) -> int:
     finally:
         sys.setprofile(None)
     return calls[0]
+
+
+#: the value-tree converters: no frame of them on an object-lane path.
+TREE_CONVERTERS = {"to_value", "from_value"}
+
+
+def frames_run(fn, *args, **kwargs) -> set:
+    """Names of the Python functions that ran while ``fn(*args, **kwargs)`` ran."""
+    names = set()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            names.add(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return names
 
 
 def _node() -> GlobalE2NodeId:
@@ -146,6 +169,7 @@ class TestWakeupBudget:
             counts = [count_calls(pinger.ping, data, pump=pump) for _ in range(5)]
             assert len(pinger.rtts_us) == 10
             assert min(counts) <= PING_BUDGET, counts
+            assert not frames_run(pinger.ping, data, pump=pump) & TREE_CONVERTERS
         finally:
             transport.stop()
 
@@ -188,6 +212,7 @@ class TestWakeupBudget:
             counts = [count_calls(cycle) for _ in range(5)]
             assert len(server.submgr) == 1000 and len(function.subscriptions) == 1000
             assert min(counts) <= CYCLE_BUDGET, counts
+            assert not frames_run(cycle) & TREE_CONVERTERS
         finally:
             transport.stop()
 
@@ -255,12 +280,14 @@ class TestRouteLane:
         wire = encode_message(message, fb)
         with codegen.interpretive():
             assert fb.decode_route(wire) == (5, 0, _indication_row(message))
-        odd = fb.encode({"p": 3, "c": 1, "v": {"zz": 1}})  # unknown layout
+        odd = fb.encode({"p": 63, "c": 1, "v": {"zz": 1}})  # unregistered pair
         assert fb.decode_route(odd)[2]["zz"] == 1
-        # An indication body without the row's leaves fails in the route,
-        # where the ingest loop contains it.
-        with pytest.raises(KeyError):
-            fb.decode_route(fb.encode({"p": 5, "c": 0, "v": {"zz": 1}}))
+        # A body that does not fit its class — the indication's row, or
+        # any other message's dataclass — fails in the route, where the
+        # ingest loop contains it.
+        for pair in ((5, 0), (8, 0)):
+            with pytest.raises(CodecError):
+                fb.decode_route(fb.encode({"p": pair[0], "c": pair[1], "v": {"zz": 1}}))
 
     @pytest.mark.parametrize("codec_name", ["asn", "fb"])
     def test_decode_route_matches_decode(self, codec_name):
