@@ -14,29 +14,11 @@ northbound communication interface into a service-oriented controller:
   that re-exposes E2 northbound via the agent library and virtualizes
   NVS resources per tenant (§6.2, Table 5, Appendix B),
 * :mod:`repro.controllers.relay` — the two-hop relaying controller used
-  for the fair comparison against the O-RAN RIC (§5.4).
+  for the fair comparison against the O-RAN RIC (§5.4),
+* :mod:`repro.controllers.xapp_host` — hosting O-RAN-style xApps on
+  SM-independent iApps (§6.3).
+
+The package itself exports nothing: import the submodule a controller
+composes, so that a monitoring RIC does not load the REST northbound,
+the broker or the traffic models the other controllers bring.
 """
-
-from repro.controllers.monitoring import StatsMonitorIApp, StatsStore
-from repro.controllers.slicing import SlicingControllerIApp
-from repro.controllers.traffic import BufferbloatXapp, TrafficControllerIApp
-from repro.controllers.relay import RelayController
-from repro.controllers.xapp_host import HostedXapp, XappApi, XappHostIApp
-from repro.controllers.virtualization import (
-    TenantConfig,
-    VirtualizationController,
-)
-
-__all__ = [
-    "StatsMonitorIApp",
-    "StatsStore",
-    "SlicingControllerIApp",
-    "BufferbloatXapp",
-    "TrafficControllerIApp",
-    "RelayController",
-    "TenantConfig",
-    "VirtualizationController",
-    "HostedXapp",
-    "XappApi",
-    "XappHostIApp",
-]

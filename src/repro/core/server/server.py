@@ -577,9 +577,8 @@ class Server:
             self.submgr.drop_conn(conn_id)
             self.randb.remove_agent(conn_id)
             self._resync_admission_pending()
-            self.events.publish(topics.AGENT_DISCONNECTED, record)
-            for iapp in self._iapps:
-                iapp.on_agent_disconnected(record)
+            self._publish(topics.AGENT_DISCONNECTED, record)
+            self._tell_iapps("on_agent_disconnected", record)
             return
         now = self.time_fn()
         self.randb.mark_stale(conn_id, now)
@@ -598,7 +597,26 @@ class Server:
             stale.deadline = now + self.config.stale_grace_s
         get_counter("server.node.stale").incr()
         self._resync_admission_pending()
-        self.events.publish(topics.NODE_STALE, record)
+        self._publish(topics.NODE_STALE, record)
+
+    def _publish(self, topic: str, payload: Any) -> None:
+        """One bus publish, contained.  ``EventBus.publish`` propagates
+        a subscriber's exception; here that is the iApp's bug, while
+        the caller (a node's teardown on the transport loop, a setup, a
+        liveness pass) belongs to every node."""
+        try:
+            self.events.publish(topic, payload)
+        except Exception:  # repro-lint: disable=RL002
+            get_counter("server.iapp.callback_error").incr()
+
+    def _tell_iapps(self, hook: str, arg: Any) -> None:
+        """Call ``hook`` on every iApp, each contained on its own: one
+        raising iApp does not keep the node from the others."""
+        for iapp in self._iapps:
+            try:
+                getattr(iapp, hook)(arg)
+            except Exception:  # repro-lint: disable=RL002
+                get_counter("server.iapp.callback_error").incr()
 
     def _resync_admission_pending(self) -> None:
         """Recount outstanding subscriptions after a lifecycle event.
@@ -635,6 +653,7 @@ class Server:
         route = self._decode_route
         deliver = self.submgr.deliver_indication
         conn_id = state.conn_id
+        conns = self._conns
         tracer = _TRACER
         traced = tracer.enabled
         if traced:
@@ -677,7 +696,12 @@ class Server:
                 if handler is not None:
                     try:
                         with self._slow_lock:
-                            handler(self, state, body)
+                            # A teardown on another thread (a keepalive
+                            # send that failed) may have unrouted the
+                            # connection since the lookup above: its
+                            # node, and what this message is about, are gone.
+                            if conns.get(conn_id) is state:
+                                handler(self, state, body)
                     # Outcome callbacks and bus subscribers run in here:
                     # the same containment as the indication lane above.
                     except Exception:  # repro-lint: disable=RL002
@@ -726,12 +750,12 @@ class Server:
     def _on_config_update(self, state: _ConnState, message: E2NodeConfigurationUpdate) -> None:
         if state.record is not None:
             state.record.config.update(message.config)
-            self.events.publish(topics.NODE_CONFIG_UPDATED, (state.record, message))
-        state.endpoint.send(encode_message(E2NodeConfigurationUpdateAcknowledge(), self.codec))
+            self._publish(topics.NODE_CONFIG_UPDATED, (state.record, message))
+        self._reply(state, E2NodeConfigurationUpdateAcknowledge())
 
     def _on_error_indication(self, state: _ConnState, message: ErrorIndication) -> None:
         self.errors_seen.append((state.conn_id, message))
-        self.events.publish(topics.ERROR_INDICATED, (state.record, message))
+        self._publish(topics.ERROR_INDICATED, (state.record, message))
 
     def _handle_setup(self, state: _ConnState, request: E2SetupRequest) -> None:
         admission = self.admission
@@ -796,13 +820,11 @@ class Server:
             accepted_functions=sorted(record.functions),
         )
         state.endpoint.send(encode_message(response, self.codec))
-        self.events.publish(topics.AGENT_CONNECTED, record)
-        for iapp in self._iapps:
-            iapp.on_agent_connected(record)
+        self._publish(topics.AGENT_CONNECTED, record)
+        self._tell_iapps("on_agent_connected", record)
         if formed_now:
-            self.events.publish(topics.RAN_FORMED, entity)
-            for iapp in self._iapps:
-                iapp.on_ran_formed(entity)
+            self._publish(topics.RAN_FORMED, entity)
+            self._tell_iapps("on_ran_formed", entity)
 
     def _recover_node(
         self,
@@ -851,7 +873,7 @@ class Server:
             # reconnect storm that follows a recovery cannot retrigger
             # the overload the node just survived.
             self.admission.note_recovery()
-        self.events.publish(topics.NODE_RECOVERED, record)
+        self._publish(topics.NODE_RECOVERED, record)
 
     # -- liveness (keepalive + grace expiry) ---------------------------
 
@@ -937,24 +959,27 @@ class Server:
             record = stale.record
             self.randb.remove_agent(record.conn_id)
             for rec in stale.subscriptions:
-                if rec.parked:
-                    self.submgr.terminal_fail(
-                        rec,
-                        RicSubscriptionFailure(
-                            request=rec.request,
-                            ran_function_id=rec.ran_function_id,
-                            cause=Cause(
-                                kind=CauseKind.TRANSPORT,
-                                value=Cause.UNSPECIFIED,
-                                detail="node grace window expired",
-                            ),
-                        ),
-                    )
+                if not rec.parked:
+                    continue
+                failure = RicSubscriptionFailure(
+                    request=rec.request,
+                    ran_function_id=rec.ran_function_id,
+                    cause=Cause(
+                        kind=CauseKind.TRANSPORT,
+                        value=Cause.UNSPECIFIED,
+                        detail="node grace window expired",
+                    ),
+                )
+                # An ``on_failure`` that raises must not leave the rest
+                # of this node's records, or the next nodes, unexpired.
+                try:
+                    self.submgr.terminal_fail(rec, failure)
+                except Exception:  # repro-lint: disable=RL002
+                    get_counter("server.iapp.callback_error").incr()
             get_counter("server.node.expired").incr()
-            self.events.publish(topics.NODE_EXPIRED, record)
-            self.events.publish(topics.AGENT_DISCONNECTED, record)
-            for iapp in self._iapps:
-                iapp.on_agent_disconnected(record)
+            self._publish(topics.NODE_EXPIRED, record)
+            self._publish(topics.AGENT_DISCONNECTED, record)
+            self._tell_iapps("on_agent_disconnected", record)
         return len(expired)
 
     def start_liveness(self, period_s: float = 1.0) -> None:
@@ -1001,10 +1026,19 @@ class Server:
         ack = RicServiceUpdateAcknowledge(
             accepted=[item.ran_function_id for item in update.added + update.modified]
         )
-        state.endpoint.send(encode_message(ack, self.codec))
-        self.events.publish(topics.FUNCTIONS_UPDATED, (state.record, update.added))
+        self._reply(state, ack)
+        self._publish(topics.FUNCTIONS_UPDATED, (state.record, update.added))
 
     # -- internals ------------------------------------------------------
+
+    def _reply(self, state: _ConnState, message: E2Message) -> None:
+        """Acknowledge a node's request on its connection.  A node that
+        left meanwhile is no iApp's bug: the failed send has torn the
+        endpoint down and reported the loss."""
+        try:
+            state.endpoint.send(encode_message(message, self.codec))
+        except (ConnectionError, OSError):
+            pass
 
     def _send(self, conn_id: int, message: E2Message) -> None:
         state = self._conns.get(conn_id)

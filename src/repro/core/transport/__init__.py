@@ -12,6 +12,9 @@ E2AP is *ordered, reliable message boundaries*; this package provides:
 * :class:`~repro.core.transport.faulty.FaultyTransport` — a seeded
   fault-injection decorator (drops, dups, reordering, corruption,
   forced kills) for chaos-testing the lifecycle-resilience layer.
+
+``FaultyTransport``/``FaultSpec`` and ``InProcTransport`` load their
+module on first access: a RIC or agent on TCP runs neither.
 """
 
 from repro.core.transport.base import (
@@ -22,10 +25,14 @@ from repro.core.transport.base import (
     Transport,
     TransportEvents,
 )
-from repro.core.transport.faulty import FaultSpec, FaultyTransport
+from repro.core.lazy import lazy_exports
 from repro.core.transport.framing import Framer, frame_message, frame_messages
-from repro.core.transport.inproc import InProcTransport
 from repro.core.transport.tcp import TcpTransport
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {"FaultSpec": "faulty", "FaultyTransport": "faulty", "InProcTransport": "inproc"},
+)
 
 __all__ = [
     "ConnectTimeout",

@@ -39,17 +39,36 @@ class RestServer:
             def log_message(self, fmt, *args):  # silence request logging
                 pass
 
-            def _dispatch(self, method: str) -> None:
-                length = int(self.headers.get("Content-Length", "0"))
-                raw = self.rfile.read(length) if length else b""
-                body = json.loads(raw) if raw else None
+            def _body(self) -> Any:
+                """The parsed JSON body; an unreadable request is the
+                client's error (400), not a reason to drop the socket."""
+                text = self.headers.get("Content-Length", "0")
                 try:
-                    result = server._handle(method, self.path, body)
+                    length = int(text)
+                except ValueError:
+                    raise RestError(400, f"bad Content-Length: {text!r}") from None
+                if length < 0:
+                    raise RestError(400, f"bad Content-Length: {text!r}")
+                raw = self.rfile.read(length) if length else b""
+                try:
+                    return json.loads(raw) if raw else None
+                except ValueError as exc:  # also UnicodeDecodeError
+                    raise RestError(400, f"bad JSON body: {exc}") from None
+
+            def _dispatch(self, method: str) -> None:
+                try:
+                    result = server._handle(method, self.path, self._body())
                     payload = json.dumps(result).encode("utf-8")
                     status = 200
                 except RestError as exc:
                     payload = json.dumps({"error": str(exc)}).encode("utf-8")
                     status = exc.status
+                # A handler's bug answers 500: the client gets a reply
+                # and the server goes on serving.
+                except Exception as exc:  # repro-lint: disable=RL002
+                    error = f"{type(exc).__name__}: {exc}"
+                    payload = json.dumps({"error": error}).encode("utf-8")
+                    status = 500
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
@@ -67,6 +86,7 @@ class RestServer:
 
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._thread: Optional[threading.Thread] = None
+        self._closed = False
 
     @property
     def port(self) -> int:
@@ -101,10 +121,18 @@ class RestServer:
         self._thread.start()
 
     def stop(self) -> None:
-        self._httpd.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        """Stop serving and close the socket; a second call is a no-op.
+
+        ``shutdown()`` waits for ``serve_forever`` to notice, so it is
+        only called on a server that :meth:`start` ran.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            self._httpd.shutdown()
+            thread.join(timeout=5.0)
         self._httpd.server_close()
 
 

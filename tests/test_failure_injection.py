@@ -1028,6 +1028,41 @@ class TestKeepaliveSendFailure:
             assert server.agents() == []
 
 
+class TestAckToAGoneNode:
+    """A node that sends a service or configuration update and leaves
+    before the acknowledgement: the failed send reports the loss, no
+    iApp is blamed for it, and what else the node sent is not served."""
+
+    @pytest.mark.parametrize("update", ["service", "config"])
+    def test_a_failed_ack_costs_no_callback_error(self, update):
+        from repro.core.e2ap.ies import RanFunctionItem
+        from repro.core.e2ap.messages import E2NodeConfigurationUpdate, RicServiceUpdate
+        from repro.core.server import Server, ServerConfig
+
+        server = Server(ServerConfig())
+        endpoint = _ScriptedEndpoint()
+        record = _attached_node(server, endpoint)
+
+        def fail_like_a_dead_socket():
+            endpoint.closed = True
+            server._on_disconnected(endpoint)
+            raise ConnectionError("broken pipe")
+
+        endpoint.on_send = fail_like_a_dead_socket
+        counters.reset_counters("server.")
+        message = (
+            RicServiceUpdate(added=[RanFunctionItem(143, b"")])
+            if update == "service"
+            else E2NodeConfigurationUpdate(record.node_id, config={"cell": "1"})
+        )
+        # The rest of the batch belongs to a connection that is gone: a
+        # second update is not applied to a node the RANDB no longer has.
+        server._on_messages(endpoint, [encode_message(message, server.codec)] * 2)
+        assert counters.get_counter("server.iapp.callback_error").value == 0
+        assert server.agents() == [] and record.conn_id not in server._conns
+        assert len(endpoint.sent) == 1  # the setup response
+
+
 class TestUnsentSubscribe:
     """A subscribe whose request cannot be sent registers nothing that
     a later equal subscribe could share."""
@@ -1147,3 +1182,162 @@ class TestEnumMembersOnEncode:
                 )
             assert len(server.submgr) == 0
         assert len(endpoint.sent) == 1
+
+
+from repro.core.server.iapp import IApp
+
+
+class _NodeHooks(IApp):
+    """An iApp that logs the node hooks it hears; ``raising`` names the
+    hook it raises from, every time."""
+
+    def __init__(self, raising=""):
+        super().__init__()
+        self.raising = raising
+        self.heard = []
+
+    def _hear(self, hook, agent):
+        self.heard.append((hook, agent.node_id.nb_id))
+        if hook == self.raising:
+            raise RuntimeError("iApp bug")
+
+    def on_agent_connected(self, agent):
+        self._hear("connected", agent)
+
+    def on_agent_disconnected(self, agent):
+        self._hear("disconnected", agent)
+
+
+def _raise(payload):
+    raise RuntimeError("subscriber bug")
+
+
+class TestRaisingNodeLifecycleCallback:
+    """Node loss runs on the transport loop that ingests every node, and
+    setup and grace expiry serve many nodes in one call: an iApp hook or
+    a bus subscriber that raises there costs one counter tick."""
+
+    @pytest.fixture(autouse=True)
+    def _reset(self):
+        counters.reset_counters("server.")
+
+    @staticmethod
+    def _mac_agent(transport, nb_id):
+        from repro.core.agent import Agent, AgentConfig
+        from repro.core.e2ap.ies import GlobalE2NodeId, NodeKind
+        from repro.sm import mac_stats
+
+        agent = Agent(
+            AgentConfig(node_id=GlobalE2NodeId("00101", nb_id, NodeKind.GNB)), transport
+        )
+        mac = mac_stats.MacStatsFunction(mac_stats.synthetic_provider(2), sm_codec="fb")
+        agent.register_function(mac)
+        return agent, mac
+
+    @pytest.mark.parametrize("where", ["iapp_hook", "bus_disconnected", "bus_stale"])
+    def test_node_loss_over_tcp_keeps_the_loop_and_the_other_node(self, where):
+        from repro.controllers.monitoring import StatsMonitorIApp
+        from repro.core.server import Server, ServerConfig
+        from repro.core.server import events as topics
+        from repro.core.transport.tcp import TcpTransport
+        from repro.sm import mac_stats
+
+        grace = 60.0 if where == "bus_stale" else 0.0
+        server = Server(ServerConfig(stale_grace_s=grace))
+        monitor = StatsMonitorIApp(oids=[mac_stats.INFO.oid], period_ms=1, sm_codec="fb")
+        raising = _NodeHooks("disconnected" if where == "iapp_hook" else "")
+        later = _NodeHooks()
+        for iapp in (monitor, raising, later):
+            server.add_iapp(iapp)
+        if where == "bus_disconnected":
+            server.events.subscribe(topics.AGENT_DISCONNECTED, _raise)
+        elif where == "bus_stale":
+            server.events.subscribe(topics.NODE_STALE, _raise)
+        ric, ran1, ran2 = TcpTransport(), TcpTransport(), TcpTransport()
+        try:
+            address = server.listen(ric, "127.0.0.1:0").address
+            for transport in (ric, ran1, ran2):
+                transport.start()
+            agent1, _ = self._mac_agent(ran1, 1)
+            agent2, mac2 = self._mac_agent(ran2, 2)
+            agent1.connect(address)
+            agent2.connect(address)
+            assert _wait(lambda: monitor.subscriptions_confirmed == 2)
+            loop = ric._thread
+            ran1.stop()
+            errors = counters.get_counter("server.iapp.callback_error")
+            assert _wait(lambda: errors.value >= 1)
+            before = monitor.indications_received
+            for _ in range(20):
+                mac2.pump()
+            assert _wait(lambda: monitor.indications_received == before + 20)
+            assert errors.value == 1
+            assert loop.is_alive()
+            if where == "bus_stale":
+                assert monitor.nodes_stale == 1
+            else:
+                assert ("disconnected", 1) in raising.heard
+                assert later.heard[-1] == ("disconnected", 1)
+                assert [record.node_id.nb_id for record in server.agents()] == [2]
+        finally:
+            ran2.stop()
+            ran1.stop()
+            ric.stop()
+
+    def test_grace_expiry_expires_every_node_past_raising_callbacks(self):
+        from repro.core.e2ap.ies import RicActionDefinition, RicActionKind
+        from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
+        from repro.core.server import events as topics
+        from repro.sm import mac_stats
+        from repro.sm.base import PeriodicTrigger
+
+        clock = [0.0]
+        server = Server(ServerConfig(stale_grace_s=5.0), time_fn=lambda: clock[0])
+        raising, later = _NodeHooks("disconnected"), _NodeHooks()
+        server.add_iapp(raising)
+        server.add_iapp(later)
+        server.events.subscribe(topics.NODE_EXPIRED, _raise)
+        transport = InProcTransport()
+        server.listen(transport, "ric")
+        agents = [self._mac_agent(transport, nb_id)[0] for nb_id in (1, 2)]
+        origins = [agent.connect("ric") for agent in agents]
+        # Node 1's parked subscription fails terminally, into a raising
+        # ``on_failure``.
+        record = server.subscribe(
+            server.agents()[0].conn_id,
+            mac_stats.INFO.default_function_id,
+            PeriodicTrigger(1).to_bytes("fb"),
+            [RicActionDefinition(1, RicActionKind.REPORT)],
+            SubscriptionCallbacks(on_failure=_raise),
+        )
+        assert record.confirmed
+        for agent, origin in zip(agents, origins):
+            agent.disconnect(origin)
+        assert len(server.randb.stale_agents()) == 2
+        clock[0] = 10.0
+        assert server.expire_stale() == 2
+        assert server.agents() == [] and len(server.submgr) == 0
+        assert sorted(later.heard) == [
+            ("connected", 1), ("connected", 2), ("disconnected", 1), ("disconnected", 2)
+        ]
+        # One on_failure, then per node a NODE_EXPIRED publish and an iApp.
+        assert counters.get_counter("server.iapp.callback_error").value == 5
+
+    def test_a_raising_agent_connected_subscriber_leaves_every_iapp_its_node(self):
+        from repro.controllers.monitoring import StatsMonitorIApp
+        from repro.core.server import Server
+        from repro.core.server import events as topics
+        from repro.sm import mac_stats
+
+        server = Server()
+        server.events.subscribe(topics.AGENT_CONNECTED, _raise)
+        raising = _NodeHooks("connected")
+        monitor = StatsMonitorIApp(oids=[mac_stats.INFO.oid], period_ms=1, sm_codec="fb")
+        server.add_iapp(raising)
+        server.add_iapp(monitor)
+        transport = InProcTransport()
+        server.listen(transport, "ric")
+        self._mac_agent(transport, 1)[0].connect("ric")
+        assert raising.heard == [("connected", 1)]
+        assert monitor.subscriptions_confirmed == 1
+        assert counters.get_counter("server.iapp.callback_error").value == 2

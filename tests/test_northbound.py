@@ -1,5 +1,9 @@
 """Unit tests for the northbound interfaces: broker and REST."""
 
+import json
+import threading
+from http.client import HTTPConnection
+
 import pytest
 
 from repro.northbound.broker import Broker
@@ -96,6 +100,82 @@ class TestRest:
         server.route("DELETE", "/item", lambda s, b: {"deleted": s})
         client = RestClient("127.0.0.1", server.port)
         assert client.delete("/item/5") == {"deleted": "5"}
+
+
+class TestRestBadRequests:
+    """A request the server cannot read, or a handler that raises, gets
+    a JSON error reply; the connection is not dropped and the next
+    request is served."""
+
+    @pytest.fixture()
+    def server(self):
+        server = RestServer()
+        server.route("POST", "/echo", lambda subpath, body: {"got": body})
+        server.route("POST", "/field", lambda subpath, body: {"x": body["x"]})
+        server.start()
+        yield server
+        server.stop()
+
+    @staticmethod
+    def _post(server, headers, body=b""):
+        conn = HTTPConnection("127.0.0.1", server.port, timeout=5.0)
+        try:
+            conn.putrequest("POST", "/echo")
+            for name, value in headers.items():
+                conn.putheader(name, value)
+            conn.endheaders(body)
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    @staticmethod
+    def _next_request_served(server, capfd):
+        assert RestClient("127.0.0.1", server.port).post("/echo", [1]) == {"got": [1]}
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_bad_json_body_answers_400(self, server, capfd):
+        status, reply = self._post(server, {"Content-Length": "4"}, b"{bad")
+        assert status == 400 and "bad JSON body" in reply["error"]
+        self._next_request_served(server, capfd)
+
+    def test_non_integer_content_length_answers_400(self, server, capfd):
+        status, reply = self._post(server, {"Content-Length": "abc"}, b"{}")
+        assert status == 400 and "Content-Length" in reply["error"]
+        self._next_request_served(server, capfd)
+
+    def test_negative_content_length_answers_400(self, server, capfd):
+        status, reply = self._post(server, {"Content-Length": "-5"}, b"{}")
+        assert status == 400 and "Content-Length" in reply["error"]
+        self._next_request_served(server, capfd)
+
+    def test_raising_handler_answers_500(self, server, capfd):
+        client = RestClient("127.0.0.1", server.port)
+        with pytest.raises(RestError) as exc_info:
+            client.post("/field", {"y": 1})
+        assert exc_info.value.status == 500
+        assert "KeyError" in str(exc_info.value)
+        self._next_request_served(server, capfd)
+
+
+class TestRestServerStop:
+    @staticmethod
+    def _stops(server):
+        thread = threading.Thread(target=server.stop, daemon=True)
+        thread.start()
+        thread.join(timeout=2.0)
+        return not thread.is_alive()
+
+    def test_stop_without_start_returns(self):
+        server = RestServer()
+        assert self._stops(server)
+        assert self._stops(server)
+
+    def test_second_stop_is_a_no_op(self):
+        server = RestServer()
+        server.start()
+        assert self._stops(server)
+        assert self._stops(server)
 
 
 class TestRestSlicingIntegration:

@@ -56,7 +56,8 @@ PING_BUDGET = 337
 #: deleted cycle beside 1 000 standing subscriptions, both sides (503
 #: before lock-free counters, inline meters, table dispatch and one
 #: share key per record, 418 before the route table, 408 before
-#: messages were encoded and routed as objects; 347 now).
+#: messages were encoded and routed as objects; 347 before a slow-path
+#: message checked its connection is still routed; 349 now).
 CYCLE_BUDGET = 364
 #: profiled calls per 64-frame ``_on_messages`` batch of fb MAC reports
 #: into a ``StatsMonitorIApp`` (1 547, 24.2 per frame, before indications
@@ -80,6 +81,13 @@ def count_calls(fn, *args, **kwargs) -> int:
     finally:
         sys.setprofile(None)
     return calls[0]
+
+
+def modules_loaded_since(before: set) -> list:
+    """Modules imported since ``before`` was taken from ``sys.modules``:
+    a module first loaded on a measured path is compiled inside the
+    measurement (``PYTHONDONTWRITEBYTECODE=1`` in the benchmark's RIC)."""
+    return sorted(set(sys.modules) - before)
 
 
 #: the value-tree converters: no frame of them on an object-lane path.
@@ -140,7 +148,9 @@ class TestWakeupBudget:
             for _ in range(5):  # kernels built, counters resolved
                 one_wakeup()
             stored = monitor.store.total_stored
+            loaded = set(sys.modules)
             counts = [one_wakeup() for _ in range(5)]
+            assert modules_loaded_since(loaded) == []
             assert monitor.store.total_stored == stored + 5
             assert min(counts) <= WAKEUP_BUDGET, counts
             item = monitor.store.latest(1, mac_stats.INFO.oid)
@@ -166,10 +176,12 @@ class TestWakeupBudget:
             pump = lambda: transport.step(1.0)
             for _ in range(5):
                 pinger.ping(data, pump=pump)
+            loaded = set(sys.modules)
             counts = [count_calls(pinger.ping, data, pump=pump) for _ in range(5)]
             assert len(pinger.rtts_us) == 10
             assert min(counts) <= PING_BUDGET, counts
             assert not frames_run(pinger.ping, data, pump=pump) & TREE_CONVERTERS
+            assert modules_loaded_since(loaded) == []
         finally:
             transport.stop()
 
@@ -209,10 +221,12 @@ class TestWakeupBudget:
 
             for _ in range(5):  # kernels built, counters resolved
                 cycle()
+            loaded = set(sys.modules)
             counts = [count_calls(cycle) for _ in range(5)]
             assert len(server.submgr) == 1000 and len(function.subscriptions) == 1000
             assert min(counts) <= CYCLE_BUDGET, counts
             assert not frames_run(cycle) & TREE_CONVERTERS
+            assert modules_loaded_since(loaded) == []
         finally:
             transport.stop()
 
