@@ -51,10 +51,9 @@ class LintConfig:
 
     #: function names that implement selector/dispatch loops;
     #: blocking calls inside them must be bounded by a timeout (RL004).
-    #: The §14 multiprocess tier adds three more long-lived loops: the
-    #: worker command loop (``_worker_loop``), the parent supervision
-    #: loop (``_supervise``) and the no-reuseport accept loop
-    #: (``_accept_loop``) — an unbounded block in any of them would
+    #: The §14 multiprocess tier adds two more long-lived loops: the
+    #: worker command loop (``_worker_loop``) and the parent supervision
+    #: loop (``_supervise``) — an unbounded block in either would
     #: wedge crash detection or shutdown.
     loop_functions: FrozenSet[str] = frozenset(
         {
@@ -63,7 +62,6 @@ class LintConfig:
             "_shard_run",
             "_worker_loop",
             "_supervise",
-            "_accept_loop",
         }
     )
 

@@ -255,9 +255,8 @@ class Server:
     def transport_events(self) -> TransportEvents:
         """This server's ingest callbacks, bundled for a transport.
 
-        Public so adopted connections (the accept-and-hand-off fallback
-        of DESIGN.md §14, where sockets arrive via fd passing rather
-        than a local listener) wire into the same dispatch pipeline.
+        Public so transports the server does not listen on (the asyncio
+        ingest of ``repro.aio``) wire into the same dispatch pipeline.
         """
         return TransportEvents(
             on_connected=self._on_connected,

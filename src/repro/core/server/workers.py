@@ -21,10 +21,10 @@ Coordination that *is* needed flows over one duplex pipe per worker:
   supervisor merges into one :meth:`overload_state` / ``/metrics``
   view, so dashboards see the fleet as one server.
 
-Without ``SO_REUSEPORT`` the supervisor falls back to an explicit
-accept-and-hand-off path: it accepts centrally and passes raw fds to
-workers round-robin via ``multiprocessing.reduction.send_handle`` —
-loudly (``server.reuseport.fallback``), never silently single-listener.
+The tier needs Linux: ``SO_REUSEPORT`` to share the port and the
+``fork`` start method to hand each worker its configuration.  Without
+``SO_REUSEPORT`` :meth:`MultiProcServer.start` raises before it forks
+anything.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.e2ap.ies import RicActionDefinition
 from repro.core.server import events as topics
 from repro.core.server.server import Server, ServerConfig
-from repro.core.server.shmsnap import SnapshotReader, SnapshotWriter
-from repro.core.server.submgr import SubscriptionCallbacks
+from repro.core.server.submgr import SubscriptionCallbacks, SubscriptionRecord
 from repro.core.transport import tcp as tcp_mod
 from repro.core.transport.tcp import TcpTransport
 from repro.metrics.counters import (
@@ -61,7 +60,7 @@ from repro.metrics.counters import (
 #: on it (counted in ``server.worker.giveup``).
 RESPAWN_LIMIT = 5
 
-#: worker-side heartbeat: unsolicited stats pushes at most this often.
+#: worker-side heartbeat: one unsolicited stats push this often.
 _STATS_PUSH_INTERVAL_S = 0.25
 
 
@@ -92,48 +91,64 @@ class SubscriptionPolicy:
 class _PolicyManager:
     """Worker-side application of the published policy snapshot.
 
-    Tracks which (conn, policy) pairs are already subscribed so a
-    republished snapshot (the parent always sends the full set) is
-    idempotent.  Indications delivered through policy subscriptions are
-    counted in ``server.policy.indications`` — the number the parent
-    aggregates for the throughput view.
+    Keeps what :meth:`Server.subscribe` returned per (node, policy) so
+    a republished snapshot (the parent always sends the full set) is
+    idempotent, and a policy that left it is unsubscribed.  Indications
+    delivered through policy subscriptions are counted in
+    ``server.policy.indications`` — the number the parent aggregates
+    for the throughput view.
     """
 
     def __init__(self, server: Server) -> None:
         self._server = server
         self._lock = threading.Lock()
         self._policies: Dict[int, SubscriptionPolicy] = {}
-        #: (conn_id, policy_id) pairs already subscribed.
-        self._applied: set = set()
+        #: (node key, policy id) -> its subscription; None while the
+        #: subscribe is in flight.
+        self._records: Dict[Tuple[str, int], Optional[SubscriptionRecord]] = {}
         self._ind_counter = get_counter("server.policy.indications")
-        server.events.subscribe(topics.AGENT_CONNECTED, self._on_agent)
-        server.events.subscribe(topics.NODE_RECOVERED, self._on_agent)
+        server.events.subscribe(topics.AGENT_CONNECTED, self._apply_to)
+        server.events.subscribe(topics.NODE_RECOVERED, self._apply_to)
+        server.events.subscribe(topics.FUNCTIONS_UPDATED, self._on_functions)
         server.events.subscribe(topics.AGENT_DISCONNECTED, self._on_gone)
 
     def set_policies(self, policies: List[SubscriptionPolicy]) -> None:
         with self._lock:
             self._policies = {p.policy_id: p for p in policies}
-            live = {p.policy_id for p in policies}
-            self._applied = {
-                pair for pair in self._applied if pair[1] in live
-            }
-        for record in self._server.agents():
-            self._apply_to(record)
+            left = [pair for pair in self._records if pair[1] not in self._policies]
+            records = [self._records.pop(pair) for pair in left]
+        for record in records:
+            if record is not None:
+                self._drop(record)
+        for agent in self._server.agents():
+            self._apply_to(agent)
 
-    def _on_agent(self, record) -> None:
-        self._apply_to(record)
+    def _on_functions(self, payload) -> None:
+        # A RAN function added at runtime (RIC service update).
+        self._apply_to(payload[0])
 
     def _on_gone(self, record) -> None:
         # AGENT_DISCONNECTED is the *terminal* exit (a stale node in
         # its grace window publishes NODE_STALE instead and keeps its
-        # parked policy subscriptions for adopt-on-recovery).
+        # parked policy subscriptions for adopt-on-recovery); the
+        # server has already retired this node's records.
         key = self._node_key(record)
         with self._lock:
-            self._applied = {pair for pair in self._applied if pair[0] != key}
+            for pair in [pair for pair in self._records if pair[0] == key]:
+                del self._records[pair]
 
     @staticmethod
     def _node_key(record) -> str:
         return str(getattr(record, "node_id", ""))
+
+    def _drop(self, record) -> None:
+        try:
+            self._server.unsubscribe(record)
+        except OSError:
+            # No live link (a stale node's parked record, or a send
+            # that failed): retire it here so a recovery does not
+            # adopt it.
+            self._server.submgr.remove(record.request)
 
     def _apply_to(self, record) -> None:
         conn_id = getattr(record, "conn_id", None)
@@ -148,14 +163,15 @@ class _PolicyManager:
             todo = [
                 policy
                 for policy in self._policies.values()
-                if (key, policy.policy_id) not in self._applied
+                if (key, policy.policy_id) not in self._records
                 and policy.ran_function_id in record.functions
             ]
             for policy in todo:
-                self._applied.add((key, policy.policy_id))
+                self._records[(key, policy.policy_id)] = None
         for policy in todo:
+            pair = (key, policy.policy_id)
             try:
-                self._server.subscribe(
+                sub = self._server.subscribe(
                     conn_id=conn_id,
                     ran_function_id=policy.ran_function_id,
                     event_trigger=policy.event_trigger,
@@ -169,47 +185,32 @@ class _PolicyManager:
                 # The link died between the event and the subscribe;
                 # the next attach re-applies.
                 with self._lock:
-                    self._applied.discard((key, policy.policy_id))
+                    self._records.pop(pair, None)
+                continue
+            with self._lock:
+                # A snapshot without the policy may have landed while
+                # the subscribe was in flight.
+                kept = pair in self._records
+                if kept:
+                    self._records[pair] = sub
+            if not kept:
+                self._drop(sub)
 
     def _on_indication(self, event) -> None:
         self._ind_counter.incr()
 
 
-def _stats_payload(server: Server, scratch: Optional[dict] = None) -> dict:
-    """Build (or refill) one stats push payload.
-
-    ``scratch`` lets the worker's 250 ms heartbeat reuse one top-level
-    dict per process instead of allocating a fresh one per tick — the
-    pipe pickles the contents at send time, so reuse is safe.
-    """
-    payload = scratch if scratch is not None else {}
+def _stats_payload(server: Server) -> dict:
+    """One stats push payload."""
     counters = counter_values()
-    payload["pid"] = os.getpid()
-    payload["agents"] = len(server.agents())
-    payload["subscriptions"] = len(server.submgr) - server.submgr.parked_count
-    payload["indications"] = counters.get("server.policy.indications", 0)
-    payload["counters"] = {k: v for k, v in counters.items() if v}
-    payload["gauges"] = gauge_values()
-    return payload
-
-
-def _stats_fingerprint(payload: dict) -> tuple:
-    """Change detector for unsolicited pushes.
-
-    Excludes the skip counter itself — otherwise every skip would make
-    the next tick look changed and pushes would merely alternate.
-    """
-    counters = {
-        k: v
-        for k, v in payload["counters"].items()
-        if k != "server.stats.push_skipped"
+    return {
+        "pid": os.getpid(),
+        "agents": len(server.agents()),
+        "subscriptions": len(server.submgr) - server.submgr.parked_count,
+        "indications": counters.get("server.policy.indications", 0),
+        "counters": {k: v for k, v in counters.items() if v},
+        "gauges": gauge_values(),
     }
-    return (
-        payload["agents"],
-        payload["subscriptions"],
-        counters,
-        payload["gauges"],
-    )
 
 
 def _worker_main(
@@ -219,13 +220,11 @@ def _worker_main(
     config: ServerConfig,
     policies: List[SubscriptionPolicy],
     conn,
-    use_reuseport: bool,
-    snapshot: Optional[SnapshotReader] = None,
 ) -> None:
     """Entry point of one worker process.
 
     Builds a complete single-process server (``workers=0``), binds its
-    own reuseport listener (or waits for handed-off fds), applies the
+    own reuseport listener on the shared port, applies the
     routing-policy snapshot it was forked with, then serves its control
     pipe until told to stop or orphaned.
     """
@@ -236,13 +235,11 @@ def _worker_main(
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent coordinates shutdown
     server = Server(replace(config, workers=0))
     transport = TcpTransport(
-        reuseport=use_reuseport,
+        reuseport=True,
         overload=server.overload,
         classify=server._classify,
     )
-    events = server.transport_events()
-    if use_reuseport:
-        server.listen(transport, f"{host}:{port}")
+    server.listen(transport, f"{host}:{port}")
     transport.start()
     manager = _PolicyManager(server)
     manager.set_policies(policies)
@@ -250,7 +247,7 @@ def _worker_main(
         conn.send(("ready", index, port))
     except (OSError, BrokenPipeError):
         return
-    _worker_loop(index, server, transport, manager, conn, events, snapshot)
+    _worker_loop(index, server, transport, manager, conn)
 
 
 def _worker_loop(
@@ -259,18 +256,11 @@ def _worker_loop(
     transport: TcpTransport,
     manager: _PolicyManager,
     conn,
-    events,
-    snapshot: Optional[SnapshotReader] = None,
 ) -> None:
     """The worker's bounded-blocking control loop (RL004-audited)."""
     parent_pid = os.getppid()
     last_push = time.monotonic()
     running = True
-    #: reused across ticks (allocation satellite of DESIGN.md §15);
-    #: the pipe pickles at send time, so reuse never aliases a message.
-    scratch: dict = {}
-    last_pushed: Optional[tuple] = None
-    push_skipped = get_counter("server.stats.push_skipped")
     while running:
         if os.getppid() != parent_pid:
             break  # orphaned: the supervisor died without a stop
@@ -283,25 +273,15 @@ def _worker_loop(
                 msg = conn.recv()  # repro-lint: disable=RL004 — bounded by the poll(0.05) above
             except (EOFError, OSError):
                 break
-            running = _handle_command(
-                index, msg, server, transport, manager, conn, events, snapshot
-            )
+            running = _handle_command(index, msg, server, manager, conn)
             continue
         now = time.monotonic()
         if now - last_push >= _STATS_PUSH_INTERVAL_S:
             last_push = now
-            payload = _stats_payload(server, scratch)
-            fingerprint = _stats_fingerprint(payload)
-            if fingerprint == last_pushed:
-                # Nothing moved since the last heartbeat: the parent's
-                # merged view is already current; skip the pickle+pipe.
-                push_skipped.incr()
-                continue
             try:
-                conn.send(("stats", index, None, payload))
+                conn.send(("stats", index, None, _stats_payload(server)))
             except (OSError, BrokenPipeError):
                 break
-            last_pushed = fingerprint
     try:
         server.close()
         transport.stop()
@@ -318,11 +298,8 @@ def _handle_command(
     index: int,
     msg: tuple,
     server: Server,
-    transport: TcpTransport,
     manager: _PolicyManager,
     conn,
-    events,
-    snapshot: Optional[SnapshotReader] = None,
 ) -> bool:
     """Apply one control-pipe command; returns False on ``stop``."""
     kind = msg[0]
@@ -330,45 +307,11 @@ def _handle_command(
         return False
     if kind == "policies":
         manager.set_policies(list(msg[1]))
-    elif kind == "policy_gen":
-        # Shared-memory publication: the pipe carried only the nudge;
-        # the payload is read (seqlock) out of the parent's segment.
-        applied = False
-        if snapshot is not None:
-            try:
-                got = snapshot.read()
-            except RuntimeError:
-                got = None
-            if got is not None:
-                generation, payload = got
-                try:
-                    policies = pickle.loads(payload)
-                except (pickle.UnpicklingError, EOFError, ValueError, TypeError):
-                    policies = None
-                if policies is not None:
-                    manager.set_policies(list(policies))
-                    get_counter("server.policy.shm_reads").incr()
-                    get_gauge("server.policy.generation").set(generation)
-                    applied = True
-        if not applied:
-            # Loud fallback: ask the parent for the pickled snapshot
-            # over the pipe (counted on both sides).
-            get_counter("server.policy.shm_fallback").incr()
-            try:
-                conn.send(("need_policies", index))
-            except (OSError, BrokenPipeError):
-                return False
     elif kind == "stats":
         try:
             conn.send(("stats", index, msg[1], _stats_payload(server)))
         except (OSError, BrokenPipeError):
             return False
-    elif kind == "socket":
-        # Accept-and-hand-off fallback: the parent accepted, we own it.
-        from multiprocessing import reduction
-
-        fd = reduction.recv_handle(conn)
-        transport.adopt(socket.socket(fileno=fd), events)
     return True
 
 
@@ -462,14 +405,13 @@ class MultiProcServer:
         config: ServerConfig,
         host: str = "127.0.0.1",
         port: int = 0,
-        start_method: str = "fork",
     ) -> None:
         if config.workers < 1:
             raise ValueError(f"MultiProcServer needs workers >= 1, got {config.workers}")
         self.config = config
         self._host = host
         self._requested_port = port
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context("fork")
         self._handles: Dict[int, _WorkerHandle] = {}
         self._policies: Dict[int, SubscriptionPolicy] = {}
         self._policy_seq = itertools.count(1)
@@ -480,17 +422,7 @@ class MultiProcServer:
         self._stopped = False
         self._port: Optional[int] = None
         self._reserve_sock: Optional[socket.socket] = None
-        self._accept_sock: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
         self._supervisor: Optional[threading.Thread] = None
-        self._rr = itertools.count()
-        self.reuseport = tcp_mod.reuseport_available()
-        #: shared-memory snapshot segment (DESIGN.md §15).  Fork-only:
-        #: workers inherit the parent's mapping; under other start
-        #: methods the pickled pipe path is used, loudly counted.
-        self._start_method = start_method
-        self._snap_writer: Optional[SnapshotWriter] = None
-        self._snap_reader: Optional[SnapshotReader] = None
 
     # -- lifecycle ---------------------------------------------------
 
@@ -498,25 +430,13 @@ class MultiProcServer:
         """Reserve the port, fork the workers, wait until all listen."""
         if self._running:
             return
+        if not tcp_mod.reuseport_available():
+            raise RuntimeError(
+                "MultiProcServer needs SO_REUSEPORT to share its port across workers"
+            )
         _install_fork_guard()
         self._running = True
-        if self._start_method == "fork" and self._snap_writer is None:
-            try:
-                self._snap_writer = SnapshotWriter()
-                self._snap_reader = self._snap_writer.reader()
-            except (OSError, ImportError):
-                # No shared memory on this host: the pipe path still
-                # works — degrade loudly, never silently.
-                get_counter("server.policy.shm_fallback").incr()
-                self._snap_writer = None
-                self._snap_reader = None
-        if self.reuseport:
-            self._reserve_sock = self._reserve_port()
-        else:
-            # Loud degradation (never silent single-listener): count
-            # once, accept centrally, hand fds to workers.
-            get_counter("server.reuseport.fallback").incr()
-            self._accept_sock = self._central_listener()
+        self._reserve_sock = self._reserve_port()
         get_gauge("server.workers").set(self.config.workers)
         for index in range(self.config.workers):
             self._handles[index] = self._spawn(index)
@@ -533,26 +453,12 @@ class MultiProcServer:
                     f"worker {handle.index} failed to become ready within "
                     f"{ready_timeout_s}s"
                 )
-        if not self.reuseport:
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, name="e2-accept-handoff", daemon=True
-            )
-            self._accept_thread.start()
 
     def _reserve_port(self) -> socket.socket:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         sock.bind((self._host, self._requested_port))
-        self._port = sock.getsockname()[1]
-        return sock
-
-    def _central_listener(self) -> socket.socket:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._host, self._requested_port))
-        sock.listen(128)
-        sock.settimeout(0.2)
         self._port = sock.getsockname()[1]
         return sock
 
@@ -569,8 +475,6 @@ class MultiProcServer:
                 self.config,
                 policies,
                 child_conn,
-                self.reuseport,
-                self._snap_reader,
             ),
             name=f"e2-worker-{index}",
             daemon=True,
@@ -604,14 +508,11 @@ class MultiProcServer:
             self._supervisor.join(timeout=timeout_s)
             if self._supervisor.is_alive():
                 get_counter("transport.stop.stuck").incr()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=timeout_s)
-        for sock in (self._accept_sock, self._reserve_sock):
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+        if self._reserve_sock is not None:
+            try:
+                self._reserve_sock.close()
+            except OSError:
+                pass
         deadline = time.monotonic() + timeout_s
         for handle in self._handles.values():
             remaining = max(0.1, deadline - time.monotonic())
@@ -629,11 +530,6 @@ class MultiProcServer:
                 pass
             discard_gauge(f"server.worker.{handle.index}.alive")
         discard_gauge("server.workers")
-        if self._snap_writer is not None:
-            self._snap_writer.close(unlink=True)
-            self._snap_writer = None
-            self._snap_reader = None
-            discard_gauge("server.policy.generation")
 
     # -- policy (routing snapshot) publication -----------------------
 
@@ -648,37 +544,28 @@ class MultiProcServer:
             if policy.policy_id == 0:
                 policy.policy_id = next(self._policy_seq)
             self._policies[policy.policy_id] = policy
-            snapshot = list(self._policies.values())
-        self._broadcast_policies(snapshot)
+        self._broadcast_policies()
         return policy
 
     def unsubscribe_all(self, policy_id: int) -> None:
+        """Withdraw one policy; every worker unsubscribes its nodes."""
         with self._lock:
             self._policies.pop(policy_id, None)
-            snapshot = list(self._policies.values())
-        self._broadcast_policies(snapshot)
+        self._broadcast_policies()
 
-    def _broadcast_policies(self, snapshot: List[SubscriptionPolicy]) -> None:
-        targets = [
-            handle
-            for handle in self._handles.values()
-            if handle.ready.is_set() and not handle.failed
-        ]
-        if self._snap_writer is not None:
-            payload = pickle.dumps(snapshot)
-            try:
-                generation = self._snap_writer.publish(payload)
-            except ValueError:
-                # Oversize snapshot: this publish takes the pipe path.
-                get_counter("server.policy.shm_fallback").incr()
-            else:
-                get_counter("server.policy.shm_publish").incr()
-                get_gauge("server.policy.generation").set(generation)
-                for handle in targets:
-                    handle.send(("policy_gen", generation))
-                return
-        # Pickle the full message once; every pipe gets the same buffer.
-        wire = pickle.dumps(("policies", snapshot))
+    def _broadcast_policies(
+        self, targets: Optional[List[_WorkerHandle]] = None
+    ) -> None:
+        """Send the current snapshot to ``targets`` (every ready worker
+        by default), pickled once: every pipe gets the same buffer."""
+        if targets is None:
+            targets = [
+                handle
+                for handle in self._handles.values()
+                if handle.ready.is_set() and not handle.failed
+            ]
+        with self._lock:
+            wire = pickle.dumps(("policies", list(self._policies.values())))
         get_counter("server.policy.pickle_bytes").incr(len(wire) * len(targets))
         for handle in targets:
             handle.send_pickled(wire)
@@ -728,30 +615,9 @@ class MultiProcServer:
             get_gauge(f"server.worker.{handle.index}.alive").set(1)
             handle.ready.set()
             # Republication on (re)attach: the worker was forked with a
-            # snapshot, but a policy published between fork and ready
-            # would be lost without this explicit sync.  With the shm
-            # segment active the sync is a generation nudge — the
-            # respawned worker reads the segment the parent still
-            # holds, so the generation survives any worker death.
-            writer = self._snap_writer
-            if writer is not None and writer.generation > 0:
-                handle.send(("policy_gen", writer.generation))
-                return
-            with self._lock:
-                snapshot = list(self._policies.values())
-            if snapshot:
-                wire = pickle.dumps(("policies", snapshot))
-                get_counter("server.policy.pickle_bytes").incr(len(wire))
-                handle.send_pickled(wire)
-        elif kind == "need_policies":
-            # Worker could not serve itself from the shm segment
-            # (unreadable, torn, or unpicklable payload): answer with
-            # the pickled pipe path, loudly counted.
-            with self._lock:
-                snapshot = list(self._policies.values())
-            wire = pickle.dumps(("policies", snapshot))
-            get_counter("server.policy.pickle_bytes").incr(len(wire))
-            handle.send_pickled(wire)
+            # snapshot, but a policy published (or withdrawn) between
+            # fork and ready would be lost without this explicit sync.
+            self._broadcast_policies([handle])
         elif kind == "stats":
             _kind, _index, seq, payload = msg
             with self._stats_cond:
@@ -794,53 +660,6 @@ class MultiProcServer:
     def restarts(self) -> int:
         return sum(h.respawns for h in self._handles.values())
 
-    # -- accept-and-hand-off fallback --------------------------------
-
-    def _pick_worker(self) -> Optional[_WorkerHandle]:
-        """Round-robin over live, ready workers."""
-        candidates = [
-            h
-            for h in self._handles.values()
-            if h.ready.is_set() and not h.closed and not h.failed
-        ]
-        if not candidates:
-            return None
-        return candidates[next(self._rr) % len(candidates)]
-
-    def _accept_loop(self) -> None:
-        """Bounded-blocking central accept loop (no-reuseport fallback).
-
-        The listener carries a 0.2 s accept timeout so the loop
-        observes ``stop()`` promptly; each accepted socket is handed to
-        one worker via fd passing and closed locally (the worker holds
-        its own duplicated fd).
-        """
-        sock = self._accept_sock
-        while self._running:
-            try:
-                conn_sock, _addr = sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            handle = self._pick_worker()
-            if handle is None:
-                conn_sock.close()
-                continue
-            try:
-                from multiprocessing import reduction
-
-                with handle.send_lock:
-                    handle.conn.send(("socket",))
-                    reduction.send_handle(
-                        handle.conn, conn_sock.fileno(), handle.process.pid
-                    )
-                get_counter("server.worker.handoff").incr()
-            except (OSError, BrokenPipeError):
-                pass
-            finally:
-                conn_sock.close()
-
     # -- merged stats ------------------------------------------------
 
     def stats(self, refresh: bool = True, timeout_s: float = 2.0) -> Dict[int, dict]:
@@ -878,11 +697,7 @@ class MultiProcServer:
 
     def merged_counters(self, refresh: bool = True) -> Dict[str, int]:
         """Counters summed across workers (monotonic, so sums compose)."""
-        merged: Dict[str, int] = {}
-        for stats in self.stats(refresh=refresh).values():
-            for name, value in stats.get("counters", {}).items():
-                merged[name] = merged.get(name, 0) + value
-        return merged
+        return self._merge_counter_stats(self.stats(refresh))
 
     def metrics_snapshot(self, refresh: bool = True) -> dict:
         """One JSON-able fleet view: merged counters + per-worker gauges.

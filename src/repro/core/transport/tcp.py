@@ -284,12 +284,11 @@ class TcpTransport(Transport):
         if overload is not None and classify is None:
             raise ValueError("overload policy requires a frame classifier")
         self.connect_timeout_s = connect_timeout_s
-        self._reuseport = reuseport and reuseport_available()
-        if reuseport and not self._reuseport:
-            # Loud degradation (DESIGN.md §14): a worker process asked
-            # to share its port with its siblings cannot — callers
-            # watching this counter know the kernel is not helping.
-            get_counter("tcp.reuseport.unavailable").incr()
+        if reuseport and not reuseport_available():
+            # A worker process that cannot share its port with its
+            # siblings must not bind one alone (DESIGN.md §14).
+            raise RuntimeError("SO_REUSEPORT is not available on this platform")
+        self._reuseport = reuseport
         self._selector = selectors.DefaultSelector()
         #: guards the selector's registrations and the endpoint table
         #: (``connect``/``close`` arrive from callers' threads).
@@ -365,30 +364,6 @@ class TcpTransport(Transport):
         endpoint = _TcpEndpoint(self, sock, events)
         self._register(sock, "conn", endpoint)
         events.on_connected(endpoint)
-        return endpoint
-
-    def adopt(self, sock: socket.socket, events: TransportEvents) -> _TcpEndpoint:
-        """Take ownership of an already-connected socket.
-
-        The accept-and-hand-off fallback path: when ``SO_REUSEPORT`` is
-        unavailable the multiprocess supervisor accepts centrally and
-        passes raw fds to worker processes, which adopt them here as if
-        they had arrived through a local listener.
-        """
-        self._check_open()
-        sock.setblocking(False)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:  # pragma: no cover - non-TCP fd in tests
-            pass
-        endpoint = _TcpEndpoint(self, sock, events)
-        # Announce the endpoint BEFORE the loop can read from it: the
-        # peer has typically already sent its first frame (E2 setup) by
-        # the time the fd arrives here, so registering with the selector
-        # first would race delivery against on_connected and the server
-        # would drop frames from an endpoint it has never seen.
-        events.on_connected(endpoint)
-        self._register(sock, "conn", endpoint)
         return endpoint
 
     def start(self) -> None:
@@ -507,9 +482,9 @@ class TcpTransport(Transport):
         conn.setblocking(False)
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         endpoint = _TcpEndpoint(self, conn, listener._events)
-        # Announce before the connection can be read (the same ordering
-        # ``adopt`` keeps): the peer's first frame must not reach a
-        # receiver that has never seen the endpoint.
+        # Announce before the connection can be read: the peer's first
+        # frame must not reach a receiver that has never seen the
+        # endpoint.
         listener._events.on_connected(endpoint)
         if endpoint._closed:  # the receiver refused it on sight
             return

@@ -60,23 +60,15 @@ COUNTERS = frozenset(
         "tcp.connect.timeout",
         "tcp.close.eof",
         "tcp.close.framing",
-        # SO_REUSEPORT degradation + loud-teardown accounting
-        "tcp.reuseport.unavailable",
+        # loud-teardown accounting
         "transport.stop.stuck",
         "transport.stop.undrained",
         # multiprocess ingest supervisor (DESIGN.md §14)
-        "server.reuseport.fallback",
         "server.worker.spawned",
         "server.worker.restarts",
         "server.worker.giveup",
-        "server.worker.handoff",
         "server.policy.indications",
-        # shared-memory policy snapshots (DESIGN.md §15)
-        "server.policy.shm_publish",
-        "server.policy.shm_reads",
-        "server.policy.shm_fallback",
         "server.policy.pickle_bytes",
-        "server.stats.push_skipped",
         # zero-copy data plane (DESIGN.md §15)
         "bytes.copied",
         "encode.reuse",
@@ -115,7 +107,7 @@ COUNTER_PATTERNS: Tuple[str, ...] = (
 )
 
 #: exact gauge names.
-GAUGES = frozenset({"server.workers", "server.policy.generation"})
+GAUGES = frozenset({"server.workers"})
 
 #: gauge name patterns.
 GAUGE_PATTERNS: Tuple[str, ...] = (

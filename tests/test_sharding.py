@@ -29,6 +29,10 @@ from repro.core.e2ap.messages import (
     E2SetupRequest,
     E2SetupResponse,
     RicIndication,
+    RicServiceUpdate,
+    RicServiceUpdateAcknowledge,
+    RicSubscriptionDeleteRequest,
+    RicSubscriptionDeleteResponse,
     RicSubscriptionRequest,
     RicSubscriptionResponse,
     decode_message,
@@ -37,7 +41,11 @@ from repro.core.e2ap.messages import (
 from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
 from repro.core.server import events as topics
 from repro.core.server.submgr import SubscriptionManager
-from repro.core.server.workers import MultiProcServer, SubscriptionPolicy
+from repro.core.server.workers import (
+    MultiProcServer,
+    SubscriptionPolicy,
+    _PolicyManager,
+)
 from repro.core.transport import tcp as tcp_mod
 from repro.core.transport.framing import frame_messages
 from repro.core.transport import (
@@ -431,7 +439,9 @@ class TestSingleWriterTables:
             assert not any(thread.is_alive() for thread in threads)
             assert not errors
             churned = self.CHURNERS * self.AGENTS_PER_CHURNER
-            assert len(connected) == 1 + churned
+            # The server answers the setup before it publishes
+            # AGENT_CONNECTED, so the last connect can return first.
+            assert _wait(lambda: len(connected) == 1 + churned, timeout=10.0)
             assert _wait(lambda: len(lost) == churned, timeout=10.0)
             assert pumped > 0
             assert _wait(lambda: len(sequences) == pumped, timeout=10.0)
@@ -622,33 +632,52 @@ WORKER_FN = 1
 class TcpMiniAgent:
     """Raw-wire E2 node for multiprocess tests.
 
-    Answers the setup handshake and admits policy-driven subscription
-    requests, recording the RIC request id so the test can blast
-    pre-encoded indications at whichever worker owns the connection.
+    Answers the setup handshake, admits policy-driven subscription
+    requests and confirms their deletion, recording the RIC request id
+    so the test can blast pre-encoded indications at whichever worker
+    owns the connection.  ``with_worker_fn=False`` sets up without
+    ``WORKER_FN``; :meth:`add_worker_fn` adds it at runtime.
     """
 
-    def __init__(self, transport, address: str, nb_id: int) -> None:
+    def __init__(
+        self, transport, address: str, nb_id: int, with_worker_fn: bool = True
+    ) -> None:
         self.codec = get_codec("fb")
         self.ready = threading.Event()
         self.subscribed = threading.Event()
+        self.deleted = threading.Event()
+        self.updated = threading.Event()
         self.sub_request = None
         self.endpoint = transport.connect(
             address, TransportEvents(on_message=self._on_message)
         )
         setup = E2SetupRequest(
             node_id=make_node(nb_id),
-            ran_functions=[
-                RanFunctionItem(
-                    ran_function_id=WORKER_FN, definition=b"mp", oid="mp"
-                )
-            ],
+            ran_functions=[_worker_fn_item()] if with_worker_fn else [],
         )
         self.endpoint.send(encode_message(setup, self.codec))
+
+    def add_worker_fn(self) -> None:
+        update = RicServiceUpdate(added=[_worker_fn_item()])
+        self.endpoint.send(encode_message(update, self.codec))
 
     def _on_message(self, endpoint, data: bytes) -> None:
         message = decode_message(data, self.codec)
         if isinstance(message, E2SetupResponse):
             self.ready.set()
+        elif isinstance(message, RicServiceUpdateAcknowledge):
+            self.updated.set()
+        elif isinstance(message, RicSubscriptionDeleteRequest):
+            endpoint.send(
+                encode_message(
+                    RicSubscriptionDeleteResponse(
+                        request=message.request,
+                        ran_function_id=message.ran_function_id,
+                    ),
+                    self.codec,
+                )
+            )
+            self.deleted.set()
         elif isinstance(message, RicSubscriptionRequest):
             self.sub_request = message.request
             endpoint.send(
@@ -682,6 +711,10 @@ class TcpMiniAgent:
             for sequence in range(count)
         ]
         self.endpoint.send_many(frames)
+
+
+def _worker_fn_item() -> RanFunctionItem:
+    return RanFunctionItem(ran_function_id=WORKER_FN, definition=b"mp", oid="mp")
 
 
 def _worker_policy() -> SubscriptionPolicy:
@@ -723,9 +756,11 @@ class TestMultiProcServer:
             assert state["workers"] == 2
             snapshot = mp.metrics_snapshot(refresh=False)
             assert snapshot["counters"]["server.policy.indications"] >= 400
-            # Parent-side registry: spawn accounting and alive gauges.
+            # Parent-side registry: spawn accounting, alive gauges and
+            # the pickled policy snapshots the pipes carried.
             assert counter_values().get("server.worker.spawned") == 2
             assert gauge_values().get("server.workers") == 2
+            assert counter_values().get("server.policy.pickle_bytes", 0) > 0
         finally:
             client.stop()
             mp.stop()
@@ -775,131 +810,97 @@ class TestMultiProcServer:
             client.stop()
             mp.stop()
 
-    def test_shm_snapshot_zero_pickled_bytes_in_steady_state(self):
-        """Policy publication rides the shared-memory segment: pipes
-        carry only generation nudges, counter-verified."""
+    def test_unsubscribe_all_deletes_every_worker_subscription(self):
         reset_all()
-        mp = MultiProcServer(ServerConfig(workers=2), port=0)
+        mp = MultiProcServer(ServerConfig(workers=1), port=0)
         client = TcpTransport()
         try:
             mp.start()
             client.start()
-            mp.subscribe_all(_worker_policy())
-            _settled_agents(client, mp.address, 2)
-            # The parent published via the segment, never the pipes.
-            assert counter_values().get("server.policy.shm_publish", 0) >= 1
-            assert counter_values().get("server.policy.pickle_bytes", 0) == 0
-            assert gauge_values().get("server.policy.generation", 0) >= 2
-            # Workers served themselves from the segment, loudly counted.
-            assert _wait(
-                lambda: mp.merged_counters().get("server.policy.shm_reads", 0)
-                >= 2,
-                timeout=15.0,
-            )
-            assert (
-                mp.merged_counters(refresh=False).get(
-                    "server.policy.shm_fallback", 0
-                )
-                == 0
-            )
+            policy = mp.subscribe_all(_worker_policy())
+            (agent,) = _settled_agents(client, mp.address, 1)
+            agent.blast(100)
+            assert _wait(lambda: mp.total_indications() >= 100, timeout=15.0)
+            assert mp.stats()[0]["subscriptions"] == 1
+
+            mp.unsubscribe_all(policy.policy_id)
+            assert agent.deleted.wait(10.0), "no RicSubscriptionDeleteRequest"
+            assert _wait(lambda: mp.stats()[0]["subscriptions"] == 0, timeout=10.0)
+            agent.blast(100)
+            time.sleep(0.5)
+            assert mp.total_indications() == 100
         finally:
             client.stop()
             mp.stop()
-        # The segment is unlinked and the generation gauge discarded.
-        assert "server.policy.generation" not in gauge_values()
 
-    def test_shm_generation_survives_worker_kill_and_respawn(self):
-        """Chaos: the segment is parent-owned, so any number of worker
-        deaths keeps the generation; respawns resync via one nudge."""
+    def test_ran_function_added_at_runtime_gets_its_policy(self):
         reset_all()
-        mp = MultiProcServer(ServerConfig(workers=2), port=0)
+        mp = MultiProcServer(ServerConfig(workers=1), port=0)
         client = TcpTransport()
         try:
             mp.start()
             client.start()
             mp.subscribe_all(_worker_policy())
-            _settled_agents(client, mp.address, 2)
-            generation = gauge_values().get("server.policy.generation")
-            assert generation and generation >= 2
+            agent = TcpMiniAgent(client, mp.address, nb_id=1, with_worker_fn=False)
+            assert agent.ready.wait(10.0), "E2 setup timed out"
+            assert not agent.subscribed.wait(0.3)
 
-            mp.kill_worker(0)
-            assert _wait(lambda: mp.restarts >= 1, timeout=15.0)
-            assert _wait(
-                lambda: all(
-                    handle.ready.is_set() and handle.process.is_alive()
-                    for handle in mp._handles.values()
-                ),
-                timeout=15.0,
-            ), "respawned worker never came up"
-            # Same segment, same generation — the snapshot did not have
-            # to be republished, and still zero pickled policy bytes.
-            assert gauge_values().get("server.policy.generation") == generation
-            assert counter_values().get("server.policy.pickle_bytes", 0) == 0
-
-            # The respawned worker reads the surviving segment: a late
-            # agent (landing on either worker) still gets subscribed.
-            late = TcpMiniAgent(client, mp.address, nb_id=88)
-            assert late.ready.wait(10.0)
-            assert late.subscribed.wait(10.0)
-            late.blast(50)
+            agent.add_worker_fn()
+            assert agent.updated.wait(10.0), "no RicServiceUpdateAcknowledge"
+            assert agent.subscribed.wait(10.0), "no RicSubscriptionRequest"
+            agent.blast(50)
             assert _wait(lambda: mp.total_indications() >= 50, timeout=15.0)
-
-            # Zero control-class loss across the crash/restart cycle.
-            merged = mp.merged_counters()
-            for name, value in merged.items():
-                if name.startswith("overload.drop.control"):
-                    assert value == 0, f"{name}={value}"
+            assert mp.stats()[0]["subscriptions"] == 1
         finally:
             client.stop()
             mp.stop()
 
-    def test_shm_unavailable_falls_back_to_pickled_pipes(self, monkeypatch):
-        """Loud fallback: no segment -> the pickled pipe path carries
-        policies, counted in shm_fallback and pickle_bytes."""
-        reset_all()
-        from repro.core.server import workers as workers_mod
+    def test_policy_withdrawn_while_node_stale_is_not_adopted(self):
+        """The worker-side manager, in process: a policy that leaves the
+        snapshot while its node is stale takes the parked record with
+        it, so the node's recovery re-issues nothing."""
+        server = Server(ServerConfig(stale_grace_s=60.0))
+        transport = InProcTransport()
+        server.listen(transport, "ric")
+        agent = Agent(AgentConfig(node_id=make_node(1)), transport)
+        agent.register_function(
+            MacStatsFunction(provider=synthetic_provider(2), sm_codec="fb")
+        )
+        origin = agent.connect("ric")
+        manager = _PolicyManager(server)
+        manager.set_policies(
+            [
+                SubscriptionPolicy(
+                    ran_function_id=MAC.default_function_id,
+                    event_trigger=PeriodicTrigger(1).to_bytes("fb"),
+                    actions=(RicActionDefinition(1, RicActionKind.REPORT),),
+                    policy_id=1,
+                )
+            ]
+        )
+        assert len(server.submgr) == 1
+        agent.disconnect(origin)
+        assert server.submgr.parked_count == 1
 
-        def no_shm(*args, **kwargs):
-            raise OSError("shared memory unavailable")
+        manager.set_policies([])
+        assert len(server.submgr) == 0
+        agent.connect("ric")
+        assert [r.node_id.nb_id for r in server.agents()] == [1]
+        assert len(server.submgr) == 0
 
-        monkeypatch.setattr(workers_mod, "SnapshotWriter", no_shm)
-        mp = MultiProcServer(ServerConfig(workers=2), port=0)
-        client = TcpTransport()
-        try:
-            mp.start()
-            client.start()
-            assert counter_values().get("server.policy.shm_fallback") == 1
-            mp.subscribe_all(_worker_policy())
-            agents = _settled_agents(client, mp.address, 2)
-            # Policies still arrive — over the pipes, loudly counted.
-            assert counter_values().get("server.policy.pickle_bytes", 0) > 0
-            assert "server.policy.generation" not in gauge_values()
-            agents[0].blast(30)
-            assert _wait(lambda: mp.total_indications() >= 30, timeout=15.0)
-        finally:
-            client.stop()
-            mp.stop()
-
-    def test_reuseport_fallback_accept_handoff(self, monkeypatch):
+    def test_start_without_reuseport_refuses_before_forking(self, monkeypatch):
         reset_all()
         monkeypatch.setattr(tcp_mod, "_HAS_REUSEPORT", False)
         mp = MultiProcServer(ServerConfig(workers=2), port=0)
-        assert mp.reuseport is False
-        client = TcpTransport()
-        try:
+        with pytest.raises(RuntimeError, match="SO_REUSEPORT"):
             mp.start()
-            client.start()
-            # Fallback is loud: counted, never silent.
-            assert counter_values().get("server.reuseport.fallback") == 1
-            mp.subscribe_all(_worker_policy())
-            agents = _settled_agents(client, mp.address, 3)
-            assert counter_values().get("server.worker.handoff") == 3
-            for agent in agents:
-                agent.blast(40)
-            assert _wait(lambda: mp.total_indications() >= 120, timeout=15.0)
-        finally:
-            client.stop()
-            mp.stop()
+        assert not mp._handles
+        assert counter_values().get("server.worker.spawned", 0) == 0
+        assert "server.workers" not in gauge_values()
+        with pytest.raises(RuntimeError, match="not started"):
+            mp.port  # no port is held
+        mp.stop()
+        mp.stop()
 
 
 # -- loud bounded teardown (lifecycle bugfix sweep) ------------------

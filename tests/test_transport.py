@@ -561,14 +561,13 @@ class TestTcp:
         finally:
             transport.stop()
 
-    @pytest.mark.parametrize("call", ["start", "listen", "connect", "adopt", "step"])
+    @pytest.mark.parametrize("call", ["start", "listen", "connect", "step"])
     def test_a_stopped_transport_refuses_loudly(self, call):
         """``stop()`` is final: one ``RuntimeError`` before any socket or
         thread is created (it used to be a raw ``ValueError`` off the
         closed selector — for ``connect`` after the TCP connect had
         succeeded, leaking the socket)."""
         live = TcpTransport()  # somewhere real for ``connect`` to reach
-        left, right = socket.socketpair()
         reached = []
         transport = TcpTransport()
         transport.stop()
@@ -579,7 +578,6 @@ class TestTcp:
                 "start": transport.start,
                 "listen": lambda: transport.listen("127.0.0.1:0", TransportEvents()),
                 "connect": lambda: transport.connect(listener.address, TransportEvents()),
-                "adopt": lambda: transport.adopt(left, TransportEvents()),
                 "step": transport.step,
             }[call]
             fds, threads = len(os.listdir("/proc/self/fd")), threading.active_count()
@@ -592,8 +590,16 @@ class TestTcp:
             assert not reached  # no TCP connect was made either
         finally:
             live.stop()
-            left.close()
-            right.close()
+
+    def test_reuseport_without_kernel_support_refuses_loudly(self, monkeypatch):
+        """A transport asked to share its port cannot bind it alone."""
+        monkeypatch.setattr(tcp_mod, "_HAS_REUSEPORT", False)
+        fds, threads = len(os.listdir("/proc/self/fd")), threading.active_count()
+        with pytest.raises(RuntimeError, match="SO_REUSEPORT"):
+            TcpTransport(reuseport=True)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert threading.active_count() == threads
+        TcpTransport().stop()  # a transport that shares no port is unaffected
 
 
 class TestOnMessageOnlyReceivers:
