@@ -8,8 +8,11 @@ and MB/s (of wire bytes) for encode, decode and the full round trip.
 A second section benchmarks the *generated codec kernels*
 (:mod:`repro.core.codec.codegen`) against the interpretive walkers on
 the three hot message types (RicIndication, RicSubscriptionRequest,
-E2SetupRequest) and gates on the speedup: the generated lane must be
-at least ``--speedup-floor`` (default 2×) faster on the round trip.
+E2SetupRequest): ``encode_message``/``decode_message`` with kernels on
+(the envelope kernel's object lanes) and off (``to_value`` + the
+walker, the walker + ``from_value``).  It gates on the speedup: the
+generated lane must be at least ``--speedup-floor`` (default 2×)
+faster on the round trip.
 
 Usage::
 
@@ -39,11 +42,7 @@ from typing import Dict, List
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.codec import codegen  # noqa: E402
-from repro.core.codec.base import (  # noqa: E402
-    available_codecs,
-    get_codec,
-    materialize,
-)
+from repro.core.codec.base import available_codecs, get_codec  # noqa: E402
 from repro.core.codec.manifest import CODECS as KERNEL_CODECS  # noqa: E402
 from repro.core.e2ap.ies import (  # noqa: E402
     GlobalE2NodeId,
@@ -163,32 +162,24 @@ def _hot_messages() -> Dict[str, object]:
     }
 
 
-def _decode_plain(codec, wire: bytes):
-    # Both lanes must produce a plain materialized tree: generated
-    # kernels return plain dicts already; the interpretive flat codec
-    # returns a lazy view that still owes the traversal work.
-    out = codec.decode(wire)
-    return out if type(out) is dict else materialize(out)
-
-
 def run_kernel_lanes(min_time_s: float) -> List[dict]:
-    """Generated-kernel vs interpretive-walker lanes on hot messages."""
+    """Generated-kernel vs interpretive-walker lanes on hot messages:
+    the message encoded and decoded whole on both."""
     rows: List[dict] = []
     for message_name, message in _hot_messages().items():
         for codec_name in KERNEL_CODECS:  # "pb" has no generated lane
             codec = get_codec(codec_name)
             wire = encode_message(message, codec)
-            tree = materialize(codec.decode(wire))
             lanes: Dict[str, Dict[str, float]] = {}
             for lane in ("generated", "interpretive"):
                 was_enabled = codegen.kernels_enabled()
                 codegen.set_kernels_enabled(lane == "generated")
                 try:
                     encode = _best_rate(
-                        lambda: codec.encode(tree), len(wire), min_time_s
+                        lambda: encode_message(message, codec), len(wire), min_time_s
                     )
                     decode = _best_rate(
-                        lambda: _decode_plain(codec, wire), len(wire), min_time_s
+                        lambda: decode_message(wire, codec), len(wire), min_time_s
                     )
                 finally:
                     codegen.set_kernels_enabled(was_enabled)

@@ -10,14 +10,18 @@ inner E2SM layer.  This package reproduces that design:
 * codecs register by name in a global registry so new schemes can be
   added without touching the SDK (forward compatibility, §4.3).
 
-On top of the generic walkers, :mod:`repro.core.codec.schema` derives a
-wire schema from every message dataclass (the single declaration of its
-shape), and :mod:`repro.core.codec.codegen` compiles each schema, for
-the ``fb`` and ``asn`` codecs, into a specialized encode/decode kernel
-with fused struct packs and unrolled field access.  The interpretive
-walkers stay behind a flag (``REPRO_CODEC_INTERPRETIVE=1`` or
-:func:`codegen.set_kernels_enabled`) as the differential-testing
-oracle; ``pb`` is interpretive-only.  See DESIGN.md §11.
+A codec's ``encode``/``decode`` is its generic walker.  In front of it,
+:mod:`repro.core.codec.schema` derives a wire schema from every message
+dataclass (the single declaration of its shape), and
+:mod:`repro.core.codec.codegen` compiles each schema, for the ``fb``
+and ``asn`` codecs, into a specialized kernel with fused struct packs
+and unrolled field access and one entry point per direction: an E2AP
+message is encoded from its dataclass and routed back to it
+(``Codec.decode_route``), an E2SM payload encoded and decoded as its
+tree.  What a kernel declines, the walker answers; a flag
+(``REPRO_CODEC_INTERPRETIVE=1`` or :func:`codegen.set_kernels_enabled`)
+selects the walkers alone as the differential-testing oracle.  ``pb``
+is interpretive-only.  See DESIGN.md §11.
 
 Three codecs ship, matching the cost models measured in the paper:
 

@@ -64,6 +64,12 @@ class CodecError(Exception):
 class Codec(ABC):
     """Turns a generic value tree into bytes and back.
 
+    ``encode``/``decode`` are the codec's field walkers, the oracle of
+    its generated kernels.  ``decode_route(data)`` — an E2AP frame as
+    ``(procedure, msg_class, message)`` — is one function for every
+    codec, :func:`repro.core.codec.codegen.decode_route`, which that
+    module (always imported with the package) sets on this class.
+
     Subclasses must be stateless; one instance can serve many
     connections concurrently.
     """
@@ -82,16 +88,6 @@ class Codec(ABC):
         Codecs with lazy semantics (FlatBuffers-style) may return a
         read-only mapping view over the buffer instead of fresh dicts.
         """
-
-    def decode_route(self, data) -> Tuple[Any, Any, Any]:
-        """``(procedure, msg_class, body)`` of an E2AP frame: a registered
-        message as its dataclass, a ``RicIndication`` as its row
-        (:func:`repro.core.codec.codegen.routed`).  Codecs with kernels
-        override this with their route lanes; this is the full walk."""
-        from repro.core.codec.codegen import routed  # codegen imports this module
-
-        tree = self.decode(data)
-        return routed(tree["p"], tree["c"], tree["v"])
 
     def probe(self, data) -> Optional[Tuple[int, int]]:
         """``(procedure, msg_class)`` read off the constant envelope

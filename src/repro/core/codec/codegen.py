@@ -23,11 +23,15 @@ kernel are also treated as a fallback, unless ``REPRO_CODEC_KERNEL_STRICT``
 is set (the differential tests set it so real bugs cannot hide inside
 the deoptimization path).
 
-Every E2AP envelope kernel also has the *object lanes*: ``encode_msg(m)``
-reads the message dataclass's attributes, and ``route(data)`` builds it
-back (``RicIndication``'s route returns its row), both from the same
-schema walk as ``encode``/``decode``.  What generated code calls for
-the parts it does not unroll lives in :mod:`~repro.core.codec.kernel_runtime`.
+A kernel has one entry point per direction.  An E2AP envelope kernel
+has the *object lanes*: ``encode_msg(m)`` reads the message dataclass's
+attributes, and ``route(data)`` builds it back (``RicIndication``'s
+route returns its row).  An E2SM payload kernel has the dict lanes,
+``encode(tree)`` and ``decode(data)``.  Behind either sits one walker,
+``Codec.encode``/``Codec.decode``: :func:`decode_route` (bound as
+``Codec.decode_route``) asks the route kernel, else walks and builds
+the message with :func:`routed`.  What generated code calls for the
+parts it does not unroll lives in :mod:`~repro.core.codec.kernel_runtime`.
 
 ``REPRO_CODEC_INTERPRETIVE=1`` (or :func:`set_kernels_enabled`) turns
 kernels off entirely, keeping the interpretive path selectable as the
@@ -43,6 +47,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.codec import schema as _schema
+from repro.core.codec.base import Codec
 from repro.core.codec.kernel_runtime import (
     _B1,
     _H,
@@ -75,6 +80,7 @@ _enc_hit = counters.get_counter("codec.kernel.encode_hits").tick
 _enc_fall = counters.get_counter("codec.kernel.encode_fallbacks").tick
 _dec_hit = counters.get_counter("codec.kernel.decode_hits").tick
 _dec_fall = counters.get_counter("codec.kernel.decode_fallbacks").tick
+_copied = counters.get_counter("bytes.copied").tick
 
 # -- flags -----------------------------------------------------------
 
@@ -392,14 +398,14 @@ class _DecRuns:
 
 
 # -- the object lanes ------------------------------------------------
-# An E2AP envelope kernel also encodes straight from the message
-# dataclass (``encode_msg``) and decodes straight back to it (``route``):
-# the same schema walk, with a struct's fields read as attributes of an
-# instance of exactly its class instead of the values of a dict with
-# exactly its keys, and built with a constructor call instead of a dict
-# display.  An ``IntEnum`` field must hold a member on the way out and
-# name one on the way in; everything else declines, as the dict kernels
-# do, and the tree lane answers.
+# An E2AP envelope kernel encodes straight from the message dataclass
+# (``encode_msg``) and decodes straight back to it (``route``): the
+# payload kernels' schema walk, with a struct's fields read as
+# attributes of an instance of exactly its class instead of the values
+# of a dict with exactly its keys, and built with a constructor call
+# instead of a dict display.  An ``IntEnum`` field must hold a member on
+# the way out and name one on the way in; everything else declines, and
+# the walker answers.
 
 
 def _cls_ref(mod: _Mod, cls: type) -> str:
@@ -417,6 +423,18 @@ def _message_body(schema: Schema) -> Optional[Schema]:
         return None
     spec = schema.fields[2][1]
     return spec.schema if spec.kind == "nested" and spec.schema.cls is not None else None
+
+
+def _emit_lanes(emitter, mod: _Mod, schema: Schema) -> None:
+    """A kernel's two entry points, one per direction: an E2AP envelope's
+    object lanes (``encode_msg``, ``route``), else a payload's dict lanes
+    (``encode``, ``decode``)."""
+    if _message_body(schema) is None:
+        emitter._emit_encode(mod, schema)
+        emitter._emit_decode(mod, schema)
+    else:
+        emitter._emit_encode(mod, schema, obj=True)
+        emitter._emit_decode(mod, schema, "row" if schema.name == _ROW_SCHEMA else "obj")
 
 
 def _struct_fields(fn: "_Fn", schema: Schema, expr: str, obj: bool) -> List[Tuple[str, Spec, str]]:
@@ -462,11 +480,7 @@ class _FlatEmitter:
         self._elem_enc: Dict[Tuple[str, bool], str] = {}
         self._elem_layout: Dict[str, str] = {}  # fixed-layout encoders only
         self._elem_dec: Dict[Tuple[str, bool], str] = {}
-        self._emit_encode(mod, schema)
-        self._emit_decode(mod, schema)
-        if _message_body(schema) is not None:
-            self._emit_encode(mod, schema, obj=True)
-            self._emit_decode(mod, schema, "row" if schema.name == _ROW_SCHEMA else "obj")
+        _emit_lanes(self, mod, schema)
         return mod
 
     def _emit_encode(self, mod: _Mod, schema: Schema, obj: bool = False) -> None:
@@ -530,15 +544,13 @@ class _FlatEmitter:
             value = spec.value
             if not (_INT64_MIN <= value <= _INT64_MAX):
                 raise _Unsupported("const outside int64")
-            if not obj:
-                fn.w(f"if type({expr}) is not int or {expr} != {value}: return None")
             cell = b"\x03" + _Q.pack(value)
             return _Size(9), lambda segs: segs.const(cell)
         if kind == "int":
             x = mod.name("v")
             fn.w(f"{x} = {expr}")
             if obj and spec.enum is not None:
-                # A member is exactly of its enum's type; the tree lane
+                # A member is exactly of its enum's type; the walker
                 # lowers anything else.
                 fn.w(f"if type({x}) is not {_cls_ref(mod, spec.enum)}: return None")
             else:
@@ -804,7 +816,16 @@ class _FlatEmitter:
             off.k = 0
             return x
         if kind == "nested":
-            return self._dec_dict(fn, spec.schema, runs, off, row, obj)
+            if s is None:
+                return self._dec_dict(fn, spec.schema, runs, off, row, obj)
+            # A variable-size table: its directory size places every
+            # field after it for the walker, so it must be the extent
+            # the kernel read.
+            begin = _Off(off.base, off.k + runs.width).expr()
+            x = self._dec_dict(fn, spec.schema, runs, off, row, obj)
+            runs.flush()
+            fn.w(f"if {off.expr()} - ({begin}) != {s}: return None")
+            return x
         if kind in ("seq", "strmap"):
             runs.flush()
             iu = mod.const_struct("<I")
@@ -913,11 +934,7 @@ class _PerEmitter:
         mod = _Mod(f"asn {schema.name}")
         self._elem_enc: Dict[Tuple[str, bool], str] = {}
         self._elem_dec: Dict[Tuple[str, bool], str] = {}
-        self._emit_encode(mod, schema)
-        self._emit_decode(mod, schema)
-        if _message_body(schema) is not None:
-            self._emit_encode(mod, schema, obj=True)
-            self._emit_decode(mod, schema, "row" if schema.name == _ROW_SCHEMA else "obj")
+        _emit_lanes(self, mod, schema)
         return mod
 
     # -- encode ------------------------------------------------------
@@ -958,10 +975,7 @@ class _PerEmitter:
         mod = fn.mod
         kind = spec.kind
         if kind == "const_int":
-            value = spec.value
-            if not obj:
-                fn.w(f"if type({expr}) is not int or {expr} != {value}: return None")
-            cell = _pint(value)
+            cell = _pint(spec.value)
             return lambda segs: segs.const(cell)
         if kind == "int":
             x = mod.name("v")
@@ -1443,8 +1457,8 @@ class _PerEmitter:
 # ``decode_route`` hands every E2AP message over as its dataclass, and
 # one class as a *row*: the tuple of its body's leaves in wire order, no
 # object built.  Every envelope kernel has a ``route`` entry point for
-# it; every lane without one builds the same answer off the body through
-# :func:`routed`.
+# it; the walker builds the same answer off the body through
+# :func:`routed`.  :func:`decode_route` is the one place that picks.
 
 #: (RIC_INDICATION, INITIATING): the message the ingest hot path routes.
 ROW_ROUTED = (5, 0)
@@ -1482,13 +1496,12 @@ def _row_reader() -> Callable[[Any], tuple]:
 
 
 def routed(procedure, msg_class, body) -> Tuple[Any, Any, Any]:
-    """``decode_route``'s answer from a lane without a route kernel
-    (kernels off, a buffer that is not ``bytes``, a frame the kernel
-    declines, ``pb``): a :data:`ROW_ROUTED` body as the row the route
-    kernels return, a registered message's body as its dataclass
-    (``from_value``), a body of an unknown pair as it is.  A body that
-    does not fit raises :class:`CodecError` naming its class and wire
-    field here, inside the caller's containment."""
+    """``decode_route``'s answer off the walker's body (kernels off, a
+    frame the kernel declines, ``pb``): a :data:`ROW_ROUTED` body as the
+    row the route kernels return, a registered message's body as its
+    dataclass (``from_value``), a body of an unknown pair as it is.  A
+    body that does not fit raises :class:`CodecError` naming its class
+    and wire field here, inside the caller's containment."""
     if (procedure, msg_class) == ROW_ROUTED:
         try:
             return procedure, msg_class, _row_reader()(body)
@@ -1511,7 +1524,8 @@ _EMITTERS = {
 
 class Kernel:
     """A compiled (schema × codec) pair: generated source + entry points
-    (``encode_msg`` and ``route`` only on E2AP envelopes, else None)."""
+    (an E2AP envelope has ``encode_msg`` and ``route``, a payload
+    ``encode`` and ``decode``; the other two are None)."""
 
     __slots__ = ("name", "source", "encode", "decode", "encode_msg", "route")
 
@@ -1551,7 +1565,8 @@ def _build(codec_name: str, schema: Schema) -> Optional[Kernel]:
     except _Unsupported:
         return None
     return Kernel(
-        schema.name, source, ns["encode"], ns["decode"], ns.get("encode_msg"), ns.get("route")
+        schema.name, source,
+        ns.get("encode"), ns.get("decode"), ns.get("encode_msg"), ns.get("route"),
     )
 
 
@@ -1637,33 +1652,6 @@ _PROBES = {"fb": _probe_fb, "asn": _probe_asn}
 # -- codec-facing entry points ---------------------------------------
 
 
-def kernel_encode(codec_name: str, tree) -> Optional[bytes]:
-    """Encode via a specialized kernel, or None to use the interpreter."""
-    if not ENABLED:
-        return None
-    try:
-        if type(tree) is not dict or len(tree) != 3:
-            return None
-        p = tree.get("p")
-        c = tree.get("c")
-        if type(p) is not int or type(c) is not int:
-            return None
-        kern = envelope_kernel(codec_name, p, c)
-        if kern is None:
-            return None
-        out = kern.encode(tree)
-    except Exception:
-        if _STRICT[0]:
-            raise
-        _enc_fall()
-        return None
-    if out is None:
-        _enc_fall()
-    else:
-        _enc_hit()
-    return out
-
-
 #: codec → exact message class → its envelope kernel's ``encode_msg``
 #: (None: no kernel).  Only registered classes are kept, so the table
 #: never outgrows the registry; a codec without kernels has no table.
@@ -1682,9 +1670,9 @@ def _encoder_miss(codec_name: str, cls: type) -> Optional[Callable]:
 
 def kernel_encode_msg(codec_name: str, msg) -> Optional[bytes]:
     """Encode an E2AP message dataclass straight from its attributes via
-    its envelope kernel, or None for the tree lane (kernels off, a codec
-    without kernels, a message the kernel declines).  A decline is not
-    counted here: the tree lane that follows counts the encode."""
+    its envelope kernel, or None for the walker (kernels off, a codec
+    without kernels, a message the kernel declines).  A kernel that ran
+    counts a hit, or a decline in ``codec.kernel.encode_fallbacks``."""
     if not ENABLED:
         return None
     encoders = _ENCODE_MSG.get(codec_name)
@@ -1698,37 +1686,17 @@ def kernel_encode_msg(codec_name: str, msg) -> Optional[bytes]:
         if encode_msg is None:
             return None
         out = encode_msg(msg)
-    # The deoptimization boundary of kernel_encode.
+    # The deoptimization boundary of the object lane: any unexpected
+    # exception in a kernel falls back (strict mode re-raises).
     except Exception:  # repro-lint: disable=RL002
         if _STRICT[0]:
             raise
-        return None
-    if out is not None:
-        _enc_hit()
-    return out
-
-
-def kernel_decode(codec_name: str, data):
-    """Decode via a specialized kernel, or None to use the interpreter."""
-    if not ENABLED:
-        return None
-    try:
-        pc = _PROBES[codec_name](data)
-        if pc is None:
-            return None
-        kern = envelope_kernel(codec_name, pc[0], pc[1])
-        if kern is None:
-            return None
-        out = kern.decode(data)
-    except Exception:
-        if _STRICT[0]:
-            raise
-        _dec_fall()
+        _enc_fall()
         return None
     if out is None:
-        _dec_fall()
+        _enc_fall()
     else:
-        _dec_hit()
+        _enc_hit()
     return out
 
 
@@ -1769,33 +1737,44 @@ _ROUTES = {
 }
 
 
-def kernel_route(codec_name: str, data):
-    """``(procedure, msg_class, body)`` via the kernels, or None for the
-    interpretive lane.  ``(p, c)`` is read once (:class:`_Routes`) and
-    picks the route kernel: a row for :data:`ROW_ROUTED`, the message
-    dataclass for everything else."""
-    if not ENABLED:
-        return None
-    routes = _ROUTES[codec_name]
-    cells = data[routes.cells]
-    try:
-        entry = routes.table.get(cells) or routes.miss(codec_name, data, cells)
-        if entry is None:
-            return None
-        procedure, msg_class, kernel = entry
-        out = kernel(data)
-    # The deoptimization boundary of kernel_decode: any unexpected
-    # exception in a kernel falls back (strict mode re-raises).
-    except Exception:  # repro-lint: disable=RL002
-        if _STRICT[0]:
-            raise
-        _dec_fall()
-        return None
-    if out is None:
-        _dec_fall()
-        return None
-    _dec_hit()
-    return procedure, msg_class, out
+def decode_route(codec: Codec, data) -> Tuple[Any, Any, Any]:
+    """``(procedure, msg_class, body)`` of an E2AP frame on any codec —
+    ``Codec.decode_route``: a registered message as its dataclass, a
+    ``RicIndication`` as its row, the body of an unknown pair as the
+    walker reads it.
+
+    The route kernel answers first: ``(p, c)`` is read once
+    (:class:`_Routes`) and picks it.  Kernels off, a codec without
+    kernels (``pb``) or a frame no kernel takes go to the walker and
+    :func:`routed`.  A buffer that is not ``bytes`` is copied once
+    (``bytes.copied``): what is routed owns its octets, whatever the
+    caller does with the buffer afterwards."""
+    if type(data) is not bytes:
+        data = bytes(data)  # repro-lint: disable=RL007 — the message must not alias a mutable buffer
+        _copied()
+    name = codec.name
+    if ENABLED and name in _ROUTES:
+        routes = _ROUTES[name]
+        cells = data[routes.cells]
+        try:
+            entry = routes.table.get(cells) or routes.miss(name, data, cells)
+            out = None if entry is None else entry[2](data)
+        # The deoptimization boundary of the route lane.
+        except Exception:  # repro-lint: disable=RL002
+            if _STRICT[0]:
+                raise
+            _dec_fall()
+        else:
+            if out is not None:
+                _dec_hit()
+                return entry[0], entry[1], out
+            if entry is not None:
+                _dec_fall()
+    tree = codec.decode(data)
+    return routed(tree["p"], tree["c"], tree["v"])
+
+
+Codec.decode_route = decode_route
 
 
 def payload_encode(codec_name: str, name: str, tree) -> Optional[bytes]:

@@ -14,6 +14,13 @@ Reproduces the cost model the paper measures for Google FlatBuffers
   32-bit size words, giving the 30-40 B per-message overhead the paper
   observes relative to ASN.1 (§5.2).
 
+:class:`FlatCodec` is the walker: ``encode`` writes any value tree,
+``decode`` always returns the lazy read.  The generated kernels
+(:mod:`~repro.core.codec.codegen`) sit in front of it — an E2AP message
+is encoded from its dataclass and routed back to it by its envelope
+kernel, an E2SM payload by its payload kernel — and fall back to it
+for whatever they decline.
+
 Wire layout (all integers little-endian):
 
 ``message  = magic(2) version(1) reserved(1) root_size(4) pad(8) value``
@@ -78,7 +85,7 @@ class _LruCache:
     """Insertion-ordered LRU with a hard cap and an eviction counter.
 
     ``get`` refreshes recency; ``put`` evicts the least recently used
-    entry once the cap is reached.  Bounds the directory/route caches so
+    entry once the cap is reached.  Bounds the directory caches so
     a pathological mix of message layouts cannot grow them without
     limit; the eviction counters make such a mix visible in metrics.
     """
@@ -115,6 +122,7 @@ class _LruCache:
     def clear(self) -> None:
         self._data.clear()
 
+
 #: Parsed dict directories keyed on their raw octets (count word
 #: included).  E2AP traffic re-sends the same tables with the same
 #: field sizes every period, so the per-message directory walk
@@ -135,55 +143,22 @@ _DIR_CACHE = _LruCache(_DIR_CACHE_MAX, "codec.flat.dir_cache.evictions")
 _LIST_DIR_CACHE = _LruCache(_DIR_CACHE_MAX, "codec.flat.list_cache.evictions")
 _LIST_CACHE_ITEMS = 64
 
-#: Envelope window → ``(p_rel, c_rel, v_rel)`` route plan, derived from
-#: :data:`_DIR_CACHE` once per distinct envelope layout.  Saves the
-#: three per-call field-dict lookups on the batched ingest path.
-_ROUTE_CACHE = _LruCache(_DIR_CACHE_MAX, "codec.flat.route_cache.evictions")
-
-#: Two adjacent ``tag + int64`` cells in one unpack; the encoder always
-#: lays consecutive int fields out back to back, so the lazy route
-#: lane reads procedure + class with one struct call.
-_PAIR = struct.Struct("<bqbq")
-
-
 class FlatCodec(Codec):
     """Byte-aligned, offset-indexed codec (registry name ``"fb"``)."""
 
     name = "fb"
 
     def encode(self, value: Any) -> bytes:
-        if _codegen.ENABLED:
-            out = _codegen.kernel_encode("fb", value)
-            if out is not None:
-                return out
-        return self.encode_interpretive(value)
-
-    def decode(self, data) -> Any:
-        """Decode via a generated kernel when one matches, else lazily.
-
-        Kernel-decoded envelopes come back as plain materialized dicts
-        (the kernel's fused unpacks beat lazy access for shapes whose
-        fields the caller touches anyway); everything else returns the
-        interpretive lazy view.  Buffer-protocol inputs (memoryview /
-        bytearray) skip the kernels — which index raw ``bytes`` — and
-        take the lazy interpretive lane without a ``bytes()`` copy.
-        """
-        if _codegen.ENABLED and type(data) is bytes:
-            out = _codegen.kernel_decode("fb", data)
-            if out is not None:
-                return out
-        return self.decode_interpretive(data)
-
-    def encode_interpretive(self, value: Any) -> bytes:
-        """The original field-walking encoder (differential-test oracle)."""
+        """The field-walking encoder (the kernels' oracle)."""
         body = _encode_value(value, 0)
         return _HEADER.pack(_MAGIC, _VERSION, 0, len(body)) + body
 
-    def decode_interpretive(self, data: bytes) -> Any:
+    def decode(self, data) -> Any:
         """Validate the header and return a lazy view (O(1) work).
 
         Scalars at the root are returned directly; dict/list roots come
-        back as :class:`FlatView` / :class:`FlatListView`.
+        back as :class:`FlatView` / :class:`FlatListView` over ``data``
+        itself, whatever its buffer type (no copy).
         """
         if len(data) < _HEADER.size:
             raise CodecError(f"flat message too short: {len(data)} B")
@@ -199,95 +174,6 @@ class FlatCodec(Codec):
         # slice exactly the octets they return, so no memoryview
         # indirection is needed to stay zero-copy.
         return _lazy_value(data, _HEADER.size)
-
-    def decode_route(self, data) -> Tuple[int, int, Any]:
-        """One-pass envelope read for the server's ingest.
-
-        Returns ``(procedure, msg_class, body)`` — the three things the
-        server routes on — with a registered message as its dataclass
-        and a ``RicIndication`` as its row (``codegen.ROW_ROUTED``).  The
-        kernels are asked first (:func:`codegen.kernel_route`: the
-        route kernel builds either, no dict built), and no cache here
-        is consulted.  What they decline (codegen off, unknown layout)
-        takes the lazy lane (:meth:`_lazy_route`) and
-        :func:`codegen.routed`, which builds the same answer off the
-        lazy body.
-        """
-        if type(data) is not bytes:
-            # Non-bytes buffers would need their cache windows
-            # materialized anyway (bytearray slices are unhashable);
-            # the generic lazy walk handles them without copying.
-            tree = self.decode(data)
-            return _codegen.routed(tree["p"], tree["c"], tree["v"])
-        found = _codegen.kernel_route("fb", data)
-        if found is not None:
-            return found
-        return _codegen.routed(*self._lazy_route(data))
-
-    def _lazy_route(self, data: bytes) -> Tuple[int, int, Any]:
-        """``(procedure, msg_class, body)`` without kernels: header
-        check, one directory-cache hit for the ``{p, c, v}`` envelope,
-        two int reads, one lazy view over the body.  A cold directory
-        falls through to the interpretive walk, whose :class:`FlatView`
-        warms the cache for the next frame — kernel decodes return
-        plain values and never do."""
-        try:
-            off = _HEADER.size
-            if (
-                len(data) > off + 5
-                and data[:2] == _MAGIC
-                and data[2] == _VERSION
-                and data[off] == base.TAG_DICT
-            ):
-                count = _U32.unpack_from(data, off + 1)[0]
-                if count <= _DIR_CACHE_FIELDS:
-                    window = data[off + 1:off + 5 + 7 * count]
-                    plan = _ROUTE_CACHE.get(window)
-                    if plan is None:
-                        fields = _DIR_CACHE.get(window)
-                        if (
-                            fields is not None
-                            and "p" in fields
-                            and "c" in fields
-                            and "v" in fields
-                        ):
-                            plan = (fields["p"], fields["c"], fields["v"])
-                            _ROUTE_CACHE.put(window, plan)
-                    if plan is not None:
-                        value_base = off + 5 + 7 * count
-                        p_rel, c_rel, v_rel = plan
-                        p_off = value_base + p_rel
-                        if c_rel == p_rel + 9:
-                            tag_p, proc, tag_c, cls = _PAIR.unpack_from(data, p_off)
-                        else:
-                            tag_p = data[p_off]
-                            tag_c = data[value_base + c_rel]
-                            proc = _I64.unpack_from(data, p_off + 1)[0]
-                            cls = _I64.unpack_from(data, value_base + c_rel + 1)[0]
-                        if tag_p == base.TAG_INT and tag_c == base.TAG_INT:
-                            v_off = value_base + v_rel
-                            body: Any = None
-                            if data[v_off] == base.TAG_DICT:
-                                v_count = _U32.unpack_from(data, v_off + 1)[0]
-                                if v_count <= _DIR_CACHE_FIELDS:
-                                    v_fields = _DIR_CACHE.get(
-                                        data[v_off + 1:v_off + 5 + 7 * v_count]
-                                    )
-                                    if v_fields is not None:
-                                        # Bypass FlatView.__init__: the
-                                        # directory is already parsed, so
-                                        # fill the slots directly.
-                                        body = FlatView.__new__(FlatView)
-                                        body._buf = data
-                                        body._base = v_off + 5 + 7 * v_count
-                                        body._fields = v_fields
-                            if body is None:
-                                body = _lazy_value(data, v_off)
-                            return proc, cls, body
-        except (KeyError, IndexError, struct.error):
-            pass
-        tree = self.decode_interpretive(data)
-        return tree["p"], tree["c"], tree["v"]
 
     def probe(self, data):
         return _codegen._probe_fb(data)

@@ -47,46 +47,15 @@ class PerCodec(Codec):
     name = "asn"
 
     def encode(self, value: Any) -> bytes:
-        if _codegen.ENABLED:
-            out = _codegen.kernel_encode("asn", value)
-            if out is not None:
-                return out
-        return self.encode_interpretive(value)
-
-    def decode(self, data) -> Any:
-        # Kernels index and slice raw ``bytes``; buffer-protocol inputs
-        # (memoryview/bytearray from a zero-copy receive path) take the
-        # interpretive lane, which reads through a memoryview anyway.
-        if _codegen.ENABLED and type(data) is bytes:
-            out = _codegen.kernel_decode("asn", data)
-            if out is not None:
-                return out
-        return self.decode_interpretive(data)
-
-    def decode_route(self, data):
-        """``(procedure, msg_class, body)`` for the server's ingest, a
-        message as its dataclass and a ``RicIndication`` as its row: one
-        call into :mod:`codegen` (the route kernel), else the
-        interpretive tree through :func:`codegen.routed`."""
-        if type(data) is bytes:
-            found = _codegen.kernel_route("asn", data)
-            if found is not None:
-                return found
-        tree = self.decode_interpretive(data)
-        return _codegen.routed(tree["p"], tree["c"], tree["v"])
-
-    def probe(self, data):
-        return _codegen._probe_asn(data)
-
-    def encode_interpretive(self, value: Any) -> bytes:
-        """The original field-walking encoder (differential-test oracle)."""
+        """The field-walking encoder (the kernels' oracle)."""
         writer = BitWriter()
         self._encode_value(writer, value, 0)
         writer.align()
         return writer.getvalue()
 
-    def decode_interpretive(self, data: bytes) -> Any:
-        """The original field-walking decoder (differential-test oracle)."""
+    def decode(self, data) -> Any:
+        """The field-walking decoder (the kernels' oracle); reads any
+        buffer-protocol input in place."""
         reader = BitReader(data)
         try:
             return self._decode_value(reader)
@@ -94,6 +63,9 @@ class PerCodec(Codec):
             raise CodecError(f"truncated PER stream: {exc}") from exc
         except (UnicodeDecodeError, ValueError, OverflowError, MemoryError) as exc:
             raise CodecError(f"corrupt PER stream: {exc}") from exc
+
+    def probe(self, data):
+        return _codegen._probe_asn(data)
 
     # -- encoding ----------------------------------------------------
 

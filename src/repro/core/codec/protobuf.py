@@ -104,11 +104,6 @@ class ProtobufCodec(Codec):
             raise CodecError(f"{len(data) - pos} trailing bytes after message")
         return value
 
-    # No generated kernels for this codec (DESIGN.md §11): the field
-    # walker is the only lane, under both names every codec exposes.
-    encode_interpretive = encode
-    decode_interpretive = decode
-
     # -- encoding ----------------------------------------------------
 
     def _encode_value(self, out: bytearray, value: Any) -> None:

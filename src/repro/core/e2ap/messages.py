@@ -92,7 +92,7 @@ def encode_message(msg: E2Message, codec: Codec) -> bytes:
 
     The codec's object lane (its envelope kernel's ``encode_msg``) reads
     the dataclass itself; a codec without kernels, or a message the
-    kernel declines, takes the tree lane (``to_value`` + ``encode``),
+    kernel declines, takes the walker (``to_value`` + ``codec.encode``),
     which writes the same bytes.  With tracing enabled an ``encode``
     span is recorded, correlated on the message's RIC request id (when
     it has one) so the span stitches to the matching transport/decode/
@@ -118,9 +118,10 @@ def encode_message(msg: E2Message, codec: Codec) -> bytes:
     return wire
 
 
-#: what a frame that is not a well-formed E2AP message raises on a
-#: route lane besides :class:`CodecError` (a lazy or interpretive body
-#: without the keys or shapes its class needs).
+#: what a frame that is not a well-formed E2AP message raises on the
+#: walker besides :class:`CodecError` (a lazy or interpretive body
+#: without the keys or shapes its class needs, a truncated ``fb`` cell);
+#: the overload classifier treats the same set as malformed.
 _ROUTE_ERRORS = (KeyError, TypeError, ValueError, IndexError, struct.error)
 
 

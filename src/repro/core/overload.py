@@ -41,6 +41,7 @@ from enum import IntEnum
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.core.codec.base import CodecError
+from repro.core.e2ap.messages import _ROUTE_ERRORS
 from repro.core.e2ap.procedures import ProcedureCode
 from repro.metrics.counters import discard_gauge, get_counter, get_gauge
 
@@ -79,7 +80,8 @@ def frame_classifier(codec) -> Callable[[bytes], TrafficClass]:
     (``codec.probe``): nothing is decoded, the server decodes the
     survivors once.  Only when the probe declines (a codec without
     one, an envelope it does not recognise) is the frame decoded, and
-    one that still cannot be classified is CONTROL: the decode error is
+    one that still cannot be classified — any error the decode path
+    treats as malformed (``messages._ROUTE_ERRORS``) — is CONTROL: the decode error is
     the server's to count and contain — the overload layer must never
     shed a frame it does not understand.  A frame whose *envelope*
     reads as an indication is sheddable even if its body is malformed;
@@ -91,7 +93,7 @@ def frame_classifier(codec) -> Callable[[bytes], TrafficClass]:
         try:
             found = probe(data) if probe is not None else None
             procedure = codec.decode(data)["p"] if found is None else found[0]
-        except (CodecError, KeyError, TypeError, ValueError, IndexError):
+        except (CodecError,) + _ROUTE_ERRORS:
             return TrafficClass.CONTROL
         return classify_procedure(procedure)
 

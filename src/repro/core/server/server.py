@@ -15,7 +15,6 @@ agents and iApps.  Design properties carried over from the paper:
 from __future__ import annotations
 
 import itertools
-import struct
 import threading
 import time
 from dataclasses import dataclass, field
@@ -45,6 +44,7 @@ from repro.core.e2ap.messages import (
     RicSubscriptionFailure,
     RicSubscriptionRequest,
     RicSubscriptionResponse,
+    _ROUTE_ERRORS,
     encode_message,
 )
 from repro.core.e2ap.procedures import Cause, CauseKind, ProcedureCode
@@ -667,7 +667,7 @@ class Server:
                     # contained with the frames that do not decode at all.
                     procedure, msg_class, body = route(data)
                     event = IndicationEvent(conn_id, body) if procedure == _IND_CODE else None
-                except (CodecError, KeyError, TypeError, ValueError, IndexError, struct.error):
+                except (CodecError,) + _ROUTE_ERRORS:
                     # A corrupted frame (chaos transport, buggy peer)
                     # must not take the transport thread down.
                     self._count_decode_error()

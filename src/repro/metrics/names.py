@@ -31,7 +31,6 @@ COUNTERS = frozenset(
         # flat-codec bounded caches
         "codec.flat.dir_cache.evictions",
         "codec.flat.list_cache.evictions",
-        "codec.flat.route_cache.evictions",
         # server lifecycle / ingest
         "server.rx.decode_error",
         "server.iapp.callback_error",

@@ -7,14 +7,16 @@ that every wire dataclass round-trips through the converters generated
 from its own declaration, and that the bounded flat-codec caches evict
 with a visible counter.
 
-The kernel lanes are ``fb`` and ``asn`` (``manifest.CODECS``); ``pb``
-is interpretive-only (DESIGN.md §11) and must never move a kernel
-counter.
+The kernel lanes are ``fb`` and ``asn`` (``manifest.CODECS``): an E2AP
+envelope kernel has its object lanes (``encode_msg``/``route``), a
+payload kernel its dict lanes (``encode``/``decode``), and each is
+checked against the codec's walker (``Codec.encode``/``decode``).
+``pb`` is interpretive-only (DESIGN.md §11) and must never move a
+kernel counter.
 """
 
 import contextlib
 import dataclasses
-import typing
 from enum import IntEnum
 
 import pytest
@@ -27,7 +29,7 @@ from repro.core.codec.base import CodecError, Rows, get_codec, materialize, vali
 from repro.core.codec.manifest import CODECS
 from repro.core.e2ap.messages import decode_message, message_types
 from repro.metrics import counters
-from tests.test_codec_property import _spec_strategy
+from tests.test_codec_property import _schema_strategy
 
 
 @pytest.fixture(autouse=True)
@@ -52,56 +54,82 @@ def _indication_tree():
     }
 
 
+def _indication():
+    return RicIndication(RicRequestId(5, 11), 2, 1, 1234, header=b"hdr", payload=b"p" * 100)
+
+
+def _count(name):
+    return counters.get_counter(f"codec.kernel.{name}").value
+
+
 class TestKernelDispatch:
     @pytest.mark.parametrize("codec_name", sorted(CODECS))
     def test_encode_hits_counter(self, codec_name):
         codec = get_codec(codec_name)
-        before = counters.get_counter("codec.kernel.encode_hits").value
-        wire = codec.encode(_indication_tree())
-        assert counters.get_counter("codec.kernel.encode_hits").value == before + 1
+        before = _count("encode_hits")
+        wire = encode_message(_indication(), codec)
+        assert _count("encode_hits") == before + 1
         with codegen.interpretive():
-            assert codec.encode_interpretive(_indication_tree()) == wire
+            assert encode_message(_indication(), codec) == wire
+        assert codec.encode(_indication_tree()) == wire
 
     @pytest.mark.parametrize("codec_name", sorted(CODECS))
     def test_decode_hits_counter(self, codec_name):
         codec = get_codec(codec_name)
-        wire = codec.encode(_indication_tree())
-        before = counters.get_counter("codec.kernel.decode_hits").value
-        tree = codec.decode(wire)
-        assert counters.get_counter("codec.kernel.decode_hits").value == before + 1
-        assert materialize(tree) == _indication_tree()
+        wire = encode_message(_indication(), codec)
+        before = _count("decode_hits")
+        assert decode_message(wire, codec) == _indication()
+        assert _count("decode_hits") == before + 1
+        assert materialize(codec.decode(wire)) == _indication_tree()
 
     def test_shape_mismatch_falls_back(self):
-        # Envelope-shaped but with a body the RicIndication kernel
-        # cannot encode: the kernel deoptimizes, the interpretive
-        # walker produces the bytes, and the fallback is counted.
-        tree = {"p": 5, "c": 0, "v": {"unexpected": 1}}
-        codec = get_codec("fb")
-        before = counters.get_counter("codec.kernel.encode_fallbacks").value
-        wire = codec.encode(tree)
-        assert counters.get_counter("codec.kernel.encode_fallbacks").value == before + 1
-        with codegen.interpretive():
-            assert codec.encode_interpretive(tree) == wire
+        # A plain int where the class declares an IntEnum: the object
+        # lane declines, the decline is counted once, and the walker
+        # writes the bytes the member would have written.
+        from repro.core.e2ap.ies import RicActionDefinition, RicActionKind
+        from repro.core.e2ap.messages import RicSubscriptionRequest
+
+        plain = RicSubscriptionRequest(RicRequestId(1, 2), 3, b"", [RicActionDefinition(1, 1)])
+        member = RicSubscriptionRequest(
+            RicRequestId(1, 2), 3, b"", [RicActionDefinition(1, RicActionKind.INSERT)]
+        )
+        for codec_name in sorted(CODECS):
+            codec = get_codec(codec_name)
+            hits, falls = _count("encode_hits"), _count("encode_fallbacks")
+            wire = encode_message(plain, codec)
+            assert (_count("encode_hits"), _count("encode_fallbacks")) == (hits, falls + 1)
+            assert wire == codec.encode(_envelope(RicSubscriptionRequest, plain.to_value()))
+            assert wire == encode_message(member, codec)
+            assert _count("encode_fallbacks") == falls + 1
 
     def test_non_envelope_trees_skip_kernels(self):
-        # Generic trees never match the envelope guard; no counters move.
-        codec = get_codec("fb")
-        before_hits = counters.get_counter("codec.kernel.encode_hits").value
-        before_falls = counters.get_counter("codec.kernel.encode_fallbacks").value
-        codec.encode({"a": 1, "b": [1, 2, 3]})
-        assert counters.get_counter("codec.kernel.encode_hits").value == before_hits
-        assert (
-            counters.get_counter("codec.kernel.encode_fallbacks").value == before_falls
-        )
+        # Codec.encode/decode are the walkers: no tree, envelope-shaped
+        # or not, and no frame reaches a kernel through them.
+        for codec_name in sorted(CODECS):
+            codec = get_codec(codec_name)
+            for tree in ({"a": 1, "b": [1, 2, 3]}, _indication_tree()):
+                assert materialize(codec.decode(codec.encode(tree))) == tree
+        kernel = {k: v for k, v in counters.counter_values().items() if k.startswith("codec.kernel.")}
+        assert not any(kernel.values()), kernel
+
+    def test_fb_decode_is_always_the_lazy_view(self):
+        fb = get_codec("fb")
+        wire = encode_message(_indication(), fb)
+        view = fb.decode(wire)
+        assert type(view) is flat.FlatView
+        assert view == _indication_tree()
+        assert type(fb.decode(memoryview(wire))) is flat.FlatView
 
     def test_interpretive_context_disables_kernels(self):
         codec = get_codec("asn")
-        before = counters.get_counter("codec.kernel.encode_hits").value
+        before = _count("encode_hits")
         with codegen.interpretive():
             assert not codegen.kernels_enabled()
-            codec.encode(_indication_tree())
+            wire = encode_message(_indication(), codec)
+            assert decode_message(wire, codec) == _indication()
         assert codegen.kernels_enabled()
-        assert counters.get_counter("codec.kernel.encode_hits").value == before
+        assert _count("encode_hits") == before
+        assert _count("decode_hits") == 0
 
     def test_protobuf_is_interpretive_only(self):
         # No emitter, no probe: an envelope and a schema-hinted payload
@@ -112,6 +140,7 @@ class TestKernelDispatch:
         assert materialize(codec.decode(codec.encode(_indication_tree()))) == (
             _indication_tree()
         )
+        assert decode_message(encode_message(_indication(), codec), codec) == _indication()
         ping = {"seq": 1, "data": b"x"}
         wire = encode_payload(ping, "pb", schema="hw_ping")
         assert decode_payload(wire, "pb", schema="hw_ping") == ping
@@ -133,9 +162,38 @@ class TestProbes:
         assert probe(b"garbage-bytes-here") is None
 
     @pytest.mark.parametrize("codec_name", sorted(CODECS))
-    def test_kernel_decode_rejects_non_envelope(self, codec_name):
-        wire = get_codec(codec_name).encode([1, 2, 3])
-        assert codegen.kernel_decode(codec_name, wire) is None
+    def test_route_declines_non_envelope(self, codec_name):
+        codec = get_codec(codec_name)
+        wire = codec.encode([1, 2, 3])
+        assert codegen._PROBES[codec_name](wire) is None
+        with pytest.raises(CodecError):
+            decode_message(wire, codec)
+        assert _count("decode_hits") == _count("decode_fallbacks") == 0
+
+
+class TestKernelEntryPoints:
+    @pytest.mark.parametrize("codec_name", sorted(CODECS))
+    def test_one_entry_point_per_direction(self, codec_name):
+        """An envelope kernel defines exactly ``encode_msg`` and ``route``,
+        a payload kernel exactly ``encode`` and ``decode`` (the
+        underscored helpers are their per-element pieces)."""
+        import ast
+
+        def entry_points(sch):
+            source = codegen.build_kernel_source(codec_name, sch)
+            return {
+                node.name for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            }
+
+        for key in cschema.message_schema_keys():
+            assert entry_points(cschema.envelope_schema(*key)) == {"encode_msg", "route"}, key
+            kern = codegen.envelope_kernel(codec_name, *key)
+            assert kern.encode is None and kern.decode is None
+        for name in cschema.payload_schema_names():
+            assert entry_points(cschema.payload_schema(name)) == {"encode", "decode"}, name
+            kern = codegen.payload_kernel(codec_name, name)
+            assert kern.encode_msg is None and kern.route is None
 
 
 class TestDeterminism:
@@ -187,28 +245,6 @@ def _wire_dataclasses():
     return sorted(found, key=lambda cls: cls.__name__)
 
 
-def _tree_strategy(cls):
-    """``_schema_strategy(cls.wire_schema)``, except that enum-typed
-    ints are drawn from the enum (the schema only knows ``Int``)."""
-    hints = typing.get_type_hints(cls)
-
-    def field(tp, spec):
-        if isinstance(tp, type) and issubclass(tp, IntEnum):
-            return st.sampled_from([int(member) for member in tp])
-        if spec.kind == "nested":
-            return _tree_strategy(tp)
-        if spec.kind == "seq" and spec.elem.kind == "nested":
-            return st.lists(_tree_strategy(typing.get_args(tp)[0]), max_size=4)
-        return _spec_strategy(spec)
-
-    parts = [
-        field(hints[f.name], spec)
-        for f, (_key, spec) in zip(dataclasses.fields(cls), cls.wire_schema.fields)
-    ]
-    keys = cls.wire_schema.keys
-    return st.tuples(*parts).map(lambda drawn: dict(zip(keys, drawn)))
-
-
 class TestSchemaRegistryAgreement:
     def test_schema_keys_match_message_registry(self):
         assert set(cschema.message_schema_keys()) == set(message_types().keys())
@@ -226,7 +262,7 @@ class TestSchemaRegistryAgreement:
         classes = _wire_dataclasses()
         assert len(classes) >= 26 + 8 + 8
         for cls in classes:
-            tree = data.draw(_tree_strategy(cls), label=cls.__name__)
+            tree = data.draw(_schema_strategy(cls.wire_schema), label=cls.__name__)
             lowered = cls.from_value(tree).to_value()
             assert lowered == tree
             assert tuple(lowered) == cls.wire_schema.keys
@@ -274,7 +310,6 @@ class TestLruCaches:
     def test_flat_dir_cache_is_bounded(self):
         assert isinstance(flat._DIR_CACHE, flat._LruCache)
         assert isinstance(flat._LIST_DIR_CACHE, flat._LruCache)
-        assert isinstance(flat._ROUTE_CACHE, flat._LruCache)
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +627,9 @@ def _cell(layer):
 
 _ROWS_LANES = {
     "fb kernel": lambda name, tree: codegen.payload_encode("fb", name, tree),
-    "fb walker": lambda name, tree: get_codec("fb").encode_interpretive(tree),
+    "fb walker": lambda name, tree: get_codec("fb").encode(tree),
     "asn kernel": lambda name, tree: codegen.payload_encode("asn", name, tree),
-    "asn walker": lambda name, tree: get_codec("asn").encode_interpretive(tree),
+    "asn walker": lambda name, tree: get_codec("asn").encode(tree),
     "pb walker": lambda name, tree: get_codec("pb").encode(tree),
 }
 
@@ -694,10 +729,10 @@ class TestOctetStringEdges:
     def test_kernel_and_interpreter_agree_through_the_codec(self, length):
         per = get_codec("asn")
         tree = {"seq": length, "data": _octets(length)}
-        wire = per.encode_interpretive(tree)
+        wire = per.encode(tree)
         assert codegen.payload_encode("asn", "hw_ping", tree) == wire
         assert codegen.payload_decode("asn", "hw_ping", wire) == tree
-        assert per.decode_interpretive(wire) == tree
+        assert per.decode(wire) == tree
 
     def test_truncation_at_every_fragment_boundary_is_declined(self, length):
         from repro.core.codec.bitio import BitReader
@@ -759,12 +794,65 @@ def _outcome(fn, data):
         return None
 
 
+def _walk_route(codec, frame):
+    """The walker's ``decode_route`` outcome: ``(p, c, body)``, or None
+    where it rejects the frame."""
+    try:
+        with codegen.interpretive():
+            return codec.decode_route(frame)
+    except (CodecError,) + _MALFORMED:
+        return None
+
+
+def _mutations(golden, seed):
+    """2 000 seeded byte flips, insertions, deletions and truncations."""
+    rng = random.Random(seed)
+    for _ in range(2000):
+        frame = bytearray(golden)
+        for _ in range(rng.randint(1, 3)):
+            if not frame:
+                break
+            at = rng.randrange(len(frame))
+            edit = rng.randrange(4)
+            if edit == 0:
+                frame[at] ^= 1 << rng.randrange(8)
+            elif edit == 1:
+                frame.insert(at, rng.randrange(256))
+            elif edit == 2:
+                del frame[at]
+            else:
+                del frame[at:]
+        yield bytes(frame)
+
+
+def _check_route_sweep(codec_name, cls, golden, seed):
+    """A route kernel accepts only frames the walker routes to its own
+    class, and builds from them what the walker builds; ``decode_route``
+    (kernel, else walker) therefore rejects exactly what the walker
+    rejects.  Returns (accepted, rejected) by the kernel."""
+    codec = get_codec(codec_name)
+    kernel = codegen.envelope_kernel(codec_name, cls.procedure, cls.msg_class)
+    accepted = rejected = 0
+    for frame in _mutations(golden, seed):
+        out = _outcome(kernel.route, frame)
+        walked = _walk_route(codec, frame)
+        if out is None:
+            rejected += 1
+            continue
+        accepted += 1
+        assert walked is not None, frame.hex()
+        assert walked[:2] == (cls.procedure, cls.msg_class), frame.hex()
+        assert _same(out, walked[2]), frame.hex()
+        assert _same(codec.decode_route(frame), walked), frame.hex()
+    return accepted, rejected
+
+
 @pytest.mark.usefixtures("_strict")
 class TestRouteRows:
     @pytest.mark.parametrize("codec_name", sorted(CODECS))
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_route_row_is_the_dict_kernels_leaves(self, codec_name, data):
+    def test_route_row_is_the_walkers_leaves(self, codec_name, data):
         message = RicIndication(
             RicRequestId(data.draw(_INT64), data.draw(_INT64)),
             data.draw(_INT64), data.draw(_INT64), data.draw(_INT64),
@@ -774,10 +862,8 @@ class TestRouteRows:
         codec = get_codec(codec_name)
         wire = encode_message(message, codec)
         kernel = codegen.envelope_kernel(codec_name, 5, 0)
-        tree = kernel.decode(wire)
-        assert tree is not None
         row = kernel.route(wire)
-        assert row == _leaves(tree["v"]) == _leaves(message.to_value())
+        assert row == _leaves(materialize(codec.decode(wire))["v"]) == _leaves(message.to_value())
         hits = counters.get_counter("codec.kernel.decode_hits").value
         assert codec.decode_route(wire) == (5, 0, row)
         assert counters.get_counter("codec.kernel.decode_hits").value == hits + 1
@@ -787,36 +873,11 @@ class TestRouteRows:
     @pytest.mark.parametrize("codec_name", sorted(CODECS))
     @pytest.mark.parametrize("name", ["indication_small", "indication_1500"])
     def test_route_rejects_exactly_what_decode_rejects(self, codec_name, name):
-        """Seeded byte flips, insertions, deletions and truncations of the
-        golden vectors: the route kernel and the dict kernel accept the
-        same frames, and read the same leaves from those they accept."""
-        kernel = codegen.envelope_kernel(codec_name, 5, 0)
+        """Seeded mutations of the golden vectors: the route kernel reads
+        the walker's leaves from every frame it accepts, and declines
+        the rest to the walker."""
         golden = bytes.fromhex(VECTORS[f"{codec_name}:{name}"])
-        rng = random.Random(f"{codec_name}:{name}")
-        accepted = rejected = 0
-        for _ in range(2000):
-            frame = bytearray(golden)
-            for _ in range(rng.randint(1, 3)):
-                at = rng.randrange(len(frame))
-                edit = rng.randrange(4)
-                if edit == 0:
-                    frame[at] ^= 1 << rng.randrange(8)
-                elif edit == 1:
-                    frame.insert(at, rng.randrange(256))
-                elif edit == 2:
-                    del frame[at]
-                else:
-                    del frame[at:]
-                    if not frame:
-                        break
-            frame = bytes(frame)
-            tree, row = _outcome(kernel.decode, frame), _outcome(kernel.route, frame)
-            assert (tree is None) == (row is None), frame.hex()
-            if tree is None:
-                rejected += 1
-            else:
-                accepted += 1
-                assert row == _leaves(tree["v"])
+        accepted, rejected = _check_route_sweep(codec_name, RicIndication, golden, f"{codec_name}:{name}")
         assert accepted and rejected
 
 
@@ -825,7 +886,7 @@ class TestUnregisteredPairs:
         registered = set(cschema.message_schema_keys())
         fb, asn = get_codec("fb"), get_codec("asn")
         for codec in (fb, asn):
-            codec.decode(codec.encode({"p": 5, "c": 0, "v": {"zz": 1}}))  # (5, 0) cached
+            codec.decode_route(encode_message(_indication(), codec))  # (5, 0) cached
         before = dict(codegen._KERNELS)
         rng = random.Random(27)
         for _ in range(10_000):
@@ -849,23 +910,20 @@ class TestUnregisteredPairs:
 
 from tests.test_codec_golden import _messages as _golden_messages  # noqa: E402
 
-_ROUTE_ERRORS = (IndexError, struct.error, UnicodeDecodeError, ValueError)
+from repro.core.e2ap.messages import _ROUTE_ERRORS as _MALFORMED  # noqa: E402
 
 
 def _envelope(cls, body):
     return {"p": int(cls.procedure), "c": int(cls.msg_class), "v": body}
 
 
-def _reference(cls, tree):
-    """What ``route`` must return for a frame ``decode`` read as ``tree``:
-    the row for the indication, ``from_value`` for every other class,
-    None where ``from_value`` rejects the body."""
-    if (cls.procedure, cls.msg_class) == codegen.ROW_ROUTED:
-        return _leaves(tree["v"])
-    try:
-        return cls.from_value(tree["v"])
-    except CodecError:
-        return None
+def _int64_only(tree):
+    """Every int in ``tree`` fits an ``fb`` int64 cell."""
+    if type(tree) is dict:
+        return all(_int64_only(value) for value in tree.values())
+    if type(tree) is list:
+        return all(_int64_only(value) for value in tree)
+    return type(tree) is not int or -(2**63) <= tree < 2**63
 
 
 def _same(a, b):
@@ -879,21 +937,26 @@ class TestObjectLanes:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_every_message_encodes_and_routes_as_its_tree_does(self, codec_name, data):
-        """``encode_msg(m)`` writes the tree lane's bytes and declines
-        exactly what the dict kernel declines; ``route`` builds what
-        ``from_value`` builds from ``decode``'s body."""
+        """``encode_msg(m)`` writes the walker's bytes for ``m``'s tree
+        (``fb`` declines only an int outside int64); ``route`` reads back
+        what the walker and ``from_value`` build from those bytes."""
         codec = get_codec(codec_name)
         for (procedure, msg_class), cls in sorted(message_types().items()):
-            tree = _envelope(cls, data.draw(_tree_strategy(cls), label=cls.__name__))
+            tree = _envelope(cls, data.draw(_schema_strategy(cls.wire_schema), label=cls.__name__))
             message = cls.from_value(tree["v"])
             kernel = codegen.envelope_kernel(codec_name, procedure, msg_class)
-            wire = kernel.encode(tree)
+            wire = codec.encode(tree)
             out = kernel.encode_msg(message)
-            assert out == wire, cls.__name__
-            assert encode_message(message, codec) == codec.encode_interpretive(tree)
-            if wire is None:
-                continue
-            assert _same(kernel.route(wire), _reference(cls, kernel.decode(wire)))
+            assert out is None or out == wire, cls.__name__
+            if codec_name == "asn" or _int64_only(tree):
+                assert out is not None, cls.__name__
+            assert encode_message(message, codec) == wire
+            walked = _walk_route(codec, wire)
+            assert walked[:2] == (procedure, msg_class)
+            routed_ = kernel.route(wire)
+            assert (routed_ is None) == (out is None), cls.__name__
+            if routed_ is not None:
+                assert _same(routed_, walked[2]), cls.__name__
             assert _same(decode_message(wire, codec), message)
 
     @pytest.mark.parametrize("codec_name", sorted(CODECS))
@@ -915,37 +978,11 @@ class TestObjectLanes:
     def test_route_rejects_exactly_what_decode_and_from_value_reject(self, codec_name, name):
         """The route-row sweep on every class: seeded byte flips,
         insertions, deletions and truncations of each golden vector; ``route``
-        accepts a frame exactly when ``decode`` does and ``from_value``
-        takes its body, and then builds the same message."""
+        accepts only frames that the walker decodes and ``from_value``
+        takes, and then builds the same message."""
         cls = type(_golden_messages()[name])
-        kernel = codegen.envelope_kernel(codec_name, cls.procedure, cls.msg_class)
         golden = bytes.fromhex(VECTORS[f"{codec_name}:{name}"])
-        rng = random.Random(f"{codec_name}:{name}:object")
-        accepted = rejected = 0
-        for _ in range(2000):
-            frame = bytearray(golden)
-            for _ in range(rng.randint(1, 3)):
-                if not frame:
-                    break
-                at = rng.randrange(len(frame))
-                edit = rng.randrange(4)
-                if edit == 0:
-                    frame[at] ^= 1 << rng.randrange(8)
-                elif edit == 1:
-                    frame.insert(at, rng.randrange(256))
-                elif edit == 2:
-                    del frame[at]
-                else:
-                    del frame[at:]
-            frame = bytes(frame)
-            tree = _outcome(kernel.decode, frame)
-            routed_ = _outcome(kernel.route, frame)
-            expected = None if tree is None else _reference(cls, tree)
-            assert _same(routed_, expected), frame.hex()
-            if routed_ is None:
-                rejected += 1
-            else:
-                accepted += 1
+        accepted, rejected = _check_route_sweep(codec_name, cls, golden, f"{codec_name}:{name}:object")
         assert rejected and (accepted or not cls.wire_schema.fields)
 
     @pytest.mark.parametrize("codec_name", ["asn", "fb", "pb"])
@@ -965,8 +1002,9 @@ class TestObjectLanes:
             poison(tree["v"])
             wire = codec.encode(tree)
             kernel = codegen.envelope_kernel(codec_name, message.procedure, message.msg_class)
+            assert materialize(codec.decode(wire)) == tree
             if kernel is not None:
-                assert kernel.decode(wire) is not None and kernel.route(wire) is None
+                assert kernel.route(wire) is None
             for kernels in (True, False):
                 with codegen.interpretive() if not kernels else contextlib.nullcontext():
                     with pytest.raises(CodecError) as excinfo:

@@ -112,18 +112,22 @@ def test_decode_buffer_protocol_differential(tree, pad):
 
 
 # ---------------------------------------------------------------------------
-# Differential sweep: generated kernels ≡ interpretive oracle (ISSUE 6)
+# Differential sweep: generated kernels ≡ interpretive oracle
 #
-# ``fb`` and ``asn`` have kernels.  ``pb`` has none (DESIGN.md §11), so
-# its rows compare the walker with itself; what they still pin is that a
-# schema-hinted ``pb`` encode/decode takes the interpretive lane without
-# raising under strict mode, and round-trips every registered shape.
+# ``fb`` and ``asn`` have kernels: an E2AP message goes through its
+# envelope kernel's object lanes (``encode_message``/``decode_message``),
+# an E2SM payload through its payload kernel, and each is compared with
+# the same call under ``codegen.interpretive()``.  ``pb`` has none
+# (DESIGN.md §11); its rows pin that every registered shape round-trips
+# on the walker without raising under strict mode.
 # ---------------------------------------------------------------------------
 
 import pytest
 
 from repro.core.codec import codegen
 from repro.core.codec import schema as cschema
+from repro.core.e2ap.messages import decode_message, encode_message, message_types
+from repro.metrics import counters
 from repro.sm.base import decode_payload, encode_payload
 
 
@@ -139,6 +143,8 @@ def _strict_kernels():
 
 def _spec_strategy(spec):
     kind = spec.kind
+    if kind == "int" and spec.enum is not None:
+        return st.sampled_from([int(member) for member in spec.enum])
     if kind == "int":
         # Mostly int64-range values (kernel fast path) with occasional
         # big ints that force the guarded fallback; both must agree.
@@ -180,17 +186,29 @@ def _schema_strategy(schema_obj):
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_generated_equals_interpretive_envelope(codec_name, key, data):
-    procedure, msg_class = key
-    body = data.draw(_schema_strategy(cschema.message_schema(procedure, msg_class)))
-    tree = {"p": procedure, "c": msg_class, "v": body}
+    """The message built from the drawn body: kernels on, its envelope
+    kernel is asked both ways (a hit or a counted decline) and the bytes
+    and the message are the walker's."""
+    cls = message_types()[key]
+    message = cls.from_value(data.draw(_schema_strategy(cls.wire_schema)))
     codec = get_codec(codec_name)
+    counters.reset_counters("codec.kernel.")
+    wire = encode_message(message, codec)
+    got = decode_message(wire, codec)
+    assert got == message
+    assert materialize(codec.decode(wire)) == {"p": key[0], "c": key[1], "v": message.to_value()}
+    kernel = counters.counter_values()
+    asked = [
+        kernel.get(f"codec.kernel.{way}_hits", 0) + kernel.get(f"codec.kernel.{way}_fallbacks", 0)
+        for way in ("encode", "decode")
+    ]
+    if codec_name == "pb":
+        assert asked == [0, 0]
+        return
+    assert asked == [1, 1]
     with codegen.interpretive():
-        ref = codec.encode(tree)
-    assert codec.encode(tree) == ref
-    with codegen.interpretive():
-        want = materialize(codec.decode(ref))
-    assert materialize(codec.decode(ref)) == want
-    assert want == tree
+        assert encode_message(message, codec) == wire
+        assert repr(decode_message(wire, codec)) == repr(got)
 
 
 @pytest.mark.parametrize("codec_name", ("asn", "fb", "pb"))

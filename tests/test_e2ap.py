@@ -193,3 +193,43 @@ class TestIes:
         message = ALL_MESSAGES[0]
         data = encode_message(message, PerCodec())
         assert decode_message(data, PerCodec()) == message
+
+
+_OWNED = (
+    RicIndication(REQ, 2, action_id=1, sequence=9, header=b"hdr", payload=b"p" * 300),
+    RicControlRequest(REQ, 3, header=b"h", payload=b"x" * 64),
+)
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["kernels", "walker"])
+@pytest.mark.parametrize(
+    "buffer", [bytearray, lambda wire: memoryview(bytearray(wire))], ids=["bytearray", "memoryview"]
+)
+@pytest.mark.parametrize("codec_name", ["asn", "fb", "pb"])
+def test_a_writable_buffer_decodes_to_a_message_that_owns_its_octets(codec_name, buffer, kernels):
+    """A frozen message read from a buffer the caller may reuse: every
+    octet field is ``bytes`` (copied once, in ``bytes.copied``), the
+    message hashes, and overwriting the buffer changes nothing."""
+    import contextlib
+    import dataclasses
+
+    from repro.core.codec import codegen
+    from repro.metrics.counters import get_counter
+
+    codec = get_codec(codec_name)
+    copied = get_counter("bytes.copied")
+    for message in _OWNED:
+        data = buffer(encode_message(message, codec))
+        before = copied.value
+        with contextlib.nullcontext() if kernels else codegen.interpretive():
+            got = decode_message(data, codec)
+        assert copied.value == before + 1
+        octets = [
+            getattr(got, field.name)
+            for field in dataclasses.fields(got)
+            if type(getattr(message, field.name)) is bytes
+        ]
+        assert len(octets) == 2 and all(type(value) is bytes for value in octets), octets
+        assert got == message and hash(got) == hash(message)
+        data[:] = b"\xee" * len(data)
+        assert got == message and hash(got) == hash(message)

@@ -13,13 +13,14 @@ discipline exists for:
   leak parked records nor corrupt the admission pending count.
 """
 
+import struct
 import threading
 import time
 
 import pytest
 
 from repro.core.agent import Agent, AgentConfig
-from repro.core.codec.base import get_codec
+from repro.core.codec.base import CodecError, get_codec
 from repro.core.e2ap.ies import (
     GlobalE2NodeId,
     NodeKind,
@@ -32,6 +33,7 @@ from repro.core.e2ap.messages import (
     RicIndication,
     RicServiceQuery,
     RicSubscriptionFailure,
+    decode_message,
     encode_message,
 )
 from repro.core.e2ap.procedures import Cause
@@ -197,11 +199,10 @@ class TestClassification:
         flood = encode_message(
             RicIndication(RicRequestId(1, 1), 2, action_id=1, sequence=0, payload=b"x" * 64), fb
         )
-        asn.decode(control), fb.decode(flood)  # kernels built before the spies go in
         touched = []
         for codec_name, frame in (("asn", control), ("fb", flood)):
             kernel = codegen.envelope_kernel(codec_name, *codegen._PROBES[codec_name](frame))
-            monkeypatch.setattr(kernel, "decode", lambda data: touched.append("kernel"))
+            monkeypatch.setattr(kernel, "route", lambda data: touched.append("kernel"))
         for codec in (asn, fb):
             monkeypatch.setattr(codec, "decode", lambda data: touched.append("decode"))
         monkeypatch.setattr(kernel_runtime, "_dfrag", lambda *args: touched.append("_dfrag"))
@@ -221,12 +222,31 @@ class TestClassification:
         assert classify(codec.encode({"x": 1})) is TrafficClass.CONTROL
         assert classify(codec.encode([1, 2])) is TrafficClass.CONTROL
 
+    @pytest.mark.parametrize("codec_name", ["asn", "fb", "pb"])
+    def test_a_truncated_procedure_cell_is_control(self, codec_name):
+        """The decode path's malformed set, ``struct.error`` included
+        (``fb`` reads the cell lazily), never escapes the classifier."""
+        codec = get_codec(codec_name)
+        frame = _truncated_p(codec)
+        with pytest.raises(CodecError):
+            decode_message(frame, codec)
+        assert frame_classifier(codec)(frame) is TrafficClass.CONTROL
+
     def test_an_indication_envelope_is_sheddable_whatever_its_body(self):
         """What is not shed is still contained by the server."""
         fb = get_codec("fb")
         assert frame_classifier(fb)(fb.encode({"p": 5, "c": 0, "v": 5})) is (
             TrafficClass.INDICATION
         )
+
+
+def _truncated_p(codec):
+    """A ``{p}`` table whose int cell is cut short; on ``fb`` the root
+    size is cut to match (a 29-byte frame), so only reading ``p`` fails."""
+    wire = codec.encode({"p": 2**40})
+    if codec.name == "fb":
+        return struct.pack("<2sBBI8x", b"FR", 1, 0, 13) + wire[16:29]
+    return wire[:-2]
 
 
 # -- queue pressure / shed policy ------------------------------------
@@ -664,6 +684,39 @@ class TestTcpShedding:
             assert gauge_values()["queue.tcp.shard.0.hwm"] == len(burst)
         finally:
             transport.stop()
+
+    def test_a_poison_burst_leaves_the_ingest_thread_serving(self):
+        """One write of 1 100 truncated frames under the default policy:
+        past the high watermark every frame is classified, none kills
+        the one loop, and a fresh E2 setup is still answered."""
+        import socket
+
+        from repro.core.transport.framing import frame_message
+
+        server = Server(ServerConfig(e2ap_codec="fb", overload=OverloadConfig()))
+        ric, ran = server.create_transport("tcp"), TcpTransport()
+        try:
+            listener = server.listen(ric, "127.0.0.1:0")
+            ric.start()
+            ran.start()
+            host, port = listener.address.rsplit(":", 1)
+            poison = frame_message(_truncated_p(server.codec))
+            assert len(poison) == 4 + 29
+            with socket.create_connection((host, int(port))) as sock:
+                sock.sendall(poison * 1100)
+                deadline = time.monotonic() + 10.0
+                while (
+                    counter_values().get("server.rx.decode_error", 0) < 1100
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                assert counter_values()["server.rx.decode_error"] == 1100
+                assert ric._thread.is_alive()
+                make_agent(ran, nb_id=2).connect(listener.address)
+                assert [record.node_id.nb_id for record in server.agents()] == [2]
+        finally:
+            ran.stop()
+            ric.stop()
 
     def test_multiproc_single_loop_workers_shed_only_indications(self):
         """Workers (one loop per process) shed a flood's indications
