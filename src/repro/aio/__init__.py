@@ -3,7 +3,8 @@
 Portable xApp frameworks (onos-ric-sdk-py's ``E2Client``, xDevSM)
 expose subscriptions as awaitable streams; the thread-callback
 :class:`~repro.core.agent.agent.Agent` cannot express that.  This
-package bridges both directions:
+package is the client side of both ends of an E2 link; the RIC itself
+always takes connections through ``Server.listen`` on a selector loop:
 
 * :class:`AsyncAgent` — iApp/xApp side: ``async for indication in
   subscription`` and awaitable control against an in-process
@@ -11,11 +12,8 @@ package bridges both directions:
 * :class:`AsyncE2Node` — E2-node side: an asyncio agent speaking the
   framed-TCP wire protocol to any server (including multiprocess
   workers), for async-native simulators and tests.
-* :class:`AioServer` — server side: the asyncio-native ingest loop
-  over an in-process :class:`~repro.core.server.server.Server`, so an
-  all-async deployment needs no selector threads (DESIGN.md §15).
-* :func:`aio_connect` / :class:`AioEndpoint` — the shared framed
-  transport primitive.
+* :func:`aio_connect` / :class:`AioEndpoint` — the framed connection
+  :class:`AsyncE2Node` runs on.
 """
 
 from repro.aio.agent import (
@@ -25,12 +23,10 @@ from repro.aio.agent import (
     SubscriptionRefused,
 )
 from repro.aio.node import AsyncE2Node, AsyncSubscriptionHandle
-from repro.aio.server import AioServer
 from repro.aio.transport import AioEndpoint, aio_connect
 
 __all__ = [
     "AioEndpoint",
-    "AioServer",
     "AsyncAgent",
     "AsyncE2Node",
     "AsyncSubscription",

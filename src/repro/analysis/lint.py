@@ -168,19 +168,22 @@ def lint_paths(
     findings: List[Finding] = []
     suppressed: List[Finding] = []
     files: Dict[str, ParsedFile] = {}
+    raw: List[Finding] = []
     for path in iter_python_files(paths):
         parsed = parse_file(path, root)
         files[parsed.path] = parsed
-        by_line, file_wide = _pragmas(parsed.lines)
         for code, rule in selected.items():
-            scopes = config.rule_scopes.get(code, ("",))
-            if not _in_scope(parsed.path, scopes):
-                continue
-            for finding in rule.check(parsed, config):
-                if _suppressed(finding, by_line, file_wide):
-                    suppressed.append(finding)
-                else:
-                    findings.append(finding)
+            if _in_scope(parsed.path, config.rule_scopes.get(code, ("",))):
+                raw.extend(rule.check(parsed, config))
+    # A cross-file rule runs only when the walk covered its whole scope.
+    for code, rule in selected.items():
+        scopes = config.rule_scopes.get(code, ("",))
+        if hasattr(rule, "check_tree") and all(_any_parent_walked(s, paths, root) for s in scopes):
+            in_scope = [f for f in files.values() if _in_scope(f.path, scopes)]
+            raw.extend(rule.check_tree(in_scope, config))
+    pragmas = {path: _pragmas(parsed.lines) for path, parsed in files.items()}
+    for finding in raw:
+        (suppressed if _suppressed(finding, *pragmas[finding.path]) else findings).append(finding)
     for required in config.generated_required:
         if required not in files and _any_parent_walked(required, paths, root):
             findings.append(

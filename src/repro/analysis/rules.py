@@ -219,11 +219,13 @@ class MetricRegistryRule:
 
     Guards the stale-gauge/typo'd-counter bug class: a name used at a
     call site but absent from the registry is either a typo or an
-    undeclared instrument nobody will find in an export.
+    undeclared instrument nobody will find in an export.  Conversely
+    (:meth:`check_tree`), a declaration no call site emits is a retired
+    instrument an export would still promise.
     """
 
     code = "RL005"
-    summary = "metric name not declared in repro.metrics.names"
+    summary = "metric name not declared in repro.metrics.names, or declared and never emitted"
 
     _KINDS = {
         "get_counter": "counter",
@@ -276,11 +278,10 @@ class MetricRegistryRule:
                 return None  # parameter: caller-supplied, dynamic
         return values or None
 
-    def check(self, parsed: ParsedFile, config: LintConfig) -> Iterator[Finding]:
-        if parsed.tree is None:
-            return
-        from repro.metrics import names as registry
-
+    def _calls(self, parsed: ParsedFile):
+        """``(kind, call, literals)`` per metric call site; ``literals``
+        are the Constant/JoinedStr values the name argument resolves to,
+        or None when it is dynamic."""
         # enclosing function scope per call node
         scopes: Dict[int, ast.AST] = {}
         for scope in ast.walk(parsed.tree):
@@ -294,59 +295,81 @@ class MetricRegistryRule:
             if kind is None or not node.args:
                 continue
             arg = node.args[0]
-            yield from self._check_expr(
-                parsed, registry, kind, arg, scopes.get(id(node), parsed.tree), node
-            )
+            values = [arg]
+            if isinstance(arg, ast.Name):
+                values = self._resolutions(scopes.get(id(node), parsed.tree), arg.id)
+            if values is not None and not all(
+                isinstance(value, (ast.Constant, ast.JoinedStr)) for value in values
+            ):
+                values = None
+            yield kind, node, values
 
-    def _check_expr(
-        self, parsed, registry, kind, arg, scope, call
-    ) -> Iterator[Finding]:
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            if not registry.declared(kind, arg.value):
-                yield Finding(
-                    self.code,
-                    parsed.path,
-                    call.lineno,
-                    call.col_offset,
-                    f"{kind} name {arg.value!r} is not declared in "
-                    "repro.metrics.names; declare it (or its pattern) there",
-                )
+    def check(self, parsed: ParsedFile, config: LintConfig) -> Iterator[Finding]:
+        if parsed.tree is None:
             return
-        if isinstance(arg, ast.JoinedStr):
-            parts = self._fstring_parts(arg)
-            if parts is None or not registry.declared_parts(kind, parts):
-                shown = "{}".join(parts) if parts else "<f-string>"
-                yield Finding(
-                    self.code,
-                    parsed.path,
-                    call.lineno,
-                    call.col_offset,
-                    f"{kind} name pattern {shown!r} is not declared in "
-                    "repro.metrics.names; declare the pattern there",
-                )
-            return
-        if isinstance(arg, ast.Name):
-            values = self._resolutions(scope, arg.id)
-            if values is not None:
-                for value in values:
-                    if isinstance(value, (ast.Constant, ast.JoinedStr)):
-                        yield from self._check_expr(
-                            parsed, registry, kind, value, scope, call
-                        )
-                    else:
-                        values = None
-                        break
-            if values is not None:
-                return
-        yield Finding(
-            self.code,
-            parsed.path,
-            call.lineno,
-            call.col_offset,
-            f"dynamic {kind} name: the registry check cannot resolve this "
-            "argument; use a literal/f-string (declared in "
-            "repro.metrics.names) or pragma-disable with a justification",
+        from repro.metrics import names as registry
+
+        for kind, call, values in self._calls(parsed):
+            for value in values or (None,):
+                message = self._undeclared(registry, kind, value)
+                if message:
+                    yield Finding(self.code, parsed.path, call.lineno, call.col_offset, message)
+
+    def _undeclared(self, registry, kind: str, value: Optional[ast.expr]) -> Optional[str]:
+        """Why the resolved name ``value`` (None: dynamic) fails, if it does."""
+        if value is None:
+            return (
+                f"dynamic {kind} name: the registry check cannot resolve this "
+                "argument; use a literal/f-string (declared in "
+                "repro.metrics.names) or pragma-disable with a justification"
+            )
+        if isinstance(value, ast.Constant):
+            if isinstance(value.value, str) and registry.declared(kind, value.value):
+                return None
+            return (
+                f"{kind} name {value.value!r} is not declared in "
+                "repro.metrics.names; declare it (or its pattern) there"
+            )
+        parts = self._fstring_parts(value)
+        if parts is not None and registry.declared_parts(kind, parts):
+            return None
+        shown = "{}".join(parts) if parts else "<f-string>"
+        return (
+            f"{kind} name pattern {shown!r} is not declared in "
+            "repro.metrics.names; declare the pattern there"
         )
+
+    def check_tree(self, files: Sequence[ParsedFile], config: LintConfig) -> Iterator[Finding]:
+        """The converse: every name and pattern declared in the registry
+        has a resolved call site of its kind, so a retired instrument
+        cannot linger as a declaration."""
+        from repro.metrics.names import match_declared
+
+        registry = next((f for f in files if f.path == "src/repro/metrics/names.py"), None)
+        if registry is None or registry.tree is None:
+            return
+        uses: Dict[str, list] = {kind: [] for kind in self._KINDS.values()}
+        for parsed in files:
+            for kind, _call, values in self._calls(parsed) if parsed.tree else ():
+                uses[kind] += [
+                    v.value if isinstance(v, ast.Constant) else tuple(self._fstring_parts(v) or ())
+                    for v in values or ()
+                ]
+        for node in registry.tree.body:
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            # COUNTERS / COUNTER_PATTERNS -> "counter", and so on.
+            kind = getattr(targets[0], "id", "").split("_")[0].rstrip("S").lower()
+            if kind not in uses or node.value is None:
+                continue
+            for const in ast.walk(node.value):
+                if isinstance(const, ast.Constant) and isinstance(const.value, str) and not any(
+                    match_declared(const.value, use) for use in uses[kind]
+                ):
+                    yield Finding(
+                        self.code, registry.path, const.lineno, const.col_offset,
+                        f"{kind} {const.value!r} is declared but no call site "
+                        "under src/repro emits it; delete the declaration",
+                    )
 
 
 # -- RL006 ------------------------------------------------------------

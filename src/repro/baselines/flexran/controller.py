@@ -20,7 +20,9 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.baselines.flexran import protocol
 from repro.core.codec.base import materialize
-from repro.core.transport.base import Endpoint, Listener, Transport, TransportEvents
+from repro.core.transport.base import (
+    DisconnectReason, Endpoint, Listener, Transport, TransportEvents,
+)
 from repro.metrics.cpu import CpuMeter
 from repro.metrics.memory import MemoryMeter
 
@@ -131,7 +133,7 @@ class FlexRanController:
             elif msg_type == protocol.MSG_ECHO_REPLY:
                 self.echo_replies.append((body["seq"], bytes(body["data"])))
 
-    def _on_disconnect(self, endpoint: Endpoint) -> None:
+    def _on_disconnect(self, endpoint: Endpoint, reason: DisconnectReason) -> None:
         gone = [aid for aid, ep in self._agents.items() if ep is endpoint]
         for agent_id in gone:
             del self._agents[agent_id]

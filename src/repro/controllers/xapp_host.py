@@ -13,8 +13,10 @@ management."
 
 1. an in-process message bus (the Redis-like broker) between xApps,
 2. **subscription merging** — two xApps asking for the same
-   (node, SM, period) share one E2 subscription; the indication fans
-   out locally,
+   (node, SM, period) share one E2 subscription; this is the
+   submgr's shared subscription (DESIGN.md §15.2): each xApp's
+   callback is one sink, and the wire delete goes out when the last
+   xApp riding it is undeployed,
 3. deploy/undeploy of :class:`HostedXapp` instances at runtime,
 4. a shared key-value store,
 5. a bounded structured log plus fault counters per xApp (an xApp
@@ -27,13 +29,13 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.core.e2ap.ies import RicActionDefinition, RicActionKind
 from repro.core.server.iapp import IApp
 from repro.core.server.randb import AgentRecord
-from repro.core.server.submgr import SubscriptionCallbacks
+from repro.core.server.submgr import SinkHandle, SubscriptionCallbacks, SubscriptionRecord
 from repro.northbound.broker import Broker
 from repro.sm.base import PeriodicTrigger
 
@@ -125,18 +127,6 @@ class XappApi:
         return self.host.server.agents()
 
 
-@dataclass
-class _MergedSubscription:
-    """One E2 subscription shared by all identically-asking xApps."""
-
-    conn_id: int
-    oid: str
-    period_ms: float
-    subscribers: List[str] = field(default_factory=list)
-    confirmed: bool = False
-    indications: int = 0
-
-
 class XappHostIApp(IApp):
     """The §6.3 specialization: host platform for O-RAN-style xApps."""
 
@@ -152,8 +142,8 @@ class XappHostIApp(IApp):
         self.xapps: Dict[str, HostedXapp] = {}
         self.logbook: Deque[LogEntry] = deque(maxlen=self.LOG_CAPACITY)
         self.faults: Dict[str, int] = {}
-        self._merged: Dict[Tuple[int, str, float, bytes], _MergedSubscription] = {}
-        self.merges_saved = 0
+        #: every ``Server.subscribe`` result, per xApp, until undeploy.
+        self._handles: Dict[str, List["SubscriptionRecord | SinkHandle"]] = {}
 
     # -- service 3: xApp management ----------------------------------------
 
@@ -174,9 +164,8 @@ class XappHostIApp(IApp):
         if xapp is None:
             raise KeyError(f"no xApp {name!r}")
         self._supervised(name, xapp.on_stop)
-        for merged in self._merged.values():
-            if name in merged.subscribers:
-                merged.subscribers.remove(name)
+        for handle in self._handles.pop(name, ()):
+            self.server.unsubscribe(handle)
         self.log("host", f"undeployed xApp {name!r}")
 
     def deployed(self) -> List[str]:
@@ -192,53 +181,46 @@ class XappHostIApp(IApp):
         period_ms: float,
         action_definition: bytes = b"",
     ) -> bool:
-        key = (conn_id, oid, period_ms, action_definition)
-        merged = self._merged.get(key)
-        if merged is not None:
-            # Identical subscription exists: merge instead of resending.
-            if xapp_name not in merged.subscribers:
-                merged.subscribers.append(xapp_name)
-            self.merges_saved += 1
-            self.log("host", f"merged subscription {key} for {xapp_name!r}")
-            return True
+        xapp = self.xapps.get(xapp_name)
         agent = self.server.randb.agent(conn_id)
-        if agent is None:
+        if xapp is None or agent is None:
             return False
         item = agent.function_by_oid(oid)
         if item is None:
             return False
-        merged = _MergedSubscription(
-            conn_id=conn_id, oid=oid, period_ms=period_ms, subscribers=[xapp_name]
+        trigger = PeriodicTrigger(period_ms).to_bytes(self.sm_codec)
+        actions = [
+            RicActionDefinition(
+                action_id=1, kind=RicActionKind.REPORT, definition=action_definition
+            )
+        ]
+        # Drop handles whose wire subscription is gone (failed, or its
+        # node was purged); one already riding this request is enough.
+        held = [handle for handle in self._handles.get(xapp_name, ()) if self._live(handle)]
+        self._handles[xapp_name] = held
+        shared = self.server.submgr.find_shared(
+            conn_id, item.ran_function_id, trigger, actions, None
         )
-        self._merged[key] = merged
-        self.server.subscribe(
-            conn_id=conn_id,
-            ran_function_id=item.ran_function_id,
-            event_trigger=PeriodicTrigger(period_ms).to_bytes(self.sm_codec),
-            actions=[
-                RicActionDefinition(
-                    action_id=1, kind=RicActionKind.REPORT, definition=action_definition
-                )
-            ],
-            callbacks=SubscriptionCallbacks(
-                on_success=lambda response, m=merged: self._confirmed(m),
-                on_indication=lambda event, m=merged: self._fan_out(m, event),
-            ),
+        if shared is not None and any(h.request == shared.request for h in held):
+            return True
+        held.append(
+            self.server.subscribe(
+                conn_id=conn_id,
+                ran_function_id=item.ran_function_id,
+                event_trigger=trigger,
+                actions=actions,
+                callbacks=SubscriptionCallbacks(
+                    on_indication=lambda event: self._supervised(
+                        xapp_name, lambda: xapp.on_indication(conn_id, oid, event)
+                    )
+                ),
+            )
         )
         return True
 
-    def _confirmed(self, merged: _MergedSubscription) -> None:
-        merged.confirmed = True
-
-    def _fan_out(self, merged: _MergedSubscription, event) -> None:
-        merged.indications += 1
-        for name in list(merged.subscribers):
-            xapp = self.xapps.get(name)
-            if xapp is None:
-                continue
-            self._supervised(
-                name, lambda x=xapp: x.on_indication(merged.conn_id, merged.oid, event)
-            )
+    def _live(self, handle: "SubscriptionRecord | SinkHandle") -> bool:
+        """Is the wire subscription behind ``handle`` still registered?"""
+        return self.server.submgr.lookup(*handle.request.as_tuple()) is not None
 
     def control_sm(self, conn_id: int, oid: str, header: bytes, payload: bytes) -> None:
         agent = self.server.randb.agent(conn_id)
@@ -280,10 +262,17 @@ class XappHostIApp(IApp):
 
     def on_agent_disconnected(self, agent: AgentRecord) -> None:
         self.log("host", f"agent disconnected: {agent.node_id.label}")
-        gone = [key for key in self._merged if key[0] == agent.conn_id]
-        for key in gone:
-            del self._merged[key]
+
+    def _live_handles(self) -> List["SubscriptionRecord | SinkHandle"]:
+        return [h for held in self._handles.values() for h in held if self._live(h)]
 
     @property
     def merged_subscriptions(self) -> int:
-        return len(self._merged)
+        """Distinct E2 subscriptions the deployed xApps ride."""
+        return len({h.request for h in self._live_handles()})
+
+    @property
+    def merges_saved(self) -> int:
+        """Subscribes that rode an existing E2 subscription instead of
+        sending a new one."""
+        return sum(isinstance(h, SinkHandle) for h in self._live_handles())

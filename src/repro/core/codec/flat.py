@@ -92,12 +92,10 @@ class _LruCache:
 
     __slots__ = ("_data", "_cap", "_evictions")
 
-    def __init__(self, cap: int, counter_name: str) -> None:
+    def __init__(self, cap: int, evictions: counters.Counter) -> None:
         self._data: Dict[Any, Any] = {}
         self._cap = cap
-        # Caller-supplied name: every construction site below passes a
-        # literal declared in repro.metrics.names.
-        self._evictions = counters.get_counter(counter_name)  # repro-lint: disable=RL005
+        self._evictions = evictions
 
     def get(self, key: Any) -> Any:
         data = self._data
@@ -135,12 +133,12 @@ class _LruCache:
 #: function of those bytes.
 _DIR_CACHE_MAX = 1 << 10
 _DIR_CACHE_FIELDS = 18  # bounds speculative-key size to ~128 octets
-_DIR_CACHE = _LruCache(_DIR_CACHE_MAX, "codec.flat.dir_cache.evictions")
+_DIR_CACHE = _LruCache(_DIR_CACHE_MAX, counters.get_counter("codec.flat.dir_cache.evictions"))
 
 #: Same idea for list size-prefix blocks: count word + size words →
 #: relative element offsets.  List blocks are fixed-width, so the key
 #: is exact (no window needed); the item cap bounds key size.
-_LIST_DIR_CACHE = _LruCache(_DIR_CACHE_MAX, "codec.flat.list_cache.evictions")
+_LIST_DIR_CACHE = _LruCache(_DIR_CACHE_MAX, counters.get_counter("codec.flat.list_cache.evictions"))
 _LIST_CACHE_ITEMS = 64
 
 class FlatCodec(Codec):

@@ -255,8 +255,9 @@ class Server:
     def transport_events(self) -> TransportEvents:
         """This server's ingest callbacks, bundled for a transport.
 
-        Public so transports the server does not listen on (the asyncio
-        ingest of ``repro.aio``) wire into the same dispatch pipeline.
+        ``listen`` is the one way connections reach the server; this is
+        public only as a test seam, so a test can wrap the ingest (log
+        every delivery) around a transport it listens on itself.
         """
         return TransportEvents(
             on_connected=self._on_connected,
@@ -273,18 +274,12 @@ class Server:
     def create_transport(self, kind: str = "tcp") -> Transport:
         """Build a transport wired to this server's overload policy.
 
-        ``tcp`` is the one selector loop; ``inproc`` the synchronous
-        transport, whose inline delivery has no queue to bound —
-        admission control is what applies in-process.
+        ``tcp``, the one selector loop, is the only kind.
         """
         if kind == "tcp":
             from repro.core.transport.tcp import TcpTransport
 
             return TcpTransport(overload=self.overload, classify=self._classify)
-        if kind == "inproc":
-            from repro.core.transport.inproc import InProcTransport
-
-            return InProcTransport()
         raise ValueError(f"unknown transport kind: {kind!r}")
 
     def add_iapp(self, iapp: IApp) -> None:

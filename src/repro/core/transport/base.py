@@ -6,7 +6,6 @@ path on every transport — ``TransportEvents.deliver(endpoint, batch)``.
 
 from __future__ import annotations
 
-import inspect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -52,24 +51,6 @@ class ConnectTimeout(ConnectionError):
         self.reason = reason or DisconnectReason(
             DisconnectReason.CONNECT_TIMEOUT, message
         )
-
-
-def _adapt_disconnect(callback: Optional[Callable]) -> Callable:
-    """Normalize an ``on_disconnected`` callback to two arguments.
-
-    Historic callbacks take ``(endpoint)``; resilience-aware ones take
-    ``(endpoint, reason)``.  Both keep working: the adapter inspects
-    the signature once at registration time, never per event.
-    """
-    if callback is None:
-        return lambda endpoint, reason=None: None
-    try:
-        inspect.signature(callback).bind(None, None)
-    except TypeError:
-        return lambda endpoint, reason=None: callback(endpoint)
-    except ValueError:  # builtins without introspectable signatures
-        pass
-    return callback
 
 
 class Endpoint(ABC):
@@ -136,9 +117,8 @@ class TransportEvents:
         self.on_connected = on_connected or (lambda endpoint: None)
         self.on_message = on_message or (lambda endpoint, data: None)
         self.on_messages = on_messages
-        # ``on_disconnected`` receives ``(endpoint, reason)``; one-arg
-        # callbacks are adapted so pre-resilience code keeps working.
-        self.on_disconnected = _adapt_disconnect(on_disconnected)
+        # Every transport calls ``on_disconnected(endpoint, reason)``.
+        self.on_disconnected = on_disconnected or (lambda endpoint, reason: None)
 
     def deliver(self, endpoint: Endpoint, batch: Sequence[bytes]) -> None:
         """Hand a drained batch to the receiver, batched if supported.

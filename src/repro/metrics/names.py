@@ -10,8 +10,9 @@ under one name and asserted or exported under another is invisible at
 runtime until a dashboard reads zeros).
 
 Adding an instrument is a two-line change: use it at the call site and
-declare it here.  The declaration is also the natural place to grep
-for "what can this process export".
+declare it here; retiring one deletes both, since RL005 also flags a
+declaration no call site emits.  The declaration is also the natural
+place to grep for "what can this process export".
 """
 
 from __future__ import annotations
@@ -77,9 +78,6 @@ COUNTERS = frozenset(
         # asyncio client tier
         "aio.subscription.shed",
         "aio.loop_closed",
-        # asyncio-native server ingest (DESIGN.md §15)
-        "aio.server.connections",
-        "aio.server.frames",
         # fault injection
         "faulty.drop",
         "faulty.corrupt",
@@ -112,8 +110,6 @@ GAUGES = frozenset({"server.workers"})
 GAUGE_PATTERNS: Tuple[str, ...] = (
     # multiprocess worker liveness (worker index)
     "server.worker.{index}.alive",
-    # inproc shard queue depth (shard index)
-    "inproc.shard.{index}.depth",
     # per-link lifecycle state (node label, origin id)
     "agent.{node}.link.{origin}.state",
     # bounded-queue pressure accounting (queue scope)
@@ -177,6 +173,15 @@ def declared_parts(kind: str, literal_parts: Iterable[str]) -> bool:
     if len(parts) == 1 and parts[0] in exact:
         return True
     return any(_pattern_pieces(p) == parts for p in patterns)
+
+
+def match_declared(declaration: str, use: object) -> bool:
+    """Does one call-site name match ``declaration``?  ``use`` is a
+    literal name, or an f-string's literal pieces as a tuple."""
+    pieces = _pattern_pieces(declaration)
+    if isinstance(use, tuple):
+        return use == pieces
+    return use == declaration or (len(pieces) > 1 and _match_pieces(pieces, (use,)))
 
 
 def _match_pieces(pieces: Tuple[str, ...], name_parts: Tuple[str, ...]) -> bool:

@@ -9,7 +9,7 @@ proportional fair, and the NVS slice scheduler of Kokku et al.), and
 monolithic / CU-DU-split compositions.
 """
 
-from repro.ran.simclock import SimClock, Event
+from repro.core.simclock import SimClock, Event
 from repro.ran.phy import PhyConfig, ChannelModel, transport_block_bits
 from repro.ran.ue import UeContext
 from repro.ran.mac import MacLayer, RoundRobinScheduler, ProportionalFairScheduler

@@ -1,15 +1,16 @@
 """Async client tier: AsyncAgent/AsyncSubscription/AsyncE2Node (§14).
 
-Each test drives a real sync server (selector loop thread, framed TCP) from
-coroutines via ``asyncio.run`` — the bridge under test is the
-thread→loop hand-off layer, so nothing here may block the loop.
+The tier is client-side only: every test drives a real sync server (the
+selector loop thread of ``Server.listen``, framed TCP, or multiprocess
+workers) from coroutines via ``asyncio.run``.  The bridge under test is
+the thread→loop hand-off layer, so nothing here may block the loop.
 """
 
 import asyncio
 
 import pytest
 
-from repro.aio import AioServer, AsyncAgent, AsyncE2Node, aio_connect
+from repro.aio import AsyncAgent, AsyncE2Node, aio_connect
 from repro.aio.node import ControlRejected
 from repro.aio.agent import ControlFailed
 from repro.core.e2ap.ies import (
@@ -21,8 +22,7 @@ from repro.core.e2ap.ies import (
 )
 from repro.core.server import Server, ServerConfig
 from repro.core.server.workers import MultiProcServer, SubscriptionPolicy
-from repro.core.transport import TcpTransport, TransportEvents
-from repro.core.transport.framing import frame_messages
+from repro.core.transport import TcpTransport
 from repro.metrics.counters import counter_values, reset_all
 
 FN = 200
@@ -165,98 +165,6 @@ class TestAioTransport:
         finally:
             server.close()
             transport.stop()
-
-
-class TestAioServer:
-    """Asyncio-native ingest: no selector threads, same dispatch path."""
-
-    def test_async_ingest_end_to_end(self):
-        reset_all()
-        server = Server(ServerConfig(e2ap_codec="fb"))
-
-        async def scenario():
-            aio = AioServer(server)
-            await aio.start()
-            node = AsyncE2Node(make_node_id(), make_functions())
-            await node.connect("127.0.0.1", aio.port)
-            async with AsyncAgent(server) as ric:
-                agents = await ric.wait_agents(1)
-                sub = await ric.subscribe(
-                    agents[0].conn_id,
-                    ran_function_id=FN,
-                    actions=[RicActionDefinition(1, RicActionKind.REPORT)],
-                )
-                handle = await node.wait_subscription()
-                await node.emit_many(handle, [b"a%d" % i for i in range(8)])
-                got = []
-                async for indication in sub:
-                    got.append(indication.payload)
-                    if len(got) == 8:
-                        break
-                assert got == [b"a%d" % i for i in range(8)]
-                await sub.close()
-            await node.close()
-            await aio.stop()
-            counters = counter_values()
-            assert counters.get("aio.server.connections") == 1
-            assert counters.get("aio.server.frames", 0) >= 2
-
-        try:
-            asyncio.run(scenario())
-        finally:
-            server.close()
-
-    def test_on_message_only_receiver_gets_one_call_per_frame(self):
-        """``deliver`` falls back to ``on_message`` here as on the sync
-        transports (the agent and the baselines set nothing else)."""
-        calls = []
-
-        class Receiver:
-            overload = None
-
-            def transport_events(self):
-                return TransportEvents(on_message=lambda e, data: calls.append(data))
-
-        frames = [b"frame-%02d" % index for index in range(40)]
-
-        async def scenario():
-            aio = AioServer(Receiver())
-            await aio.start()
-            _reader, writer = await asyncio.open_connection("127.0.0.1", aio.port)
-            writer.write(frame_messages(frames))
-            await writer.drain()
-            for _ in range(500):
-                if len(calls) == len(frames):
-                    break
-                await asyncio.sleep(0.01)
-            writer.close()
-            await aio.stop()
-
-        asyncio.run(scenario())
-        assert calls == frames
-
-    def test_corrupt_frame_kills_connection(self):
-        server = Server(ServerConfig(e2ap_codec="fb"))
-
-        async def scenario():
-            aio = AioServer(server)
-            await aio.start()
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", aio.port
-            )
-            # An absurd length prefix: the server must kill the link
-            # rather than resynchronize into garbage.
-            writer.write(b"\xff\xff\xff\xffgarbage")
-            await writer.drain()
-            data = await asyncio.wait_for(reader.read(), timeout=5.0)
-            assert data == b""
-            writer.close()
-            await aio.stop()
-
-        try:
-            asyncio.run(scenario())
-        finally:
-            server.close()
 
 
 class TestAsyncNodeAgainstWorkers:

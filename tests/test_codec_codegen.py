@@ -292,14 +292,14 @@ class TestCodecErrorContext:
 
 class TestLruCaches:
     def test_eviction_counter_increments(self):
-        cache = flat._LruCache(4, "codec.flat.test_cache.evictions")
+        cache = flat._LruCache(4, counters.get_counter("codec.flat.test_cache.evictions"))
         for index in range(6):
             cache.put(index, index)
         assert len(cache) == 4
         assert counters.get_counter("codec.flat.test_cache.evictions").value == 2
 
     def test_get_refreshes_recency(self):
-        cache = flat._LruCache(2, "codec.flat.test_cache2.evictions")
+        cache = flat._LruCache(2, counters.get_counter("codec.flat.test_cache2.evictions"))
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # refresh: "b" is now least recent

@@ -26,8 +26,16 @@ class TestFig6:
         )
 
     def test_l2sim_flexric_at_or_below_flexran_for_many_ues(self):
-        points = fig6.run_fig6b(ue_counts=[16], duration_s=0.3)
-        by_variant = {point.variant: point.cpu_percent for point in points}
+        # Each point is a 0.3 s sample of process CPU time: a collection
+        # or a busy sibling core landing in one sample can swap two
+        # neighbouring variants.  The minimum across repetitions is
+        # each variant's clean cost, as for the RTTs below.
+        by_variant = {}
+        for _ in range(2):
+            for point in fig6.run_fig6b(ue_counts=[16], duration_s=0.3):
+                by_variant[point.variant] = min(
+                    point.cpu_percent, by_variant.get(point.variant, point.cpu_percent)
+                )
         assert by_variant["flexric"] < by_variant["flexran"]
         assert by_variant["none"] < by_variant["flexric"]
 
@@ -124,14 +132,11 @@ class TestFig9:
         # inflates FlexRIC's sub-300us RTT proportionally more than
         # O-RAN's wakeup-dominated one, compressing the ratio in any
         # single run under sustained load.
-        flexric = min(
-            fig9.run_flexric_two_hop("fb", 1500, pings=15).summary.p50
-            for _ in range(2)
-        )
-        oran = min(
-            fig9.run_oran_two_hop(1500, pings=15).summary.p50 for _ in range(2)
-        )
-        assert oran > 2.0 * flexric
+        flexric, oran = [], []
+        for _ in range(3):
+            flexric.append(fig9.run_flexric_two_hop("fb", 1500, pings=15).summary.p50)
+            oran.append(fig9.run_oran_two_hop(1500, pings=15).summary.p50)
+        assert min(oran) > 2.0 * min(flexric), (flexric, oran)
 
     def test_monitoring_cpu_and_memory(self):
         flexric, oran = fig9.run_fig9b(n_agents=4, reports=50)

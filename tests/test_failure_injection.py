@@ -526,32 +526,6 @@ class TestPoisonIndication:
         Agent(AgentConfig(node_id=node_id, e2ap_codec=codec_name), transport).connect("ric")
         assert len(server.agents()) == 1
 
-    def test_aio_server_survives(self):
-        import asyncio
-
-        from repro.aio import AioServer
-        from repro.core.server import Server
-
-        server = Server()
-
-        async def scenario():
-            aio = AioServer(server)
-            await aio.start()
-            _reader, writer = await asyncio.open_connection("127.0.0.1", aio.port)
-            for frame in _poison_indications(server.codec):
-                writer.write(frame_message(frame))
-            await writer.drain()
-            for _ in range(500):
-                if self._contained() == 3:
-                    break
-                await asyncio.sleep(0.01)
-            assert not writer.transport.is_closing()
-            writer.close()
-            await aio.stop()
-
-        asyncio.run(scenario())
-        assert self._contained() == 3
-
     @pytest.mark.parametrize("codec_name", ["asn", "fb", "pb"])
     def test_a_kind_outside_the_enum_is_contained_at_route_time(self, codec_name):
         """``k`` = 7 used to be routed to every sink, and the first iApp
@@ -627,9 +601,6 @@ import contextlib
 def _ric(kind):
     """A default ``Server`` behind ``kind``; yields it with a ``connect(nb_id)``
     that attaches a healthy HW agent the way a deployment would."""
-    import asyncio
-
-    from repro.aio import AioServer
     from repro.core.server import Server
     from repro.core.transport.tcp import TcpTransport
 
@@ -642,21 +613,10 @@ def _ric(kind):
             ran = TcpTransport()
             ran.start()
             stack.callback(ran.stop)
-        if kind == "tcp":
             ric = TcpTransport()
             stack.callback(ric.stop)
             address = server.listen(ric, "127.0.0.1:0").address
             ric.start()
-        elif kind == "aio":
-            loop = asyncio.new_event_loop()
-            thread = threading.Thread(target=loop.run_forever, name="aio-ric", daemon=True)
-            thread.start()
-            stack.callback(thread.join, 5.0)
-            stack.callback(loop.call_soon_threadsafe, loop.stop)
-            aio = AioServer(server)
-            asyncio.run_coroutine_threadsafe(aio.start(), loop).result(5.0)
-            stack.callback(lambda: asyncio.run_coroutine_threadsafe(aio.stop(), loop).result(5.0))
-            address = f"127.0.0.1:{aio.port}"
         healthy = TestPoisonFrameEndToEnd._healthy_agent
         yield server, lambda nb_id: healthy(None, ran, nb_id).connect(address)
 
@@ -669,7 +629,7 @@ class TestRaisingSlowPathCallback:
     def _reset(self):
         counters.reset_counters("server.")
 
-    @pytest.mark.parametrize("kind", ["tcp", "inproc", "aio"])
+    @pytest.mark.parametrize("kind", ["tcp", "inproc"])
     @pytest.mark.parametrize(
         "where", ["on_success", "on_failure", "on_deleted", "control_outcome", "bus_subscriber"]
     )
@@ -710,7 +670,7 @@ class TestRaisingSlowPathCallback:
             elif where == "control_outcome":
                 server.control(first, HW.default_function_id, b"", build_ping(1, b"x", "fb"), boom)
             assert _wait(lambda: errors.value >= 1)
-            loops = [t for t in threading.enumerate() if t.name in ("tcp-transport-0", "aio-ric")]
+            loops = [t for t in threading.enumerate() if t.name == "tcp-transport-0"]
             assert len(loops) == (0 if kind == "inproc" else 2)
             assert all(t.is_alive() for t in loops)
             # The same loop still takes a second node through setup + subscribe.

@@ -303,13 +303,64 @@ class TestRL005MetricRegistry:
             tmp_path,
             "src/repro/mod.py",
             """
-            def track(index, stage):
-                g = metrics.get_gauge(f"inproc.shard.{index}.depth")
+            def track(scope, stage):
+                g = metrics.get_gauge(f"queue.{scope}.depth")
                 h = metrics.get_histogram(f"trace.{stage}")
                 bad = metrics.get_gauge("inproc.shard.depth")
             """,
         )
         assert codes(findings) == ["RL005"]
+
+    REGISTRY = """
+        COUNTERS = frozenset({"server.rx.decode_error", "server.rx.never_emitted"})
+        COUNTER_PATTERNS = ("tcp.close.{code}",)
+        GAUGES = frozenset()
+        GAUGE_PATTERNS = ("queue.{scope}.depth",)
+        """
+
+    def test_declared_but_unused_flagged_on_the_registry(self, tmp_path):
+        (tmp_path / "src/repro/metrics").mkdir(parents=True)
+        (tmp_path / "src/repro/metrics/names.py").write_text(textwrap.dedent(self.REGISTRY))
+        findings, _ = run_lint(
+            tmp_path,
+            "src/repro/mod.py",
+            """
+            def track(reason, scope):
+                counters.get_counter("server.rx.decode_error")
+                counters.get_counter(f"tcp.close.{reason}")
+                return metrics.get_gauge(f"queue.{scope}.depth")
+            """,
+        )
+        assert [(f.code, f.path, f.line) for f in findings] == [
+            ("RL005", "src/repro/metrics/names.py", 2)
+        ]
+        assert "server.rx.never_emitted" in findings[0].message
+
+    def test_a_use_of_the_wrong_kind_does_not_count(self, tmp_path):
+        (tmp_path / "src/repro/metrics").mkdir(parents=True)
+        (tmp_path / "src/repro/metrics/names.py").write_text(
+            'COUNTERS = frozenset()\nGAUGE_PATTERNS = ("queue.{scope}.depth",)\n'
+        )
+        findings, _ = run_lint(
+            tmp_path,
+            "src/repro/mod.py",
+            """
+            def track(scope):
+                return counters.get_counter(f"queue.{scope}.depth")
+            """,
+        )
+        assert [f.path for f in findings] == [
+            "src/repro/metrics/names.py",  # a gauge nothing emits ...
+            "src/repro/mod.py",  # ... and an undeclared counter
+        ]
+
+    def test_converse_needs_the_whole_scope_walked(self, tmp_path):
+        """Linting the registry alone cannot tell what is emitted."""
+        names = tmp_path / "src/repro/metrics/names.py"
+        names.parent.mkdir(parents=True)
+        names.write_text(textwrap.dedent(self.REGISTRY))
+        findings, _, _ = lint_paths([names], tmp_path, FIXTURE_CONFIG)
+        assert findings == []
 
 
 class TestRL006GeneratedRegion:

@@ -208,7 +208,7 @@ class TestInProc:
         transport = InProcTransport()
         dropped = []
         transport.listen(
-            "a", TransportEvents(on_disconnected=lambda e: dropped.append("server"))
+            "a", TransportEvents(on_disconnected=lambda e, reason: dropped.append("server"))
         )
         conn = transport.connect("a", TransportEvents())
         conn.close()
@@ -325,7 +325,7 @@ class TestTcp:
                 "127.0.0.1:0",
                 TransportEvents(
                     on_connected=server_conns.append,
-                    on_disconnected=lambda e: dropped.set(),
+                    on_disconnected=lambda e, reason: dropped.set(),
                 ),
             )
             conn = transport.connect(f"127.0.0.1:{listener.port}", TransportEvents())

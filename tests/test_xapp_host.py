@@ -141,6 +141,35 @@ class TestSubscriptionMerging:
         host.deploy(xapp)
         assert host.merged_subscriptions == 0
 
+    def test_undeploying_the_last_xapp_deletes_the_subscription(self):
+        server, host, _a, function = wire()
+        host.deploy(CollectorXapp())
+        assert len(function.subscriptions) == 1 and len(server.submgr) == 1
+        host.undeploy("collector")
+        assert len(function.subscriptions) == 0
+        assert len(server.submgr) == 0
+        assert host.merged_subscriptions == 0
+
+    def test_the_wire_delete_waits_for_the_last_rider(self):
+        server, host, _a, function = wire()
+        host.deploy(CollectorXapp("one"))
+        host.deploy(CollectorXapp("two"))
+        host.undeploy("one")
+        assert len(function.subscriptions) == 1
+        assert host.merged_subscriptions == 1 and host.merges_saved == 1
+        host.undeploy("two")
+        assert len(function.subscriptions) == 0 and len(server.submgr) == 0
+
+    def test_a_repeated_subscribe_delivers_once(self):
+        _s, host, _a, function = wire()
+        xapp = CollectorXapp()
+        api = host.deploy(xapp)
+        conn = api.nodes()[0].conn_id
+        assert api.subscribe_sm(conn, mac_stats.INFO.oid, 1.0)
+        assert host.merged_subscriptions == 1 and host.merges_saved == 0
+        function.pump()
+        assert len(xapp.indications) == 1
+
     def test_agent_disconnect_purges_merged(self):
         _s, host, agent, _f = wire()
         host.deploy(CollectorXapp())
@@ -219,8 +248,9 @@ class TestFaultIsolation:
         host.deploy(healthy)
         faulty = FaultyXapp()
         host.xapps["faulty"] = faulty  # skip the raising on_start
-        key = next(iter(host._merged))
-        host._merged[key].subscribers.append("faulty")
+        conn = host.server.agents()[0].conn_id
+        assert host.subscribe_sm("faulty", conn, mac_stats.INFO.oid, 1.0)
+        assert host.merges_saved == 1  # rides the healthy xApp's subscription
         function.pump()
         assert len(healthy.indications) == 1
         assert host.faults["faulty"] >= 1
