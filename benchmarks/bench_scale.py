@@ -224,9 +224,6 @@ def run_config(
             got = sum(len(sink) for sink in received)
             raise RuntimeError(f"ingest stalled: {got}/{expected} indications")
         elapsed = time.perf_counter() - start
-        quiesce = getattr(transport, "quiesce", None)
-        if quiesce is not None:
-            quiesce(timeout=5.0)
 
         # Per-connection ordering: the transport's guarantee.
         for sink in received:
@@ -450,7 +447,7 @@ def run_workers_config(
     """
     codec = get_codec("fb")
     mp = MultiProcServer(
-        ServerConfig(e2ap_codec="fb", workers=workers), host="127.0.0.1", port=0
+        ServerConfig(e2ap_codec="fb"), workers=workers, host="127.0.0.1", port=0
     )
     client = TcpTransport()
     try:

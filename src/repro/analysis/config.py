@@ -59,7 +59,6 @@ class LintConfig:
         {
             "_run",
             "_poll",
-            "_shard_run",
             "_worker_loop",
             "_supervise",
         }

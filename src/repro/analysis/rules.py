@@ -171,8 +171,8 @@ class BoundedBlockingRule:
 
     An unbounded ``select()``/``wait()``/``get()`` inside a shard loop
     turns shutdown into a hang and starves the wake-pipe protocol; the
-    loops are written to poll with small timeouts so ``stop()`` and
-    quiesce converge.
+    loops are written to poll with small timeouts so ``stop()``
+    converges.
     """
 
     code = "RL004"

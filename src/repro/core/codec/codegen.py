@@ -1596,14 +1596,6 @@ def payload_kernel(codec_name: str, name: str):
     return _KERNELS.setdefault(key, kern)
 
 
-def clear_kernels() -> None:
-    _KERNELS.clear()
-    for routes in _ROUTES.values():
-        routes.table.clear()
-    for encoders in _ENCODE_MSG.values():
-        encoders.clear()
-
-
 # -- envelope probes (decode-side schema discovery) ------------------
 # Each probe reads the constant envelope prefix straight off the wire
 # to recover (procedure, msg_class) without a generic decode.

@@ -104,7 +104,7 @@ def frame_classifier(codec) -> Callable[[bytes], TrafficClass]:
 class OverloadConfig:
     """Tunable surface of the overload-discipline layer.
 
-    The defaults bound a shard queue to a few thousand frames (a few
+    The defaults bound a drained batch to a few thousand frames (a few
     MB of 100-byte indications) and admit setup/subscription bursts an
     order of magnitude above steady-state rates before rejecting.
     """
@@ -209,13 +209,14 @@ class QueuePressure:
 
     * accounting-only (``config is None``) — publishes depth and
       high-watermark gauges; never touches the traffic.  This is the
-      always-on mode of the inproc shard queues.
+      always-on mode of the inproc dispatch queue.
     * bounded (``config`` set, ``classify`` set) — additionally runs
       the shed/degrade policy via :meth:`admit`.
 
-    ``note_depth`` is called from producer and consumer threads; the
-    gauge stores are atomic and the degrade transition is serialized
-    under a small lock so the enter counter is exact.
+    ``note_depth`` may run on any caller's thread (an in-process
+    dispatch runs on its sender's); the gauge stores are atomic and the
+    degrade transition is serialized under a small lock so the enter
+    counter is exact.
     """
 
     __slots__ = (
@@ -227,7 +228,6 @@ class QueuePressure:
         "degraded_gauge",
         "hwm",
         "degraded",
-        "_depth",
         "_exit_depth",
         "_state_lock",
     )
@@ -248,7 +248,6 @@ class QueuePressure:
         self.degraded_gauge = get_gauge(f"queue.{scope}.degraded")
         self.hwm = 0
         self.degraded = False
-        self._depth = 0
         self._exit_depth = (config.high_watermark // 2) if config else 0
         self._state_lock = threading.Lock()
 
@@ -266,27 +265,6 @@ class QueuePressure:
         """
         for suffix in ("depth", "hwm", "degraded"):
             discard_gauge(f"queue.{self.scope}.{suffix}")
-
-    @property
-    def frame_depth(self) -> int:
-        """Frames outstanding, as tracked by :meth:`add_frames`."""
-        return self._depth
-
-    def add_frames(self, delta: int) -> int:
-        """Adjust the tracked frame depth by ``delta`` (thread-safe).
-
-        Queues that store variable-size bursts per item (the inproc
-        shard deque) cannot read their frame depth from ``len()``;
-        producers and the consumer keep this locked tally instead.
-        Returns the new depth after publishing it via ``note_depth``.
-        """
-        with self._state_lock:
-            depth = self._depth + delta
-            if depth < 0:
-                depth = 0
-            self._depth = depth
-        self.note_depth(depth)
-        return depth
 
     def note_depth(self, depth: int) -> None:
         """Publish ``depth`` and drive the degrade state machine."""
@@ -310,26 +288,25 @@ class QueuePressure:
                     self.degraded = False
                     self.degraded_gauge.set(0)
 
-    def admit(
-        self, frames: List[bytes], depth: int, conn_label: object
-    ) -> List[bytes]:
-        """Apply the shed policy to an arriving burst.
+    def admit(self, frames: List[bytes], conn_label: object) -> List[bytes]:
+        """Apply the shed policy to a drained burst.
 
-        ``depth`` is the queue depth the burst would land behind.
-        Below the high watermark the burst passes untouched (the fast
-        path: one comparison).  Under pressure, control frames are
-        always admitted; indications are admitted newest-first (shed
-        oldest) up to the remaining room, further clamped to
-        ``burst_coalesce`` per burst in the degraded state.  Returns
-        the admitted frames in their original order.
+        The burst is the whole queue: the TCP loop admits what one
+        wakeup drained, behind nothing.  Below the high watermark the
+        burst passes untouched (the fast path: one comparison).  Under
+        pressure, control frames are always admitted; indications are
+        admitted newest-first (shed oldest) up to ``max_queue_depth``,
+        further clamped to ``burst_coalesce`` per burst in the
+        degraded state.  Returns the admitted frames in their original
+        order.
         """
         config = self.config
         if config is None:
             return frames
-        if not self.degraded and depth + len(frames) <= config.high_watermark:
+        if not self.degraded and len(frames) <= config.high_watermark:
             return frames
         classify = self.classify
-        room = config.max_queue_depth - depth
+        room = config.max_queue_depth
         budget = min(room, config.burst_coalesce) if self.degraded else room
         keep = [False] * len(frames)
         kept_ind = 0

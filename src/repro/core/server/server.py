@@ -77,9 +77,9 @@ class ServerConfig:
     """Static server configuration.
 
     This is the paper's server (§4.2.2, §4.4): one event loop per
-    transport, indications dispatched inline on it, one process unless
-    ``workers`` says otherwise.  Every transport hands drained batches
-    to :meth:`Server._on_messages`.
+    transport, indications dispatched inline on it, one process
+    (:class:`repro.core.server.workers.MultiProcServer` runs several).
+    Every transport hands drained batches to :meth:`Server._on_messages`.
     """
 
     ric_id: int = 1
@@ -98,13 +98,6 @@ class ServerConfig:
     #: queues, setup/subscription admission control, degrade states.
     #: None (default) keeps the unbounded legacy behaviour exactly.
     overload: Optional[OverloadConfig] = None
-    #: multiprocess ingest (DESIGN.md §14): N > 0 runs N worker
-    #: *processes*, each owning a full server + SO_REUSEPORT listener,
-    #: supervised by :class:`repro.core.server.workers.MultiProcServer`.
-    #: 0 (default) keeps everything in this process.  A ``Server``
-    #: built directly ignores the field — it configures the supervisor,
-    #: which forks workers with ``workers=0`` copies of this config.
-    workers: int = 0
 
 
 #: hoisted: the indication hot loop compares against this constant.
@@ -170,10 +163,6 @@ class _ConnState:
     last_seen: float = 0.0
     #: keepalive queries sent since ``last_seen`` moved.
     pending_queries: int = 0
-    #: cached ``server.shard.N.rx`` counter for this connection's
-    #: ingest loop — 0 unless the endpoint names an in-process shard
-    #: (resolved lazily on the first batch delivery).
-    rx_counter: Any = None
     #: controls awaiting an outcome: request tuple → (RAN function,
     #: ``on_outcome``).  Answered by the agent or, when the connection
     #: is lost first, by :meth:`Server._unroute`.
@@ -210,6 +199,8 @@ class Server:
         #: a codec without kernels (``pb``) is walked in full and its
         #: body built the same way.
         self._decode_route = self.codec.decode_route
+        #: frames received, over every transport this server listens on.
+        self._rx_frames = get_counter("server.rx.frames")
         self._node_label = f"ric-{self.config.ric_id}"
         self.cpu = cpu_meter or CpuMeter(f"server-{self.config.ric_id}")
         self.memory = MemoryMeter(f"server-{self.config.ric_id}")
@@ -639,10 +630,7 @@ class Server:
         # Any traffic proves the agent alive: reset the keepalive state.
         state.last_seen = self.time_fn()
         state.pending_queries = 0
-        if state.rx_counter is None:
-            shard = getattr(endpoint, "shard", 0)
-            state.rx_counter = get_counter(f"server.shard.{shard}.rx")
-        state.rx_counter.incr(len(batch))
+        self._rx_frames.incr(len(batch))
         # Hot loop: every name the loop touches is a local.
         route = self._decode_route
         deliver = self.submgr.deliver_indication

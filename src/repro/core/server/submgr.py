@@ -7,8 +7,9 @@ the FlatBuffers-style codec the server reads that key zero-copy from
 the raw indication bytes, which is the mechanism behind the 4x CPU gap
 of Fig. 8b.
 
-Concurrency model (sharded ingest): the indication hot path runs on
-several transport shard threads at once and does exactly one
+Concurrency model: the indication hot path runs on the ingest loop
+of every transport the server listens on, beside writers on other
+threads (the liveness tick, iApps), and does exactly one
 ``_records.get(key)`` per indication, never iterating — a single-key
 ``get`` racing a single-key ``d[k] = v`` / ``d.pop(k)`` is atomic in
 CPython, so it takes no lock.  Every mutation happens under ``_lock``

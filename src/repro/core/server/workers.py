@@ -2,13 +2,12 @@
 
 Loops in one interpreter share one interpreter lock and buy nothing
 (DESIGN.md §10), so parallelism here is a matter of processes:
-:class:`MultiProcServer` forks ``ServerConfig.workers`` worker
-*processes*, each owning a complete
-:class:`~repro.core.server.server.Server` — its own one-loop
-``TcpTransport``, its own overload :class:`QueuePressure`, its own
-metrics registry — plus an ``SO_REUSEPORT`` listener on the shared port
-so the kernel spreads incoming E2 connections across workers with no
-userspace coordination.
+:class:`MultiProcServer` forks ``workers`` worker *processes*, each
+owning a complete :class:`~repro.core.server.server.Server` — its own
+one-loop ``TcpTransport``, its own overload :class:`QueuePressure`,
+its own metrics registry — plus an ``SO_REUSEPORT`` listener on the
+shared port so the kernel spreads incoming E2 connections across
+workers with no userspace coordination.
 
 Coordination that *is* needed flows over one duplex pipe per worker:
 
@@ -38,7 +37,7 @@ import signal
 import socket
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.e2ap.ies import RicActionDefinition
@@ -223,7 +222,7 @@ def _worker_main(
 ) -> None:
     """Entry point of one worker process.
 
-    Builds a complete single-process server (``workers=0``), binds its
+    Builds a complete single-process server, binds its
     own reuseport listener on the shared port, applies the
     routing-policy snapshot it was forked with, then serves its control
     pipe until told to stop or orphaned.
@@ -233,7 +232,7 @@ def _worker_main(
     # double-counts everything the parent did before the fork.
     reset_all()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent coordinates shutdown
-    server = Server(replace(config, workers=0))
+    server = Server(config)
     transport = TcpTransport(
         reuseport=True,
         overload=server.overload,
@@ -389,7 +388,7 @@ def _install_fork_guard() -> None:
 
 
 class MultiProcServer:
-    """Supervisor for ``config.workers`` single-process servers.
+    """Supervisor for ``workers`` single-process servers.
 
     One shared TCP port, N forked workers, policy snapshots
     republished over control pipes, per-worker stats merged into one
@@ -403,12 +402,14 @@ class MultiProcServer:
     def __init__(
         self,
         config: ServerConfig,
+        workers: int,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        if config.workers < 1:
-            raise ValueError(f"MultiProcServer needs workers >= 1, got {config.workers}")
+        if workers < 1:
+            raise ValueError(f"MultiProcServer needs workers >= 1, got {workers}")
         self.config = config
+        self.workers = workers
         self._host = host
         self._requested_port = port
         self._ctx = multiprocessing.get_context("fork")
@@ -437,8 +438,8 @@ class MultiProcServer:
         _install_fork_guard()
         self._running = True
         self._reserve_sock = self._reserve_port()
-        get_gauge("server.workers").set(self.config.workers)
-        for index in range(self.config.workers):
+        get_gauge("server.workers").set(self.workers)
+        for index in range(self.workers):
             self._handles[index] = self._spawn(index)
         self._supervisor = threading.Thread(
             target=self._supervise, name="e2-worker-supervisor", daemon=True

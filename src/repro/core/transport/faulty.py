@@ -184,11 +184,6 @@ class _FaultyEndpoint(Endpoint):
         return self._inner.peer
 
     @property
-    def shard(self) -> int:
-        """Shard index of the wrapped endpoint (0 for unsharded)."""
-        return getattr(self._inner, "shard", 0)
-
-    @property
     def closed(self) -> bool:
         return self._killed or self._inner.closed
 
@@ -301,11 +296,3 @@ class FaultyTransport(Transport):
     def step(self, timeout: float = 0.0) -> int:
         step = getattr(self.inner, "step", None)
         return step(timeout) if step is not None else 0
-
-    def quiesce(self, timeout: float = 5.0) -> bool:
-        quiesce = getattr(self.inner, "quiesce", None)
-        return quiesce(timeout) if quiesce is not None else True
-
-    def shard_stats(self) -> List[dict]:
-        stats = getattr(self.inner, "shard_stats", None)
-        return stats() if stats is not None else []

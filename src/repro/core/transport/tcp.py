@@ -561,11 +561,11 @@ class TcpTransport(Transport):
             bounded = pressure.bounded
             if bounded:
                 # The drained batch *is* the queue (frames already left
-                # the kernel buffer), so admit against depth 0: keep
-                # all control frames and the newest indications up to
-                # the configured budget, shedding the oldest first.
+                # the kernel buffer): keep all control frames and the
+                # newest indications up to the configured budget,
+                # shedding the oldest first.
                 pressure.note_depth(len(messages))
-                messages = pressure.admit(messages, 0, endpoint._peer)
+                messages = pressure.admit(messages, endpoint._peer)
             if messages:
                 # ``on_messages`` is read per delivery (receivers swap
                 # it); ``deliver`` is the per-frame ``on_message`` walk.

@@ -119,19 +119,3 @@ class _MeasuredSection:
         meter = self._meter
         meter.busy_s += (time.perf_counter_ns() - self._start) / 1e9
         meter._section_count += 1
-
-
-class ProcessCpuProbe:
-    """Measures the real CPU time of the current process.
-
-    Used to cross-check meter-based accounting in socket experiments;
-    ``delta()`` returns process CPU seconds since the previous call.
-    """
-
-    def __init__(self) -> None:
-        self._last = time.process_time()
-
-    def delta(self) -> float:
-        now = time.process_time()
-        elapsed, self._last = now - self._last, now
-        return elapsed

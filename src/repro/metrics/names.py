@@ -2,7 +2,7 @@
 
 Every counter/gauge/histogram name used in ``src/repro`` must be
 declared here, either verbatim or as a pattern with ``{placeholder}``
-segments for names built with f-strings (shard indices, node labels,
+segments for names built with f-strings (connection and node labels,
 disconnect-reason codes).  ``repro-lint`` rule RL005 checks call sites
 against this registry — the static guard against the stale-gauge /
 typo'd-counter class of bugs PR 3 fixed once (a metric incremented
@@ -33,6 +33,7 @@ COUNTERS = frozenset(
         "codec.flat.dir_cache.evictions",
         "codec.flat.list_cache.evictions",
         # server lifecycle / ingest
+        "server.rx.frames",
         "server.rx.decode_error",
         "server.iapp.callback_error",
         "server.node.stale",
@@ -62,7 +63,6 @@ COUNTERS = frozenset(
         "tcp.close.framing",
         # loud-teardown accounting
         "transport.stop.stuck",
-        "transport.stop.undrained",
         # multiprocess ingest supervisor (DESIGN.md §14)
         "server.worker.spawned",
         "server.worker.restarts",
@@ -91,8 +91,6 @@ COUNTERS = frozenset(
 
 #: counter name patterns ({} segments are runtime-formatted).
 COUNTER_PATTERNS: Tuple[str, ...] = (
-    # per-shard receive accounting (shard index)
-    "server.shard.{shard}.rx",
     # close-cause accounting (DisconnectReason.code)
     "tcp.close.{code}",
     # overload shed accounting (traffic-class label, connection label)
@@ -164,8 +162,8 @@ def declared(kind: str, name: str) -> bool:
 def declared_parts(kind: str, literal_parts: Iterable[str]) -> bool:
     """Match an f-string by its literal pieces against the patterns.
 
-    ``f"server.shard.{n}.rx"`` has literal pieces
-    ``("server.shard.", ".rx")``; it is declared iff some pattern has
+    ``f"overload.conn.{c}.drops"`` has literal pieces
+    ``("overload.conn.", ".drops")``; it is declared iff some pattern has
     the same pieces around its placeholders.
     """
     parts = tuple(literal_parts)

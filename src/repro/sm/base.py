@@ -23,7 +23,7 @@ from repro.core.agent.ran_function import (
     count_contained_decode,
 )
 from repro.core.codec import codegen as _codegen
-from repro.core.codec.base import get_codec, materialize
+from repro.core.codec.base import get_codec
 from repro.core.codec.schema import F64, Schema, register_payload_schema
 from repro.core.e2ap.ies import (
     RicActionAdmitted,
@@ -238,8 +238,3 @@ class PeriodicReportFunction(RanFunction):
     @property
     def active_subscriptions(self) -> int:
         return len(self.subscriptions)
-
-
-def materialize_payload(payload: Any) -> Any:
-    """Normalize a possibly-lazy SM payload into plain dict/list."""
-    return materialize(payload)

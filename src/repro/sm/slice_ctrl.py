@@ -113,11 +113,6 @@ def build_assoc_ue(rnti: int, slice_id: int, codec_name: str) -> bytes:
     return encode_payload({"cmd": "assoc_ue", "rnti": rnti, "slice_id": slice_id}, codec_name)
 
 
-def parse_command(payload: bytes, codec_name: str) -> dict:
-    tree = decode_payload(payload, codec_name)
-    return {key: tree[key] for key in tree.keys()} if hasattr(tree, "keys") else dict(tree)
-
-
 class SliceCtrlFunction(PeriodicReportFunction):
     """Agent-side SC SM: control handling plus periodic config reports."""
 

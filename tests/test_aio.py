@@ -173,7 +173,7 @@ class TestAsyncNodeAgainstWorkers:
 
     def test_async_node_feeds_multiproc_workers(self):
         reset_all()
-        mp = MultiProcServer(ServerConfig(e2ap_codec="fb", workers=2), port=0)
+        mp = MultiProcServer(ServerConfig(e2ap_codec="fb"), workers=2, port=0)
 
         async def scenario():
             node = AsyncE2Node(make_node_id(), make_functions())

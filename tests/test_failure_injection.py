@@ -754,7 +754,7 @@ class TestMalformedControl:
             assert pongs.wait(5.0)
 
 
-#: (action, peer, argument, step the loop to quiescence afterwards?) — an
+#: (action, peer, argument, step the loop until idle afterwards?) — an
 #: unpumped action leaves its bytes in the socket for the next drain to
 #: find together with whatever follows.
 _SCRIPT_STEP = st.one_of(

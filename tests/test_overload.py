@@ -1,14 +1,14 @@
 """Tests for the overload discipline (DESIGN.md §13).
 
 Covers the primitives in :mod:`repro.core.overload` (token buckets,
-traffic classification, queue pressure / shed policy, bounded worker
-pool, admission control, per-tenant fair shares), their wiring into
-the server and transports, and the two regression scenarios the
-discipline exists for:
+traffic classification, queue pressure / shed policy, admission
+control, per-tenant fair shares), their wiring into the server and
+transports, the overload gates as invariants of the one TCP drain
+(:class:`TestTcpDrainInvariants`, DESIGN.md §13.5), and the two
+regression scenarios the discipline exists for:
 
-* a RIC service-query keepalive must round-trip through a transport
-  queue saturated by an indication flood (control class is never
-  shed), and
+* a RIC service-query keepalive must round-trip through a TCP loop
+  saturated by an indication flood (control class is never shed), and
 * connection drops racing park/adopt subscription replay must neither
   leak parked records nor corrupt the admission pending count.
 """
@@ -16,6 +16,7 @@ discipline exists for:
 import struct
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -287,7 +288,7 @@ class TestQueuePressure:
         assert gauges["queue.unit.acct.degraded"] == 0
         # admit is the identity in accounting mode.
         frames = [b"x", b"y"]
-        assert pressure.admit(frames, 0, "conn") is frames
+        assert pressure.admit(frames, "conn") is frames
 
     def test_bounded_requires_classifier(self):
         with pytest.raises(ValueError):
@@ -306,13 +307,13 @@ class TestQueuePressure:
     def test_fast_path_below_watermark(self):
         pressure, codec = self._bounded()
         frames = [frame for _, _, frame in _frames(codec, indications=3)]
-        assert pressure.admit(frames, 0, "conn") is frames
+        assert pressure.admit(frames, "conn") is frames
         assert counter_values().get("overload.drop.indication", 0) == 0
 
     def test_sheds_oldest_indications_first(self):
         pressure, codec = self._bounded()
         tagged = _frames(codec, indications=10)
-        admitted = pressure.admit([f for _, _, f in tagged], 0, "conn-1")
+        admitted = pressure.admit([f for _, _, f in tagged], "conn-1")
         # Room is max_queue_depth (8): the 2 oldest are shed.
         kept = [seq for (_, seq, frame) in tagged if frame in admitted]
         assert kept == list(range(2, 10))
@@ -324,13 +325,11 @@ class TestQueuePressure:
     def test_control_survives_a_full_queue(self):
         pressure, codec = self._bounded()
         tagged = _frames(codec, indications=12, control=1)
-        admitted = pressure.admit(
-            [f for _, _, f in tagged], pressure.config.max_queue_depth, "conn"
-        )
-        # Zero room for indications; the control frame still passes.
-        assert len(admitted) == 1
-        assert admitted[0] == tagged[-1][2]
-        assert counter_values()["overload.drop.indication"] == 12
+        admitted = pressure.admit([f for _, _, f in tagged], "conn")
+        # The indications fill the bound; the control frame passes past it.
+        assert len(admitted) == pressure.config.max_queue_depth + 1
+        assert admitted[-1] == tagged[-1][2]
+        assert counter_values()["overload.drop.indication"] == 4
 
     def test_degrade_hysteresis(self):
         pressure, _codec = self._bounded(high_watermark=4)
@@ -355,20 +354,12 @@ class TestQueuePressure:
         pressure.note_depth(4)
         assert pressure.degraded
         tagged = _frames(codec, indications=6)
-        admitted = pressure.admit([f for _, _, f in tagged], 4, "conn")
+        admitted = pressure.admit([f for _, _, f in tagged], "conn")
         kept = [seq for (_, seq, frame) in tagged if frame in admitted]
         assert kept == [4, 5]  # newest burst_coalesce frames
         counters = counter_values()
         assert counters["overload.drop.indication"] == 4
         assert counters["overload.coalesced"] == 4
-
-    def test_add_frames_tracks_and_clamps(self):
-        pressure, _codec = self._bounded()
-        assert pressure.add_frames(5) == 5
-        assert pressure.frame_depth == 5
-        assert pressure.add_frames(-2) == 3
-        assert pressure.add_frames(-10) == 0
-        assert gauge_values()["queue.unit.bound.hwm"] == 5
 
 
 # -- admission control -----------------------------------------------
@@ -617,8 +608,8 @@ class TestServerAdmission:
 
 class TestTransportGauges:
     def test_sync_dispatch_queue_gauges(self):
-        """The default (unsharded) dispatch queue publishes depth/hwm
-        gauges even without overload mode."""
+        """The in-process dispatch queue publishes depth/hwm gauges
+        even without overload mode."""
         transport = InProcTransport()
         server = Server(ServerConfig(e2ap_codec="fb"))
         server.listen(transport, "ric")
@@ -626,24 +617,6 @@ class TestTransportGauges:
         gauges = gauge_values()
         assert gauges["queue.inproc.dispatch.depth"] == 0  # drained
         assert gauges["queue.inproc.dispatch.hwm"] >= 1
-
-    def test_sharded_queue_gauges_without_overload(self):
-        transport = InProcTransport(shards=2)
-        server = Server(ServerConfig(e2ap_codec="fb"))
-        server.listen(transport, "ric")
-        make_agent(transport).connect("ric")
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            if server.agents():
-                break
-            time.sleep(0.01)
-        # Snapshot while the loops are alive: stop() now discards the
-        # queue-scoped gauges with the loops that owned them.
-        gauges = gauge_values()
-        assert "queue.inproc.shard.0.depth" in gauges
-        assert gauges["queue.inproc.shard.0.hwm"] >= 1
-        transport.stop()
-        assert "queue.inproc.shard.0.depth" not in gauge_values()
 
 
 # -- shedding over TCP -------------------------------------------------
@@ -724,7 +697,7 @@ class TestTcpShedding:
         from tests.test_sharding import _settled_agents, _worker_policy
 
         overload = OverloadConfig(max_queue_depth=16, high_watermark=8)
-        mp = MultiProcServer(ServerConfig(workers=2, overload=overload), port=0)
+        mp = MultiProcServer(ServerConfig(overload=overload), workers=2, port=0)
         client = TcpTransport()
         try:
             mp.start()
@@ -747,14 +720,200 @@ class TestTcpShedding:
             mp.stop()
 
 
+# -- the overload gates as invariants of the TCP drain -----------------
+
+
+class _RecordingPressure(QueuePressure):
+    """A loop's pressure that logs every (drained, admitted) pair."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.log = []
+
+    def admit(self, frames, conn_label):
+        admitted = super().admit(frames, conn_label)
+        self.log.append((list(frames), list(admitted)))
+        return admitted
+
+
+class TestTcpDrainInvariants:
+    """The overload gates, held as invariants of the one TCP drain.
+
+    A burst is written into one connection of a ``TcpTransport`` under
+    an :class:`OverloadConfig` and the loop is driven inline with
+    ``step()``.  Bursts are ``high_watermark - 1`` frames (1x) and 10x /
+    100x ``max_queue_depth`` frames, every ``CONTROL_EVERY``-th frame
+    and the last one a control frame.  However the kernel splits the
+    stream across wakeups, every drain keeps each invariant
+    (DESIGN.md §13.5).
+    """
+
+    OVERLOAD = OverloadConfig(max_queue_depth=16, high_watermark=12, burst_coalesce=4)
+    CONTROL_EVERY = 4
+    SIZES = {
+        "1x": OVERLOAD.high_watermark - 1,
+        "10x": 10 * OVERLOAD.max_queue_depth,
+        "100x": 100 * OVERLOAD.max_queue_depth,
+    }
+
+    @classmethod
+    def _burst(cls, codec, size):
+        """``size`` frames: indications numbered in send order, with a
+        numbered control frame at every ``CONTROL_EVERY``-th place and
+        at the end."""
+        frames = []
+        for index in range(size):
+            if index % cls.CONTROL_EVERY == cls.CONTROL_EVERY - 1 or index == size - 1:
+                message = RicServiceQuery(known_functions=[index])
+            else:
+                message = RicIndication(
+                    request=RicRequestId(1, 1),
+                    ran_function_id=2,
+                    action_id=1,
+                    sequence=index,
+                )
+            frames.append(encode_message(message, codec))
+        return frames
+
+    def _drive(self, size, light=0, overload=OVERLOAD):
+        """Write a ``size``-frame burst (and, on a second connection,
+        ``light`` indications) and step the loop until all of it is
+        in.  Returns (classify, heavy burst, light burst, deliveries
+        per connection, the drain's (drained, admitted) log)."""
+        import socket
+
+        from repro.core.transport.framing import frame_messages
+
+        codec = get_codec("fb")
+        classify = frame_classifier(codec)
+        transport = TcpTransport(overload=overload, classify=classify)
+        pressure = transport._pressure = _RecordingPressure(
+            "tcp.shard.0", overload, classify
+        )
+        heavy_burst = self._burst(codec, size)
+        light_burst = [frame for _, _, frame in _frames(codec, indications=light)]
+        deliveries = {}
+        heavy = light_sock = None
+        try:
+            listener = transport.listen(
+                "127.0.0.1:0",
+                TransportEvents(
+                    on_messages=lambda endpoint, batch: deliveries.setdefault(
+                        endpoint.peer, []
+                    ).append(list(batch))
+                ),
+            )
+            host, port = listener.address.rsplit(":", 1)
+            heavy = socket.create_connection((host, int(port)))
+            light_sock = socket.create_connection((host, int(port)))
+            names = ["%s:%d" % sock.getsockname()[:2] for sock in (heavy, light_sock)]
+            # The writer blocks once the kernel buffers are full; the
+            # loop, stepped below, is what drains them.
+            writer = threading.Thread(
+                target=heavy.sendall, args=(frame_messages(heavy_burst),)
+            )
+            writer.start()
+            writer.join(0.2)
+            if light_burst:
+                light_sock.sendall(frame_messages(light_burst))
+
+            def received(name):
+                return [frame for batch in deliveries.get(name, ()) for frame in batch]
+
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and not (
+                received(names[0])[-1:] == heavy_burst[-1:]
+                and len(received(names[1])) >= len(light_burst)
+            ):
+                transport.step(0.01)
+            writer.join(5.0)
+            assert received(names[0])[-1:] == heavy_burst[-1:], "burst never finished"
+            return (
+                classify,
+                heavy_burst,
+                light_burst,
+                [deliveries.get(name, []) for name in names],
+                pressure.log,
+            )
+        finally:
+            for sock in (heavy, light_sock):
+                if sock is not None:
+                    sock.close()
+            transport.stop()
+
+    @pytest.mark.parametrize("burst", sorted(SIZES))
+    def test_lossless_under_the_high_watermark(self, burst):
+        """1x: a burst under the high watermark arrives whole, nothing
+        shed; 10x/100x: past it, shedding engages."""
+        _classify, sent, _, (got, _), _log = self._drive(self.SIZES[burst])
+        drops = counter_values().get("overload.drop.indication", 0)
+        if burst == "1x":
+            assert [frame for batch in got for frame in batch] == sent
+            assert drops == 0
+        else:
+            assert drops > 0
+
+    @pytest.mark.parametrize("burst", sorted(SIZES))
+    def test_every_control_frame_is_delivered_in_send_order(self, burst):
+        classify, sent, _, (got, _), _log = self._drive(self.SIZES[burst])
+        control = [f for f in sent if classify(f) is TrafficClass.CONTROL]
+        delivered = [
+            f for batch in got for f in batch if classify(f) is TrafficClass.CONTROL
+        ]
+        assert delivered == control
+        assert counter_values().get("overload.drop.control", 0) == 0
+
+    @pytest.mark.parametrize("coalesce", [4, 32])
+    @pytest.mark.parametrize("burst", sorted(SIZES))
+    def test_delivered_batches_are_bounded_and_newest(self, burst, coalesce):
+        """Queue memory is bounded: no delivered batch carries more than
+        ``max_queue_depth`` indications, and those it carries are the
+        newest of what its wakeup drained.  With ``burst_coalesce`` above
+        ``max_queue_depth`` the hard bound is the one that binds."""
+        overload = replace(self.OVERLOAD, burst_coalesce=coalesce)
+        classify, sent, _, (got, _), log = self._drive(self.SIZES[burst], overload=overload)
+        bound = overload.max_queue_depth
+        assert [frame for drained, _ in log for frame in drained] == sent
+        assert [admitted for _, admitted in log if admitted] == got
+        for drained, admitted in log:
+            drained_inds = [f for f in drained if classify(f) is TrafficClass.INDICATION]
+            kept = [f for f in admitted if classify(f) is TrafficClass.INDICATION]
+            assert len(kept) <= bound
+            assert kept == drained_inds[len(drained_inds) - len(kept):]
+
+    @pytest.mark.parametrize("burst", sorted(SIZES))
+    def test_control_waits_behind_at_most_the_bound(self, burst):
+        """The control-delay gate: however large the burst, a control
+        frame has at most ``max_queue_depth`` indications ahead of it in
+        its delivery, so its delay saturates at the queue bound."""
+        classify, _, _, (got, _), _log = self._drive(self.SIZES[burst])
+        for batch in got:
+            ahead = 0
+            for frame in batch:
+                if classify(frame) is TrafficClass.INDICATION:
+                    ahead += 1
+                else:
+                    assert ahead <= self.OVERLOAD.max_queue_depth
+
+    @pytest.mark.parametrize("burst", sorted(SIZES))
+    def test_a_light_burst_arrives_whole_beside_a_flood(self, burst):
+        """Fairness: while one connection floods, a burst of at most
+        ``burst_coalesce`` indications from a light connection is
+        delivered whole."""
+        light = self.OVERLOAD.burst_coalesce
+        _, _, light_sent, (_, light_got), _log = self._drive(self.SIZES[burst], light=light)
+        assert len(light_sent) == light
+        assert [frame for batch in light_got for frame in batch] == light_sent
+
+
 # -- keepalive under flood (satellite 2) -----------------------------
 
 
 class TestKeepaliveUnderFlood:
     def test_service_query_round_trips_through_saturated_queue(self):
-        """Flood one in-process ingest shard with indications past the
-        queue bound; a RIC service-query keepalive issued mid-flood
-        must still round-trip (control class is never shed) while
+        """Flood the RIC's TCP loop with indications past the queue
+        bound; a RIC service-query keepalive issued mid-flood must
+        still round-trip (control class is never shed) while
         indications are dropped."""
         overload = OverloadConfig(
             max_queue_depth=48, high_watermark=16, burst_coalesce=8
@@ -762,16 +921,34 @@ class TestKeepaliveUnderFlood:
         server = Server(
             ServerConfig(e2ap_codec="fb", overload=overload, keepalive_interval_s=0.5)
         )
-        transport = InProcTransport(
-            shards=2, overload=overload, classify=frame_classifier(server.codec)
-        )
+        classify = frame_classifier(server.codec)
+        ingest = server.transport_events()
+        delivered_inds = []
+
+        def on_messages(endpoint, batch):
+            # Log each delivered batch's indication count, then ingest.
+            delivered_inds.append(
+                sum(classify(frame) is TrafficClass.INDICATION for frame in batch)
+            )
+            ingest.on_messages(endpoint, batch)
+
+        ric, ran = server.create_transport("tcp"), TcpTransport()
         try:
-            server.listen(transport, "ric")
+            listener = ric.listen(
+                "127.0.0.1:0",
+                TransportEvents(
+                    on_connected=ingest.on_connected,
+                    on_disconnected=ingest.on_disconnected,
+                    on_messages=on_messages,
+                ),
+            )
+            ric.start()
+            ran.start()
             function = MacStatsFunction(
                 provider=synthetic_provider(2), sm_codec="fb"
             )
-            agent = make_agent(transport, functions=[function])
-            agent.connect("ric")
+            agent = make_agent(ran, functions=[function])
+            agent.connect(listener.address)
             deadline = time.monotonic() + 5.0
             while not server.agents() and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -784,8 +961,8 @@ class TestKeepaliveUnderFlood:
                 actions=[RicActionDefinition(1, RicActionKind.REPORT)],
                 callbacks=SubscriptionCallbacks(
                     on_success=lambda response: confirmed.set(),
-                    # The slow consumer: each indication pins the shard
-                    # thread long enough for the producer to win.
+                    # The slow consumer: each indication pins the loop
+                    # long enough for the producer to win.
                     on_indication=lambda event: time.sleep(0.002),
                 ),
             )
@@ -800,19 +977,18 @@ class TestKeepaliveUnderFlood:
             # "idle" from the prober's point of view).
             assert server.keepalive_tick(now=server.time_fn() + 10.0) == 1
             # The query and the agent's service-update reply both cross
-            # the saturated shard queue — and must survive it.
+            # the flooded loop — and must survive it.
             assert updated.wait(10.0)
             counters = counter_values()
             assert counters["overload.drop.indication"] > 0
             assert counters.get("overload.drop.control", 0) == 0
             assert counters["overload.degrade.enter"] >= 1
             assert len(server.agents()) == 1  # never declared dead
-            # The hard bound held: observed high watermark never ran
-            # materially past max_queue_depth (in-flight slack only).
-            hwm = gauge_values()["queue.inproc.shard.0.hwm"]
-            assert hwm <= overload.max_queue_depth + overload.high_watermark
+            # The hard bound held on every delivery the loop made.
+            assert max(delivered_inds) <= overload.max_queue_depth
         finally:
-            transport.stop()
+            ran.stop()
+            ric.stop()
             server.close()
 
 

@@ -253,8 +253,8 @@ class TestRL005MetricRegistry:
             tmp_path,
             "src/repro/mod.py",
             """
-            def track(shard):
-                return counters.get_counter(f"server.shard.{shard}.rx")
+            def track(conn):
+                return counters.get_counter(f"overload.conn.{conn}.drops")
             """,
         )
         assert findings == []

@@ -618,7 +618,7 @@ class TestWorkerChaos:
                     )
                     self.subscribed.set()
 
-        mp = MultiProcServer(ServerConfig(workers=2), port=0)
+        mp = MultiProcServer(ServerConfig(), workers=2, port=0)
         client = TcpTransport()
         try:
             mp.start()

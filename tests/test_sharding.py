@@ -1,10 +1,10 @@
 """Ingest loops: ordering, routing tables, fd hygiene, worker processes.
 
-Covers the one-loop TCP transport's drain, the in-process sharded
-dispatch, the server's batched receive path, the lock-free routing
+Covers the one-loop TCP transport's drain, the lock-free routing
 tables under churn, ``MultiProcServer`` and the satellite fixes
-(socketpair fd leak on ``stop()``, bounded connect timeout).  The churn tests honour ``CHAOS_SEED`` like
-the resilience suite so CI can sweep schedules.
+(socketpair fd leak on ``stop()``, bounded connect timeout).  The
+churn tests honour ``CHAOS_SEED`` like the resilience suite so CI can
+sweep schedules.
 """
 
 import os
@@ -50,8 +50,6 @@ from repro.core.transport import tcp as tcp_mod
 from repro.core.transport.framing import frame_messages
 from repro.core.transport import (
     ConnectTimeout,
-    FaultSpec,
-    FaultyTransport,
     InProcTransport,
     TcpTransport,
     TransportEvents,
@@ -94,23 +92,10 @@ def _open_fds():
     return len(os.listdir("/proc/self/fd"))
 
 
-# -- shard assignment / balance --------------------------------------
+# -- the drain's receive cost ------------------------------------
 
 
 class TestShardBalance:
-    def test_inproc_round_robin_assignment(self):
-        transport = InProcTransport(shards=4)
-        try:
-            transport.listen("ric", TransportEvents())
-            conns = [transport.connect("ric", TransportEvents()) for _ in range(8)]
-            per_shard = [stat["connections"] for stat in transport.shard_stats()]
-            assert per_shard == [2, 2, 2, 2]
-            # Both ends of a pair share the shard (ordering guarantee).
-            for conn in conns:
-                assert conn.shard == conn._other.shard
-        finally:
-            transport.stop()
-
     def test_one_small_frame_per_wakeup_costs_one_recv(self):
         """The drain leaves on a short read: no trailing EAGAIN recv."""
 
@@ -152,44 +137,6 @@ class TestShardBalance:
 
 
 class TestOrdering:
-    def test_inproc_sharded_ordering_per_connection(self):
-        transport = InProcTransport(shards=3)
-        got = {}
-
-        def on_message(endpoint, data):
-            got.setdefault(id(endpoint), []).append(data)
-
-        def on_messages(endpoint, batch):
-            got.setdefault(id(endpoint), []).extend(batch)
-
-        try:
-            transport.listen(
-                "ric",
-                TransportEvents(on_message=on_message, on_messages=on_messages),
-            )
-            conns = [transport.connect("ric", TransportEvents()) for _ in range(6)]
-
-            def blast(conn, tag):
-                for seq in range(200):
-                    conn.send(b"%d:%d" % (tag, seq))
-
-            threads = [
-                threading.Thread(target=blast, args=(conn, tag))
-                for tag, conn in enumerate(conns)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert transport.quiesce(timeout=10.0)
-            streams = list(got.values())
-            assert sum(len(stream) for stream in streams) == 6 * 200
-            for stream in streams:
-                seqs = [int(data.split(b":")[1]) for data in stream]
-                assert seqs == sorted(seqs), "per-connection order violated"
-        finally:
-            transport.stop()
-
     def test_tcp_batched_ordering(self):
         transport = TcpTransport()
         got = []
@@ -463,49 +410,6 @@ class TestSingleWriterTables:
             server.close()
 
 
-# -- FaultyTransport over a sharded inner transport ------------------
-
-
-class TestFaultyOverSharded:
-    def test_wrapper_transparent_over_sharded_inproc(self):
-        chaos = FaultyTransport(InProcTransport(shards=2), FaultSpec(), seed=CHAOS_SEED)
-        got = []
-        seen_endpoints = set()
-
-        def on_messages(endpoint, batch):
-            seen_endpoints.add(id(endpoint))
-            got.extend(batch)
-
-        try:
-            chaos.listen("ric", TransportEvents(on_messages=on_messages))
-            conn = chaos.connect("ric", TransportEvents())
-            for index in range(50):
-                conn.send(b"m%d" % index)
-            assert chaos.quiesce(timeout=5.0)
-            assert got == [b"m%d" % index for index in range(50)]
-            # Identity stable: every batch surfaced one wrapper object.
-            assert len(seen_endpoints) == 1
-            assert conn.shard in (0, 1)
-            assert len(chaos.shard_stats()) == 2
-        finally:
-            chaos.stop()
-
-    def test_faults_still_injected_through_batches(self):
-        chaos = FaultyTransport(
-            InProcTransport(shards=2), FaultSpec(drop_rate=1.0), seed=CHAOS_SEED
-        )
-        got = []
-        try:
-            chaos.listen("ric", TransportEvents(on_messages=lambda e, b: got.extend(b)))
-            conn = chaos.connect("ric", TransportEvents())
-            for _ in range(20):
-                conn.send(b"doomed")
-            assert chaos.quiesce(timeout=5.0)
-            assert got == []
-        finally:
-            chaos.stop()
-
-
 # -- satellite fixes: fd hygiene, stop idempotence, connect timeout --
 
 
@@ -530,7 +434,7 @@ class TestLifecycleHygiene:
         transport.start()
         transport.stop()
         transport.stop()  # second call must be a no-op, not an error
-        inproc = InProcTransport(shards=2)
+        inproc = InProcTransport()
         inproc.stop()
         inproc.stop()
 
@@ -548,52 +452,6 @@ class TestLifecycleHygiene:
             assert counter_values()["tcp.connect.timeout"] == before + 1
         finally:
             transport.stop()
-
-
-# -- server end-to-end over a sharded transport ----------------------
-
-
-class TestServerBatchPath:
-    def test_indications_flow_ordered_through_sharded_inproc(self):
-        transport = InProcTransport(shards=2)
-        server = Server(ServerConfig())
-        server.listen(transport, "ric")
-        agent = Agent(AgentConfig(node_id=make_node()), transport)
-        function = MacStatsFunction(provider=synthetic_provider(2), sm_codec="fb")
-        agent.register_function(function)
-        try:
-            agent.connect("ric")
-            assert _wait(lambda: len(server.agents()) == 1)
-            conn_id = server.agents()[0].conn_id
-            sequences = []
-            done = threading.Event()
-
-            def on_indication(event):
-                sequences.append(event.sequence)
-                if len(sequences) >= 30:
-                    done.set()
-
-            record = server.subscribe(
-                conn_id=conn_id,
-                ran_function_id=MAC.default_function_id,
-                event_trigger=PeriodicTrigger(0.0).to_bytes("fb"),
-                actions=[RicActionDefinition(1, RicActionKind.REPORT)],
-                callbacks=SubscriptionCallbacks(on_indication=on_indication),
-            )
-            assert _wait(lambda: record.confirmed)
-            for _ in range(30):
-                function.pump()
-            assert done.wait(timeout=10.0)
-            assert sequences[:30] == sorted(sequences[:30])
-            rx = sum(
-                value
-                for name, value in counter_values().items()
-                if name.startswith("server.shard.") and name.endswith(".rx")
-            )
-            assert rx > 0
-        finally:
-            transport.stop()
-            server.close()
 
 
 # -- runtime analysis integration (REPRO_ANALYSIS=1) -----------------
@@ -738,7 +596,7 @@ def _settled_agents(client, address, count):
 class TestMultiProcServer:
     def test_workers_ingest_merge_stats_and_stop(self):
         reset_all()
-        mp = MultiProcServer(ServerConfig(workers=2), port=0)
+        mp = MultiProcServer(ServerConfig(), workers=2, port=0)
         client = TcpTransport()
         try:
             mp.start()
@@ -772,7 +630,7 @@ class TestMultiProcServer:
 
     def test_worker_crash_respawn_republishes_policies(self):
         reset_all()
-        mp = MultiProcServer(ServerConfig(workers=2), port=0)
+        mp = MultiProcServer(ServerConfig(), workers=2, port=0)
         client = TcpTransport()
         try:
             mp.start()
@@ -812,7 +670,7 @@ class TestMultiProcServer:
 
     def test_unsubscribe_all_deletes_every_worker_subscription(self):
         reset_all()
-        mp = MultiProcServer(ServerConfig(workers=1), port=0)
+        mp = MultiProcServer(ServerConfig(), workers=1, port=0)
         client = TcpTransport()
         try:
             mp.start()
@@ -835,7 +693,7 @@ class TestMultiProcServer:
 
     def test_ran_function_added_at_runtime_gets_its_policy(self):
         reset_all()
-        mp = MultiProcServer(ServerConfig(workers=1), port=0)
+        mp = MultiProcServer(ServerConfig(), workers=1, port=0)
         client = TcpTransport()
         try:
             mp.start()
@@ -891,7 +749,7 @@ class TestMultiProcServer:
     def test_start_without_reuseport_refuses_before_forking(self, monkeypatch):
         reset_all()
         monkeypatch.setattr(tcp_mod, "_HAS_REUSEPORT", False)
-        mp = MultiProcServer(ServerConfig(workers=2), port=0)
+        mp = MultiProcServer(ServerConfig(), workers=2, port=0)
         with pytest.raises(RuntimeError, match="SO_REUSEPORT"):
             mp.start()
         assert not mp._handles
@@ -907,29 +765,6 @@ class TestMultiProcServer:
 
 
 class TestLoudTeardown:
-    def test_stuck_shard_thread_raises_and_counts(self):
-        reset_all()
-        transport = InProcTransport(shards=2)
-        blocker = threading.Event()
-        entered = threading.Event()
-
-        def wedge(endpoint, data):
-            entered.set()
-            blocker.wait()
-
-        try:
-            transport.listen("ric", TransportEvents(on_message=wedge))
-            conn = transport.connect("ric", TransportEvents())
-            conn.send(b"frame")
-            assert entered.wait(5.0), "handler never ran on the shard"
-            with pytest.raises(RuntimeError, match="stuck"):
-                transport.stop(timeout_s=0.2)
-            assert counter_values().get("transport.stop.stuck", 0) >= 1
-        finally:
-            blocker.set()
-            for shard in transport._shards:
-                shard.thread.join(timeout=5.0)
-
     def test_stuck_tcp_loop_thread_raises_and_counts(self):
         reset_all()
         transport = TcpTransport()
@@ -955,30 +790,9 @@ class TestLoudTeardown:
             loop.join(timeout=5.0)
         assert not loop.is_alive()
 
-    def test_undrained_frames_counted_and_raise_under_analysis(
-        self, monkeypatch
-    ):
-        reset_all()
-        monkeypatch.setenv("REPRO_ANALYSIS", "1")
-        transport = InProcTransport(shards=2)
-        transport.listen("ric", TransportEvents())
-        conn = transport.connect("ric", TransportEvents())
-        # Park the shard worker, then post a frame it will never drain
-        # (the previously-silent teardown leak).
-        shard = transport._shards[conn._other.shard]
-        with shard.cond:
-            shard.running = False
-            shard.cond.notify_all()
-        shard.thread.join(timeout=5.0)
-        assert not shard.thread.is_alive()
-        shard.queue.append((conn._other, [b"lost-frame"]))
-        with pytest.raises(RuntimeError, match="undrained"):
-            transport.stop()
-        assert counter_values().get("transport.stop.undrained") == 1
-
     def test_conn_scoped_drop_counter_discarded_on_close(self):
         reset_all()
-        transport = InProcTransport(shards=1)
+        transport = InProcTransport()
         try:
             transport.listen("ric", TransportEvents())
             conn = transport.connect("ric", TransportEvents())

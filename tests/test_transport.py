@@ -607,11 +607,10 @@ class TestOnMessageOnlyReceivers:
     ``deliver`` hand-off of every transport still reaches them one
     frame per call, in order."""
 
-    @pytest.mark.parametrize("kind", ["inproc", "inproc-sharded", "tcp", "faulty"])
+    @pytest.mark.parametrize("kind", ["inproc", "tcp", "faulty"])
     def test_one_call_per_frame_in_order(self, kind):
         transport = {
             "inproc": InProcTransport,
-            "inproc-sharded": lambda: InProcTransport(shards=2),
             "tcp": TcpTransport,
             "faulty": lambda: FaultyTransport(InProcTransport()),
         }[kind]()
