@@ -1,10 +1,10 @@
-"""Asyncio E2-node agent: the wire-speaking half of the async tier.
+"""Asyncio E2-node agent over the framed-TCP wire.
 
 :class:`AsyncE2Node` is an E2 node written against the event loop
 instead of callback threads: it connects to any server (sync,
 multiprocess worker, remote) over the framed-TCP wire, performs the
 E2 setup handshake, admits subscriptions (surfacing them as awaitable
-:class:`AsyncSubscriptionHandle` objects), answers service-query
+:class:`AdmittedSubscription` objects), answers service-query
 keepalives, and runs an optional control handler.  ``emit``/
 ``emit_many`` push indications for an admitted subscription.
 """
@@ -62,7 +62,7 @@ class SetupRefused(Exception):
         self.failure = failure
 
 
-class AsyncSubscriptionHandle:
+class AdmittedSubscription:
     """One subscription admitted by this node."""
 
     __slots__ = ("request", "ran_function_id", "event_trigger", "actions")
@@ -101,7 +101,7 @@ class AsyncE2Node:
         self.functions = list(functions)
         self.codec = get_codec(codec)
         self.on_control = on_control
-        self.subscriptions: Dict[Tuple[int, int], AsyncSubscriptionHandle] = {}
+        self.subscriptions: Dict[Tuple[int, int], AdmittedSubscription] = {}
         self.indications_sent = 0
         self._endpoint: Optional[AioEndpoint] = None
         self._read_task: Optional["asyncio.Task"] = None
@@ -145,13 +145,13 @@ class AsyncE2Node:
 
     async def wait_subscription(
         self, timeout_s: float = 5.0
-    ) -> AsyncSubscriptionHandle:
+    ) -> AdmittedSubscription:
         """Await the next subscription admitted by this node."""
         return await asyncio.wait_for(self._sub_queue.get(), timeout=timeout_s)
 
     async def emit(
         self,
-        handle: AsyncSubscriptionHandle,
+        handle: AdmittedSubscription,
         sequence: int,
         header: bytes = b"",
         payload: bytes = b"",
@@ -164,7 +164,7 @@ class AsyncE2Node:
 
     async def emit_many(
         self,
-        handle: AsyncSubscriptionHandle,
+        handle: AdmittedSubscription,
         payloads: Sequence[bytes],
         start_sequence: int = 0,
         header: bytes = b"",
@@ -182,7 +182,7 @@ class AsyncE2Node:
 
     def _indication_bytes(
         self,
-        handle: AsyncSubscriptionHandle,
+        handle: AdmittedSubscription,
         sequence: int,
         header: bytes,
         payload: bytes,
@@ -250,7 +250,7 @@ class AsyncE2Node:
             await self._handle_control(message)
 
     async def _admit(self, message: RicSubscriptionRequest) -> None:
-        handle = AsyncSubscriptionHandle(message)
+        handle = AdmittedSubscription(message)
         self.subscriptions[message.request.as_tuple()] = handle
         await self._endpoint.send(
             encode_message(

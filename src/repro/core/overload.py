@@ -12,10 +12,9 @@ of growing queues without bound:
   droppable under pressure, exactly as O-RAN telemetry semantics allow
   (a lost KPM report is superseded by the next one).
 * :class:`QueuePressure` — per-queue depth/high-watermark accounting
-  plus, when bounded, the shed/degrade policy: above the high
-  watermark the queue enters a degraded state where arriving
-  indication bursts are coalesced to their newest frames and the hard
-  depth bound is enforced by dropping the *oldest* indications first.
+  plus, when bounded, the one shed rule: a drained batch keeps every
+  control frame and its newest ``max_queue_depth`` indications,
+  shedding the *oldest* indications first.
 * :class:`AdmissionController` — token buckets and a concurrent-
   procedure cap over E2 setup / RIC subscription storms, with a
   slow-start ramp after ``node_recovered`` so a reconnect storm does
@@ -26,10 +25,10 @@ of growing queues without bound:
   the controller's provisioned capacity, so one greedy tenant cannot
   starve the rest of indication dispatch or control issuance.
 
-Every drop is counted per class (``overload.drop.{cls}``) and per
-connection (``overload.conn.{conn}.drops``); queue state is published
-through ``queue.{scope}.depth`` / ``.hwm`` / ``.degraded`` gauges so
-the northbound ``/metrics/overload`` route can report overload state.
+Every shed indication is counted in ``overload.drop.indication`` and
+per connection in ``overload.conn.{conn}.drops``; queue state is published
+through ``queue.{scope}.depth`` / ``.hwm`` gauges so the northbound
+``/metrics/overload`` route can report overload state.
 """
 
 from __future__ import annotations
@@ -53,10 +52,6 @@ class TrafficClass(IntEnum):
 
     CONTROL = 0
     INDICATION = 1
-
-    @property
-    def label(self) -> str:
-        return "control" if self is TrafficClass.CONTROL else "indication"
 
 
 def classify_procedure(procedure: int) -> TrafficClass:
@@ -104,23 +99,16 @@ def frame_classifier(codec) -> Callable[[bytes], TrafficClass]:
 class OverloadConfig:
     """Tunable surface of the overload-discipline layer.
 
-    The defaults bound a drained batch to a few thousand frames (a few
-    MB of 100-byte indications) and admit setup/subscription bursts an
+    The defaults bound a drained batch to about a thousand indications
+    (~100 KB of 100-byte ones) and admit setup/subscription bursts an
     order of magnitude above steady-state rates before rejecting.
     """
 
-    #: hard per-queue bound on droppable (indication) frames.  Control
-    #: frames are admitted past this bound — the queue's true limit is
-    #: ``max_queue_depth`` plus in-flight control traffic, which is
-    #: small by construction.
-    max_queue_depth: int = 4096
-    #: depth at which the queue enters the degraded state (sheds
-    #: oldest indications, coalesces bursts).  Exit at half this depth
-    #: (hysteresis, so the state does not flap around the threshold).
-    high_watermark: int = 1024
-    #: in the degraded state, an arriving indication burst from one
-    #: connection is coalesced to its newest this-many frames.
-    burst_coalesce: int = 64
+    #: indications one drained batch may deliver: a larger batch keeps
+    #: its newest this-many and sheds the rest, oldest first.  Control
+    #: frames pass past this bound, so a control frame never waits
+    #: behind more than this many indications.
+    max_queue_depth: int = 1024
     #: E2 setup admission: sustained rate (per second) and burst.
     setup_rate_s: float = 100.0
     setup_burst: int = 50
@@ -196,41 +184,22 @@ class TokenBucket:
             return deficit / effective
 
 
-def count_drop(cls: TrafficClass, conn_label: object, dropped: int) -> None:
-    """Account ``dropped`` shed frames per class and per connection."""
-    get_counter(f"overload.drop.{cls.label}").incr(dropped)
-    get_counter(f"overload.conn.{conn_label}.drops").incr(dropped)
-
-
 class QueuePressure:
-    """Depth/degrade accounting for one ingest queue.
+    """Depth accounting and the shed rule for one ingest queue.
 
     Two modes:
 
     * accounting-only (``config is None``) — publishes depth and
       high-watermark gauges; never touches the traffic.  This is the
       always-on mode of the inproc dispatch queue.
-    * bounded (``config`` set, ``classify`` set) — additionally runs
-      the shed/degrade policy via :meth:`admit`.
+    * bounded (``config`` set, ``classify`` set) — additionally sheds
+      via :meth:`admit`.
 
     ``note_depth`` may run on any caller's thread (an in-process
-    dispatch runs on its sender's); the gauge stores are atomic and the
-    degrade transition is serialized under a small lock so the enter
-    counter is exact.
+    dispatch runs on its sender's); the gauge stores are atomic.
     """
 
-    __slots__ = (
-        "scope",
-        "config",
-        "classify",
-        "depth_gauge",
-        "hwm_gauge",
-        "degraded_gauge",
-        "hwm",
-        "degraded",
-        "_exit_depth",
-        "_state_lock",
-    )
+    __slots__ = ("scope", "config", "classify", "depth_gauge", "hwm_gauge", "hwm")
 
     def __init__(
         self,
@@ -245,69 +214,47 @@ class QueuePressure:
         self.classify = classify
         self.depth_gauge = get_gauge(f"queue.{scope}.depth")
         self.hwm_gauge = get_gauge(f"queue.{scope}.hwm")
-        self.degraded_gauge = get_gauge(f"queue.{scope}.degraded")
         self.hwm = 0
-        self.degraded = False
-        self._exit_depth = (config.high_watermark // 2) if config else 0
-        self._state_lock = threading.Lock()
 
     @property
     def bounded(self) -> bool:
         return self.config is not None
 
     def discard_gauges(self) -> None:
-        """Drop this queue's depth/hwm/degraded gauges from the registry.
+        """Drop this queue's depth/hwm gauges from the registry.
 
         Called when the owning loop stops for good: the gauges describe
         a queue that no longer exists, and keeping them exports ghost
         depth/hwm readings to ``/metrics`` after every transport cycle
         (the conn-scoped instrument leak of the §14 bugfix sweep).
         """
-        for suffix in ("depth", "hwm", "degraded"):
+        for suffix in ("depth", "hwm"):
             discard_gauge(f"queue.{self.scope}.{suffix}")
 
     def note_depth(self, depth: int) -> None:
-        """Publish ``depth`` and drive the degrade state machine."""
+        """Publish ``depth`` and raise the high watermark past it."""
         self.depth_gauge.set(depth)
         if depth > self.hwm:
             self.hwm = depth
             self.hwm_gauge.set(depth)
-        config = self.config
-        if config is None:
-            return
-        if not self.degraded:
-            if depth >= config.high_watermark:
-                with self._state_lock:
-                    if not self.degraded:
-                        self.degraded = True
-                        self.degraded_gauge.set(1)
-                        get_counter("overload.degrade.enter").incr()
-        elif depth <= self._exit_depth:
-            with self._state_lock:
-                if self.degraded:
-                    self.degraded = False
-                    self.degraded_gauge.set(0)
 
     def admit(self, frames: List[bytes], conn_label: object) -> List[bytes]:
-        """Apply the shed policy to a drained burst.
+        """Apply the shed rule to a drained batch.
 
-        The burst is the whole queue: the TCP loop admits what one
-        wakeup drained, behind nothing.  Below the high watermark the
-        burst passes untouched (the fast path: one comparison).  Under
-        pressure, control frames are always admitted; indications are
-        admitted newest-first (shed oldest) up to ``max_queue_depth``,
-        further clamped to ``burst_coalesce`` per burst in the
-        degraded state.  Returns the admitted frames in their original
-        order.
+        The batch is the whole queue: the TCP loop admits what one
+        wakeup drained, behind nothing.  A batch of at most
+        ``max_queue_depth`` frames passes untouched (the fast path: one
+        comparison).  A larger one keeps every control frame and its
+        newest ``max_queue_depth`` indications, shedding the oldest
+        first.  Returns the admitted frames in their original order.
         """
         config = self.config
         if config is None:
             return frames
-        if not self.degraded and len(frames) <= config.high_watermark:
+        budget = config.max_queue_depth
+        if len(frames) <= budget:
             return frames
         classify = self.classify
-        room = config.max_queue_depth
-        budget = min(room, config.burst_coalesce) if self.degraded else room
         keep = [False] * len(frames)
         kept_ind = 0
         dropped = 0
@@ -323,12 +270,8 @@ class QueuePressure:
                 dropped += 1
         if not dropped:
             return frames
-        count_drop(TrafficClass.INDICATION, conn_label, dropped)
-        if self.degraded and room > config.burst_coalesce:
-            # Drops forced by burst coalescing rather than the hard
-            # depth bound; kept distinct so a dashboard can tell
-            # "smoothing bursts" from "queue is full".
-            get_counter("overload.coalesced").incr(dropped)
+        get_counter("overload.drop.indication").incr(dropped)
+        get_counter(f"overload.conn.{conn_label}.drops").incr(dropped)
         return [frame for frame, kept in zip(frames, keep) if kept]
 
 

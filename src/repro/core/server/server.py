@@ -94,8 +94,8 @@ class ServerConfig:
     #: unanswered keepalives tolerated before the node is declared
     #: silently dead and pushed down the stale path.
     keepalive_misses: int = 3
-    #: overload discipline (DESIGN.md §13): bounded class-aware ingest
-    #: queues, setup/subscription admission control, degrade states.
+    #: overload discipline (DESIGN.md §13): the class-aware shed rule
+    #: on the TCP drain, setup/subscription admission control.
     #: None (default) keeps the unbounded legacy behaviour exactly.
     overload: Optional[OverloadConfig] = None
 

@@ -293,10 +293,10 @@ class TcpTransport(Transport):
         #: guards the selector's registrations and the endpoint table
         #: (``connect``/``close`` arrive from callers' threads).
         self._lock = threading.Lock()
-        #: shed/degrade accounting for the loop's ingest.  TCP's real
-        #: queue is the kernel socket buffer, so "depth" here is the
-        #: size of the batch one wakeup drained — the loop's view of
-        #: how far behind it is running.
+        #: depth accounting and the shed rule for the loop's ingest.
+        #: TCP's real queue is the kernel socket buffer, so "depth" here
+        #: is the size of the batch one wakeup drained — the loop's view
+        #: of how far behind it is running.
         self._pressure = QueuePressure("tcp.shard.0", overload, classify)
         self._thread: Optional[threading.Thread] = None
         #: sock -> endpoint, for teardown.
@@ -511,13 +511,6 @@ class TcpTransport(Transport):
         # Placeholder only: every terminal path below overwrites it
         # with the specific close-cause name before it is used.
         terminal_counter = "tcp.close.error"
-        pressure = self._pressure
-        drain_budget = self.MAX_DRAIN_BYTES
-        if pressure.degraded:
-            # Degraded loop: take smaller bites per wakeup so the
-            # selector re-arms sooner and a flooding connection cannot
-            # monopolize the loop while neighbours starve.
-            drain_budget //= 4
         size = self.RECV_SIZE
         window = self._recv_view
         if window.nbytes != size:  # first read, or a test shrank it
@@ -525,7 +518,7 @@ class TcpTransport(Transport):
         recv_into = endpoint._sock.recv_into
         feed = endpoint._framer.feed
         messages: List[bytes] = []
-        while drained < drain_budget:
+        while drained < self.MAX_DRAIN_BYTES:
             try:
                 got = recv_into(window)
             except BlockingIOError:
@@ -558,12 +551,13 @@ class TcpTransport(Transport):
             # (no correlation yet — the bytes are still opaque).
             tracer.record("recv", trace_start, node=endpoint._peer)
         if messages:
+            pressure = self._pressure
             bounded = pressure.bounded
             if bounded:
                 # The drained batch *is* the queue (frames already left
                 # the kernel buffer): keep all control frames and the
-                # newest indications up to the configured budget,
-                # shedding the oldest first.
+                # newest ``max_queue_depth`` indications, shedding the
+                # oldest first.
                 pressure.note_depth(len(messages))
                 messages = pressure.admit(messages, endpoint._peer)
             if messages:

@@ -43,8 +43,7 @@ COUNTERS = frozenset(
         "server.keepalive.dead",
         "server.liveness.errors",
         # overload discipline (DESIGN.md §13)
-        "overload.degrade.enter",
-        "overload.coalesced",
+        "overload.drop.indication",
         "server.admission.reject.setup",
         "server.admission.reject.subscription",
         "server.admission.slow_start",
@@ -75,9 +74,6 @@ COUNTERS = frozenset(
         "server.subscription.shared",
         "e2ap.encode.messages",
         "tcp.send.vectored",
-        # asyncio client tier
-        "aio.subscription.shed",
-        "aio.loop_closed",
         # fault injection
         "faulty.drop",
         "faulty.corrupt",
@@ -93,8 +89,7 @@ COUNTERS = frozenset(
 COUNTER_PATTERNS: Tuple[str, ...] = (
     # close-cause accounting (DisconnectReason.code)
     "tcp.close.{code}",
-    # overload shed accounting (traffic-class label, connection label)
-    "overload.drop.{cls}",
+    # overload shed accounting (connection label)
     "overload.conn.{conn}.drops",
     # per-tenant fair-share refusals (tenant name)
     "overload.tenant.{tenant}.ind_drops",
@@ -113,7 +108,6 @@ GAUGE_PATTERNS: Tuple[str, ...] = (
     # bounded-queue pressure accounting (queue scope)
     "queue.{scope}.depth",
     "queue.{scope}.hwm",
-    "queue.{scope}.degraded",
     # per-tenant fair-share bucket levels (tenant name)
     "overload.tenant.{tenant}.tokens",
 )

@@ -1,18 +1,18 @@
-"""Async client tier: AsyncAgent/AsyncSubscription/AsyncE2Node (§14).
+"""Asyncio E2-node tier: AsyncE2Node and its framed endpoint (§14).
 
-The tier is client-side only: every test drives a real sync server (the
-selector loop thread of ``Server.listen``, framed TCP, or multiprocess
-workers) from coroutines via ``asyncio.run``.  The bridge under test is
-the thread→loop hand-off layer, so nothing here may block the loop.
+The tier is the E2-node side only: every test drives a real sync server
+(the selector loop thread of ``Server.listen``, framed TCP, or
+multiprocess workers) with a node running under ``asyncio.run``, so
+nothing here may block the loop.
 """
 
 import asyncio
+import queue
 
 import pytest
 
-from repro.aio import AsyncAgent, AsyncE2Node, aio_connect
+from repro.aio import AsyncE2Node, aio_connect
 from repro.aio.node import ControlRejected
-from repro.aio.agent import ControlFailed
 from repro.core.e2ap.ies import (
     GlobalE2NodeId,
     NodeKind,
@@ -20,10 +20,11 @@ from repro.core.e2ap.ies import (
     RicActionDefinition,
     RicActionKind,
 )
-from repro.core.server import Server, ServerConfig
+from repro.core.e2ap.messages import RicControlAcknowledge, RicControlFailure
+from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
 from repro.core.server.workers import MultiProcServer, SubscriptionPolicy
 from repro.core.transport import TcpTransport
-from repro.metrics.counters import counter_values, reset_all
+from repro.metrics.counters import reset_all
 
 FN = 200
 
@@ -46,100 +47,54 @@ def sync_stack():
 
 class TestAsyncEndToEnd:
     def test_subscribe_stream_control(self):
+        """The RIC side is the sync ``Server`` API; its callbacks run on
+        the transport thread and reach the coroutine through
+        thread-safe queues, so nothing blocks the loop."""
         server, transport, port = sync_stack()
+        indications, outcomes, deleted = queue.Queue(), queue.Queue(), queue.Queue()
 
         def on_control(header, payload):
             if payload == b"nope":
                 raise ControlRejected("refused on purpose")
             return b"done:" + payload
 
+        async def next_of(items):
+            loop = asyncio.get_running_loop()
+            return await loop.run_in_executor(None, items.get, True, 5.0)
+
         async def scenario():
             node = AsyncE2Node(
                 make_node_id(), make_functions(), on_control=on_control
             )
             await node.connect("127.0.0.1", port)
-            async with AsyncAgent(server) as ric:
-                agents = await ric.wait_agents(1)
-                conn_id = agents[0].conn_id
+            conn_id = server.agents()[0].conn_id
+            record = server.subscribe(
+                conn_id,
+                ran_function_id=FN,
+                event_trigger=b"",
+                actions=[RicActionDefinition(1, RicActionKind.REPORT)],
+                callbacks=SubscriptionCallbacks(
+                    on_indication=lambda event: indications.put(event.payload),
+                    on_deleted=deleted.put,
+                ),
+            )
+            handle = await node.wait_subscription()
+            await node.emit_many(handle, [b"p%d" % i for i in range(10)])
+            got = [await next_of(indications) for _ in range(10)]
+            assert got == [b"p%d" % i for i in range(10)]
 
-                sub = await ric.subscribe(
-                    conn_id,
-                    ran_function_id=FN,
-                    actions=[RicActionDefinition(1, RicActionKind.REPORT)],
-                )
-                handle = await node.wait_subscription()
-                await node.emit_many(
-                    handle, [b"p%d" % i for i in range(10)]
-                )
-                got = []
-                async for indication in sub:
-                    got.append(indication.payload)
-                    if len(got) == 10:
-                        break
-                assert got == [b"p%d" % i for i in range(10)]
+            server.control(conn_id, FN, b"", b"hello", on_outcome=outcomes.put)
+            ack = await next_of(outcomes)
+            assert isinstance(ack, RicControlAcknowledge)
+            assert ack.outcome == b"done:hello"
+            server.control(conn_id, FN, b"", b"nope", on_outcome=outcomes.put)
+            assert isinstance(await next_of(outcomes), RicControlFailure)
 
-                ack = await ric.control(conn_id, FN, payload=b"hello")
-                assert ack.outcome == b"done:hello"
-                with pytest.raises(ControlFailed):
-                    await ric.control(conn_id, FN, payload=b"nope")
-
-                # Deleting the subscription ends the stream cleanly.
-                await sub.close()
-                assert [item async for item in sub] == []
+            # Deleting the subscription reaches the node and is answered.
+            server.unsubscribe(record)
+            await next_of(deleted)
+            assert node.subscriptions == {}
             await node.close()
-
-        try:
-            asyncio.run(scenario())
-        finally:
-            server.close()
-            transport.stop()
-
-    def test_slow_consumer_sheds_oldest(self):
-        reset_all()
-        server, transport, port = sync_stack()
-
-        async def scenario():
-            node = AsyncE2Node(make_node_id(), make_functions())
-            await node.connect("127.0.0.1", port)
-            async with AsyncAgent(server) as ric:
-                agents = await ric.wait_agents(1)
-                sub = await ric.subscribe(
-                    agents[0].conn_id,
-                    ran_function_id=FN,
-                    actions=[RicActionDefinition(1, RicActionKind.REPORT)],
-                    queue_size=4,
-                )
-                handle = await node.wait_subscription()
-                await node.emit_many(
-                    handle, [b"x"] * 20, start_sequence=0
-                )
-                # Let every push land while we (the slow consumer)
-                # deliberately do not read: 16 oldest must be shed.
-                deadline = asyncio.get_running_loop().time() + 10.0
-                while (
-                    counter_values().get("aio.subscription.shed", 0) < 16
-                    and asyncio.get_running_loop().time() < deadline
-                ):
-                    await asyncio.sleep(0.01)
-                assert counter_values().get("aio.subscription.shed") == 16
-                kept = [await sub.__anext__() for _ in range(4)]
-                # Newest-data-wins: the survivors are the last four.
-                assert [item.sequence for item in kept] == [16, 17, 18, 19]
-            await node.close()
-
-        try:
-            asyncio.run(scenario())
-        finally:
-            server.close()
-            transport.stop()
-
-    def test_wait_agents_times_out_loudly(self):
-        server, transport, _ = sync_stack()
-
-        async def scenario():
-            ric = AsyncAgent(server)
-            with pytest.raises(TimeoutError):
-                await ric.wait_agents(1, timeout_s=0.2)
 
         try:
             asyncio.run(scenario())

@@ -5,6 +5,8 @@ A monitoring RIC and a MAC agent run in fresh interpreters
 side's ``sys.modules`` must hold neither the HTTP northbound, the
 traffic models and the controllers it does not run, nor the other
 side's library — while the payload schema registry stays complete.
+The asyncio E2 node, imported alone in a fresh interpreter, loads no
+server module either.
 """
 
 import json
@@ -116,6 +118,21 @@ class TestAgentClosure:
     def test_no_server_library(self, closures):
         modules = closures[1]["modules"]
         assert "repro.core.agent.agent" in modules
+        assert _matching(modules, SERVER_ONLY) == []
+
+
+class TestAsyncNodeClosure:
+    def test_no_server_library(self):
+        """The asyncio E2 node (the benchmark's flood generator) is an
+        E2-node client: importing it loads no server module."""
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        probe = "import json, sys, repro.aio.node; print(json.dumps(sorted(sys.modules)))"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=30, check=True,
+        )
+        modules = json.loads(out.stdout)
+        assert "repro.aio.node" in modules
         assert _matching(modules, SERVER_ONLY) == []
 
 

@@ -285,7 +285,6 @@ class TestQueuePressure:
         gauges = gauge_values()
         assert gauges["queue.unit.acct.depth"] == 3
         assert gauges["queue.unit.acct.hwm"] == 7
-        assert gauges["queue.unit.acct.degraded"] == 0
         # admit is the identity in accounting mode.
         frames = [b"x", b"y"]
         assert pressure.admit(frames, "conn") is frames
@@ -294,17 +293,14 @@ class TestQueuePressure:
         with pytest.raises(ValueError):
             QueuePressure("unit.bad", OverloadConfig())
 
-    def _bounded(self, **overrides):
-        config = OverloadConfig(
-            max_queue_depth=overrides.pop("max_queue_depth", 8),
-            high_watermark=overrides.pop("high_watermark", 4),
-            burst_coalesce=overrides.pop("burst_coalesce", 2),
-            **overrides,
-        )
+    def _bounded(self):
+        config = OverloadConfig(max_queue_depth=8)
         codec = get_codec("fb")
         return QueuePressure("unit.bound", config, frame_classifier(codec)), codec
 
     def test_fast_path_below_watermark(self):
+        """A batch of at most ``max_queue_depth`` frames is returned as
+        is, nothing shed."""
         pressure, codec = self._bounded()
         frames = [frame for _, _, frame in _frames(codec, indications=3)]
         assert pressure.admit(frames, "conn") is frames
@@ -331,35 +327,27 @@ class TestQueuePressure:
         assert admitted[-1] == tagged[-1][2]
         assert counter_values()["overload.drop.indication"] == 4
 
-    def test_degrade_hysteresis(self):
-        pressure, _codec = self._bounded(high_watermark=4)
-        pressure.note_depth(4)
-        assert pressure.degraded
-        assert gauge_values()["queue.unit.bound.degraded"] == 1
-        assert counter_values()["overload.degrade.enter"] == 1
-        # Stays degraded until depth falls to half the watermark.
-        pressure.note_depth(3)
-        assert pressure.degraded
-        pressure.note_depth(2)
-        assert not pressure.degraded
-        assert gauge_values()["queue.unit.bound.degraded"] == 0
-        # Re-entering counts again.
-        pressure.note_depth(4)
-        assert counter_values()["overload.degrade.enter"] == 2
-
-    def test_degraded_bursts_coalesce_to_newest(self):
-        pressure, codec = self._bounded(
-            max_queue_depth=100, high_watermark=4, burst_coalesce=2
-        )
-        pressure.note_depth(4)
-        assert pressure.degraded
-        tagged = _frames(codec, indications=6)
-        admitted = pressure.admit([f for _, _, f in tagged], "conn")
-        kept = [seq for (_, seq, frame) in tagged if frame in admitted]
-        assert kept == [4, 5]  # newest burst_coalesce frames
-        counters = counter_values()
-        assert counters["overload.drop.indication"] == 4
-        assert counters["overload.coalesced"] == 4
+    def test_shedding_is_monotonic_in_the_drained_batch(self):
+        """A bigger drain never delivers fewer indications.  Driven the
+        way ``TcpTransport._read`` drives it (depth, admit, depth back
+        to 0) at the defaults, a batch of ``n`` indications delivers
+        exactly ``min(n, max_queue_depth)`` of them.  The classifier is
+        a table lookup of the one frame (``frame_classifier`` is
+        ``TestClassification``'s), which keeps all 3 073 batch sizes
+        to about 2 s."""
+        codec = get_codec("fb")
+        frame = _frames(codec, indications=1)[0][2]
+        classify = {frame: frame_classifier(codec)(frame)}.__getitem__
+        config = OverloadConfig()
+        pressure = QueuePressure("unit.mono", config, classify)
+        budget = config.max_queue_depth
+        delivered = []
+        for n in range(3 * budget + 1):
+            pressure.note_depth(n)
+            delivered.append(len(pressure.admit([frame] * n, "conn")))
+            pressure.note_depth(0)
+        wrong = [(n, got) for n, got in enumerate(delivered) if got != min(n, budget)]
+        assert wrong == []
 
 
 # -- admission control -----------------------------------------------
@@ -628,7 +616,7 @@ class TestTcpShedding:
         between: the drain admits every control frame and the newest
         indications up to the budget."""
         codec = get_codec("fb")
-        overload = OverloadConfig(max_queue_depth=8, high_watermark=4, burst_coalesce=8)
+        overload = OverloadConfig(max_queue_depth=8)
         transport = TcpTransport(overload=overload, classify=frame_classifier(codec))
         inds = [frame for _, _, frame in _frames(codec, indications=30)]
         control = encode_message(RicServiceQuery(), codec)
@@ -660,7 +648,7 @@ class TestTcpShedding:
 
     def test_a_poison_burst_leaves_the_ingest_thread_serving(self):
         """One write of 1 100 truncated frames under the default policy:
-        past the high watermark every frame is classified, none kills
+        past ``max_queue_depth`` every frame is classified, none kills
         the one loop, and a fresh E2 setup is still answered."""
         import socket
 
@@ -696,7 +684,7 @@ class TestTcpShedding:
         and never its control frames, fleet-wide."""
         from tests.test_sharding import _settled_agents, _worker_policy
 
-        overload = OverloadConfig(max_queue_depth=16, high_watermark=8)
+        overload = OverloadConfig(max_queue_depth=16)
         mp = MultiProcServer(ServerConfig(overload=overload), workers=2, port=0)
         client = TcpTransport()
         try:
@@ -741,17 +729,17 @@ class TestTcpDrainInvariants:
 
     A burst is written into one connection of a ``TcpTransport`` under
     an :class:`OverloadConfig` and the loop is driven inline with
-    ``step()``.  Bursts are ``high_watermark - 1`` frames (1x) and 10x /
-    100x ``max_queue_depth`` frames, every ``CONTROL_EVERY``-th frame
+    ``step()``.  Bursts are 1x (the largest lossless one), 10x and 100x
+    ``max_queue_depth`` frames, every ``CONTROL_EVERY``-th frame
     and the last one a control frame.  However the kernel splits the
     stream across wakeups, every drain keeps each invariant
     (DESIGN.md §13.5).
     """
 
-    OVERLOAD = OverloadConfig(max_queue_depth=16, high_watermark=12, burst_coalesce=4)
+    OVERLOAD = OverloadConfig(max_queue_depth=4)
     CONTROL_EVERY = 4
     SIZES = {
-        "1x": OVERLOAD.high_watermark - 1,
+        "1x": OVERLOAD.max_queue_depth,
         "10x": 10 * OVERLOAD.max_queue_depth,
         "100x": 100 * OVERLOAD.max_queue_depth,
     }
@@ -842,9 +830,9 @@ class TestTcpDrainInvariants:
             transport.stop()
 
     @pytest.mark.parametrize("burst", sorted(SIZES))
-    def test_lossless_under_the_high_watermark(self, burst):
-        """1x: a burst under the high watermark arrives whole, nothing
-        shed; 10x/100x: past it, shedding engages."""
+    def test_lossless_up_to_max_queue_depth(self, burst):
+        """1x: a burst of ``max_queue_depth`` frames arrives whole,
+        nothing shed; 10x/100x: past it, shedding engages."""
         _classify, sent, _, (got, _), _log = self._drive(self.SIZES[burst])
         drops = counter_values().get("overload.drop.indication", 0)
         if burst == "1x":
@@ -863,14 +851,14 @@ class TestTcpDrainInvariants:
         assert delivered == control
         assert counter_values().get("overload.drop.control", 0) == 0
 
-    @pytest.mark.parametrize("coalesce", [4, 32])
+    @pytest.mark.parametrize("depth", [4, 32])
     @pytest.mark.parametrize("burst", sorted(SIZES))
-    def test_delivered_batches_are_bounded_and_newest(self, burst, coalesce):
+    def test_delivered_batches_are_bounded_and_newest(self, burst, depth):
         """Queue memory is bounded: no delivered batch carries more than
         ``max_queue_depth`` indications, and those it carries are the
-        newest of what its wakeup drained.  With ``burst_coalesce`` above
-        ``max_queue_depth`` the hard bound is the one that binds."""
-        overload = replace(self.OVERLOAD, burst_coalesce=coalesce)
+        newest of what its wakeup drained, at the class's budget and at
+        one eight times larger."""
+        overload = replace(self.OVERLOAD, max_queue_depth=depth)
         classify, sent, _, (got, _), log = self._drive(self.SIZES[burst], overload=overload)
         bound = overload.max_queue_depth
         assert [frame for drained, _ in log for frame in drained] == sent
@@ -898,9 +886,9 @@ class TestTcpDrainInvariants:
     @pytest.mark.parametrize("burst", sorted(SIZES))
     def test_a_light_burst_arrives_whole_beside_a_flood(self, burst):
         """Fairness: while one connection floods, a burst of at most
-        ``burst_coalesce`` indications from a light connection is
+        ``max_queue_depth`` indications from a light connection is
         delivered whole."""
-        light = self.OVERLOAD.burst_coalesce
+        light = self.OVERLOAD.max_queue_depth
         _, _, light_sent, (_, light_got), _log = self._drive(self.SIZES[burst], light=light)
         assert len(light_sent) == light
         assert [frame for batch in light_got for frame in batch] == light_sent
@@ -915,9 +903,7 @@ class TestKeepaliveUnderFlood:
         bound; a RIC service-query keepalive issued mid-flood must
         still round-trip (control class is never shed) while
         indications are dropped."""
-        overload = OverloadConfig(
-            max_queue_depth=48, high_watermark=16, burst_coalesce=8
-        )
+        overload = OverloadConfig(max_queue_depth=8)
         server = Server(
             ServerConfig(e2ap_codec="fb", overload=overload, keepalive_interval_s=0.5)
         )
@@ -982,7 +968,6 @@ class TestKeepaliveUnderFlood:
             counters = counter_values()
             assert counters["overload.drop.indication"] > 0
             assert counters.get("overload.drop.control", 0) == 0
-            assert counters["overload.degrade.enter"] >= 1
             assert len(server.agents()) == 1  # never declared dead
             # The hard bound held on every delivery the loop made.
             assert max(delivered_inds) <= overload.max_queue_depth
