@@ -220,14 +220,12 @@ class Server:
         self._listeners: List[Listener] = []
         #: serializes the stateful slow path (setup, subscription and
         #: control outcomes, lifecycle, every write to the routing
-        #: tables) across the ingest loops of every transport this
-        #: server listens on and the liveness tick.  The indication hot
-        #: path never takes it.
+        #: tables) across the loops of every transport this server
+        #: listens on and foreign threads' API calls.  The indication
+        #: hot path never takes it.
         self._slow_lock = threading.RLock()
         #: stale nodes awaiting re-attachment, keyed by node identity.
         self._stale: Dict[GlobalE2NodeId, _StaleNode] = {}
-        self._liveness_thread: Optional[threading.Thread] = None
-        self._liveness_running = False
         #: overload discipline (None = legacy unbounded behaviour).
         self.overload = self.config.overload
         self._classify = (
@@ -248,12 +246,15 @@ class Server:
 
         ``listen`` is the one way connections reach the server; this is
         public only as a test seam, so a test can wrap the ingest (log
-        every delivery) around a transport it listens on itself.
+        every delivery) around a transport it listens on itself.  With a
+        grace window or keepalives, the loop also ticks the liveness pass.
         """
+        live = self.config.keepalive_interval_s > 0 or self.config.stale_grace_s > 0
         return TransportEvents(
             on_connected=self._on_connected,
             on_disconnected=self._on_disconnected,
             on_messages=self._on_messages,
+            on_tick=self._liveness_pass if live else None,
         )
 
     def listen(self, transport: Transport, address: str) -> Listener:
@@ -282,7 +283,6 @@ class Server:
         return list(self._iapps)
 
     def close(self) -> None:
-        self.stop_liveness()
         for listener in self._listeners:
             listener.close()
         for state in list(self._conns.values()):
@@ -678,10 +678,10 @@ class Server:
                 if handler is not None:
                     try:
                         with self._slow_lock:
-                            # A teardown on another thread (a keepalive
-                            # send that failed) may have unrouted the
-                            # connection since the lookup above: its
-                            # node, and what this message is about, are gone.
+                            # A failed send since the lookup (a reply in
+                            # this batch, a foreign thread's API call) may
+                            # have unrouted the connection: its node, and
+                            # what this message is about, are gone.
                             if conns.get(conn_id) is state:
                                 handler(self, state, body)
                     # Outcome callbacks and bus subscribers run in here:
@@ -859,15 +859,22 @@ class Server:
 
     # -- liveness (keepalive + grace expiry) ---------------------------
 
+    def _liveness_pass(self) -> None:
+        """The loop's ``on_tick``: a raising pass is counted, not fatal."""
+        try:
+            self.keepalive_tick()
+        except Exception:  # repro-lint: disable=RL002
+            get_counter("server.liveness.errors").incr()
+
     def keepalive_tick(self, now: Optional[float] = None) -> int:
         """One liveness pass; returns the number of queries sent.
 
         Agents idle past ``keepalive_interval_s`` get a
-        :class:`RicServiceQuery`; any reply (the service update, or any
-        other traffic) resets their miss count.  After
-        ``keepalive_misses`` unanswered probes the node is declared
-        silently dead and pushed down the stale path.  Also expires
-        stale nodes whose grace window ran out.
+        :class:`RicServiceQuery`; any reply (any traffic) resets their
+        miss count.  After ``keepalive_misses`` unanswered probes the
+        node is declared silently dead and pushed down the stale path.
+        Also expires stale nodes whose grace window ran out.  A TCP loop
+        runs it each tick; over the in-process transport, the caller.
         """
         now = self.time_fn() if now is None else now
         with self._slow_lock:
@@ -963,39 +970,6 @@ class Server:
             self._publish(topics.AGENT_DISCONNECTED, record)
             self._tell_iapps("on_agent_disconnected", record)
         return len(expired)
-
-    def start_liveness(self, period_s: float = 1.0) -> None:
-        """Run :meth:`keepalive_tick` on a daemon thread every
-        ``period_s`` seconds (production convenience; tests drive the
-        tick directly with an injected clock)."""
-        if self._liveness_thread is not None:
-            return
-        self._liveness_running = True
-
-        def _loop() -> None:
-            while self._liveness_running:
-                time.sleep(period_s)
-                if not self._liveness_running:
-                    break
-                try:
-                    self.keepalive_tick()
-                # The liveness daemon must survive any tick failure —
-                # a dead keepalive thread silently disables the whole
-                # stale/park/adopt lifecycle.
-                except Exception:  # repro-lint: disable=RL002
-                    get_counter("server.liveness.errors").incr()
-
-        self._liveness_thread = threading.Thread(
-            target=_loop, name="e2-liveness", daemon=True
-        )
-        self._liveness_thread.start()
-
-    def stop_liveness(self) -> None:
-        self._liveness_running = False
-        thread = self._liveness_thread
-        self._liveness_thread = None
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=2.0)
 
     def _handle_service_update(self, state: _ConnState, update: RicServiceUpdate) -> None:
         if state.record is None:

@@ -8,8 +8,8 @@ the raw indication bytes, which is the mechanism behind the 4x CPU gap
 of Fig. 8b.
 
 Concurrency model: the indication hot path runs on the ingest loop
-of every transport the server listens on, beside writers on other
-threads (the liveness tick, iApps), and does exactly one
+of every transport the server listens on, beside writers on foreign
+threads (iApps and other API callers), and does exactly one
 ``_records.get(key)`` per indication, never iterating — a single-key
 ``get`` racing a single-key ``d[k] = v`` / ``d.pop(k)`` is atomic in
 CPython, so it takes no lock.  Every mutation happens under ``_lock``

@@ -105,6 +105,9 @@ class TransportEvents:
     one call per frame.  (The TCP loop makes the ``on_messages`` call
     itself — a frame fewer per wake-up — and leaves the per-frame walk
     to :meth:`deliver`; the contract is the same.)
+
+    ``on_tick`` is a listener's periodic deadline: a transport with a
+    loop (TCP) runs each distinct one at most once per tick, on the loop.
     """
 
     def __init__(
@@ -113,10 +116,12 @@ class TransportEvents:
         on_message: Optional[Callable[[Endpoint, bytes], None]] = None,
         on_disconnected: Optional[Callable] = None,
         on_messages: Optional[Callable[[Endpoint, Sequence[bytes]], None]] = None,
+        on_tick: Optional[Callable[[], None]] = None,
     ) -> None:
         self.on_connected = on_connected or (lambda endpoint: None)
         self.on_message = on_message or (lambda endpoint, data: None)
         self.on_messages = on_messages
+        self.on_tick = on_tick
         # Every transport calls ``on_disconnected(endpoint, reason)``.
         self.on_disconnected = on_disconnected or (lambda endpoint, reason: None)
 

@@ -271,6 +271,7 @@ class FaultyTransport(Transport):
             on_connected=on_connected,
             on_messages=on_messages,
             on_disconnected=on_disconnected,
+            on_tick=user.on_tick,
         )
 
     def endpoints(self) -> List[_FaultyEndpoint]:

@@ -15,6 +15,8 @@ ping-pong of any depth uses O(1) stack — while remaining fully
 synchronous and deterministic.  There is no thread: the one loop that
 parallel ingest and the overload discipline run on is
 :class:`~repro.core.transport.tcp.TcpTransport`'s (DESIGN.md §10).
+Nor is there a tick (``on_tick``): callers drive a server's
+``keepalive_tick``/``expire_stale`` with their own clock.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ wake-up that carries one small message costs exactly one ``recv``.
 
 The loop runs either inline (:meth:`step`, for tests) or on a background
 thread (:meth:`start`), which is how the RTT experiments drive real
-sockets on localhost exactly as the paper measured.
+sockets on localhost exactly as the paper measured; either way a poll
+also runs the listeners' ``on_tick`` callbacks, at most every ``TICK_S``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ _HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
 #: supervisor can probe — and monkeypatch — the same fact the
 #: transport acts on.
 _HAS_REUSEPORT = hasattr(socket, "SO_REUSEPORT")
+
+#: an idle started loop wakes this often; ``on_tick`` runs at most as often.
+TICK_S = 0.1
 
 
 def reuseport_available() -> bool:
@@ -308,6 +312,9 @@ class TcpTransport(Transport):
         self._wake_recv.setblocking(False)
         self._selector.register(self._wake_recv, selectors.EVENT_READ, ("wake", None))
         self._listeners: List[_TcpListener] = []
+        #: the listeners' distinct ``on_tick`` callbacks and their next run.
+        self._ticks: tuple = ()
+        self._next_tick = 0.0
         self._running = False
         self._stopped = False
 
@@ -327,6 +334,7 @@ class TcpTransport(Transport):
         listener = _TcpListener(self, self._bind(host, port, self._reuseport), events)
         self._register(listener._sock, "accept", listener)
         self._listeners.append(listener)
+        self._collect_ticks()
         return listener
 
     @staticmethod
@@ -451,9 +459,14 @@ class TcpTransport(Transport):
         except OSError:
             pass
 
+    def _collect_ticks(self) -> None:
+        """Distinct ``on_tick`` callbacks: a server on two addresses ticks once."""
+        ticks = (listener._events.on_tick for listener in self._listeners)
+        self._ticks = tuple(dict.fromkeys(tick for tick in ticks if tick is not None))
+
     def _run(self) -> None:
         while self._running:
-            self._poll(timeout=0.1)
+            self._poll(timeout=TICK_S)
 
     def _poll(self, timeout: float) -> int:
         try:
@@ -472,6 +485,10 @@ class TcpTransport(Transport):
                         pass
                 except OSError:
                     pass
+        if self._ticks and time.monotonic() >= self._next_tick:
+            self._next_tick = time.monotonic() + TICK_S
+            for tick in self._ticks:
+                tick()
         return len(events)
 
     def _accept(self, sock: socket.socket, listener: _TcpListener) -> None:
@@ -603,6 +620,7 @@ class TcpTransport(Transport):
     def _close_listener(self, listener: _TcpListener) -> None:
         if listener in self._listeners:
             self._listeners.remove(listener)
+            self._collect_ticks()
         with self._lock:
             self._unregister(listener._sock)
         try:

@@ -1,7 +1,7 @@
 """Named monotonic counters for cache and hot-path instrumentation.
 
 Counters are process-global and thread-safe: several threads (the
-transport loop, the liveness tick, a test's hammer threads) increment
+transport loop, foreign API callers, a test's hammer threads) increment
 the same counters concurrently, so a plain ``+=`` would silently drop
 updates.  The common ``+1`` is one ``next()`` on an
 :func:`itertools.count`, which the interpreter runs without releasing

@@ -5,24 +5,33 @@ reconnect with backoff + journal replay, server-side stale/park/resync,
 grace-window expiry, and keepalive liveness probing — over the
 deterministic in-process transport with seeded randomness and virtual
 clocks, so every run (and every CI seed) replays bit-identically.
+``TestLoopLiveness`` is the exception: the liveness pass there is the
+TCP loop's own tick, so it runs on real sockets and real time.
 
 The seed is taken from ``CHAOS_SEED`` (default 0); CI runs the suite
 across several seeds.
 """
 
 import os
+import socket
+import threading
+import time
 
 import pytest
 
 from repro.core.agent import Agent, AgentConfig, LinkState, ManualScheduler, ReconnectPolicy
+from repro.core.codec import get_codec
 from repro.core.e2ap.ies import (
     GlobalE2NodeId,
     NodeKind,
+    RanFunctionItem,
     RicActionDefinition,
     RicActionKind,
 )
+from repro.core.e2ap.messages import E2SetupRequest, encode_message
 from repro.core.server import Server, ServerConfig
 from repro.core.server import events as topics
+from repro.core.server.iapp import IApp
 from repro.core.transport import (
     FaultSpec,
     FaultyTransport,
@@ -30,6 +39,8 @@ from repro.core.transport import (
     TransportEvents,
 )
 from repro.core.transport.framing import Framer, FramingError, frame_message
+from repro.core.transport.tcp import TcpTransport
+from repro.metrics.counters import counter_values
 from repro.controllers.monitoring import StatsMonitorIApp
 from repro.sm.hw import HwRanFunction
 from repro.sm.mac_stats import MacStatsFunction, synthetic_provider, INFO as MAC
@@ -538,6 +549,187 @@ class TestKeepalive:
         server.keepalive_tick()
         assert len(expired) == 1
         assert server.agents() == []
+
+
+# ---------------------------------------------------------------------------
+# Liveness on the TCP loop: the pass is the loop's ``on_tick``
+# ---------------------------------------------------------------------------
+
+
+def _until(predicate, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class _LossWatcher(IApp):
+    name = "loss-watcher"
+
+    def __init__(self):
+        super().__init__()
+        self.lost = []
+
+    def on_agent_disconnected(self, agent):
+        self.lost.append(agent)
+
+
+def _silent_peer(address, nb_id=1):
+    """A raw socket that completes E2 setup and then never answers."""
+    host, _, port = address.rpartition(":")
+    sock = socket.create_connection((host, int(port)), timeout=5.0)
+    setup = E2SetupRequest(
+        node_id=make_node(nb_id),
+        ran_functions=[RanFunctionItem(ran_function_id=1, definition=b"c", oid="c")],
+    )
+    sock.sendall(frame_message(encode_message(setup, get_codec("fb"))))
+    return sock
+
+
+class TestLoopLiveness:
+    """A RIC that sets ``stale_grace_s`` or ``keepalive_interval_s``
+    probes and expires nodes on its own TCP loop, with real time: no
+    second thread, no call from the caller."""
+
+    def _mac_agent(self, transport, nb_id=1):
+        agent = Agent(AgentConfig(node_id=make_node(nb_id)), transport)
+        agent.register_function(MacStatsFunction(synthetic_provider(num_ues=1)))
+        return agent
+
+    def _expires_a_lost_node(self, ric, server):
+        """Connect a subscribed MAC node over ``ric``, stop its link,
+        and check the grace window runs out on the loop, once."""
+        monitor = _attach_monitor(server)
+        watcher = _LossWatcher()
+        server.add_iapp(watcher)
+        expired = []
+        server.events.subscribe(topics.NODE_EXPIRED, expired.append)
+        ran = TcpTransport()
+        try:
+            listener = server.listen(ric, "127.0.0.1:0")
+            ric.start()
+            ran.start()
+            self._mac_agent(ran).connect(listener.address)
+            assert _until(lambda: monitor.subscriptions_confirmed == 1)
+            ran.stop()
+            assert _until(lambda: server.submgr.parked_count == 1)
+            assert _until(lambda: expired, timeout_s=1.0)
+            assert _until(lambda: monitor.subscription_failures == 1, timeout_s=1.0)
+            time.sleep(0.3)  # a few more ticks: nothing fires twice
+            assert len(expired) == 1
+            assert len(watcher.lost) == 1
+            assert monitor.subscription_failures == 1
+            assert server.agents() == [] and len(server.submgr) == 0
+        finally:
+            ran.stop()
+            ric.stop()
+
+    def test_grace_window_expires_on_the_loop(self):
+        self._expires_a_lost_node(TcpTransport(), Server(ServerConfig(stale_grace_s=0.2)))
+
+    def test_faulty_wrapper_forwards_the_tick(self):
+        chaos = FaultyTransport(TcpTransport(), FaultSpec(), seed=CHAOS_SEED)
+        self._expires_a_lost_node(chaos, Server(ServerConfig(stale_grace_s=0.2)))
+
+    def test_silent_peer_is_probed_then_declared_dead_on_one_thread(self):
+        before_threads = set(threading.enumerate())
+        before = counter_values()
+        server = Server(ServerConfig(keepalive_interval_s=0.1, keepalive_misses=1))
+        watcher = _LossWatcher()
+        server.add_iapp(watcher)
+        disconnected = []
+        server.events.subscribe(topics.AGENT_DISCONNECTED, disconnected.append)
+        ric = TcpTransport()
+        sock = None
+
+        def delta(name):
+            return counter_values().get(name, 0) - before.get(name, 0)
+
+        try:
+            listener = server.listen(ric, "127.0.0.1:0")
+            ric.start()
+            sock = _silent_peer(listener.address)
+            assert _until(lambda: server.agents())
+            assert _until(lambda: delta("server.keepalive.sent") >= 1, timeout_s=2.0)
+            assert _until(lambda: delta("server.keepalive.dead") == 1, timeout_s=2.0)
+            assert _until(lambda: server.agents() == [])
+            new_threads = [t.name for t in threading.enumerate() if t not in before_threads]
+            assert new_threads == ["tcp-transport-0"]
+            time.sleep(0.3)
+            assert delta("server.keepalive.dead") == 1
+            assert len(disconnected) == 1 and len(watcher.lost) == 1
+        finally:
+            if sock is not None:
+                sock.close()
+            ric.stop()
+
+    def test_two_addresses_of_one_transport_run_one_pass_per_tick(self, monkeypatch):
+        from repro.core.transport.tcp import TICK_S
+
+        server = Server(ServerConfig(stale_grace_s=30.0))
+        passes = []
+        inner = server._keepalive_tick_locked
+
+        def counted(now):
+            passes.append(time.monotonic())
+            return inner(now)
+
+        monkeypatch.setattr(server, "_keepalive_tick_locked", counted)
+        ric = TcpTransport()
+        try:
+            server.listen(ric, "127.0.0.1:0")
+            server.listen(ric, "127.0.0.1:0")
+            ric.start()
+            assert _until(lambda: len(passes) >= 4, timeout_s=2.0)
+        finally:
+            ric.stop()
+        gaps = [later - earlier for earlier, later in zip(passes, passes[1:])]
+        assert min(gaps) >= TICK_S / 2, gaps
+
+    def test_a_raising_pass_is_counted_and_the_loop_lives(self, monkeypatch):
+        server = Server(ServerConfig(stale_grace_s=30.0))
+        passes = []
+        inner = server._keepalive_tick_locked
+
+        def first_raises(now):
+            passes.append(now)
+            if len(passes) == 1:
+                raise RuntimeError("liveness pass bug")
+            return inner(now)
+
+        monkeypatch.setattr(server, "_keepalive_tick_locked", first_raises)
+        before = counter_values().get("server.liveness.errors", 0)
+        ric = TcpTransport()
+        try:
+            server.listen(ric, "127.0.0.1:0")
+            ric.start()
+            assert _until(lambda: len(passes) >= 3, timeout_s=2.0)
+            assert counter_values().get("server.liveness.errors", 0) == before + 1
+            assert ric._thread.is_alive()
+        finally:
+            ric.stop()
+
+    def test_a_worker_process_expires_its_nodes(self):
+        from repro.core.server.workers import MultiProcServer
+
+        mp = MultiProcServer(ServerConfig(stale_grace_s=0.2), workers=1, port=0)
+        ran = TcpTransport()
+        try:
+            mp.start()
+            ran.start()
+            agent = Agent(AgentConfig(node_id=make_node()), ran)
+            agent.register_function(HwRanFunction())
+            agent.connect(mp.address)
+            ran.stop()
+            assert _until(
+                lambda: mp.merged_counters().get("server.node.expired", 0) >= 1,
+                timeout_s=10.0,
+            )
+        finally:
+            ran.stop()
+            mp.stop()
 
 
 # -- multiprocess worker chaos (DESIGN.md §14) -----------------------

@@ -328,8 +328,9 @@ class TestSingleWriterTables:
 
     def test_tcp_connect_churn_beside_a_routing_node(self):
         """Two threads connect and disconnect 200 agents while a steady
-        node's indications keep routing and the liveness tick walks the
-        tables every few milliseconds."""
+        node's indications keep routing and, because
+        ``keepalive_interval_s`` is set, the RIC loop's liveness pass
+        walks the tables every tick."""
         ric, ran = TcpTransport(), TcpTransport()
         server = Server(ServerConfig(keepalive_interval_s=0.002, keepalive_misses=10**6))
         switch = sys.getswitchinterval()
@@ -342,7 +343,6 @@ class TestSingleWriterTables:
             listener = server.listen(ric, "127.0.0.1:0")
             ric.start()
             ran.start()
-            server.start_liveness(period_s=0.002)
             steady = Agent(AgentConfig(node_id=make_node(1)), ran)
             function = MacStatsFunction(provider=synthetic_provider(2), sm_codec="fb")
             steady.register_function(function)
@@ -404,7 +404,6 @@ class TestSingleWriterTables:
                 assert after.get(name, 0) == before.get(name, 0), name
         finally:
             sys.setswitchinterval(switch)
-            server.stop_liveness()
             ran.stop()
             ric.stop()
             server.close()

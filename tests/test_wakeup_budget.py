@@ -123,11 +123,18 @@ def _step_until(transports, done, timeout_s: float = 5.0) -> None:
 
 
 class TestWakeupBudget:
-    def test_one_mac_report_wakeup_stays_within_its_call_budget(self):
-        """select → recv → deframe → route → submgr → store, once."""
+    @pytest.mark.parametrize(
+        "config",
+        [ServerConfig(), ServerConfig(keepalive_interval_s=30, stale_grace_s=30)],
+        ids=["default", "liveness"],
+    )
+    def test_one_mac_report_wakeup_stays_within_its_call_budget(self, config):
+        """select → recv → deframe → route → submgr → store, once.  A
+        RIC with liveness configured pays one clock read per wake-up
+        while no pass is due; a default one pays nothing."""
         ric_loop, ran_loop = TcpTransport(), TcpTransport()
         try:
-            server = Server(ServerConfig())
+            server = Server(config)
             listener = server.listen(ric_loop, "127.0.0.1:0")
             monitor = StatsMonitorIApp(oids=[mac_stats.INFO.oid], period_ms=1.0, sm_codec="fb")
             server.add_iapp(monitor)
