@@ -106,7 +106,3 @@ class E2Termination:
         with self.cpu.measure():
             decode_message(message.payload, self.codec)  # E2T validates (full decode)
         endpoint.send(message.payload)
-
-    @property
-    def connected_meids(self) -> list:
-        return sorted(self._agents)

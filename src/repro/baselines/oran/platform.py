@@ -10,7 +10,7 @@ in higher-level languages, such as Go", each carrying a runtime).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,3 @@ def platform_image_total_mb() -> int:
 def platform_baseline_ram_mb() -> float:
     """RAM the platform holds before any workload exists."""
     return sum(component.baseline_ram_mb for component in PLATFORM_COMPONENTS)
-
-
-def component_names() -> List[str]:
-    return [component.name for component in PLATFORM_COMPONENTS]

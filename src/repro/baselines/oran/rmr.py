@@ -129,6 +129,3 @@ class RmrRouter:
         else:
             self._endpoints[target_name].deliver(frame)
         return True
-
-    def route_of(self, msg_type: int) -> Optional[str]:
-        return self._routes.get(msg_type)

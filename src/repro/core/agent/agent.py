@@ -154,9 +154,6 @@ class Agent(IndicationSink):
     def functions(self) -> List[RanFunction]:
         return list(self._functions.values())
 
-    def get_function(self, ran_function_id: int) -> Optional[RanFunction]:
-        return self._functions.get(ran_function_id)
-
     # -- controller connections ---------------------------------------
 
     def enable_reconnect(

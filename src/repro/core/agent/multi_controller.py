@@ -142,7 +142,3 @@ class UeControllerMap:
         return sorted(
             origin for origin, ues in self._by_controller.items() if ue_id in ues
         )
-
-    @property
-    def all_ues(self) -> Set[int]:
-        return set(self._all_ues)

@@ -157,13 +157,6 @@ class RanFunction:
 
     # -- helpers for subclasses --------------------------------------
 
-    def admit_all(
-        self, handle: SubscriptionHandle, actions: List[RicActionDefinition]
-    ) -> Tuple[List[RicActionAdmitted], List[RicActionNotAdmitted]]:
-        """Record the subscription and admit every requested action."""
-        self.subscriptions[handle.key()] = handle
-        return [RicActionAdmitted(action.action_id) for action in actions], []
-
     def emit(
         self,
         handle: SubscriptionHandle,

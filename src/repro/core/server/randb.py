@@ -70,9 +70,6 @@ class RanEntity:
             return True
         return any(required <= kinds for required in _SPLIT_COMPLETE)
 
-    def agent_of_kind(self, kind: NodeKind) -> Optional[AgentRecord]:
-        return self.agents.get(kind)
-
     def all_functions(self) -> List[Tuple[AgentRecord, RanFunctionItem]]:
         """Every (agent, function) pair across the entity's agents."""
         pairs = []

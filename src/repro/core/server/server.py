@@ -52,7 +52,7 @@ from repro.core.overload import AdmissionController, OverloadConfig, frame_class
 from repro.core.server import events as topics
 from repro.core.server.events import EventBus
 from repro.core.server.iapp import IApp
-from repro.core.server.randb import AgentRecord, RanDatabase, RanEntity
+from repro.core.server.randb import AgentRecord, RanDatabase
 from repro.core.server.submgr import (
     SinkHandle,
     SubscriptionCallbacks,
@@ -458,12 +458,6 @@ class Server:
 
     def agents(self) -> List[AgentRecord]:
         return self.randb.agents()
-
-    def entity_of(self, conn_id: int) -> Optional[RanEntity]:
-        record = self.randb.agent(conn_id)
-        if record is None:
-            return None
-        return self.randb.entity(record.node_id.plmn, record.node_id.nb_id)
 
     def send_to_agent(self, conn_id: int, message: E2Message) -> None:
         """Escape hatch for relays/virtualization layers."""

@@ -45,7 +45,9 @@ def cost_model_codecs():
     (:mod:`repro.core.codec.codegen`) optimize this SDK's own hot path
     and deliberately erase that asymmetry, so harnesses reproducing the
     paper's library comparisons must run with kernels disabled.
-    ``bench_codec_micro.py`` measures the kernels themselves.
+    ``tests/test_wakeup_budget.py::TestKernelLane`` pins what the
+    kernels buy in profiled calls, and the e2e benchmark's ``e2ap.*``
+    and ``codec.*`` rungs time them.
     """
     return _codegen.interpretive()
 

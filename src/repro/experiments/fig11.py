@@ -26,7 +26,7 @@ from repro.controllers.traffic import BufferbloatXapp, TrafficControllerIApp
 from repro.core.simclock import SimClock
 from repro.core.server.server import Server, ServerConfig
 from repro.core.transport.inproc import InProcTransport
-from repro.metrics.stats import cdf, percentile, summarize
+from repro.metrics.stats import percentile, summarize
 from repro.northbound.broker import Broker
 from repro.ran.base_station import BaseStation, BaseStationConfig, attach_agent
 from repro.ran.phy import NR_CELL_20MHZ
@@ -50,9 +50,6 @@ class Fig11Result:
     voip_rtts_ms: List[float]
     xapp_triggered_at_ms: Optional[float] = None
     cubic_delivered_mbps: float = 0.0
-
-    def voip_rtt_cdf(self) -> List[Tuple[float, float]]:
-        return cdf(self.voip_rtts_ms)
 
 
 def run_fig11(mode: str, duration_s: float = 40.0, cubic_start_s: float = 5.0) -> Fig11Result:

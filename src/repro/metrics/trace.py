@@ -31,7 +31,6 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -252,9 +251,6 @@ class Tracer:
             "stages": self.stage_breakdown(),
             "metrics": registry_snapshot(),
         }
-
-    def export_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent)
 
 
 #: The process-global tracer every instrumented hot path consults.

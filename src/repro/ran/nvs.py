@@ -117,12 +117,6 @@ class NvsScheduler:
             raise KeyError(f"unknown slice {slice_id}")
         del self._slices[slice_id]
 
-    def slice_ids(self) -> List[int]:
-        return sorted(self._slices)
-
-    def config_of(self, slice_id: int) -> NvsSliceConfig:
-        return self._slices[slice_id].config
-
     def __contains__(self, slice_id: int) -> bool:
         return slice_id in self._slices
 

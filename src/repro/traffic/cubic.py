@@ -122,7 +122,3 @@ class CubicFlow:
         self.state.on_ack(self.clock.now)
         if self._running:
             self._fill_window()
-
-    @property
-    def cwnd_packets(self) -> float:
-        return self.state.cwnd

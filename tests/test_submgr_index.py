@@ -10,7 +10,8 @@ random lifecycle sequences against it — the slice of ROADMAP item 2
 submgr alone, not the ``Server`` API, tiers or the wire.
 
 Beside it: the two races the rewrite closes (unlocked iteration,
-duplicate wire subscriptions) and the scaling law that was its point.
+duplicate wire subscriptions), the single-encode fan-out as exact
+counts, and the scaling law that was its point.
 """
 
 import gc
@@ -379,6 +380,46 @@ def test_concurrent_equal_subscribes_put_one_request_on_the_wire(fast_switching)
         assert sum(isinstance(result, SinkHandle) for result in results) == subscribers - 1
         assert len({result.request for result in results}) == 1
         assert [len(seen) for seen in confirms] == [1] * subscribers
+    finally:
+        transport.stop()
+        server.close()
+
+
+def test_equal_subscribers_share_every_indication_off_one_encode():
+    """Sixteen equal subscribes ride one wire subscription: each
+    indication the agent encodes once reaches all sixteen sinks, in
+    order, and the RIC encodes nothing on the indication path
+    (DESIGN.md §15)."""
+    fanout, indications = 16, 100
+    transport = InProcTransport()
+    server = Server(ServerConfig())
+    server.listen(transport, "ric")
+    agent = Agent(AgentConfig(node_id=GlobalE2NodeId("00101", 1, NodeKind.GNB)), transport)
+    function = HwRanFunction()
+    agent.register_function(function)
+    agent.connect("ric")
+    (conn,) = [record.conn_id for record in server.agents()]
+    sinks = [[] for _ in range(fanout)]
+    try:
+        before = counter_values()
+        for sink in sinks:
+            server.subscribe(
+                conn, HW.default_function_id, b"fanout", REPORT,
+                SubscriptionCallbacks(on_indication=lambda event, sink=sink: sink.append(event.sequence)),
+            )
+        (handle,) = function.subscriptions.values()
+        subscribed = counter_values()
+        for _ in range(indications):
+            function.emit(handle, action_id=1, header=b"", payload=b"x" * 64)
+        after = counter_values()
+
+        def delta(start, name):
+            return after.get(name, 0) - start.get(name, 0)
+
+        assert sinks == [list(range(indications))] * fanout
+        assert delta(subscribed, "encode.reuse") == (fanout - 1) * indications
+        assert delta(before, "server.subscription.shared") == fanout - 1
+        assert delta(subscribed, "e2ap.encode.messages") == indications
     finally:
         transport.stop()
         server.close()

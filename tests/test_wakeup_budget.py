@@ -21,14 +21,23 @@ from repro.core.agent import Agent, AgentConfig
 from repro.core.codec import codegen, get_codec
 from repro.core.codec.base import CodecError
 from repro.core.codec import flat as flat_mod
+from repro.core.codec import manifest
 from repro.core.e2ap.ies import (
     GlobalE2NodeId,
     NodeKind,
+    RanFunctionItem,
     RicActionDefinition,
     RicActionKind,
     RicRequestId,
 )
-from repro.core.e2ap.messages import RicIndication, RicIndicationKind, encode_message
+from repro.core.e2ap.messages import (
+    E2SetupRequest,
+    RicIndication,
+    RicIndicationKind,
+    RicSubscriptionRequest,
+    decode_message,
+    encode_message,
+)
 from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
 from repro.core.server.server import IndicationEvent
 from repro.core.transport import TcpTransport
@@ -65,6 +74,10 @@ CYCLE_BUDGET = 364
 BATCH_BUDGET = 1288
 BATCH_FRAMES = 64
 BATCH_PER_FRAME = 23
+#: a generated kernel's round trip (``encode_message`` +
+#: ``decode_message``) costs at most this share of the walker's
+#: profiled calls (worst measured: ``fb`` ``ric_indication``, 34 vs 170).
+KERNEL_SHARE = 0.5
 
 
 def count_calls(fn, *args, **kwargs) -> int:
@@ -357,3 +370,48 @@ class TestIndicationEventParity:
         row = (3, 11, 142, 2, 77, kind, b"", b"")
         with pytest.raises(KeyError):
             IndicationEvent(4, row)
+
+
+#: the messages whose encode and decode dominate RIC workloads.
+HOT_MESSAGES = {
+    "ric_indication": RicIndication(
+        RicRequestId(5, 11), 2, action_id=1, sequence=7, header=b"hdr",
+        payload=(bytes(range(256)) * 6)[:1500],
+    ),
+    "ric_subscription_request": RicSubscriptionRequest(
+        request=RicRequestId(5, 11),
+        ran_function_id=2,
+        event_trigger=b"\x00\x05trig",
+        actions=[RicActionDefinition(1, RicActionKind.REPORT, b"act")],
+    ),
+    "e2_setup_request": E2SetupRequest(
+        node_id=GlobalE2NodeId("00101", 42, NodeKind.GNB),
+        ran_functions=[
+            RanFunctionItem(2, b"\x01\x02kpm-def", 1, "1.3.6.1"),
+            RanFunctionItem(3, b"slice", 2, "1.3.6.2"),
+        ],
+    ),
+}
+
+
+class TestKernelLane:
+    @pytest.mark.parametrize("codec_name", manifest.CODECS)
+    @pytest.mark.parametrize("name", list(HOT_MESSAGES))
+    def test_a_kernel_round_trip_costs_at_most_half_the_walkers_calls(self, name, codec_name):
+        """The generated lane's point, as a count: the same message
+        encoded and decoded whole with kernels on and off."""
+        message, codec = HOT_MESSAGES[name], get_codec(codec_name)
+
+        def round_trip():
+            return decode_message(encode_message(message, codec), codec)
+
+        calls = {}
+        was_enabled = codegen.kernels_enabled()
+        try:
+            for lane, enabled in (("kernel", True), ("walker", False)):
+                codegen.set_kernels_enabled(enabled)
+                assert round_trip() == message  # kernels built, counters resolved
+                calls[lane] = count_calls(round_trip)
+        finally:
+            codegen.set_kernels_enabled(was_enabled)
+        assert calls["kernel"] <= KERNEL_SHARE * calls["walker"], calls
