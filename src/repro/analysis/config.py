@@ -51,10 +51,11 @@ class LintConfig:
 
     #: function names that implement selector/dispatch loops;
     #: blocking calls inside them must be bounded by a timeout (RL004).
-    #: The §14 multiprocess tier adds two more long-lived loops: the
-    #: worker command loop (``_worker_loop``) and the parent supervision
-    #: loop (``_supervise``) — an unbounded block in either would
-    #: wedge crash detection or shutdown.
+    #: The §14 multiprocess tier adds two more long-lived loops: a
+    #: worker process's one loop (``_worker_loop``: it steps the TCP
+    #: transport and serves the control pipe between steps) and the
+    #: parent supervision loop (``_supervise``) — an unbounded block in
+    #: either would wedge crash detection or shutdown.
     loop_functions: FrozenSet[str] = frozenset(
         {
             "_run",

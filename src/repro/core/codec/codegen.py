@@ -13,7 +13,8 @@ pure function of the schema, so compiling twice yields identical text
 
 Correctness model — *guard-based deoptimization*: a kernel checks
 every assumption the specialization makes (exact key tuples, value
-types, int ranges, constant wire bytes) and returns ``None`` on any
+types, int ranges, constant wire bytes, and on ``fb`` that each read
+ends inside the frame) and returns ``None`` on any
 mismatch; the codec then falls back to its interpretive walker, which
 remains the behavioral oracle.  A kernel may therefore be *stricter*
 than the interpreter (rejecting is always sound — the fallback
@@ -103,9 +104,16 @@ def set_kernels_enabled(enabled: bool) -> None:
     ENABLED = bool(enabled)
 
 
-def set_strict(strict: bool) -> None:
-    """Escalate unexpected kernel exceptions instead of falling back."""
-    _STRICT[0] = bool(strict)
+@contextmanager
+def strict():
+    """Context manager escalating unexpected kernel exceptions instead
+    of falling back; restores the previous setting on exit."""
+    prev = _STRICT[0]
+    _STRICT[0] = True
+    try:
+        yield
+    finally:
+        _STRICT[0] = prev
 
 
 @contextmanager
@@ -338,9 +346,12 @@ class _DecRuns:
     entries and tagged cells) in one tuple comparison, its values taken
     with one slice."""
 
-    def __init__(self, fn: _Fn, off: _Off) -> None:
+    def __init__(self, fn: _Fn, off: _Off, end: Optional[str] = None) -> None:
         self.fn = fn
         self.off = off
+        #: the kernel's ``len(data)`` local: a fused read is made only
+        #: after its end is compared with it (None: no guard).
+        self.end = end
         self.run: List[Tuple[str, Any]] = []  # ("c", bytes) | (fmt, name)
         self.width = 0
 
@@ -378,6 +389,8 @@ class _DecRuns:
             fmt += f"{len(payload)}s" if kind == "c" else kind
         sname = fn.mod.const_struct(fmt)
         uname = fn.mod.name("u")
+        if self.end is not None:
+            fn.w(f"if {_Off(self.off.base, self.off.k + width).expr()} > {self.end}: return None")
         fn.w(f"{uname} = {sname}.unpack_from(data, {start})")
         kinds = [kind for kind, _payload in run]
         if len(run) > 2 and set(kinds[0::2]) == {"c"} and "c" not in kinds[1::2]:
@@ -700,9 +713,12 @@ class _FlatEmitter:
         checks, returning the body's leaves (``lane="row"``,
         ``_row_return``) or the message dataclass (``lane="obj"``)."""
         fn = _Fn(mod, "decode" if lane == "tree" else "route", "data")
+        # Every read's end is compared with ``N`` before it is made: a
+        # short frame is declined, never read past.
+        fn.w("N = len(data)")
         row = [] if lane == "row" else None
         off = _Off(None, 0)
-        runs = _DecRuns(fn, off)
+        runs = _DecRuns(fn, off, "N")
         # The header (magic, root size, zero pad) opens the first fused
         # run; the root size is checked once every read is made.
         runs.const(b"FR\x01\x00")
@@ -710,7 +726,7 @@ class _FlatEmitter:
         runs.const(b"\x00" * 8)
         result = self._dec_dict(fn, schema, runs, off, row, lane == "obj")
         runs.flush()
-        fn.w("if 16 + rs > len(data): return None")
+        fn.w("if 16 + rs > N: return None")
         fn.check_members()
         fn.w(f"return {result}" if row is None else _row_return(row))
         fn.close()
@@ -783,12 +799,12 @@ class _FlatEmitter:
             l = mod.name("l")
             r = mod.name("r")
             start = off.expr()
-            fn.w(f"if data[{start}] != {tag}: return None")
+            fn.w(f"if {start} + 5 > N or data[{start}] != {tag}: return None")
             fn.w(f"{l} = {iu}.unpack_from(data, {start} + 1)[0]")
             if s is not None:
                 fn.w(f"if {s} != 5 + {l}: return None")
+            fn.w(f"if {start} + 5 + {l} > N: return None")
             fn.w(f"{r} = data[{start} + 5:{start} + 5 + {l}]")
-            fn.w(f"if len({r}) != {l}: return None")
             off.rebase(fn, f"{start} + 5 + {l}")
             if kind == "str":
                 x = mod.name("x")
@@ -802,13 +818,14 @@ class _FlatEmitter:
             t = mod.name("t")
             nxt = mod.name("o")
             start = off.expr()
+            fn.w(f"if {start} + 1 > N: return None")
             fn.w(f"{t} = data[{start}]")
             fn.w(f"if {t} == 0:")
             fn.w(f"    if {s} != 1: return None")
             fn.w(f"    {x} = None")
             fn.w(f"    {nxt} = {start} + 1")
             fn.w(f"elif {t} == 3:")
-            fn.w(f"    if {s} != 9: return None")
+            fn.w(f"    if {s} != 9 or {start} + 9 > N: return None")
             fn.w(f"    {x} = {q}.unpack_from(data, {start} + 1)[0]")
             fn.w(f"    {nxt} = {start} + 9")
             fn.w("else: return None")
@@ -833,12 +850,12 @@ class _FlatEmitter:
             x = mod.name("x")
             start = off.expr()
             tag = 8 if kind == "strmap" else 7
-            fn.w(f"if data[{start}] != {tag}: return None")
+            fn.w(f"if {start} + 5 > N or data[{start}] != {tag}: return None")
             fn.w(f"{n} = {iu}.unpack_from(data, {start} + 1)[0]")
             if kind == "strmap":
                 r = mod.name("r")
                 nxt = mod.name("o")
-                fn.w(f"{r} = _dfstrmap(data, {start} + 5, {n})")
+                fn.w(f"{r} = _dfstrmap(data, {start} + 5, {n}, N)")
                 fn.w(f"if {r} is None: return None")
                 fn.w(f"{x}, {nxt} = {r}")
                 fn.w(f"if {nxt} - ({start}) != {s}: return None")
@@ -858,11 +875,10 @@ class _FlatEmitter:
                 off.rebase(fn, f"{start} + 5 + 13 * {n}")
                 return x
             if elem == "str":
-                helper = "_dfseq_str"
-                call = f"{helper}(data, {start} + 5, {n})"
+                call = f"_dfseq_str(data, {start} + 5, {n}, N)"
             elif elem == "nested":
                 dname = self._elem_decoder(mod, spec.elem.schema, obj)
-                call = f"_dfseq_map({dname}, data, {start} + 5, {n})"
+                call = f"_dfseq_map({dname}, data, {start} + 5, {n}, N)"
             else:
                 raise _Unsupported(f"seq of {elem}")
             r = mod.name("r")
@@ -880,10 +896,10 @@ class _FlatEmitter:
         got = self._elem_dec.get((schema.name, obj))
         if got is not None:
             return got
-        fn = mod.fn("_do" if obj else "_d", "data, o0")
+        fn = mod.fn("_do" if obj else "_d", "data, o0, N")
         self._elem_dec[(schema.name, obj)] = fn.name
         off = _Off("o0", 0)
-        runs = _DecRuns(fn, off)
+        runs = _DecRuns(fn, off, "N")
         result = self._dec_dict(fn, schema, runs, off, obj=obj)
         runs.flush()
         fn.check_members()

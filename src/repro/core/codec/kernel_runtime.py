@@ -527,17 +527,17 @@ def _dfseq_int(data: bytes, o: int, n: int):
     return out
 
 
-def _dfseq_map(fn, data: bytes, o: int, n: int):
-    """flat list read via generated element decoder; (list, o) or None."""
-    try:
-        sizes = struct.unpack_from("<%dI" % n, data, o)
-    except struct.error:
+def _dfseq_map(fn, data: bytes, o: int, n: int, end: int):
+    """flat list read via generated element decoder; (list, o) or None.
+    ``end`` is ``len(data)``, taken once by the calling kernel."""
+    if o + 4 * n > end:
         return None
+    sizes = struct.unpack_from("<%dI" % n, data, o)
     o += 4 * n
     out = []
     ap = out.append
     for size in sizes:
-        r = fn(data, o)
+        r = fn(data, o, end)
         if r is None:
             return None
         v, no = r
@@ -548,58 +548,46 @@ def _dfseq_map(fn, data: bytes, o: int, n: int):
     return out, o
 
 
-def _dfseq_str(data: bytes, o: int, n: int):
+def _dfseq_str(data: bytes, o: int, n: int, end: int):
     """flat list-of-str read; (list, o) or None."""
-    try:
-        sizes = struct.unpack_from("<%dI" % n, data, o)
-    except struct.error:
+    if o + 4 * n > end:
         return None
+    sizes = struct.unpack_from("<%dI" % n, data, o)
     o += 4 * n
     out = []
     ap = out.append
     for size in sizes:
-        if data[o:o + 1] != b"\x05":
+        if o + 5 > end or data[o] != 5:
             return None
         ln = _I.unpack_from(data, o + 1)[0]
-        if size != 5 + ln:
+        if size != 5 + ln or o + size > end:
             return None
-        raw = data[o + 5:o + 5 + ln]
-        if len(raw) != ln:
-            return None
-        ap(raw.decode("utf-8"))
+        ap(data[o + 5:o + size].decode("utf-8"))
         o += size
     return out, o
 
 
-def _dfstrmap(data: bytes, o: int, n: int):
+def _dfstrmap(data: bytes, o: int, n: int, end: int):
     """flat str→str table read; (dict, o) or None."""
     sizes = []
     keys = []
     for _ in range(n):
-        try:
-            klen = _H.unpack_from(data, o)[0]
-        except struct.error:
+        if o + 2 > end:
             return None
-        raw = data[o + 2:o + 2 + klen]
-        if len(raw) != klen:
+        klen = _H.unpack_from(data, o)[0]
+        if o + 6 + klen > end:
             return None
-        keys.append(raw.decode("utf-8"))
-        try:
-            sizes.append(_I.unpack_from(data, o + 2 + klen)[0])
-        except struct.error:
-            return None
+        keys.append(data[o + 2:o + 2 + klen].decode("utf-8"))
+        sizes.append(_I.unpack_from(data, o + 2 + klen)[0])
         o += 6 + klen
     out = {}
     for key, size in zip(keys, sizes):
-        if data[o:o + 1] != b"\x05":
+        if o + 5 > end or data[o] != 5:
             return None
         ln = _I.unpack_from(data, o + 1)[0]
-        if size != 5 + ln:
+        if size != 5 + ln or o + size > end:
             return None
-        raw = data[o + 5:o + 5 + ln]
-        if len(raw) != ln:
-            return None
-        out[key] = raw.decode("utf-8")
+        out[key] = data[o + 5:o + size].decode("utf-8")
         o += size
     return out, o
 

@@ -7,18 +7,22 @@ owning a complete :class:`~repro.core.server.server.Server` — its own
 one-loop ``TcpTransport``, its own overload :class:`QueuePressure`,
 its own metrics registry — plus an ``SO_REUSEPORT`` listener on the
 shared port so the kernel spreads incoming E2 connections across
-workers with no userspace coordination.
+workers with no userspace coordination.  A worker process is one
+thread: :func:`_worker_loop` steps the transport inline and serves
+the control pipe between steps.
 
 Coordination that *is* needed flows over one duplex pipe per worker:
 
 * **control** (parent → worker): declarative
   :class:`SubscriptionPolicy` routing snapshots.  A policy is
-  *replaced, never mutated*; the parent republishes the full current
-  set on every change and to every respawned worker, and each worker
-  applies it copy-on-write against its local subscription state.
-* **stats** (worker → parent): periodic counter/gauge snapshots the
-  supervisor merges into one :meth:`overload_state` / ``/metrics``
-  view, so dashboards see the fleet as one server.
+  *replaced, never mutated*; the parent sends the full current set on
+  every change and to every worker that reports ready (spawned or
+  respawned), and each worker applies it against its local
+  subscription state.
+* **stats** (worker → parent): counter/gauge snapshots, sent only in
+  answer to a numbered request, which the parent merges into one
+  :meth:`overload_state` / ``/metrics`` view, so dashboards see the
+  fleet as one server.
 
 The tier needs Linux: ``SO_REUSEPORT`` to share the port and the
 ``fork`` start method to hand each worker its configuration.  Without
@@ -32,7 +36,6 @@ import itertools
 import multiprocessing
 import multiprocessing.connection
 import os
-import pickle
 import signal
 import socket
 import threading
@@ -59,8 +62,9 @@ from repro.metrics.counters import (
 #: on it (counted in ``server.worker.giveup``).
 RESPAWN_LIMIT = 5
 
-#: worker-side heartbeat: one unsolicited stats push this often.
-_STATS_PUSH_INTERVAL_S = 0.25
+#: a worker serves its control pipe (and checks for orphaning) at
+#: most this often, between steps of its TCP loop.
+_PIPE_S = 0.05
 
 
 @dataclass
@@ -95,16 +99,15 @@ class _PolicyManager:
     idempotent, and a policy that left it is unsubscribed.  Indications
     delivered through policy subscriptions are counted in
     ``server.policy.indications`` — the number the parent aggregates
-    for the throughput view.
+    for the throughput view.  Every call runs on the worker's one loop
+    thread, so nothing here is locked.
     """
 
     def __init__(self, server: Server) -> None:
         self._server = server
-        self._lock = threading.Lock()
         self._policies: Dict[int, SubscriptionPolicy] = {}
-        #: (node key, policy id) -> its subscription; None while the
-        #: subscribe is in flight.
-        self._records: Dict[Tuple[str, int], Optional[SubscriptionRecord]] = {}
+        #: (node key, policy id) -> its subscription.
+        self._records: Dict[Tuple[str, int], SubscriptionRecord] = {}
         self._ind_counter = get_counter("server.policy.indications")
         server.events.subscribe(topics.AGENT_CONNECTED, self._apply_to)
         server.events.subscribe(topics.NODE_RECOVERED, self._apply_to)
@@ -112,13 +115,9 @@ class _PolicyManager:
         server.events.subscribe(topics.AGENT_DISCONNECTED, self._on_gone)
 
     def set_policies(self, policies: List[SubscriptionPolicy]) -> None:
-        with self._lock:
-            self._policies = {p.policy_id: p for p in policies}
-            left = [pair for pair in self._records if pair[1] not in self._policies]
-            records = [self._records.pop(pair) for pair in left]
-        for record in records:
-            if record is not None:
-                self._drop(record)
+        self._policies = {p.policy_id: p for p in policies}
+        for pair in [pair for pair in self._records if pair[1] not in self._policies]:
+            self._drop(self._records.pop(pair))
         for agent in self._server.agents():
             self._apply_to(agent)
 
@@ -132,9 +131,8 @@ class _PolicyManager:
         # parked policy subscriptions for adopt-on-recovery); the
         # server has already retired this node's records.
         key = self._node_key(record)
-        with self._lock:
-            for pair in [pair for pair in self._records if pair[0] == key]:
-                del self._records[pair]
+        for pair in [pair for pair in self._records if pair[0] == key]:
+            del self._records[pair]
 
     @staticmethod
     def _node_key(record) -> str:
@@ -158,19 +156,12 @@ class _PolicyManager:
         # by the server, so re-applying the policy there would
         # double-subscribe it.
         key = self._node_key(record)
-        with self._lock:
-            todo = [
-                policy
-                for policy in self._policies.values()
-                if (key, policy.policy_id) not in self._records
-                and policy.ran_function_id in record.functions
-            ]
-            for policy in todo:
-                self._records[(key, policy.policy_id)] = None
-        for policy in todo:
+        for policy in self._policies.values():
             pair = (key, policy.policy_id)
+            if pair in self._records or policy.ran_function_id not in record.functions:
+                continue
             try:
-                sub = self._server.subscribe(
+                self._records[pair] = self._server.subscribe(
                     conn_id=conn_id,
                     ran_function_id=policy.ran_function_id,
                     event_trigger=policy.event_trigger,
@@ -183,24 +174,14 @@ class _PolicyManager:
             except (ConnectionError, KeyError):
                 # The link died between the event and the subscribe;
                 # the next attach re-applies.
-                with self._lock:
-                    self._records.pop(pair, None)
                 continue
-            with self._lock:
-                # A snapshot without the policy may have landed while
-                # the subscribe was in flight.
-                kept = pair in self._records
-                if kept:
-                    self._records[pair] = sub
-            if not kept:
-                self._drop(sub)
 
     def _on_indication(self, event) -> None:
         self._ind_counter.incr()
 
 
 def _stats_payload(server: Server) -> dict:
-    """One stats push payload."""
+    """One stats reply payload."""
     counters = counter_values()
     return {
         "pid": os.getpid(),
@@ -212,20 +193,13 @@ def _stats_payload(server: Server) -> dict:
     }
 
 
-def _worker_main(
-    index: int,
-    host: str,
-    port: int,
-    config: ServerConfig,
-    policies: List[SubscriptionPolicy],
-    conn,
-) -> None:
+def _worker_main(index: int, host: str, port: int, config: ServerConfig, conn) -> None:
     """Entry point of one worker process.
 
-    Builds a complete single-process server, binds its
-    own reuseport listener on the shared port, applies the
-    routing-policy snapshot it was forked with, then serves its control
-    pipe until told to stop or orphaned.
+    Builds a complete single-process server, binds its own reuseport
+    listener on the shared port, reports ready (the parent answers with
+    the routing-policy snapshot), then runs :func:`_worker_loop` on
+    this, the process's only thread, until told to stop or orphaned.
     """
     # The forked registry carries the parent's pre-fork values; the
     # worker's stats must start from zero or the merged view
@@ -239,9 +213,7 @@ def _worker_main(
         classify=server._classify,
     )
     server.listen(transport, f"{host}:{port}")
-    transport.start()
     manager = _PolicyManager(server)
-    manager.set_policies(policies)
     try:
         conn.send(("ready", index, port))
     except (OSError, BrokenPipeError):
@@ -256,62 +228,49 @@ def _worker_loop(
     manager: _PolicyManager,
     conn,
 ) -> None:
-    """The worker's bounded-blocking control loop (RL004-audited)."""
+    """The worker's one loop (RL004-audited): its TCP I/O and its pipe.
+
+    Each pass steps the transport inline (``_poll`` also runs the
+    liveness ``on_tick``).  At most every :data:`_PIPE_S` — one clock
+    read per step decides — it checks for orphaning and serves the
+    commands the pipe holds, so a flooded worker still answers within
+    one pipe period and pays no extra syscall per wake-up.  A stats
+    reply ends the pipe pass: a parent that asks again at once gets
+    its next answer after at least one more period of I/O, never a
+    copy of the last one.
+    """
     parent_pid = os.getppid()
-    last_push = time.monotonic()
+    next_pipe = 0.0
     running = True
     while running:
+        transport.step(_PIPE_S)
+        now = time.monotonic()
+        if now < next_pipe:
+            continue
+        next_pipe = now + _PIPE_S
         if os.getppid() != parent_pid:
             break  # orphaned: the supervisor died without a stop
         try:
-            has_msg = conn.poll(0.05)
+            while conn.poll(0):
+                msg = conn.recv()  # repro-lint: disable=RL004 — bounded by the poll(0) above
+                if msg[0] == "stop":
+                    running = False
+                    break
+                if msg[0] == "policies":
+                    manager.set_policies(list(msg[1]))
+                    continue
+                # ("stats", seq): the reply ends the pass.
+                conn.send(("stats", index, msg[1], _stats_payload(server)))
+                break
         except (OSError, EOFError):
             break
-        if has_msg:
-            try:
-                msg = conn.recv()  # repro-lint: disable=RL004 — bounded by the poll(0.05) above
-            except (EOFError, OSError):
-                break
-            running = _handle_command(index, msg, server, manager, conn)
-            continue
-        now = time.monotonic()
-        if now - last_push >= _STATS_PUSH_INTERVAL_S:
-            last_push = now
-            try:
-                conn.send(("stats", index, None, _stats_payload(server)))
-            except (OSError, BrokenPipeError):
-                break
-    try:
-        server.close()
-        transport.stop()
-    except RuntimeError:
-        pass  # loud-teardown report has nowhere to go; process exits anyway
+    server.close()
+    transport.stop()
     try:
         conn.send(("bye", index))
         conn.close()
     except (OSError, BrokenPipeError):
         pass
-
-
-def _handle_command(
-    index: int,
-    msg: tuple,
-    server: Server,
-    manager: _PolicyManager,
-    conn,
-) -> bool:
-    """Apply one control-pipe command; returns False on ``stop``."""
-    kind = msg[0]
-    if kind == "stop":
-        return False
-    if kind == "policies":
-        manager.set_policies(list(msg[1]))
-    elif kind == "stats":
-        try:
-            conn.send(("stats", index, msg[1], _stats_payload(server)))
-        except (OSError, BrokenPipeError):
-            return False
-    return True
 
 
 @dataclass
@@ -333,19 +292,6 @@ class _WorkerHandle:
         try:
             with self.send_lock:
                 self.conn.send(msg)
-            return True
-        except (OSError, BrokenPipeError, ValueError):
-            return False
-
-    def send_pickled(self, wire: bytes) -> bool:
-        """Send an already-pickled message (``conn.recv`` unpickles it).
-
-        Lets a broadcast serialize a large snapshot once and push the
-        same buffer to every worker instead of re-pickling per pipe.
-        """
-        try:
-            with self.send_lock:
-                self.conn.send_bytes(wire)
             return True
         except (OSError, BrokenPipeError, ValueError):
             return False
@@ -465,18 +411,9 @@ class MultiProcServer:
 
     def _spawn(self, index: int) -> _WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe()
-        with self._lock:
-            policies = list(self._policies.values())
         process = self._ctx.Process(
             target=_worker_main,
-            args=(
-                index,
-                self._host,
-                self._port,
-                self.config,
-                policies,
-                child_conn,
-            ),
+            args=(index, self._host, self._port, self.config, child_conn),
             name=f"e2-worker-{index}",
             daemon=True,
         )
@@ -558,7 +495,7 @@ class MultiProcServer:
         self, targets: Optional[List[_WorkerHandle]] = None
     ) -> None:
         """Send the current snapshot to ``targets`` (every ready worker
-        by default), pickled once: every pipe gets the same buffer."""
+        by default)."""
         if targets is None:
             targets = [
                 handle
@@ -566,10 +503,9 @@ class MultiProcServer:
                 if handle.ready.is_set() and not handle.failed
             ]
         with self._lock:
-            wire = pickle.dumps(("policies", list(self._policies.values())))
-        get_counter("server.policy.pickle_bytes").incr(len(wire) * len(targets))
+            msg = ("policies", list(self._policies.values()))
         for handle in targets:
-            handle.send_pickled(wire)
+            handle.send(msg)
 
     # -- supervision -------------------------------------------------
 
@@ -615,15 +551,14 @@ class MultiProcServer:
         if kind == "ready":
             get_gauge(f"server.worker.{handle.index}.alive").set(1)
             handle.ready.set()
-            # Republication on (re)attach: the worker was forked with a
-            # snapshot, but a policy published (or withdrawn) between
-            # fork and ready would be lost without this explicit sync.
+            # A worker starts with no policies: every one, spawned or
+            # respawned, gets the current snapshot when it is ready.
             self._broadcast_policies([handle])
         elif kind == "stats":
             _kind, _index, seq, payload = msg
             with self._stats_cond:
                 handle.stats = payload
-                if seq is not None and seq > handle.stats_seq:
+                if seq > handle.stats_seq:
                     handle.stats_seq = seq
                 self._stats_cond.notify_all()
         # "bye" needs no action: liveness reaping handles the exit.
@@ -663,24 +598,27 @@ class MultiProcServer:
 
     # -- merged stats ------------------------------------------------
 
-    def stats(self, refresh: bool = True, timeout_s: float = 2.0) -> Dict[int, dict]:
-        """Per-worker stats snapshots, freshly requested by default."""
-        if refresh:
-            seq = next(self._stats_seq)
-            targets = [
-                h
-                for h in self._handles.values()
-                if h.ready.is_set() and not h.closed and not h.failed
-            ]
-            for handle in targets:
-                handle.send(("stats", seq))
-            deadline = time.monotonic() + timeout_s
-            with self._stats_cond:
-                while any(h.stats_seq < seq for h in targets if not h.closed):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._stats_cond.wait(timeout=min(remaining, 0.05))
+    def stats(self, timeout_s: float = 2.0) -> Dict[int, dict]:
+        """Per-worker stats snapshots, freshly requested from each worker.
+
+        A worker that does not answer within ``timeout_s`` keeps its
+        last reply in the view.
+        """
+        seq = next(self._stats_seq)
+        targets = [
+            h
+            for h in self._handles.values()
+            if h.ready.is_set() and not h.closed and not h.failed
+        ]
+        for handle in targets:
+            handle.send(("stats", seq))
+        deadline = time.monotonic() + timeout_s
+        with self._stats_cond:
+            while any(h.stats_seq < seq for h in targets if not h.closed):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._stats_cond.wait(timeout=min(remaining, 0.05))
         with self._lock:
             return {
                 index: dict(handle.stats)
@@ -688,26 +626,24 @@ class MultiProcServer:
                 if handle.stats
             }
 
-    def total_indications(self, refresh: bool = True) -> int:
-        return sum(
-            s.get("indications", 0) for s in self.stats(refresh=refresh).values()
-        )
+    def total_indications(self) -> int:
+        return sum(s.get("indications", 0) for s in self.stats().values())
 
-    def agents_total(self, refresh: bool = True) -> int:
-        return sum(s.get("agents", 0) for s in self.stats(refresh=refresh).values())
+    def agents_total(self) -> int:
+        return sum(s.get("agents", 0) for s in self.stats().values())
 
-    def merged_counters(self, refresh: bool = True) -> Dict[str, int]:
+    def merged_counters(self) -> Dict[str, int]:
         """Counters summed across workers (monotonic, so sums compose)."""
-        return self._merge_counter_stats(self.stats(refresh))
+        return self._merge_counter_stats(self.stats())
 
-    def metrics_snapshot(self, refresh: bool = True) -> dict:
+    def metrics_snapshot(self) -> dict:
         """One JSON-able fleet view: merged counters + per-worker gauges.
 
         Gauges are point-in-time per process, so they are namespaced
         ``worker.<i>.<name>`` rather than summed (a depth of 3 in one
         worker and 5 in another is not a depth of 8 anywhere).
         """
-        per_worker = self.stats(refresh=refresh)
+        per_worker = self.stats()
         gauges = {}
         for index, stats in per_worker.items():
             for name, value in stats.get("gauges", {}).items():
@@ -731,14 +667,14 @@ class MultiProcServer:
                 merged[name] = merged.get(name, 0) + value
         return merged
 
-    def overload_state(self, refresh: bool = True) -> dict:
+    def overload_state(self) -> dict:
         """Fleet-wide analogue of :meth:`Server.overload_state`.
 
         Same shape as the single-process snapshot (drops, admission
         rejects, queue gauges) so the northbound ``/metrics/overload``
         route and :class:`StatsMonitorIApp` can serve either.
         """
-        per_worker = self.stats(refresh=refresh)
+        per_worker = self.stats()
         counters = self._merge_counter_stats(per_worker)
         queues = {}
         for index, stats in per_worker.items():

@@ -67,7 +67,6 @@ COUNTERS = frozenset(
         "server.worker.restarts",
         "server.worker.giveup",
         "server.policy.indications",
-        "server.policy.pickle_bytes",
         # zero-copy data plane (DESIGN.md §15)
         "bytes.copied",
         "encode.reuse",

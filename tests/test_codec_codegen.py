@@ -374,11 +374,8 @@ def _check_differential(name, tree):
     before = _fallbacks()
     # Strict: the encode kernel deoptimizes through its guards, never
     # by swallowing an exception.
-    codegen.set_strict(True)
-    try:
+    with codegen.strict():
         out = codegen.payload_encode("fb", name, tree)
-    finally:
-        codegen.set_strict(False)
     if out is None:
         assert _fallbacks() == before + 1
     else:
@@ -661,11 +658,8 @@ def test_rows_encode_as_their_lowered_list_on_every_lane(name, lane, data):
     kernel that declines the Rows declines the list too (both None)."""
     tree = data.draw(_rows_report(name))
     encode = _ROWS_LANES[lane]
-    codegen.set_strict(True)
-    try:
+    with codegen.strict():
         assert encode(name, tree) == encode(name, materialize(tree))
-    finally:
-        codegen.set_strict(False)
 
 
 @pytest.mark.parametrize("codec_name", sorted(CODECS))
@@ -703,9 +697,8 @@ def _oracle_wire(raw):
 
 @pytest.fixture
 def _strict():
-    codegen.set_strict(True)
-    yield
-    codegen.set_strict(False)
+    with codegen.strict():
+        yield
 
 
 @pytest.mark.usefixtures("_strict")

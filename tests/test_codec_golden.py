@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.codec import codegen
-from repro.core.codec.base import get_codec, materialize
+from repro.core.codec.base import CodecError, get_codec, materialize
 from repro.core.codec.schema import payload_schema_names
 from repro.core.e2ap.ies import (
     GlobalE2NodeId,
@@ -340,3 +340,28 @@ class TestGoldenPayloads:
         wire = bytes.fromhex(VECTORS[f"{codec_name}:payload:{payload_name}"])
         decoded = decode_payload(wire, codec_name, schema=payload_name)
         assert materialize(decoded) == tree
+
+
+class TestTruncatedVectors:
+    """Every proper prefix of an ``fb`` golden vector is refused with
+    :class:`CodecError`, with strict kernels: a kernel declines a short
+    frame by comparing each read's end with the frame's length, so
+    neither a ``struct.error`` nor an ``IndexError`` reaches the caller.
+    ``asn`` kernels still read single bytes unguarded (CHANGES.md)."""
+
+    @pytest.mark.parametrize("message_name", sorted(_messages()))
+    def test_every_envelope_prefix_fails_to_route(self, message_name):
+        codec = get_codec("fb")
+        wire = bytes.fromhex(VECTORS[f"fb:{message_name}"])
+        with codegen.strict():
+            for cut in range(len(wire)):
+                with pytest.raises(CodecError):
+                    codec.decode_route(wire[:cut])
+
+    @pytest.mark.parametrize("payload_name", sorted(_payloads()))
+    def test_every_payload_prefix_fails_to_decode(self, payload_name):
+        wire = bytes.fromhex(VECTORS[f"fb:payload:{payload_name}"])
+        with codegen.strict():
+            for cut in range(len(wire)):
+                with pytest.raises(CodecError):
+                    decode_payload(wire[:cut], "fb", schema=payload_name)

@@ -136,9 +136,8 @@ def _strict_kernels():
     # A kernel must deoptimize via guards (returning None), never by
     # swallowing an exception; strict mode turns silent fallbacks on
     # kernel bugs into test failures.
-    codegen.set_strict(True)
-    yield
-    codegen.set_strict(False)
+    with codegen.strict():
+        yield
 
 
 def _spec_strategy(spec):

@@ -553,7 +553,11 @@ class TcpMiniAgent:
             self.subscribed.set()
 
     def blast(self, count: int, payload: bytes = b"p" * 32) -> None:
-        frames = [
+        self.endpoint.send_many(self.indications(count, payload))
+
+    def indications(self, count: int, payload: bytes = b"p" * 32) -> list:
+        """``count`` encoded indications on the policy subscription."""
+        return [
             encode_message(
                 RicIndication(
                     request=self.sub_request,
@@ -567,7 +571,6 @@ class TcpMiniAgent:
             )
             for sequence in range(count)
         ]
-        self.endpoint.send_many(frames)
 
 
 def _worker_fn_item() -> RanFunctionItem:
@@ -607,17 +610,15 @@ class TestMultiProcServer:
                 agent.blast(100)
             assert _wait(lambda: mp.total_indications() >= 400, timeout=15.0)
 
-            merged = mp.merged_counters(refresh=False)
+            merged = mp.merged_counters()
             assert merged.get("server.policy.indications", 0) >= 400
-            state = mp.overload_state(refresh=False)
+            state = mp.overload_state()
             assert state["workers"] == 2
-            snapshot = mp.metrics_snapshot(refresh=False)
+            snapshot = mp.metrics_snapshot()
             assert snapshot["counters"]["server.policy.indications"] >= 400
-            # Parent-side registry: spawn accounting, alive gauges and
-            # the pickled policy snapshots the pipes carried.
+            # Parent-side registry: spawn accounting and alive gauges.
             assert counter_values().get("server.worker.spawned") == 2
             assert gauge_values().get("server.workers") == 2
-            assert counter_values().get("server.policy.pickle_bytes", 0) > 0
         finally:
             client.stop()
             mp.stop()
@@ -626,6 +627,69 @@ class TestMultiProcServer:
         assert "server.workers" not in gauge_values()
         assert "server.worker.0.alive" not in gauge_values()
         mp.stop()
+
+    def test_a_worker_process_runs_one_thread(self):
+        def threads(handle):
+            with open(f"/proc/{handle.process.pid}/status") as status:
+                for line in status:
+                    if line.startswith("Threads:"):
+                        return int(line.split()[1])
+            raise AssertionError("no Threads: line")
+
+        reset_all()
+        mp = MultiProcServer(ServerConfig(), workers=2, port=0)
+        try:
+            mp.start()
+            assert [threads(h) for h in mp._handles.values()] == [1, 1]
+
+            killed = mp.kill_worker(0)
+            assert _wait(
+                lambda: mp._handles[0].process.pid != killed
+                and mp._handles[0].ready.is_set(),
+                timeout=15.0,
+            ), "respawned worker never came up"
+            assert [threads(h) for h in mp._handles.values()] == [1, 1]
+        finally:
+            mp.stop()
+
+    def test_a_flooded_worker_still_serves_its_pipe(self):
+        reset_all()
+        mp = MultiProcServer(ServerConfig(), workers=1, port=0)
+        client = TcpTransport()
+        flooding = threading.Event()
+        stop = threading.Event()
+
+        def flood(agent):
+            frames = agent.indications(500)
+            while not stop.is_set():
+                agent.endpoint.send_many(frames)
+                flooding.set()
+
+        blasters = []
+        try:
+            mp.start()
+            client.start()
+            mp.subscribe_all(_worker_policy())
+            agents = _settled_agents(client, mp.address, 2)
+            blasters = [
+                threading.Thread(target=flood, args=(agent,), daemon=True)
+                for agent in agents
+            ]
+            for blaster in blasters:
+                blaster.start()
+            assert flooding.wait(10.0)
+            readings = []
+            for _ in range(3):
+                began = time.monotonic()
+                readings.append(mp.total_indications())
+                assert time.monotonic() - began < 2.0, "stats request timed out"
+            assert readings[0] < readings[1] < readings[2], readings
+        finally:
+            stop.set()
+            for blaster in blasters:
+                blaster.join(10.0)
+            client.stop()
+            mp.stop()
 
     def test_worker_crash_respawn_republishes_policies(self):
         reset_all()
