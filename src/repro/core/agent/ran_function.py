@@ -10,7 +10,6 @@ custom functions the same way.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,11 +24,12 @@ from repro.core.e2ap.messages import RicIndication, RicIndicationKind
 from repro.core.e2ap.procedures import Cause
 from repro.metrics.counters import get_counter
 
-#: What a malformed SM payload can actually raise: codec rejections,
-#: missing/mistyped fields in the decoded tree, and truncated packed
-#: structs.  Containment handlers catch exactly these — a genuine bug
-#: (AttributeError, RecursionError, ...) must still propagate.
-DECODE_ERRORS = (CodecError, KeyError, TypeError, ValueError, struct.error)
+#: What a malformed SM payload can actually raise: a codec refuses with
+#: :class:`CodecError` only, and the schemaless SM decodes (``ni``,
+#: ``traffic_ctrl``, ``slice_ctrl``, ``rrc_conf``) read a well-formed
+#: tree of the wrong shape by key.  Containment handlers catch exactly
+#: these — a genuine bug (AttributeError, ...) must still propagate.
+DECODE_ERRORS = (CodecError, KeyError, TypeError, ValueError)
 
 
 def count_contained_decode() -> None:

@@ -18,7 +18,8 @@ and ``asn`` codecs, into a specialized kernel with fused struct packs
 and unrolled field access and one entry point per direction: an E2AP
 message is encoded from its dataclass and routed back to it
 (``Codec.decode_route``), an E2SM payload encoded and decoded as its
-tree.  What a kernel declines, the walker answers; a flag
+tree.  A kernel declines only with ``None``, and the walker answers;
+any decoder refuses a frame with :class:`CodecError` alone.  A flag
 (``REPRO_CODEC_INTERPRETIVE=1`` or :func:`codegen.set_kernels_enabled`)
 selects the walkers alone as the differential-testing oracle.  ``pb``
 is interpretive-only.  See DESIGN.md §11.

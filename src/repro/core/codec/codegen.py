@@ -13,16 +13,16 @@ pure function of the schema, so compiling twice yields identical text
 
 Correctness model — *guard-based deoptimization*: a kernel checks
 every assumption the specialization makes (exact key tuples, value
-types, int ranges, constant wire bytes, and on ``fb`` that each read
-ends inside the frame) and returns ``None`` on any
+types, int ranges, constant wire bytes, valid utf-8, and that each
+read ends inside the frame) and declines with ``None`` on any
 mismatch; the codec then falls back to its interpretive walker, which
 remains the behavioral oracle.  A kernel may therefore be *stricter*
-than the interpreter (rejecting is always sound — the fallback
+than the interpreter (declining is always sound — the fallback
 reproduces the interpretive result) but must never accept input the
-interpreter would reject differently.  Unexpected exceptions inside a
-kernel are also treated as a fallback, unless ``REPRO_CODEC_KERNEL_STRICT``
-is set (the differential tests set it so real bugs cannot hide inside
-the deoptimization path).
+interpreter would reject differently.  A kernel declines only by
+returning ``None``: any exception it raises is a bug and propagates.
+Every decoder, kernel lane or walker, refuses a frame with
+:class:`~repro.core.codec.base.CodecError` and nothing else.
 
 A kernel has one entry point per direction.  An E2AP envelope kernel
 has the *object lanes*: ``encode_msg(m)`` reads the message dataclass's
@@ -48,7 +48,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.codec import schema as _schema
-from repro.core.codec.base import Codec
+from repro.core.codec.base import Codec, CodecError
 from repro.core.codec.kernel_runtime import (
     _B1,
     _H,
@@ -88,11 +88,6 @@ _copied = counters.get_counter("bytes.copied").tick
 #: Kernels on unless the oracle is requested via the environment.
 ENABLED = os.environ.get("REPRO_CODEC_INTERPRETIVE", "") not in ("1", "true", "yes")
 
-#: Re-raise unexpected kernel exceptions instead of deoptimizing
-#: (differential tests).  A mutable cell so generated dispatch closures
-#: observe updates.
-_STRICT = [os.environ.get("REPRO_CODEC_KERNEL_STRICT", "") in ("1", "true", "yes")]
-
 
 def kernels_enabled() -> bool:
     return ENABLED
@@ -102,18 +97,6 @@ def set_kernels_enabled(enabled: bool) -> None:
     """Toggle generated kernels globally (tests, benchmarks)."""
     global ENABLED
     ENABLED = bool(enabled)
-
-
-@contextmanager
-def strict():
-    """Context manager escalating unexpected kernel exceptions instead
-    of falling back; restores the previous setting on exit."""
-    prev = _STRICT[0]
-    _STRICT[0] = True
-    try:
-        yield
-    finally:
-        _STRICT[0] = prev
 
 
 @contextmanager
@@ -157,6 +140,13 @@ class _Fn:
         y = self.mod.name("k")
         self.members.append((y, x, _enum_ref(self.mod, enum)))
         return y
+
+    def utf8(self, raw: str) -> str:
+        """``raw`` decoded as utf-8; invalid utf-8 declines."""
+        x = self.mod.name("x")
+        self.w(f"try: {x} = {raw}.decode('utf-8')")
+        self.w("except UnicodeDecodeError: return None")
+        return x
 
     def check_members(self) -> None:
         """Decline a value that is not a member, as ``from_value`` does."""
@@ -806,11 +796,7 @@ class _FlatEmitter:
             fn.w(f"if {start} + 5 + {l} > N: return None")
             fn.w(f"{r} = data[{start} + 5:{start} + 5 + {l}]")
             off.rebase(fn, f"{start} + 5 + {l}")
-            if kind == "str":
-                x = mod.name("x")
-                fn.w(f"{x} = {r}.decode('utf-8')")
-                return x
-            return r
+            return fn.utf8(r) if kind == "str" else r
         if kind == "opt":
             runs.flush()
             q = mod.const_struct("<q")
@@ -1193,6 +1179,9 @@ class _PerEmitter:
     def _emit_decode(self, mod: _Mod, schema: Schema, lane: str = "tree") -> None:
         """``decode``, or the route kernel of ``lane`` (as on ``fb``)."""
         fn = _Fn(mod, "decode" if lane == "tree" else "route", "data")
+        # Every single-byte read is compared with ``N`` before it is
+        # made, as on ``fb``: a short frame is declined, never read past.
+        fn.w("N = len(data)")
         row = [] if lane == "row" else None
         off = _Off(None, 0)
         runs = _DecRuns(fn, off)
@@ -1202,9 +1191,13 @@ class _PerEmitter:
         fn.w(f"return {result}" if row is None else _row_return(row))
         fn.close()
 
-    def _mask(self, fn: _Fn, runs: _DecRuns, off: _Off, mask: int, want: int) -> None:
+    def _mask(
+        self, fn: _Fn, runs: _DecRuns, off: _Off, mask: int, want: int, need: int = 1
+    ) -> None:
+        """Check the tag bits at ``off``, which ``need`` bytes must fit after."""
         runs.flush()
-        fn.w(f"if data[{off.expr()}] & {mask:#x} != {want:#x}: return None")
+        end = _Off(off.base, off.k + need).expr()
+        fn.w(f"if {end} > N or data[{off.expr()}] & {mask:#x} != {want:#x}: return None")
         off.advance(1)
 
     def _dec_dict(
@@ -1244,6 +1237,7 @@ class _PerEmitter:
             runs.flush()
             t = mod.name("t")
             x = mod.name("x")
+            fn.w(f"if {_Off(off.base, off.k + 1).expr()} > N: return None")
             fn.w(f"{t} = data[{off.expr()}] >> 4")
             fn.w(f"if {t} == 2: {x} = True")
             fn.w(f"elif {t} == 1: {x} = False")
@@ -1251,7 +1245,7 @@ class _PerEmitter:
             off.advance(1)
             return x
         if kind == "f64":
-            self._mask(fn, runs, off, 0xF0, 0x40)
+            self._mask(fn, runs, off, 0xF0, 0x40, 9)
             d8 = mod.const_struct(">d")
             x = mod.name("x")
             fn.w(f"{x} = {d8}.unpack_from(data, {off.expr()})[0]")
@@ -1263,27 +1257,25 @@ class _PerEmitter:
             r = mod.name("r")
             raw = mod.name("w")
             nxt = mod.name("o")
-            fn.w(f"{r} = _doct(data, {off.expr()})")
+            fn.w(f"{r} = _doct(data, {off.expr()}, N)")
             fn.w(f"if {r} is None: return None")
             fn.w(f"{raw}, {nxt} = {r}")
             off.base = nxt
             off.k = 0
-            if kind == "str":
-                x = mod.name("x")
-                fn.w(f"{x} = {raw}.decode('utf-8')")
-                return x
-            return raw
+            return fn.utf8(raw) if kind == "str" else raw
         if kind == "opt":
             runs.flush()
             b = mod.name("b")
             x = mod.name("x")
             nxt = mod.name("o")
             start = off.expr()
+            fn.w(f"if {start} + 1 > N: return None")
             fn.w(f"{b} = data[{start}]")
             fn.w(f"if {b} & 0xF0 == 0:")
             fn.w(f"    {x} = None")
             fn.w(f"    {nxt} = {start} + 1")
             fn.w(f"elif {b} & 0xF4 == 0x34:")
+            fn.w(f"    if {start} + 2 > N: return None")
             fn.w(f"    {x} = (({b} & 3) << 4) | (data[{start} + 1] >> 4)")
             fn.w(f"    if {b} & 8: {x} = -{x}")
             fn.w(f"    {nxt} = {start} + 2")
@@ -1301,10 +1293,10 @@ class _PerEmitter:
             n = mod.name("n")
             o = mod.name("o")
             x = mod.name("x")
-            fn.w(f"{r} = _dvl(data, {off.expr()})")
+            fn.w(f"{r} = _dvl(data, {off.expr()}, N)")
             fn.w(f"if {r} is None: return None")
             fn.w(f"{n}, {o} = {r}")
-            fn.w(f"{r} = _dpstrmap(data, {o}, {n})")
+            fn.w(f"{r} = _dpstrmap(data, {o}, {n}, N)")
             fn.w(f"if {r} is None: return None")
             fn.w(f"{x}, {o} = {r}")
             off.base = o
@@ -1316,14 +1308,14 @@ class _PerEmitter:
             n = mod.name("n")
             o = mod.name("o")
             x = mod.name("x")
-            fn.w(f"{r} = _dvl(data, {off.expr()})")
+            fn.w(f"{r} = _dvl(data, {off.expr()}, N)")
             fn.w(f"if {r} is None: return None")
             fn.w(f"{n}, {o} = {r}")
             elem = spec.elem.kind
             if elem == "int":
-                fn.w(f"{r} = _dpseq_int(data, {o}, {n})")
+                fn.w(f"{r} = _dpseq_int(data, {o}, {n}, N)")
             elif elem == "str":
-                fn.w(f"{r} = _dpseq_str(data, {o}, {n})")
+                fn.w(f"{r} = _dpseq_str(data, {o}, {n}, N)")
             elif elem == "nested":
                 dname = self._elem_decoder(mod, spec.elem.schema, obj)
                 ph = mod.name("ph")
@@ -1331,7 +1323,7 @@ class _PerEmitter:
                 fn.w(f"{x} = []")
                 fn.w(f"{ph} = 0")
                 fn.w(f"for _ in range({n}):")
-                fn.w(f"    {r} = {dname}(data, {o}, {ph})")
+                fn.w(f"    {r} = {dname}(data, {o}, {ph}, N)")
                 fn.w(f"    if {r} is None: return None")
                 fn.w(f"    {v}, {o}, {ph} = {r}")
                 fn.w(f"    {x}.append({v})")
@@ -1355,6 +1347,8 @@ class _PerEmitter:
         x = mod.name("x")
         nxt = mod.name("o")
         start = off.expr()
+        # Both forms of an int cell take at least two bytes.
+        fn.w(f"if {start} + 2 > N: return None")
         fn.w(f"{b} = data[{start}]")
         fn.w(f"if {b} & 0xF4 == 0x34:")
         fn.w(f"    {x} = (({b} & 3) << 4) | (data[{start} + 1] >> 4)")
@@ -1375,7 +1369,7 @@ class _PerEmitter:
         r = mod.name("r")
         ln = mod.name("l")
         raw = mod.name("w")
-        fn.w(f"{pad}{r} = _dvl(data, {at})")
+        fn.w(f"{pad}{r} = _dvl(data, {at}, N)")
         fn.w(f"{pad}if {r} is None: return None")
         fn.w(f"{pad}{ln}, {nxt} = {r}")
         fn.w(f"{pad}{raw} = data[{nxt}:{nxt} + {ln}]")
@@ -1390,8 +1384,9 @@ class _PerEmitter:
             return got
         if not schema.fields:
             raise _Unsupported("empty seq element")
-        fn = mod.fn("_qo" if obj else "_qe", "data, o, ph")
+        fn = mod.fn("_qo" if obj else "_qe", "data, o, ph, N")
         self._elem_dec[(schema.name, obj)] = fn.name
+        fn.w("if o + 2 > N: return None")
         fn.w("if ph:")
         fn.w("    if data[o] & 0xF != 8: return None")
         fn.w("else:")
@@ -1417,6 +1412,7 @@ class _PerEmitter:
             x = mod.name("x")
             nxt = mod.name("o")
             phx = mod.name("ph")
+            fn.w(f"if {start} + 2 > N: return None")
             fn.w(f"{b} = data[{start}]")
             fn.w(f"if {b} & 0xF4 == 0x34:")
             fn.w(f"    {x} = (({b} & 3) << 4) | (data[{start} + 1] >> 4)")
@@ -1432,6 +1428,7 @@ class _PerEmitter:
         elif kind == "bool":
             t = mod.name("t")
             x = mod.name("x")
+            fn.w(f"if {start} + 1 > N: return None")
             fn.w(f"{t} = data[{start}] >> 4")
             fn.w(f"if {t} == 2: {x} = True")
             fn.w(f"elif {t} == 1: {x} = False")
@@ -1443,21 +1440,16 @@ class _PerEmitter:
             r = mod.name("r")
             raw = mod.name("w")
             nxt = mod.name("o")
-            fn.w(f"if data[{start}] & 0xF0 != {want:#x}: return None")
-            fn.w(f"{r} = _doct(data, {start} + 1)")
+            fn.w(f"if {start} + 1 > N or data[{start}] & 0xF0 != {want:#x}: return None")
+            fn.w(f"{r} = _doct(data, {start} + 1, N)")
             fn.w(f"if {r} is None: return None")
             fn.w(f"{raw}, {nxt} = {r}")
-            if kind == "str":
-                x = mod.name("x")
-                fn.w(f"{x} = {raw}.decode('utf-8')")
-                exprs.append(x)
-            else:
-                exprs.append(raw)
+            exprs.append(fn.utf8(raw) if kind == "str" else raw)
             tail = f"{nxt}, 0"
         elif kind == "f64":
             d8 = mod.const_struct(">d")
             x = mod.name("x")
-            fn.w(f"if data[{start}] & 0xF0 != 0x40: return None")
+            fn.w(f"if {start} + 9 > N or data[{start}] & 0xF0 != 0x40: return None")
             fn.w(f"{x} = {d8}.unpack_from(data, {start} + 1)[0]")
             exprs.append(x)
             tail = f"{start} + 9, 0"
@@ -1509,6 +1501,18 @@ def _row_reader() -> Callable[[Any], tuple]:
     ns: Dict[str, Any] = {}
     exec(compile("\n".join(lines), "<row reader>", "exec"), ns)
     return ns["row"]
+
+
+def envelope(tree) -> Tuple[int, int, Any]:
+    """``(p, c, v)`` of a walked E2AP envelope; a tree without two int
+    discriminators and a body is refused with :class:`CodecError`."""
+    try:
+        procedure, msg_class, body = tree["p"], tree["c"], tree["v"]
+    except (KeyError, TypeError) as exc:
+        raise CodecError(f"not an E2AP envelope: {exc!r}") from exc
+    if type(procedure) is not int or type(msg_class) is not int:
+        raise CodecError(f"E2AP discriminators are not ints: {procedure!r}, {msg_class!r}")
+    return procedure, msg_class, body
 
 
 def routed(procedure, msg_class, body) -> Tuple[Any, Any, Any]:
@@ -1687,20 +1691,12 @@ def kernel_encode_msg(codec_name: str, msg) -> Optional[bytes]:
     if encoders is None:
         return None
     try:
-        try:
-            encode_msg = encoders[type(msg)]
-        except KeyError:
-            encode_msg = _encoder_miss(codec_name, type(msg))
-        if encode_msg is None:
-            return None
-        out = encode_msg(msg)
-    # The deoptimization boundary of the object lane: any unexpected
-    # exception in a kernel falls back (strict mode re-raises).
-    except Exception:  # repro-lint: disable=RL002
-        if _STRICT[0]:
-            raise
-        _enc_fall()
+        encode_msg = encoders[type(msg)]
+    except KeyError:
+        encode_msg = _encoder_miss(codec_name, type(msg))
+    if encode_msg is None:
         return None
+    out = encode_msg(msg)
     if out is None:
         _enc_fall()
     else:
@@ -1754,9 +1750,11 @@ def decode_route(codec: Codec, data) -> Tuple[Any, Any, Any]:
     The route kernel answers first: ``(p, c)`` is read once
     (:class:`_Routes`) and picks it.  Kernels off, a codec without
     kernels (``pb``) or a frame no kernel takes go to the walker and
-    :func:`routed`.  A buffer that is not ``bytes`` is copied once
-    (``bytes.copied``): what is routed owns its octets, whatever the
-    caller does with the buffer afterwards."""
+    :func:`routed`.  A frame that is not a well-formed E2AP message
+    raises :class:`CodecError`, whichever lane read it.  A buffer that
+    is not ``bytes`` is copied once (``bytes.copied``): what is routed
+    owns its octets, whatever the caller does with the buffer
+    afterwards."""
     if type(data) is not bytes:
         data = bytes(data)  # repro-lint: disable=RL007 — the message must not alias a mutable buffer
         _copied()
@@ -1764,22 +1762,14 @@ def decode_route(codec: Codec, data) -> Tuple[Any, Any, Any]:
     if ENABLED and name in _ROUTES:
         routes = _ROUTES[name]
         cells = data[routes.cells]
-        try:
-            entry = routes.table.get(cells) or routes.miss(name, data, cells)
-            out = None if entry is None else entry[2](data)
-        # The deoptimization boundary of the route lane.
-        except Exception:  # repro-lint: disable=RL002
-            if _STRICT[0]:
-                raise
-            _dec_fall()
-        else:
+        entry = routes.table.get(cells) or routes.miss(name, data, cells)
+        if entry is not None:
+            out = entry[2](data)
             if out is not None:
                 _dec_hit()
                 return entry[0], entry[1], out
-            if entry is not None:
-                _dec_fall()
-    tree = codec.decode(data)
-    return routed(tree["p"], tree["c"], tree["v"])
+            _dec_fall()
+    return routed(*envelope(codec.decode(data)))
 
 
 Codec.decode_route = decode_route
@@ -1789,16 +1779,10 @@ def payload_encode(codec_name: str, name: str, tree) -> Optional[bytes]:
     """Encode an E2SM payload via its named schema kernel."""
     if not ENABLED:
         return None
-    try:
-        kern = payload_kernel(codec_name, name)
-        if kern is None:
-            return None
-        out = kern.encode(tree)
-    except Exception:
-        if _STRICT[0]:
-            raise
-        _enc_fall()
+    kern = payload_kernel(codec_name, name)
+    if kern is None:
         return None
+    out = kern.encode(tree)
     if out is None:
         _enc_fall()
     else:
@@ -1810,16 +1794,10 @@ def payload_decode(codec_name: str, name: str, data):
     """Decode an E2SM payload via its named schema kernel."""
     if not ENABLED:
         return None
-    try:
-        kern = payload_kernel(codec_name, name)
-        if kern is None:
-            return None
-        out = kern.decode(data)
-    except Exception:
-        if _STRICT[0]:
-            raise
-        _dec_fall()
+    kern = payload_kernel(codec_name, name)
+    if kern is None:
         return None
+    out = kern.decode(data)
     if out is None:
         _dec_fall()
     else:

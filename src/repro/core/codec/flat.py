@@ -259,19 +259,21 @@ def _bigint_to_bytes(value: int) -> bytes:
 # -- lazy reading ----------------------------------------------------
 
 
+#: What a read of a corrupt buffer raises (``UnicodeDecodeError`` is a
+#: ``ValueError``); every entry point of the lazy read re-raises it as
+#: :class:`CodecError`.
+_CORRUPT = (IndexError, ValueError, OverflowError, MemoryError, struct.error)
+
+
 def _lazy_value(buf: bytes, offset: int) -> Any:
     """Decode a scalar in place, or wrap a container in a lazy view.
 
     Corruption surfaces lazily (a flipped size word is only hit when
-    the field is touched); every low-level error is normalized to
-    :class:`CodecError` so consumers see one failure type.
+    the field is touched), as :class:`CodecError`.
     """
     try:
         return _lazy_value_unchecked(buf, offset)
-    except CodecError:
-        raise
-    except (IndexError, ValueError, UnicodeDecodeError, OverflowError,
-            MemoryError, struct.error) as exc:
+    except _CORRUPT as exc:
         raise CodecError(f"corrupt flat buffer: {exc}") from exc
 
 
@@ -359,12 +361,15 @@ class FlatListView:
     def __getitem__(self, index: int) -> Any:
         buf = self._buf
         offset = self._base + self._rels[index]
-        tag = buf[offset]
-        if tag == base.TAG_INT:
-            return _I64.unpack_from(buf, offset + 1)[0]
-        if tag == base.TAG_DICT:
-            return FlatView(buf, offset)
-        return _lazy_value(buf, offset)
+        try:
+            tag = buf[offset]
+            if tag == base.TAG_INT:
+                return _I64.unpack_from(buf, offset + 1)[0]
+            if tag == base.TAG_DICT:
+                return FlatView(buf, offset)
+            return _lazy_value_unchecked(buf, offset)
+        except _CORRUPT as exc:
+            raise CodecError(f"corrupt flat buffer: {exc}") from exc
 
     def __iter__(self) -> Iterator[Any]:
         buf = self._buf
@@ -451,29 +456,33 @@ class FlatView:
         # The three hottest tags are read inline: every E2AP header
         # access is an int, bytes payload, or nested table, and the
         # two extra call frames of the generic path cost more than the
-        # reads themselves on the indication hot path.
+        # reads themselves on the indication hot path.  A missing key
+        # is a ``KeyError``, a corrupt buffer a :class:`CodecError`.
         buf = self._buf
         offset = self._base + self._fields[key]
-        tag = buf[offset]
-        if tag == base.TAG_INT:
-            return _I64.unpack_from(buf, offset + 1)[0]
-        if tag == base.TAG_BYTES:
-            size = _U32.unpack_from(buf, offset + 1)[0]
-            return buf[offset + 5:offset + 5 + size]
-        if tag == base.TAG_DICT:
-            count = _U32.unpack_from(buf, offset + 1)[0]
-            # Mutable-buffer slices are unhashable cache keys; those
-            # buffers take the full FlatView parse below instead.
-            if count <= _DIR_CACHE_FIELDS and type(buf) is bytes:
-                sub = _DIR_CACHE.get(buf[offset + 1:offset + 5 + 7 * count])
-                if sub is not None:
-                    view = FlatView.__new__(FlatView)
-                    view._buf = buf
-                    view._base = offset + 5 + 7 * count
-                    view._fields = sub
-                    return view
-            return FlatView(buf, offset)
-        return _lazy_value(buf, offset)
+        try:
+            tag = buf[offset]
+            if tag == base.TAG_INT:
+                return _I64.unpack_from(buf, offset + 1)[0]
+            if tag == base.TAG_BYTES:
+                size = _U32.unpack_from(buf, offset + 1)[0]
+                return buf[offset + 5:offset + 5 + size]
+            if tag == base.TAG_DICT:
+                count = _U32.unpack_from(buf, offset + 1)[0]
+                # Mutable-buffer slices are unhashable cache keys; those
+                # buffers take the full FlatView parse below instead.
+                if count <= _DIR_CACHE_FIELDS and type(buf) is bytes:
+                    sub = _DIR_CACHE.get(buf[offset + 1:offset + 5 + 7 * count])
+                    if sub is not None:
+                        view = FlatView.__new__(FlatView)
+                        view._buf = buf
+                        view._base = offset + 5 + 7 * count
+                        view._fields = sub
+                        return view
+                return FlatView(buf, offset)
+            return _lazy_value_unchecked(buf, offset)
+        except _CORRUPT as exc:
+            raise CodecError(f"corrupt flat buffer: {exc}") from exc
 
     def get(self, key: str, default: Any = None) -> Any:
         if key in self._fields:

@@ -5,8 +5,9 @@ copy of :data:`_RUNTIME`: the wire constants and the helpers a kernel
 calls for what its flat text does not unroll — PER integers, octet
 strings and list bodies with their bit phase, ``fb`` list chunks, the
 fixed-layout plans of :class:`~repro.core.codec.base.Rows` sequences.
-A helper returns None/False on any shape violation, so the kernel
-that called it deoptimizes (DESIGN.md §11).
+A helper returns None/False on any shape violation — a read past the
+end of the frame and invalid utf-8 included — so the kernel that
+called it declines (DESIGN.md §11); it never raises on a frame.
 """
 
 from __future__ import annotations
@@ -211,19 +212,24 @@ def _pseq_objs(P: list, fn, items: list) -> bool:
     return True
 
 
-def _dvl(data: bytes, o: int):
-    """PER length determinant read; (value, new offset) or None."""
+def _dvl(data: bytes, o: int, N: int):
+    """PER length determinant read; (value, new offset) or None.  Every
+    PER reader takes ``N``, the ``len(data)`` its kernel took once."""
+    if o >= N:
+        return None
     first = data[o]
     if first < 0x80:
         return first, o + 1
     if first & 0x40 == 0:
+        if o + 2 > N:
+            return None
         return ((first & 0x3F) << 8) | data[o + 1], o + 2
-    if first != 0xC0:
+    if first != 0xC0 or o + 5 > N:
         return None
     return int.from_bytes(data[o + 1:o + 5], "big"), o + 5
 
 
-def _dfrag(data: bytes, o: int, length: int):
+def _dfrag(data: bytes, o: int, length: int, N: int):
     """PER fragmented octet-string read; (bytes, new offset) or None."""
     full, rem = divmod(length, 24)
     chunks = []
@@ -236,7 +242,7 @@ def _dfrag(data: bytes, o: int, length: int):
         chunks.append(bytes(block))
         o = end
     if rem:
-        if o >= len(data) or data[o] >> 3 != rem:
+        if o >= N or data[o] >> 3 != rem:
             return None
         piece = data[o + 1:o + 1 + rem]
         if len(piece) != rem:
@@ -246,21 +252,23 @@ def _dfrag(data: bytes, o: int, length: int):
     return b"".join(chunks), o
 
 
-def _doct(data: bytes, o: int):
+def _doct(data: bytes, o: int, N: int):
     """PER aligned octet string (determinant + fragments)."""
-    r = _dvl(data, o)
+    r = _dvl(data, o, N)
     if r is None:
         return None
     length, o = r
-    return _dfrag(data, o, length)
+    return _dfrag(data, o, length, N)
 
 
-def _dpseq_int(data: bytes, o: int, n: int):
+def _dpseq_int(data: bytes, o: int, n: int, N: int):
     """PER list-of-int body read with phase tracking; (list, o) or None."""
     out = []
     ap = out.append
     ph = 0
     for _ in range(n):
+        if o + 2 > N:  # both forms of an int cell take two bytes or more
+            return None
         if ph:
             b0 = data[o] & 0xF
             if b0 != 3:
@@ -273,7 +281,7 @@ def _dpseq_int(data: bytes, o: int, n: int):
                 ph = 0
             else:
                 neg = b1 & 0x80
-                r = _dvl(data, o + 2)
+                r = _dvl(data, o + 2, N)
                 if r is None:
                     return None
                 ln, o = r
@@ -292,7 +300,7 @@ def _dpseq_int(data: bytes, o: int, n: int):
                 o += 1
                 ph = 4
             elif b0 & 0xF4 == 0x30:
-                r = _dvl(data, o + 1)
+                r = _dvl(data, o + 1, N)
                 if r is None:
                     return None
                 ln, o = r
@@ -309,17 +317,20 @@ def _dpseq_int(data: bytes, o: int, n: int):
     return out, o
 
 
-def _dpseq_str(data: bytes, o: int, n: int):
+def _dpseq_str(data: bytes, o: int, n: int, N: int):
     """PER list-of-str body read; (list, o) or None."""
     out = []
     for _ in range(n):
-        if data[o] & 0xF0 != 0x50:
+        if o >= N or data[o] & 0xF0 != 0x50:
             return None
-        r = _doct(data, o + 1)
+        r = _doct(data, o + 1, N)
         if r is None:
             return None
         raw, o = r
-        out.append(raw.decode("utf-8"))
+        try:
+            out.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            return None
     return out, o
 
 
@@ -562,7 +573,10 @@ def _dfseq_str(data: bytes, o: int, n: int, end: int):
         ln = _I.unpack_from(data, o + 1)[0]
         if size != 5 + ln or o + size > end:
             return None
-        ap(data[o + 5:o + size].decode("utf-8"))
+        try:
+            ap(data[o + 5:o + size].decode("utf-8"))
+        except UnicodeDecodeError:
+            return None
         o += size
     return out, o
 
@@ -571,24 +585,27 @@ def _dfstrmap(data: bytes, o: int, n: int, end: int):
     """flat str→str table read; (dict, o) or None."""
     sizes = []
     keys = []
-    for _ in range(n):
-        if o + 2 > end:
-            return None
-        klen = _H.unpack_from(data, o)[0]
-        if o + 6 + klen > end:
-            return None
-        keys.append(data[o + 2:o + 2 + klen].decode("utf-8"))
-        sizes.append(_I.unpack_from(data, o + 2 + klen)[0])
-        o += 6 + klen
     out = {}
-    for key, size in zip(keys, sizes):
-        if o + 5 > end or data[o] != 5:
-            return None
-        ln = _I.unpack_from(data, o + 1)[0]
-        if size != 5 + ln or o + size > end:
-            return None
-        out[key] = data[o + 5:o + size].decode("utf-8")
-        o += size
+    try:
+        for _ in range(n):
+            if o + 2 > end:
+                return None
+            klen = _H.unpack_from(data, o)[0]
+            if o + 6 + klen > end:
+                return None
+            keys.append(data[o + 2:o + 2 + klen].decode("utf-8"))
+            sizes.append(_I.unpack_from(data, o + 2 + klen)[0])
+            o += 6 + klen
+        for key, size in zip(keys, sizes):
+            if o + 5 > end or data[o] != 5:
+                return None
+            ln = _I.unpack_from(data, o + 1)[0]
+            if size != 5 + ln or o + size > end:
+                return None
+            out[key] = data[o + 5:o + size].decode("utf-8")
+            o += size
+    except UnicodeDecodeError:
+        return None
     return out, o
 
 
@@ -608,24 +625,27 @@ def _pstrmap(P: list, d) -> bool:
     return True
 
 
-def _dpstrmap(data: bytes, o: int, n: int):
+def _dpstrmap(data: bytes, o: int, n: int, N: int):
     """PER str→str table read; (dict, o) or None."""
     out = {}
     for _ in range(n):
+        if o >= N:
+            return None
         kl = data[o]
         if kl >= 0x80:
             return None
         kraw = data[o + 1:o + 1 + kl]
-        if len(kraw) != kl:
-            return None
         o += 1 + kl
-        if data[o] & 0xF0 != 0x50:
+        if len(kraw) != kl or o >= N or data[o] & 0xF0 != 0x50:
             return None
-        r = _doct(data, o + 1)
+        r = _doct(data, o + 1, N)
         if r is None:
             return None
         vraw, o = r
-        out[kraw.decode("utf-8")] = vraw.decode("utf-8")
+        try:
+            out[kraw.decode("utf-8")] = vraw.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
     return out, o
 
 

@@ -23,7 +23,6 @@ benchmarked in Fig. 7.
 
 from __future__ import annotations
 
-import struct
 import time
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -118,21 +117,16 @@ def encode_message(msg: E2Message, codec: Codec) -> bytes:
     return wire
 
 
-#: what a frame that is not a well-formed E2AP message raises on the
-#: walker besides :class:`CodecError` (a lazy or interpretive body
-#: without the keys or shapes its class needs, a truncated ``fb`` cell);
-#: the overload classifier treats the same set as malformed.
-_ROUTE_ERRORS = (KeyError, TypeError, ValueError, IndexError, struct.error)
-
-
 def decode_message(data: bytes, codec: Codec) -> E2Message:
     """Deserialize into the concrete message dataclass.
 
     The codec's route lane builds the dataclass straight off the wire
-    (``RicIndication`` from its row); a body that does not fit its
-    class raises :class:`CodecError` naming the class and wire field.
-    With tracing enabled a ``decode`` span is recorded, correlated the
-    same way as :func:`encode_message`.
+    (``RicIndication`` from its row).  A frame that is not a
+    well-formed E2AP message raises :class:`CodecError` and nothing
+    else, whichever codec and lane read it: a body that does not fit
+    its class names the class and wire field.  With tracing enabled a
+    ``decode`` span is recorded, correlated the same way as
+    :func:`encode_message`.
     """
     tracer = _TRACER
     start = time.perf_counter() if tracer.enabled else 0.0
@@ -140,11 +134,6 @@ def decode_message(data: bytes, codec: Codec) -> E2Message:
         procedure, msg_class, body = codec.decode_route(data)
     except CodecError as exc:
         raise exc.with_context(message_type="E2AP envelope")
-    except _ROUTE_ERRORS as exc:
-        raise CodecError(
-            f"malformed E2AP message: {type(exc).__name__}: {exc}",
-            message_type="E2AP envelope",
-        ) from exc
     if (procedure, msg_class) == _ROW_ROUTED:
         msg = _indication(body)
     elif isinstance(body, E2Message):

@@ -40,7 +40,7 @@ from enum import IntEnum
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.core.codec.base import CodecError
-from repro.core.e2ap.messages import _ROUTE_ERRORS
+from repro.core.codec.codegen import envelope
 from repro.core.e2ap.procedures import ProcedureCode
 from repro.metrics.counters import discard_gauge, get_counter, get_gauge
 
@@ -75,9 +75,8 @@ def frame_classifier(codec) -> Callable[[bytes], TrafficClass]:
     (``codec.probe``): nothing is decoded, the server decodes the
     survivors once.  Only when the probe declines (a codec without
     one, an envelope it does not recognise) is the frame decoded, and
-    one that still cannot be classified — any error the decode path
-    treats as malformed (``messages._ROUTE_ERRORS``) — is CONTROL: the decode error is
-    the server's to count and contain — the overload layer must never
+    one the decode refuses (:class:`CodecError`) is CONTROL: the decode
+    error is the server's to count and contain — the overload layer must never
     shed a frame it does not understand.  A frame whose *envelope*
     reads as an indication is sheddable even if its body is malformed;
     what is not shed is still contained by the server.
@@ -87,8 +86,8 @@ def frame_classifier(codec) -> Callable[[bytes], TrafficClass]:
     def classify(data: bytes) -> TrafficClass:
         try:
             found = probe(data) if probe is not None else None
-            procedure = codec.decode(data)["p"] if found is None else found[0]
-        except (CodecError,) + _ROUTE_ERRORS:
+            procedure = envelope(codec.decode(data))[0] if found is None else found[0]
+        except CodecError:
             return TrafficClass.CONTROL
         return classify_procedure(procedure)
 

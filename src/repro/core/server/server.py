@@ -44,7 +44,6 @@ from repro.core.e2ap.messages import (
     RicSubscriptionFailure,
     RicSubscriptionRequest,
     RicSubscriptionResponse,
-    _ROUTE_ERRORS,
     encode_message,
 )
 from repro.core.e2ap.procedures import Cause, CauseKind, ProcedureCode
@@ -136,9 +135,10 @@ class IndicationEvent:
         self.instance_id = instance
         #: ``(requestor, instance)`` — the submgr routing key.
         self.route_key = (requestor, instance)
-        # A dict: a ``k`` outside the enum is a ``KeyError``, never a
-        # wrapped tuple index.
-        self.kind = INDICATION_KINDS[kind]
+        try:
+            self.kind = INDICATION_KINDS[kind]
+        except (KeyError, TypeError):
+            raise CodecError(f"{kind!r} is not a RicIndicationKind", "RicIndication", "k") from None
 
     @property
     def request(self) -> RicRequestId:
@@ -644,7 +644,7 @@ class Server:
                     # contained with the frames that do not decode at all.
                     procedure, msg_class, body = route(data)
                     event = IndicationEvent(conn_id, body) if procedure == _IND_CODE else None
-                except (CodecError,) + _ROUTE_ERRORS:
+                except CodecError:
                     # A corrupted frame (chaos transport, buggy peer)
                     # must not take the transport thread down.
                     self._count_decode_error()

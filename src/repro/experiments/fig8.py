@@ -156,8 +156,6 @@ def run_fig8b_point(
         for nb_id in range(1, n_agents + 1)
     ]
     cpu.reset()
-    bytes_before = 0  # inproc endpoints are internal; compute from payloads
-    total_bytes = 0
     for _ in range(reports):
         for function in functions:
             function.pump()

@@ -372,10 +372,9 @@ def _check_differential(name, tree):
         ref = encode_payload(materialize(tree), "fb", schema=name)
         assert encode_payload(tree, "fb", schema=name) == ref
     before = _fallbacks()
-    # Strict: the encode kernel deoptimizes through its guards, never
-    # by swallowing an exception.
-    with codegen.strict():
-        out = codegen.payload_encode("fb", name, tree)
+    # The encode kernel declines through its guards: an exception it
+    # raised would fail here.
+    out = codegen.payload_encode("fb", name, tree)
     if out is None:
         assert _fallbacks() == before + 1
     else:
@@ -654,12 +653,11 @@ def _rows_report(name):
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_rows_encode_as_their_lowered_list_on_every_lane(name, lane, data):
-    """``encode(tree) == encode(materialize(tree))``, kernels strict: a
-    kernel that declines the Rows declines the list too (both None)."""
+    """``encode(tree) == encode(materialize(tree))``: a kernel that
+    declines the Rows declines the list too (both None)."""
     tree = data.draw(_rows_report(name))
     encode = _ROWS_LANES[lane]
-    with codegen.strict():
-        assert encode(name, tree) == encode(name, materialize(tree))
+    assert encode(name, tree) == encode(name, materialize(tree))
 
 
 @pytest.mark.parametrize("codec_name", sorted(CODECS))
@@ -695,13 +693,6 @@ def _oracle_wire(raw):
     return writer.getvalue()
 
 
-@pytest.fixture
-def _strict():
-    with codegen.strict():
-        yield
-
-
-@pytest.mark.usefixtures("_strict")
 @pytest.mark.parametrize("length", _OCTET_EDGES)
 class TestOctetStringEdges:
     """``_poct``/``_doct`` against ``write_fragmented``/``read_fragmented``,
@@ -714,8 +705,9 @@ class TestOctetStringEdges:
         raw = _octets(length)
         wire = _oracle_wire(raw)
         assert kernel_runtime._poct(raw) == wire
-        assert kernel_runtime._doct(wire, 0) == (raw, len(wire))
-        assert kernel_runtime._doct(b"\xaa" + wire + b"\xbb", 1) == (raw, 1 + len(wire))
+        assert kernel_runtime._doct(wire, 0, len(wire)) == (raw, len(wire))
+        padded = b"\xaa" + wire + b"\xbb"
+        assert kernel_runtime._doct(padded, 1, len(padded)) == (raw, 1 + len(wire))
         reader = BitReader(wire)
         assert reader.read_fragmented(reader.read_varlen(), 24) == raw
 
@@ -736,7 +728,7 @@ class TestOctetStringEdges:
         for boundary in range(head, len(wire), 25):
             cuts.update((boundary - 1, boundary, boundary + 1))
         for cut in sorted(cut for cut in cuts if head <= cut < len(wire)):
-            assert kernel_runtime._doct(wire[:cut], 0) is None, cut
+            assert kernel_runtime._doct(wire[:cut], 0, cut) is None, cut
             reader = BitReader(wire[:cut])
             with pytest.raises((EOFError, CodecError)):
                 reader.read_fragmented(reader.read_varlen(), 24)
@@ -758,7 +750,6 @@ def test_fragment_layout_cache_is_bounded():
 # -- the row lane: decode_route's RicIndication row ----------------------
 
 import random  # noqa: E402
-import struct  # noqa: E402
 
 from repro.core.e2ap.ies import RicRequestId  # noqa: E402
 from repro.core.e2ap.messages import RicIndication, encode_message  # noqa: E402
@@ -779,11 +770,11 @@ def _leaves(tree):
 
 
 def _outcome(fn, data):
-    """``fn(data)``, or None for a rejection — by guard or by exception
-    (strict mode lets a kernel's exception through)."""
+    """``fn(data)``, or None for a rejection: a kernel declines with
+    None; ``CodecError`` is the only exception a decoder may raise."""
     try:
         return fn(data)
-    except (IndexError, struct.error, UnicodeDecodeError, ValueError):
+    except CodecError:
         return None
 
 
@@ -793,7 +784,7 @@ def _walk_route(codec, frame):
     try:
         with codegen.interpretive():
             return codec.decode_route(frame)
-    except (CodecError,) + _MALFORMED:
+    except CodecError:
         return None
 
 
@@ -840,7 +831,6 @@ def _check_route_sweep(codec_name, cls, golden, seed):
     return accepted, rejected
 
 
-@pytest.mark.usefixtures("_strict")
 class TestRouteRows:
     @pytest.mark.parametrize("codec_name", sorted(CODECS))
     @given(data=st.data())
@@ -903,8 +893,6 @@ class TestUnregisteredPairs:
 
 from tests.test_codec_golden import _messages as _golden_messages  # noqa: E402
 
-from repro.core.e2ap.messages import _ROUTE_ERRORS as _MALFORMED  # noqa: E402
-
 
 def _envelope(cls, body):
     return {"p": int(cls.procedure), "c": int(cls.msg_class), "v": body}
@@ -924,7 +912,6 @@ def _same(a, b):
     return type(a) is type(b) and repr(a) == repr(b)
 
 
-@pytest.mark.usefixtures("_strict")
 class TestObjectLanes:
     @pytest.mark.parametrize("codec_name", sorted(CODECS))
     @given(data=st.data())

@@ -38,6 +38,7 @@ from repro.core.e2ap.messages import (
     E2ConnectionUpdate,
     E2ConnectionUpdateAcknowledge,
     E2ConnectionUpdateFailure,
+    E2Message,
     E2NodeConfigurationUpdate,
     E2NodeConfigurationUpdateAcknowledge,
     E2NodeConfigurationUpdateFailure,
@@ -342,26 +343,77 @@ class TestGoldenPayloads:
         assert materialize(decoded) == tree
 
 
+def _decoded(decode, frame):
+    """``decode(frame)`` as a comparable value (its ``repr``, lazy views
+    materialized), or :class:`CodecError`, the only exception a decoder
+    may refuse a frame with: any other type escapes and fails the test."""
+    try:
+        return repr(materialize(decode(frame)))
+    except CodecError:
+        return CodecError
+
+
+def _route(codec_name):
+    """``decode_route`` on ``codec_name``, its body materialized."""
+    codec = get_codec(codec_name)
+
+    def route(frame):
+        procedure, msg_class, body = codec.decode_route(frame)
+        return procedure, msg_class, body if isinstance(body, E2Message) else materialize(body)
+
+    return route
+
+
 class TestTruncatedVectors:
-    """Every proper prefix of an ``fb`` golden vector is refused with
-    :class:`CodecError`, with strict kernels: a kernel declines a short
-    frame by comparing each read's end with the frame's length, so
-    neither a ``struct.error`` nor an ``IndexError`` reaches the caller.
-    ``asn`` kernels still read single bytes unguarded (CHANGES.md)."""
+    """Every proper prefix of every golden vector, envelope or payload,
+    on every codec, is refused with :class:`CodecError`: a kernel
+    declines a short frame by comparing each read's end with the
+    frame's length, and the walker raises."""
 
+    @pytest.mark.parametrize("codec_name", CODECS)
     @pytest.mark.parametrize("message_name", sorted(_messages()))
-    def test_every_envelope_prefix_fails_to_route(self, message_name):
-        codec = get_codec("fb")
-        wire = bytes.fromhex(VECTORS[f"fb:{message_name}"])
-        with codegen.strict():
-            for cut in range(len(wire)):
-                with pytest.raises(CodecError):
-                    codec.decode_route(wire[:cut])
+    def test_every_envelope_prefix_fails_to_route(self, codec_name, message_name):
+        route = _route(codec_name)
+        wire = bytes.fromhex(VECTORS[f"{codec_name}:{message_name}"])
+        for cut in range(len(wire)):
+            assert _decoded(route, wire[:cut]) is CodecError, cut
 
+    @pytest.mark.parametrize("codec_name", CODECS)
     @pytest.mark.parametrize("payload_name", sorted(_payloads()))
-    def test_every_payload_prefix_fails_to_decode(self, payload_name):
-        wire = bytes.fromhex(VECTORS[f"fb:payload:{payload_name}"])
-        with codegen.strict():
-            for cut in range(len(wire)):
-                with pytest.raises(CodecError):
-                    decode_payload(wire[:cut], "fb", schema=payload_name)
+    def test_every_payload_prefix_fails_to_decode(self, codec_name, payload_name):
+        wire = bytes.fromhex(VECTORS[f"{codec_name}:payload:{payload_name}"])
+        decode = lambda frame: decode_payload(frame, codec_name, schema=payload_name)
+        for cut in range(len(wire)):
+            assert _decoded(decode, wire[:cut]) is CodecError, cut
+
+
+class TestFlippedVectors:
+    """Every golden vector with one octet flipped (``^ 0xFF``) at every
+    offset: the default path (kernels first) and the walker give the
+    same value, or both refuse the frame with :class:`CodecError`.
+    Under the ``interpretive`` fixture the walker alone is held to the
+    contract."""
+
+    @staticmethod
+    def _check(decode, wire):
+        for at in range(len(wire)):
+            frame = bytearray(wire)
+            frame[at] ^= 0xFF
+            frame = bytes(frame)
+            got = _decoded(decode, frame)
+            if codegen.kernels_enabled():
+                with codegen.interpretive():
+                    assert _decoded(decode, frame) == got, at
+
+    @pytest.mark.parametrize("codec_name", CODECS)
+    @pytest.mark.parametrize("message_name", sorted(_messages()))
+    def test_every_envelope_flip_routes_alike_or_is_refused(self, codec_name, message_name):
+        self._check(_route(codec_name), bytes.fromhex(VECTORS[f"{codec_name}:{message_name}"]))
+
+    @pytest.mark.parametrize("codec_name", CODECS)
+    @pytest.mark.parametrize("payload_name", sorted(_payloads()))
+    def test_every_payload_flip_decodes_alike_or_is_refused(self, codec_name, payload_name):
+        self._check(
+            lambda frame: decode_payload(frame, codec_name, schema=payload_name),
+            bytes.fromhex(VECTORS[f"{codec_name}:payload:{payload_name}"]),
+        )

@@ -368,7 +368,7 @@ class TestIndicationEventParity:
     @pytest.mark.parametrize("kind", [2, 7, -1, -2])
     def test_a_kind_outside_the_enum_fails_at_construction(self, kind):
         row = (3, 11, 142, 2, 77, kind, b"", b"")
-        with pytest.raises(KeyError):
+        with pytest.raises(CodecError):
             IndicationEvent(4, row)
 
 
