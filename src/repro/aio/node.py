@@ -203,8 +203,8 @@ class AsyncE2Node:
     async def _read_loop(self) -> None:
         """Decode and dispatch inbound frames until EOF/cancel.
 
-        Not RL004-scoped: asyncio awaits suspend rather than block, and
-        cancellation (not a timeout) bounds the loop's lifetime.
+        Asyncio awaits suspend rather than block, and cancellation (not
+        a timeout) bounds the loop's lifetime.
         """
         endpoint = self._endpoint
         async for frame in endpoint:

@@ -1,17 +1,16 @@
 """Invariant analysis suite: static lint + runtime race detector.
 
 Throughput PRs replaced simple code with conventions that nothing
-enforced: monotonic-clock deadlines, ``DECODE_ERRORS``-bounded
-containment on the decode paths, and generated codec kernels that must
-stay byte-equivalent to the interpretive oracle.  This package turns
-those conventions into machine-checked contracts:
+enforced: monotonic-clock deadlines, narrow exception handlers,
+declared metric names and no buffer copies on the data plane.  This
+package turns those conventions into machine-checked contracts:
 
 * :mod:`repro.analysis.lint` — **repro-lint**, an AST-based static
   analyzer (stdlib ``ast``, zero dependencies) with repo-specific
-  rules, ``# repro-lint: disable=CODE`` pragmas, a JSON baseline for
-  grandfathered findings, and a CLI (``python -m repro.analysis.lint``)
-  that exits non-zero on new findings so it can gate CI and local runs
-  alike.
+  rules, ``# repro-lint: disable=CODE`` pragmas (the one form of a
+  justified exception, with its reason) and a CLI
+  (``python -m repro.analysis.lint``) that exits non-zero on any
+  finding so it can gate CI and local runs alike.
 
 * :mod:`repro.analysis.runtime` — test-time instrumentation: an
   instrumented ``threading.Lock``/``RLock`` that records the

@@ -1,22 +1,18 @@
-"""repro-lint rule catalog (RL001–RL002, RL004–RL007).
+"""repro-lint rule catalog (RL001, RL002, RL005, RL007).
 
 Each rule is a small class with a ``code``, a one-line ``summary`` and
-a ``check(parsed, config)`` generator yielding :class:`Finding`
-objects.  Rules register themselves into :data:`RULES` at import; the
-driver in :mod:`repro.analysis.lint` handles scoping, pragmas, the
-baseline and output formats, so a rule only encodes the invariant
-itself.  DESIGN.md §12 maps each rule to the PR-5/PR-6 contract it
-guards.
+a ``check(parsed)`` generator yielding :class:`Finding` objects.  Rules
+register themselves into :data:`RULES` at import; the driver in
+:mod:`repro.analysis.lint` handles scoping, pragmas and output formats,
+so a rule only encodes the invariant itself.  DESIGN.md §12 maps each
+rule to the PR-5/PR-6 contract it guards.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
-
-from repro.analysis.config import LintConfig
 
 __all__ = ["Finding", "ParsedFile", "RULES", "register"]
 
@@ -40,7 +36,6 @@ class ParsedFile:
     """A file the driver hands to every in-scope rule."""
 
     path: str
-    text: str
     lines: List[str]
     tree: Optional[ast.AST]  # None when the file does not parse
 
@@ -72,7 +67,7 @@ class NoWallClockRule:
     code = "RL001"
     summary = "time.time() used; deadlines/durations require time.monotonic()"
 
-    def check(self, parsed: ParsedFile, config: LintConfig) -> Iterator[Finding]:
+    def check(self, parsed: ParsedFile) -> Iterator[Finding]:
         if parsed.tree is None:
             return
         module_aliases = set()  # names bound to the time module
@@ -142,7 +137,7 @@ class NoBroadExceptRule:
             for elt in node.elts:
                 yield from self._names(elt)
 
-    def check(self, parsed: ParsedFile, config: LintConfig) -> Iterator[Finding]:
+    def check(self, parsed: ParsedFile) -> Iterator[Finding]:
         if parsed.tree is None:
             return
         for node in ast.walk(parsed.tree):
@@ -160,54 +155,6 @@ class NoBroadExceptRule:
                     "(or the concrete exceptions); broad handlers hide "
                     "programming errors as contained decode faults",
                 )
-
-
-# -- RL004 ------------------------------------------------------------
-
-
-@register
-class BoundedBlockingRule:
-    """Shard selector loops must never block without a timeout.
-
-    An unbounded ``select()``/``wait()``/``get()`` inside a shard loop
-    turns shutdown into a hang and starves the wake-pipe protocol; the
-    loops are written to poll with small timeouts so ``stop()``
-    converges.
-    """
-
-    code = "RL004"
-    summary = "unbounded blocking call inside a shard loop function"
-
-    def check(self, parsed: ParsedFile, config: LintConfig) -> Iterator[Finding]:
-        if parsed.tree is None:
-            return
-        for node in ast.walk(parsed.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name not in config.loop_functions:
-                continue
-            for call in ast.walk(node):
-                if not isinstance(call, ast.Call):
-                    continue
-                func = call.func
-                if not (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in config.blocking_calls
-                ):
-                    continue
-                has_bound = bool(call.args) or any(
-                    kw.arg == "timeout" for kw in call.keywords
-                )
-                if not has_bound:
-                    yield Finding(
-                        self.code,
-                        parsed.path,
-                        call.lineno,
-                        call.col_offset,
-                        f".{func.attr}() without a timeout inside loop "
-                        f"function {node.name}(): shard loops must stay "
-                        "responsive to stop()/wake (pass a timeout)",
-                    )
 
 
 # -- RL005 ------------------------------------------------------------
@@ -304,7 +251,7 @@ class MetricRegistryRule:
                 values = None
             yield kind, node, values
 
-    def check(self, parsed: ParsedFile, config: LintConfig) -> Iterator[Finding]:
+    def check(self, parsed: ParsedFile) -> Iterator[Finding]:
         if parsed.tree is None:
             return
         from repro.metrics import names as registry
@@ -339,7 +286,7 @@ class MetricRegistryRule:
             "repro.metrics.names; declare the pattern there"
         )
 
-    def check_tree(self, files: Sequence[ParsedFile], config: LintConfig) -> Iterator[Finding]:
+    def check_tree(self, files: Sequence[ParsedFile]) -> Iterator[Finding]:
         """The converse: every name and pattern declared in the registry
         has a resolved call site of its kind, so a retired instrument
         cannot linger as a declaration."""
@@ -372,83 +319,6 @@ class MetricRegistryRule:
                     )
 
 
-# -- RL006 ------------------------------------------------------------
-
-GENERATED_BEGIN = "# repro-lint: generated begin sha256="
-GENERATED_END = "# repro-lint: generated end"
-
-
-def region_digest(lines: Sequence[str]) -> str:
-    """Digest of the lines strictly between the region markers."""
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-
-
-@register
-class GeneratedRegionRule:
-    """Generated regions must not be edited by hand.
-
-    A region is delimited by ``# repro-lint: generated begin
-    sha256=<hex>`` / ``# repro-lint: generated end``; the digest pins
-    the exact content.  Regenerate with the emitting tool (e.g.
-    ``python -m repro.core.codec.manifest --write``) instead of
-    editing — hand edits desynchronize the artifact from its source of
-    truth and the codegen equivalence oath with it.
-    """
-
-    code = "RL006"
-    summary = "generated region edited by hand (digest mismatch) or malformed"
-
-    def check(self, parsed: ParsedFile, config: LintConfig) -> Iterator[Finding]:
-        lines = parsed.lines
-        index = 0
-        regions = 0
-        while index < len(lines):
-            stripped = lines[index].strip()
-            if not stripped.startswith(GENERATED_BEGIN):
-                index += 1
-                continue
-            declared = stripped[len(GENERATED_BEGIN):].strip()
-            begin_line = index + 1
-            end = None
-            for j in range(index + 1, len(lines)):
-                if lines[j].strip() == GENERATED_END:
-                    end = j
-                    break
-            if end is None:
-                yield Finding(
-                    self.code,
-                    parsed.path,
-                    begin_line,
-                    0,
-                    "generated region has no matching "
-                    f"{GENERATED_END!r} marker",
-                )
-                return
-            regions += 1
-            actual = region_digest(lines[index + 1 : end])
-            if actual != declared:
-                yield Finding(
-                    self.code,
-                    parsed.path,
-                    begin_line,
-                    0,
-                    "generated region content does not match its declared "
-                    f"sha256 (declared {declared[:12]}…, actual "
-                    f"{actual[:12]}…): regenerate with the emitting tool "
-                    "instead of editing by hand",
-                )
-            index = end + 1
-        if parsed.path in config.generated_required and regions == 0:
-            yield Finding(
-                self.code,
-                parsed.path,
-                1,
-                0,
-                "file is declared generated but contains no generated-region "
-                "markers; regenerate it with the emitting tool",
-            )
-
-
 # -- RL007 ------------------------------------------------------------
 
 
@@ -470,7 +340,7 @@ class NoHotPathBytesCopyRule:
     code = "RL007"
     summary = "bytes(...) materialization of a buffer in a hot-path module"
 
-    def check(self, parsed: ParsedFile, config: LintConfig) -> Iterator[Finding]:
+    def check(self, parsed: ParsedFile) -> Iterator[Finding]:
         if parsed.tree is None:
             return
         for node in ast.walk(parsed.tree):

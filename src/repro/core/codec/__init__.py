@@ -19,10 +19,9 @@ and unrolled field access and one entry point per direction: an E2AP
 message is encoded from its dataclass and routed back to it
 (``Codec.decode_route``), an E2SM payload encoded and decoded as its
 tree.  A kernel declines only with ``None``, and the walker answers;
-any decoder refuses a frame with :class:`CodecError` alone.  A flag
-(``REPRO_CODEC_INTERPRETIVE=1`` or :func:`codegen.set_kernels_enabled`)
-selects the walkers alone as the differential-testing oracle.  ``pb``
-is interpretive-only.  See DESIGN.md §11.
+any decoder refuses a frame with :class:`CodecError` alone.
+``with codegen.interpretive():`` selects the walkers alone as the
+differential-testing oracle.  ``pb`` is interpretive-only.  See DESIGN.md §11.
 
 Three codecs ship, matching the cost models measured in the paper:
 
@@ -46,11 +45,7 @@ from repro.core.codec.base import (
 )
 from repro.core.codec.bitio import BitReader, BitWriter
 from repro.core.codec import codegen, schema
-from repro.core.codec.codegen import (
-    interpretive,
-    kernels_enabled,
-    set_kernels_enabled,
-)
+from repro.core.codec.codegen import interpretive, kernels_enabled
 from repro.core.codec.per import PerCodec
 from repro.core.codec.flat import FlatCodec, FlatView
 from repro.core.codec.protobuf import ProtobufCodec
@@ -71,5 +66,4 @@ __all__ = [
     "schema",
     "interpretive",
     "kernels_enabled",
-    "set_kernels_enabled",
 ]

@@ -34,15 +34,14 @@ route returns its row).  An E2SM payload kernel has the dict lanes,
 the message with :func:`routed`.  What generated code calls for the
 parts it does not unroll lives in :mod:`~repro.core.codec.kernel_runtime`.
 
-``REPRO_CODEC_INTERPRETIVE=1`` (or :func:`set_kernels_enabled`) turns
-kernels off entirely, keeping the interpretive path selectable as the
+:func:`interpretive` turns kernels off for the extent of a ``with``
+block, keeping the interpretive path selectable as the
 differential-testing oracle.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import struct
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -85,18 +84,12 @@ _copied = counters.get_counter("bytes.copied").tick
 
 # -- flags -----------------------------------------------------------
 
-#: Kernels on unless the oracle is requested via the environment.
-ENABLED = os.environ.get("REPRO_CODEC_INTERPRETIVE", "") not in ("1", "true", "yes")
+#: Kernels on unless :func:`interpretive` is forcing the oracle.
+ENABLED = True
 
 
 def kernels_enabled() -> bool:
     return ENABLED
-
-
-def set_kernels_enabled(enabled: bool) -> None:
-    """Toggle generated kernels globally (tests, benchmarks)."""
-    global ENABLED
-    ENABLED = bool(enabled)
 
 
 @contextmanager
@@ -1540,6 +1533,9 @@ _EMITTERS = {
     "fb": _FlatEmitter(),
     "asn": _PerEmitter(),
 }
+
+#: the codecs that have kernels; any other ("pb") stays on its walker.
+CODECS = tuple(_EMITTERS)
 
 
 class Kernel:

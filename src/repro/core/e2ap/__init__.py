@@ -62,8 +62,6 @@ from repro.core.e2ap.messages import (
     decode_message,
     encode_message,
     message_types,
-    peek_indication_keys,
-    peek_procedure,
 )
 
 __all__ = [
@@ -109,6 +107,4 @@ __all__ = [
     "decode_message",
     "encode_message",
     "message_types",
-    "peek_indication_keys",
-    "peek_procedure",
 ]

@@ -12,8 +12,7 @@ procedures — 26 concrete messages.
 
 Message framing on the wire is ``{"p": procedure, "c": class, "v":
 payload}``, so the receiver can dispatch on two small integers before
-touching the payload (with the FlatBuffers-style codec that dispatch is
-a zero-copy read — see :func:`peek_procedure`).
+touching the payload.
 
 Service-model payloads appear as ``bytes`` fields, already encoded by
 the SM codec: E2's *double encoding* (§5.2).  The inner codec is chosen
@@ -169,32 +168,6 @@ def _indication(row: tuple) -> "RicIndication":
     return RicIndication(
         RicRequestId(requestor, instance), function, action, sequence, kind, header, payload
     )
-
-
-def peek_procedure(data: bytes, codec: Codec) -> Tuple[ProcedureCode, MessageClass]:
-    """Read only the dispatch header.
-
-    With the lazy FlatBuffers-style codec this touches two scalar
-    fields of the root table and never walks the payload — the access
-    pattern that gives the server its 4x CPU advantage on the
-    indication path (§5.3).
-    """
-    tree = codec.decode(data)
-    return ProcedureCode(tree["p"]), MessageClass(tree["c"])
-
-
-def peek_indication_keys(data: bytes, codec: Codec) -> Tuple[int, int, int]:
-    """Read (requestor_id, instance_id, ran_function_id) of an
-    indication without materializing its payload.
-
-    Raises :class:`CodecError` if the message is not an indication.
-    """
-    tree = codec.decode(data)
-    if tree["p"] != int(ProcedureCode.RIC_INDICATION):
-        raise CodecError("not a RIC indication")
-    body = tree["v"]
-    request = body["q"]
-    return request["r"], request["i"], body["f"]
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +446,7 @@ class RicIndication(E2Message):
 
     ``payload`` (indication message) and ``header`` are SM-encoded
     bytes; the server dispatches on ``request``/``ran_function_id``
-    without opening them (:func:`peek_indication_keys`).
+    without opening them.
     """
 
     procedure = ProcedureCode.RIC_INDICATION

@@ -228,7 +228,7 @@ def _worker_loop(
     manager: _PolicyManager,
     conn,
 ) -> None:
-    """The worker's one loop (RL004-audited): its TCP I/O and its pipe.
+    """The worker's one loop: its TCP I/O and its pipe.
 
     Each pass steps the transport inline (``_poll`` also runs the
     liveness ``on_tick``).  At most every :data:`_PIPE_S` — one clock
@@ -252,7 +252,7 @@ def _worker_loop(
             break  # orphaned: the supervisor died without a stop
         try:
             while conn.poll(0):
-                msg = conn.recv()  # repro-lint: disable=RL004 — bounded by the poll(0) above
+                msg = conn.recv()  # bounded by the poll(0) above
                 if msg[0] == "stop":
                     running = False
                     break
@@ -510,7 +510,7 @@ class MultiProcServer:
     # -- supervision -------------------------------------------------
 
     def _supervise(self) -> None:
-        """Bounded-blocking supervision loop (RL004-audited).
+        """Bounded-blocking supervision loop.
 
         Drains worker pipes (stats, ready, bye), detects dead workers
         by liveness *and* pipe EOF, and respawns them with the current
@@ -533,7 +533,7 @@ class MultiProcServer:
                 if handle is None:
                     continue
                 try:
-                    msg = conn.recv()  # repro-lint: disable=RL004 — bounded by connection.wait above
+                    msg = conn.recv()  # bounded by connection.wait above
                 except (EOFError, OSError):
                     self._worker_died(handle)
                     continue

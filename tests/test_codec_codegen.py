@@ -7,7 +7,7 @@ that every wire dataclass round-trips through the converters generated
 from its own declaration, and that the bounded flat-codec caches evict
 with a visible counter.
 
-The kernel lanes are ``fb`` and ``asn`` (``manifest.CODECS``): an E2AP
+The kernel lanes are ``fb`` and ``asn`` (``codegen.CODECS``): an E2AP
 envelope kernel has its object lanes (``encode_msg``/``route``), a
 payload kernel its dict lanes (``encode``/``decode``), and each is
 checked against the codec's walker (``Codec.encode``/``decode``).
@@ -17,16 +17,21 @@ kernel counter.
 
 import contextlib
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 from enum import IntEnum
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.codec import codegen, flat, kernel_runtime
+from repro.core.codec.codegen import CODECS
 from repro.core.codec import schema as cschema
 from repro.core.codec.base import CodecError, Rows, get_codec, materialize, validate_tree
-from repro.core.codec.manifest import CODECS
 from repro.core.e2ap.messages import decode_message, message_types
 from repro.metrics import counters
 from tests.test_codec_property import _schema_strategy
@@ -250,6 +255,24 @@ class TestSchemaRegistryAgreement:
         assert set(cschema.message_schema_keys()) == set(message_types().keys())
         for key, cls in message_types().items():
             assert cschema.message_schema(*key) is cls.wire_schema
+
+    def test_a_fresh_interpreter_sees_every_schema(self):
+        """Schemas register when their declaring modules are imported;
+        the registry accessors load those modules themselves, so a
+        process that imports nothing else still sees every shape (a
+        short registry would pin "no kernel" for the process)."""
+        probe = (
+            "import json; from repro.core.codec import schema; "
+            "print(json.dumps([schema.message_schema_keys(), schema.payload_schema_names()]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        keys, payloads = json.loads(out)
+        assert [tuple(key) for key in keys] == cschema.message_schema_keys()
+        assert payloads == cschema.payload_schema_names()
 
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)

@@ -17,9 +17,7 @@ from repro.core.e2ap import (
     E2SetupResponse,
     ErrorIndication,
     GlobalE2NodeId,
-    MessageClass,
     NodeKind,
-    ProcedureCode,
     RanFunctionItem,
     ResetRequest,
     ResetResponse,
@@ -42,8 +40,6 @@ from repro.core.e2ap import (
     decode_message,
     encode_message,
     message_types,
-    peek_indication_keys,
-    peek_procedure,
 )
 from repro.core.e2ap.ies import (
     RicActionAdmitted,
@@ -134,32 +130,6 @@ def test_duplicate_registration_rejected():
 
     with pytest.raises(ValueError):
         register_message("n f")(Fake)
-
-
-@pytest.mark.parametrize("codec_name", ["asn", "fb"])
-def test_peek_procedure(codec_name):
-    codec = get_codec(codec_name)
-    data = encode_message(ResetRequest(cause=CAUSE), codec)
-    procedure, msg_class = peek_procedure(data, codec)
-    assert procedure == ProcedureCode.RESET
-    assert msg_class == MessageClass.INITIATING
-
-
-@pytest.mark.parametrize("codec_name", ["asn", "fb"])
-def test_peek_indication_keys(codec_name):
-    codec = get_codec(codec_name)
-    indication = RicIndication(
-        request=REQ, ran_function_id=142, action_id=1, sequence=0, payload=b"x" * 500
-    )
-    data = encode_message(indication, codec)
-    assert peek_indication_keys(data, codec) == (3, 44, 142)
-
-
-def test_peek_indication_rejects_other_messages():
-    codec = get_codec("fb")
-    data = encode_message(ResetResponse(), codec)
-    with pytest.raises(CodecError):
-        peek_indication_keys(data, codec)
 
 
 def test_unknown_message_key_raises():

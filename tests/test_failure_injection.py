@@ -1117,16 +1117,12 @@ class TestEnumMembersOnEncode:
         from repro.core.codec import codegen
 
         codec = get_codec(codec_name)
-        prev = codegen.kernels_enabled()
-        codegen.set_kernels_enabled(kernels)
-        try:
+        with contextlib.nullcontext() if kernels else codegen.interpretive():
             for field, message in self._messages().items():
                 with pytest.raises(CodecError) as excinfo:
                     encode_message(message, codec)
                 assert excinfo.value.message_type == type(message).__name__
                 assert excinfo.value.field == field
-        finally:
-            codegen.set_kernels_enabled(prev)
 
     def test_a_subscribe_with_a_non_member_action_registers_nothing(self):
         from repro.core.e2ap.ies import RicActionDefinition

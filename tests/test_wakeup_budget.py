@@ -9,6 +9,7 @@ counts of ``call`` + ``c_call`` events do not, so the wake-up is pinned
 the way PR 20 pinned ``pump()``.
 """
 
+import contextlib
 import os
 import struct
 import sys
@@ -21,7 +22,6 @@ from repro.core.agent import Agent, AgentConfig
 from repro.core.codec import codegen, get_codec
 from repro.core.codec.base import CodecError
 from repro.core.codec import flat as flat_mod
-from repro.core.codec import manifest
 from repro.core.e2ap.ies import (
     GlobalE2NodeId,
     NodeKind,
@@ -395,7 +395,7 @@ HOT_MESSAGES = {
 
 
 class TestKernelLane:
-    @pytest.mark.parametrize("codec_name", manifest.CODECS)
+    @pytest.mark.parametrize("codec_name", codegen.CODECS)
     @pytest.mark.parametrize("name", list(HOT_MESSAGES))
     def test_a_kernel_round_trip_costs_at_most_half_the_walkers_calls(self, name, codec_name):
         """The generated lane's point, as a count: the same message
@@ -406,12 +406,8 @@ class TestKernelLane:
             return decode_message(encode_message(message, codec), codec)
 
         calls = {}
-        was_enabled = codegen.kernels_enabled()
-        try:
-            for lane, enabled in (("kernel", True), ("walker", False)):
-                codegen.set_kernels_enabled(enabled)
+        for lane, mode in (("kernel", contextlib.nullcontext), ("walker", codegen.interpretive)):
+            with mode():
                 assert round_trip() == message  # kernels built, counters resolved
                 calls[lane] = count_calls(round_trip)
-        finally:
-            codegen.set_kernels_enabled(was_enabled)
         assert calls["kernel"] <= KERNEL_SHARE * calls["walker"], calls
