@@ -14,7 +14,6 @@ and round-trips a HW-SM ping through both, printing the per-path cost
 Run:  python examples/oran_interop.py
 """
 
-import time
 
 from repro.baselines.oran import HwXapp, OranRic
 from repro.core.agent import Agent, AgentConfig

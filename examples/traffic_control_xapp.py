@@ -22,7 +22,7 @@ from repro.core.transport import InProcTransport
 from repro.metrics.stats import percentile
 from repro.northbound.broker import Broker
 from repro.ran.base_station import BaseStation, BaseStationConfig, attach_agent
-from repro.traffic import CubicFlow, DeliveryHub, FiveTuple, VoipFlow
+from repro.traffic import CubicFlow, DeliveryHub, VoipFlow
 
 
 def run(mode: str) -> VoipFlow:

@@ -8,7 +8,7 @@ quantities ``docker stats`` reports in Fig. 9b).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.baselines.oran import rmr
 from repro.baselines.oran.e2term import E2Termination

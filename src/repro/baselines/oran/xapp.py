@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.baselines.oran import rmr
 from repro.baselines.oran.rmr import RmrEndpoint, RmrMessage, RmrRouter

@@ -11,7 +11,7 @@ poll-and-decode loop.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.e2ap.ies import RicActionDefinition, RicActionKind

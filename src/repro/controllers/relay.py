@@ -20,11 +20,9 @@ from repro.core.e2ap.ies import (
     NodeKind,
     RicActionAdmitted,
     RicActionDefinition,
-    RicActionKind,
     RicActionNotAdmitted,
 )
 from repro.core.e2ap.procedures import Cause
-from repro.core.server.randb import AgentRecord
 from repro.core.server.server import Server, ServerConfig
 from repro.core.server.submgr import SubscriptionCallbacks
 from repro.core.transport.base import Transport

@@ -10,7 +10,7 @@ same instance drives 4G and 5G nodes (used over LTE in Fig. 15).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.e2ap.ies import RicActionDefinition, RicActionKind

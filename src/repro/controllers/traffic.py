@@ -18,7 +18,7 @@ is a simple Round Robin."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.e2ap.ies import RicActionDefinition, RicActionKind
 from repro.core.e2ap.messages import RicControlAcknowledge

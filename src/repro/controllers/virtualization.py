@@ -25,10 +25,10 @@ Virtual slice ids 0-9 map into disjoint physical ranges per tenant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from repro.core.agent.agent import Agent, AgentConfig
-from repro.core.agent.ran_function import ControlOutcome, RanFunction, SubscriptionHandle
+from repro.core.agent.ran_function import ControlOutcome, RanFunction
 from repro.core.agent.reconnect import ReconnectPolicy
 from repro.core.e2ap.ies import (
     GlobalE2NodeId,
@@ -40,13 +40,11 @@ from repro.core.e2ap.ies import (
 )
 from repro.core.e2ap.procedures import Cause
 from repro.core.overload import FairShareLimiter
-from repro.core.server.iapp import IApp
 from repro.core.server.randb import AgentRecord
 from repro.core.server.server import Server, ServerConfig
 from repro.core.server.submgr import SubscriptionCallbacks
 from repro.core.transport.base import Transport
 from repro.metrics.counters import get_counter
-from repro.northbound.broker import Broker
 from repro.sm import mac_stats, rrc_conf, slice_ctrl
 from repro.sm.base import PeriodicTrigger, decode_payload, encode_payload
 from repro.sm.slice_ctrl import KIND_CAPACITY, KIND_RATE, SliceConfig

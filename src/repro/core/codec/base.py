@@ -17,7 +17,7 @@ exactly the decoupling the paper's intermediate representation provides.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Tuple
 
 Value = Any  # documented recursive union; Python <3.12 friendly alias
 
@@ -66,9 +66,10 @@ class Codec(ABC):
 
     ``encode``/``decode`` are the codec's field walkers, the oracle of
     its generated kernels.  ``decode_route(data)`` — an E2AP frame as
-    ``(procedure, msg_class, message)`` — is one function for every
-    codec, :func:`repro.core.codec.codegen.decode_route`, which that
-    module (always imported with the package) sets on this class.
+    ``(procedure, msg_class, message)`` — is one router for every
+    codec, built once per instance by
+    :func:`repro.core.codec.codegen._router`, which that module (always
+    imported with the package) sets on this class.
 
     Subclasses must be stateless; one instance can serve many
     connections concurrently.

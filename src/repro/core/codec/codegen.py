@@ -29,10 +29,11 @@ has the *object lanes*: ``encode_msg(m)`` reads the message dataclass's
 attributes, and ``route(data)`` builds it back (``RicIndication``'s
 route returns its row).  An E2SM payload kernel has the dict lanes,
 ``encode(tree)`` and ``decode(data)``.  Behind either sits one walker,
-``Codec.encode``/``Codec.decode``: :func:`decode_route` (bound as
-``Codec.decode_route``) asks the route kernel, else walks and builds
-the message with :func:`routed`.  What generated code calls for the
-parts it does not unroll lives in :mod:`~repro.core.codec.kernel_runtime`.
+``Codec.encode``/``Codec.decode``: ``Codec.decode_route`` (built once
+per codec by :func:`_router`) asks the route kernel, else walks and
+builds the message with :func:`routed`.  What generated code calls for
+the parts it does not unroll lives in
+:mod:`~repro.core.codec.kernel_runtime`.
 
 :func:`interpretive` turns kernels off for the extent of a ``with``
 block, keeping the interpretive path selectable as the
@@ -60,20 +61,7 @@ from repro.core.codec.kernel_runtime import (
     _SZ9,
     _pint,
 )
-from repro.core.codec.schema import (
-    Bool,
-    Bytes,
-    ConstInt,
-    F64,
-    Int,
-    Nested,
-    Opt,
-    Schema,
-    Seq,
-    Spec,
-    Str,
-    StrMap,
-)
+from repro.core.codec.schema import Schema, Spec
 from repro.metrics import counters
 
 _enc_hit = counters.get_counter("codec.kernel.encode_hits").tick
@@ -323,11 +311,11 @@ class _Off:
 
 class _DecRuns:
     """Decode-side fusion: consecutive fixed-width reads (constant wire
-    bytes + scalar captures) collapse into one ``unpack_from`` whose
-    constant captures are compared as a batch — a run that alternates
-    constant, value, constant, … (every fixed ``fb`` block: directory
-    entries and tagged cells) in one tuple comparison, its values taken
-    with one slice."""
+    bytes + scalar captures) collapse into one ``unpack_from`` straight
+    into locals, whose constant captures are compared as one tuple.  On
+    ``fb`` a run extends through the next variable cell's tag and
+    length word, as :class:`_Segs` does on encode: after a run only the
+    value's own octets are read."""
 
     def __init__(self, fn: _Fn, off: _Off, end: Optional[str] = None) -> None:
         self.fn = fn
@@ -371,26 +359,22 @@ class _DecRuns:
         for kind, payload in run:
             fmt += f"{len(payload)}s" if kind == "c" else kind
         sname = fn.mod.const_struct(fmt)
-        uname = fn.mod.name("u")
         if self.end is not None:
             fn.w(f"if {_Off(self.off.base, self.off.k + width).expr()} > {self.end}: return None")
-        fn.w(f"{uname} = {sname}.unpack_from(data, {start})")
-        kinds = [kind for kind, _payload in run]
-        if len(run) > 2 and set(kinds[0::2]) == {"c"} and "c" not in kinds[1::2]:
-            consts = fn.mod.const(repr(tuple(payload for _kind, payload in run[0::2])))
-            fn.w(f"if {uname}[0::2] != {consts}: return None")
-            fn.w(f"{', '.join(payload for _kind, payload in run[1::2])}, = {uname}[1::2]")
-            self.off.advance(width)
-            return
-        checks = []
-        for index, (kind, payload) in enumerate(run):
-            if kind == "c":
-                checks.append(f"{uname}[{index}] != {fn.mod.const_bytes(payload)}")
-            else:
-                fn.w(f"{payload} = {uname}[{index}]")
-        if checks:
-            fn.w(f"if {' or '.join(checks)}: return None")
+        read = f"{sname}.unpack_from(data, {start})"
         self.off.advance(width)
+        names, consts, checked = [], [], []
+        for kind, payload in run:
+            if kind == "c":
+                consts.append(payload)
+                payload = fn.mod.name("k")
+                checked.append(payload)
+            names.append(payload)
+        fn.w(f"{', '.join(names)}, = {read}")
+        if len(consts) == 1:
+            fn.w(f"if {checked[0]} != {fn.mod.const_bytes(consts[0])}: return None")
+        elif consts:
+            fn.w(f"if ({', '.join(checked)}) != {fn.mod.const(repr(tuple(consts)))}: return None")
 
 
 # -- the object lanes ------------------------------------------------
@@ -776,37 +760,35 @@ class _FlatEmitter:
             runs.capture("d", x)
             return x
         if kind in ("str", "bytes"):
-            runs.flush()
-            iu = mod.const_struct("<I")
-            tag = 5 if kind == "str" else 6
+            # The tag and the length word end the run before the value.
             l = mod.name("l")
             r = mod.name("r")
-            start = off.expr()
-            fn.w(f"if {start} + 5 > N or data[{start}] != {tag}: return None")
-            fn.w(f"{l} = {iu}.unpack_from(data, {start} + 1)[0]")
+            runs.const(b"\x05" if kind == "str" else b"\x06")
+            runs.capture("I", l)
+            runs.flush()
+            body = off.expr()
             if s is not None:
                 fn.w(f"if {s} != 5 + {l}: return None")
-            fn.w(f"if {start} + 5 + {l} > N: return None")
-            fn.w(f"{r} = data[{start} + 5:{start} + 5 + {l}]")
-            off.rebase(fn, f"{start} + 5 + {l}")
+            off.rebase(fn, f"{body} + {l}")
+            fn.w(f"if {off.base} > N: return None")
+            fn.w(f"{r} = data[{body}:{off.base}]")
             return fn.utf8(r) if kind == "str" else r
         if kind == "opt":
-            runs.flush()
             q = mod.const_struct("<q")
             x = mod.name("x")
             t = mod.name("t")
             nxt = mod.name("o")
-            start = off.expr()
-            fn.w(f"if {start} + 1 > N: return None")
-            fn.w(f"{t} = data[{start}]")
+            runs.capture("B", t)
+            runs.flush()
+            body = off.expr()
             fn.w(f"if {t} == 0:")
             fn.w(f"    if {s} != 1: return None")
             fn.w(f"    {x} = None")
-            fn.w(f"    {nxt} = {start} + 1")
+            fn.w(f"    {nxt} = {body}")
             fn.w(f"elif {t} == 3:")
-            fn.w(f"    if {s} != 9 or {start} + 9 > N: return None")
-            fn.w(f"    {x} = {q}.unpack_from(data, {start} + 1)[0]")
-            fn.w(f"    {nxt} = {start} + 9")
+            fn.w(f"    if {s} != 9 or {body} + 8 > N: return None")
+            fn.w(f"    {x} = {q}.unpack_from(data, {body})[0]")
+            fn.w(f"    {nxt} = {body} + 8")
             fn.w("else: return None")
             off.base = nxt
             off.k = 0
@@ -823,18 +805,18 @@ class _FlatEmitter:
             fn.w(f"if {off.expr()} - ({begin}) != {s}: return None")
             return x
         if kind in ("seq", "strmap"):
-            runs.flush()
-            iu = mod.const_struct("<I")
             n = mod.name("n")
             x = mod.name("x")
-            start = off.expr()
-            tag = 8 if kind == "strmap" else 7
-            fn.w(f"if {start} + 5 > N or data[{start}] != {tag}: return None")
-            fn.w(f"{n} = {iu}.unpack_from(data, {start} + 1)[0]")
+            # The cell's start, before its tag and count join the run.
+            start = _Off(off.base, off.k + runs.width).expr()
+            runs.const(b"\x08" if kind == "strmap" else b"\x07")
+            runs.capture("I", n)
+            runs.flush()
+            body = off.expr()
             if kind == "strmap":
                 r = mod.name("r")
                 nxt = mod.name("o")
-                fn.w(f"{r} = _dfstrmap(data, {start} + 5, {n}, N)")
+                fn.w(f"{r} = _dfstrmap(data, {body}, {n}, N)")
                 fn.w(f"if {r} is None: return None")
                 fn.w(f"{x}, {nxt} = {r}")
                 fn.w(f"if {nxt} - ({start}) != {s}: return None")
@@ -845,19 +827,16 @@ class _FlatEmitter:
             if elem == "int":
                 sz9 = mod.const_bytes(_SZ9)
                 fn.w(f"if {s} != 5 + 13 * {n}: return None")
-                fn.w(
-                    f"if data[{start} + 5:{start} + 5 + 4 * {n}] != "
-                    f"{sz9} * {n}: return None"
-                )
-                fn.w(f"{x} = _dfseq_int(data, {start} + 5 + 4 * {n}, {n})")
+                fn.w(f"if data[{body}:{body} + 4 * {n}] != {sz9} * {n}: return None")
+                fn.w(f"{x} = _dfseq_int(data, {body} + 4 * {n}, {n})")
                 fn.w(f"if {x} is None: return None")
-                off.rebase(fn, f"{start} + 5 + 13 * {n}")
+                off.rebase(fn, f"{body} + 13 * {n}")
                 return x
             if elem == "str":
-                call = f"_dfseq_str(data, {start} + 5, {n}, N)"
+                call = f"_dfseq_str(data, {body}, {n}, N)"
             elif elem == "nested":
                 dname = self._elem_decoder(mod, spec.elem.schema, obj)
-                call = f"_dfseq_map({dname}, data, {start} + 5, {n}, N)"
+                call = f"_dfseq_map({dname}, data, {body}, {n}, N)"
             else:
                 raise _Unsupported(f"seq of {elem}")
             r = mod.name("r")
@@ -1459,7 +1438,8 @@ class _PerEmitter:
 # one class as a *row*: the tuple of its body's leaves in wire order, no
 # object built.  Every envelope kernel has a ``route`` entry point for
 # it; the walker builds the same answer off the body through
-# :func:`routed`.  :func:`decode_route` is the one place that picks.
+# :func:`routed`.  ``Codec.decode_route`` (:func:`_router`) is the one
+# place that picks.
 
 #: (RIC_INDICATION, INITIATING): the message the ingest hot path routes.
 ROW_ROUTED = (5, 0)
@@ -1711,18 +1691,20 @@ class _Routes:
     encoder writes, so the table never outgrows the registry whatever a
     peer sends."""
 
-    __slots__ = ("cells", "canonical", "table")
+    __slots__ = ("name", "cells", "canonical", "probe", "table")
 
-    def __init__(self, cells: slice, canonical: Callable[[int, int], bytes]) -> None:
+    def __init__(self, name: str, cells: slice, canonical: Callable[[int, int], bytes]) -> None:
+        self.name = name
         self.cells = cells
         self.canonical = canonical
+        self.probe = _PROBES[name]
         self.table: Dict[bytes, Tuple[int, int, Callable]] = {}
 
-    def miss(self, codec_name: str, data, cells: bytes):
-        pc = _PROBES[codec_name](data)
+    def miss(self, data, cells: bytes):
+        pc = self.probe(data)
         if pc is None:
             return None
-        kern = envelope_kernel(codec_name, pc[0], pc[1])
+        kern = envelope_kernel(self.name, pc[0], pc[1])
         if kern is None or kern.route is None:
             return None
         entry = (pc[0], pc[1], kern.route)
@@ -1732,43 +1714,58 @@ class _Routes:
 
 
 _ROUTES = {
-    "fb": _Routes(slice(42, 60), lambda p, c: _PAIR.pack(3, p, 3, c)),
-    "asn": _Routes(slice(4, 10), lambda p, c: _PSP[p] + b"\x01c" + _PSP[c]),
+    "fb": _Routes("fb", slice(42, 60), lambda p, c: _PAIR.pack(3, p, 3, c)),
+    "asn": _Routes("asn", slice(4, 10), lambda p, c: _PSP[p] + b"\x01c" + _PSP[c]),
 }
 
 
-def decode_route(codec: Codec, data) -> Tuple[Any, Any, Any]:
-    """``(procedure, msg_class, body)`` of an E2AP frame on any codec —
-    ``Codec.decode_route``: a registered message as its dataclass, a
-    ``RicIndication`` as its row, the body of an unknown pair as the
-    walker reads it.
+def _router(codec: Codec) -> Callable[[Any], Tuple[Any, Any, Any]]:
+    """``codec.decode_route``, built once per codec: its route table's
+    ``get``, the cell slice, the probe's miss and the counters are bound
+    in the closure, so a frame pays no attribute or table lookup before
+    its kernel runs."""
+    routes = _ROUTES.get(codec.name)
+    kernels = routes is not None
+    cells = get = miss = None
+    if kernels:
+        cells, get, miss = routes.cells, routes.table.get, routes.miss
+    hit, fall, copied = _dec_hit, _dec_fall, _copied
 
-    The route kernel answers first: ``(p, c)`` is read once
-    (:class:`_Routes`) and picks it.  Kernels off, a codec without
-    kernels (``pb``) or a frame no kernel takes go to the walker and
-    :func:`routed`.  A frame that is not a well-formed E2AP message
-    raises :class:`CodecError`, whichever lane read it.  A buffer that
-    is not ``bytes`` is copied once (``bytes.copied``): what is routed
-    owns its octets, whatever the caller does with the buffer
-    afterwards."""
-    if type(data) is not bytes:
-        data = bytes(data)  # repro-lint: disable=RL007 — the message must not alias a mutable buffer
-        _copied()
-    name = codec.name
-    if ENABLED and name in _ROUTES:
-        routes = _ROUTES[name]
-        cells = data[routes.cells]
-        entry = routes.table.get(cells) or routes.miss(name, data, cells)
-        if entry is not None:
-            out = entry[2](data)
-            if out is not None:
-                _dec_hit()
-                return entry[0], entry[1], out
-            _dec_fall()
-    return routed(*envelope(codec.decode(data)))
+    def decode_route(data) -> Tuple[Any, Any, Any]:
+        """``(procedure, msg_class, body)`` of an E2AP frame on any
+        codec: a registered message as its dataclass, a
+        ``RicIndication`` as its row, the body of an unknown pair as
+        the walker reads it.
+
+        The route kernel answers first: ``(p, c)`` is read once
+        (:class:`_Routes`) and picks it.  Kernels off, a codec without
+        kernels (``pb``) or a frame no kernel takes go to the walker and
+        :func:`routed`.  A frame that is not a well-formed E2AP message
+        raises :class:`CodecError`, whichever lane read it.  A buffer
+        that is not ``bytes`` is copied once (``bytes.copied``): what is
+        routed owns its octets, whatever the caller does with the
+        buffer afterwards."""
+        if type(data) is not bytes:
+            data = bytes(data)  # repro-lint: disable=RL007 — the message must not alias a mutable buffer
+            copied()
+        if ENABLED and kernels:
+            key = data[cells]
+            entry = get(key) or miss(data, key)
+            if entry is not None:
+                out = entry[2](data)
+                if out is not None:
+                    hit()
+                    return entry[0], entry[1], out
+                fall()
+        return routed(*envelope(codec.decode(data)))
+
+    return decode_route
 
 
-Codec.decode_route = decode_route
+#: read as ``codec.decode_route``: the codec's router, built on the
+#: first read and kept on the instance, which later reads find first.
+Codec.decode_route = functools.cached_property(_router)
+Codec.decode_route.__set_name__(Codec, "decode_route")
 
 
 def payload_encode(codec_name: str, name: str, tree) -> Optional[bytes]:

@@ -13,7 +13,7 @@ called it declines (DESIGN.md §11); it never raises on a frame.
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.codec.base import Rows
 

@@ -384,8 +384,7 @@ class SubscriptionManager:
     def deliver_indication(self, event) -> Optional[SubscriptionRecord]:
         """Route an indication to its iApp; returns the record or None.
 
-        ``event`` carries its ``route_key`` (or at least
-        ``requestor_id``/``instance_id``) as plain attributes, so
+        ``event`` carries its ``route_key`` as a plain attribute, so
         routing is one ``get``; the payload is only touched by the iApp.
         With tracing enabled the lookup plus the iApp callback are
         recorded as one ``dispatch`` span, correlated on the request id
@@ -393,16 +392,14 @@ class SubscriptionManager:
         """
         tracer = _TRACER
         trace_start = time.perf_counter() if tracer.enabled else 0.0
-        try:
-            key = event.route_key
-        except AttributeError:
-            key = (event.requestor_id, event.instance_id)
+        key = event.route_key
         record = self._records.get(key)
         if record is None:
             return None
         record.indications_seen += 1
-        if record.callbacks.on_indication is not None:
-            record.callbacks.on_indication(event)
+        on_indication = record.callbacks.on_indication
+        if on_indication is not None:
+            on_indication(event)
         sinks = record.extra_sinks
         if sinks:
             # Fan-out without re-encode: every extra sink sees the same

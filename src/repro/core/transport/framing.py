@@ -126,13 +126,13 @@ class Framer:
         pos = 0
         header = _LEN.size
         unpack = _LEN.unpack_from
+        cap = self.max_frame_len
         messages: List[bytes] = []
+        append = messages.append
         while limit - pos >= header:
             (length,) = unpack(view, pos)
-            if length > self.max_frame_len:
-                error = FramingError(
-                    f"frame length {length} exceeds cap {self.max_frame_len}"
-                )
+            if length > cap:
+                error = FramingError(f"frame length {length} exceeds cap {cap}")
                 error.messages = messages
                 raise error
             end = pos + header + length
@@ -140,7 +140,7 @@ class Framer:
                 break
             # The one necessary copy: the frame must outlive the
             # receive window it is sliced from.
-            messages.append(bytes(view[pos + header:end]))  # repro-lint: disable=RL007
+            append(bytes(view[pos + header:end]))  # repro-lint: disable=RL007
             pos = end
         if buffer:
             view.release()

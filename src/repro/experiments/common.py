@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.agent.agent import Agent, AgentConfig

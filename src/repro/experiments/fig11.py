@@ -19,7 +19,7 @@ every 20 ms — and (ii) a greedy TCP-Cubic flow started 5 s later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.controllers.traffic import BufferbloatXapp, TrafficControllerIApp

@@ -21,7 +21,7 @@ with NVS, gray reclaims them (+50 % throughput while black is idle).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.controllers.slicing import SlicingControllerIApp
 from repro.core.simclock import SimClock

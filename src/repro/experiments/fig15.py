@@ -27,8 +27,8 @@ the multi-RAT reach of the SC SM abstraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List
 
 from repro.controllers.slicing import SlicingControllerIApp
 from repro.controllers.virtualization import TenantConfig, VirtualizationController

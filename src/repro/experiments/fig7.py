@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.flexran import FlexRanAgent, FlexRanController
@@ -90,7 +89,7 @@ def run_flexric_rtt(
         trace_mod.enable()
     try:
         from repro.core.server.server import Server, ServerConfig
-        from repro.experiments.common import FlexRicPair, HwPingerIApp
+        from repro.experiments.common import HwPingerIApp
         from repro.core.agent.agent import Agent, AgentConfig
         from repro.core.e2ap.ies import GlobalE2NodeId, NodeKind
         from repro.sm import hw

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
-import repro
 from repro.baselines.oran.platform import PLATFORM_COMPONENTS
 
 #: Base-image layers shared by every FlexRIC container (Ubuntu + libs),

@@ -17,7 +17,7 @@ loaded, work-conserving sharing when someone is idle (Fig. 13b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional
 

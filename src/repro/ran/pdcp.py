@@ -8,7 +8,7 @@ actual state.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.traffic.flows import Packet
 

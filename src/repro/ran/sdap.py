@@ -8,7 +8,7 @@ directly (transparent) or a TC pipeline installed by the TC SM.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.traffic.flows import FiveTuple, Packet
 

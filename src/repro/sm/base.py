@@ -17,7 +17,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.agent.ran_function import (
     DECODE_ERRORS,
-    ControlOutcome,
     RanFunction,
     SubscriptionHandle,
     count_contained_decode,

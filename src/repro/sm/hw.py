@@ -10,7 +10,7 @@ which is what Fig. 7a/7b and Fig. 9a measure.
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import List, Tuple
 
 from repro.core.agent.ran_function import (
     ControlOutcome,

@@ -22,7 +22,7 @@ reports, suspends for insert, or applies a policy verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.agent.ran_function import (

@@ -21,15 +21,14 @@ usage, via the standard periodic trigger.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Tuple
+from typing import Optional, Protocol
 
-from repro.core.agent.ran_function import ControlOutcome, SubscriptionHandle
+from repro.core.agent.ran_function import ControlOutcome
 from repro.core.codec.schema import wire
 from repro.core.e2ap.procedures import Cause
 from repro.sm.base import (
     PeriodicReportFunction,
     SmInfo,
-    StatsProvider,
     VisibilityFn,
     decode_payload,
     encode_payload,

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from repro.sm.traffic_ctrl import FiveTupleMatch
 from repro.traffic.flows import FiveTuple, Packet

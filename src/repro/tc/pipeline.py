@@ -12,7 +12,7 @@ Implements :class:`repro.sm.traffic_ctrl.TcApi`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.sm.traffic_ctrl import FiveTupleMatch
 from repro.tc.classifier import Classifier

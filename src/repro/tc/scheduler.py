@@ -9,7 +9,7 @@ every other packet regardless of the greedy queue's depth.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.tc.queues import FifoQueue
 

@@ -16,7 +16,7 @@ milliseconds of sojourn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.core.simclock import SimClock
 from repro.traffic.flows import FiveTuple, FlowStats, Packet

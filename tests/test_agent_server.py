@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.agent import Agent, AgentConfig
-from repro.core.agent.ran_function import ControlOutcome, RanFunction
+from repro.core.agent.ran_function import RanFunction
 from repro.core.e2ap.ies import (
     GlobalE2NodeId,
     NodeKind,

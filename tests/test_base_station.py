@@ -12,7 +12,7 @@ from repro.ran.base_station import (
     split_base_station,
 )
 from repro.ran.l2sim import L2Simulator
-from repro.ran.phy import NR_CELL_20MHZ, transport_block_bytes
+from repro.ran.phy import transport_block_bytes
 from repro.sm import mac_stats, pdcp_stats, rlc_stats, rrc_conf, slice_ctrl, traffic_ctrl
 from repro.traffic.flows import FiveTuple, Packet
 

@@ -10,9 +10,9 @@ from repro.core.codec.base import (
     register_codec,
     validate_tree,
 )
-from repro.core.codec.flat import FlatCodec, FlatListView, FlatView
+from repro.core.codec.flat import FlatListView, FlatView
 from repro.core.codec.per import PerCodec
-from repro.core.codec.protobuf import ProtobufCodec, read_varint, unzigzag, write_varint, zigzag
+from repro.core.codec.protobuf import read_varint, unzigzag, write_varint, zigzag
 
 ALL_CODECS = ["asn", "fb", "pb"]
 

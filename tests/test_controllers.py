@@ -1,6 +1,5 @@
 """Integration tests for the controller specializations."""
 
-import pytest
 
 from repro.controllers.monitoring import StatsMonitorIApp, StatsStore, StoredIndication
 from repro.controllers.relay import RelayController
@@ -15,7 +14,6 @@ from repro.core.transport import InProcTransport
 from repro.northbound.broker import Broker
 from repro.ran.base_station import BaseStation, BaseStationConfig, attach_agent
 from repro.sm import hw, mac_stats, rlc_stats
-from repro.sm.base import decode_payload
 from repro.sm.slice_ctrl import ALGO_NVS, SliceConfig
 from repro.traffic.flows import FiveTuple
 

@@ -6,7 +6,7 @@ from repro.ran.mac import MacLayer, ProportionalFairScheduler, RoundRobinSchedul
 from repro.ran.phy import NR_CELL_20MHZ, transport_block_bytes
 from repro.ran.rlc import RlcConfig, RlcEntity
 from repro.ran.ue import UeContext
-from repro.sm.slice_ctrl import ALGO_NONE, ALGO_NVS, ALGO_STATIC, SliceConfig
+from repro.sm.slice_ctrl import ALGO_NVS, ALGO_STATIC, SliceConfig
 from repro.traffic.flows import FiveTuple, Packet
 
 FLOW = FiveTuple("1.1.1.1", "2.2.2.2", 10, 20, "udp")

@@ -7,7 +7,6 @@ import pytest
 from repro.metrics import (
     CpuMeter,
     MemoryMeter,
-    Summary,
     cdf,
     deep_sizeof,
     percentile,

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.core.agent import Agent, AgentConfig
-from repro.core.e2ap.ies import GlobalE2NodeId, NodeKind
 from repro.core.e2ap.messages import RicControlAcknowledge, RicControlFailure, RicServiceQuery
 from repro.core.server import Server, ServerConfig
 from repro.core.simclock import SimClock

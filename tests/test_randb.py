@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.e2ap.ies import GlobalE2NodeId, NodeKind, RanFunctionItem
-from repro.core.server.randb import AgentRecord, RanDatabase, RanEntity
+from repro.core.server.randb import AgentRecord, RanDatabase
 
 
 def record(conn_id, nb_id=1, kind=NodeKind.GNB, plmn="00101", oids=()):

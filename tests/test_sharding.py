@@ -60,7 +60,7 @@ from repro.metrics.counters import (
     get_counter,
     reset_all,
 )
-from repro.sm.hw import HwRanFunction, INFO as HW
+from repro.sm.hw import HwRanFunction
 from repro.sm.mac_stats import MacStatsFunction, synthetic_provider, INFO as MAC
 from repro.sm.base import PeriodicTrigger
 

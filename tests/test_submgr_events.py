@@ -17,6 +17,7 @@ class FakeEvent:
     def __init__(self, requestor_id, instance_id):
         self.requestor_id = requestor_id
         self.instance_id = instance_id
+        self.route_key = (requestor_id, instance_id)
 
 
 class TestSubscriptionManager:

@@ -14,7 +14,7 @@ from repro.core.server import Server, ServerConfig
 from repro.core.transport import InProcTransport
 from repro.ran.base_station import BaseStation, BaseStationConfig, attach_agent
 from repro.ran.phy import LTE_CELL_10MHZ
-from repro.sm.slice_ctrl import ALGO_NVS, KIND_CAPACITY, KIND_RATE, SliceConfig
+from repro.sm.slice_ctrl import ALGO_NVS, KIND_RATE, SliceConfig
 
 
 def tenant_state(share=0.5, index=0, subscribers=(1, 2)):

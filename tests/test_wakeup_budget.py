@@ -54,11 +54,12 @@ pytestmark = pytest.mark.skipif(
 
 #: profiled calls per one-message wake-up (82 before the rewrite, 55
 #: before lock-free counters, 53 before indications were routed as
-#: rows; 48 now).
+#: rows, 45 (46 with liveness) before each codec's router was bound
+#: once; 44 now, 45 with liveness).
 WAKEUP_BUDGET = 50
 #: profiled calls per inline asn/asn 1 500 B HW ping (668 before the
 #: rewrite, 390 before lock-free counters and inline meters, 345 before
-#: rows, 342 before messages were encoded and routed as objects; 321
+#: rows, 342 before messages were encoded and routed as objects; 319
 #: now).
 PING_BUDGET = 337
 #: profiled calls per inline fb subscribe → confirm → unsubscribe →
@@ -66,14 +67,17 @@ PING_BUDGET = 337
 #: before lock-free counters, inline meters, table dispatch and one
 #: share key per record, 418 before the route table, 408 before
 #: messages were encoded and routed as objects; 347 before a slow-path
-#: message checked its connection is still routed; 349 now).
+#: message checked its connection is still routed; 343 before each
+#: codec's router was bound once; 340 now).
 CYCLE_BUDGET = 364
 #: profiled calls per 64-frame ``_on_messages`` batch of fb MAC reports
 #: into a ``StatsMonitorIApp`` (1 547, 24.2 per frame, before indications
-#: were routed as rows; 1 227 now), and the per-frame ceiling.
-BATCH_BUDGET = 1288
+#: were routed as rows; 1 035 before a cell's tag and length were read
+#: with the run before it and each codec's router was bound once; 971,
+#: 15.2 per frame, now), and the per-frame ceiling: ~5 % over each.
+BATCH_BUDGET = 1020
 BATCH_FRAMES = 64
-BATCH_PER_FRAME = 23
+BATCH_PER_FRAME = 16
 #: a generated kernel's round trip (``encode_message`` +
 #: ``decode_message``) costs at most this share of the walker's
 #: profiled calls (worst measured: ``fb`` ``ric_indication``, 34 vs 170).
@@ -94,6 +98,22 @@ def count_calls(fn, *args, **kwargs) -> int:
     finally:
         sys.setprofile(None)
     return calls[0]
+
+
+def unpack_reads(fn, *args, **kwargs) -> int:
+    """``Struct.unpack_from`` calls made while ``fn(*args, **kwargs)`` runs."""
+    reads = [0]
+
+    def profiler(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "unpack_from":
+            reads[0] += 1
+
+    sys.setprofile(profiler)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return reads[0]
 
 
 def modules_loaded_since(before: set) -> list:
@@ -307,6 +327,21 @@ class TestRouteLane:
         assert lookups == []
         assert counter_values()["codec.kernel.decode_hits"] == before + 1
         assert codegen.envelope_kernel("fb", 5, 0).route(wire) == row
+
+    def test_an_indication_route_reads_each_fixed_run_once(self):
+        """The header cell's tag and length word are read with the
+        187 B prefix, the payload's with nothing but themselves: two
+        ``unpack_from``, each after its end is compared with the frame's."""
+        fb = get_codec("fb")
+        message = RicIndication(
+            RicRequestId(1, 7), 142, action_id=1, sequence=3, header=b"hdr", payload=b"x" * 64
+        )
+        wire = encode_message(message, fb)
+        fb.decode_route(wire)  # kernel built
+        before = counter_values().get("codec.kernel.decode_hits", 0)
+        assert unpack_reads(fb.decode_route, wire) == 2
+        assert counter_values()["codec.kernel.decode_hits"] == before + 1
+        assert fb.decode_route(wire) == (5, 0, _indication_row(message))
 
     def test_the_lazy_lane_still_serves_what_the_kernel_declines(self):
         fb = get_codec("fb")

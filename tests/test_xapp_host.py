@@ -7,7 +7,7 @@ from repro.core.agent import Agent, AgentConfig
 from repro.core.e2ap.ies import GlobalE2NodeId, NodeKind
 from repro.core.server import Server, ServerConfig
 from repro.core.transport import InProcTransport
-from repro.sm import kpm, mac_stats
+from repro.sm import mac_stats
 from repro.sm.mac_stats import MacStatsFunction, synthetic_provider
 
 
