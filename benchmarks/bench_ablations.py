@@ -80,7 +80,7 @@ def test_ablation_polling_idle(benchmark):
 def _indication_bytes(codec_name: str) -> bytes:
     from repro.sm.base import encode_payload
 
-    payload = encode_payload(synthetic_provider(32)(None), "fb")
+    payload = encode_payload(synthetic_provider(32)(None), "fb", "mac_stats_report")
     indication = RicIndication(
         request=RicRequestId(1, 7),
         ran_function_id=142,

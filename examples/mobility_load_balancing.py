@@ -12,7 +12,6 @@ during each handover.
 Run:  python examples/mobility_load_balancing.py
 """
 
-from repro.core.codec.base import materialize
 from repro.core.e2ap.ies import RicActionDefinition, RicActionKind
 from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
 from repro.core.simclock import SimClock
@@ -54,7 +53,7 @@ class LoadBalancer:
         )
 
     def _on_stats(self, conn_id, event):
-        tree = materialize(decode_payload(bytes(event.payload), self.sm_codec))
+        tree = decode_payload(event.payload, self.sm_codec, mac_stats.INFO.payload_schema)
         rntis = [ue["rnti"] for ue in tree["ues"]]
         self.load[conn_id] = len(rntis)
         self.ues_at[conn_id] = rntis

@@ -40,7 +40,7 @@ class KpmMonitor(HostedXapp):
 
     def on_indication(self, conn_id, oid, event):
         style, samples, _ = kpm.report_from_value(
-            decode_payload(bytes(event.payload), "fb")
+            decode_payload(event.payload, "fb", kpm.INFO.payload_schema)
         )
         for sample in samples:
             self.api.db_put(f"kpm/{conn_id}/{sample.name}", sample.value)
@@ -59,7 +59,7 @@ class LoadAlert(HostedXapp):
 
     def on_indication(self, conn_id, oid, event):
         style, samples, _ = kpm.report_from_value(
-            decode_payload(bytes(event.payload), "fb")
+            decode_payload(event.payload, "fb", kpm.INFO.payload_schema)
         )
         throughput = {s.name: s.value for s in samples}.get("DRB.UEThpDl", 0.0)
         if throughput > 1.0 and self.alerts == 0:  # > 1 Mbit moved

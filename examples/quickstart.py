@@ -14,7 +14,6 @@ Builds the smallest complete deployment (Fig. 1 of the paper):
 Run:  python examples/quickstart.py
 """
 
-from repro.core.codec.base import materialize
 from repro.core.e2ap.ies import RicActionDefinition, RicActionKind
 from repro.core.server import Server, ServerConfig, SubscriptionCallbacks
 from repro.core.simclock import SimClock
@@ -46,7 +45,7 @@ def main() -> None:
     reports = []
 
     def on_stats(event) -> None:
-        tree = materialize(decode_payload(bytes(event.payload), "fb"))
+        tree = decode_payload(event.payload, "fb", mac_stats.INFO.payload_schema)
         reports.append(tree)
 
     mac_item = record.function_by_oid(mac_stats.INFO.oid)

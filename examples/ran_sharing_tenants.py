@@ -107,9 +107,7 @@ def main() -> None:
     # Each operator's statistics are partitioned.
     for name, expected in (("A", [1, 2]), ("B", [3, 4])):
         conn = tenant_servers[name].agents()[0].conn_id
-        from repro.core.codec.base import materialize
-
-        stats = materialize(tenant_iapps[name].mac_db[conn])
+        stats = tenant_iapps[name].latest_mac_stats(conn)
         rntis = [ue["rnti"] for ue in stats["ues"]]
         print(f"  operator {name} sees UEs {rntis}")
         assert rntis == expected

@@ -16,6 +16,7 @@ import inspect
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.codec import get_codec
+from repro.core.codec.base import CodecError
 from repro.core.e2ap.ies import GlobalE2NodeId, RanFunctionItem, RicActionAdmitted
 from repro.core.e2ap.messages import (
     E2Message,
@@ -37,7 +38,6 @@ from repro.core.e2ap.messages import (
 )
 from repro.core.e2ap.procedures import Cause, CauseKind
 from repro.metrics.counters import get_counter
-from repro.sm.base import DECODE_ERRORS
 
 from repro.aio.transport import AioEndpoint, aio_connect
 
@@ -210,7 +210,7 @@ class AsyncE2Node:
         async for frame in endpoint:
             try:
                 message = decode_message(frame, self.codec)
-            except DECODE_ERRORS:
+            except CodecError:
                 get_counter("agent.rx.decode_error").incr()
                 get_counter("decode.contained").incr()
                 continue

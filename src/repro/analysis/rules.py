@@ -113,16 +113,18 @@ class NoWallClockRule:
 
 @register
 class NoBroadExceptRule:
-    """Decode/dispatch paths must catch ``DECODE_ERRORS``, not all.
+    """Decode/dispatch paths must catch ``CodecError``, not all.
 
-    A broad ``except Exception`` in a containment handler swallows
-    programming errors (AttributeError from a refactor, assertion
-    failures) along with the malformed-input errors it is meant to
-    contain — PR 3 narrowed these once; this rule keeps them narrow.
+    Every decoder, and every SM payload read under its schema, refuses
+    malformed input with ``CodecError`` and nothing else.  A broad
+    ``except Exception`` in a containment handler swallows programming
+    errors (AttributeError from a refactor, assertion failures) along
+    with the malformed input it is meant to contain; this rule keeps
+    containment handlers narrow.
     """
 
     code = "RL002"
-    summary = "broad exception handler; catch DECODE_ERRORS or concrete types"
+    summary = "broad exception handler; catch CodecError or concrete types"
 
     _BROAD = {"Exception", "BaseException"}
 
@@ -151,7 +153,7 @@ class NoBroadExceptRule:
                     parsed.path,
                     node.lineno,
                     node.col_offset,
-                    f"{caught}: containment handlers must catch DECODE_ERRORS "
+                    f"{caught}: containment handlers must catch CodecError "
                     "(or the concrete exceptions); broad handlers hide "
                     "programming errors as contained decode faults",
                 )
@@ -324,13 +326,14 @@ class MetricRegistryRule:
 
 @register
 class NoHotPathBytesCopyRule:
-    """Hot-path modules must not materialize buffers with ``bytes()``.
+    """Hot-path modules must not materialize buffers with ``bytes()``
+    or ``.tobytes()``.
 
     The zero-copy data plane (DESIGN.md §15) threads memoryview and
     bytearray values through framing, the transports and the codec
     dispatchers without copying; one ``bytes(...)`` call on such a
-    value silently re-introduces the O(payload) copy the layer exists
-    to avoid — and keeps "working" forever, visible only as a
+    value, or one ``view.tobytes()``, silently re-introduces the
+    O(payload) copy the layer exists to avoid — and keeps "working" forever, visible only as a
     throughput regression.  Genuine materialization points (a queue
     hand-off where the buffer outlives the caller, an unhashable view
     needed as a cache key) carry a pragma stating why the copy is
@@ -338,7 +341,7 @@ class NoHotPathBytesCopyRule:
     """
 
     code = "RL007"
-    summary = "bytes(...) materialization of a buffer in a hot-path module"
+    summary = "bytes(...) or .tobytes() materialization of a buffer in a hot-path module"
 
     def check(self, parsed: ParsedFile) -> Iterator[Finding]:
         if parsed.tree is None:
@@ -347,22 +350,25 @@ class NoHotPathBytesCopyRule:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if not (isinstance(func, ast.Name) and func.id == "bytes"):
+            if isinstance(func, ast.Attribute) and func.attr == "tobytes":
+                call = ".tobytes()"
+            elif not (isinstance(func, ast.Name) and func.id == "bytes"):
                 continue
-            if len(node.args) != 1 or node.keywords:
+            elif len(node.args) != 1 or node.keywords:
                 # bytes() / bytes(n, encoding, ...) are allocations or
                 # decodes, not buffer copies.
                 continue
-            arg = node.args[0]
-            if isinstance(arg, ast.Constant):
+            elif isinstance(node.args[0], ast.Constant):
                 # bytes(5) allocates; bytes(b"lit") is the same object.
                 continue
+            else:
+                call = "bytes(...)"
             yield Finding(
                 self.code,
                 parsed.path,
                 node.lineno,
                 node.col_offset,
-                "bytes(...) materializes a buffer-protocol value in a "
+                f"{call} materializes a buffer-protocol value in a "
                 "hot-path module: pass the view through (framing, codecs "
                 "and transports accept buffer-protocol inputs) or "
                 "pragma-disable with the reason the copy is owed",

@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.baselines.oran import rmr
 from repro.baselines.oran.rmr import RmrEndpoint, RmrMessage, RmrRouter
-from repro.core.codec.base import get_codec, materialize
+from repro.core.codec.base import get_codec
 from repro.core.e2ap.ies import RicActionDefinition, RicActionKind, RicRequestId
 from repro.core.e2ap.messages import (
     E2Message,
@@ -28,6 +28,7 @@ from repro.core.e2ap.messages import (
     encode_message,
 )
 from repro.metrics.cpu import CpuMeter
+from repro.sm import mac_stats
 from repro.sm.base import PeriodicTrigger, decode_payload
 
 
@@ -176,7 +177,11 @@ class StatsXapp(OranXapp):
 
     def on_indication(self, meid: str, indication: RicIndication) -> None:
         with self.cpu.measure():
-            tree = materialize(decode_payload(indication.payload, self.sm_codec))
+            # The full decode of every report that the paper charges the
+            # O-RAN xApp (§5.4), under the MAC report's schema.
+            tree = decode_payload(
+                indication.payload, self.sm_codec, mac_stats.INFO.payload_schema
+            )
             self.reports[meid] = tree
             # Copy into the shared data layer (serialized once more).
             self.dbaas_store[f"stats/{meid}/{indication.sequence}"] = tree

@@ -20,6 +20,7 @@ from repro.core.server.iapp import IApp
 from repro.core.server.randb import AgentRecord
 from repro.core.server.submgr import SubscriptionCallbacks
 from repro.metrics.trace import TRACER as _TRACER
+from repro.sm import REPORT_SCHEMAS
 from repro.sm.base import PeriodicTrigger, decode_payload
 
 
@@ -55,11 +56,12 @@ class StatsStore:
         return bucket[-1] if bucket else None
 
     def latest_decoded(self, conn_id: int, oid: str, sm_codec: str) -> Optional[Any]:
-        """Decode the newest payload on demand (lazy consumption)."""
+        """Decode the newest payload on demand (lazy consumption), under
+        the payload schema of the SM ``oid`` names."""
         item = self.latest(conn_id, oid)
         if item is None:
             return None
-        return decode_payload(item.payload, sm_codec)
+        return decode_payload(item.payload, sm_codec, REPORT_SCHEMAS[oid])
 
     def series(self, conn_id: int, oid: str) -> List[StoredIndication]:
         return list(self._data.get((conn_id, oid), ()))

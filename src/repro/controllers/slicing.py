@@ -43,8 +43,9 @@ class SlicingControllerIApp(IApp):
         super().__init__()
         self.sm_codec = sm_codec
         self.stats_period_ms = stats_period_ms
-        #: conn_id -> latest decoded MAC stats payload.
-        self.mac_db: Dict[int, Any] = {}
+        #: conn_id -> latest MAC stats payload, as received: decoded
+        #: only when asked (:meth:`latest_mac_stats`).
+        self.mac_db: Dict[int, bytes] = {}
         #: (conn_id, rnti) -> UeInfo discovered through RRC events.
         self.ues: Dict[Tuple[int, int], UeInfo] = {}
         #: per conn: configured slices.
@@ -87,7 +88,14 @@ class SlicingControllerIApp(IApp):
             )
 
     def _on_mac_stats(self, conn_id: int, event) -> None:
-        self.mac_db[conn_id] = decode_payload(event.payload, self.sm_codec)
+        self.mac_db[conn_id] = event.payload
+
+    def latest_mac_stats(self, conn_id: int) -> Optional[Any]:
+        """The latest MAC report of ``conn_id``, decoded, or None."""
+        payload = self.mac_db.get(conn_id)
+        if payload is None:
+            return None
+        return decode_payload(payload, self.sm_codec, mac_stats.INFO.payload_schema)
 
     def _on_rrc_event(self, conn_id: int, event) -> None:
         ue_event = rrc_conf.parse_event(event.payload, self.sm_codec)
@@ -168,12 +176,10 @@ class SlicingControllerIApp(IApp):
         if not subpath:
             raise RestError(400, "usage: GET /stats/<conn_id>")
         conn_id = int(subpath)
-        stats = self.mac_db.get(conn_id)
+        stats = self.latest_mac_stats(conn_id)
         if stats is None:
             raise RestError(404, f"no stats for connection {conn_id}")
-        from repro.core.codec.base import materialize
-
-        return materialize(stats)
+        return stats
 
     def _rest_ues(self, subpath: str, body: Any) -> Any:
         return [

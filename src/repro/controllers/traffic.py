@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.core.codec.base import CodecError
 from repro.core.e2ap.ies import RicActionDefinition, RicActionKind
 from repro.core.e2ap.messages import RicControlAcknowledge
 from repro.core.server.iapp import IApp
@@ -28,7 +29,7 @@ from repro.core.server.submgr import SubscriptionCallbacks
 from repro.northbound.broker import Broker
 from repro.northbound.rest import RestError, RestServer
 from repro.sm import rlc_stats, traffic_ctrl
-from repro.sm.base import PeriodicTrigger, decode_payload
+from repro.sm.base import PeriodicTrigger, decode_payload, encode_payload
 from repro.sm.traffic_ctrl import FiveTupleMatch
 from repro.traffic.flows import FiveTuple
 
@@ -51,11 +52,8 @@ class TrafficControllerIApp(IApp):
         self.control_outcomes: List[bool] = []
 
     def on_agent_connected(self, agent: AgentRecord) -> None:
-        for oid, channel in (
-            (rlc_stats.INFO.oid, "rlc"),
-            (traffic_ctrl.INFO.oid, "tc"),
-        ):
-            item = agent.function_by_oid(oid)
+        for info, channel in ((rlc_stats.INFO, "rlc"), (traffic_ctrl.INFO, "tc")):
+            item = agent.function_by_oid(info.oid)
             if item is None:
                 continue
             self.server.subscribe(
@@ -64,17 +62,15 @@ class TrafficControllerIApp(IApp):
                 event_trigger=PeriodicTrigger(self.stats_period_ms).to_bytes(self.sm_codec),
                 actions=[RicActionDefinition(action_id=1, kind=RicActionKind.REPORT)],
                 callbacks=SubscriptionCallbacks(
-                    on_indication=lambda event, conn=agent.conn_id, chan=channel: (
-                        self._forward(conn, chan, event)
+                    on_indication=lambda event, conn=agent.conn_id, chan=channel, info=info: (
+                        self._forward(conn, chan, info.payload_schema, event)
                     )
                 ),
             )
 
-    def _forward(self, conn_id: int, channel: str, event) -> None:
+    def _forward(self, conn_id: int, channel: str, schema: str, event) -> None:
         """Decode and publish one stats payload on the broker."""
-        from repro.core.codec.base import materialize
-
-        payload = materialize(decode_payload(event.payload, self.sm_codec))
+        payload = decode_payload(event.payload, self.sm_codec, schema)
         self.broker.publish(f"ran/{conn_id}/{channel}", payload)
 
     # -- TC SM command relay -------------------------------------------------
@@ -112,11 +108,12 @@ class TrafficControllerIApp(IApp):
         conn_id = int(subpath)
         rnti = int(body.get("rnti", 0))
         bearer_id = int(body.get("bearer_id", 0))
-        command = body["command"]
-        from repro.sm.base import encode_payload
-
         try:
-            self.tc_control(conn_id, rnti, bearer_id, encode_payload(command, self.sm_codec))
+            payload = encode_payload(body["command"], self.sm_codec, "tc_command")
+        except CodecError as exc:
+            raise RestError(400, f"not a TC command: {exc}") from exc
+        try:
+            self.tc_control(conn_id, rnti, bearer_id, payload)
         except KeyError as exc:
             raise RestError(404, str(exc)) from exc
         return {"ok": True}

@@ -159,11 +159,13 @@ class _VirtualMacStats(RanFunction):
                 if rnti not in tenant.config.subscribers:
                     continue
                 virtual_id = tenant.to_virtual_id(entry["slice_id"])
-                rewritten = {key: entry[key] for key in entry.keys()}
+                rewritten = dict(entry)
                 rewritten["slice_id"] = virtual_id if virtual_id is not None else 0
                 ues.append(rewritten)
             payload = encode_payload(
-                {"ues": ues, "tstamp_ms": tree["tstamp_ms"]}, self._sm_codec
+                {"ues": ues, "tstamp_ms": tree["tstamp_ms"]},
+                self._sm_codec,
+                mac_stats.INFO.payload_schema,
             )
             self.emit(handle, action_id=1, header=b"", payload=payload)
 
@@ -188,7 +190,7 @@ class _VirtualRrc(RanFunction):
         return [RicActionAdmitted(a.action_id) for a in report], []
 
     def push_event(self, payload: bytes) -> None:
-        event = rrc_conf.RrcUeEvent.from_value(decode_payload(payload, self._sm_codec))
+        event = rrc_conf.parse_event(payload, self._sm_codec)
         for handle in list(self.subscriptions.values()):
             tenant = self._controller.tenant_by_origin(handle.origin)
             if tenant is None or event.rnti not in tenant.config.subscribers:
@@ -218,9 +220,9 @@ class _VirtualSliceCtrl(RanFunction):
                     f"tenant {tenant.config.name!r} control budget exhausted",
                 )
             )
-        command = decode_payload(payload, self._sm_codec)
+        command = decode_payload(payload, self._sm_codec, "sc_command")
+        cmd = command["cmd"]
         try:
-            cmd = command["cmd"]
             if cmd == "set_algo":
                 # The physical algorithm is owned by the virtualization
                 # layer (always NVS); the tenant's choice is virtual-only.
@@ -230,16 +232,8 @@ class _VirtualSliceCtrl(RanFunction):
                 return self._controller.tenant_add_slice(tenant, config)
             if cmd == "del_slice":
                 return self._controller.tenant_del_slice(tenant, command["slice_id"])
-            if cmd == "assoc_ue":
-                return self._controller.tenant_assoc_ue(
-                    tenant, command["rnti"], command["slice_id"]
-                )
-            return ControlOutcome.fail(
-                Cause.ric_request(Cause.CONTROL_MESSAGE_INVALID, f"unknown cmd {cmd!r}")
-            )
-        except (KeyError, TypeError) as exc:
-            return ControlOutcome.fail(
-                Cause.ric_request(Cause.CONTROL_MESSAGE_INVALID, f"malformed: {exc}")
+            return self._controller.tenant_assoc_ue(  # "assoc_ue", the union's last case
+                tenant, command["rnti"], command["slice_id"]
             )
         except ValueError as exc:
             return ControlOutcome.fail(Cause.ric_request(Cause.ADMISSION_REFUSED, str(exc)))
@@ -419,15 +413,11 @@ class VirtualizationController:
         )
 
     def _on_south_mac(self, event) -> None:
-        from repro.core.codec.base import materialize
-
-        tree = materialize(decode_payload(event.payload, self.sm_codec))
+        tree = decode_payload(event.payload, self.sm_codec, mac_stats.INFO.payload_schema)
         self.virt_mac.push_south_stats(tree)
 
     def _on_south_rrc(self, event) -> None:
-        ue_event = rrc_conf.RrcUeEvent.from_value(
-            decode_payload(event.payload, self.sm_codec)
-        )
+        ue_event = rrc_conf.parse_event(event.payload, self.sm_codec)
         if ue_event.event == rrc_conf.EVENT_ATTACH:
             self._place_new_ue(ue_event.rnti)
         self.virt_rrc.push_event(bytes(event.payload))

@@ -58,7 +58,6 @@ from repro.core.e2ap.messages import (
 from repro.core.e2ap.procedures import Cause
 from repro.core.agent.multi_controller import ControllerRegistry, LinkState, UeControllerMap
 from repro.core.agent.ran_function import (
-    DECODE_ERRORS,
     ControlOutcome,
     IndicationSink,
     RanFunction,
@@ -609,9 +608,9 @@ class Agent(IndicationSink):
             )
         try:
             outcome = function.on_control(origin, message.header, message.payload)
-        except DECODE_ERRORS:
-            # One containment for every SM: a payload its decoder
-            # rejects is answered, never raised into the transport loop.
+        except CodecError:
+            # One containment for every SM: a payload its schema
+            # refuses is answered, never raised into the transport loop.
             count_contained_decode()
             outcome = ControlOutcome.fail(Cause.ric_request(Cause.CONTROL_MESSAGE_INVALID))
         if not message.ack_requested and outcome.success:

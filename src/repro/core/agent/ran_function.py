@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.codec.base import CodecError
 from repro.core.e2ap.ies import (
     RicActionAdmitted,
     RicActionDefinition,
@@ -23,14 +22,6 @@ from repro.core.e2ap.ies import (
 from repro.core.e2ap.messages import RicIndication, RicIndicationKind
 from repro.core.e2ap.procedures import Cause
 from repro.metrics.counters import get_counter
-
-#: What a malformed SM payload can actually raise: a codec refuses with
-#: :class:`CodecError` only, and the schemaless SM decodes (``ni``,
-#: ``traffic_ctrl``, ``slice_ctrl``, ``rrc_conf``) read a well-formed
-#: tree of the wrong shape by key.  Containment handlers catch exactly
-#: these — a genuine bug (AttributeError, ...) must still propagate.
-DECODE_ERRORS = (CodecError, KeyError, TypeError, ValueError)
-
 
 def count_contained_decode() -> None:
     """Account one malformed payload rejected without harm."""

@@ -408,7 +408,9 @@ def _message_body(schema: Schema) -> Optional[Schema]:
 def _emit_lanes(emitter, mod: _Mod, schema: Schema) -> None:
     """A kernel's two entry points, one per direction: an E2AP envelope's
     object lanes (``encode_msg``, ``route``), else a payload's dict lanes
-    (``encode``, ``decode``)."""
+    (``encode``, ``decode``).  A union gets no kernel."""
+    if schema.cases:
+        raise _Unsupported("case list")
     if _message_body(schema) is None:
         emitter._emit_encode(mod, schema)
         emitter._emit_decode(mod, schema)

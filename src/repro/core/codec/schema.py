@@ -22,14 +22,24 @@ derived from:
   small-int ranges, deferring to the interpreter outside them
 * :class:`ConstInt` — integer whose value is fixed by the schema (the
   ``p``/``c`` envelope discriminators), folded into constant bytes
+* :class:`ConstStr` — string fixed by the schema: the tag of one case
+  of a union (``{"cmd": "add_queue", ...}``); no emitter specializes it
 * :class:`Bool`, :class:`F64`, :class:`Str`, :class:`Bytes` — ``bool``,
   ``float``, ``str``, ``bytes``
 * :class:`Opt` — ``Optional[T]`` (optional IEs)
 * :class:`Nested` — another wire dataclass
 * :class:`Seq` — ``List[T]``
-* :class:`StrMap` — ``Dict[str, str]`` (config dictionaries)
+* :class:`StrMap` — ``Dict[str, str]`` (config dictionaries); a
+  literal may give another value spec (``StrMap(F64())``)
 
 Field order is significant: it is the wire order for every codec.
+
+A payload that is one of several shapes (a command union) is a
+:class:`Schema` with ``cases`` and no fields.  A tree is the one case
+it fits exactly: the same key set, every value of its field's type.
+Emitters give a case list no kernel, so it always takes the walker,
+and :func:`check_tree` — the schema check of the walker lane — holds
+it, like every other payload, to its declaration.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ import typing
 from enum import IntEnum
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.codec.base import CodecError
+from repro.core.codec.base import CodecError, Rows
 
 
 class Spec:
@@ -75,6 +85,19 @@ class ConstInt(Spec):
 
     def __repr__(self) -> str:
         return f"ConstInt({self.value})"
+
+
+class ConstStr(Spec):
+    """String fixed to ``value`` by the schema (a union case's tag)."""
+
+    __slots__ = ("value",)
+    kind = "const_str"
+
+    def __init__(self, value: str) -> None:
+        self.value = value
+
+    def __repr__(self) -> str:
+        return f"ConstStr({self.value!r})"
 
 
 class Bool(Spec):
@@ -128,10 +151,14 @@ class Seq(Spec):
 
 
 class StrMap(Spec):
-    """An open ``str → str`` table (keys unknown at compile time)."""
+    """An open table of ``str`` keys (unknown at compile time) to
+    ``value``-shaped values, strings unless the literal says otherwise."""
 
-    __slots__ = ()
+    __slots__ = ("value",)
     kind = "strmap"
+
+    def __init__(self, value: Optional[Spec] = None) -> None:
+        self.value = Str() if value is None else value
 
 
 class Schema:
@@ -140,10 +167,11 @@ class Schema:
     A schema derived by :func:`wire` also records what an emitter needs
     to read and build the dataclass itself: ``cls``, and ``attrs``, the
     attribute name of each field (bare payload trees have no class and
-    their attributes are their keys).
+    their attributes are their keys).  A union has no fields and lists
+    its ``cases``, each a schema of its own.
     """
 
-    __slots__ = ("name", "fields", "keys", "cls", "attrs")
+    __slots__ = ("name", "fields", "keys", "cls", "attrs", "cases")
 
     def __init__(
         self,
@@ -151,12 +179,14 @@ class Schema:
         fields: List[Tuple[str, Spec]],
         cls: Optional[type] = None,
         attrs: Optional[Tuple[str, ...]] = None,
+        cases: Tuple["Schema", ...] = (),
     ) -> None:
         self.name = name
         self.fields = tuple(fields)
         self.keys = tuple(key for key, _spec in self.fields)
         self.cls = cls
         self.attrs = self.keys if attrs is None else tuple(attrs)
+        self.cases = tuple(cases)
 
     def __repr__(self) -> str:
         return f"Schema({self.name!r}, {len(self.fields)} fields)"
@@ -346,6 +376,59 @@ def wire(keys: Optional[str] = None) -> Callable[[type], type]:
         return cls
 
     return decorate
+
+
+# ---------------------------------------------------------------------------
+# The schema check of the walker lane
+# ---------------------------------------------------------------------------
+
+#: scalar spec kind → the Python types a walker reads or writes for it
+#: (an ``f64`` cell may carry an int: the walker keeps the tree's type).
+_SCALAR_TYPES = {
+    "int": int,
+    "f64": (int, float),
+    "bool": bool,
+    "str": str,
+    "bytes": (bytes, bytearray, memoryview),
+}
+
+
+def _fits(spec: Spec, value) -> bool:
+    kind = spec.kind
+    if kind in _SCALAR_TYPES:
+        return isinstance(value, _SCALAR_TYPES[kind]) and (kind == "bool") == (type(value) is bool)
+    if kind in ("const_int", "const_str"):
+        return type(value) is type(spec.value) and value == spec.value
+    if kind == "opt":
+        return value is None or _fits(spec.inner, value)
+    if kind == "nested":
+        return _fits_schema(spec.schema, value)
+    if kind == "seq":
+        items = value.to_value() if type(value) is Rows else value
+        return isinstance(items, list) and all(_fits(spec.elem, item) for item in items)
+    return isinstance(value, dict) and all(  # strmap
+        type(key) is str and _fits(spec.value, item) for key, item in value.items()
+    )
+
+
+def _fits_schema(schema: Schema, value) -> bool:
+    if schema.cases:
+        return sum(_fits_schema(case, value) for case in schema.cases) == 1
+    return (
+        isinstance(value, dict)
+        and value.keys() == set(schema.keys)
+        and all(_fits(spec, value[key]) for key, spec in schema.fields)
+    )
+
+
+def check_tree(schema: Schema, value) -> None:
+    """Raise :class:`CodecError` unless the plain tree ``value`` fits
+    ``schema`` exactly (a union: exactly one of its cases).  Key order
+    is free: the walker writes a tree in its own order."""
+    if not _fits_schema(schema, value):
+        raise CodecError(
+            f"tree does not fit payload schema {schema.name!r}", message_type=schema.name
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ class Framer:
                 break
             # The one necessary copy: the frame must outlive the
             # receive window it is sliced from.
-            append(bytes(view[pos + header:end]))  # repro-lint: disable=RL007
+            append(view[pos + header:end].tobytes())  # repro-lint: disable=RL007
             pos = end
         if buffer:
             view.release()

@@ -166,7 +166,9 @@ def run_fig8b_point(
     from repro.core.e2ap.ies import RicRequestId
     from repro.sm.base import encode_payload
 
-    payload = encode_payload(synthetic_provider(n_ues)(None), "fb")
+    # Only the sample's size enters the paper's signaling model; the
+    # report's schema gives the same bytes as the agents' reports.
+    payload = encode_payload(synthetic_provider(n_ues)(None), "fb", "mac_stats_report")
     sample = encode_message(
         RicIndication(
             request=RicRequestId(1, 1),

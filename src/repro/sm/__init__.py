@@ -5,11 +5,18 @@ set of SMs": monitoring (MAC/RLC/PDCP statistics, RRC configuration),
 slicing control (SC SM, §6.1.2), traffic control (TC SM, §6.1.1) and
 the HelloWorld SM used for the ping experiments (§5.2).
 
-Each module defines the SM's payload schema (value-tree encode/decode
-helpers), the agent-side :class:`~repro.core.agent.ran_function.RanFunction`
-implementation, and controller-side helpers to build triggers and
-control payloads.  Every SM supports a per-SM codec choice — the inner
-half of E2's double encoding (§5.2).
+Each module declares every payload it puts on the wire — reports,
+action definitions, control headers, command unions and their
+acknowledgements — as one :class:`~repro.core.codec.schema.Schema`
+literal, and defines the agent-side
+:class:`~repro.core.agent.ran_function.RanFunction` implementation and
+the controller-side helpers that build triggers and control payloads.
+Every SM payload is encoded and decoded under its declaration
+(:func:`~repro.sm.base.encode_payload`,
+:func:`~repro.sm.base.decode_payload`), so a payload that does not fit
+is a :class:`~repro.core.codec.base.CodecError` wherever it is read.
+Every SM supports a per-SM codec choice — the inner half of E2's double
+encoding (§5.2).
 """
 
 from repro.sm.base import (
@@ -31,7 +38,16 @@ from repro.sm import (
     traffic_ctrl,
 )
 
+#: SM OID → the payload schema its indications are declared by.
+REPORT_SCHEMAS = {
+    module.INFO.oid: module.INFO.payload_schema
+    for module in (
+        hw, kpm, mac_stats, ni, pdcp_stats, rlc_stats, rrc_conf, slice_ctrl, traffic_ctrl
+    )
+}
+
 __all__ = [
+    "REPORT_SCHEMAS",
     "PeriodicReportFunction",
     "PeriodicTrigger",
     "SmInfo",

@@ -2,7 +2,12 @@
 
 * :class:`SmInfo` — SM identity (name, OID, default RAN function id).
 * :func:`encode_payload` / :func:`decode_payload` — the inner encoding
-  of E2's double encoding; the codec is chosen per SM instance.
+  of E2's double encoding, under the payload schema that declares the
+  tree; the codec is chosen per SM instance.  One path per payload:
+  the schema's kernel, or else the walker plus the schema check, so a
+  tree or frame that does not fit is a :class:`CodecError` either way
+  and containment handlers catch nothing else.
+* :func:`command_case` — one case of a control-command union.
 * :class:`PeriodicTrigger` — the common periodic event trigger used by
   all statistics SMs.
 * :class:`PeriodicReportFunction` — generic agent-side RAN function for
@@ -16,14 +21,21 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.agent.ran_function import (
-    DECODE_ERRORS,
     RanFunction,
     SubscriptionHandle,
     count_contained_decode,
 )
 from repro.core.codec import codegen as _codegen
-from repro.core.codec.base import get_codec
-from repro.core.codec.schema import F64, Schema, register_payload_schema
+from repro.core.codec.base import CodecError, get_codec, materialize
+from repro.core.codec.schema import (
+    F64,
+    ConstStr,
+    Schema,
+    Spec,
+    check_tree,
+    payload_schema,
+    register_payload_schema,
+)
 from repro.core.e2ap.ies import (
     RicActionAdmitted,
     RicActionDefinition,
@@ -43,39 +55,63 @@ class SmInfo:
     default_function_id: int
     version: int = 1
     #: Name of the payload schema this SM's module registers for its
-    #: report payloads (:func:`~repro.core.codec.schema.register_payload_schema`);
-    #: lets the periodic reporter use the generated codec kernel for
-    #: its hot encode.
+    #: indication payloads (:func:`~repro.core.codec.schema.register_payload_schema`);
+    #: the periodic reporter encodes with it and a store decodes with
+    #: it (:data:`repro.sm.REPORT_SCHEMAS`).
     payload_schema: Optional[str] = None
 
 
 def encode_payload(value: Any, codec_name: str, schema: Optional[str] = None) -> bytes:
     """Encode an SM payload tree with the SM's codec (inner encoding).
 
-    ``schema`` names a registered payload schema; when given and a
-    generated kernel exists for (codec, schema), the kernel encodes the
-    tree directly (falling back to the interpretive walker on any shape
-    mismatch, so callers may pass a best-guess schema).
+    ``schema`` names the registered payload schema the tree is declared
+    by.  The generated kernel for (codec, schema) encodes it when one
+    exists and the tree fits its specialization; otherwise the walker
+    encodes it after :func:`~repro.core.codec.schema.check_tree` has
+    held it to the schema, so a tree that does not fit is a
+    :class:`CodecError` on both lanes.  Every call in ``src`` names its
+    schema; ``None`` is left for the bare walker rung of
+    ``benchmarks/e2e/ladder.py`` and a custom :class:`SmInfo` that
+    declares no report schema: the walker encodes the tree unchecked.
     """
-    if schema is not None and _codegen.ENABLED:
-        out = _codegen.payload_encode(codec_name, schema, value)
-        if out is not None:
-            return out
+    if schema is not None:
+        if _codegen.ENABLED:
+            out = _codegen.payload_encode(codec_name, schema, value)
+            if out is not None:
+                return out
+        check_tree(_declared(schema), value)
     return get_codec(codec_name).encode(value)
 
 
-def decode_payload(data: bytes, codec_name: str, schema: Optional[str] = None) -> Any:
-    """Decode an SM payload; lazy codecs return lazy views.
+def decode_payload(data: bytes, codec_name: str, schema: str) -> Any:
+    """Decode an SM payload declared by the payload schema ``schema``.
 
-    With ``schema`` the generated kernel is tried first and returns a
-    plain materialized tree; a wire/schema mismatch falls back to the
-    interpretive decoder, so the schema is a hint, not a contract.
+    The generated kernel returns a plain tree; where it declines or
+    none exists, the walker decodes, the tree is materialized (no lazy
+    view) and :func:`~repro.core.codec.schema.check_tree` holds it to
+    the schema.  A frame that does not fit is a :class:`CodecError`
+    either way.
     """
-    if schema is not None and _codegen.ENABLED:
+    if _codegen.ENABLED:
         out = _codegen.payload_decode(codec_name, schema, data)
         if out is not None:
             return out
-    return get_codec(codec_name).decode(data)
+    tree = materialize(get_codec(codec_name).decode(data))
+    check_tree(_declared(schema), tree)
+    return tree
+
+
+def _declared(name: str) -> Schema:
+    sch = payload_schema(name)
+    if sch is None:
+        raise KeyError(f"no payload schema {name!r}")
+    return sch
+
+
+def command_case(cmd: str, *fields: Tuple[str, Spec]) -> Schema:
+    """One case of a control-command union: ``{"cmd": cmd, **fields}``,
+    its tag a constant of the case."""
+    return Schema(cmd, [("cmd", ConstStr(cmd)), *fields])
 
 
 register_payload_schema(Schema("periodic_trigger", [("period_ms", F64())]))
@@ -168,7 +204,7 @@ class PeriodicReportFunction(RanFunction):
 
         try:
             trigger = PeriodicTrigger.from_bytes(event_trigger, self.sm_codec)
-        except DECODE_ERRORS:
+        except CodecError:
             count_contained_decode()
             return [], [
                 RicActionNotAdmitted(

@@ -27,7 +27,9 @@ from repro.core.e2ap.ies import (
 from repro.core.e2ap.procedures import Cause
 from repro.sm.base import SmInfo, decode_payload, encode_payload
 
-INFO = SmInfo(name="HW", oid="1.3.6.1.4.1.53148.1.1.2.100", default_function_id=100)
+INFO = SmInfo(
+    name="HW", oid="1.3.6.1.4.1.53148.1.1.2.100", default_function_id=100, payload_schema="hw_ping"
+)
 
 
 register_payload_schema(Schema("hw_ping", [("seq", Int()), ("data", Bytes())]))

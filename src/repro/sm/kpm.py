@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.agent.ran_function import RanFunction, SubscriptionHandle
+from repro.core.codec.base import CodecError
 from repro.core.codec.schema import (
     F64,
     Int,
@@ -39,7 +40,6 @@ from repro.core.e2ap.ies import (
 )
 from repro.core.e2ap.procedures import Cause
 from repro.sm.base import (
-    DECODE_ERRORS,
     PeriodicTrigger,
     SmInfo,
     count_contained_decode,
@@ -171,7 +171,7 @@ class KpmFunction(RanFunction):
     ):
         try:
             trigger = PeriodicTrigger.from_bytes(event_trigger, self.sm_codec)
-        except DECODE_ERRORS:
+        except CodecError:
             count_contained_decode()
             return [], [
                 RicActionNotAdmitted(a.action_id, 0, Cause.CONTROL_MESSAGE_INVALID)
@@ -188,7 +188,7 @@ class KpmFunction(RanFunction):
                 continue
             try:
                 style, metrics = parse_action_definition(action.definition, self.sm_codec)
-            except DECODE_ERRORS:
+            except CodecError:
                 count_contained_decode()
                 rejected.append(
                     RicActionNotAdmitted(action.action_id, 0, Cause.CONTROL_MESSAGE_INVALID)

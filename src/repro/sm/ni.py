@@ -30,6 +30,7 @@ from repro.core.agent.ran_function import (
     RanFunction,
     SubscriptionHandle,
 )
+from repro.core.codec.base import CodecError
 from repro.core.codec.schema import (
     Bool,
     Int,
@@ -48,14 +49,15 @@ from repro.core.e2ap.ies import (
 from repro.core.e2ap.messages import RicIndicationKind
 from repro.core.e2ap.procedures import Cause
 from repro.sm.base import (
-    DECODE_ERRORS,
     SmInfo,
     count_contained_decode,
     decode_payload,
     encode_payload,
 )
 
-INFO = SmInfo(name="NI", oid="1.3.6.1.4.1.53148.1.1.2.3", default_function_id=3)
+INFO = SmInfo(
+    name="NI", oid="1.3.6.1.4.1.53148.1.1.2.3", default_function_id=3, payload_schema="ni_message"
+)
 
 #: Interface types (E2SM-NI's NI-Type).
 IF_S1 = "s1"
@@ -83,13 +85,18 @@ class InterfaceMessage:
 
 # Payload trees of this SM.  ``ni_message`` is InterfaceMessage's own
 # derived shape under its registry name; the rest have no dataclass.
-register_payload_schema(Schema("ni_message", InterfaceMessage.wire_schema.fields))
-register_payload_schema(Schema("ni_action", [("if", Str()), ("procs", Seq(Str()))]))
-register_payload_schema(
+# A subscription's action definition is an action or a policy
+# (``ni_definition``); a control resumes a call or injects a message
+# (``ni_control``).
+_MESSAGE = register_payload_schema(Schema("ni_message", InterfaceMessage.wire_schema.fields))
+_ACTION = register_payload_schema(Schema("ni_action", [("if", Str()), ("procs", Seq(Str()))]))
+_POLICY = register_payload_schema(
     Schema("ni_policy", [("if", Str()), ("procs", Seq(Str())), ("verdict", Str())])
 )
 register_payload_schema(Schema("ni_insert_header", [("call_id", Int())]))
-register_payload_schema(Schema("ni_resume", [("resume", Bool()), ("call_id", Int())]))
+_RESUME = register_payload_schema(Schema("ni_resume", [("resume", Bool()), ("call_id", Int())]))
+register_payload_schema(Schema("ni_definition", [], cases=[_ACTION, _POLICY]))
+register_payload_schema(Schema("ni_control", [], cases=[_RESUME, _MESSAGE]))
 
 
 def build_action_definition(
@@ -188,18 +195,14 @@ class NiFunction(RanFunction):
                 )
                 continue
             try:
-                tree = decode_payload(action.definition, self.sm_codec)
-                interface = tree["if"]
-                procedures = tuple(tree["procs"])
-                verdict = tree.get("verdict", POLICY_FORWARD) if hasattr(tree, "get") else (
-                    tree["verdict"] if "verdict" in tree else POLICY_FORWARD
-                )
-            except DECODE_ERRORS:
+                tree = decode_payload(action.definition, self.sm_codec, "ni_definition")
+            except CodecError:
                 count_contained_decode()
                 rejected.append(
                     RicActionNotAdmitted(action.action_id, 0, Cause.CONTROL_MESSAGE_INVALID)
                 )
                 continue
+            interface = tree["if"]
             if interface not in INTERFACES:
                 rejected.append(
                     RicActionNotAdmitted(action.action_id, 0, Cause.ACTION_NOT_SUPPORTED)
@@ -211,8 +214,8 @@ class NiFunction(RanFunction):
                     action_id=action.action_id,
                     kind=action.kind,
                     interface=interface,
-                    procedures=procedures,
-                    verdict=verdict,
+                    procedures=tuple(tree["procs"]),
+                    verdict=tree.get("verdict", POLICY_FORWARD),
                 )
             )
         if not admitted:
@@ -294,22 +297,17 @@ class NiFunction(RanFunction):
     # -- control: resume a suspended call or inject a message ---------------
 
     def on_control(self, origin: int, header: bytes, payload: bytes) -> ControlOutcome:
-        try:
-            tree = decode_payload(payload, self.sm_codec)
-            if "resume" in tree:
-                call_id = tree["call_id"]
-                pending = self._pending.pop(call_id, None)
-                if pending is None:
-                    return ControlOutcome.fail(
-                        Cause.ric_request(Cause.REQUEST_ID_UNKNOWN, f"no call {call_id}")
-                    )
-                pending.resume(bool(tree["resume"]))
-                return ControlOutcome.ok()
-            message = InterfaceMessage.from_value(tree)
-        except (KeyError, TypeError) as exc:
-            return ControlOutcome.fail(
-                Cause.ric_request(Cause.CONTROL_MESSAGE_INVALID, f"malformed: {exc}")
-            )
+        tree = decode_payload(payload, self.sm_codec, "ni_control")
+        if "resume" in tree:
+            call_id = tree["call_id"]
+            pending = self._pending.pop(call_id, None)
+            if pending is None:
+                return ControlOutcome.fail(
+                    Cause.ric_request(Cause.REQUEST_ID_UNKNOWN, f"no call {call_id}")
+                )
+            pending.resume(tree["resume"])
+            return ControlOutcome.ok()
+        message = InterfaceMessage.from_value(tree)
         if message.interface not in INTERFACES:
             return ControlOutcome.fail(
                 Cause.ric_request(Cause.CONTROL_MESSAGE_INVALID, "unknown interface")

@@ -8,8 +8,9 @@ information provided in the attach procedure" via this SM; the
 infrastructure controller of Fig. 4 uses it to configure the
 UE-to-controller association at the DU agent.
 
-Payload schema: ``{"event": "attach"|"detach", "rnti", "plmn",
-"snssai", "tstamp_ms"}``
+Payload schemas: ``rrc_ue_event`` — ``{"event": "attach"|"detach",
+"rnti", "plmn", "snssai", "tstamp_ms"}`` — and ``rrc_handover``, the one
+control command: ``{"cmd": "handover", "rnti", "target_nb"}``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.core.agent.ran_function import RanFunction, SubscriptionHandle
-from repro.core.codec.schema import wire
+from repro.core.agent.ran_function import ControlOutcome, RanFunction, SubscriptionHandle
+from repro.core.codec.schema import Int, Schema, register_payload_schema, wire
 from repro.core.e2ap.ies import (
     RicActionAdmitted,
     RicActionDefinition,
@@ -26,9 +27,14 @@ from repro.core.e2ap.ies import (
     RicActionNotAdmitted,
 )
 from repro.core.e2ap.procedures import Cause
-from repro.sm.base import SmInfo, decode_payload, encode_payload
+from repro.sm.base import SmInfo, command_case, decode_payload, encode_payload
 
-INFO = SmInfo(name="RRC_CONF", oid="1.3.6.1.4.1.53148.1.1.2.145", default_function_id=145)
+INFO = SmInfo(
+    name="RRC_CONF",
+    oid="1.3.6.1.4.1.53148.1.1.2.145",
+    default_function_id=145,
+    payload_schema="rrc_ue_event",
+)
 
 EVENT_ATTACH = "attach"
 EVENT_DETACH = "detach"
@@ -46,6 +52,14 @@ class RrcUeEvent:
     tstamp_ms: float = 0.0
 
 
+register_payload_schema(Schema("rrc_ue_event", RrcUeEvent.wire_schema.fields))
+register_payload_schema(
+    Schema(
+        "rrc_handover", [], cases=[command_case("handover", ("rnti", Int()), ("target_nb", Int()))]
+    )
+)
+
+
 def build_handover(rnti: int, target_nb: int, codec_name: str) -> bytes:
     """Controller side: command a handover of ``rnti`` to ``target_nb``.
 
@@ -54,7 +68,7 @@ def build_handover(rnti: int, target_nb: int, codec_name: str) -> bytes:
     this command for disaggregated deployments.
     """
     return encode_payload(
-        {"cmd": "handover", "rnti": rnti, "target_nb": target_nb}, codec_name
+        {"cmd": "handover", "rnti": rnti, "target_nb": target_nb}, codec_name, "rrc_handover"
     )
 
 
@@ -76,31 +90,16 @@ class RrcConfFunction(RanFunction):
         #: wired by the node when it supports mobility.
         self.mobility = None
 
-    def on_control(self, origin: int, header: bytes, payload: bytes):
-        from repro.core.agent.ran_function import ControlOutcome
-        from repro.core.e2ap.procedures import Cause
+    def on_control(self, origin: int, header: bytes, payload: bytes) -> ControlOutcome:
         from repro.ran.mobility import HandoverError
 
-        try:
-            command = decode_payload(payload, self.sm_codec)
-            if command["cmd"] != "handover":
-                return ControlOutcome.fail(
-                    Cause.ric_request(
-                        Cause.CONTROL_MESSAGE_INVALID, f"unknown cmd {command['cmd']!r}"
-                    )
-                )
-            rnti = command["rnti"]
-            target_nb = command["target_nb"]
-        except (KeyError, TypeError) as exc:
-            return ControlOutcome.fail(
-                Cause.ric_request(Cause.CONTROL_MESSAGE_INVALID, f"malformed: {exc}")
-            )
+        command = decode_payload(payload, self.sm_codec, "rrc_handover")
         if self.mobility is None:
             return ControlOutcome.fail(
                 Cause.ric_service(Cause.FUNCTION_RESOURCE_LIMIT, "mobility not available")
             )
         try:
-            self.mobility(rnti, target_nb)
+            self.mobility(command["rnti"], command["target_nb"])
         except (HandoverError, KeyError, ValueError) as exc:
             return ControlOutcome.fail(
                 Cause.ric_request(Cause.ADMISSION_REFUSED, str(exc))
@@ -135,7 +134,7 @@ class RrcConfFunction(RanFunction):
         self._broadcast(RrcUeEvent(EVENT_DETACH, rnti, plmn, snssai, tstamp_ms))
 
     def _broadcast(self, event: RrcUeEvent) -> None:
-        payload = encode_payload(event.to_value(), self.sm_codec)
+        payload = encode_payload(event.to_value(), self.sm_codec, "rrc_ue_event")
         for handle in list(self.subscriptions.values()):
             self.emit(handle, action_id=1, header=b"", payload=payload)
             self.events_emitted += 1
@@ -143,4 +142,4 @@ class RrcConfFunction(RanFunction):
 
 def parse_event(payload: bytes, codec_name: str) -> RrcUeEvent:
     """Controller side: decode an RRC event indication payload."""
-    return RrcUeEvent.from_value(decode_payload(payload, codec_name))
+    return RrcUeEvent.from_value(decode_payload(payload, codec_name, "rrc_ue_event"))

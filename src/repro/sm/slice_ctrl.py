@@ -7,15 +7,16 @@ algorithm-specific parameters (selecting the user scheduler and
 configuring its available resources)", plus the UE-to-slice
 association.  The xApp stays oblivious of the RAT.
 
-Control commands (value trees, SM-encoded):
+Control commands (value trees, SM-encoded; the ``sc_command`` union):
 
 * ``{"cmd": "set_algo", "algo": "none"|"static"|"nvs"}``
 * ``{"cmd": "add_slice", "slice": {...SliceConfig...}}``
 * ``{"cmd": "del_slice", "slice_id": int}``
 * ``{"cmd": "assoc_ue", "rnti": int, "slice_id": int}``
 
-Reports carry the current slice configuration and per-slice resource
-usage, via the standard periodic trigger.
+A command is acknowledged with ``{"ok": True}`` (``sc_ack``).  Reports
+(``sc_report``) carry the current slice configuration and per-slice
+resource usage, via the standard periodic trigger.
 """
 
 from __future__ import annotations
@@ -24,17 +25,33 @@ from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from repro.core.agent.ran_function import ControlOutcome
-from repro.core.codec.schema import wire
+from repro.core.codec.schema import (
+    F64,
+    Bool,
+    Int,
+    Nested,
+    Schema,
+    Seq,
+    Str,
+    register_payload_schema,
+    wire,
+)
 from repro.core.e2ap.procedures import Cause
 from repro.sm.base import (
     PeriodicReportFunction,
     SmInfo,
     VisibilityFn,
+    command_case,
     decode_payload,
     encode_payload,
 )
 
-INFO = SmInfo(name="SLICE_CTRL", oid="1.3.6.1.4.1.53148.1.1.2.146", default_function_id=146)
+INFO = SmInfo(
+    name="SLICE_CTRL",
+    oid="1.3.6.1.4.1.53148.1.1.2.146",
+    default_function_id=146,
+    payload_schema="sc_report",
+)
 
 ALGO_NONE = "none"      # single scheduler, no slicing
 ALGO_STATIC = "static"  # fixed resource partition, no sharing
@@ -72,6 +89,36 @@ class SliceConfig:
         return self.rate_mbps / self.ref_mbps
 
 
+register_payload_schema(
+    Schema(
+        "sc_command",
+        [],
+        cases=[
+            command_case("set_algo", ("algo", Str())),
+            command_case("add_slice", ("slice", Nested(SliceConfig.wire_schema))),
+            command_case("del_slice", ("slice_id", Int())),
+            command_case("assoc_ue", ("rnti", Int()), ("slice_id", Int())),
+        ],
+    )
+)
+register_payload_schema(Schema("sc_ack", [("ok", Bool())]))
+_SLICE = Schema(
+    "sc_slice",
+    [
+        ("slice_id", Int()),
+        ("kind", Str()),
+        ("share", F64()),
+        ("label", Str()),
+        ("exp_share", F64()),
+        ("exp_rate_mbps", F64()),
+        ("slots_served", Int()),
+        ("members", Seq(Int())),
+        ("bytes_served", Int()),
+    ],
+)
+register_payload_schema(Schema("sc_report", [("algo", Str()), ("slices", Seq(Nested(_SLICE)))]))
+
+
 class SliceControlApi(Protocol):
     """What a MAC layer must expose for the SC SM to drive it.
 
@@ -97,19 +144,23 @@ class SliceControlApi(Protocol):
 
 
 def build_set_algo(algo: str, codec_name: str) -> bytes:
-    return encode_payload({"cmd": "set_algo", "algo": algo}, codec_name)
+    return encode_payload({"cmd": "set_algo", "algo": algo}, codec_name, "sc_command")
 
 
 def build_add_slice(config: SliceConfig, codec_name: str) -> bytes:
-    return encode_payload({"cmd": "add_slice", "slice": config.to_value()}, codec_name)
+    return encode_payload(
+        {"cmd": "add_slice", "slice": config.to_value()}, codec_name, "sc_command"
+    )
 
 
 def build_del_slice(slice_id: int, codec_name: str) -> bytes:
-    return encode_payload({"cmd": "del_slice", "slice_id": slice_id}, codec_name)
+    return encode_payload({"cmd": "del_slice", "slice_id": slice_id}, codec_name, "sc_command")
 
 
 def build_assoc_ue(rnti: int, slice_id: int, codec_name: str) -> bytes:
-    return encode_payload({"cmd": "assoc_ue", "rnti": rnti, "slice_id": slice_id}, codec_name)
+    return encode_payload(
+        {"cmd": "assoc_ue", "rnti": rnti, "slice_id": slice_id}, codec_name, "sc_command"
+    )
 
 
 class SliceCtrlFunction(PeriodicReportFunction):
@@ -134,28 +185,20 @@ class SliceCtrlFunction(PeriodicReportFunction):
         self.api = api
 
     def on_control(self, origin: int, header: bytes, payload: bytes) -> ControlOutcome:
+        command = decode_payload(payload, self.sm_codec, "sc_command")
+        cmd = command["cmd"]
         try:
-            command = decode_payload(payload, self.sm_codec)
-            cmd = command["cmd"]
             if cmd == "set_algo":
                 self.api.set_slice_algorithm(command["algo"])
             elif cmd == "add_slice":
                 self.api.add_slice(SliceConfig.from_value(command["slice"]))
             elif cmd == "del_slice":
                 self.api.delete_slice(command["slice_id"])
-            elif cmd == "assoc_ue":
+            else:  # "assoc_ue", the union's last case
                 self.api.associate_ue(command["rnti"], command["slice_id"])
-            else:
-                return ControlOutcome.fail(
-                    Cause.ric_request(Cause.CONTROL_MESSAGE_INVALID, f"unknown cmd {cmd!r}")
-                )
-        except (KeyError, TypeError) as exc:
-            return ControlOutcome.fail(
-                Cause.ric_request(Cause.CONTROL_MESSAGE_INVALID, f"malformed command: {exc}")
-            )
         except ValueError as exc:
             # Admission control refused the operation.
             return ControlOutcome.fail(
                 Cause.ric_request(Cause.ADMISSION_REFUSED, str(exc))
             )
-        return ControlOutcome.ok(encode_payload({"ok": True}, self.sm_codec))
+        return ControlOutcome.ok(encode_payload({"ok": True}, self.sm_codec, "sc_ack"))

@@ -11,7 +11,8 @@ has in ``sys.modules``; run by hand it shows the same closure::
 builds one (``Server``, ``create_transport("tcp")``,
 ``StatsMonitorIApp``, the MAC and HW SMs).  Prints its address, then —
 once REPORTS MAC reports are stored (default 0) or 10 s have passed —
-one JSON line: the reports seen, ``sys.modules`` and the payload schema
+one JSON line: the reports seen, ``sys.modules``, every class
+``@dataclass`` processed since start-up, and the payload schema
 registry.  ``agent ADDRESS [REPORTS]``: a MAC agent (``Agent``,
 ``TcpTransport``, ``MacStatsFunction``) that attaches to ADDRESS, waits
 for the RIC's subscription, sends REPORTS reports and prints
@@ -35,7 +36,24 @@ def _report(**fields) -> None:
     print(json.dumps(fields), flush=True)
 
 
+def _record_dataclasses() -> list:
+    """From here on, record every class ``@dataclass`` processes (its
+    qualified name): the costliest part of importing a declaration."""
+    import dataclasses
+
+    processed = []
+    process = dataclasses._process_class
+
+    def recording(cls, *args, **kwargs):
+        processed.append(f"{cls.__module__}.{cls.__qualname__}")
+        return process(cls, *args, **kwargs)
+
+    dataclasses._process_class = recording
+    return processed
+
+
 def ric(reports: int) -> None:
+    processed = _record_dataclasses()
     from repro.controllers.monitoring import StatsMonitorIApp
     from repro.core.server import Server, ServerConfig
     from repro.sm import hw, mac_stats  # noqa: F401  (the SMs a RIC composes)
@@ -56,6 +74,7 @@ def ric(reports: int) -> None:
     _report(
         reports=monitor.store.total_stored,
         modules=modules,
+        dataclasses=processed,
         payloads=schema.payload_schema_names(),
     )
     sys.stdin.read()

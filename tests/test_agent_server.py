@@ -168,7 +168,6 @@ class TestSubscription:
 
     def test_indication_payload_decodes(self):
         from repro.sm.base import decode_payload
-        from repro.core.codec.base import materialize
 
         function = MacStatsFunction(provider=synthetic_provider(3), sm_codec="fb")
         _t, server, agent = wire(functions=[function])
@@ -182,7 +181,7 @@ class TestSubscription:
             callbacks=SubscriptionCallbacks(on_indication=events.append),
         )
         function.pump()
-        tree = materialize(decode_payload(bytes(events[0].payload), "fb"))
+        tree = decode_payload(events[0].payload, "fb", MAC.payload_schema)
         assert len(tree["ues"]) == 3
 
     def test_orphan_indication_ignored(self):

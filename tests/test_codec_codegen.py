@@ -196,6 +196,8 @@ class TestKernelEntryPoints:
             kern = codegen.envelope_kernel(codec_name, *key)
             assert kern.encode is None and kern.decode is None
         for name in cschema.payload_schema_names():
+            if cschema.payload_schema(name).cases:
+                continue  # a union has no kernel (TestDeterminism)
             assert entry_points(cschema.payload_schema(name)) == {"encode", "decode"}, name
             kern = codegen.payload_kernel(codec_name, name)
             assert kern.encode_msg is None and kern.route is None
@@ -225,10 +227,12 @@ class TestDeterminism:
                 is not None
             ), f"no kernel for envelope {key}"
         for name in cschema.payload_schema_names():
-            assert (
-                codegen.build_kernel_source(codec_name, cschema.payload_schema(name))
-                is not None
-            ), f"no kernel for payload {name}"
+            schema = cschema.payload_schema(name)
+            # A union (a case list) is the one shape no emitter takes:
+            # it always runs the walker and the schema check.
+            assert (codegen.build_kernel_source(codec_name, schema) is None) == bool(
+                schema.cases
+            ), f"payload {name}"
 
 
 def _wire_dataclasses():
@@ -408,6 +412,19 @@ def _check_differential(name, tree):
     return out
 
 
+def _check_refused(name, tree):
+    """A tree that does not fit the schema: the kernel declines it
+    (counted) and the walker lane's schema check refuses it with
+    :class:`CodecError`, with kernels on and off."""
+    before = _fallbacks()
+    assert codegen.payload_encode("fb", name, tree) is None
+    assert _fallbacks() == before + 1
+    with pytest.raises(CodecError):
+        encode_payload(tree, "fb", schema=name)
+    with codegen.interpretive(), pytest.raises(CodecError):
+        encode_payload(tree, "fb", schema=name)
+
+
 @pytest.mark.parametrize("name", _FIXED_REPORTS)
 class TestFixedLayoutSequences:
     """Elements given as a list of dicts (this class) and as Rows (the
@@ -454,7 +471,11 @@ class TestFixedLayoutSequences:
         key, elem = _fixed_seq(name)
         item = _element(elem, 1)
         item["rnti"] = wrong
-        assert _check_differential(name, {key: self.seq(elem, [item]), "tstamp_ms": 0.0}) is None
+        tree = {key: self.seq(elem, [item]), "tstamp_ms": 0.0}
+        if wrong is _Colour.RED:  # an IntEnum member is an int: the walker takes it
+            assert _check_differential(name, tree) is None
+        else:
+            _check_refused(name, tree)
 
     def test_key_shape_mismatch_falls_back(self, name):
         key, elem = _fixed_seq(name)
@@ -463,13 +484,18 @@ class TestFixedLayoutSequences:
         missing = dict(list(good.items())[:-1])
         extra = dict(good, zzz=1)
         if self.as_rows:  # rows share one layout: a whole sequence of the wrong one
-            sequences = [_as_rows(elem, [bad, bad]) for bad in (permuted, missing, extra)]
+            fitting = _as_rows(elem, [permuted, permuted])
+            sequences = [_as_rows(elem, [bad, bad]) for bad in (missing, extra)]
         else:
+            fitting = [_element(elem, 0), permuted]
             sequences = [
-                [_element(elem, 0), bad] for bad in (permuted, missing, extra, {}, 7, None, [good], "x")
+                [_element(elem, 0), bad] for bad in (missing, extra, {}, 7, None, [good], "x")
             ]
+        # Key order is the walker's to keep; a key set or a value that
+        # is not the schema's is refused.
+        assert _check_differential(name, {key: fitting, "tstamp_ms": 0.0}) is None
         for sequence in sequences:
-            assert _check_differential(name, {key: sequence, "tstamp_ms": 0.0}) is None
+            _check_refused(name, {key: sequence, "tstamp_ms": 0.0})
         # ... and a sequence that is not a list at all.
         with codegen.interpretive():
             ref = encode_payload({key: [], "tstamp_ms": 0.0}, "fb", schema=name)

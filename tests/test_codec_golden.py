@@ -262,6 +262,75 @@ def _payloads():
         "ni_insert_header": {"call_id": 42},
         "ni_resume": {"resume": True, "call_id": 42},
         "hw_ping": {"seq": 7, "data": b"p" * 100},
+        # The SM payloads declared last: each vector was captured from
+        # the builder (or the RAN function's own encode) before the
+        # declaration existed, so it pins the wire the schemaless
+        # encode wrote.
+        "tc_target": {"rnti": 4660, "bearer_id": 1},
+        "tc_command": {
+            "cmd": "add_filter",
+            "filter": {"sa": "10.0.0.1", "da": "10.0.0.2", "sp": 5060, "dp": 5061, "pr": "udp"},
+            "queue_id": 2,
+            "prio": 1,
+        },
+        "tc_ack": {"ok": True, "filter_id": 42},
+        "tc_report": {
+            "bearers": [
+                {
+                    "queues": [
+                        {
+                            "queue_id": 0,
+                            "backlog_bytes": 3000,
+                            "backlog_pkts": 2,
+                            "sojourn_ms": 1.5,
+                            "enqueued": 10,
+                            "dequeued": 8,
+                            "dropped": 0,
+                        }
+                    ],
+                    "pacer": "bdp",
+                    "scheduler": "rr",
+                    "filters": 1,
+                    "rnti": 4660,
+                    "bearer_id": 1,
+                }
+            ]
+        },
+        "sc_command": {
+            "cmd": "add_slice",
+            "slice": {
+                "slice_id": 2,
+                "label": "urllc",
+                "kind": "rate",
+                "cap": 0.0,
+                "rate_mbps": 5.0,
+                "ref_mbps": 50.0,
+                "ue_scheduler": "rr",
+            },
+        },
+        "sc_ack": {"ok": True},
+        "sc_report": {
+            "algo": "nvs",
+            "slices": [
+                {
+                    "slice_id": 2,
+                    "kind": "rate",
+                    "share": 0.1,
+                    "label": "urllc",
+                    "exp_share": 0.25,
+                    "exp_rate_mbps": 4.5,
+                    "slots_served": 12,
+                    "members": [4660, 4661],
+                    "bytes_served": 90000,
+                }
+            ],
+        },
+        "rrc_handover": {"cmd": "handover", "rnti": 4660, "target_nb": 2},
+        "rrc_ue_event": {
+            "event": "attach", "rnti": 4660, "plmn": "00101", "snssai": 1, "tstamp_ms": 12.5
+        },
+        "ni_control": {"if": "x2", "proc": "handover_request", "pl": b"\x01\x02\x03", "dir": "in"},
+        "ni_definition": {"if": "s1", "procs": ["paging", "attach"], "verdict": "drop"},
     }
 
 
@@ -416,3 +485,74 @@ class TestFlippedVectors:
             lambda frame: decode_payload(frame, codec_name, schema=payload_name),
             bytes.fromhex(VECTORS[f"{codec_name}:payload:{payload_name}"]),
         )
+
+
+class _Accepting:
+    """A RAN API on which every call succeeds (filter id 0): the sweep
+    below is about what the SM layer reads, not what the RAN does."""
+
+    def __getattr__(self, name):
+        return lambda *args: 0
+
+
+def _flips(codec_name, payload_name):
+    wire = bytes.fromhex(VECTORS[f"{codec_name}:payload:{payload_name}"])
+    for at in range(len(wire)):
+        frame = bytearray(wire)
+        frame[at] ^= 0xFF
+        yield bytes(frame)
+
+
+class TestFlippedSmPayloads:
+    """Every flip of the SM command, header and event vectors, through
+    the SMs' public parse functions and ``on_control``: a flipped frame
+    is read as some well-formed payload or refused, with
+    :class:`CodecError` or a CONTROL_MESSAGE_INVALID outcome — never
+    with any other exception."""
+
+    @staticmethod
+    def _read(call, frame):
+        try:
+            return call(frame)
+        except CodecError:
+            return CodecError
+
+    @staticmethod
+    def _controls(codec_name):
+        from repro.sm import ni, rrc_conf, slice_ctrl, traffic_ctrl
+
+        tc = traffic_ctrl.TrafficCtrlFunction(lambda: {(4660, 1): _Accepting()}, codec_name)
+        rrc = rrc_conf.RrcConfFunction(codec_name)
+        rrc.mobility = lambda rnti, target_nb: None
+        return {
+            "tc_command": tc,
+            "sc_command": slice_ctrl.SliceCtrlFunction(_Accepting(), codec_name),
+            "rrc_handover": rrc,
+            "ni_control": ni.NiFunction(sm_codec=codec_name),
+        }
+
+    @pytest.mark.parametrize("codec_name", CODECS)
+    def test_parse_functions(self, codec_name):
+        from repro.sm import rrc_conf, traffic_ctrl
+
+        for frame in _flips(codec_name, "tc_target"):
+            got = self._read(lambda f: traffic_ctrl.parse_target(f, codec_name), frame)
+            assert got is CodecError or type(got) is tuple
+        for frame in _flips(codec_name, "rrc_ue_event"):
+            got = self._read(lambda f: rrc_conf.parse_event(f, codec_name), frame)
+            assert got is CodecError or type(got) is rrc_conf.RrcUeEvent
+
+    @pytest.mark.parametrize("codec_name", CODECS)
+    def test_on_control(self, codec_name):
+        controls = self._controls(codec_name)
+        calls = [
+            (name, lambda f, function=function: function.on_control(0, b"", f))
+            for name, function in controls.items()
+        ]
+        command = bytes.fromhex(VECTORS[f"{codec_name}:payload:tc_command"])
+        calls.append(("tc_target", lambda f: controls["tc_command"].on_control(0, f, command)))
+        for name, call in calls:
+            for frame in _flips(codec_name, name):
+                outcome = self._read(call, frame)
+                if outcome is not CodecError and not outcome.success:
+                    assert outcome.cause.value == Cause.CONTROL_MESSAGE_INVALID, (name, outcome)

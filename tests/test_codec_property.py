@@ -143,7 +143,7 @@ def _spec_strategy(spec):
             st.integers(min_value=-(2**62), max_value=2**62),
             st.integers(min_value=-(2**80), max_value=2**80),
         )
-    if kind == "const_int":
+    if kind in ("const_int", "const_str"):
         return st.just(spec.value)
     if kind == "bool":
         return st.booleans()
@@ -161,12 +161,14 @@ def _spec_strategy(spec):
         return st.lists(_spec_strategy(spec.elem), max_size=4)
     if kind == "strmap":
         return st.dictionaries(
-            st.text(min_size=1, max_size=10), st.text(max_size=12), max_size=3
+            st.text(min_size=1, max_size=10), _spec_strategy(spec.value), max_size=3
         )
     raise AssertionError(f"unhandled spec kind {kind}")
 
 
 def _schema_strategy(schema_obj):
+    if schema_obj.cases:
+        return st.one_of([_schema_strategy(case) for case in schema_obj.cases])
     keys = [key for key, _spec in schema_obj.fields]
     values = st.tuples(*(_spec_strategy(spec) for _key, spec in schema_obj.fields))
     return values.map(lambda drawn: dict(zip(keys, drawn)))

@@ -129,7 +129,7 @@ class TestSlicingController:
         bs.start()
         clock.run_until(0.05)
         assert conn in iapp.mac_db
-        stats = materialize(iapp.mac_db[conn])
+        stats = iapp.latest_mac_stats(conn)
         assert stats["ues"][0]["rnti"] == 1
 
 

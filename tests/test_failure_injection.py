@@ -753,6 +753,30 @@ class TestMalformedControl:
             assert isinstance(outcomes[1], RicControlAcknowledge)
             assert pongs.wait(5.0)
 
+    def test_a_bug_in_a_control_handler_is_not_contained(self):
+        """Containment is for what a schema refuses: a ``KeyError`` an SM
+        handler raises on a well-formed command reaches the caller,
+        and no decode counts as contained."""
+        from repro.core.agent import Agent, AgentConfig
+        from repro.core.e2ap.ies import GlobalE2NodeId, NodeKind
+        from repro.core.server import Server
+        from repro.sm.hw import INFO as HW, HwRanFunction, build_ping
+
+        class BuggyHw(HwRanFunction):
+            def on_control(self, origin, header, payload):
+                return {}["missing"]
+
+        server = Server()
+        transport = InProcTransport()
+        server.listen(transport, "ric")
+        agent = Agent(AgentConfig(node_id=GlobalE2NodeId("00101", 1, NodeKind.GNB)), transport)
+        agent.register_function(BuggyHw())
+        agent.connect("ric")
+        (conn,) = [record.conn_id for record in server.agents()]
+        with pytest.raises(KeyError, match="missing"):
+            server.control(conn, HW.default_function_id, b"", build_ping(1, b"x", "fb"))
+        assert counters.get_counter("decode.contained").value == 0
+
 
 #: (action, peer, argument, step the loop until idle afterwards?) — an
 #: unpumped action leaves its bytes in the socket for the next drain to

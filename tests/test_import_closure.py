@@ -35,6 +35,11 @@ NOT_COMPOSED = (
     "repro.core.transport.faulty",
     "repro.core.transport.inproc",
 )
+#: What importing a RIC costs (``setup_s`` of every benchmark run): its
+#: ``repro`` modules, and the classes ``@dataclass`` processes (about
+#: 1 ms each; a payload declared as a ``Schema`` literal costs µs).
+RIC_REPRO_MODULES = 49
+RIC_DATACLASSES = 62
 #: the agent library, on the RIC.
 AGENT_ONLY = ("repro.core.agent.agent", "repro.core.agent.reconnect")
 #: the server library, on the agent.
@@ -100,6 +105,11 @@ class TestRicClosure:
         modules = closures[0]["modules"]
         assert "repro.core.agent.ran_function" in modules  # the SMs' API
         assert _matching(modules, AGENT_ONLY) == []
+
+    def test_import_stays_within_its_counts(self, closures):
+        modules = _matching(closures[0]["modules"], ("repro",))
+        assert len(modules) <= RIC_REPRO_MODULES, modules
+        assert len(closures[0]["dataclasses"]) <= RIC_DATACLASSES, closures[0]["dataclasses"]
 
     def test_payload_registry_is_complete(self, closures):
         from repro.core.codec import schema

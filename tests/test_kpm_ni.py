@@ -4,7 +4,6 @@
 import pytest
 
 from repro.core.agent.ran_function import SubscriptionHandle
-from repro.core.codec.base import materialize
 from repro.core.e2ap.ies import RicActionDefinition, RicActionKind, RicRequestId
 from repro.core.e2ap.messages import RicIndicationKind
 from repro.sm import kpm, ni
@@ -44,8 +43,8 @@ class TestKpmSchemas:
         tree = kpm.report_to_value(1, [kpm.KpmMeasurement("RRU.PrbTotDl", 106.0)], 10.0, 5.0)
         from repro.sm.base import encode_payload
 
-        data = encode_payload(tree, "asn")
-        style, samples, tstamp = kpm.report_from_value(decode_payload(data, "asn"))
+        data = encode_payload(tree, "asn", "kpm_report")
+        style, samples, tstamp = kpm.report_from_value(decode_payload(data, "asn", "kpm_report"))
         assert style == 1
         assert samples == [kpm.KpmMeasurement("RRU.PrbTotDl", 106.0)]
 
@@ -76,7 +75,7 @@ class TestKpmFunction:
         from repro.sm.base import encode_payload
 
         function = self._function()
-        bad = encode_payload({"style": 42, "metrics": []}, "fb")
+        bad = encode_payload({"style": 42, "metrics": []}, "fb", "kpm_action")
         admitted, rejected = function.on_subscription(
             handle(),
             PeriodicTrigger(10.0).to_bytes("fb"),
@@ -100,7 +99,7 @@ class TestKpmFunction:
         sink = function._sink
         indication = sink.sent[0]
         style, samples, _ = kpm.report_from_value(
-            decode_payload(bytes(indication.payload), "fb")
+            decode_payload(indication.payload, "fb", "kpm_report")
         )
         assert style == kpm.STYLE_CELL_LOAD
         assert samples == [kpm.KpmMeasurement("RRC.ConnMean", 42.0)]
@@ -166,7 +165,7 @@ class TestNi:
         assert function.observe(ni.InterfaceMessage("s1", "paging", b"pl"))
         assert len(sink.sent) == 1
         message = ni.InterfaceMessage.from_value(
-            materialize(decode_payload(bytes(sink.sent[0].payload), "fb"))
+            decode_payload(sink.sent[0].payload, "fb", "ni_message")
         )
         assert message.procedure == "paging" and message.payload == b"pl"
 

@@ -104,7 +104,6 @@ class TestAgentWithTwoControllers:
         from repro.core.e2ap.ies import RicActionDefinition, RicActionKind
         from repro.core.server.submgr import SubscriptionCallbacks
         from repro.sm.base import PeriodicTrigger, decode_payload
-        from repro.core.codec.base import materialize
 
         _t, (server_a, server_b), agent = self._make()
         function = MacStatsFunction(
@@ -131,8 +130,8 @@ class TestAgentWithTwoControllers:
                 ),
             )
         function.pump()
-        ues_a = materialize(decode_payload(payloads["a"][0], "fb"))["ues"]
-        ues_b = materialize(decode_payload(payloads["b"][0], "fb"))["ues"]
+        ues_a = decode_payload(payloads["a"][0], "fb", "mac_stats_report")["ues"]
+        ues_b = decode_payload(payloads["b"][0], "fb", "mac_stats_report")["ues"]
         assert [ue["rnti"] for ue in ues_a] == [0, 1, 2, 3]
         assert [ue["rnti"] for ue in ues_b] == [2]
 

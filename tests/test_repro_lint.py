@@ -103,7 +103,7 @@ class TestRL002BroadExcept:
             """,
         )
         assert codes(findings) == ["RL002"]
-        assert "DECODE_ERRORS" in findings[0].message
+        assert "CodecError" in findings[0].message
 
     def test_bare_and_tuple_flagged(self, tmp_path):
         findings, _ = run_lint(
@@ -129,7 +129,7 @@ class TestRL002BroadExcept:
             """
             try:
                 decode(b"")
-            except DECODE_ERRORS:
+            except CodecError:
                 pass
             try:
                 decode(b"")
@@ -368,6 +368,19 @@ class TestRL007HotPathBytesCopy:
         )
         assert codes(findings) == ["RL007"]
         assert "materializes" in findings[0].message
+
+    def test_tobytes_of_view_flagged_in_hot_path(self, tmp_path):
+        findings, _ = run_lint(
+            tmp_path,
+            self.HOT,
+            """
+            def feed(chunk, a, b):
+                view = memoryview(chunk)
+                return view[a:b].tobytes()
+            """,
+        )
+        assert codes(findings) == ["RL007"]
+        assert ".tobytes()" in findings[0].message
 
     def test_pragma_with_reason_suppresses(self, tmp_path):
         findings, suppressed = run_lint(

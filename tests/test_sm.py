@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.agent.ran_function import SubscriptionHandle
-from repro.core.codec.base import materialize
+from repro.core.codec import codegen
+from repro.core.codec.base import CodecError, get_codec, materialize
 from repro.core.e2ap.ies import RicActionDefinition, RicActionKind, RicRequestId
 from repro.sm import hw, mac_stats, pdcp_stats, rlc_stats, rrc_conf, slice_ctrl, traffic_ctrl
 from repro.sm.base import (
@@ -123,7 +124,8 @@ class TestPeriodicReportFunction:
         )
         function.pump()
         _origin, indication = sink.sent[0]
-        tree = materialize(decode_payload(indication.payload, "fb"))
+        # This SM declares no report schema: its reports are bare walker trees.
+        tree = materialize(get_codec("fb").decode(indication.payload))
         assert tree["visible"] == [30]
 
     def test_sequence_numbers_increment(self):
@@ -215,22 +217,24 @@ class TestStatsSchemas:
         ue = mac_stats.MacUeStats(rnti=5, cqi=11, bytes_dl=1000)
         tree = mac_stats.report_to_value([ue], 12.5)
         for codec in ("asn", "fb"):
-            data = encode_payload(tree, codec)
-            ues, tstamp = mac_stats.report_from_value(decode_payload(data, codec))
+            data = encode_payload(tree, codec, "mac_stats_report")
+            ues, tstamp = mac_stats.report_from_value(
+                decode_payload(data, codec, "mac_stats_report")
+            )
             assert ues == [ue] and tstamp == 12.5
 
     def test_rlc_roundtrip(self):
         bearer = rlc_stats.RlcBearerStats(rnti=1, bearer_id=2, sojourn_ms=3.5, dropped=4)
         tree = rlc_stats.report_to_value([bearer], 1.0)
-        data = encode_payload(tree, "fb")
-        bearers, _ = rlc_stats.report_from_value(decode_payload(data, "fb"))
+        data = encode_payload(tree, "fb", "rlc_stats_report")
+        bearers, _ = rlc_stats.report_from_value(decode_payload(data, "fb", "rlc_stats_report"))
         assert bearers == [bearer]
 
     def test_pdcp_roundtrip(self):
         bearer = pdcp_stats.PdcpBearerStats(rnti=1, bearer_id=1, tx_pkts=9, tx_bytes=900)
         tree = pdcp_stats.report_to_value([bearer], 0.0)
-        data = encode_payload(tree, "asn")
-        bearers, _ = pdcp_stats.report_from_value(decode_payload(data, "asn"))
+        data = encode_payload(tree, "asn", "pdcp_stats_report")
+        bearers, _ = pdcp_stats.report_from_value(decode_payload(data, "asn", "pdcp_stats_report"))
         assert bearers == [bearer]
 
     def test_synthetic_provider_respects_visibility(self):
@@ -295,10 +299,12 @@ class TestStatsSchemas:
         tree = sm.report_to_value(elements, 4.5)
         wire = encode_payload(tree, codec, schema=sm.INFO.payload_schema)
         decodes = [
-            decode_payload(wire, codec),  # the codec's own (fb: lazy) decode
+            get_codec(codec).decode(wire),  # the codec's own (fb: lazy) decode
             decode_payload(wire, codec, schema=sm.INFO.payload_schema),
-            decode_payload(memoryview(bytearray(wire)), codec),
+            decode_payload(memoryview(bytearray(wire)), codec, schema=sm.INFO.payload_schema),
         ]
+        with codegen.interpretive():  # the walker lane's materialized tree
+            decodes.append(decode_payload(wire, codec, schema=sm.INFO.payload_schema))
         for decoded in decodes:
             plain = materialize(decoded)
             check_plain(plain)
@@ -350,7 +356,7 @@ class TestHwSm:
 class TestRrcSm:
     def test_event_schema(self):
         event = rrc_conf.RrcUeEvent("attach", 3, "00102", 5, 7.0)
-        data = encode_payload(event.to_value(), "fb")
+        data = encode_payload(event.to_value(), "fb", "rrc_ue_event")
         assert rrc_conf.parse_event(data, "fb") == event
 
     def test_notify_broadcasts_to_subscribers(self):
@@ -425,13 +431,15 @@ class TestSliceCtrlSm:
 
     def test_unknown_command(self):
         function = self._function()
-        payload = encode_payload({"cmd": "frobnicate"}, "fb")
-        assert not function.on_control(0, b"", payload).success
+        payload = get_codec("fb").encode({"cmd": "frobnicate"})
+        with pytest.raises(CodecError):  # the agent answers CONTROL_MESSAGE_INVALID
+            function.on_control(0, b"", payload)
 
     def test_malformed_command(self):
         function = self._function()
-        payload = encode_payload({"cmd": "add_slice"}, "fb")  # missing slice
-        assert not function.on_control(0, b"", payload).success
+        payload = get_codec("fb").encode({"cmd": "add_slice"})  # missing slice
+        with pytest.raises(CodecError):
+            function.on_control(0, b"", payload)
 
     def test_resource_share_property(self):
         config = slice_ctrl.SliceConfig(slice_id=1, kind=slice_ctrl.KIND_RATE,
@@ -511,7 +519,7 @@ class TestTrafficCtrlSm:
         outcome = function.on_control(
             0, b"", traffic_ctrl.build_add_filter(match, 2, 1, "fb")
         )
-        result = materialize(decode_payload(outcome.outcome, "fb"))
+        result = decode_payload(outcome.outcome, "fb", "tc_ack")
         assert result["filter_id"] == 42
 
     def test_all_commands_dispatch(self):
@@ -544,3 +552,22 @@ class TestTrafficCtrlSm:
     def test_five_tuple_match_roundtrip(self):
         match = traffic_ctrl.FiveTupleMatch("a", "b", 1, 2, "udp")
         assert traffic_ctrl.FiveTupleMatch.from_value(match.to_value()) == match
+
+
+def test_every_sm_payload_call_in_src_names_its_schema():
+    """``decode_payload`` has no default schema; ``encode_payload``'s
+    exists only for the benchmark ladder's bare walker rung.  Every call
+    in the package names the schema its tree is declared by."""
+    import ast
+    from pathlib import Path
+
+    unnamed = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("encode_payload", "decode_payload"):
+                if len(node.args) < 3 and not any(k.arg == "schema" for k in node.keywords):
+                    unnamed.append(f"{path.name}:{node.lineno}")
+    assert unnamed == []

@@ -182,12 +182,10 @@ class TestVirtualizationController:
             bs.attach_ue(rnti, fixed_mcs=28)
         bs.start()
         clock.run_until(0.05)
-        from repro.core.codec.base import materialize
-
         for name, expected in (("A", [1, 2]), ("B", [3, 4])):
             iapp = iapps[name]
             conn = servers[name].agents()[0].conn_id
-            stats = materialize(iapp.mac_db[conn])
+            stats = iapp.latest_mac_stats(conn)
             assert [ue["rnti"] for ue in stats["ues"]] == expected
 
     def test_rrc_events_partitioned(self):

@@ -446,3 +446,26 @@ class TestKernelLane:
                 assert round_trip() == message  # kernels built, counters resolved
                 calls[lane] = count_calls(round_trip)
         assert calls["kernel"] <= KERNEL_SHARE * calls["walker"], calls
+
+    @pytest.mark.parametrize("codec_name", codegen.CODECS)
+    def test_sm_payloads_on_the_hot_paths_take_only_kernels(self, codec_name):
+        """A 1 500 B HW ping/pong and a 32-UE MAC report, built and
+        read under their schemas: every encode and decode a kernel hit,
+        no decline — the walker lane's schema check costs them nothing."""
+        from repro.metrics import counters
+        from repro.sm.base import decode_payload
+
+        counters.reset_counters("codec.kernel.")
+        seq, data = hw.parse_ping(hw.build_ping(7, b"p" * 1500, codec_name), codec_name)
+        assert hw.parse_pong(hw.build_pong(seq, data, codec_name), codec_name) == (7, data)
+        schema = mac_stats.INFO.payload_schema
+        report = mac_stats.synthetic_provider(32)(None)
+        wire = encode_payload(report, codec_name, schema)
+        assert decode_payload(wire, codec_name, schema) == report
+        kernel = {k: v for k, v in counter_values().items() if k.startswith("codec.kernel.")}
+        assert kernel == {
+            "codec.kernel.encode_hits": 3,
+            "codec.kernel.decode_hits": 3,
+            "codec.kernel.encode_fallbacks": 0,
+            "codec.kernel.decode_fallbacks": 0,
+        }
